@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from .laurent import LaurentPolynomial, one, poly_xgcd
-from .linalg import Matrix, det_laurent, smith_normal_form
+from .linalg import (Matrix, _bareiss, _eval_points, _newton_interpolate,
+                     smith_normal_form)
 from .seifert import seifert_matrix
 
 __all__ = [
@@ -48,33 +49,85 @@ class BlanchfieldEntries:
         return self.numerators[i][j], self.denominator
 
 
-def blanchfield_entries(n):
-    a = seifert_matrix(n).matrix
+def _pairing_cofactors(a, pos):
+    """Determinant and adjugate block of M(t) = A - t A^T for a square
+    integer Matrix A: returns (det M, adj) with adj[i][j] the Laurent
+    polynomial adj(M)[pos[i]][pos[j]], so that M^-1 [pos[i], pos[j]] is
+    adj[i][j] / det M.  pos holds two distinct indices.
+
+    One elimination per evaluation point replaces five determinants.
+    At an integer x, M(x) is formed with the rows and columns pos moved
+    last (the same permutation on both sides, which leaves the
+    determinant and the adjugate entries unchanged), and `_bareiss` runs
+    its first N-2 steps on it, N the side.  By Sylvester's identity the
+    trailing 2x2 block B then holds the minors of the leading
+    (N-2)-square block L bordered by one of the last two rows and one of
+    the last two columns, each times the sign s of the row swaps, and
+    the last pivot is s det L.  The adjugate block of M at the moved
+    positions equals the adjugate of the bordered-minor block, so it is
+    s adj(B) = s [[B11, -B01], [-B10, B00]], and one more elimination
+    step on B gives det M = s (B00 B11 - B01 B10) / (s det L), an exact
+    division.
+
+    A point where L(x) is singular leaves no pivot to divide by; it is
+    skipped and the next point is taken.  det L has degree at most N-2,
+    so more skips than that mean L is singular identically and this
+    route cannot work.  The N+1 surviving value sequences (det M has
+    degree at most N, the adjugate entries at most N-1) are
+    interpolated exactly.
+    """
     size = a.nrows
-    m = Matrix([[LaurentPolynomial({0: a[i][j], 1: -a[j][i]}
-                                   if a[i][j] or a[j][i] else {})
-                 for j in range(size)] for i in range(size)])
-    den = det_laurent(m)
-    assert den, "pairing matrix must be nonsingular"
+    k = size - 2
+    order = [i for i in range(size) if i not in pos] + list(pos)
+    pairs = [[(a[i][j], a[j][i]) for j in order] for i in order]
+    pts = []
+    vals = ([], [], [], [], [])  # det M, adj00, adj01, adj10, adj11
+    skipped = 0
+    points = _eval_points()
+    while len(pts) < size + 1:
+        x = next(points)
+        m = [[u - x * v for u, v in row] for row in pairs]
+        sign = _bareiss(m, k)
+        if sign is None:
+            skipped += 1
+            if skipped > k:
+                raise ArithmeticError(
+                    "leading block of A - t A^T is singular identically")
+            continue
+        (b00, b01), (b10, b11) = m[k][k:], m[k + 1][k:]
+        last = m[k - 1][k - 1] if k else 1
+        q, r = divmod(sign * (b00 * b11 - b01 * b10), last)
+        if r:
+            raise ArithmeticError("Bareiss division was not exact")
+        pts.append(x)
+        for seq, v in zip(vals, (q, sign * b11, -sign * b01, -sign * b10,
+                                 sign * b00)):
+            seq.append(v)
+    den, c00, c01, c10, c11 = (_newton_interpolate(pts, v) for v in vals)
+    return den, ((c00, c01), (c10, c11))
+
+
+def blanchfield_entries(n):
+    """The pairing values c_ij = (t-1) (A - t A^T)^-1 [p_i, p_j] at the
+    0-based rows p_0 = n-2, p_1 = 2n-3, from one elimination per
+    evaluation point: by Sylvester's identity the bordered minors left
+    after N-2 Bareiss steps give the adjugate entries, with the sign of
+    the row swaps, and points where the leading block is singular are
+    skipped (see `_pairing_cofactors`).  The result is checked to be
+    hermitian: c_ij(t^-1) den(t) = c_ji(t) den(t^-1)."""
+    den, adj = _pairing_cofactors(seifert_matrix(n).matrix,
+                                  (n - 2, 2 * n - 3))
+    if not den:
+        raise ValueError(f"A - t A^T is singular for n={n}")
     tm1 = LaurentPolynomial({1: 1, 0: -1})
-    pos = (n - 2, 2 * n - 3)
-    nums = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            # inverse entry [p_i, p_j] is the (p_j, p_i) cofactor / det
-            cof = det_laurent(m.minor(pos[j], pos[i]))
-            if (pos[i] + pos[j]) % 2:
-                cof = -cof
-            row.append(tm1 * cof)
-        nums.append(tuple(row))
-    ent = BlanchfieldEntries(n, den, tuple(nums))
+    nums = tuple(tuple(tm1 * c for c in row) for row in adj)
     for i in range(2):
         for j in range(2):
-            lhs = ent.numerators[i][j].involution() * den
-            rhs = ent.numerators[j][i] * den.involution()
-            assert lhs == rhs, "pairing entries are not hermitian"
-    return ent
+            lhs = nums[i][j].involution() * den
+            rhs = nums[j][i] * den.involution()
+            if lhs != rhs:
+                raise ArithmeticError("pairing entries are not hermitian")
+    return BlanchfieldEntries(n, den, nums)
 
 
 # -- branched cover homology ----------------------------------------------------
@@ -117,7 +170,9 @@ def cover_homology_snf(n, q):
                     row.append(v)
             rows.append(row)
     inv = smith_normal_form(rows)
-    assert all(d != 0 for d in inv), "branched cover homology must be finite"
+    if not all(inv):
+        raise ValueError(
+            f"H_1 of the {q}-fold branched cover is infinite for n={n}")
     return CoverHomology(n, q, tuple(inv))
 
 
@@ -147,7 +202,10 @@ def _annihilator_pair(delta, q):
     tq1 = LaurentPolynomial({q: 1, 0: -1})
     aligned = delta.aligned()
     d, u, _ = poly_xgcd(aligned, tq1)
-    assert d == one(), "Alexander polynomial shares a root of unity with t^q-1"
+    if d != one():
+        raise ValueError(
+            f"the Alexander polynomial shares a root of unity with t^{q}-1, "
+            f"so the {q}-fold branched cover has infinite homology")
     c = 1
     for _, cf in u.items():
         den = Fraction(cf).denominator
@@ -155,10 +213,12 @@ def _annihilator_pair(delta, q):
     rc = [0] * q
     for e, cf in u.scale(c).items():
         cf = Fraction(cf)
-        assert cf.denominator == 1
+        if cf.denominator != 1:
+            raise ArithmeticError("annihilator scaling left a fraction")
         rc[(e - delta.min_exp) % q] += int(cf)
     check = _cyclic_mul(_cyclic(delta, q), rc, q)
-    assert check == [c] + [0] * (q - 1)
+    if check != [c] + [0] * (q - 1):
+        raise ArithmeticError("annihilator does not invert delta")
     return rc, c
 
 
@@ -198,9 +258,13 @@ def linking_form(n, q=3):
     mat = tuple(tuple(lam(u, v) for v in BASIS) for u in BASIS)
     for i in range(4):
         for j in range(4):
-            assert mat[i][j] == mat[j][i], "linking form must be symmetric"
-            assert n % mat[i][j].denominator == 0, \
-                "linking values must have denominator dividing n"
+            if mat[i][j] != mat[j][i]:
+                raise ArithmeticError("linking form must be symmetric")
+            if n % mat[i][j].denominator:
+                raise ValueError(
+                    f"linking value {mat[i][j]} has a denominator not "
+                    f"dividing n={n}: H_1 of the {q}-fold cover is not "
+                    f"(Z/n)^4 on the basis (a, ta, b, tb)")
     sign = 0
     if q == 3:
         plus = linking_template(n)
@@ -210,9 +274,9 @@ def linking_form(n, q=3):
             sign = -1
     form = LinkingForm(n, q, mat, sign)
     if q == 3:
-        tmat = t_matrix()
-        assert _transforms_to(form, tmat, form.n), \
-            "deck transformation must preserve the linking form"
+        if not _transforms_to(form, t_matrix(), form.n):
+            raise ArithmeticError(
+                "deck transformation must preserve the linking form")
     return form
 
 
@@ -269,15 +333,16 @@ class SymmetryAction:
 def symmetry_action(n, form=None):
     t = t_matrix()
     r = r_matrix()
-    assert t * r == r * t, "symmetry must commute with the deck action"
-    cube = t * t * t
-    assert cube == Matrix.identity(4), "deck transformation has order 3"
+    if t * r != r * t:
+        raise ArithmeticError("symmetry must commute with the deck action")
+    if t * t * t != Matrix.identity(4):
+        raise ArithmeticError("deck transformation has order 3")
     power = Matrix.identity(4)
     for _ in range(n):
         power = power * r
-    assert power.map(lambda x: x % n) == Matrix.identity(4).map(
-        lambda x: x % n), "symmetry must have order n on the cover"
-    if form is not None:
-        assert _transforms_to(form, r, n), \
-            "symmetry must preserve the linking form"
+    if power.map(lambda x: x % n) != Matrix.identity(4).map(lambda x: x % n):
+        raise ValueError(f"symmetry does not have order n={n} on the cover")
+    if form is not None and not _transforms_to(form, r, n):
+        raise ValueError(f"symmetry does not preserve the linking form "
+                         f"for n={n}")
     return SymmetryAction(n, t, r)

@@ -152,8 +152,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand.  Bad input (a ValueError) ends in a one-line
+    message on stderr and exit code 2, like an argument error."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"sliceobs: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

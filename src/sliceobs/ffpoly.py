@@ -412,8 +412,10 @@ def degree_sequence(fact):
 def primitive_root_of_unity(s, d, theta=None):
     """An element of order exactly d in Z/s (d prime, d | s-1).  A supplied
     candidate is validated and returned reduced."""
-    assert is_prime(s)
-    assert is_prime(d)
+    if not is_prime(s):
+        raise ValueError(f"s={s} is not prime")
+    if not is_prime(d):
+        raise ValueError(f"d={d} is not prime")
     if (s - 1) % d:
         raise ValueError(f"no {d}-th roots of unity mod {s}")
     if theta is not None:

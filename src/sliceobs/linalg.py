@@ -1,14 +1,19 @@
 """Exact linear algebra over the rings used elsewhere: integers,
 rationals, Laurent polynomials, and prime fields.
 
-Everything here is deliberately dependency-free.  Determinants come in
-three flavors: fraction-free Bareiss elimination for generic exact
-entries, fast Gaussian elimination modulo a prime, and an
-evaluation/interpolation route for polynomial matrices that stays in
-integer arithmetic until the final interpolation step.
+Everything here is deliberately dependency-free.  All integer
+determinant work goes through one kernel, `_bareiss`: fraction-free
+elimination on int rows, in place, with every division checked to be
+exact.  It gives `det_bareiss` for integer matrices and, one evaluation
+point at a time, `det_laurent` for Laurent polynomial matrices, which
+then interpolates the values exactly.  Its partial form, stopped before
+the last rows, also yields bordered minors (see
+`blanchfield.blanchfield_entries`).  Determinants over a prime field
+use plain Gaussian elimination (`det_gf`).
 """
 
 from fractions import Fraction
+from itertools import count, islice
 
 from .cyclotomic import Cyclotomic
 from .laurent import LaurentPolynomial, _to_q, one, zero, t
@@ -137,62 +142,59 @@ def involution(obj, conjugate=None):
 # -- determinants -------------------------------------------------------------
 
 
-def _exact_div(num, den):
-    """Division known to be exact in the entry ring."""
-    if isinstance(den, int):
-        if den == 1:
-            return num
-        if den == -1:
-            return -num
-        if isinstance(num, int):
-            q, r = divmod(num, den)
-            assert not r, "Bareiss division was not exact"
-            return q
-        if isinstance(num, Fraction):
-            return num / den
-        den = LaurentPolynomial.constant(den)
-    if isinstance(den, Fraction):
-        return num / den
-    if isinstance(den, LaurentPolynomial):
-        if not isinstance(num, LaurentPolynomial):
-            num = LaurentPolynomial.constant(num)
-        return num.exact_div(den)
-    raise TypeError(f"no exact division by {type(den).__name__}")
+def _bareiss(a, steps):
+    """Run the first `steps` steps of fraction-free (Bareiss) elimination
+    on the int rows a, in place.
+
+    After step k, every entry a[i][j] with i, j > k is the minor of the
+    leading (k+1)-square block bordered by row i and column j, times the
+    sign of the row swaps made so far (Sylvester's identity); that is
+    what makes each division exact.  Pivots are swapped in only from the
+    first `steps` rows, so the rows from `steps` on stay the border rows.
+    Returns the swap sign, or None when a pivot vanishes and no swap can
+    fix it, which happens exactly when the leading steps-square block is
+    singular.  Raises ArithmeticError if a division is not exact.
+    """
+    sign = 1
+    prev = 1
+    for k in range(steps):
+        row_k = a[k]
+        if not row_k[k]:
+            swap = next((i for i in range(k + 1, steps) if a[i][k]), None)
+            if swap is None:
+                return None
+            a[k], a[swap] = a[swap], row_k
+            row_k = a[k]
+            sign = -sign
+        pivot = row_k[k]
+        tail = row_k[k + 1:]
+        for i in range(k + 1, len(a)):
+            row_i = a[i]
+            aik = row_i[k]
+            for j, y in enumerate(tail, k + 1):
+                q, r = divmod(row_i[j] * pivot - aik * y, prev)
+                if r:
+                    raise ArithmeticError("Bareiss division was not exact")
+                row_i[j] = q
+            row_i[k] = 0
+        prev = pivot
+    return sign
 
 
 def det_bareiss(m):
-    """Fraction-free determinant for exact entries (int, Fraction, or
-    Laurent polynomial).  All intermediate divisions are exact.
-    """
+    """Determinant of a square integer matrix (a Matrix or a list of
+    rows) by fraction-free elimination."""
     rows = m.rows if isinstance(m, Matrix) else m
     a = [list(r) for r in rows]
     n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant of non-square matrix")
+    if not all(isinstance(x, int) for r in a for x in r):
+        raise TypeError("det_bareiss takes integer entries")
     if n == 0:
         return 1
-    assert all(len(r) == n for r in a), "determinant of non-square matrix"
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return _zero_like(a[k][k])
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, aik = a[i], a[i][k]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = _exact_div(row_i[j] * pivot - aik * row_k[j], prev)
-            row_i[k] = _zero_like(pivot)
-        prev = pivot
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
-def _zero_like(x):
-    return LaurentPolynomial({}) if isinstance(x, LaurentPolynomial) else 0
+    sign = _bareiss(a, n)
+    return 0 if sign is None else sign * a[n - 1][n - 1]
 
 
 def det_gf(rows, s):
@@ -229,7 +231,7 @@ def det_laurent(m):
     coefficients, by evaluation at integer points and Newton interpolation.
 
     Row-wise powers of t are factored out first so every evaluation is a
-    plain integer determinant (computed by Bareiss), then the interpolated
+    plain integer determinant (`det_bareiss`), then the interpolated
     coefficients are checked to be integers.
     """
     rows = m.rows if isinstance(m, Matrix) else m
@@ -250,21 +252,18 @@ def det_laurent(m):
         r = [x.shift(-lo) for x in r]
         degree_bound += max(x.max_exp for x in r if not x.is_zero)
         shifted.append(r)
-    pts = _eval_points(degree_bound + 1)
+    pts = list(islice(_eval_points(), degree_bound + 1))
     vals = [det_bareiss([[x(p) for x in r] for r in shifted]) for p in pts]
     poly = _newton_interpolate(pts, vals)
     return poly.shift(total_shift)
 
 
-def _eval_points(count):
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return pts[:count]
+def _eval_points():
+    """The integers 0, 1, -1, 2, -2, ... without end."""
+    yield 0
+    for k in count(1):
+        yield k
+        yield -k
 
 
 def _newton_interpolate(pts, vals):
@@ -284,7 +283,8 @@ def _newton_interpolate(pts, vals):
         basis = basis * (t() - pts[i])
     out = {}
     for e, c in poly.items():
-        assert c.denominator == 1, "interpolant not integral"
+        if c.denominator != 1:
+            raise ArithmeticError("interpolant not integral")
         out[e] = c.numerator
     return LaurentPolynomial(out)
 
@@ -295,7 +295,8 @@ def _newton_interpolate(pts, vals):
 class _IntegerDomain:
     @staticmethod
     def lift(x):
-        assert isinstance(x, int)
+        if not isinstance(x, int):
+            raise TypeError("integer Smith form takes integer entries")
         return x
 
     @staticmethod

@@ -172,6 +172,8 @@ def _character_analysis(pres, chi, s, theta):
 
 def _witness(n, sign, s, theta):
     if s is None:
+        if theta is not None:
+            raise ValueError("theta needs an explicit s")
         if (n, sign) in DEFAULT_WITNESS:
             s, theta = DEFAULT_WITNESS[(n, sign)]
         else:

@@ -152,7 +152,10 @@ class TwistedRep:
     @staticmethod
     def build(pres, chi, s, theta):
         n = chi.n
-        assert is_prime(s) and pow(theta, n, s) == 1 and theta % s != 1
+        if not is_prime(s):
+            raise ValueError(f"s={s} is not prime")
+        if pow(theta, n, s) != 1 or theta % s == 1:
+            raise ValueError(f"theta={theta} does not have order {n} mod {s}")
         e = propagate(pres, seed_tuples(chi), n)
         exps = tuple(e[g] for g in range(1, pres.num_generators + 1))
         return TwistedRep(n, s, theta, exps)

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sliceobs.blanchfield import (
     BASIS,
+    BlanchfieldEntries,
+    _pairing_cofactors,
     blanchfield_entries,
     cover_homology_snf,
     linking_form,
@@ -15,8 +17,38 @@ from sliceobs.blanchfield import (
     symmetry_action,
     t_matrix,
 )
-from sliceobs.linalg import Matrix
-from sliceobs.seifert import alexander_polynomial
+from sliceobs.laurent import LaurentPolynomial
+from sliceobs.linalg import Matrix, det_bareiss, det_laurent
+from sliceobs.seifert import alexander_polynomial, seifert_matrix
+
+
+def five_determinant_cofactors(a, pos):
+    """Independent route: det(A - t A^T) and the adjugate entries
+    adj[p_i][p_j] = (-1)^(p_i + p_j) det(minor(p_j, p_i)), one
+    det_laurent call each."""
+    size = a.nrows
+    m = Matrix([[LaurentPolynomial({0: a[i][j], 1: -a[j][i]}
+                                   if a[i][j] or a[j][i] else {})
+                 for j in range(size)] for i in range(size)])
+    adj = tuple(tuple((-1) ** (pi + pj) * det_laurent(m.minor(pj, pi))
+                      for pj in pos) for pi in pos)
+    return det_laurent(m), adj
+
+
+def five_determinant_entries(n):
+    den, adj = five_determinant_cofactors(seifert_matrix(n).matrix,
+                                          (n - 2, 2 * n - 3))
+    tm1 = LaurentPolynomial({1: 1, 0: -1})
+    return BlanchfieldEntries(
+        n, den, tuple(tuple(tm1 * c for c in row) for row in adj))
+
+
+# rows and columns 1, 3 form the leading block once pos = (2, 0) is moved
+# last; it is [[0, 1], [-x, 0]], singular at x = 0 and nowhere else
+SINGULAR_AT_ZERO = Matrix([[1, 2, 0, -1],
+                           [0, 0, 3, 1],
+                           [2, -1, 1, 0],
+                           [1, 0, -2, 0]])
 
 
 class TestBlanchfieldEntries:
@@ -30,6 +62,26 @@ class TestBlanchfieldEntries:
         num, den = ent.entry(0, 1)
         assert den is ent.denominator
         assert num == ent.numerators[0][1]
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 17])
+    def test_matches_five_determinant_route(self, n):
+        assert blanchfield_entries(n) == five_determinant_entries(n)
+
+    def test_point_with_singular_leading_block_is_skipped(self):
+        a, pos = SINGULAR_AT_ZERO, (2, 0)
+        lead = [[a[i][j] for j in (1, 3)] for i in (1, 3)]
+        assert det_bareiss(lead) == 0
+        den, adj = _pairing_cofactors(a, pos)
+        assert den
+        assert (den, adj) == five_determinant_cofactors(a, pos)
+
+    def test_identically_singular_leading_block_is_refused(self):
+        a = Matrix([[0, 0, 1, 0],
+                    [0, 0, 0, 1],
+                    [1, 0, 1, 0],
+                    [0, 1, 0, 1]])
+        with pytest.raises(ArithmeticError):
+            _pairing_cofactors(a, (2, 3))
 
     def test_hermitian_symmetry(self):
         # c_ij(t^-1) den(t) == c_ji(t) den(t^-1)

@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sliceobs
 from sliceobs.cli import build_parser, main
 
 
@@ -90,6 +94,38 @@ class TestMetabolizersCommand:
         assert "orbit sizes [1, 11]" in out
         assert "fixed: generated by" in out
         assert "orbit of 11" in out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["obstruct", "--n", "7"],
+        ["obstruct", "--n", "12"],
+        ["obstruct", "--n", "11", "--s", "24"],
+        ["obstruct", "--n", "11", "--theta", "5"],
+        ["homology", "--n", "3"],
+        ["linking", "--n", "3"],
+        ["linking", "--n", "4"],
+    ])
+    def test_one_line_error_and_exit_code_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("sliceobs: error: ")
+
+    def test_composite_s_fails_fast_under_optimize(self):
+        # input checks must not be asserts, which -O strips
+        src = os.path.dirname(os.path.dirname(sliceobs.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "sliceobs.cli", "obstruct",
+             "--n", "11", "--s", "111"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("sliceobs: error: ")
 
 
 class TestParser:

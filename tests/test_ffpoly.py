@@ -180,6 +180,8 @@ def test_primitive_root_of_unity():
         primitive_root_of_unity(23, 11, 5)
     with pytest.raises(ValueError):
         primitive_root_of_unity(23, 7)
+    with pytest.raises(ValueError):
+        primitive_root_of_unity(111, 11)
 
 
 def test_norm_obstruction_oracles():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from sliceobs.cyclotomic import Cyclotomic
 from sliceobs.laurent import LaurentPolynomial, one, t
-from sliceobs.linalg import (Matrix, det_bareiss, det_gf, det_laurent,
+from sliceobs.linalg import (Matrix, _bareiss, _newton_interpolate,
+                             det_bareiss, det_gf, det_laurent,
                              involution, smith_normal_form,
                              smith_normal_form_with_transforms,
                              snf_over_rational_polynomials)
@@ -73,8 +74,41 @@ def test_det_gf_matches_integer_det(rows, s):
 
 
 def test_det_bareiss_needs_square():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         det_bareiss([[1, 2, 3], [4, 5, 6]])
+
+
+def test_det_bareiss_is_integer_only():
+    with pytest.raises(TypeError):
+        det_bareiss([[Fraction(1, 2), 0], [0, 2]])
+    with pytest.raises(TypeError):
+        det_bareiss([[t(), 1], [1, 1]])
+
+
+@given(int_matrix.filter(lambda rows: len(rows) >= 2), st.data())
+def test_partial_bareiss_leaves_bordered_minors(rows, data):
+    # Sylvester's identity: after k steps the trailing entries are the
+    # leading k-block bordered by one more row and column, up to the
+    # swap sign; None exactly when the leading k-block is singular
+    n = len(rows)
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    a = [list(r) for r in rows]
+    sign = _bareiss(a, k)
+    lead = det_cofactor([r[:k] for r in rows[:k]])
+    if sign is None:
+        assert lead == 0
+        return
+    assert lead != 0 and a[k - 1][k - 1] == sign * lead
+    for i in range(k, n):
+        for j in range(k, n):
+            bordered = [r[:k] + [r[j]] for r in rows[:k] + [rows[i]]]
+            assert a[i][j] == sign * det_cofactor(bordered)
+
+
+def test_interpolant_must_be_integral():
+    assert _newton_interpolate([0, 1, -1], [1, 2, 2]) == t(2) + 1
+    with pytest.raises(ArithmeticError):
+        _newton_interpolate([0, 2], [0, 1])
 
 
 def test_det_bareiss_zero_matrix():
@@ -98,7 +132,7 @@ def test_det_laurent_small():
         min_size=n, max_size=n)))
 def test_det_laurent_matches_bareiss(entries):
     rows = [[LaurentPolynomial({e: c}) for c, e in r] for r in entries]
-    assert det_laurent(rows) == det_bareiss(rows)
+    assert det_laurent(rows) == det_cofactor(rows)
 
 
 def test_smith_normal_form_known():

@@ -16,6 +16,11 @@ class TestWitnesses:
         assert set(DEFAULT_WITNESS) == {
             (n, sign) for n in (11, 17, 23) for sign in "+-"}
 
+    def test_theta_without_s_is_refused(self):
+        # a theta alone used to be replaced by the default witness
+        with pytest.raises(ValueError, match="theta needs an explicit s"):
+            obstruct(11, theta=5)
+
     def test_default_witnesses_are_valid(self):
         for (n, _), (s, theta) in DEFAULT_WITNESS.items():
             assert (s - 1) % n == 0

@@ -73,6 +73,12 @@ class TestRepresentation:
         for g in range(1, PRES5.num_generators + 1):
             assert all(pow(x, 5, 11) == 1 for x in rep.d(g))
 
+    def test_build_rejects_a_bad_witness(self):
+        with pytest.raises(ValueError):
+            TwistedRep.build(PRES5, PLUS5, 21, 4)
+        with pytest.raises(ValueError):
+            TwistedRep.build(PRES5, PLUS5, 11, 2)
+
     def test_fox_block_outside_relator_is_zero(self):
         rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
         rel = PRES5.relators[0]
