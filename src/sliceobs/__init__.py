@@ -14,8 +14,8 @@ from .blanchfield import (BlanchfieldEntries, CoverHomology, LinkingForm,
 from .braids import (BraidWord, WirtingerPresentation, family_braid,
                      family_is_knot, wirtinger_of_closure)
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial
-from .ffpoly import (FactorizationResult, PrimeField, degree_sequence,
-                     factor, is_irreducible, norm_obstructed,
+from .ffpoly import (FactorizationResult, degree_sequence, factor,
+                     is_irreducible, norm_obstructed,
                      primitive_root_of_unity)
 from .laurent import LaurentPolynomial, poly_xgcd
 from .linalg import (Matrix, det_bareiss, det_gf, det_laurent, involution,
@@ -25,9 +25,8 @@ from .metabolizers import (Character, Submodule, character_for,
                            is_metabolizer, orbit_decomposition)
 from .report import ObstructionReport, obstruct, verify_table
 from .seifert import SeifertData, alexander_polynomial, p_n, seifert_matrix
-from .twisted import (FoxBlockMatrix, TwistedPolynomial, TwistedRep,
-                      fox_block, fox_matrix, period_shift, propagate,
-                      seed_tuples, twisted_polynomial)
+from .twisted import (TwistedPolynomial, TwistedRep, period_shift,
+                      propagate, seed_tuples, twisted_polynomial)
 
 __version__ = "1.0.0"
 
@@ -38,7 +37,7 @@ __all__ = [
     "BraidWord", "WirtingerPresentation", "family_braid", "family_is_knot",
     "wirtinger_of_closure",
     "Cyclotomic", "cyclotomic_polynomial",
-    "FactorizationResult", "PrimeField", "degree_sequence", "factor",
+    "FactorizationResult", "degree_sequence", "factor",
     "is_irreducible", "norm_obstructed", "primitive_root_of_unity",
     "LaurentPolynomial", "poly_xgcd",
     "Matrix", "det_bareiss", "det_gf", "det_laurent", "involution",
@@ -47,8 +46,7 @@ __all__ = [
     "invariant_submodules", "is_metabolizer", "orbit_decomposition",
     "ObstructionReport", "obstruct", "verify_table",
     "SeifertData", "alexander_polynomial", "p_n", "seifert_matrix",
-    "FoxBlockMatrix", "TwistedPolynomial", "TwistedRep", "fox_block",
-    "fox_matrix", "period_shift", "propagate", "seed_tuples",
-    "twisted_polynomial",
+    "TwistedPolynomial", "TwistedRep", "period_shift", "propagate",
+    "seed_tuples", "twisted_polynomial",
     "__version__",
 ]

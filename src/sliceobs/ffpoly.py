@@ -11,7 +11,6 @@ import random
 from dataclasses import dataclass
 
 __all__ = [
-    "PrimeField",
     "FactorizationResult",
     "is_prime",
     "trim",
@@ -31,7 +30,6 @@ __all__ = [
     "degree_sequence",
     "primitive_root_of_unity",
     "norm_obstructed",
-    "poly_matrix_det",
 ]
 
 
@@ -48,38 +46,6 @@ def is_prime(n):
             return False
         d += 2
     return True
-
-
-class PrimeField:
-    """The field Z/s for a prime s."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s):
-        if not is_prime(s):
-            raise ValueError(f"{s} is not prime")
-        object.__setattr__(self, "s", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeField is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.s == other.s
-
-    def __hash__(self):
-        return hash(("PrimeField", self.s))
-
-    def __repr__(self):
-        return f"PrimeField({self.s})"
-
-    def element(self, a):
-        return a % self.s
-
-    def inv(self, a):
-        a %= self.s
-        if not a:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.s - 2, self.s)
 
 
 # -- basic dense arithmetic ----------------------------------------------------
@@ -207,7 +173,10 @@ def interpolate(xs, ys, s):
     """The unique polynomial of degree < len(xs) through (xs[i], ys[i])
     mod s, by Newton's divided differences."""
     n = len(xs)
-    assert len(ys) == n and len(set(x % s for x in xs)) == n
+    if len(ys) != n:
+        raise ValueError("interpolation needs one value per point")
+    if len({x % s for x in xs}) != n:
+        raise ValueError("interpolation points must be distinct mod s")
     coef = [y % s for y in ys]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
@@ -222,37 +191,6 @@ def interpolate(xs, ys, s):
 
 def derivative(a, s):
     return trim([i * c % s for i, c in enumerate(a)][1:])
-
-
-def poly_matrix_det(rows, s):
-    """Fraction-free (Bareiss) determinant of a matrix of polynomials
-    over Z/s; every intermediate division is exact and checked."""
-    a = [[trim(x, s) for x in r] for r in rows]
-    n = len(a)
-    if n == 0:
-        return [1]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return []
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                num = sub(mul(row_i[j], piv, s), mul(aik, row_k[j], s), s)
-                q, r = poly_divmod(num, prev, s)
-                assert r == [], "Bareiss division not exact"
-                row_i[j] = q
-            row_i[k] = []
-        prev = piv
-    d = a[n - 1][n - 1]
-    return scalar_mul(-1, d, s) if sign < 0 else d
 
 
 # -- factorization -------------------------------------------------------------

@@ -10,6 +10,7 @@ expected output for n = 11, 17, 23 at the default (s, theta) witnesses.
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ffpoly
 from .braids import family_braid, wirtinger_of_closure
@@ -18,7 +19,7 @@ from .metabolizers import (character_for, enumerate_metabolizers,
                            fixed_metabolizer, orbit_base_metabolizer,
                            orbit_decomposition)
 from .blanchfield import linking_form
-from .twisted import period_shift, twisted_polynomial
+from .twisted import TwistedPolynomial, period_shift, twisted_polynomial
 
 __all__ = [
     "ObstructionReport",
@@ -152,6 +153,17 @@ class ObstructionReport:
         return ObstructionReport.from_dict(json.loads(text))
 
 
+class _CharacterResult(NamedTuple):
+    """Twisted polynomial, factors and both checks for one character."""
+    polynomial: TwistedPolynomial
+    factors: tuple  # irreducible factors, repeated to their multiplicity
+    degrees: tuple
+    total: int
+    target: int
+    degree_check: bool
+    obstructed: bool
+
+
 def _character_analysis(pres, chi, s, theta):
     """Twisted polynomial, factorization and both checks for one
     character."""
@@ -167,7 +179,8 @@ def _character_analysis(pres, chi, s, theta):
     else:
         obstructed = norm_obstructed(degs)
     expanded = tuple(tuple(f) for f in fact.expanded())
-    return tp, expanded, degs, total, target, degree_check, obstructed
+    return _CharacterResult(tp, expanded, degs, total, target,
+                            degree_check, obstructed)
 
 
 def _witness(n, sign, s, theta):
@@ -215,7 +228,7 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
         assert chi.sign == sign
         res = _character_analysis(pres, chi, s_use, theta_use)
         per_sign[sign] = (s_use, theta_use, res)
-        all_pass = all_pass and res[5] and res[6]
+        all_pass = all_pass and res.degree_check and res.obstructed
         checked += 1
 
     if exhaustive:
@@ -224,24 +237,23 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
         for _ in range(n - 1):
             chi = period_shift(pres, chi)
             res = _character_analysis(pres, chi, s_use, theta_use)
-            all_pass = (all_pass and res[5] and res[6]
-                        and res[1] == base_res[1])
+            all_pass = (all_pass and res.degree_check and res.obstructed
+                        and res.factors == base_res.factors)
             checked += 1
 
     verdict = "not slice" if all_pass else "inconclusive"
     reports = []
     for sign in ("+", "-"):
         s_use, theta_use, res = per_sign[sign]
-        tp, expanded, degs, total, target, degree_check, obstructed = res
         reports.append(ObstructionReport(
             n=n, sign=sign, s=s_use, theta=theta_use, q=3,
-            polynomial=tp.coeffs,
-            factors=expanded,
-            degree_sequence=degs,
-            total_degree=total,
-            target_degree=target,
-            degree_check=degree_check,
-            norm_obstructed=obstructed,
+            polynomial=res.polynomial.coeffs,
+            factors=res.factors,
+            degree_sequence=res.degrees,
+            total_degree=res.total,
+            target_degree=res.target,
+            degree_check=res.degree_check,
+            norm_obstructed=res.obstructed,
             metabolizer_count=len(mets),
             orbit_sizes=orbit_sizes,
             characters_checked=checked,

@@ -8,8 +8,16 @@ exponent triples e(g) are forced by the relators: conjugation acts by a
 cyclic shift, so e_c = e_b + shift(e_a) - shift(e_b) at each crossing,
 and three seed triples determine every generator.  The polynomial is
 det of the Fox matrix with one relator row and one generator column
-removed, interpolated from prime-field evaluations, then divided by
-(t - 1)^2 exactly.
+removed (Wada's deleted Fox determinant), divided by (t - 1)^2 exactly.
+
+The determinant is never assembled densely.  At each point x = 1..m+1
+the relators, taken in crossing order, eliminate the arc each crossing
+creates by block forward substitution; the arcs read before they are
+created (the initial arcs) and the dropped relator's arc are left as a
+border of at most four arcs, whose Schur complement (at most 12 x 12)
+goes to `det_gf`.  That is O(n) block work per point instead of a dense
+3(2n-1)-square determinant; the values are then interpolated.  The dense
+route lives on in the tests as the oracle.
 """
 
 from dataclasses import dataclass
@@ -20,12 +28,10 @@ from .linalg import det_gf
 
 __all__ = [
     "TwistedRep",
-    "FoxBlockMatrix",
     "seed_tuples",
     "propagate",
     "period_shift",
-    "fox_block",
-    "fox_matrix",
+    "twisted_determinant",
     "twisted_polynomial",
     "TwistedPolynomial",
 ]
@@ -82,11 +88,14 @@ def propagate(pres, seeds, n):
             progress = True
         if pending and not progress:
             raise ValueError("seeds do not determine all generators")
-    assert len(e) == pres.num_generators
+    if len(e) != pres.num_generators:
+        raise ValueError("seeds do not determine all generators")
     for a, b, c in pres.relators:
         sa, sb = _shift_left(e[a]), _shift_left(e[b])
         want = tuple((e[b][i] + sa[i] - sb[i]) % n for i in range(3))
-        assert e[c] == want, "relator fails on propagated exponents"
+        if e[c] != want:
+            raise ArithmeticError(
+                f"relator {(a, b, c)} fails on the propagated exponents")
     return e
 
 
@@ -103,8 +112,9 @@ def _period_permutation(pres):
         for x, y in zip(r, target):
             if pi.setdefault(x, y) != y:
                 raise ValueError("presentation has no period symmetry")
-    assert len(pi) == pres.num_generators
-    assert len(set(pi.values())) == len(pi), "period map must be a bijection"
+    if (len(pi) != pres.num_generators
+            or len(set(pi.values())) != len(pi)):
+        raise ValueError("presentation has no period symmetry")
     return pi
 
 
@@ -126,17 +136,15 @@ def period_shift(pres, chi):
     e = propagate(pres, seed_tuples(chi), n)
     shifted = {g: e[pi[g]] for g in range(1, m + 1)}
     delta = tuple(-x % n for x in shifted[1])
-    assert sum(delta) % n == 0, "gauge offsets must sum to zero"
     fixed = {g: tuple((v[i] + delta[i]) % n for i in range(3))
              for g, v in shifted.items()}
-    assert fixed[1] == (0, 0, 0)
     ca, cta = fixed[4][1], fixed[4][2]
     cb, ctb = fixed[3][2], fixed[3][0]
-    assert fixed[4][0] == (-ca - cta) % n
-    assert fixed[3][1] == (-cb - ctb) % n
     out = chi.__class__(n, (ca, cta, cb, ctb), chi.sign)
-    assert propagate(pres, seed_tuples(out), n) == fixed, \
-        "transported assignment must re-seed exactly"
+    # re-seeding reproduces every triple, the seed slots of 1, 3 and 4
+    # included, only when the transport is a valid assignment
+    if propagate(pres, seed_tuples(out), n) != fixed:
+        raise ArithmeticError("transported assignment does not re-seed")
     return out
 
 
@@ -167,103 +175,6 @@ class TwistedRep:
 
 
 @dataclass(frozen=True)
-class FoxBlockMatrix:
-    """The Fox matrix konst + t * (sparse t entries) over Z/s, with one
-    relator row and one generator column removed."""
-    s: int
-    size: int
-    konst: tuple
-    t_positions: tuple  # (row, col, coeff) of the t entries
-
-    def at(self, x):
-        """Dense integer matrix konst + x * tmat mod s."""
-        rows = [list(r) for r in self.konst]
-        for i, j, c in self.t_positions:
-            rows[i][j] = (rows[i][j] + x * c) % self.s
-        return rows
-
-    def det_at(self, x):
-        return det_gf(self.at(x), self.s)
-
-    def poly_rows(self):
-        """Entries as dense polynomials over Z/s, for the direct
-        elimination route."""
-        rows = [[[x] if x else [] for x in r] for r in self.konst]
-        for i, j, c in self.t_positions:
-            ent = rows[i][j]
-            while len(ent) < 2:
-                ent.append(0)
-            ent[1] = (ent[1] + c) % self.s
-            rows[i][j] = ffpoly.trim(ent)
-        return rows
-
-    def raw_det_bareiss(self):
-        return ffpoly.poly_matrix_det(self.poly_rows(), self.s)
-
-
-def fox_block(relator, g, rep):
-    """3x3 block (konst, tmat) of the Fox derivative of the relator
-    (a, b, c) ~ g_a g_b g_c^-1 g_b^-1 with respect to generator g, under
-    the representation.  Occurrences sum."""
-    a, b, c = relator
-    s = rep.s
-    konst = [[0] * 3 for _ in range(3)]
-    tmat = [[0] * 3 for _ in range(3)]
-    if g == a:
-        for k in range(3):
-            konst[k][k] += 1
-    if g == b:
-        d1, d2, d3 = rep.d(a)
-        konst[1][0] += d1
-        konst[2][1] += d2
-        tmat[0][2] += d3
-        for k in range(3):
-            konst[k][k] -= 1
-    if g == c:
-        d1, d2, d3 = rep.d(b)
-        konst[1][0] -= d1
-        konst[2][1] -= d2
-        tmat[0][2] -= d3
-    konst = [[x % s for x in row] for row in konst]
-    tmat = [[x % s for x in row] for row in tmat]
-    return konst, tmat
-
-
-def fox_matrix(pres, rep, drop_relator=1, drop_generator=1):
-    """Assemble the deleted Fox matrix. Relators and generators are
-    numbered from 1; the dropped relator row and generator column give a
-    square matrix of side 3 * (num_generators - 1)."""
-    gens = [g for g in range(1, pres.num_generators + 1)
-            if g != drop_generator]
-    col_of = {g: i for i, g in enumerate(gens)}
-    kept = [r for i, r in enumerate(pres.relators, start=1)
-            if i != drop_relator]
-    assert len(kept) == len(gens), "square after one deletion each"
-    size = 3 * len(gens)
-    konst = [[0] * size for _ in range(size)]
-    t_positions = []
-    s = rep.s
-    for ri, rel in enumerate(kept):
-        for g in set(rel):
-            if g == drop_generator:
-                continue
-            kb, tb = fox_block(rel, g, rep)
-            r0, c0 = 3 * ri, 3 * col_of[g]
-            for i in range(3):
-                for j in range(3):
-                    if kb[i][j]:
-                        konst[r0 + i][c0 + j] = (
-                            konst[r0 + i][c0 + j] + kb[i][j]) % s
-                    if tb[i][j]:
-                        assert i == 0 and j == 2, "t only in the corner"
-                        t_positions.append((r0, c0 + 2, tb[i][j]))
-    # the t entries live in rows 0 mod 3, so deg det <= number of relators
-    assert all(r % 3 == 0 and c % 3 == 2 for r, c, _ in t_positions)
-    return FoxBlockMatrix(s, size, tuple(tuple(r) for r in konst),
-                          tuple(t_positions))
-
-
-@dataclass(frozen=True)
 class TwistedPolynomial:
     """Normalized twisted polynomial mod s: ascending coefficients after
     exact division by (t-1)^2, stripped of powers of t and made monic."""
@@ -278,24 +189,169 @@ class TwistedPolynomial:
         return len(self.coeffs) - 1
 
 
+def _parity(order):
+    """+1 or -1: the sign of the permutation that sorts order."""
+    inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _elimination_plan(pres, drop_relator, drop_generator):
+    """The pivot arc of each kept relator, or None, and the border arcs.
+
+    Relators are taken in crossing order.  A relator (a, b, c) may pivot
+    on a (block I) or on c (block -Phi(b)) when that arc occurs once in
+    it and no earlier relator has read it; a crossing's new arc has the
+    larger label of the two, since an initial arc is numbered before
+    every arc a crossing creates.  Every other arc a relator reads that
+    is neither dropped nor pivoted earlier becomes a border arc, and so
+    does a kept arc that no kept relator reads (a zero column).  Since a
+    pivot arc is never read before its relator, the pivot blocks are
+    block lower triangular for any presentation; the choice of pivots
+    only sets the size of the border.
+    """
+    kept = [r for i, r in enumerate(pres.relators, start=1)
+            if i != drop_relator]
+    seen = {drop_generator}
+    pivots, border = [], []
+    for a, b, c in kept:
+        fresh = [g for g, rest in ((a, (b, c)), (c, (a, b)))
+                 if g not in seen and g not in rest]
+        pivot = max(fresh, default=None)
+        for g in (a, b, c):
+            if g not in seen and g != pivot:
+                seen.add(g)
+                border.append(g)
+        if pivot is not None:
+            seen.add(pivot)
+        pivots.append(pivot)
+    border.extend(g for g in range(1, pres.num_generators + 1)
+                  if g not in seen)
+    return kept, pivots, border
+
+
+def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
+    """The raw twisted determinant: ascending coefficients mod s of det of
+    the Fox matrix of the Wirtinger presentation under rep, with one
+    relator row and one generator column removed.
+
+    Relator (a, b, c) has Fox blocks I on a, Phi(a) - I on b and
+    -Phi(b) on c, with Phi(g) = C * diag(d(g)) at t = x.  Taken in
+    crossing order, the kept relators eliminate their new arcs by block
+    forward substitution (`_elimination_plan`): each eliminated arc is a
+    3 x 3|border| matrix T in the border arcs, T = Phi(b) T_c - v for a
+    pivot on a and T = Phi(b)^-1 (T_a + v) for a pivot on c, where
+    v = (Phi(a) - I) T_b.  The relators with no pivot then give the
+    Schur complement S = T_a + v - Phi(b) T_c in the border arcs, at most
+    12 x 12 for a 3-braid, and
+        det = sign * prod det(pivot block) * det S,
+    with det(-Phi(b)) = -x d_1 d_2 d_3 and the sign of the reordering of
+    relators and arcs.  The values at x = 1..m+1 (m = kept relators,
+    the degree bound: t occurs in one row per relator) are computed side
+    by side: each block entry is a list over the points, and a row of T
+    is its 3|border| entries laid end to end.  x = 0 is avoided because
+    Phi(b) is singular there.
+    """
+    s = rep.s
+    m = pres.num_generators - 1
+    if len(pres.relators) != pres.num_generators:
+        raise ValueError("presentation must have one relator per generator")
+    if not (1 <= drop_relator <= m + 1 and 1 <= drop_generator <= m + 1):
+        raise ValueError("dropped relator and generator must exist")
+    if s - 1 < m + 1:
+        raise ValueError(f"s={s} has {s - 1} nonzero points; the "
+                         f"degree-{m} determinant needs {m + 1}")
+    kept, pivots, border = _elimination_plan(pres, drop_relator,
+                                             drop_generator)
+    xs = list(range(1, m + 2))
+    npts, cols = len(xs), 3 * len(border)
+    width = cols * npts
+    zero = [[0] * width] * 3
+    value = {}
+    for k, g in enumerate(border):
+        rows = [[0] * width for _ in range(3)]
+        for i in range(3):
+            rows[i][(3 * k + i) * npts:(3 * k + i + 1) * npts] = [1] * npts
+        value[g] = rows
+    last_read = {g: i for i, rel in enumerate(kept) for g in rel}
+    inv_xs = [pow(x, s - 2, s) for x in xs]
+
+    def tiled(points, d):
+        """d * points, repeated for every border column of a row."""
+        return [y * d % s for y in points] * cols
+
+    # det of the pivot blocks: sign * const * x^x_power
+    const, x_power = 1, 0
+    residuals = []
+
+    def arc(g):
+        return zero if g == drop_generator else value[g]
+
+    for i, ((a, b, c), pivot) in enumerate(zip(kept, pivots)):
+        da, db = rep.d(a), rep.d(b)
+        # v = (Phi(a) - I) T_b
+        tb0, tb1, tb2 = arc(b)
+        xa = tiled(xs, da[2])
+        v = ([(p * q - r) % s for p, q, r in zip(xa, tb2, tb0)],
+             [(da[0] * q - r) % s for q, r in zip(tb0, tb1)],
+             [(da[1] * q - r) % s for q, r in zip(tb1, tb2)])
+        if pivot == a:
+            tc0, tc1, tc2 = arc(c)
+            xb = tiled(xs, db[2])
+            value[a] = [
+                [(p * q - r) % s for p, q, r in zip(xb, tc2, v[0])],
+                [(db[0] * q - r) % s for q, r in zip(tc0, v[1])],
+                [(db[1] * q - r) % s for q, r in zip(tc1, v[2])]]
+        elif pivot == c:
+            ta = arc(a)
+            inv0, inv1 = pow(db[0], s - 2, s), pow(db[1], s - 2, s)
+            ixb = tiled(inv_xs, pow(db[2], s - 2, s))
+            value[c] = [
+                [inv0 * (p + q) % s for p, q in zip(ta[1], v[1])],
+                [inv1 * (p + q) % s for p, q in zip(ta[2], v[2])],
+                [w * (p + q) % s for w, p, q in zip(ixb, ta[0], v[0])]]
+            const = -const * db[0] * db[1] * db[2] % s
+            x_power += 1
+        else:
+            ta, (tc0, tc1, tc2) = arc(a), arc(c)
+            xb = tiled(xs, db[2])
+            residuals.append((i, [
+                [(p + q - w * r) % s
+                 for p, q, w, r in zip(ta[0], v[0], xb, tc2)],
+                [(p + q - db[0] * r) % s
+                 for p, q, r in zip(ta[1], v[1], tc0)],
+                [(p + q - db[1] * r) % s
+                 for p, q, r in zip(ta[2], v[2], tc1)]]))
+        for g in (a, b, c):
+            if last_read[g] == i:
+                value.pop(g, None)
+
+    rows = [row for _, res in residuals for row in res]
+    sign = (_parity([i for i, p in enumerate(pivots) if p is not None]
+                    + [i for i, _ in residuals])
+            * _parity([p for p in pivots if p is not None] + border))
+    ys = []
+    for k, x in enumerate(xs):
+        schur = [row[k::npts] for row in rows]
+        ys.append(sign * const * pow(x, x_power, s) * det_gf(schur, s) % s)
+    return ffpoly.interpolate(xs, ys, s)
+
+
 def twisted_polynomial(pres, chi, s, theta, drop_relator=1,
                        drop_generator=1):
     """The (t-1)^2-normalized twisted polynomial for the character chi,
     over Z/s with theta realizing the n-th root of unity."""
     rep = TwistedRep.build(pres, chi, s, theta)
-    fbm = fox_matrix(pres, rep, drop_relator, drop_generator)
-    m = pres.num_generators - 1
-    points_needed = m + 1
-    assert points_needed <= s, "field too small to interpolate"
-    xs = list(range(points_needed))
-    ys = [fbm.det_at(x) for x in xs]
-    raw = ffpoly.interpolate(xs, ys, s)
-    assert len(raw) - 1 <= m, "degree bound violated"
-    assert raw, "twisted determinant vanished identically"
+    raw = twisted_determinant(pres, rep, drop_relator, drop_generator)
+    if not raw:
+        raise ArithmeticError("twisted determinant vanished identically")
+    if len(raw) > pres.num_generators:
+        raise ArithmeticError("twisted determinant exceeds its degree bound")
     body = raw
     for _ in range(2):
         body, rem = ffpoly.poly_divmod(body, [s - 1, 1], s)
-        assert rem == [], "determinant must be divisible by (t-1)^2"
+        if rem:
+            raise ArithmeticError(
+                "twisted determinant is not divisible by (t-1)^2")
     lead = 0
     while body[lead] == 0:
         lead += 1

@@ -13,6 +13,17 @@ import sliceobs
 from sliceobs.cli import build_parser, main
 
 
+def run_optimized_cli(args, timeout):
+    """Run the CLI in a fresh interpreter under -O, which strips asserts."""
+    src = os.path.dirname(os.path.dirname(sliceobs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "sliceobs.cli", *args],
+        capture_output=True, text=True, timeout=timeout, env=env)
+
+
 class TestObstructCommand:
     def test_plain_report(self, capsys):
         assert main(["obstruct", "--n", "11"]) == 0
@@ -61,6 +72,12 @@ class TestVerifyTableCommand:
         assert main(["verify-table", "--n", "11", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert all(r["ok"] for r in rows)
+
+    def test_full_table_under_optimize(self):
+        # the acceptance rows with every assert stripped
+        proc = run_optimized_cli(["verify-table", "--n", "all"], 120)
+        assert proc.returncode == 0, proc.stderr
+        assert "6/6 rows verified" in proc.stdout
 
 
 class TestHomologyCommand:
@@ -116,14 +133,7 @@ class TestBadInput:
 
     def test_composite_s_fails_fast_under_optimize(self):
         # input checks must not be asserts, which -O strips
-        src = os.path.dirname(os.path.dirname(sliceobs.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "sliceobs.cli", "obstruct",
-             "--n", "11", "--s", "111"],
-            capture_output=True, text=True, timeout=60, env=env)
+        proc = run_optimized_cli(["obstruct", "--n", "11", "--s", "111"], 60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("sliceobs: error: ")
 

@@ -9,8 +9,7 @@ from sliceobs.ffpoly import (FactorizationResult, add, degree_sequence,
                              derivative, evaluate, factor, interpolate,
                              is_irreducible, is_prime, monic, mul,
                              norm_obstructed, poly_divmod, poly_gcd,
-                             poly_matrix_det, pow_mod, primitive_root_of_unity,
-                             sub, trim)
+                             pow_mod, primitive_root_of_unity, sub, trim)
 
 
 def test_is_prime_small():
@@ -82,6 +81,13 @@ def test_evaluate_and_interpolate():
     xs = [0, 1, 2, 3]
     ys = [evaluate(poly, x, s) for x in xs]
     assert interpolate(xs, ys, s) == poly
+
+
+def test_interpolate_rejects_bad_points():
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate([1, 24], [0, 0], 23)
+    with pytest.raises(ValueError, match="one value per point"):
+        interpolate([1, 2], [0], 23)
 
 
 @settings(max_examples=60)
@@ -204,13 +210,3 @@ def test_norm_obstruction_matches_brute_force(degs):
     for d in degs:
         reachable |= {r + d for r in reachable}
     assert norm_obstructed(degs) == (half not in reachable)
-
-
-def test_poly_matrix_det_matches_expansion():
-    s = 23
-    m = [[[1, 1], [2]], [[0, 1], [1, 0, 1]]]
-    # det = (t+1)(t^2+1) - 2t
-    want = sub(mul([1, 1], [1, 0, 1], s), mul([2], [0, 1], s), s)
-    assert poly_matrix_det(m, s) == want
-    assert poly_matrix_det([], s) == [1]
-    assert poly_matrix_det([[[], []], [[], []]], s) == []

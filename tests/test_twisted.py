@@ -1,24 +1,47 @@
 """Fox calculus, the metabelian representation, and twisted polynomials."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sliceobs
+from fox_oracle import fox_block, fox_matrix, poly_matrix_det
+from sliceobs import ffpoly
 from sliceobs.blanchfield import t_matrix
-from sliceobs.braids import family_braid, wirtinger_of_closure
+from sliceobs.braids import (BraidWord, WirtingerPresentation, family_braid,
+                             wirtinger_of_closure)
 from sliceobs.metabolizers import Character, base_characters
+from sliceobs.report import DEFAULT_WITNESS
 from sliceobs.twisted import (
     TwistedRep,
-    fox_block,
-    fox_matrix,
     period_shift,
     propagate,
     seed_tuples,
+    twisted_determinant,
     twisted_polynomial,
 )
 
 
 def family_presentation(n):
     return wirtinger_of_closure(family_braid(n))
+
+
+def all_characters(pres, n):
+    """The fixed character and the n characters of the period orbit."""
+    plus, minus = base_characters(n)
+    chars = [minus, plus]
+    for _ in range(n - 1):
+        chars.append(period_shift(pres, chars[-1]))
+    return chars
+
+
+def oracle_raw(pres, rep, drop_relator=1, drop_generator=1):
+    """The raw determinant by the dense Fox matrix and interpolation."""
+    return fox_matrix(pres, rep, drop_relator,
+                      drop_generator).raw_det_interpolated()
 
 
 PRES5 = family_presentation(5)
@@ -56,6 +79,12 @@ class TestSeedsAndPropagation:
     def test_underdetermined_seeds_rejected(self):
         with pytest.raises(ValueError):
             propagate(PRES5, {1: (0, 0, 0)}, 5)
+
+    def test_inconsistent_seeds_rejected(self):
+        seeds = {g: (1, 4, 0) if g == 1 else (0, 0, 0)
+                 for g in range(1, PRES5.num_generators + 1)}
+        with pytest.raises(ArithmeticError):
+            propagate(PRES5, seeds, 5)
 
     @given(st.tuples(*[st.integers(min_value=0, max_value=10)] * 4))
     @settings(max_examples=25, deadline=None)
@@ -100,18 +129,80 @@ class TestRepresentation:
     def test_determinant_vanishes_at_one(self):
         # (t-1)^2 divides the twisted determinant
         rep = TwistedRep.build(PRES5, MINUS5, 11, 4)
-        fbm = fox_matrix(PRES5, rep)
-        assert fbm.det_at(1) == 0
+        raw = twisted_determinant(PRES5, rep)
+        assert ffpoly.evaluate(raw, 1, 11) == 0
+        assert ffpoly.evaluate(ffpoly.derivative(raw, 11), 1, 11) == 0
 
     def test_bareiss_route_matches_interpolation(self):
-        import sliceobs.ffpoly as ffpoly
-
         rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
         fbm = fox_matrix(PRES5, rep)
         raw = fbm.raw_det_bareiss()
         xs = list(range(PRES5.num_generators))
         ys = [fbm.det_at(x) for x in xs]
         assert ffpoly.interpolate(xs, ys, 11) == raw
+        assert twisted_determinant(PRES5, rep) == raw
+
+
+def test_poly_matrix_det_matches_expansion():
+    s = 23
+    m = [[[1, 1], [2]], [[0, 1], [1, 0, 1]]]
+    # det = (t+1)(t^2+1) - 2t
+    want = ffpoly.sub(ffpoly.mul([1, 1], [1, 0, 1], s),
+                      ffpoly.mul([2], [0, 1], s), s)
+    assert poly_matrix_det(m, s) == want
+    assert poly_matrix_det([], s) == [1]
+    assert poly_matrix_det([[[], []], [[], []]], s) == []
+
+
+class TestBlockEliminationOracle:
+    """The crossing-order elimination against the dense Fox matrix: the
+    raw determinant must agree coefficient for coefficient, sign
+    included."""
+
+    # s = 2n + 1 is the tight case: the points 1..2n are every nonzero
+    # element of the field
+    @pytest.mark.parametrize("n,s", [(5, 11), (5, 2147483171), (11, 23),
+                                     (11, 2147483647)])
+    def test_every_character(self, n, s):
+        pres = family_presentation(n)
+        theta = ffpoly.primitive_root_of_unity(s, n)
+        for chi in all_characters(pres, n):
+            rep = TwistedRep.build(pres, chi, s, theta)
+            assert twisted_determinant(pres, rep) == oracle_raw(pres, rep)
+
+    @pytest.mark.parametrize("n", [17, 23])
+    def test_table_characters(self, n):
+        pres = family_presentation(n)
+        for chi in base_characters(n):
+            s, theta = DEFAULT_WITNESS[(n, chi.sign)]
+            rep = TwistedRep.build(pres, chi, s, theta)
+            raw = twisted_determinant(pres, rep)
+            assert raw == oracle_raw(pres, rep)
+            assert twisted_polynomial(pres, chi, s, theta).raw_degree == (
+                len(raw) - 1)
+
+    @given(st.sampled_from([(5, 11, 4), (7, 29, 16)]),
+           st.tuples(*[st.integers(min_value=0, max_value=6)] * 4))
+    @settings(max_examples=30, deadline=None)
+    def test_random_seed_rows(self, witness, row):
+        n, s, theta = witness
+        pres = family_presentation(n)
+        rep = TwistedRep.build(pres, Character(n, row, "+"), s, theta)
+        assert twisted_determinant(pres, rep) == oracle_raw(pres, rep)
+
+    def test_other_braid_closures(self):
+        # knots that are not in the family: a kink, four strands, and
+        # diagonal data that need not come from a representation
+        for word in ("1 1 1", "1 2 1 2 1 -2 -2 1", "1 2 3 -1 2 -3 2",
+                     "-1 -2 -2 -1 -1 3 -2 3 -3"):
+            pres = wirtinger_of_closure(BraidWord.parse(word))
+            m = pres.num_generators
+            exps = tuple(((g, 2 * g, 3) if g % 2 else (0, 1, 4))
+                         for g in range(1, m + 1))
+            rep = TwistedRep(5, 31, 2, exps)
+            for dr, dg in ((1, 1), (m, 2), (2, m)):
+                assert (twisted_determinant(pres, rep, dr, dg)
+                        == oracle_raw(pres, rep, dr, dg))
 
 
 class TestTwistedPolynomial:
@@ -128,11 +219,18 @@ class TestTwistedPolynomial:
         assert tp.coeffs[0] != 0
 
     def test_deletion_independence(self):
+        # every deleted row and column: the raw determinant matches the
+        # dense oracle, and the normalized polynomial does not change
         base = twisted_polynomial(PRES5, PLUS5, 11, 4)
-        for dr, dg in ((3, 4), (7, 2), (10, 9)):
-            other = twisted_polynomial(PRES5, PLUS5, 11, 4,
-                                       drop_relator=dr, drop_generator=dg)
-            assert other.coeffs == base.coeffs
+        rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
+        m = PRES5.num_generators
+        for dr in range(1, m + 1):
+            for dg in range(1, m + 1):
+                raw = twisted_determinant(PRES5, rep, dr, dg)
+                assert raw == oracle_raw(PRES5, rep, dr, dg)
+                other = twisted_polynomial(PRES5, PLUS5, 11, 4,
+                                           drop_relator=dr, drop_generator=dg)
+                assert other.coeffs == base.coeffs
 
     def test_deck_rotation_invariance(self):
         t = t_matrix()
@@ -147,6 +245,55 @@ class TestTwistedPolynomial:
         tp = twisted_polynomial(PRES5, MINUS5, 11, 4)
         assert tp.raw_degree <= 2 * 5
         assert tp.degree <= tp.raw_degree - 2
+
+
+class TestBadInput:
+    def test_field_with_too_few_points(self):
+        # 14 generators need 14 nonzero points; Z/11 has 10
+        pres = family_presentation(7)
+        chi = Character(5, (0, 0, 0, 0), "+")
+        with pytest.raises(ValueError, match="nonzero points"):
+            twisted_polynomial(pres, chi, 11, 4)
+
+    @pytest.mark.parametrize("dr,dg", [(0, 1), (1, 11), (11, 3)])
+    def test_deletion_out_of_range(self, dr, dg):
+        with pytest.raises(ValueError):
+            twisted_polynomial(PRES5, PLUS5, 11, 4, drop_relator=dr,
+                               drop_generator=dg)
+
+    def test_presentation_must_be_square(self):
+        pres = WirtingerPresentation(4, ((1, 2, 3), (2, 3, 4), (3, 4, 1)))
+        rep = TwistedRep(5, 11, 4, ((0, 0, 0),) * 4)
+        with pytest.raises(ValueError):
+            twisted_determinant(pres, rep)
+
+    def test_unread_generator_is_a_zero_column(self):
+        pres = WirtingerPresentation(
+            4, ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2)))
+        rep = TwistedRep(5, 11, 4, ((0, 0, 0),) * 4)
+        assert twisted_determinant(pres, rep) == []
+
+    def test_trivial_character_is_not_divisible(self):
+        # the zero character gives a determinant without the (t-1)^2
+        with pytest.raises(ArithmeticError, match=r"\(t-1\)\^2"):
+            twisted_polynomial(PRES5, Character(5, (0, 0, 0, 0), "+"), 11, 4)
+
+    def test_check_survives_optimize(self):
+        src = os.path.dirname(os.path.dirname(sliceobs.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("from sliceobs.braids import family_braid, "
+                "wirtinger_of_closure\n"
+                "from sliceobs.metabolizers import Character\n"
+                "from sliceobs.twisted import twisted_polynomial\n"
+                "twisted_polynomial(wirtinger_of_closure(family_braid(5)), "
+                "Character(5, (0, 0, 0, 0), '+'), 11, 4)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == 1
+        assert "ArithmeticError" in proc.stderr
 
 
 class TestPeriodShift:
@@ -174,3 +321,8 @@ class TestPeriodShift:
     def test_shift_moves_base_characters(self):
         assert period_shift(PRES5, PLUS5).row != PLUS5.row
         assert period_shift(PRES5, MINUS5).row != MINUS5.row
+
+    def test_presentation_without_period_rejected(self):
+        pres = wirtinger_of_closure(BraidWord.parse("1 2 1 2 1 -2 -2 1"))
+        with pytest.raises(ValueError, match="period symmetry"):
+            period_shift(pres, Character(5, (1, 2, 3, 4), "+"))
