@@ -18,8 +18,8 @@ from .ffpoly import (FactorizationResult, degree_sequence, factor,
                      is_irreducible, norm_obstructed,
                      primitive_root_of_unity)
 from .laurent import LaurentPolynomial, poly_xgcd
-from .linalg import (Matrix, det_bareiss, det_gf, det_laurent, involution,
-                     smith_normal_form, snf_over_rational_polynomials)
+from .linalg import (Matrix, det_bareiss, det_gf, involution,
+                     smith_normal_form)
 from .metabolizers import (Character, Submodule, character_for,
                            enumerate_metabolizers, invariant_submodules,
                            is_metabolizer, orbit_decomposition)
@@ -40,8 +40,7 @@ __all__ = [
     "FactorizationResult", "degree_sequence", "factor",
     "is_irreducible", "norm_obstructed", "primitive_root_of_unity",
     "LaurentPolynomial", "poly_xgcd",
-    "Matrix", "det_bareiss", "det_gf", "det_laurent", "involution",
-    "smith_normal_form", "snf_over_rational_polynomials",
+    "Matrix", "det_bareiss", "det_gf", "involution", "smith_normal_form",
     "Character", "Submodule", "character_for", "enumerate_metabolizers",
     "invariant_submodules", "is_metabolizer", "orbit_decomposition",
     "ObstructionReport", "obstruct", "verify_table",

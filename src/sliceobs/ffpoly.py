@@ -294,7 +294,8 @@ def _equal_degree_split(f, d, s, rng):
 def factor(a, s, seed=2026):
     """Full factorization over Z/s (s an odd prime) into monic
     irreducibles with multiplicity, plus the leading unit."""
-    assert is_prime(s) and s > 2
+    if not (s > 2 and is_prime(s)):
+        raise ValueError(f"factor needs an odd prime modulus, not s={s}")
     a = trim(a, s)
     if not a:
         raise ValueError("cannot factor the zero polynomial")
@@ -310,7 +311,8 @@ def factor(a, s, seed=2026):
                     found[key] = found.get(key, 0) + m
     factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
     result = FactorizationResult(modulus=s, unit=unit, factors=factors)
-    assert result.product() == a, "factorization does not multiply back"
+    if result.product() != a:
+        raise ArithmeticError("factorization does not multiply back")
     return result
 
 

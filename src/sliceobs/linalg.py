@@ -1,32 +1,30 @@
-"""Exact linear algebra over the rings used elsewhere: integers,
-rationals, Laurent polynomials, and prime fields.
+"""Exact linear algebra: integer determinants and Smith forms, prime-field
+determinants, and the involution.
 
 Everything here is deliberately dependency-free.  All integer
 determinant work goes through one kernel, `_bareiss`: fraction-free
 elimination on int rows, in place, with every division checked to be
-exact.  It gives `det_bareiss` for integer matrices and, one evaluation
-point at a time, `det_laurent` for Laurent polynomial matrices, which
-then interpolates the values exactly.  Its partial form, stopped before
-the last rows, also yields bordered minors (see
+exact.  It gives `det_bareiss` for integer matrices; a polynomial
+determinant is its values at `_eval_points` put back together by
+`_newton_interpolate` (see `seifert.alexander_polynomial`).  Its partial
+form, stopped before the last rows, also yields bordered minors (see
 `blanchfield.blanchfield_entries`).  Determinants over a prime field
-use plain Gaussian elimination (`det_gf`).
+use plain Gaussian elimination (`det_gf`), and `smith_normal_form` is
+an integer-only elimination.
 """
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 
 from .cyclotomic import Cyclotomic
-from .laurent import LaurentPolynomial, _to_q, one, zero, t
+from .laurent import LaurentPolynomial, one, zero, t
 
 __all__ = [
     "Matrix",
     "involution",
     "det_bareiss",
     "det_gf",
-    "det_laurent",
     "smith_normal_form",
-    "smith_normal_form_with_transforms",
-    "snf_over_rational_polynomials",
 ]
 
 
@@ -109,11 +107,6 @@ class Matrix:
 
     def __rmul__(self, other):
         return Matrix(tuple(tuple(other * x for x in r) for r in self.rows))
-
-    def minor(self, i, j):
-        """Submatrix with row i and column j removed."""
-        return Matrix(tuple(tuple(x for cj, x in enumerate(r) if cj != j)
-                            for ri, r in enumerate(self.rows) if ri != i))
 
 
 def _dot(row, col):
@@ -226,38 +219,6 @@ def det_gf(rows, s):
     return det % s
 
 
-def det_laurent(m):
-    """Determinant of a matrix of Laurent polynomials with integer
-    coefficients, by evaluation at integer points and Newton interpolation.
-
-    Row-wise powers of t are factored out first so every evaluation is a
-    plain integer determinant (`det_bareiss`), then the interpolated
-    coefficients are checked to be integers.
-    """
-    rows = m.rows if isinstance(m, Matrix) else m
-    rows = [[x if isinstance(x, LaurentPolynomial)
-             else LaurentPolynomial.constant(x) for x in r] for r in rows]
-    n = len(rows)
-    if n == 0:
-        return one()
-    total_shift = 0
-    degree_bound = 0
-    shifted = []
-    for r in rows:
-        exps = [x.min_exp for x in r if not x.is_zero]
-        if not exps:
-            return zero()
-        lo = min(exps)
-        total_shift += lo
-        r = [x.shift(-lo) for x in r]
-        degree_bound += max(x.max_exp for x in r if not x.is_zero)
-        shifted.append(r)
-    pts = list(islice(_eval_points(), degree_bound + 1))
-    vals = [det_bareiss([[x(p) for x in r] for r in shifted]) for p in pts]
-    poly = _newton_interpolate(pts, vals)
-    return poly.shift(total_shift)
-
-
 def _eval_points():
     """The integers 0, 1, -1, 2, -2, ... without end."""
     yield 0
@@ -292,209 +253,70 @@ def _newton_interpolate(pts, vals):
 # -- Smith normal form --------------------------------------------------------
 
 
-class _IntegerDomain:
-    @staticmethod
-    def lift(x):
-        if not isinstance(x, int):
-            raise TypeError("integer Smith form takes integer entries")
-        return x
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
-    @staticmethod
-    def size(x):
-        return abs(x)
-
-    @staticmethod
-    def divmod(a, b):
-        q = a // b
-        r = a - q * b
-        # choose the representative of least absolute value
-        if 2 * abs(r) > abs(b):
-            adj = 1 if (r > 0) == (b > 0) else -1
-            q += adj
-            r -= adj * b
-        return q, r
-
-    @staticmethod
-    def normalize(x):
-        return abs(x)
-
-
-class _RationalPolyDomain:
-    @staticmethod
-    def lift(x):
-        if not isinstance(x, LaurentPolynomial):
-            x = LaurentPolynomial.constant(x)
-        return _to_q(x).aligned()
-
-    @staticmethod
-    def is_zero(x):
-        return x.is_zero
-
-    @staticmethod
-    def size(x):
-        return x.degree
-
-    @staticmethod
-    def divmod(a, b):
-        return a.divmod_poly(b)
-
-    @staticmethod
-    def normalize(x):
-        return x.monic()
-
-
-def _snf_invariants(rows, dom):
-    a = [[dom.lift(x) for x in r] for r in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    out = []
-    for k in range(min(m, n)):
-        while True:
-            pivot = None
-            best = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    if not dom.is_zero(a[i][j]):
-                        sz = dom.size(a[i][j])
-                        if best is None or sz < best:
-                            best = sz
-                            pivot = (i, j)
-            if pivot is None:
-                # everything remaining is zero
-                pad = zero() if dom is _RationalPolyDomain else 0
-                return out + [pad] * (min(m, n) - k)
-            pi, pj = pivot
-            if pi != k:
-                a[k], a[pi] = a[pi], a[k]
-            if pj != k:
-                for row in a:
-                    row[k], row[pj] = row[pj], row[k]
-            p = a[k][k]
-            dirty = False
-            for i in range(k + 1, m):
-                if dom.is_zero(a[i][k]):
-                    continue
-                q, _ = dom.divmod(a[i][k], p)
-                if not dom.is_zero(q):
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                if not dom.is_zero(a[i][k]):
-                    dirty = True
-            for j in range(k + 1, n):
-                if dom.is_zero(a[k][j]):
-                    continue
-                q, _ = dom.divmod(a[k][j], p)
-                if not dom.is_zero(q):
-                    for row in a[k:]:
-                        row[j] = row[j] - q * row[k]
-                if not dom.is_zero(a[k][j]):
-                    dirty = True
-            if dirty:
-                continue
-            # row and column are clear; enforce divisibility of the rest
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if dom.is_zero(a[i][j]):
-                        continue
-                    _, r = dom.divmod(a[i][j], p)
-                    if not dom.is_zero(r):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[k] = [x + y for x, y in zip(a[k], a[offender])]
-        out.append(dom.normalize(a[k][k]))
-    return out
+def _nearest_quotient(a, b):
+    """The q that leaves the remainder a - q*b of least absolute value."""
+    q, r = divmod(a, b)
+    return q + 1 if 2 * abs(r) > abs(b) else q
 
 
 def smith_normal_form(m):
     """Invariant factors d_1 | d_2 | ... (nonnegative ints, zeros last) of
-    an integer matrix."""
-    rows = m.rows if isinstance(m, Matrix) else m
-    return _snf_invariants(rows, _IntegerDomain)
+    an integer matrix.
 
-
-def smith_normal_form_with_transforms(m):
-    """Integer Smith form with the change of basis: returns (invariants,
-    U, V) where U and V are unimodular and U m V is diagonal.  The rows
-    of U selected by the nontrivial invariants project onto the cokernel
-    coordinates."""
+    At each step the smallest nonzero entry of the trailing block is
+    moved to the pivot, its row and column are reduced by nearest-remainder
+    division until they are clear, and a row holding an entry the pivot
+    does not divide is added to the pivot row to shrink it further.
+    """
     rows = m.rows if isinstance(m, Matrix) else m
-    a = [[int(x) for x in r] for r in rows]
-    mm = len(a)
-    nn = len(a[0]) if a else 0
-    u = [[int(i == j) for j in range(mm)] for i in range(mm)]
-    v = [[int(i == j) for j in range(nn)] for i in range(nn)]
-    dm = _IntegerDomain.divmod
-    for k in range(min(mm, nn)):
+    if not all(isinstance(x, int) for r in rows for x in r):
+        raise TypeError("integer Smith form takes integer entries")
+    a = [list(r) for r in rows]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    out = []
+    for k in range(min(nr, nc)):
         while True:
-            pivot = None
             best = None
-            for i in range(k, mm):
-                for j in range(k, nn):
-                    if a[i][j]:
-                        sz = abs(a[i][j])
-                        if best is None or sz < best:
-                            best = sz
-                            pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
+            for i in range(k, nr):
+                for j, x in enumerate(a[i][k:], k):
+                    if x and (best is None or abs(x) < best[0]):
+                        best = (abs(x), i, j)
+            if best is None:
+                # everything remaining is zero
+                return out + [0] * (min(nr, nc) - k)
+            _, pi, pj = best
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
-                u[k], u[pi] = u[pi], u[k]
             if pj != k:
                 for row in a:
                     row[k], row[pj] = row[pj], row[k]
-                for row in v:
-                    row[k], row[pj] = row[pj], row[k]
             p = a[k][k]
             dirty = False
-            for i in range(k + 1, mm):
-                if a[i][k] == 0:
+            for i in range(k + 1, nr):
+                if not a[i][k]:
                     continue
-                q, _ = dm(a[i][k], p)
+                q = _nearest_quotient(a[i][k], p)
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
                 if a[i][k]:
                     dirty = True
-            for j in range(k + 1, nn):
-                if a[k][j] == 0:
+            for j in range(k + 1, nc):
+                if not a[k][j]:
                     continue
-                q, _ = dm(a[k][j], p)
+                q = _nearest_quotient(a[k][j], p)
                 if q:
-                    for row in a:
-                        row[j] -= q * row[k]
-                    for row in v:
+                    for row in a[k:]:
                         row[j] -= q * row[k]
                 if a[k][j]:
                     dirty = True
             if dirty:
                 continue
-            offender = None
-            for i in range(k + 1, mm):
-                if any(x % p for x in a[i][k + 1:]):
-                    offender = i
-                    break
+            # row and column are clear; enforce divisibility of the rest
+            offender = next((i for i in range(k + 1, nr)
+                             if any(x % p for x in a[i][k + 1:])), None)
             if offender is None:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[offender])]
-            u[k] = [x + y for x, y in zip(u[k], u[offender])]
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-    inv = [a[k][k] for k in range(min(mm, nn))]
-    return inv, Matrix(u), Matrix(v)
-
-
-def snf_over_rational_polynomials(m):
-    """Invariant factors over Q[t], as monic polynomials (zeros last)."""
-    rows = m.rows if isinstance(m, Matrix) else m
-    return _snf_invariants(rows, _RationalPolyDomain)
+        out.append(abs(a[k][k]))
+    return out

@@ -9,7 +9,7 @@ expected output for n = 11, 17, 23 at the default (s, theta) witnesses.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import ffpoly
@@ -108,42 +108,13 @@ class ObstructionReport:
     verdict: str
 
     def to_dict(self):
-        d = {
-            "n": self.n,
-            "sign": self.sign,
-            "s": self.s,
-            "theta": self.theta,
-            "q": self.q,
-            "polynomial": list(self.polynomial),
-            "factors": [list(f) for f in self.factors],
-            "degree_sequence": list(self.degree_sequence),
-            "total_degree": self.total_degree,
-            "target_degree": self.target_degree,
-            "degree_check": self.degree_check,
-            "norm_obstructed": self.norm_obstructed,
-            "metabolizer_count": self.metabolizer_count,
-            "orbit_sizes": list(self.orbit_sizes),
-            "characters_checked": self.characters_checked,
-            "verdict": self.verdict,
-        }
-        return d
+        """The fields in order, tuples as (nested) lists, as JSON has them."""
+        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def from_dict(d):
-        return ObstructionReport(
-            n=d["n"], sign=d["sign"], s=d["s"], theta=d["theta"], q=d["q"],
-            polynomial=tuple(d["polynomial"]),
-            factors=tuple(tuple(f) for f in d["factors"]),
-            degree_sequence=tuple(d["degree_sequence"]),
-            total_degree=d["total_degree"],
-            target_degree=d["target_degree"],
-            degree_check=d["degree_check"],
-            norm_obstructed=d["norm_obstructed"],
-            metabolizer_count=d["metabolizer_count"],
-            orbit_sizes=tuple(d["orbit_sizes"]),
-            characters_checked=d["characters_checked"],
-            verdict=d["verdict"],
-        )
+        return ObstructionReport(**{f.name: _as_tuples(d[f.name])
+                                    for f in fields(ObstructionReport)})
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -151,6 +122,14 @@ class ObstructionReport:
     @staticmethod
     def from_json(text):
         return ObstructionReport.from_dict(json.loads(text))
+
+
+def _as_lists(x):
+    return [_as_lists(y) for y in x] if isinstance(x, tuple) else x
+
+
+def _as_tuples(x):
+    return tuple(_as_tuples(y) for y in x) if isinstance(x, list) else x
 
 
 class _CharacterResult(NamedTuple):
@@ -208,15 +187,17 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     the right degree count and an obstructed norm.  With exhaustive=True
     the orbit representative is also transported around all n period
     shifts of the diagram (n+1 polynomials in total) and each transported
-    character must reproduce the representative's factor list exactly.
+    character must reproduce the representative's polynomial exactly.
     """
     pres = wirtinger_of_closure(family_braid(n))
     form = linking_form(n)
     mets = enumerate_metabolizers(n, form)
     orbits = orbit_decomposition(mets, n)
     orbit_sizes = tuple(sorted(len(o) for o in orbits))
-    assert orbit_sizes == (1, n), "metabolizer orbits must be sizes 1, n"
-    assert orbits[0][0] == fixed_metabolizer(n)
+    if orbit_sizes != (1, n):
+        raise ArithmeticError("metabolizer orbits must be sizes 1, n")
+    if orbits[0][0] != fixed_metabolizer(n):
+        raise ArithmeticError("the fixed metabolizer must be its own orbit")
 
     per_sign = {}
     all_pass = True
@@ -225,20 +206,23 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     for sign in ("+", "-"):
         s_use, theta_use = _witness(n, sign, s, theta)
         chi = character_for(reps[sign], form)
-        assert chi.sign == sign
+        if chi.sign != sign:
+            raise ArithmeticError(f"the chi{sign} character has sign "
+                                  f"{chi.sign}")
         res = _character_analysis(pres, chi, s_use, theta_use)
         per_sign[sign] = (s_use, theta_use, res)
         all_pass = all_pass and res.degree_check and res.obstructed
         checked += 1
 
     if exhaustive:
+        # both polynomials are monic, so their factor lists (and with them
+        # both checks) agree exactly when their coefficients do
         s_use, theta_use, base_res = per_sign["+"]
         chi = character_for(reps["+"], form)
         for _ in range(n - 1):
             chi = period_shift(pres, chi)
-            res = _character_analysis(pres, chi, s_use, theta_use)
-            all_pass = (all_pass and res.degree_check and res.obstructed
-                        and res.factors == base_res.factors)
+            tp = twisted_polynomial(pres, chi, s_use, theta_use)
+            all_pass = all_pass and tp.coeffs == base_res.polynomial.coeffs
             checked += 1
 
     verdict = "not slice" if all_pass else "inconclusive"

@@ -9,11 +9,11 @@ matrix B with 1 on the diagonal and -1 on the first superdiagonal.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import islice
 
 from .cyclotomic import Cyclotomic
 from .laurent import LaurentPolynomial
-from .linalg import Matrix, det_bareiss, det_laurent
+from .linalg import Matrix, _eval_points, _newton_interpolate, det_bareiss
 
 __all__ = ["SeifertData", "band_matrix", "seifert_matrix",
            "alexander_polynomial", "p_n"]
@@ -61,13 +61,17 @@ def seifert_matrix(n):
 
 def alexander_polynomial(n):
     """det(tA - A^T) for the Seifert matrix A, an integer Laurent
-    polynomial (monic of degree 2n-2 for odd n coprime to 3)."""
+    polynomial (monic of degree 2n-2 for odd n coprime to 3).
+
+    The determinant has degree at most the side N = 2(n-1) of A, so it
+    is interpolated from the integer determinants det(xA - A^T) at N + 1
+    points."""
     a = seifert_matrix(n).matrix
     size = a.nrows
-    rows = [[LaurentPolynomial({1: a[i][j], 0: -a[j][i]}
-                               if a[i][j] or a[j][i] else {})
-             for j in range(size)] for i in range(size)]
-    return det_laurent(rows)
+    pts = list(islice(_eval_points(), size + 1))
+    vals = [det_bareiss([[x * a[i][j] - a[j][i] for j in range(size)]
+                         for i in range(size)]) for x in pts]
+    return _newton_interpolate(pts, vals)
 
 
 def p_n(n):

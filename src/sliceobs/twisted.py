@@ -245,11 +245,13 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     12 x 12 for a 3-braid, and
         det = sign * prod det(pivot block) * det S,
     with det(-Phi(b)) = -x d_1 d_2 d_3 and the sign of the reordering of
-    relators and arcs.  The values at x = 1..m+1 (m = kept relators,
-    the degree bound: t occurs in one row per relator) are computed side
-    by side: each block entry is a list over the points, and a row of T
-    is its 3|border| entries laid end to end.  x = 0 is avoided because
-    Phi(b) is singular there.
+    relators and arcs.  t occurs in one row per kept relator, so the
+    determinant has degree at most m (the number of kept relators) and
+    its values at x = 1..m+1 fix it; interpolation through those points
+    cannot return more, so the bound needs no separate check.  The values
+    are computed side by side: each block entry is a list over the
+    points, and a row of T is its 3|border| entries laid end to end.
+    x = 0 is avoided because Phi(b) is singular there.
     """
     s = rep.s
     m = pres.num_generators - 1
@@ -344,8 +346,6 @@ def twisted_polynomial(pres, chi, s, theta, drop_relator=1,
     raw = twisted_determinant(pres, rep, drop_relator, drop_generator)
     if not raw:
         raise ArithmeticError("twisted determinant vanished identically")
-    if len(raw) > pres.num_generators:
-        raise ArithmeticError("twisted determinant exceeds its degree bound")
     body = raw
     for _ in range(2):
         body, rem = ffpoly.poly_divmod(body, [s - 1, 1], s)

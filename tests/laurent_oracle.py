@@ -1,0 +1,55 @@
+"""Determinants of Laurent polynomial matrices, kept as the independent
+oracle for `sliceobs.seifert.alexander_polynomial` and
+`sliceobs.blanchfield.blanchfield_entries`.
+
+`det_laurent` takes any square matrix of integer Laurent polynomials:
+it factors the least power of t out of each row, bounds the degree of
+what is left row by row, and interpolates integer determinants at that
+many points.  The program only ever needs det(xA - A^T) for an integer
+Seifert matrix A, and evaluates that directly; the general route here
+buys a check that builds its matrices a different way.
+"""
+
+from itertools import islice
+
+from sliceobs.laurent import LaurentPolynomial, one, zero
+from sliceobs.linalg import (Matrix, _eval_points, _newton_interpolate,
+                             det_bareiss)
+
+
+def minor(m, i, j):
+    """The Matrix m with row i and column j removed."""
+    return Matrix(tuple(tuple(x for cj, x in enumerate(r) if cj != j)
+                        for ri, r in enumerate(m.rows) if ri != i))
+
+
+def det_laurent(m):
+    """Determinant of a matrix of Laurent polynomials with integer
+    coefficients, by evaluation at integer points and Newton interpolation.
+
+    Row-wise powers of t are factored out first so every evaluation is a
+    plain integer determinant (`det_bareiss`), then the interpolated
+    coefficients are checked to be integers.
+    """
+    rows = m.rows if isinstance(m, Matrix) else m
+    rows = [[x if isinstance(x, LaurentPolynomial)
+             else LaurentPolynomial.constant(x) for x in r] for r in rows]
+    n = len(rows)
+    if n == 0:
+        return one()
+    total_shift = 0
+    degree_bound = 0
+    shifted = []
+    for r in rows:
+        exps = [x.min_exp for x in r if not x.is_zero]
+        if not exps:
+            return zero()
+        lo = min(exps)
+        total_shift += lo
+        r = [x.shift(-lo) for x in r]
+        degree_bound += max(x.max_exp for x in r if not x.is_zero)
+        shifted.append(r)
+    pts = list(islice(_eval_points(), degree_bound + 1))
+    vals = [det_bareiss([[x(p) for x in r] for r in shifted]) for p in pts]
+    poly = _newton_interpolate(pts, vals)
+    return poly.shift(total_shift)

@@ -3,25 +3,16 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import sliceobs
+from fresh_python import run_python
 from sliceobs.cli import build_parser, main
 
 
 def run_optimized_cli(args, timeout):
     """Run the CLI in a fresh interpreter under -O, which strips asserts."""
-    src = os.path.dirname(os.path.dirname(sliceobs.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-O", "-m", "sliceobs.cli", *args],
-        capture_output=True, text=True, timeout=timeout, env=env)
+    return run_python(["-O", "-m", "sliceobs.cli", *args], timeout)
 
 
 class TestObstructCommand:

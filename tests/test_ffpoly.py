@@ -4,6 +4,7 @@ obstruction."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fresh_python import run_python
 from sliceobs import ffpoly
 from sliceobs.ffpoly import (FactorizationResult, add, degree_sequence,
                              derivative, evaluate, factor, interpolate,
@@ -139,6 +140,16 @@ def test_factor_frobenius_power():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor([], 7)
+
+
+@pytest.mark.parametrize("s", (4, 9, 15))
+def test_factor_rejects_non_prime_modulus_under_optimize(s):
+    # as an assert this check vanished under -O: s = 15 returned a factor
+    # that does not multiply back, s = 9 divided by zero, s = 4 hung
+    code = f"from sliceobs.ffpoly import factor\nfactor([1, 1, 1], {s})\n"
+    proc = run_python(["-O", "-c", code], 60)
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
 
 
 def test_factor_is_deterministic():

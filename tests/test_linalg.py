@@ -2,17 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laurent_oracle import det_laurent, minor
 from sliceobs.cyclotomic import Cyclotomic
 from sliceobs.laurent import LaurentPolynomial, one, t
 from sliceobs.linalg import (Matrix, _bareiss, _newton_interpolate,
-                             det_bareiss, det_gf, det_laurent,
-                             involution, smith_normal_form,
-                             smith_normal_form_with_transforms,
-                             snf_over_rational_polynomials)
+                             det_bareiss, det_gf, involution,
+                             smith_normal_form)
 
 
 def det_cofactor(rows):
@@ -42,7 +43,7 @@ def test_matrix_basics():
     assert m.transpose() == Matrix([[1, 3], [2, 4]])
     assert m + m == Matrix([[2, 4], [6, 8]])
     assert m * Matrix.identity(2) == m
-    assert m.minor(0, 1) == Matrix([[3]])
+    assert minor(m, 0, 1) == Matrix([[3]])
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
     with pytest.raises(AttributeError):
@@ -155,42 +156,31 @@ def test_smith_invariants_divide():
             assert a != 0 and b % a == 0
 
 
-def test_snf_transforms_diagonalize():
+def test_smith_normal_form_is_integer_only():
+    with pytest.raises(TypeError):
+        smith_normal_form([[Fraction(1, 2), 0], [0, 2]])
+    with pytest.raises(TypeError):
+        smith_normal_form([[t(), 1], [1, 1]])
+
+
+def test_snf_matches_determinantal_divisors():
+    # d_1 ... d_k is the gcd of all k x k minors (0 past the rank),
+    # computed by cofactor expansion, which shares nothing with the
+    # elimination
     rng = random.Random(11)
     for _ in range(40):
         m = rng.randrange(1, 5)
         k = rng.randrange(1, 5)
         rows = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(m)]
-        inv, u, v = smith_normal_form_with_transforms(rows)
-        assert inv == smith_normal_form(rows)
-        prod = u * Matrix(rows) * v
-        for i in range(m):
-            for j in range(k):
-                want = inv[i] if i == j and i < len(inv) else 0
-                assert prod[i][j] == want
-        assert abs(det_bareiss(u)) == 1
-        assert abs(det_bareiss(v)) == 1
-
-
-def test_snf_over_rational_polynomials():
-    # diag(t-1, (t-1)(t+1)) with a twist keeps its invariant factors
-    m = Matrix([[t() - 1, t() - 1],
-                [LaurentPolynomial({}), (t() - 1) * (t() + 1)]])
-    inv = snf_over_rational_polynomials(m)
-    assert len(inv) == 2
-    assert inv[0] == (t() - 1).monic()
-    q, r = inv[1].divmod_poly(inv[0])
-    assert r.is_zero
-    # det = (t-1)^2 (t+1), so the second factor is (t-1)(t+1)
-    assert inv[1] == ((t() - 1) * (t() + 1)).monic()
-
-
-def test_snf_polynomials_zero_rows():
-    m = Matrix([[t() - 1, LaurentPolynomial({})],
-                [LaurentPolynomial({}), LaurentPolynomial({})]])
-    inv = snf_over_rational_polynomials(m)
-    assert inv[0] == (t() - 1).monic()
-    assert inv[1].is_zero
+        inv = smith_normal_form(rows)
+        assert len(inv) == min(m, k)
+        for size in range(1, min(m, k) + 1):
+            divisor = 0
+            for ri in combinations(range(m), size):
+                for ci in combinations(range(k), size):
+                    sub = [[rows[i][j] for j in ci] for i in ri]
+                    divisor = gcd(divisor, det_cofactor(sub))
+            assert prod(inv[:size]) == divisor
 
 
 def test_det_laurent_with_int_entries_mixed():

@@ -1,7 +1,11 @@
 """Obstruction reports and the reference table verification."""
 
+import dataclasses
+
 import pytest
 
+from sliceobs import report
+from sliceobs.ffpoly import factor
 from sliceobs.report import (
     DEFAULT_WITNESS,
     REFERENCE_FACTORS,
@@ -9,6 +13,7 @@ from sliceobs.report import (
     obstruct,
     verify_table,
 )
+from sliceobs.twisted import twisted_polynomial
 
 
 class TestWitnesses:
@@ -75,6 +80,38 @@ class TestObstruct:
         for r in reports:
             assert r.characters_checked == 12
             assert r.verdict == "not slice"
+
+    def test_exhaustive_factors_only_the_two_representatives(
+            self, monkeypatch):
+        # the transported characters are compared by coefficients
+        calls = []
+
+        def counting_factor(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(report, "factor", counting_factor)
+        reports = obstruct(11, exhaustive=True)
+        assert len(calls) == 2
+        assert all(r.verdict == "not slice" for r in reports)
+
+    def test_exhaustive_catches_a_changed_transport(self, monkeypatch):
+        calls = []
+
+        def perturbed(*args):
+            tp = twisted_polynomial(*args)
+            calls.append(tp)
+            if len(calls) != 12:
+                return tp
+            coeffs = ((tp.coeffs[0] + 1) % tp.s,) + tp.coeffs[1:]
+            return dataclasses.replace(tp, coeffs=coeffs)
+
+        monkeypatch.setattr(report, "twisted_polynomial", perturbed)
+        reports = obstruct(11, exhaustive=True)
+        assert len(calls) == 12
+        for r in reports:
+            assert r.characters_checked == 12
+            assert r.verdict == "inconclusive"
 
     def test_small_knot_needs_explicit_witness(self):
         with pytest.raises(ValueError):

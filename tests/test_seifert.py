@@ -3,7 +3,8 @@ derived from them."""
 
 import pytest
 
-from sliceobs.laurent import one as lp_one, t as lp_t
+from laurent_oracle import det_laurent
+from sliceobs.laurent import LaurentPolynomial, one as lp_one, t as lp_t
 from sliceobs.linalg import det_bareiss
 from sliceobs.seifert import (
     alexander_polynomial,
@@ -79,6 +80,16 @@ class TestAlexanderPolynomial:
         span = delta.max_exp - delta.min_exp
         assert span == 2 * (n - 1)
         assert abs(delta(1)) == 1
+
+    @pytest.mark.parametrize("n", (2, 4, 5, 7, 11, 17))
+    def test_matches_laurent_determinant(self, n):
+        # the oracle builds tA - A^T as a Laurent matrix and bounds its
+        # degree row by row
+        a = seifert_matrix(n).matrix
+        size = a.nrows
+        rows = [[LaurentPolynomial({1: a[i][j], 0: -a[j][i]})
+                 for j in range(size)] for i in range(size)]
+        assert alexander_polynomial(n) == det_laurent(rows)
 
     @pytest.mark.parametrize("n", (2, 4, 5, 7))
     def test_palindromic(self, n):

@@ -1,14 +1,10 @@
 """Fox calculus, the metabelian representation, and twisted polynomials."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import sliceobs
 from fox_oracle import fox_block, fox_matrix, poly_matrix_det
+from fresh_python import run_python
 from sliceobs import ffpoly
 from sliceobs.blanchfield import t_matrix
 from sliceobs.braids import (BraidWord, WirtingerPresentation, family_braid,
@@ -279,19 +275,13 @@ class TestBadInput:
             twisted_polynomial(PRES5, Character(5, (0, 0, 0, 0), "+"), 11, 4)
 
     def test_check_survives_optimize(self):
-        src = os.path.dirname(os.path.dirname(sliceobs.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("from sliceobs.braids import family_braid, "
                 "wirtinger_of_closure\n"
                 "from sliceobs.metabolizers import Character\n"
                 "from sliceobs.twisted import twisted_polynomial\n"
                 "twisted_polynomial(wirtinger_of_closure(family_braid(5)), "
                 "Character(5, (0, 0, 0, 0), '+'), 11, 4)\n")
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              capture_output=True, text=True, timeout=60,
-                              env=env)
+        proc = run_python(["-O", "-c", code], 60)
         assert proc.returncode == 1
         assert "ArithmeticError" in proc.stderr
 
