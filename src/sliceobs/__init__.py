@@ -1,10 +1,10 @@
 """Sliceness obstructions for the closures of (sigma_1 sigma_2^-1)^n
 via metabelian twisted Alexander polynomials.
 
-The package is exact end to end: Laurent polynomials over Z, cyclotomic
-integers, fraction-free determinants and Smith forms, prime-field
-factorization, and the Q/Z linking form of the 3-fold branched cover
-all use integer or rational arithmetic only.
+The package is exact end to end: Laurent polynomials over Z,
+fraction-free determinants and Smith forms, prime-field factorization,
+and the Q/Z linking form of the 3-fold branched cover all use integer
+or rational arithmetic only.
 """
 
 from .blanchfield import (BlanchfieldEntries, CoverHomology, LinkingForm,
@@ -13,11 +13,10 @@ from .blanchfield import (BlanchfieldEntries, CoverHomology, LinkingForm,
                           symmetry_action)
 from .braids import (BraidWord, WirtingerPresentation, family_braid,
                      family_is_knot, wirtinger_of_closure)
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial
 from .ffpoly import (FactorizationResult, degree_sequence, factor,
                      is_irreducible, norm_obstructed,
                      primitive_root_of_unity)
-from .laurent import LaurentPolynomial, poly_xgcd
+from .laurent import LaurentPolynomial
 from .linalg import (Matrix, det_bareiss, det_gf, involution,
                      smith_normal_form)
 from .metabolizers import (Character, Submodule, character_for,
@@ -36,10 +35,9 @@ __all__ = [
     "linking_template", "symmetry_action",
     "BraidWord", "WirtingerPresentation", "family_braid", "family_is_knot",
     "wirtinger_of_closure",
-    "Cyclotomic", "cyclotomic_polynomial",
     "FactorizationResult", "degree_sequence", "factor",
     "is_irreducible", "norm_obstructed", "primitive_root_of_unity",
-    "LaurentPolynomial", "poly_xgcd",
+    "LaurentPolynomial",
     "Matrix", "det_bareiss", "det_gf", "involution", "smith_normal_form",
     "Character", "Submodule", "character_for", "enumerate_metabolizers",
     "invariant_submodules", "is_metabolizer", "orbit_decomposition",

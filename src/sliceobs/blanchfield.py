@@ -12,11 +12,10 @@ first homology of the q-fold branched cover, evaluated on the basis
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .laurent import LaurentPolynomial, one, poly_xgcd
+from .laurent import LaurentPolynomial
 from .linalg import (Matrix, _bareiss, _eval_points, _newton_interpolate,
-                     smith_normal_form)
+                     det_bareiss, smith_normal_form)
 from .seifert import seifert_matrix
 
 __all__ = [
@@ -198,25 +197,30 @@ def _cyclic_mul(a, b, q):
 
 
 def _annihilator_pair(delta, q):
-    """r (length-q int list) and c > 0 with delta * r = c modulo t^q - 1."""
-    tq1 = LaurentPolynomial({q: 1, 0: -1})
-    aligned = delta.aligned()
-    d, u, _ = poly_xgcd(aligned, tq1)
-    if d != one():
+    """r (length-q int list) and c > 0 with delta * r = c modulo t^q - 1.
+
+    Multiplication by delta on Z[t]/(t^q - 1) is the circulant C with
+    C[i][j] = d[(i - j) mod q], d the coefficients of delta mod t^q - 1.
+    det C vanishes exactly when delta shares a root with t^q - 1.
+    Otherwise C adj(C) = det C, so the first column of adj(C),
+    r_j = (-1)^j det(C without row 0 and column j), gives delta * r =
+    det C.  r / c is the inverse of delta in Q[t]/(t^q - 1), which is
+    unique, so any such pair gives the same linking values.
+    """
+    d = _cyclic(delta, q)
+    circ = [[d[(i - j) % q] for j in range(q)] for i in range(q)]
+    det = det_bareiss(circ)
+    if not det:
         raise ValueError(
             f"the Alexander polynomial shares a root of unity with t^{q}-1, "
             f"so the {q}-fold branched cover has infinite homology")
-    c = 1
-    for _, cf in u.items():
-        den = Fraction(cf).denominator
-        c = c * den // gcd(c, den)
-    rc = [0] * q
-    for e, cf in u.scale(c).items():
-        cf = Fraction(cf)
-        if cf.denominator != 1:
-            raise ArithmeticError("annihilator scaling left a fraction")
-        rc[(e - delta.min_exp) % q] += int(cf)
-    check = _cyclic_mul(_cyclic(delta, q), rc, q)
+    rc = [(-1) ** j * det_bareiss([row[:j] + row[j + 1:]
+                                   for row in circ[1:]])
+          for j in range(q)]
+    if det < 0:
+        rc = [-x for x in rc]
+    c = abs(det)
+    check = _cyclic_mul(d, rc, q)
     if check != [c] + [0] * (q - 1):
         raise ArithmeticError("annihilator does not invert delta")
     return rc, c

@@ -34,14 +34,6 @@ class BraidWord:
             if not isinstance(x, int) or x == 0 or abs(x) >= self.strands:
                 raise ValueError(f"bad letter {x} for {self.strands} strands")
 
-    @staticmethod
-    def parse(text, strands=None):
-        """Build from whitespace-separated letters, e.g. "1 -2 1 -2"."""
-        letters = tuple(int(w) for w in text.split())
-        if strands is None:
-            strands = max((abs(x) for x in letters), default=1) + 1
-        return BraidWord(strands, letters)
-
     def permutation(self):
         """Where each top strand position ends at the bottom, as a tuple
         perm with perm[i-1] = final position of the strand starting at i."""
@@ -99,11 +91,6 @@ class WirtingerPresentation:
                 if not 1 <= g <= self.num_generators:
                     raise ValueError(f"generator {g} out of range")
 
-    @property
-    def deficiency_square(self):
-        """Generator count equals relator count for a closed diagram."""
-        return self.num_generators == len(self.relators)
-
 
 def wirtinger_of_closure(braid):
     """Wirtinger presentation of the closure of a braid whose closure is
@@ -151,7 +138,8 @@ def wirtinger_of_closure(braid):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     classes = sorted({find(a) for a in range(1, fresh + 1)})
-    assert len(classes) == len(braid.letters), "one generator per crossing"
+    if len(classes) != len(braid.letters):
+        raise ArithmeticError("one generator per crossing")
     relabel = {root: i + 1 for i, root in enumerate(classes)}
     relators = tuple((relabel[find(a)], relabel[find(b)], relabel[find(c)])
                      for a, b, c in relators)

@@ -222,7 +222,8 @@ class FactorizationResult:
 
 def _sth_root(a, s):
     """s-th root of a polynomial in t^s over Z/s (Frobenius fixes Z/s)."""
-    assert all(c == 0 for i, c in enumerate(a) if i % s)
+    if any(c for i, c in enumerate(a) if i % s):
+        raise ArithmeticError("polynomial is not a polynomial in t^s")
     return a[::s]
 
 
@@ -375,14 +376,18 @@ def norm_obstructed(degrees, half=None):
 
     A factorization into a norm f(t) * f(1/t) (up to units) would split
     the degrees into two equal halves, so an unreachable half-sum rules
-    that out.  Subset sums are swept with a bitset.
+    that out.  Subset sums are swept with a bitset.  An odd total, or a
+    `half` that is not half the total, raises ValueError.
     """
     total = sum(degrees)
     if half is None:
-        assert total % 2 == 0, "odd total degree cannot be a norm anyway"
+        if total % 2:
+            raise ValueError(
+                f"odd total degree {total} cannot be a norm anyway")
         half = total // 2
-    else:
-        assert total == 2 * half, "degree total inconsistent with target"
+    elif total != 2 * half:
+        raise ValueError(
+            f"degree total {total} inconsistent with target half {half}")
     mask = 1
     for d in degrees:
         mask |= mask << d

@@ -1,14 +1,12 @@
-"""Laurent polynomials over exact coefficient rings.
+"""Laurent polynomials with int or fractions.Fraction coefficients.
 
-Coefficients may be ints, fractions.Fraction, or any exact ring element
-supporting +, -, *, == and a truthiness test for zero.  Values are
-immutable and eagerly normalized: zero coefficients are never stored, so
-equality is structural.
+Values are immutable and eagerly normalized: zero coefficients are never
+stored, so equality is structural.
 """
 
 from fractions import Fraction
 
-__all__ = ["LaurentPolynomial", "t", "one", "zero", "poly_xgcd"]
+__all__ = ["LaurentPolynomial", "t", "one", "zero"]
 
 
 def _is_scalar(x):
@@ -16,7 +14,8 @@ def _is_scalar(x):
 
 
 class LaurentPolynomial:
-    """An element of R[t, t^-1] stored as a map exponent -> coefficient."""
+    """An element of Z[t, t^-1] or Q[t, t^-1] stored as a map
+    exponent -> coefficient."""
 
     __slots__ = ("_coeffs",)
 
@@ -35,29 +34,10 @@ class LaurentPolynomial:
     def constant(c):
         return LaurentPolynomial({0: c} if c else {})
 
-    @staticmethod
-    def t_power(e, c=1):
-        return LaurentPolynomial({e: c} if c else {})
-
-    @staticmethod
-    def from_coeffs(coeffs, min_exp=0):
-        """Build from an ascending coefficient sequence starting at min_exp."""
-        return LaurentPolynomial({min_exp + i: c for i, c in enumerate(coeffs)})
-
     # -- structure ---------------------------------------------------------
 
     def items(self):
         return sorted(self._coeffs.items())
-
-    def coeff(self, e):
-        return self._coeffs.get(e, 0)
-
-    def coeffs_ascending(self):
-        """Dense coefficient list from min_exp to max_exp (empty for 0)."""
-        if not self._coeffs:
-            return []
-        lo, hi = self.min_exp, self.max_exp
-        return [self._coeffs.get(e, 0) for e in range(lo, hi + 1)]
 
     @property
     def is_zero(self):
@@ -70,17 +50,6 @@ class LaurentPolynomial:
     @property
     def max_exp(self):
         return max(self._coeffs)
-
-    @property
-    def degree(self):
-        """Laurent degree: max_exp - min_exp (0 for the zero polynomial)."""
-        if not self._coeffs:
-            return 0
-        return self.max_exp - self.min_exp
-
-    @property
-    def leading_coeff(self):
-        return self._coeffs[self.max_exp]
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -136,36 +105,18 @@ class LaurentPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_scalar(other) or not isinstance(other, LaurentPolynomial):
-            try:
-                return LaurentPolynomial(
-                    {e: c * other for e, c in self._coeffs.items()})
-            except TypeError:
-                return NotImplemented
+        if _is_scalar(other):
+            return self.scale(other)
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         out = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                prod = c1 * c2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers only via t_power on monomials")
-        result = LaurentPolynomial({0: 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def shift(self, k):
         """Multiply by t^k."""
@@ -174,14 +125,17 @@ class LaurentPolynomial:
     def scale(self, c):
         return LaurentPolynomial({e: v * c for e, v in self._coeffs.items()})
 
+    def aligned(self):
+        """Shift so the minimum exponent is 0 (unit normalization by t^k)."""
+        if not self._coeffs:
+            return self
+        return self.shift(-self.min_exp)
+
     # -- involution and evaluation ------------------------------------------
 
-    def involution(self, conjugate=None):
-        """Send t^i to t^-i, conjugating coefficients when requested."""
-        if conjugate is None:
-            return LaurentPolynomial({-e: c for e, c in self._coeffs.items()})
-        return LaurentPolynomial(
-            {-e: conjugate(c) for e, c in self._coeffs.items()})
+    def involution(self):
+        """Send t^i to t^-i."""
+        return LaurentPolynomial({-e: c for e, c in self._coeffs.items()})
 
     def __call__(self, x):
         """Evaluate at x; x must support ** with negative ints if needed."""
@@ -192,97 +146,9 @@ class LaurentPolynomial:
             total = total + c * x ** e
         return total
 
-    # -- division ------------------------------------------------------------
-
-    def exact_div(self, other):
-        """Exact quotient self / other; raises if the division is not exact.
-
-        Coefficient quotients use // with a zero-remainder check for ints
-        and true division for Fractions.
-        """
-        q, r = self.divmod_poly(other)
-        if r:
-            raise ValueError(f"inexact division: remainder {r!r}")
-        return q
-
-    def divmod_poly(self, other):
-        """Long division q, r with self = q*other + r, deg r < deg other.
-
-        Works on Laurent inputs by factoring out t^min from both sides.
-        Requires every leading-coefficient division along the way to be
-        exact (always true over Fraction coefficients, and true over int
-        coefficients whenever other divides self).
-        """
-        if not isinstance(other, LaurentPolynomial) or other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return LaurentPolynomial({}), LaurentPolynomial({})
-        shift_back = self.min_exp - other.min_exp
-        num = self.shift(-self.min_exp).coeffs_ascending()
-        den = other.shift(-other.min_exp).coeffs_ascending()
-        dden = len(den) - 1
-        lead = den[-1]
-        quot = {}
-        while len(num) - 1 >= dden and any(num):
-            while num and not num[-1]:
-                num.pop()
-            if len(num) - 1 < dden:
-                break
-            c = _coeff_div(num[-1], lead)
-            e = len(num) - 1 - dden
-            quot[e] = c
-            for i in range(dden + 1):
-                num[e + i] = num[e + i] - c * den[i]
-            assert not num[-1]
-            num.pop()
-        q = LaurentPolynomial(quot).shift(shift_back)
-        r = LaurentPolynomial.from_coeffs(num).shift(other.min_exp
-                                                     + shift_back)
-        return q, r
-
-    # -- normal forms ---------------------------------------------------------
-
-    def aligned(self):
-        """Shift so the minimum exponent is 0 (unit normalization by t^k)."""
-        if not self._coeffs:
-            return self
-        return self.shift(-self.min_exp)
-
-    def sign_normalized(self):
-        """Align to exponent 0 and make the leading coefficient positive."""
-        p = self.aligned()
-        if p._coeffs and p.leading_coeff < 0:
-            p = -p
-        return p
-
-    def monic(self):
-        """Align to exponent 0 and divide by the leading coefficient."""
-        p = self.aligned()
-        if p.is_zero:
-            return p
-        lead = p.leading_coeff
-        if lead == 1:
-            return p
-        return LaurentPolynomial(
-            {e: _coeff_div(c, lead) for e, c in p._coeffs.items()})
-
-    def associates(self, other):
-        """True if self = unit * other with unit = (+/-) t^k."""
-        a, b = self.aligned(), other.aligned()
-        return a == b or a == -b
-
-
-def _coeff_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ValueError(f"inexact coefficient division {a}/{b}")
-        return q
-    return a / b
-
 
 def t(e=1, c=1):
-    return LaurentPolynomial.t_power(e, c)
+    return LaurentPolynomial({e: c} if c else {})
 
 
 def one():
@@ -291,28 +157,3 @@ def one():
 
 def zero():
     return LaurentPolynomial({})
-
-
-def poly_xgcd(f, g):
-    """Extended gcd over Q[t] for polynomials with int/Fraction coefficients.
-
-    Returns (d, u, v) with u*f + v*g = d and d monic (or zero).
-    """
-    r0, r1 = _to_q(f), _to_q(g)
-    u0, u1 = one(), zero()
-    v0, v1 = zero(), one()
-    while not r1.is_zero:
-        q, r = r0.divmod_poly(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    lead = r0.leading_coeff
-    inv = Fraction(1) / lead
-    return r0.scale(inv), u0.scale(inv), v0.scale(inv)
-
-
-def _to_q(p):
-    return LaurentPolynomial(
-        {e: Fraction(c) for e, c in p._coeffs.items()})

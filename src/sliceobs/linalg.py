@@ -16,7 +16,6 @@ an integer-only elimination.
 from fractions import Fraction
 from itertools import count
 
-from .cyclotomic import Cyclotomic
 from .laurent import LaurentPolynomial, one, zero, t
 
 __all__ = [
@@ -117,16 +116,15 @@ def _dot(row, col):
     return 0 if total is None else total
 
 
-def involution(obj, conjugate=None):
-    """The standard involution: t -> t^-1 on Laurent polynomials, complex
-    conjugation on cyclotomic elements, and conjugate-transpose on matrices.
+def involution(obj):
+    """The standard involution: t -> t^-1 on Laurent polynomials, the
+    identity on ints and Fractions, and on matrices the transpose with
+    the involution applied to each entry.
     """
     if isinstance(obj, Matrix):
-        return obj.transpose().map(lambda x: involution(x, conjugate))
+        return obj.transpose().map(involution)
     if isinstance(obj, LaurentPolynomial):
-        return obj.involution(conjugate)
-    if isinstance(obj, Cyclotomic):
-        return obj.conjugate()
+        return obj.involution()
     if isinstance(obj, (int, Fraction)):
         return obj
     raise TypeError(f"no involution for {type(obj).__name__}")

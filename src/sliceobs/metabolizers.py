@@ -66,15 +66,6 @@ class Submodule:
     def rank(self):
         return len(self.canonical)
 
-    def contains(self, v):
-        v = [x % self.n for x in v]
-        for row in self.canonical:
-            lead = next(i for i, x in enumerate(row) if x)
-            if v[lead]:
-                f = v[lead]
-                v = [(x - f * y) % self.n for x, y in zip(v, row)]
-        return not any(v)
-
     def transformed(self, g):
         """Image under an integer matrix acting on column coordinates."""
         gens = [tuple(sum(g[i][j] * row[j] for j in range(4)) % self.n
@@ -103,9 +94,11 @@ def invariant_submodules(n):
     mods = [line_submodule(n, n0, n1)
             for n0 in range(n) for n1 in range(n)]
     mods.append(prime_line_submodule(n))
-    assert len(set(mods)) == n * n + 1
+    if len(set(mods)) != n * n + 1:
+        raise ArithmeticError("invariant submodules are not distinct")
     tmat = t_matrix()
-    assert all(p.is_invariant(tmat) for p in mods)
+    if not all(p.is_invariant(tmat) for p in mods):
+        raise ArithmeticError("a listed submodule is not deck invariant")
     return mods
 
 
@@ -121,7 +114,10 @@ def enumerate_metabolizers(n, form=None):
     if form is None:
         form = linking_form(n)
     mets = [p for p in invariant_submodules(n) if is_metabolizer(p, form)]
-    assert len(mets) == n + 1, "expected exactly n + 1 metabolizers"
+    if len(mets) != n + 1:
+        raise ArithmeticError(
+            f"expected exactly n + 1 = {n + 1} metabolizers, found "
+            f"{len(mets)}")
     return mets
 
 
@@ -138,7 +134,9 @@ def orbit_decomposition(mets, n):
         remaining.discard(p)
         q = p.transformed(r)
         while q != p:
-            assert q in remaining, "symmetry must permute the metabolizers"
+            if q not in remaining:
+                raise ArithmeticError(
+                    "symmetry must permute the metabolizers")
             orbit.append(q)
             remaining.discard(q)
             q = q.transformed(r)
@@ -185,7 +183,8 @@ def character_for(sub, form=None):
     n = sub.n
     plus, minus = base_characters(n)
     if sub == fixed_metabolizer(n):
-        assert minus.vanishes_on(sub)
+        if not minus.vanishes_on(sub):
+            raise ArithmeticError("chi_- must vanish on the fixed metabolizer")
         return minus
     r = r_matrix()
     p = orbit_base_metabolizer(n)
@@ -201,7 +200,8 @@ def character_for(sub, form=None):
     for _ in range((n - j) % n):
         row = [sum(row[i] * r[i][k] for i in range(4)) % n for k in range(4)]
     chi = Character(n, tuple(row), "+")
-    assert chi.vanishes_on(sub), "constructed character must vanish"
-    if form is not None:
-        assert is_metabolizer(sub, form)
+    if not chi.vanishes_on(sub):
+        raise ArithmeticError("constructed character must vanish")
+    if form is not None and not is_metabolizer(sub, form):
+        raise ArithmeticError("submodule is not a metabolizer of the form")
     return chi

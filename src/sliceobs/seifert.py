@@ -11,7 +11,6 @@ matrix B with 1 on the diagonal and -1 on the first superdiagonal.
 from dataclasses import dataclass
 from itertools import islice
 
-from .cyclotomic import Cyclotomic
 from .laurent import LaurentPolynomial
 from .linalg import Matrix, _eval_points, _newton_interpolate, det_bareiss
 
@@ -38,12 +37,6 @@ class SeifertData:
     @property
     def genus(self):
         return self.n - 1
-
-    @property
-    def intersection_determinant(self):
-        """det(A - A^T); +/-1 exactly when the closure is a knot."""
-        a = self.matrix
-        return det_bareiss(a - a.transpose())
 
 
 def seifert_matrix(n):
@@ -76,18 +69,21 @@ def alexander_polynomial(n):
 
 def p_n(n):
     """The distinguished square root of the Alexander polynomial:
-    prod over k = 1 .. (n-1)/2 of t^2 + (xi^k - 1 + xi^-k) t + 1 with
-    xi a primitive n-th root of unity.  Integer coefficients.
+    prod over k = 1 .. m of t^2 + (xi^k - 1 + xi^-k) t + 1, with
+    m = (n-1)/2 and xi a primitive n-th root of unity.  Integer
+    coefficients.
+
+    With z = 1 - t - t^-1 each factor is t (xi^k + xi^-k - z), and for
+    z = w + w^-1 the product of z - xi^k - xi^-k over k = 1 .. m is
+    sum_{j=-m}^{m} w^j = S_m(z), where S_0 = 1, S_1 = 1 + z and
+    S_{j+1} = z S_j - S_{j-1}.  So p_n = (-t)^m S_m(z), computed by that
+    recurrence in integer Laurent arithmetic.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("defined for odd n >= 3")
-    acc = LaurentPolynomial.constant(Cyclotomic.from_rational(n, 1))
-    one = Cyclotomic.from_rational(n, 1)
-    for k in range(1, (n - 1) // 2 + 1):
-        mid = Cyclotomic.root(n, k) + Cyclotomic.root(n, n - k) - one
-        factor = LaurentPolynomial({2: one, 1: mid, 0: one})
-        acc = acc * factor
-    out = {}
-    for e, c in acc.items():
-        out[e] = c.as_int()
-    return LaurentPolynomial(out)
+    m = (n - 1) // 2
+    z = LaurentPolynomial({-1: -1, 0: 1, 1: -1})
+    prev, cur = LaurentPolynomial.constant(1), z + 1
+    for _ in range(m - 1):
+        prev, cur = cur, z * cur - prev
+    return cur.shift(m).scale((-1) ** m)

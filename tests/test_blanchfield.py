@@ -9,6 +9,9 @@ from laurent_oracle import det_laurent, minor
 from sliceobs.blanchfield import (
     BASIS,
     BlanchfieldEntries,
+    _annihilator_pair,
+    _cyclic,
+    _cyclic_mul,
     _pairing_cofactors,
     blanchfield_entries,
     cover_homology_snf,
@@ -178,6 +181,19 @@ class TestLinkingForm:
     def test_basis_has_four_elements(self):
         assert len(BASIS) == 4
         assert BASIS[0] == (0, 0)
+
+    @pytest.mark.parametrize("n", [5, 7, 11])
+    def test_annihilator_inverts_delta(self, n):
+        delta = blanchfield_entries(n).denominator
+        for q in (2, 3, 4, 5):
+            r, c = _annihilator_pair(delta, q)
+            assert c > 0
+            assert _cyclic_mul(_cyclic(delta, q), r, q) == [c] + [0] * (q - 1)
+
+    @pytest.mark.parametrize("n, q", [(3, 3), (9, 2)])
+    def test_cover_with_infinite_homology_is_refused(self, n, q):
+        with pytest.raises(ValueError, match="infinite homology"):
+            linking_form(n, q)
 
 
 # linking_form is the slowest call in this module; share one instance

@@ -14,15 +14,6 @@ from sliceobs.linalg import Matrix, smith_normal_form
 
 
 class TestBraidWord:
-    def test_parse(self):
-        b = BraidWord.parse("1 -2 1 -2")
-        assert b.strands == 3
-        assert b.letters == (1, -2, 1, -2)
-
-    def test_parse_explicit_strands(self):
-        b = BraidWord.parse("1 1 1", strands=4)
-        assert b.strands == 4
-
     def test_rejects_bad_letters(self):
         with pytest.raises(ValueError):
             BraidWord(3, (3,))
@@ -74,7 +65,6 @@ class TestWirtinger:
         pres = wirtinger_of_closure(BraidWord(2, (1, 1, 1)))
         assert pres.num_generators == 3
         assert len(pres.relators) == 3
-        assert pres.deficiency_square
 
     def test_generator_per_crossing(self):
         for n in (1, 2, 4, 5, 7):
@@ -154,4 +144,4 @@ def test_wirtinger_closure_counts(letters):
         return
     pres = wirtinger_of_closure(b)
     assert pres.num_generators == len(letters)
-    assert pres.deficiency_square
+    assert len(pres.relators) == pres.num_generators

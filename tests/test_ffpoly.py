@@ -211,6 +211,24 @@ def test_norm_obstruction_oracles():
     assert norm_obstructed([1, 4, 13])
 
 
+def test_norm_obstruction_rejects_inconsistent_totals():
+    with pytest.raises(ValueError):
+        norm_obstructed([1, 2])
+    with pytest.raises(ValueError):
+        norm_obstructed([2, 2], half=5)
+
+
+@pytest.mark.parametrize("call", ("norm_obstructed([1, 2])",
+                                  "norm_obstructed([2, 2], half=5)"))
+def test_norm_obstruction_rejects_under_optimize(call):
+    # as asserts these checks vanished under -O: half=5 read as
+    # "obstructed", and the odd total as "not obstructed"
+    code = f"from sliceobs.ffpoly import norm_obstructed\n{call}\n"
+    proc = run_python(["-O", "-c", code], 60)
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
+
+
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=10))
 def test_norm_obstruction_matches_brute_force(degs):
     total = sum(degs)

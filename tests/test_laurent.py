@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sliceobs.laurent import LaurentPolynomial, one, poly_xgcd, t, zero
+from sliceobs.laurent import LaurentPolynomial, one, t, zero
 
 
 def lp(coeffs, min_exp=0):
-    return LaurentPolynomial.from_coeffs(coeffs, min_exp)
+    """Build from ascending coefficients starting at t^min_exp."""
+    return LaurentPolynomial({min_exp + i: c for i, c in enumerate(coeffs)})
 
 
 small_polys = st.builds(
@@ -43,9 +44,6 @@ def test_degree_and_exponent_range():
     p = lp([3, 0, -1], min_exp=-1)  # 3t^-1 - t
     assert p.min_exp == -1
     assert p.max_exp == 1
-    assert p.degree == 2
-    assert p.leading_coeff == -1
-    assert zero().degree == 0
 
 
 def test_arithmetic_small_cases():
@@ -54,15 +52,9 @@ def test_arithmetic_small_cases():
     assert (p - p).is_zero
     assert (t() - 1) * (t() + 1) == t(2) - 1
     assert 2 - t() == lp([2, -1])
-
-
-def test_pow_matches_repeated_multiplication():
-    p = t() - 1
-    q = one()
-    for _ in range(5):
-        q = q * p
-    assert p ** 5 == q
-    assert p ** 0 == one()
+    assert Fraction(1, 2) * lp([2, 4]) == lp([1, 2])
+    with pytest.raises(TypeError):
+        t() * "x"
 
 
 def test_call_evaluates():
@@ -76,38 +68,15 @@ def test_call_evaluates():
 def test_involution_swaps_exponents():
     p = lp([1, 2, 3], min_exp=-1)
     q = p.involution()
-    assert q.coeff(1) == 1 and q.coeff(0) == 2 and q.coeff(-1) == 3
+    assert q.items() == [(-1, 3), (0, 2), (1, 1)]
     assert q.involution() == p
-
-
-def test_divmod_and_exact_division():
-    num = (t() - 1) * (t(3) + 2 * t() + 5)
-    q, r = num.divmod_poly(t() - 1)
-    assert r.is_zero
-    assert q == t(3) + 2 * t() + 5
-    assert num.exact_div(t() - 1) == q
-    with pytest.raises(ValueError):
-        (t() + 1).exact_div(t() - 1)
-
-
-def test_divmod_with_laurent_shifts():
-    num = lp([1, 0, -1], min_exp=-3)
-    den = lp([1, 1], min_exp=-1)
-    q, r = num.divmod_poly(den)
-    assert q * den + r == num
 
 
 def test_normal_forms():
     p = lp([2, 0, -4], min_exp=-2)
-    assert p.aligned().min_exp == 0
-    assert p.sign_normalized().leading_coeff > 0
-    assert lp([3, 0, -3]).monic().leading_coeff == 1
-    with pytest.raises(ValueError):
-        p.monic()  # 2 / -4 is not an integer
-    assert p.scale(Fraction(1)).monic().leading_coeff == 1
-    assert p.associates(p.shift(7))
-    assert p.associates(-p.shift(-3))
-    assert not p.associates(p + 1)
+    assert p.aligned() == lp([2, 0, -4])
+    assert p.shift(7).aligned() == p.aligned()
+    assert zero().aligned() == zero()
 
 
 @given(small_polys, small_polys)
@@ -128,32 +97,3 @@ def test_involution_is_involutive(p):
 @given(small_polys, small_polys)
 def test_involution_is_multiplicative(p, q):
     assert (p * q).involution() == p.involution() * q.involution()
-
-
-@given(small_polys, small_polys)
-def test_division_reconstructs(p, q):
-    if q.is_zero:
-        return
-    # rational coefficients keep every leading division exact
-    q = q.scale(Fraction(1))
-    quot, rem = p.divmod_poly(q)
-    assert quot * q + rem == p
-    assert rem.is_zero or rem.max_exp - p.min_exp < q.degree
-
-
-def test_poly_xgcd_bezout():
-    f = (t() - 1) * (t() + 2)
-    g = (t() - 1) * (t(2) + 3)
-    d, u, v = poly_xgcd(f, g)
-    assert d == (t() - 1).monic()
-    assert u * f + v * g == d
-
-
-@given(small_polys, small_polys)
-def test_poly_xgcd_properties(f, g):
-    d, u, v = poly_xgcd(f, g)
-    assert u * f + v * g == d
-    if not d.is_zero:
-        assert d.leading_coeff == 1
-        assert f.divmod_poly(d)[1].is_zero or f.is_zero
-        assert g.divmod_poly(d)[1].is_zero or g.is_zero

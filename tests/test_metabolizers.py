@@ -29,13 +29,6 @@ class TestSubmodule:
         assert a == b
         assert a.rank == 2
 
-    def test_contains(self):
-        sub = line_submodule(5, 2, 3)
-        assert sub.contains((1, 0, 2, 3))
-        assert sub.contains((3, 0, 6, 9))
-        assert not sub.contains((0, 0, 1, 0))
-        assert sub.contains((0, 0, 0, 0))
-
     def test_zero_generators_are_dropped(self):
         sub = Submodule.spanned_by(7, ((0, 0, 0, 0), (1, 2, 3, 4)))
         assert sub.rank == 1

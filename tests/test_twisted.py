@@ -189,9 +189,11 @@ class TestBlockEliminationOracle:
     def test_other_braid_closures(self):
         # knots that are not in the family: a kink, four strands, and
         # diagonal data that need not come from a representation
-        for word in ("1 1 1", "1 2 1 2 1 -2 -2 1", "1 2 3 -1 2 -3 2",
-                     "-1 -2 -2 -1 -1 3 -2 3 -3"):
-            pres = wirtinger_of_closure(BraidWord.parse(word))
+        for braid in (BraidWord(2, (1, 1, 1)),
+                      BraidWord(3, (1, 2, 1, 2, 1, -2, -2, 1)),
+                      BraidWord(4, (1, 2, 3, -1, 2, -3, 2)),
+                      BraidWord(4, (-1, -2, -2, -1, -1, 3, -2, 3, -3))):
+            pres = wirtinger_of_closure(braid)
             m = pres.num_generators
             exps = tuple(((g, 2 * g, 3) if g % 2 else (0, 1, 4))
                          for g in range(1, m + 1))
@@ -313,6 +315,7 @@ class TestPeriodShift:
         assert period_shift(PRES5, MINUS5).row != MINUS5.row
 
     def test_presentation_without_period_rejected(self):
-        pres = wirtinger_of_closure(BraidWord.parse("1 2 1 2 1 -2 -2 1"))
+        pres = wirtinger_of_closure(
+            BraidWord(3, (1, 2, 1, 2, 1, -2, -2, 1)))
         with pytest.raises(ValueError, match="period symmetry"):
             period_shift(pres, Character(5, (1, 2, 3, 4), "+"))
