@@ -7,8 +7,7 @@ and the Q/Z linking form of the 3-fold branched cover all use integer
 or rational arithmetic only.
 """
 
-from .blanchfield import (BlanchfieldEntries, CoverHomology, LinkingForm,
-                          SymmetryAction, blanchfield_entries,
+from .blanchfield import (CoverHomology, LinkingForm, SymmetryAction,
                           cover_homology_snf, linking_form, linking_template,
                           symmetry_action)
 from .braids import (BraidWord, WirtingerPresentation, family_braid,
@@ -30,9 +29,8 @@ from .twisted import (TwistedPolynomial, TwistedRep, period_shift,
 __version__ = "1.0.0"
 
 __all__ = [
-    "BlanchfieldEntries", "CoverHomology", "LinkingForm", "SymmetryAction",
-    "blanchfield_entries", "cover_homology_snf", "linking_form",
-    "linking_template", "symmetry_action",
+    "CoverHomology", "LinkingForm", "SymmetryAction", "cover_homology_snf",
+    "linking_form", "linking_template", "symmetry_action",
     "BraidWord", "WirtingerPresentation", "family_braid", "family_is_knot",
     "wirtinger_of_closure",
     "FactorizationResult", "degree_sequence", "factor",

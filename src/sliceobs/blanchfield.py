@@ -1,29 +1,27 @@
-"""The Blanchfield pairing of the braid-closure family, its reduction to
-the rational-cyclic linking form of a branched cover, and the order-n
-symmetry acting on everything.
+"""The Q/Z linking form on H_1 of the 3-fold branched cover of the
+braid-closure family, read off the Blanchfield pairing; the homology of
+the q-fold covers; and the order-n symmetry acting on everything.
 
 The pairing on the infinite cyclic cover is carried by the two
 generators sitting at rows n-1 and 2(n-1) of the Seifert presentation;
-only the four pairing values between them are ever needed.  Reducing
-modulo t^q - 1 turns those values into the Q/Z linking form on the
-first homology of the q-fold branched cover, evaluated on the basis
-(a, ta, b, tb) when q = 3.
+only the four pairing values between them are ever needed.  On the
+3-fold cover they are taken modulo t^3 - 1, where each one vanishes at
+t = 1 and so is fixed by its value at a primitive cube root of unity w.
+`linking_form` gets those values from one fraction-free elimination of
+A - w A^T over the Eisenstein integers Z[w], on the basis (a, ta, b, tb).
+`cover_homology_snf` takes the q-fold cover for any q by a Smith form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPolynomial
-from .linalg import (Matrix, _bareiss, _eval_points, _newton_interpolate,
-                     det_bareiss, smith_normal_form)
+from .linalg import Matrix, _bareiss, det_bareiss, smith_normal_form
 from .seifert import seifert_matrix
 
 __all__ = [
-    "BlanchfieldEntries",
     "CoverHomology",
     "LinkingForm",
     "SymmetryAction",
-    "blanchfield_entries",
     "cover_homology_snf",
     "linking_form",
     "linking_template",
@@ -33,100 +31,6 @@ __all__ = [
 # H_1 of the 3-fold cover is generated by a, ta, b, tb with t^2 = -1 - t;
 # basis elements are (deck power j, generator index e)
 BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-@dataclass(frozen=True)
-class BlanchfieldEntries:
-    """The four pairing values c_ij = (t-1) (A - t A^T)^-1 [p_i, p_j] at
-    the generator rows p_1 = n-1, p_2 = 2(n-1), stored as exact fractions
-    numerators[i][j] / denominator."""
-    n: int
-    denominator: LaurentPolynomial
-    numerators: tuple
-
-    def entry(self, i, j):
-        return self.numerators[i][j], self.denominator
-
-
-def _pairing_cofactors(a, pos):
-    """Determinant and adjugate block of M(t) = A - t A^T for a square
-    integer Matrix A: returns (det M, adj) with adj[i][j] the Laurent
-    polynomial adj(M)[pos[i]][pos[j]], so that M^-1 [pos[i], pos[j]] is
-    adj[i][j] / det M.  pos holds two distinct indices.
-
-    One elimination per evaluation point replaces five determinants.
-    At an integer x, M(x) is formed with the rows and columns pos moved
-    last (the same permutation on both sides, which leaves the
-    determinant and the adjugate entries unchanged), and `_bareiss` runs
-    its first N-2 steps on it, N the side.  By Sylvester's identity the
-    trailing 2x2 block B then holds the minors of the leading
-    (N-2)-square block L bordered by one of the last two rows and one of
-    the last two columns, each times the sign s of the row swaps, and
-    the last pivot is s det L.  The adjugate block of M at the moved
-    positions equals the adjugate of the bordered-minor block, so it is
-    s adj(B) = s [[B11, -B01], [-B10, B00]], and one more elimination
-    step on B gives det M = s (B00 B11 - B01 B10) / (s det L), an exact
-    division.
-
-    A point where L(x) is singular leaves no pivot to divide by; it is
-    skipped and the next point is taken.  det L has degree at most N-2,
-    so more skips than that mean L is singular identically and this
-    route cannot work.  The N+1 surviving value sequences (det M has
-    degree at most N, the adjugate entries at most N-1) are
-    interpolated exactly.
-    """
-    size = a.nrows
-    k = size - 2
-    order = [i for i in range(size) if i not in pos] + list(pos)
-    pairs = [[(a[i][j], a[j][i]) for j in order] for i in order]
-    pts = []
-    vals = ([], [], [], [], [])  # det M, adj00, adj01, adj10, adj11
-    skipped = 0
-    points = _eval_points()
-    while len(pts) < size + 1:
-        x = next(points)
-        m = [[u - x * v for u, v in row] for row in pairs]
-        sign = _bareiss(m, k)
-        if sign is None:
-            skipped += 1
-            if skipped > k:
-                raise ArithmeticError(
-                    "leading block of A - t A^T is singular identically")
-            continue
-        (b00, b01), (b10, b11) = m[k][k:], m[k + 1][k:]
-        last = m[k - 1][k - 1] if k else 1
-        q, r = divmod(sign * (b00 * b11 - b01 * b10), last)
-        if r:
-            raise ArithmeticError("Bareiss division was not exact")
-        pts.append(x)
-        for seq, v in zip(vals, (q, sign * b11, -sign * b01, -sign * b10,
-                                 sign * b00)):
-            seq.append(v)
-    den, c00, c01, c10, c11 = (_newton_interpolate(pts, v) for v in vals)
-    return den, ((c00, c01), (c10, c11))
-
-
-def blanchfield_entries(n):
-    """The pairing values c_ij = (t-1) (A - t A^T)^-1 [p_i, p_j] at the
-    0-based rows p_0 = n-2, p_1 = 2n-3, from one elimination per
-    evaluation point: by Sylvester's identity the bordered minors left
-    after N-2 Bareiss steps give the adjugate entries, with the sign of
-    the row swaps, and points where the leading block is singular are
-    skipped (see `_pairing_cofactors`).  The result is checked to be
-    hermitian: c_ij(t^-1) den(t) = c_ji(t) den(t^-1)."""
-    den, adj = _pairing_cofactors(seifert_matrix(n).matrix,
-                                  (n - 2, 2 * n - 3))
-    if not den:
-        raise ValueError(f"A - t A^T is singular for n={n}")
-    tm1 = LaurentPolynomial({1: 1, 0: -1})
-    nums = tuple(tuple(tm1 * c for c in row) for row in adj)
-    for i in range(2):
-        for j in range(2):
-            lhs = nums[i][j].involution() * den
-            rhs = nums[j][i] * den.involution()
-            if lhs != rhs:
-                raise ArithmeticError("pairing entries are not hermitian")
-    return BlanchfieldEntries(n, den, nums)
 
 
 # -- branched cover homology ----------------------------------------------------
@@ -178,60 +82,89 @@ def cover_homology_snf(n, q):
 # -- the Q/Z linking form -------------------------------------------------------
 
 
-def _cyclic(poly, q):
-    """Coefficients of poly mod t^q - 1, as a length-q list."""
-    out = [0] * q
-    for e, c in poly.items():
-        out[e % q] += c
-    return out
+class _Eisenstein:
+    """a + b w in Z[w], w a primitive cube root of unity (w^2 = -1 - w)."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a = a
+        self.b = b
+
+    def __mul__(self, other):
+        a, b, c, d = self.a, self.b, other.a, other.b
+        bd = b * d
+        return _Eisenstein(a * c - bd, a * d + b * c - bd)
+
+    def __sub__(self, other):
+        return _Eisenstein(self.a - other.a, self.b - other.b)
+
+    def __neg__(self):
+        return _Eisenstein(-self.a, -self.b)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def conjugate(self):
+        """a + b w^2 = (a - b) - b w."""
+        return _Eisenstein(self.a - self.b, -self.b)
+
+    def norm(self):
+        a, b = self.a, self.b
+        return a * a - a * b + b * b
+
+    def __divmod__(self, other):
+        """(q, r) with self = q other + r, q the floor of self / other =
+        self conj(other) / N(other) taken coordinatewise; r is zero
+        exactly when the division is exact."""
+        if isinstance(other, int):
+            other = _Eisenstein(other)
+        num = self * other.conjugate()
+        nrm = other.norm()
+        q = _Eisenstein(num.a // nrm, num.b // nrm)
+        return q, self - q * other
 
 
-def _cyclic_mul(a, b, q):
-    out = [0] * q
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % q] += x * y
-    return out
+_W = (_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1))  # w^0, w, w^2
 
 
-def _annihilator_pair(delta, q):
-    """r (length-q int list) and c > 0 with delta * r = c modulo t^q - 1.
+def _pairing_at_omega(a, pos):
+    """s det M and s adj(M)[pos[i]][pos[j]] for M = A - w A^T over
+    Z[w], a square integer Matrix A and two distinct indices pos, where
+    s = +-1 is the sign of the row swaps; it cancels in every product
+    adj conj(det) that `linking_form` takes.
 
-    Multiplication by delta on Z[t]/(t^q - 1) is the circulant C with
-    C[i][j] = d[(i - j) mod q], d the coefficients of delta mod t^q - 1.
-    det C vanishes exactly when delta shares a root with t^q - 1.
-    Otherwise C adj(C) = det C, so the first column of adj(C),
-    r_j = (-1)^j det(C without row 0 and column j), gives delta * r =
-    det C.  r / c is the inverse of delta in Q[t]/(t^q - 1), which is
-    unique, so any such pair gives the same linking values.
+    M is formed with the rows and columns pos moved last (the same
+    permutation on both sides, which leaves the determinant and the
+    adjugate entries unchanged), and `_bareiss` runs its first N-2 steps
+    on it, N the side.  By Sylvester's identity the trailing 2x2 block B
+    then holds the minors of the leading (N-2)-square block L bordered
+    by one of the last two rows and one of the last two columns, each
+    times s, and the last pivot is s det L.
+    The adjugate block of M at the moved positions equals the adjugate
+    of the bordered-minor block, so it is s adj(B) = s [[B11, -B01],
+    [-B10, B00]], and s det M = (B00 B11 - B01 B10) / (s det L), an
+    exact division.  A singular L(w) leaves a zero pivot and raises
+    ArithmeticError.
     """
-    d = _cyclic(delta, q)
-    circ = [[d[(i - j) % q] for j in range(q)] for i in range(q)]
-    det = det_bareiss(circ)
-    if not det:
-        raise ValueError(
-            f"the Alexander polynomial shares a root of unity with t^{q}-1, "
-            f"so the {q}-fold branched cover has infinite homology")
-    rc = [(-1) ** j * det_bareiss([row[:j] + row[j + 1:]
-                                   for row in circ[1:]])
-          for j in range(q)]
-    if det < 0:
-        rc = [-x for x in rc]
-    c = abs(det)
-    check = _cyclic_mul(d, rc, q)
-    if check != [c] + [0] * (q - 1):
-        raise ArithmeticError("annihilator does not invert delta")
-    return rc, c
+    size = a.nrows
+    k = size - 2
+    order = [i for i in range(size) if i not in pos] + list(pos)
+    m = [[_Eisenstein(a[i][j], -a[j][i]) for j in order] for i in order]
+    if _bareiss(m, k) is None:
+        raise ArithmeticError("zero pivot in the elimination of A - w A^T")
+    (b00, b01), (b10, b11) = m[k][k:], m[k + 1][k:]
+    det, r = divmod(b00 * b11 - b01 * b10, m[k - 1][k - 1] if k else 1)
+    if r:
+        raise ArithmeticError("Bareiss division was not exact")
+    return det, ((b11, -b01), (-b10, b00))
 
 
 @dataclass(frozen=True)
 class LinkingForm:
-    """The Q/Z linking form on H_1 of the q-fold branched cover, on the
+    """The Q/Z linking form on H_1 of the 3-fold branched cover, on the
     basis (a, ta, b, tb); values are Fractions in [0, 1)."""
     n: int
-    q: int
     matrix: tuple
     template_sign: int  # +1/-1 when the closed form matched, else 0
 
@@ -245,19 +178,40 @@ class LinkingForm:
         return total % 1
 
 
-def linking_form(n, q=3):
-    ent = blanchfield_entries(n)
-    rc, c = _annihilator_pair(ent.denominator, q)
-    num_cyc = [[_cyclic(ent.numerators[i][j], q) for j in range(2)]
-               for i in range(2)]
+def linking_form(n):
+    """The linking form of the 3-fold branched cover on (a, ta, b, tb).
+
+    With M = A - t A^T, Delta = det M and p = (n-2, 2n-3), the pairing
+    of t^a e_u and t^b e_v is the t^0 coefficient of t^(b-a) G_vu in
+    Q[t]/(t^3 - 1), where G = (t - 1) M^-1 [p, p].  That needs Delta(1)
+    and Delta(w) nonzero, or the cover has infinite homology.  A class
+    f = f0 + f1 t + f2 t^2 with f(1) = 0 and f(w) = x + y w has
+    x = f0 - f2, y = f1 - f2, so f0 = (2x - y) / 3, and G(1) = 0.  So
+    with w^(b-a) (w - 1) adj_vu conj(det) = x + y w over Z[w] (adj and
+    det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.
+    """
+    a = seifert_matrix(n).matrix
+    infinite = ValueError(
+        "the Alexander polynomial shares a root of unity with t^3-1, "
+        "so the 3-fold branched cover has infinite homology")
+    if not det_bareiss(a - a.transpose()):
+        raise infinite
+    det, adj = _pairing_at_omega(a, (n - 2, 2 * n - 3))
+    if not det:
+        raise infinite
+    tm1 = _Eisenstein(-1, 1)
+    c = [[tm1 * x for x in row] for row in adj]
+    conj = det.conjugate()
+    for i in range(2):
+        for j in range(2):
+            if c[i][j].conjugate() * det - c[j][i] * conj:
+                raise ArithmeticError("pairing entries are not hermitian")
+    den = 3 * det.norm()
 
     def lam(u, v):
-        ju, eu = u
-        jv, ev = v
-        p = num_cyc[ev][eu]
-        p = [p[(m + ju) % q] for m in range(q)]
-        beta = _cyclic_mul(p, rc, q)
-        return Fraction(beta[(q - jv) % q], c) % 1
+        (ju, eu), (jv, ev) = u, v
+        z = _W[(jv - ju) % 3] * c[ev][eu] * conj
+        return Fraction(2 * z.a - z.b, den) % 1
 
     mat = tuple(tuple(lam(u, v) for v in BASIS) for u in BASIS)
     for i in range(4):
@@ -267,20 +221,18 @@ def linking_form(n, q=3):
             if n % mat[i][j].denominator:
                 raise ValueError(
                     f"linking value {mat[i][j]} has a denominator not "
-                    f"dividing n={n}: H_1 of the {q}-fold cover is not "
+                    f"dividing n={n}: H_1 of the 3-fold cover is not "
                     f"(Z/n)^4 on the basis (a, ta, b, tb)")
+    plus = linking_template(n)
     sign = 0
-    if q == 3:
-        plus = linking_template(n)
-        if mat == plus:
-            sign = 1
-        elif mat == tuple(tuple((-x) % 1 for x in row) for row in plus):
-            sign = -1
-    form = LinkingForm(n, q, mat, sign)
-    if q == 3:
-        if not _transforms_to(form, t_matrix(), form.n):
-            raise ArithmeticError(
-                "deck transformation must preserve the linking form")
+    if mat == plus:
+        sign = 1
+    elif mat == tuple(tuple((-x) % 1 for x in row) for row in plus):
+        sign = -1
+    form = LinkingForm(n, mat, sign)
+    if not _transforms_to(form, t_matrix()):
+        raise ArithmeticError(
+            "deck transformation must preserve the linking form")
     return form
 
 
@@ -294,7 +246,7 @@ def linking_template(n):
     return tuple(tuple(Fraction(x, n) % 1 for x in row) for row in base)
 
 
-def _transforms_to(form, g, n):
+def _transforms_to(form, g):
     """True if the integer matrix g (acting on column coordinates) is an
     isometry: form(gu, gv) = form(u, v) for basis u, v."""
     cols = [[g[i][j] for i in range(4)] for j in range(4)]
@@ -346,7 +298,7 @@ def symmetry_action(n, form=None):
         power = power * r
     if power.map(lambda x: x % n) != Matrix.identity(4).map(lambda x: x % n):
         raise ValueError(f"symmetry does not have order n={n} on the cover")
-    if form is not None and not _transforms_to(form, r, n):
+    if form is not None and not _transforms_to(form, r):
         raise ValueError(f"symmetry does not preserve the linking form "
                          f"for n={n}")
     return SymmetryAction(n, t, r)

@@ -1,14 +1,15 @@
 """Exact linear algebra: integer determinants and Smith forms, prime-field
 determinants, and the involution.
 
-Everything here is deliberately dependency-free.  All integer
-determinant work goes through one kernel, `_bareiss`: fraction-free
-elimination on int rows, in place, with every division checked to be
-exact.  It gives `det_bareiss` for integer matrices; a polynomial
-determinant is its values at `_eval_points` put back together by
-`_newton_interpolate` (see `seifert.alexander_polynomial`).  Its partial
-form, stopped before the last rows, also yields bordered minors (see
-`blanchfield.blanchfield_entries`).  Determinants over a prime field
+Everything here is deliberately dependency-free.  All determinant
+work over Z or over the Eisenstein integers Z[w] goes through one
+kernel, `_bareiss`: fraction-free elimination, in place, with every
+division checked to be exact.  It gives `det_bareiss` for
+integer matrices; a polynomial determinant is its values at
+`_eval_points` put back together by `_newton_interpolate` (see
+`seifert.alexander_polynomial`).  Its partial form, stopped before the
+last rows, also yields bordered minors (see
+`blanchfield._pairing_at_omega`).  Determinants over a prime field
 use plain Gaussian elimination (`det_gf`), and `smith_normal_form` is
 an integer-only elimination.
 """
@@ -135,7 +136,9 @@ def involution(obj):
 
 def _bareiss(a, steps):
     """Run the first `steps` steps of fraction-free (Bareiss) elimination
-    on the int rows a, in place.
+    on the rows a, in place.  The entries are ints, or any ring elements
+    with `*`, `-`, truth value and a `divmod` whose remainder is zero
+    exactly when the division is exact (`blanchfield._Eisenstein`).
 
     After step k, every entry a[i][j] with i, j > k is the minor of the
     leading (k+1)-square block bordered by row i and column j, times the

@@ -8,7 +8,6 @@ subset-sum norm obstruction.  The reference factor tables below pin the
 expected output for n = 11, 17, 23 at the default (s, theta) witnesses.
 """
 
-import json
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -115,13 +114,6 @@ class ObstructionReport:
     def from_dict(d):
         return ObstructionReport(**{f.name: _as_tuples(d[f.name])
                                     for f in fields(ObstructionReport)})
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
-    @staticmethod
-    def from_json(text):
-        return ObstructionReport.from_dict(json.loads(text))
 
 
 def _as_lists(x):

@@ -1,6 +1,6 @@
 """Determinants of Laurent polynomial matrices, kept as the independent
-oracle for `sliceobs.seifert.alexander_polynomial` and
-`sliceobs.blanchfield.blanchfield_entries`.
+oracle for `sliceobs.seifert.alexander_polynomial` and for the
+Blanchfield cofactors of `tests/blanchfield_oracle.py`.
 
 `det_laurent` takes any square matrix of integer Laurent polynomials:
 it factors the least power of t out of each row, bounds the degree of

@@ -1,19 +1,27 @@
-"""Blanchfield pairing, branched cover homology, and the linking form."""
+"""Blanchfield pairing, branched cover homology, and the linking form.
+
+The Blanchfield polynomials live in `tests/blanchfield_oracle.py`; they
+are checked here against five Laurent determinants and in turn check the
+program's linking form."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laurent_oracle import det_laurent, minor
-from sliceobs.blanchfield import (
-    BASIS,
+from blanchfield_oracle import (
     BlanchfieldEntries,
     _annihilator_pair,
     _cyclic,
     _cyclic_mul,
     _pairing_cofactors,
     blanchfield_entries,
+    laurent_linking_form,
+)
+from laurent_oracle import det_laurent, minor
+from sliceobs.blanchfield import (
+    BASIS,
+    _Eisenstein,
     cover_homology_snf,
     linking_form,
     linking_template,
@@ -190,13 +198,56 @@ class TestLinkingForm:
             assert c > 0
             assert _cyclic_mul(_cyclic(delta, q), r, q) == [c] + [0] * (q - 1)
 
-    @pytest.mark.parametrize("n, q", [(3, 3), (9, 2)])
-    def test_cover_with_infinite_homology_is_refused(self, n, q):
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_cover_with_infinite_homology_is_refused(self, n):
+        # closures with n divisible by 3 are links, so Delta(1) = 0; at
+        # n = 9 the determinant at w alone does not vanish
         with pytest.raises(ValueError, match="infinite homology"):
-            linking_form(n, q)
+            linking_form(n)
+
+    @pytest.mark.parametrize("n", range(2, 24))
+    def test_matches_laurent_route(self, n):
+        try:
+            want = laurent_linking_form(n)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                linking_form(n)
+            return
+        got = linking_form(n)
+        assert (got.matrix, got.template_sign) == \
+            (want.matrix, want.template_sign)
 
 
-# linking_form is the slowest call in this module; share one instance
+eisenstein = st.builds(_Eisenstein, st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(-10 ** 6, 10 ** 6))
+
+
+class TestEisenstein:
+    @given(eisenstein, eisenstein)
+    def test_product_is_companion_action(self, x, y):
+        # multiplication by c + d w on the coordinates (a, b) is
+        # c I + d W, W = [[0, -1], [1, -1]] the companion matrix of
+        # t^2 + t + 1
+        c, d = y.a, y.b
+        p = x * y
+        assert (p.a, p.b) == (c * x.a - d * x.b, d * x.a + c * x.b - d * x.b)
+
+    @given(eisenstein, eisenstein.filter(bool))
+    def test_divmod_is_exact_on_products(self, x, y):
+        q, r = divmod(x * y, y)
+        assert not r
+        assert (q.a, q.b) == (x.a, x.b)
+
+    @given(eisenstein, eisenstein.filter(bool))
+    def test_divmod_remainder_vanishes_only_when_exact(self, x, y):
+        q, r = divmod(x, y)
+        assert not (x - r) - q * y
+        num = x * y.conjugate()
+        exact = num.a % y.norm() == 0 and num.b % y.norm() == 0
+        assert bool(r) != exact
+
+
+# one shared instance for the property tests
 _FORM7 = linking_form(7)
 
 
