@@ -8,15 +8,19 @@ only the four pairing values between them are ever needed.  On the
 3-fold cover they are taken modulo t^3 - 1, where each one vanishes at
 t = 1 and so is fixed by its value at a primitive cube root of unity w.
 `linking_form` gets those values from one fraction-free elimination of
-A - w A^T over the Eisenstein integers Z[w], on the basis (a, ta, b, tb).
-`cover_homology_snf` takes the q-fold cover for any q by a Smith form.
+A - w A^T over the Eisenstein integers Z[w], on the banded order of
+`seifert.band_order`, and reads them on the basis (a, ta, b, tb).
+`cover_homology_snf` takes the q-fold cover for any q from the
+monodromy h = A^-1 A^T: the block-circulant presentation of the cover
+reduces by unimodular block moves to h^q - I, whose Smith form it
+takes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, _bareiss, det_bareiss, smith_normal_form
-from .seifert import seifert_matrix
+from .seifert import band_order, seifert_inverse, seifert_matrix
 
 __all__ = [
     "CoverHomology",
@@ -55,28 +59,53 @@ class CoverHomology:
         return total
 
 
+def _times(x, y):
+    """The product of two integer matrices given as rows, one row of y
+    added per nonzero entry of x."""
+    width = len(y[0])
+    out = []
+    for row in x:
+        acc = [0] * width
+        for k, c in enumerate(row):
+            if c:
+                acc = [u + c * v for u, v in zip(acc, y[k])]
+        out.append(acc)
+    return out
+
+
 def cover_homology_snf(n, q):
-    """Smith form of the presentation t A - A^T with t replaced by the
-    companion matrix of t^q - 1."""
-    a = seifert_matrix(n).matrix
-    size = a.nrows
-    rows = []
+    """Invariant factors of H_1 of the q-fold branched cover, q >= 1.
+
+    The cover is presented by t A - A^T with t the q-cyclic shift: a
+    block-circulant matrix with -A^T on the diagonal and A on the cyclic
+    subdiagonal.  Unimodular block moves reduce it to the monodromy
+    h = A^-1 A^T.  Multiplying every block row by A^-1 (A is
+    unimodular, `seifert_inverse`) leaves -h on the diagonal and I on
+    the cyclic subdiagonal; adding block column c times h to column
+    c + 1, for c = 0, ..., q-2, clears the diagonal and leaves I - h^q
+    in the corner of the first block row, whose other blocks the
+    identity blocks below then clear.  So the Smith form is (q-1) N
+    ones, N the side of A, followed by that of h^q - I.
+    """
+    if q < 1:
+        raise ValueError(f"the cover degree q must be at least 1, got {q}")
+    a = seifert_matrix(n).matrix.rows
+    a_inv = seifert_inverse(n).rows
+    size = len(a)
+    eye = [[int(i == j) for j in range(size)] for i in range(size)]
+    if _times(a, a_inv) != eye:
+        raise ArithmeticError("A times its closed-form inverse is not I")
+    at = list(zip(*a))
+    power = eye
+    for _ in range(q):
+        power = _times(a_inv, _times(at, power))
     for i in range(size):
-        for r in range(q):
-            row = []
-            for j in range(size):
-                tij, cij = a[i][j], a[j][i]
-                for col in range(q):
-                    v = tij if r == (col + 1) % q else 0
-                    if r == col:
-                        v -= cij
-                    row.append(v)
-            rows.append(row)
-    inv = smith_normal_form(rows)
+        power[i][i] -= 1
+    inv = smith_normal_form(power)
     if not all(inv):
         raise ValueError(
             f"H_1 of the {q}-fold branched cover is infinite for n={n}")
-    return CoverHomology(n, q, tuple(inv))
+    return CoverHomology(n, q, (1,) * ((q - 1) * size) + tuple(inv))
 
 
 # -- the Q/Z linking form -------------------------------------------------------
@@ -128,28 +157,25 @@ class _Eisenstein:
 _W = (_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1))  # w^0, w, w^2
 
 
-def _pairing_at_omega(a, pos):
-    """s det M and s adj(M)[pos[i]][pos[j]] for M = A - w A^T over
-    Z[w], a square integer Matrix A and two distinct indices pos, where
-    s = +-1 is the sign of the row swaps; it cancels in every product
-    adj conj(det) that `linking_form` takes.
+def _pairing_at_omega(a, order):
+    """s det M and s adj(M)[p_i][p_j] for M = A - w A^T over Z[w], a
+    square integer Matrix A and a row order whose last two indices are
+    p = (p_0, p_1), where s = +-1 is the sign of the row swaps; it
+    cancels in every product adj conj(det) that `linking_form` takes.
 
-    M is formed with the rows and columns pos moved last (the same
-    permutation on both sides, which leaves the determinant and the
-    adjugate entries unchanged), and `_bareiss` runs its first N-2 steps
-    on it, N the side.  By Sylvester's identity the trailing 2x2 block B
-    then holds the minors of the leading (N-2)-square block L bordered
-    by one of the last two rows and one of the last two columns, each
-    times s, and the last pivot is s det L.
-    The adjugate block of M at the moved positions equals the adjugate
-    of the bordered-minor block, so it is s adj(B) = s [[B11, -B01],
-    [-B10, B00]], and s det M = (B00 B11 - B01 B10) / (s det L), an
-    exact division.  A singular L(w) leaves a zero pivot and raises
+    M is formed in that order on both sides (which leaves the
+    determinant and the adjugate entries unchanged), and `_bareiss` runs
+    its first N-2 steps on it, N the side.  By Sylvester's identity the
+    trailing 2x2 block B then holds the minors of the leading
+    (N-2)-square block L bordered by one of the last two rows and one of
+    the last two columns, each times s, and the last pivot is s det L.
+    The adjugate block of M at p equals the adjugate of the
+    bordered-minor block, so it is s adj(B) = s [[B11, -B01], [-B10,
+    B00]], and s det M = (B00 B11 - B01 B10) / (s det L), an exact
+    division.  A singular L(w) leaves a zero pivot and raises
     ArithmeticError.
     """
-    size = a.nrows
-    k = size - 2
-    order = [i for i in range(size) if i not in pos] + list(pos)
+    k = len(order) - 2
     m = [[_Eisenstein(a[i][j], -a[j][i]) for j in order] for i in order]
     if _bareiss(m, k) is None:
         raise ArithmeticError("zero pivot in the elimination of A - w A^T")
@@ -191,12 +217,13 @@ def linking_form(n):
     det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.
     """
     a = seifert_matrix(n).matrix
+    order = band_order(n)  # banded, and ends with p
     infinite = ValueError(
         "the Alexander polynomial shares a root of unity with t^3-1, "
         "so the 3-fold branched cover has infinite homology")
-    if not det_bareiss(a - a.transpose()):
+    if not det_bareiss([[a[i][j] - a[j][i] for j in order] for i in order]):
         raise infinite
-    det, adj = _pairing_at_omega(a, (n - 2, 2 * n - 3))
+    det, adj = _pairing_at_omega(a, order)
     if not det:
         raise infinite
     tm1 = _Eisenstein(-1, 1)

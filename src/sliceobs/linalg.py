@@ -4,14 +4,17 @@ determinants, and the involution.
 Everything here is deliberately dependency-free.  All determinant
 work over Z or over the Eisenstein integers Z[w] goes through one
 kernel, `_bareiss`: fraction-free elimination, in place, with every
-division checked to be exact.  It gives `det_bareiss` for
-integer matrices; a polynomial determinant is its values at
-`_eval_points` put back together by `_newton_interpolate` (see
-`seifert.alexander_polynomial`).  Its partial form, stopped before the
-last rows, also yields bordered minors (see
-`blanchfield._pairing_at_omega`).  Determinants over a prime field
-use plain Gaussian elimination (`det_gf`), and `smith_normal_form` is
-an integer-only elimination.
+division checked to be exact.  It skips the rows that are zero in the
+pivot column and scales them once, lazily, when they are next read, and
+it stops each row update at the last nonzero, so on a band of width w
+a step costs O(w^2) arithmetic instead of O(N^2) (see
+`seifert.band_order`).  It gives `det_bareiss` for integer matrices; a
+polynomial determinant is its values at `_eval_points` put back
+together by `_newton_interpolate` (see `seifert.alexander_polynomial`).
+Its partial form, stopped before the last rows, also yields bordered
+minors (see `blanchfield._pairing_at_omega`).  Determinants over a
+prime field use plain Gaussian elimination (`det_gf`), and
+`smith_normal_form` is an integer-only elimination.
 """
 
 from fractions import Fraction
@@ -148,30 +151,71 @@ def _bareiss(a, steps):
     Returns the swap sign, or None when a pivot vanishes and no swap can
     fix it, which happens exactly when the leading steps-square block is
     singular.  Raises ArithmeticError if a division is not exact.
+
+    The work follows the zeros of a banded matrix.  A row whose entry in
+    the pivot column is 0 is skipped: step k would only multiply it by
+    piv_k / piv_(k-1), and those factors telescope, so the row is brought
+    current later by one checked exact scaling, piv_e / piv_d over the
+    steps d..e-1 it missed.  Scaling keeps zeros zero, so a stale row
+    answers the zero tests (is it skipped, can it be swapped in); it is
+    brought current before its values are read: as the pivot, as an
+    updated row, or as a border row when the elimination stops.  An
+    update runs only up to the rightmost nonzero of the two rows.  Every
+    entry, and every swap, is the one of the full elimination, since
+    Sylvester's identity fixes both.
     """
+    size = len(a)
+    done = [0] * size  # steps applied to each row so far
+    # one past the rightmost nonzero of each row
+    ends = [max((j + 1 for j, x in enumerate(row) if x), default=0)
+            for row in a]
+    piv = [1]  # piv[d]: the divisor of step d, the pivot of step d - 1
+
+    def current(i, e):
+        # scale row i from done[i] steps to e steps
+        d = done[i]
+        if d != e:
+            f, g = piv[e], piv[d]
+            row = a[i]
+            for j in range(e, ends[i]):
+                q, r = divmod(row[j] * f, g)
+                if r:
+                    raise ArithmeticError("Bareiss division was not exact")
+                row[j] = q
+            done[i] = e
+
     sign = 1
-    prev = 1
     for k in range(steps):
-        row_k = a[k]
-        if not row_k[k]:
+        if not a[k][k]:
             swap = next((i for i in range(k + 1, steps) if a[i][k]), None)
             if swap is None:
                 return None
-            a[k], a[swap] = a[swap], row_k
-            row_k = a[k]
+            for per_row in (a, done, ends):
+                per_row[k], per_row[swap] = per_row[swap], per_row[k]
             sign = -sign
+        current(k, k)
+        row_k = a[k]
         pivot = row_k[k]
-        tail = row_k[k + 1:]
-        for i in range(k + 1, len(a)):
+        prev = piv[k]
+        end_k = ends[k]
+        for i in range(k + 1, size):
             row_i = a[i]
+            if not row_i[k]:
+                continue
+            current(i, k)
             aik = row_i[k]
-            for j, y in enumerate(tail, k + 1):
-                q, r = divmod(row_i[j] * pivot - aik * y, prev)
+            end = max(end_k, ends[i])
+            for j in range(k + 1, end):
+                q, r = divmod(row_i[j] * pivot - aik * row_k[j], prev)
                 if r:
                     raise ArithmeticError("Bareiss division was not exact")
                 row_i[j] = q
             row_i[k] = 0
-        prev = pivot
+            ends[i] = end
+            done[i] = k + 1
+        piv.append(pivot)
+    for i in range(steps, size):
+        current(i, steps)
     return sign
 
 

@@ -241,10 +241,16 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
 def verify_table(ns=None):
     """Recompute every reference row and compare factor lists verbatim.
 
-    Returns a list of dicts with keys n, sign, ok, expected, got.
+    Returns a list of dicts with keys n, sign, ok, expected, got.  An n
+    outside TABLE_N has no reference row and raises ValueError.
     """
-    if ns is None:
-        ns = TABLE_N
+    ns = TABLE_N if ns is None else tuple(ns)
+    untabled = [n for n in ns if n not in TABLE_N]
+    if untabled:
+        rows = ", ".join(map(str, TABLE_N))
+        raise ValueError(
+            f"no reference row for n={untabled[0]}: the table has the rows "
+            f"n = {rows} (use obstruct with an explicit s for other n)")
     results = []
     for n in ns:
         reports = obstruct(n)

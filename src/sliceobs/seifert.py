@@ -4,8 +4,16 @@ distinguished square root.
 
 For the n-th member, applying Seifert's algorithm to the closure of
 (sigma_1 sigma_2^-1)^n yields a genus n-1 surface whose Seifert matrix
-has the block shape [[-B^T, 0], [B, B]] for the (n-1)-square band
+has the block shape A = [[-B^T, 0], [B, B]] for the (n-1)-square band
 matrix B with 1 on the diagonal and -1 on the first superdiagonal.
+
+Two facts about that shape carry the computations.  B is unitriangular,
+so det A = +-1 and A^-1 = [[-B^-T, 0], [B^-T, B^-1]] in closed form,
+B^-1 the upper triangular all-ones matrix (`seifert_inverse`).  And
+with the rows and columns taken in the interleaved order (0, n-1, 1, n,
+..., n-2, 2n-3) (`band_order`), every nonzero of xA - A^T lies within
+distance 2 of the diagonal, which `linalg._bareiss` turns into O(1)
+work per elimination step.
 """
 
 from dataclasses import dataclass
@@ -15,7 +23,7 @@ from .laurent import LaurentPolynomial
 from .linalg import Matrix, _eval_points, _newton_interpolate, det_bareiss
 
 __all__ = ["SeifertData", "band_matrix", "seifert_matrix",
-           "alexander_polynomial", "p_n"]
+           "seifert_inverse", "band_order", "alexander_polynomial", "p_n"]
 
 
 def band_matrix(n):
@@ -52,18 +60,42 @@ def seifert_matrix(n):
     return SeifertData(n, Matrix(rows))
 
 
+def seifert_inverse(n):
+    """A^-1 = [[-B^-T, 0], [B^-T, B^-1]] for the Seifert matrix A of
+    `seifert_matrix(n)`, with B^-1 the upper triangular all-ones matrix
+    (B U = I, since row i of B U is U[i] - U[i+1]).  An integer Matrix:
+    A is unimodular for every n."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    m = n - 1
+    upper = [[1 if j >= i else 0 for j in range(m)] for i in range(m)]
+    lower = [list(col) for col in zip(*upper)]
+    zeros = [0] * m
+    return Matrix([[-x for x in lower[i]] + zeros for i in range(m)]
+                  + [lower[i] + upper[i] for i in range(m)])
+
+
+def band_order(n):
+    """The interleaved basis order (0, n-1, 1, n, ..., n-2, 2n-3) of the
+    Seifert matrix: in it every nonzero of xA - A^T lies within distance
+    2 of the diagonal, and it ends with the generator rows
+    (n-2, 2n-3)."""
+    m = n - 1
+    return [i + half for i in range(m) for half in (0, m)]
+
+
 def alexander_polynomial(n):
     """det(tA - A^T) for the Seifert matrix A, an integer Laurent
     polynomial (monic of degree 2n-2 for odd n coprime to 3).
 
     The determinant has degree at most the side N = 2(n-1) of A, so it
     is interpolated from the integer determinants det(xA - A^T) at N + 1
-    points."""
+    points, each taken on the band in `band_order`."""
     a = seifert_matrix(n).matrix
-    size = a.nrows
-    pts = list(islice(_eval_points(), size + 1))
-    vals = [det_bareiss([[x * a[i][j] - a[j][i] for j in range(size)]
-                         for i in range(size)]) for x in pts]
+    order = band_order(n)
+    pts = list(islice(_eval_points(), len(order) + 1))
+    vals = [det_bareiss([[x * a[i][j] - a[j][i] for j in order]
+                         for i in order]) for x in pts]
     return _newton_interpolate(pts, vals)
 
 

@@ -1,5 +1,7 @@
 """The Blanchfield polynomials and the linking form read from them, kept
-as the independent oracle for `sliceobs.blanchfield.linking_form`.
+as the independent oracle for `sliceobs.blanchfield.linking_form`; and
+the block-circulant presentation of the branched covers, the oracle for
+`sliceobs.blanchfield.cover_homology_snf`.
 
 The four pairing values c_ij(t) = (t-1) (A - t A^T)^-1 [p_i, p_j] are
 interpolated as Laurent polynomials from one integer Bareiss pass per
@@ -9,15 +11,20 @@ cyclic polynomials.  The program needs only the value at a primitive
 cube root of unity and computes it by one elimination over Z[omega];
 this route builds the whole polynomials first and shares only the
 Bareiss kernel with it.
+
+The program takes the q-fold cover from the monodromy A^-1 A^T; the
+oracle runs the Smith form on the whole q N-square presentation, and
+shares only the Smith form with it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sliceobs.blanchfield import BASIS, LinkingForm, linking_template
+from sliceobs.blanchfield import (BASIS, CoverHomology, LinkingForm,
+                                  linking_template)
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import (_bareiss, _eval_points, _newton_interpolate,
-                             det_bareiss)
+                             det_bareiss, smith_normal_form)
 from sliceobs.seifert import seifert_matrix
 
 
@@ -185,3 +192,28 @@ def laurent_linking_form(n):
     elif mat == tuple(tuple((-x) % 1 for x in row) for row in plus):
         sign = -1
     return LinkingForm(n, mat, sign)
+
+
+def block_circulant_homology(n, q):
+    """Smith form of the presentation t A - A^T with t replaced by the
+    companion matrix of t^q - 1.  Raises the same ValueError as
+    `sliceobs.blanchfield.cover_homology_snf` for an infinite group."""
+    a = seifert_matrix(n).matrix
+    size = a.nrows
+    rows = []
+    for i in range(size):
+        for r in range(q):
+            row = []
+            for j in range(size):
+                tij, cij = a[i][j], a[j][i]
+                for col in range(q):
+                    v = tij if r == (col + 1) % q else 0
+                    if r == col:
+                        v -= cij
+                    row.append(v)
+            rows.append(row)
+    inv = smith_normal_form(rows)
+    if not all(inv):
+        raise ValueError(
+            f"H_1 of the {q}-fold branched cover is infinite for n={n}")
+    return CoverHomology(n, q, tuple(inv))

@@ -8,6 +8,9 @@ what is left row by row, and interpolates integer determinants at that
 many points.  The program only ever needs det(xA - A^T) for an integer
 Seifert matrix A, and evaluates that directly; the general route here
 buys a check that builds its matrices a different way.
+
+`det_cofactor` expands small determinants by cofactors, the check for
+the elimination kernel itself.
 """
 
 from itertools import islice
@@ -15,6 +18,22 @@ from itertools import islice
 from sliceobs.laurent import LaurentPolynomial, one, zero
 from sliceobs.linalg import (Matrix, _eval_points, _newton_interpolate,
                              det_bareiss)
+
+
+def det_cofactor(rows):
+    """Determinant of a square list of rows by cofactor expansion along
+    the first row; shares no code with the elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * det_cofactor(sub)
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def minor(m, i, j):

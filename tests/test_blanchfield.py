@@ -2,7 +2,8 @@
 
 The Blanchfield polynomials live in `tests/blanchfield_oracle.py`; they
 are checked here against five Laurent determinants and in turn check the
-program's linking form."""
+program's linking form.  The block-circulant cover presentation there
+checks the program's cover homology."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from blanchfield_oracle import (
     _cyclic_mul,
     _pairing_cofactors,
     blanchfield_entries,
+    block_circulant_homology,
     laurent_linking_form,
 )
 from laurent_oracle import det_laurent, minor
@@ -31,7 +33,8 @@ from sliceobs.blanchfield import (
 )
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix, det_bareiss
-from sliceobs.seifert import alexander_polynomial, seifert_matrix
+from sliceobs.seifert import (alexander_polynomial, band_order,
+                              seifert_inverse, seifert_matrix)
 
 
 def five_determinant_cofactors(a, pos):
@@ -132,6 +135,40 @@ class TestCoverHomology:
             inv = cover_homology_snf(n, q).invariants
             for a, b in zip(inv, inv[1:]):
                 assert b % a == 0
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_matches_block_circulant_presentation(self, n):
+        # the same tuple, or the same "infinite" ValueError text
+        for q in range(1, 6):
+            try:
+                want = block_circulant_homology(n, q)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    cover_homology_snf(n, q)
+                assert str(got.value) == str(exc)
+                continue
+            assert cover_homology_snf(n, q) == want
+
+    @pytest.mark.parametrize("q", [0, -2])
+    def test_cover_degree_must_be_positive(self, q):
+        with pytest.raises(ValueError, match="at least 1"):
+            cover_homology_snf(11, q)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_closed_form_inverse(self, n):
+        a = seifert_matrix(n).matrix
+        assert a * seifert_inverse(n) == Matrix.identity(a.nrows)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_band_order_puts_every_nonzero_near_the_diagonal(self, n):
+        a = seifert_matrix(n).matrix
+        order = band_order(n)
+        assert sorted(order) == list(range(a.nrows))
+        assert order[-2:] == [n - 2, 2 * n - 3]
+        for u, i in enumerate(order):
+            for v, j in enumerate(order):
+                if a[i][j] or a[j][i]:
+                    assert abs(u - v) <= 2
 
 
 class TestLinkingForm:

@@ -111,6 +111,10 @@ class TestBadInput:
         ["obstruct", "--n", "11", "--s", "24"],
         ["obstruct", "--n", "11", "--theta", "5"],
         ["homology", "--n", "3"],
+        ["homology", "--n", "11", "--q", "0"],
+        ["homology", "--n", "11", "--q", "-2"],
+        ["verify-table", "--n", "29"],
+        ["verify-table", "--n", "5"],
         ["linking", "--n", "3"],
         ["linking", "--n", "4"],
     ])
@@ -121,6 +125,12 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("sliceobs: error: ")
+
+    def test_verify_table_names_the_table_rows(self, capsys):
+        assert main(["verify-table", "--n", "29"]) == 2
+        err = capsys.readouterr().err
+        assert "11, 17, 23" in err
+        assert "pass s" not in err
 
     def test_composite_s_fails_fast_under_optimize(self):
         # input checks must not be asserts, which -O strips

@@ -6,27 +6,13 @@ from itertools import combinations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from laurent_oracle import det_laurent, minor
+from laurent_oracle import det_cofactor, det_laurent, minor
 from sliceobs.laurent import LaurentPolynomial, one, t
 from sliceobs.linalg import (Matrix, _bareiss, _newton_interpolate,
                              det_bareiss, det_gf, involution,
                              smith_normal_form)
-
-
-def det_cofactor(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor)
-        total = total - term if j % 2 else total + term
-    return total
 
 
 int_matrix = st.integers(min_value=1, max_value=4).flatmap(
@@ -83,13 +69,11 @@ def test_det_bareiss_is_integer_only():
         det_bareiss([[t(), 1], [1, 1]])
 
 
-@given(int_matrix.filter(lambda rows: len(rows) >= 2), st.data())
-def test_partial_bareiss_leaves_bordered_minors(rows, data):
-    # Sylvester's identity: after k steps the trailing entries are the
-    # leading k-block bordered by one more row and column, up to the
-    # swap sign; None exactly when the leading k-block is singular
+def check_partial_bareiss(rows, k):
+    """Sylvester's identity: after k steps the trailing entries are the
+    leading k-block bordered by one more row and column, up to the swap
+    sign; None exactly when the leading k-block is singular."""
     n = len(rows)
-    k = data.draw(st.integers(min_value=1, max_value=n - 1))
     a = [list(r) for r in rows]
     sign = _bareiss(a, k)
     lead = det_cofactor([r[:k] for r in rows[:k]])
@@ -101,6 +85,79 @@ def test_partial_bareiss_leaves_bordered_minors(rows, data):
         for j in range(k, n):
             bordered = [r[:k] + [r[j]] for r in rows[:k] + [rows[i]]]
             assert a[i][j] == sign * det_cofactor(bordered)
+
+
+@given(int_matrix.filter(lambda rows: len(rows) >= 2), st.data())
+def test_partial_bareiss_leaves_bordered_minors(rows, data):
+    k = data.draw(st.integers(min_value=1, max_value=len(rows) - 1))
+    check_partial_bareiss(rows, k)
+
+
+@st.composite
+def banded_matrix(draw):
+    """A square int matrix, zero outside a band of random widths below
+    and above the diagonal and mostly zero inside it, so that rows are
+    skipped for several steps, pivots vanish and leading blocks are
+    singular; optionally with a zero leading pivot."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    below = draw(st.integers(min_value=0, max_value=n - 1))
+    above = draw(st.integers(min_value=0, max_value=n - 1))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
+    rows = [[draw(entry) if -below <= j - i <= above else 0
+             for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
+
+
+@st.composite
+def banded_partial(draw):
+    rows = draw(banded_matrix())
+    return rows, draw(st.integers(min_value=1, max_value=len(rows) - 1))
+
+
+# a zero leading pivot that only the last row can fix
+SWAP_LAST = [[0, 2, 0, 0],
+             [0, 1, 3, 0],
+             [0, 0, 1, 4],
+             [5, 0, 0, 1]]
+# the last two rows have leading zeros for three and four steps
+LATE_ROWS = [[2, 1, 0, 0, 0, 0],
+             [1, 3, 1, 0, 0, 0],
+             [0, 1, 2, 1, 0, 0],
+             [0, 0, 0, 3, 1, 0],
+             [0, 0, 0, 1, 0, 2],
+             [0, 0, 0, 0, 1, 1]]
+# the leading 2-block is singular, and no swap can fix the second pivot
+SINGULAR_LEAD = [[1, 2, 0],
+                 [2, 4, 1],
+                 [0, 3, 1]]
+
+
+@given(banded_matrix())
+@example(SWAP_LAST)
+@example(LATE_ROWS)
+@example(SINGULAR_LEAD)
+@settings(max_examples=200)
+def test_bareiss_on_banded_matrices(rows):
+    assert det_bareiss(rows) == det_cofactor(rows)
+
+
+@given(banded_partial())
+@example((SWAP_LAST, 3))
+@example((LATE_ROWS, 2))
+@example((LATE_ROWS, 4))
+@example((SINGULAR_LEAD, 2))
+@settings(max_examples=200)
+def test_partial_bareiss_on_banded_matrices(case):
+    check_partial_bareiss(*case)
+
+
+def test_banded_examples_take_the_paths_they_name():
+    a = [list(r) for r in SWAP_LAST]
+    assert _bareiss(a, 4) == -1  # one swap, row 3 into place
+    assert _bareiss([list(r) for r in SINGULAR_LEAD], 2) is None
+    assert det_cofactor([r[:2] for r in SINGULAR_LEAD[:2]]) == 0
 
 
 def test_interpolant_must_be_integral():

@@ -1,11 +1,14 @@
-"""Checks on the package source itself."""
+"""Checks on the package source itself, and the acceptance gate run
+under `python -O`."""
 
 import ast
 import os
 
 import sliceobs
+from fresh_python import run_python
 
 PACKAGE_DIR = os.path.dirname(sliceobs.__file__)
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def test_no_assert_statements():
@@ -22,3 +25,14 @@ def test_no_assert_statements():
             node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert))]
     assert not found, f"assert statements in sliceobs: {', '.join(found)}"
+
+
+def test_acceptance_gate_under_optimize():
+    # -O strips the asserts of the package but not those of the test
+    # modules, which pytest rewrites, so the gate still checks every
+    # criterion against code whose own checks must not be asserts
+    gate = os.path.join(TESTS_DIR, "test_acceptance.py")
+    proc = run_python(["-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                       gate], 300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "9 passed" in proc.stdout, proc.stdout[-2000:]
