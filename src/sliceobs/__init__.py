@@ -19,8 +19,8 @@ from .laurent import LaurentPolynomial
 from .linalg import (Matrix, det_bareiss, det_gf, involution,
                      smith_normal_form)
 from .metabolizers import (Character, Submodule, character_for,
-                           enumerate_metabolizers, invariant_submodules,
-                           is_metabolizer, orbit_decomposition)
+                           enumerate_metabolizers, is_metabolizer,
+                           orbit_decomposition)
 from .report import ObstructionReport, obstruct, verify_table
 from .seifert import SeifertData, alexander_polynomial, p_n, seifert_matrix
 from .twisted import (TwistedPolynomial, TwistedRep, period_shift,
@@ -38,7 +38,7 @@ __all__ = [
     "LaurentPolynomial",
     "Matrix", "det_bareiss", "det_gf", "involution", "smith_normal_form",
     "Character", "Submodule", "character_for", "enumerate_metabolizers",
-    "invariant_submodules", "is_metabolizer", "orbit_decomposition",
+    "is_metabolizer", "orbit_decomposition",
     "ObstructionReport", "obstruct", "verify_table",
     "SeifertData", "alexander_polynomial", "p_n", "seifert_matrix",
     "TwistedPolynomial", "TwistedRep", "period_shift", "propagate",

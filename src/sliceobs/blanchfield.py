@@ -16,8 +16,9 @@ reduces by unimodular block moves to h^q - I, whose Smith form it
 takes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .linalg import Matrix, _bareiss, det_bareiss, smith_normal_form
 from .seifert import band_order, seifert_inverse, seifert_matrix
@@ -189,19 +190,38 @@ def _pairing_at_omega(a, order):
 @dataclass(frozen=True)
 class LinkingForm:
     """The Q/Z linking form on H_1 of the 3-fold branched cover, on the
-    basis (a, ta, b, tb); values are Fractions in [0, 1)."""
+    basis (a, ta, b, tb); values are Fractions in [0, 1).
+
+    Every value lies in (1/n)Z/Z, so the form is carried by the integer
+    matrix `scaled` = n lambda mod n, derived here; a value with a
+    denominator not dividing n raises ValueError."""
     n: int
     matrix: tuple
     template_sign: int  # +1/-1 when the closed form matched, else 0
+    scaled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.n
+        for row in self.matrix:
+            for x in row:
+                if n % Fraction(x).denominator:
+                    raise ValueError(
+                        f"linking value {x} has a denominator not "
+                        f"dividing n={n}: H_1 of the 3-fold cover is not "
+                        f"(Z/n)^4 on the basis (a, ta, b, tb)")
+        object.__setattr__(self, "scaled", tuple(
+            tuple(int(x * n) % n for x in row) for row in self.matrix))
+
+    def pair(self, u, v):
+        """n times the pairing of integer coordinate vectors u, v: the
+        integer u^T (n lambda) v mod n, in [0, n)."""
+        return sum(x * sum(map(mul, row, v))
+                   for x, row in zip(u, self.scaled) if x) % self.n
 
     def value(self, u, v):
-        """Pairing of integer coordinate vectors on the basis."""
-        total = Fraction(0)
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v):
-                    total += x * y * self.matrix[i][j]
-        return total % 1
+        """Pairing of integer coordinate vectors on the basis, the
+        Fraction pair(u, v) / n."""
+        return Fraction(self.pair(u, v), self.n)
 
 
 def linking_form(n):
@@ -242,14 +262,9 @@ def linking_form(n):
 
     mat = tuple(tuple(lam(u, v) for v in BASIS) for u in BASIS)
     for i in range(4):
-        for j in range(4):
+        for j in range(i):
             if mat[i][j] != mat[j][i]:
                 raise ArithmeticError("linking form must be symmetric")
-            if n % mat[i][j].denominator:
-                raise ValueError(
-                    f"linking value {mat[i][j]} has a denominator not "
-                    f"dividing n={n}: H_1 of the 3-fold cover is not "
-                    f"(Z/n)^4 on the basis (a, ta, b, tb)")
     plus = linking_template(n)
     sign = 0
     if mat == plus:

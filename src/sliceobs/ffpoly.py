@@ -7,6 +7,7 @@ decomposition, then distinct-degree splitting, then seeded
 Cantor-Zassenhaus, so results are deterministic.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -102,19 +103,37 @@ def mul(a, b, s):
     return trim(out, s)
 
 
+def _limb(k, s):
+    """Bits per packed coefficient when the shorter factor has k
+    coefficients in [0, s): a product coefficient is a sum of at most k
+    terms below s^2, so it fits, with no carry into the next limb."""
+    return (k * (s - 1) * (s - 1)).bit_length() + 1
+
+
+def _pack(a, limb):
+    """The integer sum of a[i] 2^(limb i) (Kronecker substitution)."""
+    packed = 0
+    for c in reversed(a):
+        packed = (packed << limb) | c
+    return packed
+
+
+def _unpack(packed, limb, count, s):
+    """The first count limbs of a packed product, each reduced mod s."""
+    mask = (1 << limb) - 1
+    out = []
+    for _ in range(count):
+        out.append((packed & mask) % s)
+        packed >>= limb
+    return out
+
+
 def _mul_packed(a, b, s):
     """Multiply by packing coefficients into one big integer, so the inner
     convolution runs on CPython's fast bignum multiply."""
-    limb = (min(len(a), len(b)) * (s - 1) * (s - 1)).bit_length() + 1
-    pa = sum(c << (limb * i) for i, c in enumerate(a))
-    pb = sum(c << (limb * i) for i, c in enumerate(b))
-    prod = pa * pb
-    mask = (1 << limb) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((prod & mask) % s)
-        prod >>= limb
-    return trim(out)
+    limb = _limb(min(len(a), len(b)), s)
+    prod = _pack(a, limb) * _pack(b, limb)
+    return trim(_unpack(prod, limb, len(a) + len(b) - 1, s))
 
 
 def poly_divmod(a, b, s):
@@ -151,14 +170,56 @@ def monic(a, s):
 
 
 def pow_mod(base, e, modulus, s):
-    """base^e reduced modulo the polynomial modulus."""
-    _, result = poly_divmod([1], modulus, s)
-    _, base = poly_divmod(base, modulus, s)
+    """base^e reduced modulo the polynomial modulus, e >= 0.
+
+    Square and multiply, with each product reduced by Barrett's method
+    for the fixed modulus.  With f the monic modulus of degree d and
+    rev(p) the coefficients of p reversed, a product a of degree at most
+    2d - 2 has a = q f + r with deg q <= d - 2, and reversing gives
+    rev(q) = rev(a) rev(f)^-1 mod x^(d-1); rev(f) has constant term 1,
+    so its inverse series g is computed once per call.  Then r is
+    a - q f, of which only the low d coefficients are read.  Each of the
+    three products (the step itself, rev(a) g and q f) has a factor of
+    at most d coefficients, so each is one bignum multiply of
+    coefficients packed at the `_limb` bound of `_mul_packed`.  The
+    remainder is unique, so this returns what schoolbook division would.
+    """
+    if e < 0:
+        raise ValueError(f"pow_mod needs an exponent e >= 0, not e={e}")
+    f = monic(modulus, s)
+    if not f:
+        raise ZeroDivisionError("polynomial division by zero")
+    result = poly_divmod([1], f, s)[1]
+    base = poly_divmod(base, f, s)[1]
+    d = len(f) - 1
+    limb = _limb(d, s)
+    rev = f[::-1]
+    g = [1]
+    for k in range(1, d - 1):
+        g.append(-sum(map(operator.mul, rev[1:k + 1], reversed(g))) % s)
+    packed_f = _pack(f, limb)
+    packed_g = _pack(g, limb)
+
+    def mulmod(x, y):
+        if not x or not y:
+            return []
+        px = _pack(x, limb)
+        count = len(x) + len(y) - 1
+        a = _unpack(px * px if x is y else px * _pack(y, limb),
+                    limb, count, s)
+        if count <= d:
+            return trim(a)
+        a += [0] * (2 * d - 1 - count)
+        q = _unpack(_pack(a[:d - 1:-1], limb) * packed_g, limb, d - 1, s)
+        qf = _unpack(_pack(q[::-1], limb) * packed_f, limb, d, s)
+        return trim([(u - v) % s for u, v in zip(a, qf)])
+
     while e:
         if e & 1:
-            result = poly_divmod(mul(result, base, s), modulus, s)[1]
-        base = poly_divmod(mul(base, base, s), modulus, s)[1]
+            result = mulmod(result, base)
         e >>= 1
+        if e:
+            base = mulmod(base, base)
     return result
 
 
@@ -318,7 +379,9 @@ def factor(a, s, seed=2026):
 
 
 def is_irreducible(f, s):
-    """Irreducibility over Z/s via distinct-degree probes."""
+    """Irreducibility over Z/s (s a prime) via distinct-degree probes."""
+    if not is_prime(s):
+        raise ValueError(f"is_irreducible needs a prime modulus, not s={s}")
     f = monic(f, s)
     n = len(f) - 1
     if n < 1:

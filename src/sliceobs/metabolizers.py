@@ -7,9 +7,20 @@ deck-invariant submodules of half order are exactly the n^2 + 1
 R-lines.  A line is a metabolizer when the linking form vanishes on it;
 there are n + 1 of those, falling into one fixed point and one size-n
 orbit under the order-n symmetry.
+
+The census runs on integers only.  Every line but R b is spanned by
+g0 = a + (n0 + n1 t) b and g1 = t g0, whose coordinate rows
+(1, 0, n0, n1) and (0, 1, -n1, n0 - n1) are already in reduced echelon
+form.  Deck invariance is the pair of congruences t g0 = g1 and
+t g1 = -g0 - g1 mod n (the second is t^2 = -1 - t), and the form
+vanishes on the line when the four pairings g_i^T (n lambda) g_j are
+0 mod n, with n lambda the integer matrix `LinkingForm.scaled`.  So
+the n^2 + 1 lines cost a few small integer dot products each, and a
+`Submodule` is built only for the n + 1 that pass.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .blanchfield import linking_form, r_matrix, t_matrix
 from .ffpoly import is_prime
@@ -17,7 +28,6 @@ from .ffpoly import is_prime
 __all__ = [
     "Submodule",
     "Character",
-    "invariant_submodules",
     "is_metabolizer",
     "enumerate_metabolizers",
     "orbit_decomposition",
@@ -72,48 +82,93 @@ class Submodule:
                       for i in range(4)) for row in self.canonical]
         return Submodule.spanned_by(self.n, gens)
 
-    def is_invariant(self, g):
-        return self.transformed(g) == self
+
+def _line_rows(n, n0, n1):
+    """The generators a + (n0 + n1 t) b and t times it, which are already
+    in reduced echelon form."""
+    n0 %= n
+    n1 %= n
+    return ((1, 0, n0, n1), (0, 1, -n1 % n, (n0 - n1) % n))
 
 
 def line_submodule(n, n0, n1):
     """The R-line through a + (n0 + n1 t) b."""
-    return Submodule.spanned_by(
-        n, ((1, 0, n0, n1), (0, 1, -n1 % n, (n0 - n1) % n)))
+    return Submodule(n, _line_rows(n, n0, n1))
+
+
+_PRIME_LINE = ((0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def prime_line_submodule(n):
     """The leftover line R b, the one not of the form above."""
-    return Submodule.spanned_by(n, ((0, 0, 1, 0), (0, 0, 0, 1)))
+    return Submodule(n, _PRIME_LINE)
 
 
-def invariant_submodules(n):
-    """All n^2 + 1 deck-invariant half-order subgroups."""
-    if not is_prime(n) or n % 6 != 5:
-        raise ValueError("classification needs a prime n = 5 mod 6")
-    mods = [line_submodule(n, n0, n1)
-            for n0 in range(n) for n1 in range(n)]
-    mods.append(prime_line_submodule(n))
-    if len(set(mods)) != n * n + 1:
-        raise ArithmeticError("invariant submodules are not distinct")
-    tmat = t_matrix()
-    if not all(p.is_invariant(tmat) for p in mods):
-        raise ArithmeticError("a listed submodule is not deck invariant")
-    return mods
+def _same_n(n, form):
+    if form.n != n:
+        raise ValueError(
+            f"the linking form is for n={form.n}, not for n={n}")
+
+
+def _deck_invariant(g0, g1, n, tm):
+    """True if the span of the reduced echelon rows g0, g1 over Z/n (n
+    prime) contains t g0 and t g1: t g must equal the combination of g0
+    and g1 read off at their pivot columns.  On a line's generators
+    (pivots 0 and 1) that is t g0 = g1 and t g1 = -g0 - g1 mod n."""
+    p0 = next(i for i, x in enumerate(g0) if x)
+    p1 = next(i for i, x in enumerate(g1) if x)
+    for g in (g0, g1):
+        tg = [sum(map(mul, row, g)) % n for row in tm]
+        c0, c1 = tg[p0], tg[p1]
+        if tg != [(c0 * x + c1 * y) % n for x, y in zip(g0, g1)]:
+            return False
+    return True
+
+
+def _isotropic(g0, g1, form):
+    """The four pairings of g0 and g1 vanish: each is 0 mod n as the
+    integer u^T (n lambda) v."""
+    return not (form.pair(g0, g0) or form.pair(g0, g1)
+                or form.pair(g1, g0) or form.pair(g1, g1))
 
 
 def is_metabolizer(sub, form):
-    """Half order, deck invariant, and self-annihilating under the form."""
-    if sub.rank != 2 or not sub.is_invariant(t_matrix()):
+    """Half order, deck invariant, and self-annihilating under the form;
+    the same test the census runs on each line."""
+    _same_n(sub.n, form)
+    if sub.rank != 2:
         return False
-    return all(form.value(u, v) == 0
-               for u in sub.canonical for v in sub.canonical)
+    g0, g1 = sub.canonical
+    return (_deck_invariant(g0, g1, sub.n, t_matrix().rows)
+            and _isotropic(g0, g1, form))
 
 
 def enumerate_metabolizers(n, form=None):
+    """The metabolizers among the n^2 + 1 deck-invariant lines, in the
+    order (n0, n1) in (Z/n)^2, n0 major, then the leftover line R b.
+
+    Each line is tested on its generators g0 = (1, 0, n0, n1) and
+    g1 = (0, 1, -n1, n0 - n1), already in reduced echelon form: deck
+    invariance is t g0 = g1 and t g1 = -g0 - g1 mod n, and the form
+    vanishes on the line when the four integer pairings g_i^T (n lambda)
+    g_j are 0 mod n.  A Submodule is built only for a line that passes.
+    """
     if form is None:
         form = linking_form(n)
-    mets = [p for p in invariant_submodules(n) if is_metabolizer(p, form)]
+    if not is_prime(n) or n % 6 != 5:
+        raise ValueError("classification needs a prime n = 5 mod 6")
+    _same_n(n, form)
+    tm = t_matrix().rows
+    lines = [_line_rows(n, n0, n1) for n0 in range(n) for n1 in range(n)]
+    lines.append(_PRIME_LINE)
+    if len(set(lines)) != n * n + 1:
+        raise ArithmeticError("invariant submodules are not distinct")
+    mets = []
+    for g0, g1 in lines:
+        if not _deck_invariant(g0, g1, n, tm):
+            raise ArithmeticError("a listed submodule is not deck invariant")
+        if _isotropic(g0, g1, form):
+            mets.append(Submodule(n, (g0, g1)))
     if len(mets) != n + 1:
         raise ArithmeticError(
             f"expected exactly n + 1 = {n + 1} metabolizers, found "
@@ -181,6 +236,8 @@ def character_for(sub, form=None):
     fixed point gets chi_-, the orbit member r^j(P_+) gets chi_+ r^(n-j).
     """
     n = sub.n
+    if form is not None:
+        _same_n(n, form)
     plus, minus = base_characters(n)
     if sub == fixed_metabolizer(n):
         if not minus.vanishes_on(sub):

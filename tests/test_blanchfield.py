@@ -21,8 +21,10 @@ from blanchfield_oracle import (
     laurent_linking_form,
 )
 from laurent_oracle import det_laurent, minor
+from metabolizer_oracle import fraction_value
 from sliceobs.blanchfield import (
     BASIS,
+    LinkingForm,
     _Eisenstein,
     cover_homology_snf,
     linking_form,
@@ -205,6 +207,26 @@ class TestLinkingForm:
         for row in form.matrix:
             for x in row:
                 assert 7 % x.denominator == 0
+
+    @pytest.mark.parametrize("n", [5, 7, 11])
+    def test_scaled_is_n_times_the_matrix(self, n):
+        form = linking_form(n)
+        assert form.scaled == tuple(
+            tuple(int(x * n) for x in row) for row in form.matrix)
+
+    @given(st.lists(st.integers(min_value=-40, max_value=40),
+                    min_size=4, max_size=4).map(tuple),
+           st.lists(st.integers(min_value=-40, max_value=40),
+                    min_size=4, max_size=4).map(tuple))
+    @settings(max_examples=40, deadline=None)
+    def test_value_matches_fraction_sum(self, u, v):
+        assert _FORM7.value(u, v) == fraction_value(_FORM7, u, v)
+
+    def test_rejects_value_outside_one_over_n(self):
+        mat = [[Fraction(0)] * 4 for _ in range(4)]
+        mat[2][2] = Fraction(1, 3)
+        with pytest.raises(ValueError, match="not dividing n=5"):
+            LinkingForm(5, tuple(map(tuple, mat)), 0)
 
     def test_value_is_symmetric_and_bilinear(self):
         form = linking_form(5)

@@ -4,6 +4,7 @@ obstruction."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ffpoly_oracle
 from fresh_python import run_python
 from sliceobs import ffpoly
 from sliceobs.ffpoly import (FactorizationResult, add, degree_sequence,
@@ -74,6 +75,47 @@ def test_pow_mod_fermat():
     for _ in range(24):
         brute = poly_divmod(mul(brute, [0, 1], s), modulus, s)[1]
     assert got == brute
+
+
+PRIMES = (2, 3, 5, 59, 65537, 2 ** 31 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 45), st.data())
+def test_pow_mod_matches_schoolbook_oracle(s, d, data):
+    # degrees from 0 (a constant modulus) past the packed-multiply
+    # cutover of `mul`; the modulus need not be monic, and the base may
+    # be longer than it
+    coeff = st.integers(0, s - 1)
+    modulus = (data.draw(st.lists(coeff, min_size=d, max_size=d))
+               + [data.draw(st.integers(1, s - 1))])
+    base = data.draw(st.lists(coeff, max_size=2 * d + 3))
+    e = data.draw(st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6),
+                            st.integers(0, 2 ** 80)))
+    assert pow_mod(base, e, modulus, s) == \
+        ffpoly_oracle.pow_mod(base, e, modulus, s)
+
+
+def test_pow_mod_edge_cases():
+    s = 7
+    assert pow_mod([3, 1], 0, [1, 2, 3], s) == [1]
+    assert pow_mod([3, 1], 0, [4], s) == []
+    assert pow_mod([3, 1], 5, [4], s) == []
+    assert pow_mod([], 5, [1, 2, 3], s) == []
+    assert pow_mod([2], 3, [1, 1], s) == [1]
+    with pytest.raises(ZeroDivisionError):
+        pow_mod([1, 1], 3, [0, 0], s)
+
+
+def test_pow_mod_rejects_negative_exponent():
+    # e >>= 1 stays at -1, so a negative exponent used to loop forever
+    code = ("from sliceobs.ffpoly import pow_mod\n"
+            "pow_mod([0, 1], -1, [1, 0, 1], 5)\n")
+    proc = run_python(["-c", code], 60)
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
+    with pytest.raises(ValueError, match="e >= 0"):
+        pow_mod([0, 1], -3, [1, 0, 1], 5)
 
 
 def test_evaluate_and_interpolate():
@@ -179,6 +221,13 @@ def test_is_irreducible_cases():
     assert not is_irreducible([1, 0, 1], 5)   # (t+2)(t+3) mod 5
     assert is_irreducible([1, 1, 1], 5)
     assert not is_irreducible(mul([1, 1, 1], [1, 1, 1], 5), 5)
+
+
+@pytest.mark.parametrize("s", (1, 4, 9, 15))
+def test_is_irreducible_rejects_non_prime_modulus(s):
+    # these used to answer: s = 4 gave True for t^2 + 1, s = 1 and 9 False
+    with pytest.raises(ValueError, match="prime modulus"):
+        is_irreducible([1, 0, 1], s)
 
 
 def test_degree_sequence():

@@ -1,10 +1,16 @@
-"""Metabolizer enumeration and the vanishing characters."""
+"""Metabolizer enumeration and the vanishing characters.
+
+The object census (every line row-reduced, transformed and paired in
+Fractions) lives in `tests/metabolizer_oracle.py` and checks the
+program's integer census here."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import metabolizer_oracle
+from metabolizer_oracle import census, invariant_submodules, is_invariant
 from sliceobs.blanchfield import linking_form, r_matrix, t_matrix
 from sliceobs.metabolizers import (
     Character,
@@ -13,7 +19,6 @@ from sliceobs.metabolizers import (
     character_for,
     enumerate_metabolizers,
     fixed_metabolizer,
-    invariant_submodules,
     is_metabolizer,
     line_submodule,
     orbit_base_metabolizer,
@@ -40,17 +45,26 @@ class TestSubmodule:
 
     def test_deck_invariance_of_lines(self):
         tmat = t_matrix()
-        assert line_submodule(5, 1, 1).is_invariant(tmat)
-        assert prime_line_submodule(5).is_invariant(tmat)
+        assert is_invariant(line_submodule(5, 1, 1), tmat)
+        assert is_invariant(prime_line_submodule(5), tmat)
         # a non-line subgroup is generally not invariant
         sub = Submodule.spanned_by(5, ((1, 0, 0, 0), (0, 0, 1, 0)))
-        assert not sub.is_invariant(tmat)
+        assert not is_invariant(sub, tmat)
 
     @given(st.integers(min_value=0, max_value=10),
            st.integers(min_value=0, max_value=10))
     @settings(max_examples=25, deadline=None)
     def test_every_line_is_deck_invariant(self, n0, n1):
-        assert line_submodule(11, n0, n1).is_invariant(t_matrix())
+        assert is_invariant(line_submodule(11, n0, n1), t_matrix())
+
+    @given(st.integers(min_value=-30, max_value=30),
+           st.integers(min_value=-30, max_value=30))
+    @settings(max_examples=25, deadline=None)
+    def test_line_rows_are_the_reduced_echelon_form(self, n0, n1):
+        # the census skips row reduction: its generators must already be
+        # the canonical form the oracle reaches by reducing them
+        gens = ((1, 0, n0, n1), (0, 1, -n1, n0 - n1))
+        assert line_submodule(11, n0, n1) == Submodule.spanned_by(11, gens)
 
 
 class TestInvariantSubmodules:
@@ -93,7 +107,7 @@ class TestMetabolizers:
         # R b is deck invariant and half order but self-links by 1/n
         form = linking_form(11)
         pp = prime_line_submodule(11)
-        assert pp.rank == 2 and pp.is_invariant(t_matrix())
+        assert pp.rank == 2 and is_invariant(pp, t_matrix())
         assert not is_metabolizer(pp, form)
         b = (0, 0, 1, 0)
         assert form.value(b, b) in (Fraction(1, 11), Fraction(10, 11))
@@ -120,6 +134,61 @@ class TestMetabolizers:
         r = r_matrix()
         mets = set(enumerate_metabolizers(5))
         assert {p.transformed(r) for p in mets} == mets
+
+    @pytest.mark.parametrize("n", [5, 11, 17, 23, 29])
+    def test_census_matches_object_census(self, n):
+        form = linking_form(n)
+        assert enumerate_metabolizers(n, form) == census(n, form)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([5, 11]), st.data())
+    def test_is_metabolizer_matches_oracle_on_any_subgroup(self, n, data):
+        # arbitrary generator pairs reach every pivot pattern, not only
+        # the lines of the census
+        vec = st.lists(st.integers(0, n - 1), min_size=4, max_size=4)
+        sub = Submodule.spanned_by(n, (data.draw(vec), data.draw(vec)))
+        form = _FORMS[n]
+        assert is_metabolizer(sub, form) == \
+            metabolizer_oracle.is_metabolizer(sub, form)
+
+    def test_census_builds_a_submodule_only_per_hit(self, monkeypatch):
+        # the object census builds all n^2 + 1 lines; the integer census
+        # builds one Submodule per metabolizer
+        n = 29
+        form = linking_form(n)
+        built = []
+        init = Submodule.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Submodule, "__init__", counting_init)
+        enumerate_metabolizers(n, form)
+        assert len(built) <= 2 * (n + 1)
+        built.clear()
+        census(n, form)
+        assert len(built) > n * n
+
+    def test_rejects_form_of_another_n(self):
+        form = linking_form(17)
+        with pytest.raises(ValueError, match="n=17, not for n=11"):
+            enumerate_metabolizers(11, form)
+        with pytest.raises(ValueError, match="n=17, not for n=11"):
+            is_metabolizer(line_submodule(11, 1, 1), form)
+        with pytest.raises(ValueError, match="n=17, not for n=11"):
+            character_for(line_submodule(11, 1, 1), form)
+        with pytest.raises(ValueError, match="n=17, not for n=11"):
+            character_for(orbit_base_metabolizer(11), form)
+
+    def test_rejects_wrong_residue(self):
+        with pytest.raises(ValueError, match="prime n = 5 mod 6"):
+            enumerate_metabolizers(7)
+        with pytest.raises(ValueError, match="prime n = 5 mod 6"):
+            enumerate_metabolizers(35)
+
+
+_FORMS = {n: linking_form(n) for n in (5, 11)}
 
 
 class TestCharacters:
