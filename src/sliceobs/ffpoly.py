@@ -2,9 +2,14 @@
 
 Polynomials are ascending coefficient lists with entries reduced into
 [0, s) and no trailing zeros; [] is the zero polynomial.  The prime s is
-passed explicitly to every operation.  Factorization is squarefree
-decomposition, then distinct-degree splitting, then seeded
-Cantor-Zassenhaus, so results are deterministic.
+passed explicitly to every operation.  Multiplication is schoolbook;
+packing coefficients into one big integer (Kronecker substitution)
+serves only `pow_mod`, whose Barrett reduction runs on it.
+Factorization is squarefree decomposition, then distinct-degree
+splitting, then Cantor-Zassenhaus from a fixed seed with a bounded
+number of tries, so results are deterministic; `is_irreducible` reads
+the first distinct-degree step.  `norm_obstructed` is the whole norm
+test, odd totals included.
 """
 
 import operator
@@ -93,8 +98,6 @@ def scalar_mul(c, a, s):
 def mul(a, b, s):
     if not a or not b:
         return []
-    if min(len(a), len(b)) >= 16:
-        return _mul_packed(a, b, s)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -126,14 +129,6 @@ def _unpack(packed, limb, count, s):
         out.append((packed & mask) % s)
         packed >>= limb
     return out
-
-
-def _mul_packed(a, b, s):
-    """Multiply by packing coefficients into one big integer, so the inner
-    convolution runs on CPython's fast bignum multiply."""
-    limb = _limb(min(len(a), len(b)), s)
-    prod = _pack(a, limb) * _pack(b, limb)
-    return trim(_unpack(prod, limb, len(a) + len(b) - 1, s))
 
 
 def poly_divmod(a, b, s):
@@ -181,8 +176,8 @@ def pow_mod(base, e, modulus, s):
     a - q f, of which only the low d coefficients are read.  Each of the
     three products (the step itself, rev(a) g and q f) has a factor of
     at most d coefficients, so each is one bignum multiply of
-    coefficients packed at the `_limb` bound of `_mul_packed`.  The
-    remainder is unique, so this returns what schoolbook division would.
+    coefficients packed at the `_limb` bound.  The remainder is unique,
+    so this returns what schoolbook division would.
     """
     if e < 0:
         raise ValueError(f"pow_mod needs an exponent e >= 0, not e={e}")
@@ -308,16 +303,19 @@ def _squarefree_parts(f, s):
         g0 = poly_divmod(g0, y, s)[0]
         m += 1
     if len(g0) > 1:
-        for g, mm in _squarefree_parts(g0, s):
-            yield g, mm * s
+        # g0 is an s-th power (its derivative is 0), so the call takes
+        # the s-th root and scales the multiplicities by s itself
+        yield from _squarefree_parts(g0, s)
 
 
 def _distinct_degree(f, s):
-    """Yield (product of degree-d irreducibles, d) for squarefree monic f."""
+    """Yield (product of degree-d irreducibles, d) for squarefree monic f,
+    d ascending.  Once rest has no factor of degree <= d and degree below
+    2(d + 1), it is irreducible, and it is yielded as it is."""
     h = [0, 1]  # t
     d = 0
     rest = f
-    while len(rest) - 1 > 2 * (d + 1) - 2:
+    while len(rest) - 1 >= 2 * (d + 1):
         d += 1
         h = pow_mod(h, s, rest, s)
         g = poly_gcd(sub(h, [0, 1], s), rest, s)
@@ -329,31 +327,37 @@ def _distinct_degree(f, s):
         yield rest, len(rest) - 1
 
 
+# Cantor-Zassenhaus draws from a generator seeded with _SEED, so factor is
+# deterministic.  A random u splits f with probability about 1/2 or more,
+# so _SPLIT_TRIES failed draws mean the arithmetic is wrong, not unlucky.
+_SEED = 2026
+_SPLIT_TRIES = 64
+
+
 def _equal_degree_split(f, d, s, rng):
     """Cantor-Zassenhaus: split monic squarefree f whose irreducible
-    factors all have degree d."""
+    factors all have degree d; ArithmeticError after _SPLIT_TRIES draws
+    that do not split it."""
     if len(f) - 1 == d:
         return [f]
     e = (s ** d - 1) // 2
-    while True:
-        u = [rng.randrange(s) for _ in range(len(f) - 1)]
-        u = trim(u)
+    for _ in range(_SPLIT_TRIES):
+        u = trim([rng.randrange(s) for _ in range(len(f) - 1)])
         if len(u) < 2:
             continue
         g = poly_gcd(u, f, s)
+        if not 1 < len(g) < len(f):
+            g = poly_gcd(sub(pow_mod(u, e, f, s), [1], s), f, s)
         if 1 < len(g) < len(f):
-            pass
-        else:
-            w = pow_mod(u, e, f, s)
-            g = poly_gcd(sub(w, [1], s), f, s)
-            if not 1 < len(g) < len(f):
-                continue
-        rest = poly_divmod(f, g, s)[0]
-        return (_equal_degree_split(g, d, s, rng)
-                + _equal_degree_split(rest, d, s, rng))
+            rest = poly_divmod(f, g, s)[0]
+            return (_equal_degree_split(g, d, s, rng)
+                    + _equal_degree_split(rest, d, s, rng))
+    raise ArithmeticError(
+        f"Cantor-Zassenhaus found no split of a degree-{len(f) - 1} "
+        f"product of degree-{d} factors mod {s} in {_SPLIT_TRIES} tries")
 
 
-def factor(a, s, seed=2026):
+def factor(a, s):
     """Full factorization over Z/s (s an odd prime) into monic
     irreducibles with multiplicity, plus the leading unit."""
     if not (s > 2 and is_prime(s)):
@@ -363,7 +367,7 @@ def factor(a, s, seed=2026):
         raise ValueError("cannot factor the zero polynomial")
     unit = a[-1]
     f = monic(a, s)
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     found = {}
     if len(f) > 1:
         for sf, m in _squarefree_parts(f, s):
@@ -379,23 +383,17 @@ def factor(a, s, seed=2026):
 
 
 def is_irreducible(f, s):
-    """Irreducibility over Z/s (s a prime) via distinct-degree probes."""
+    """Irreducibility over Z/s (s a prime): f is squarefree and the first
+    distinct-degree step yields f itself, which stops at the first
+    factor of low degree."""
     if not is_prime(s):
         raise ValueError(f"is_irreducible needs a prime modulus, not s={s}")
     f = monic(f, s)
-    n = len(f) - 1
-    if n < 1:
+    if len(f) < 2:
         return False
-    if n == 1:
-        return True
-    if not poly_gcd(f, derivative(f, s), s) == [1]:
+    if poly_gcd(f, derivative(f, s), s) != [1]:
         return False
-    h = [0, 1]
-    for d in range(1, n // 2 + 1):
-        h = pow_mod(h, s, f, s)
-        if len(poly_gcd(sub(h, [0, 1], s), f, s)) > 1:
-            return False
-    return True
+    return next(_distinct_degree(f, s)) == (f, len(f) - 1)
 
 
 def degree_sequence(fact):
@@ -434,24 +432,18 @@ def primitive_root_of_unity(s, d, theta=None):
     raise AssertionError("unreachable for valid s, d")
 
 
-def norm_obstructed(degrees, half=None):
-    """True when no sub-multiset of degrees sums to half the total.
+def norm_obstructed(degrees):
+    """True when irreducible factors of these degrees cannot make a norm
+    f(t) * f(1/t) (up to units).
 
-    A factorization into a norm f(t) * f(1/t) (up to units) would split
-    the degrees into two equal halves, so an unreachable half-sum rules
-    that out.  Subset sums are swept with a bitset.  An odd total, or a
-    `half` that is not half the total, raises ValueError.
+    A norm has even degree, and its factors split into two halves of
+    equal degree.  So an odd total, or a half-sum no sub-multiset of the
+    degrees reaches, rules it out.  Subset sums are swept with a bitset.
     """
     total = sum(degrees)
-    if half is None:
-        if total % 2:
-            raise ValueError(
-                f"odd total degree {total} cannot be a norm anyway")
-        half = total // 2
-    elif total != 2 * half:
-        raise ValueError(
-            f"degree total {total} inconsistent with target half {half}")
+    if total % 2:
+        return True
     mask = 1
     for d in degrees:
         mask |= mask << d
-    return not (mask >> half) & 1
+    return not (mask >> total // 2) & 1

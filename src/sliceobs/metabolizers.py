@@ -64,9 +64,14 @@ def _rref_mod(gens, n):
 @dataclass(frozen=True)
 class Submodule:
     """A subgroup of (Z/n)^4 given by generators on the basis
-    (a, ta, b, tb), identified by its reduced echelon form."""
+    (a, ta, b, tb), identified by its reduced echelon form.  n must be
+    prime: the row reduction inverts pivots by Fermat."""
     n: int
     canonical: tuple
+
+    def __post_init__(self):
+        if not is_prime(self.n):
+            raise ValueError(f"a submodule needs a prime n, not n={self.n}")
 
     @staticmethod
     def spanned_by(n, gens):

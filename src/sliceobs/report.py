@@ -8,17 +8,16 @@ subset-sum norm obstruction.  The reference factor tables below pin the
 expected output for n = 11, 17, 23 at the default (s, theta) witnesses.
 """
 
-from dataclasses import dataclass, fields
-from typing import NamedTuple
+from dataclasses import dataclass, fields, replace
 
-from . import ffpoly
 from .braids import family_braid, wirtinger_of_closure
-from .ffpoly import factor, norm_obstructed, primitive_root_of_unity
+from .ffpoly import (degree_sequence, factor, norm_obstructed,
+                     primitive_root_of_unity)
 from .metabolizers import (character_for, enumerate_metabolizers,
                            fixed_metabolizer, orbit_base_metabolizer,
                            orbit_decomposition)
 from .blanchfield import linking_form
-from .twisted import TwistedPolynomial, period_shift, twisted_polynomial
+from .twisted import period_shift, twisted_polynomial
 
 __all__ = [
     "ObstructionReport",
@@ -124,36 +123,6 @@ def _as_tuples(x):
     return tuple(_as_tuples(y) for y in x) if isinstance(x, list) else x
 
 
-class _CharacterResult(NamedTuple):
-    """Twisted polynomial, factors and both checks for one character."""
-    polynomial: TwistedPolynomial
-    factors: tuple  # irreducible factors, repeated to their multiplicity
-    degrees: tuple
-    total: int
-    target: int
-    degree_check: bool
-    obstructed: bool
-
-
-def _character_analysis(pres, chi, s, theta):
-    """Twisted polynomial, factorization and both checks for one
-    character."""
-    tp = twisted_polynomial(pres, chi, s, theta)
-    fact = factor(list(tp.coeffs), s)
-    degs = tuple(ffpoly.degree_sequence(fact))
-    total = sum(degs)
-    n = chi.n
-    target = 2 * (n - 2)
-    degree_check = total == target
-    if total % 2:
-        obstructed = True
-    else:
-        obstructed = norm_obstructed(degs)
-    expanded = tuple(tuple(f) for f in fact.expanded())
-    return _CharacterResult(tp, expanded, degs, total, target,
-                            degree_check, obstructed)
-
-
 def _witness(n, sign, s, theta):
     if s is None:
         if theta is not None:
@@ -164,11 +133,7 @@ def _witness(n, sign, s, theta):
             raise ValueError(
                 f"no default witness for n={n}; pass s (and optionally "
                 f"theta) explicitly")
-    if theta is None:
-        theta = primitive_root_of_unity(s, n)
-    else:
-        theta = primitive_root_of_unity(s, n, theta)
-    return s, theta
+    return s, primitive_root_of_unity(s, n, theta)
 
 
 def obstruct(n, s=None, theta=None, exhaustive=False):
@@ -191,51 +156,51 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     if orbits[0][0] != fixed_metabolizer(n):
         raise ArithmeticError("the fixed metabolizer must be its own orbit")
 
-    per_sign = {}
-    all_pass = True
-    checked = 0
-    reps = {"+": orbit_base_metabolizer(n), "-": fixed_metabolizer(n)}
-    for sign in ("+", "-"):
-        s_use, theta_use = _witness(n, sign, s, theta)
-        chi = character_for(reps[sign], form)
+    chis = {"+": character_for(orbit_base_metabolizer(n), form),
+            "-": character_for(fixed_metabolizer(n), form)}
+    target = 2 * (n - 2)
+    reports = {}
+    for sign, chi in chis.items():
         if chi.sign != sign:
             raise ArithmeticError(f"the chi{sign} character has sign "
                                   f"{chi.sign}")
-        res = _character_analysis(pres, chi, s_use, theta_use)
-        per_sign[sign] = (s_use, theta_use, res)
-        all_pass = all_pass and res.degree_check and res.obstructed
-        checked += 1
+        s_use, theta_use = _witness(n, sign, s, theta)
+        tp = twisted_polynomial(pres, chi, s_use, theta_use)
+        fact = factor(list(tp.coeffs), s_use)
+        degs = tuple(degree_sequence(fact))
+        total = sum(degs)
+        reports[sign] = ObstructionReport(
+            n=n, sign=sign, s=s_use, theta=theta_use, q=3,
+            polynomial=tp.coeffs,
+            factors=tuple(tuple(f) for f in fact.expanded()),
+            degree_sequence=degs,
+            total_degree=total,
+            target_degree=target,
+            degree_check=total == target,
+            norm_obstructed=norm_obstructed(degs),
+            metabolizer_count=len(mets),
+            orbit_sizes=orbit_sizes,
+            characters_checked=0,
+            verdict="",
+        )
+    all_pass = all(r.degree_check and r.norm_obstructed
+                   for r in reports.values())
+    checked = len(reports)
 
     if exhaustive:
         # both polynomials are monic, so their factor lists (and with them
         # both checks) agree exactly when their coefficients do
-        s_use, theta_use, base_res = per_sign["+"]
-        chi = character_for(reps["+"], form)
+        plus = reports["+"]
+        chi = chis["+"]
         for _ in range(n - 1):
             chi = period_shift(pres, chi)
-            tp = twisted_polynomial(pres, chi, s_use, theta_use)
-            all_pass = all_pass and tp.coeffs == base_res.polynomial.coeffs
+            tp = twisted_polynomial(pres, chi, plus.s, plus.theta)
+            all_pass = all_pass and tp.coeffs == plus.polynomial
             checked += 1
 
     verdict = "not slice" if all_pass else "inconclusive"
-    reports = []
-    for sign in ("+", "-"):
-        s_use, theta_use, res = per_sign[sign]
-        reports.append(ObstructionReport(
-            n=n, sign=sign, s=s_use, theta=theta_use, q=3,
-            polynomial=res.polynomial.coeffs,
-            factors=res.factors,
-            degree_sequence=res.degrees,
-            total_degree=res.total,
-            target_degree=res.target,
-            degree_check=res.degree_check,
-            norm_obstructed=res.obstructed,
-            metabolizer_count=len(mets),
-            orbit_sizes=orbit_sizes,
-            characters_checked=checked,
-            verdict=verdict,
-        ))
-    return reports
+    return [replace(r, characters_checked=checked, verdict=verdict)
+            for r in reports.values()]
 
 
 def verify_table(ns=None):

@@ -48,16 +48,13 @@ class SeifertData:
 
 
 def seifert_matrix(n):
-    b = band_matrix(n)
-    bt = b.transpose()
-    m = n - 1
-    z = [[0] * m for _ in range(m)]
-    rows = []
-    for i in range(m):
-        rows.append(tuple((-bt)[i]) + tuple(z[i]))
-    for i in range(m):
-        rows.append(tuple(b[i]) + tuple(b[i]))
-    return SeifertData(n, Matrix(rows))
+    """A = [[-B^T, 0], [B, B]] for B = `band_matrix(n)`, row by row: the
+    top rows are the columns of B negated, then n - 1 zeros."""
+    b = band_matrix(n).rows
+    zeros = [0] * (n - 1)
+    return SeifertData(n, Matrix([[-x for x in col] + zeros
+                                  for col in zip(*b)]
+                                 + [row + row for row in b]))
 
 
 def seifert_inverse(n):

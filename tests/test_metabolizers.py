@@ -188,6 +188,18 @@ class TestMetabolizers:
             enumerate_metabolizers(35)
 
 
+    def test_rejects_composite_n(self):
+        # the row reduction inverts pivots by Fermat, which is no inverse
+        # mod 35: the span of 2 e1 came out as ((9, 0, 0, 0),)
+        form = linking_form(35)
+        for build in (lambda: Submodule.spanned_by(35, ((2, 0, 0, 0),)),
+                      lambda: line_submodule(35, 1, 1),
+                      lambda: is_metabolizer(line_submodule(35, 1, 1), form),
+                      lambda: character_for(line_submodule(35, 1, 1), form)):
+            with pytest.raises(ValueError, match="needs a prime n, not n=35"):
+                build()
+
+
 _FORMS = {n: linking_form(n) for n in (5, 11)}
 
 

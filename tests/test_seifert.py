@@ -6,7 +6,7 @@ import pytest
 from laurent_oracle import det_laurent
 from sliceobs.ffpoly import is_prime, mul, primitive_root_of_unity
 from sliceobs.laurent import LaurentPolynomial, one as lp_one, t as lp_t
-from sliceobs.linalg import det_bareiss
+from sliceobs.linalg import Matrix, det_bareiss
 from sliceobs.seifert import (
     alexander_polynomial,
     band_matrix,
@@ -56,6 +56,18 @@ class TestSeifertMatrix:
                 assert a[i][j + 2] == 0
                 assert a[i + 2][j] == b[i][j]
                 assert a[i + 2][j + 2] == b[i][j]
+
+    @pytest.mark.parametrize("n", (2, 5, 12, 29))
+    def test_matches_blocks_of_band_matrix(self, n):
+        # the blocks assembled from B by transposing and negating
+        # Matrix objects, the way the rows used to be built
+        b = band_matrix(n)
+        neg_bt = -b.transpose()
+        zeros = (0,) * (n - 1)
+        expected = Matrix([tuple(neg_bt[i]) + zeros for i in range(n - 1)]
+                          + [tuple(b[i]) + tuple(b[i])
+                             for i in range(n - 1)])
+        assert seifert_matrix(n).matrix == expected
 
     def test_genus(self):
         assert seifert_matrix(7).genus == 6

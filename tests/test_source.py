@@ -2,6 +2,7 @@
 under `python -O`."""
 
 import ast
+import importlib
 import os
 
 import sliceobs
@@ -25,6 +26,22 @@ def test_no_assert_statements():
             node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert))]
     assert not found, f"assert statements in sliceobs: {', '.join(found)}"
+
+
+def test_every_all_name_resolves():
+    # a deleted helper must leave each module's __all__ too, or
+    # `from sliceobs.x import *` fails on the stale name
+    missing = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        modname = "sliceobs" if name == "__init__.py" else \
+            f"sliceobs.{name[:-3]}"
+        module = importlib.import_module(modname)
+        missing += [f"{modname}.{attr}"
+                    for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
+    assert not missing, f"names in __all__ but not defined: {missing}"
 
 
 def test_acceptance_gate_under_optimize():
