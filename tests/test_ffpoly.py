@@ -316,16 +316,31 @@ def test_norm_obstruction_oracles():
     assert norm_obstructed([1, 4, 13])
 
 
-def test_norm_obstruction_odd_total_is_obstructed():
+def test_norm_obstruction_rejects_inconsistent_totals():
     # a norm f(t) f(1/t) has even degree, so an odd total rules it out;
-    # the rule is no assert, so it holds under -O as well
+    # there is no `half` to pass, so none can contradict the degrees
     assert norm_obstructed([1, 2]) is True
     assert norm_obstructed([3]) is True
-    code = ("from sliceobs.ffpoly import norm_obstructed\n"
-            "print(norm_obstructed([1, 2]), norm_obstructed([1, 1, 1]))\n")
+    with pytest.raises(TypeError):
+        norm_obstructed([2, 2], half=5)
+
+
+@pytest.mark.parametrize("call, answer", (
+    pytest.param("norm_obstructed([1, 2])", "True",
+                 id="norm_obstructed([1, 2])"),
+    pytest.param("norm_obstructed([2, 2], half=5)", "TypeError",
+                 id="norm_obstructed([2, 2], half=5)")))
+def test_norm_obstruction_rejects_under_optimize(call, answer):
+    # as asserts these checks vanished under -O: half=5 read as
+    # "obstructed", and the odd total as "not obstructed"
+    code = f"from sliceobs.ffpoly import norm_obstructed\nprint({call})\n"
     proc = run_python(["-O", "-c", code], 60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
+    if answer == "TypeError":
+        assert proc.returncode != 0
+        assert "TypeError" in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [answer]
 
 
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=10))
