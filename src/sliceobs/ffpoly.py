@@ -39,18 +39,40 @@ __all__ = [
 ]
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Whether the integer n is prime, by deterministic Miller-Rabin to
+    the bases `_MR_BASES`.  Exact for n < `_MR_BOUND` (about 3.3e24);
+    a larger n raises ValueError instead of answering."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large: primality is decided only "
+                         f"below {_MR_BOUND}")
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BASES[-1] ** 2:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -4,13 +4,15 @@ determinants, and the involution.
 Everything here is deliberately dependency-free.  All determinant
 work over Z or over the Eisenstein integers Z[w] goes through one
 kernel, `_bareiss`: fraction-free elimination, in place, with every
-division checked to be exact.  It skips the rows that are zero in the
-pivot column and scales them once, lazily, when they are next read, and
-it stops each row update at the last nonzero, so on a band of width w
-a step costs O(w^2) arithmetic instead of O(N^2) (see
-`seifert.band_order`).  It gives `det_bareiss` for integer matrices; a
-polynomial determinant is its values at `_eval_points` put back
-together by `_newton_interpolate` (see `seifert.alexander_polynomial`).
+division checked to be exact.  It measures the lower bandwidth w of its
+input once and visits only the w rows below each pivot; it skips the
+rows that are zero in the pivot column and scales them once, lazily,
+when they are next read; and it stops each row update at the last
+nonzero.  So on a band of width w a step costs O(w^2) arithmetic
+instead of O(N^2) (see `seifert.band_order`).  It gives `det_bareiss`
+for integer matrices; a polynomial determinant is its values at
+`_eval_points` put back together by `_newton_interpolate` (see
+`seifert.alexander_polynomial`).
 Its partial form, stopped before the last rows, also yields bordered
 minors (see `blanchfield._pairing_at_omega`).  Determinants over a
 prime field use plain Gaussian elimination (`det_gf`), and
@@ -152,7 +154,12 @@ def _bareiss(a, steps):
     fix it, which happens exactly when the leading steps-square block is
     singular.  Raises ArithmeticError if a division is not exact.
 
-    The work follows the zeros of a banded matrix.  A row whose entry in
+    The work follows the zeros of a banded matrix.  The lower bandwidth
+    w, the largest i - (first nonzero column of row i), is measured once,
+    and step k looks at rows k+1 .. k+w only, for the swap and for the
+    update: no row has a nonzero left of column i - w, and eliminating or
+    swapping within those rows keeps it so, so every row further down is
+    zero in the pivot column.  A row whose entry in
     the pivot column is 0 is skipped: step k would only multiply it by
     piv_k / piv_(k-1), and those factors telescope, so the row is brought
     current later by one checked exact scaling, piv_e / piv_d over the
@@ -166,9 +173,13 @@ def _bareiss(a, steps):
     """
     size = len(a)
     done = [0] * size  # steps applied to each row so far
-    # one past the rightmost nonzero of each row
-    ends = [max((j + 1 for j, x in enumerate(row) if x), default=0)
-            for row in a]
+    ends = [0] * size  # one past the rightmost nonzero of each row
+    width = 0  # the lower bandwidth
+    for i, row in enumerate(a):
+        nonzero = list(map(bool, row))
+        if True in nonzero:
+            width = max(width, i - nonzero.index(True))
+            ends[i] = len(row) - nonzero[::-1].index(True)
     piv = [1]  # piv[d]: the divisor of step d, the pivot of step d - 1
 
     def current(i, e):
@@ -186,8 +197,10 @@ def _bareiss(a, steps):
 
     sign = 1
     for k in range(steps):
+        last = k + width + 1  # one past the last row that can be nonzero
         if not a[k][k]:
-            swap = next((i for i in range(k + 1, steps) if a[i][k]), None)
+            swap = next((i for i in range(k + 1, min(last, steps))
+                         if a[i][k]), None)
             if swap is None:
                 return None
             for per_row in (a, done, ends):
@@ -198,7 +211,7 @@ def _bareiss(a, steps):
         pivot = row_k[k]
         prev = piv[k]
         end_k = ends[k]
-        for i in range(k + 1, size):
+        for i in range(k + 1, min(last, size)):
             row_i = a[i]
             if not row_i[k]:
                 continue
@@ -304,6 +317,20 @@ def _nearest_quotient(a, b):
     return q + 1 if 2 * abs(r) > abs(b) else q
 
 
+def _smallest_entry(a, k):
+    """(i, j) of the first nonzero entry of least absolute value in the
+    block of the rows a from (k, k) on, or None if it is all zero.  The
+    scan stops at the first unit."""
+    best = None
+    for i in range(k, len(a)):
+        for j, x in enumerate(a[i][k:], k):
+            if x and (best is None or abs(x) < best[0]):
+                best = (abs(x), i, j)
+                if best[0] == 1:
+                    return i, j
+    return best and best[1:]
+
+
 def smith_normal_form(m):
     """Invariant factors d_1 | d_2 | ... (nonnegative ints, zeros last) of
     an integer matrix.
@@ -311,7 +338,10 @@ def smith_normal_form(m):
     At each step the smallest nonzero entry of the trailing block is
     moved to the pivot, its row and column are reduced by nearest-remainder
     division until they are clear, and a row holding an entry the pivot
-    does not divide is added to the pivot row to shrink it further.
+    does not divide is added to the pivot row to shrink it further.  The
+    search stops at the first entry of absolute value 1, which no entry
+    beats, and a unit pivot divides everything, so the divisibility sweep
+    is skipped for it: neither shortcut changes a single step.
     """
     rows = m.rows if isinstance(m, Matrix) else m
     if not all(isinstance(x, int) for r in rows for x in r):
@@ -322,41 +352,43 @@ def smith_normal_form(m):
     out = []
     for k in range(min(nr, nc)):
         while True:
-            best = None
-            for i in range(k, nr):
-                for j, x in enumerate(a[i][k:], k):
-                    if x and (best is None or abs(x) < best[0]):
-                        best = (abs(x), i, j)
+            best = _smallest_entry(a, k)
             if best is None:
                 # everything remaining is zero
                 return out + [0] * (min(nr, nc) - k)
-            _, pi, pj = best
+            pi, pj = best
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
             if pj != k:
                 for row in a:
                     row[k], row[pj] = row[pj], row[k]
-            p = a[k][k]
+            row_k = a[k]
+            p = row_k[k]
             dirty = False
-            for i in range(k + 1, nr):
-                if not a[i][k]:
+            # rows and columns before k are zero from row k on
+            for row in a[k + 1:]:
+                if not row[k]:
                     continue
-                q = _nearest_quotient(a[i][k], p)
+                q = _nearest_quotient(row[k], p)
                 if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                if a[i][k]:
+                    row[k:] = [x - q * y for x, y in zip(row[k:], row_k[k:])]
+                if row[k]:
                     dirty = True
+            # a column step changes only the rows nonzero in column k
+            col_k = [row for row in a[k:] if row[k]]
             for j in range(k + 1, nc):
-                if not a[k][j]:
+                if not row_k[j]:
                     continue
-                q = _nearest_quotient(a[k][j], p)
+                q = _nearest_quotient(row_k[j], p)
                 if q:
-                    for row in a[k:]:
+                    for row in col_k:
                         row[j] -= q * row[k]
-                if a[k][j]:
+                if row_k[j]:
                     dirty = True
             if dirty:
                 continue
+            if abs(p) == 1:
+                break
             # row and column are clear; enforce divisibility of the rest
             offender = next((i for i in range(k + 1, nr)
                              if any(x % p for x in a[i][k + 1:])), None)

@@ -17,6 +17,7 @@ from .metabolizers import (character_for, enumerate_metabolizers,
                            fixed_metabolizer, orbit_base_metabolizer,
                            orbit_decomposition)
 from .blanchfield import linking_form
+from .seifert import check_n
 from .twisted import period_shift, twisted_polynomial
 
 __all__ = [
@@ -146,6 +147,7 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     shifts of the diagram (n+1 polynomials in total) and each transported
     character must reproduce the representative's polynomial exactly.
     """
+    check_n(n)
     pres = wirtinger_of_closure(family_braid(n))
     form = linking_form(n)
     mets = enumerate_metabolizers(n, form)

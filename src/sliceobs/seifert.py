@@ -8,29 +8,59 @@ has the block shape A = [[-B^T, 0], [B, B]] for the (n-1)-square band
 matrix B with 1 on the diagonal and -1 on the first superdiagonal.
 
 Two facts about that shape carry the computations.  B is unitriangular,
-so det A = +-1 and A^-1 = [[-B^-T, 0], [B^-T, B^-1]] in closed form,
-B^-1 the upper triangular all-ones matrix (`seifert_inverse`).  And
-with the rows and columns taken in the interleaved order (0, n-1, 1, n,
+so det A = +-1 and A^-1 = [[-L, 0], [L, U]] in closed form, with
+U = B^-1 the upper and L = B^-T the lower triangular all-ones matrix.
+So A^-1 X is never formed as a product: the top block rows of the
+answer are the prefix sums of X's top block rows, negated, and the
+bottom block rows add to those prefix sums the suffix sums of X's
+bottom block rows (`apply_inverse`), O(N) work per row of X.  And with
+the rows and columns taken in the interleaved order (0, n-1, 1, n,
 ..., n-2, 2n-3) (`band_order`), every nonzero of xA - A^T lies within
 distance 2 of the diagonal, which `linalg._bareiss` turns into O(1)
 work per elimination step.
+
+Every N-square table here and downstream (the linking form, cover
+homology, `report.obstruct`) starts from `band_matrix` or
+`apply_inverse`, and both begin with the one size check `check_n`
+against `MAX_N`, so it fires before anything is allocated;
+`report.obstruct` runs it before it builds the presentation.
 """
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import add
 
 from .laurent import LaurentPolynomial
-from .linalg import Matrix, _eval_points, _newton_interpolate, det_bareiss
+from .linalg import Matrix, _bareiss, _eval_points, _newton_interpolate
 
-__all__ = ["SeifertData", "band_matrix", "seifert_matrix",
-           "seifert_inverse", "band_order", "alexander_polynomial", "p_n"]
+__all__ = ["MAX_N", "check_n", "SeifertData", "band_matrix",
+           "seifert_matrix", "apply_inverse", "band_order",
+           "alexander_polynomial", "p_n"]
+
+# The largest family index accepted, so that no input asks for more
+# than a few dense tables of side N = 2(n-1) <= 998, 1e6 entries each.
+# Measured near it (Python 3.11, 2 cores): `linking_form(497)` takes
+# 1.5 s, `cover_homology_snf(497, 3)` 23 s, `report.obstruct(491,
+# s=983)` 182 s at 121 MiB peak RSS, and `alexander_polynomial(497)`
+# 577 s; the last two grow about as n^3.
+MAX_N = 500
+
+
+def check_n(n):
+    """n - 1, the genus and the side of B, once n is in 2 .. MAX_N;
+    ValueError otherwise."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if n > MAX_N:
+        raise ValueError(
+            f"n={n} is above the ceiling n <= {MAX_N}: the Seifert "
+            f"matrix would have side {2 * (n - 1)}")
+    return n - 1
 
 
 def band_matrix(n):
     """The (n-1)-square matrix with 1 on the diagonal, -1 above it."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    m = n - 1
+    m = check_n(n)
     return Matrix(tuple(
         tuple(1 if i == j else (-1 if j == i + 1 else 0) for j in range(m))
         for i in range(m)))
@@ -57,19 +87,34 @@ def seifert_matrix(n):
                                  + [row + row for row in b]))
 
 
-def seifert_inverse(n):
-    """A^-1 = [[-B^-T, 0], [B^-T, B^-1]] for the Seifert matrix A of
-    `seifert_matrix(n)`, with B^-1 the upper triangular all-ones matrix
-    (B U = I, since row i of B U is U[i] - U[i+1]).  An integer Matrix:
-    A is unimodular for every n."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    m = n - 1
-    upper = [[1 if j >= i else 0 for j in range(m)] for i in range(m)]
-    lower = [list(col) for col in zip(*upper)]
-    zeros = [0] * m
-    return Matrix([[-x for x in lower[i]] + zeros for i in range(m)]
-                  + [lower[i] + upper[i] for i in range(m)])
+def apply_inverse(n, x):
+    """A^-1 X, as new lists, for the Seifert matrix A of
+    `seifert_matrix(n)` and X its 2(n-1) rows (lists of ints, all of
+    one length).
+
+    A^-1 = [[-L, 0], [L, U]] with L and U the lower and upper triangular
+    all-ones matrices (B U = I, since row i of B U is U[i] - U[i+1], and
+    L = U^T).  Row i of L X_top is the sum of the top rows 0 .. i of X,
+    and row i of U X_bottom the sum of the bottom rows i .. n-2, so the
+    answer is the running prefix sums of the top half, negated, over
+    those prefix sums plus the running suffix sums of the bottom half.
+    """
+    m = check_n(n)
+    if len(x) != 2 * m:
+        raise ValueError(f"A^-1 X needs {2 * m} rows of X for n={n}, "
+                         f"got {len(x)}")
+    prefix = []
+    acc = [0] * len(x[0])
+    for row in x[:m]:
+        acc = list(map(add, acc, row))
+        prefix.append(acc)
+    bottom = []
+    acc = [0] * len(acc)
+    for row, pre in zip(reversed(x[m:]), reversed(prefix)):
+        acc = list(map(add, acc, row))
+        bottom.append(list(map(add, pre, acc)))
+    bottom.reverse()
+    return [[-v for v in row] for row in prefix] + bottom
 
 
 def band_order(n):
@@ -87,12 +132,27 @@ def alexander_polynomial(n):
 
     The determinant has degree at most the side N = 2(n-1) of A, so it
     is interpolated from the integer determinants det(xA - A^T) at N + 1
-    points, each taken on the band in `band_order`."""
-    a = seifert_matrix(n).matrix
+    points.  The nonzeros of xA - A^T in `band_order` are listed once,
+    as (column, coefficient of x, constant); each point fills fresh
+    zero rows from that list and runs `_bareiss` on the band."""
+    a = seifert_matrix(n).matrix.rows
+    if not all(isinstance(x, int) for row in a for x in row):
+        raise TypeError("the Seifert matrix must have integer entries")
     order = band_order(n)
-    pts = list(islice(_eval_points(), len(order) + 1))
-    vals = [det_bareiss([[x * a[i][j] - a[j][i] for j in order]
-                         for i in order]) for x in pts]
+    size = len(order)
+    band = [[(v, a[i][j], -a[j][i]) for v, j in enumerate(order)
+             if a[i][j] or a[j][i]] for i in order]
+    pts = list(islice(_eval_points(), size + 1))
+    vals = []
+    for x in pts:
+        rows = []
+        for entries in band:
+            row = [0] * size
+            for v, c, d in entries:
+                row[v] = x * c + d
+            rows.append(row)
+        sign = _bareiss(rows, size)
+        vals.append(0 if sign is None else sign * rows[-1][-1])
     return _newton_interpolate(pts, vals)
 
 

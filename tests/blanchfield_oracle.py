@@ -14,7 +14,10 @@ Bareiss kernel with it.
 
 The program takes the q-fold cover from the monodromy A^-1 A^T; the
 oracle runs the Smith form on the whole q N-square presentation, and
-shares only the Smith form with it.
+shares only the Smith form with it.  The program applies A^-1 by prefix
+sums; `seifert_inverse` writes it out as a dense Matrix, and
+`dense_monodromy_homology` forms the monodromy from it as a dense
+Matrix product.
 """
 
 from dataclasses import dataclass
@@ -23,8 +26,9 @@ from fractions import Fraction
 from sliceobs.blanchfield import (BASIS, CoverHomology, LinkingForm,
                                   linking_template)
 from sliceobs.laurent import LaurentPolynomial
-from sliceobs.linalg import (_bareiss, _eval_points, _newton_interpolate,
-                             det_bareiss, smith_normal_form)
+from sliceobs.linalg import (Matrix, _bareiss, _eval_points,
+                             _newton_interpolate, det_bareiss,
+                             smith_normal_form)
 from sliceobs.seifert import seifert_matrix
 
 
@@ -217,3 +221,43 @@ def block_circulant_homology(n, q):
         raise ValueError(
             f"H_1 of the {q}-fold branched cover is infinite for n={n}")
     return CoverHomology(n, q, tuple(inv))
+
+
+def seifert_inverse(n):
+    """A^-1 = [[-B^-T, 0], [B^-T, B^-1]] for the Seifert matrix A of
+    `seifert_matrix(n)`, with B^-1 the upper triangular all-ones matrix
+    (B U = I, since row i of B U is U[i] - U[i+1]), as a dense integer
+    Matrix: A is unimodular for every n."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    m = n - 1
+    upper = [[1 if j >= i else 0 for j in range(m)] for i in range(m)]
+    lower = [list(col) for col in zip(*upper)]
+    zeros = [0] * m
+    return Matrix([[-x for x in lower[i]] + zeros for i in range(m)]
+                  + [lower[i] + upper[i] for i in range(m)])
+
+
+def dense_monodromy_homology(n, qs):
+    """{q: CoverHomology or the "infinite" ValueError text} for each q in
+    qs, from h^q - I, with h = A^-1 A^T the Matrix product of the dense
+    `seifert_inverse` and A^T, and its powers taken in turn up to
+    max(qs)."""
+    a = seifert_matrix(n).matrix
+    size = a.nrows
+    h = seifert_inverse(n) * a.transpose()
+    terms = [[(k, c) for k, c in enumerate(row) if c] for row in h.rows]
+    power = Matrix.identity(size).rows
+    out = {}
+    for q in range(1, max(qs) + 1):
+        # h times power, one row of power per nonzero of h
+        power = [[sum(c * power[k][j] for k, c in row) for j in range(size)]
+                 for row in terms]
+        if q not in qs:
+            continue
+        inv = smith_normal_form([[x - (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(power)])
+        out[q] = (CoverHomology(n, q, (1,) * ((q - 1) * size) + tuple(inv))
+                  if all(inv) else
+                  f"H_1 of the {q}-fold branched cover is infinite for n={n}")
+    return out

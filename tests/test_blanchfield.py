@@ -2,9 +2,11 @@
 
 The Blanchfield polynomials live in `tests/blanchfield_oracle.py`; they
 are checked here against five Laurent determinants and in turn check the
-program's linking form.  The block-circulant cover presentation there
-checks the program's cover homology."""
+program's linking form.  The block-circulant cover presentation there,
+and the monodromy from the dense A^-1 there, check the program's cover
+homology."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,13 +20,16 @@ from blanchfield_oracle import (
     _pairing_cofactors,
     blanchfield_entries,
     block_circulant_homology,
+    dense_monodromy_homology,
     laurent_linking_form,
+    seifert_inverse,
 )
 from laurent_oracle import det_laurent, minor
 from metabolizer_oracle import fraction_value
 from sliceobs.blanchfield import (
     BASIS,
     LinkingForm,
+    MAX_Q,
     _Eisenstein,
     cover_homology_snf,
     linking_form,
@@ -35,8 +40,8 @@ from sliceobs.blanchfield import (
 )
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix, det_bareiss
-from sliceobs.seifert import (alexander_polynomial, band_order,
-                              seifert_inverse, seifert_matrix)
+from sliceobs.seifert import (alexander_polynomial, apply_inverse,
+                              band_order, seifert_matrix)
 
 
 def five_determinant_cofactors(a, pos):
@@ -141,7 +146,7 @@ class TestCoverHomology:
     @pytest.mark.parametrize("n", range(2, 18))
     def test_matches_block_circulant_presentation(self, n):
         # the same tuple, or the same "infinite" ValueError text
-        for q in range(1, 6):
+        for q in range(1, 8):
             try:
                 want = block_circulant_homology(n, q)
             except ValueError as exc:
@@ -151,15 +156,46 @@ class TestCoverHomology:
                 continue
             assert cover_homology_snf(n, q) == want
 
+    @pytest.mark.parametrize("n", range(2, 42))
+    def test_matches_dense_inverse(self, n):
+        # the monodromy from the dense A^-1 of the oracle, by a Matrix
+        # product; the same tuple or the same ValueError text
+        for q, want in dense_monodromy_homology(n, range(1, 8)).items():
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as got:
+                    cover_homology_snf(n, q)
+                assert str(got.value) == want
+            else:
+                assert cover_homology_snf(n, q) == want
+
     @pytest.mark.parametrize("q", [0, -2])
     def test_cover_degree_must_be_positive(self, q):
         with pytest.raises(ValueError, match="at least 1"):
             cover_homology_snf(11, q)
 
+    @pytest.mark.parametrize("q", [MAX_Q + 1, 10 ** 9])
+    def test_cover_degree_ceiling(self, q):
+        # refused before anything is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"q <= {MAX_Q}"):
+                cover_homology_snf(11, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    def test_cover_degree_at_the_ceiling(self):
+        assert cover_homology_snf(2, MAX_Q).order > 1
+
     @pytest.mark.parametrize("n", range(2, 12))
     def test_closed_form_inverse(self, n):
+        # the dense oracle inverts A, and the program's prefix-sum
+        # apply of A^-1 agrees with it on A itself
         a = seifert_matrix(n).matrix
         assert a * seifert_inverse(n) == Matrix.identity(a.nrows)
+        assert Matrix(apply_inverse(n, [list(r) for r in a])) \
+            == seifert_inverse(n) * a == Matrix.identity(a.nrows)
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_band_order_puts_every_nonzero_near_the_diagonal(self, n):

@@ -117,6 +117,12 @@ class TestBadInput:
         ["verify-table", "--n", "5"],
         ["linking", "--n", "3"],
         ["linking", "--n", "4"],
+        ["homology", "--n", "11", "--q", "1001"],
+        ["homology", "--n", "501"],
+        ["linking", "--n", "100003"],
+        ["metabolizers", "--n", "503"],
+        ["obstruct", "--n", "503", "--s", "4024"],
+        ["obstruct", "--n", "11", "--s", str(10 ** 25 + 1)],
     ])
     def test_one_line_error_and_exit_code_2(self, argv, capsys):
         assert main(argv) == 2

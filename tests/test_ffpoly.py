@@ -1,6 +1,8 @@
 """Prime-field polynomial arithmetic, factorization, and the norm
 obstruction."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,40 @@ def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                       47, 53, 59]
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == trial_division_is_prime(n)
+               for n in range(10 ** 5))
+
+
+@pytest.mark.parametrize("n", [
+    561,                   # Carmichael
+    3215031751,            # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,   # strong pseudoprime to the bases 2 .. 23
+    ffpoly._MR_BOUND,      # strong pseudoprime to the bases 2 .. 41
+    ffpoly._MR_BOUND - 2,
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    if n >= ffpoly._MR_BOUND:
+        with pytest.raises(ValueError, match=str(ffpoly._MR_BOUND)):
+            is_prime(n)
+    else:
+        assert not is_prime(n)
+
+
+def test_is_prime_on_a_twenty_digit_witness():
+    # 10^19 + 3027 is prime and 1 mod 11, so it can serve as s for n = 11
+    s = 10 ** 19 + 3027
+    start = time.perf_counter()
+    assert is_prime(s)
+    assert pow(primitive_root_of_unity(s, 11), 11, s) == 1
+    assert not is_prime(s * 100003)  # no factor below 10^5
+    assert time.perf_counter() - start < 0.5
 
 
 def test_trim_reduces_and_strips():

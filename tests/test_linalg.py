@@ -153,9 +153,49 @@ def test_partial_bareiss_on_banded_matrices(case):
     check_partial_bareiss(*case)
 
 
+@st.composite
+def lower_banded_partial(draw):
+    """A square int matrix of lower bandwidth 0..4 (no nonzero below
+    that many subdiagonals, any upper part), with some diagonal entries
+    zeroed so that pivots must be swapped in from within the band, and
+    a number of steps that may stop short and leave border rows."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    width = draw(st.integers(min_value=0, max_value=4))
+    entry = st.sampled_from((0, 0, 1, -1, 2, -3, 4))
+    rows = [[draw(entry) if j - i >= -width else 0 for j in range(n)]
+            for i in range(n)]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=n - 1))):
+        rows[i][i] = 0
+    return rows, draw(st.integers(min_value=1, max_value=n))
+
+
+# lower bandwidth 2: the first two pivots vanish, and each swap comes
+# from the last row of the band, rows 2 and then 3
+SWAP_IN_BAND = [[0, 0, 2, 1],
+                [0, 0, 3, 0],
+                [5, 0, 0, 0],
+                [0, 2, 0, 0]]
+
+
+@given(lower_banded_partial())
+@example((SWAP_IN_BAND, 4))
+@example((SWAP_IN_BAND, 2))
+@example(([[0, 1], [0, 3]], 2))
+@settings(max_examples=300)
+def test_bareiss_within_the_lower_bandwidth(case):
+    rows, k = case
+    if k == len(rows):
+        assert det_bareiss(rows) == det_cofactor(rows)
+    else:
+        check_partial_bareiss(rows, k)
+
+
 def test_banded_examples_take_the_paths_they_name():
     a = [list(r) for r in SWAP_LAST]
     assert _bareiss(a, 4) == -1  # one swap, row 3 into place
+    a = [list(r) for r in SWAP_IN_BAND]
+    assert _bareiss(a, 4) == 1  # two swaps
+    assert det_cofactor(SWAP_IN_BAND) == a[3][3] == -30
     assert _bareiss([list(r) for r in SINGULAR_LEAD], 2) is None
     assert det_cofactor([r[:2] for r in SINGULAR_LEAD[:2]]) == 0
 
@@ -217,24 +257,40 @@ def test_smith_normal_form_is_integer_only():
         smith_normal_form([[t(), 1], [1, 1]])
 
 
-def test_snf_matches_determinantal_divisors():
+def check_determinantal_divisors(rows):
     # d_1 ... d_k is the gcd of all k x k minors (0 past the rank),
     # computed by cofactor expansion, which shares nothing with the
     # elimination
+    m, k = len(rows), len(rows[0])
+    inv = smith_normal_form(rows)
+    assert len(inv) == min(m, k)
+    for size in range(1, min(m, k) + 1):
+        divisor = 0
+        for ri in combinations(range(m), size):
+            for ci in combinations(range(k), size):
+                sub = [[rows[i][j] for j in ci] for i in ri]
+                divisor = gcd(divisor, det_cofactor(sub))
+        assert prod(inv[:size]) == divisor
+
+
+def test_snf_matches_determinantal_divisors():
     rng = random.Random(11)
     for _ in range(40):
         m = rng.randrange(1, 5)
         k = rng.randrange(1, 5)
-        rows = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(m)]
-        inv = smith_normal_form(rows)
-        assert len(inv) == min(m, k)
-        for size in range(1, min(m, k) + 1):
-            divisor = 0
-            for ri in combinations(range(m), size):
-                for ci in combinations(range(k), size):
-                    sub = [[rows[i][j] for j in ci] for i in ri]
-                    divisor = gcd(divisor, det_cofactor(sub))
-            assert prod(inv[:size]) == divisor
+        check_determinantal_divisors(
+            [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(m)])
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.sampled_from((0, 1, -1, 1, -1, 2, -2, 3, 6)),
+                 min_size=k, max_size=k),
+        min_size=1, max_size=5)))
+@settings(max_examples=150)
+def test_snf_with_unit_pivots_matches_determinantal_divisors(rows):
+    # rich in +-1, so most pivots are units found early in the scan
+    check_determinantal_divisors(rows)
 
 
 def test_det_laurent_with_int_entries_mixed():

@@ -1,15 +1,24 @@
 """Seifert matrices for the braid-closure family and the polynomials
 derived from them."""
 
+import random
+import tracemalloc
+
 import pytest
 
+from blanchfield_oracle import seifert_inverse
 from laurent_oracle import det_laurent
+from sliceobs.blanchfield import cover_homology_snf, linking_form
 from sliceobs.ffpoly import is_prime, mul, primitive_root_of_unity
 from sliceobs.laurent import LaurentPolynomial, one as lp_one, t as lp_t
 from sliceobs.linalg import Matrix, det_bareiss
+from sliceobs.report import obstruct
 from sliceobs.seifert import (
+    MAX_N,
     alexander_polynomial,
+    apply_inverse,
     band_matrix,
+    band_order,
     p_n,
     seifert_matrix,
 )
@@ -83,6 +92,56 @@ class TestSeifertMatrix:
         assert det_bareiss(a - a.transpose()) == 0
 
 
+class TestInverse:
+    @pytest.mark.parametrize("n", (2, 3, 5, 12, 29))
+    def test_apply_matches_dense_inverse(self, n):
+        a = seifert_matrix(n).matrix
+        size = a.nrows
+        rng = random.Random(n)
+        x = [[rng.randrange(-9, 10) for _ in range(size + 1)]
+             for _ in range(size)]
+        assert Matrix(apply_inverse(n, x)) == seifert_inverse(n) * Matrix(x)
+        assert apply_inverse(n, [list(r) for r in a]) \
+            == [list(r) for r in Matrix.identity(size)]
+
+    def test_apply_needs_all_rows(self):
+        with pytest.raises(ValueError, match="needs 8 rows"):
+            apply_inverse(5, [[1] * 8] * 7)
+
+
+# everything that builds a table of side 2(n-1)
+SIZED = {
+    "band_matrix": band_matrix,
+    "seifert_matrix": seifert_matrix,
+    "apply_inverse": lambda n: apply_inverse(n, []),
+    "alexander_polynomial": alexander_polynomial,
+    "cover_homology_snf": lambda n: cover_homology_snf(n, 3),
+    "linking_form": linking_form,
+    "obstruct": obstruct,
+}
+
+
+class TestSizeCeiling:
+    @pytest.mark.parametrize("name", SIZED)
+    @pytest.mark.parametrize("n", (MAX_N + 1, MAX_N + 3, 100003))
+    def test_fires_before_allocation(self, name, n):
+        # MAX_N + 3 = 503 is a prime 5 mod 6, a valid obstruct input but
+        # for its size; 100003 would need 4e10 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                SIZED[name](n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).startswith(
+            f"n={n} is above the ceiling n <= {MAX_N}")
+        assert peak < 2 ** 20
+
+    def test_ceiling_itself_is_accepted(self):
+        assert seifert_matrix(MAX_N).matrix.nrows == 2 * (MAX_N - 1)
+
+
 class TestAlexanderPolynomial:
     def test_figure_eight(self):
         # n = 2 closes to the figure-eight knot
@@ -102,14 +161,17 @@ class TestAlexanderPolynomial:
         assert span == 2 * (n - 1)
         assert abs(delta(1)) == 1
 
-    @pytest.mark.parametrize("n", (2, 4, 5, 7, 11, 17))
+    @pytest.mark.parametrize("n", range(2, 42))
     def test_matches_laurent_determinant(self, n):
         # the oracle builds tA - A^T as a Laurent matrix and bounds its
-        # degree row by row
+        # degree row by row.  Up to n = 17 it takes the natural basis
+        # order; beyond, the band order, which permutes rows and columns
+        # alike and so keeps the determinant, spares it a dense
+        # elimination at each of its 2n - 1 points
         a = seifert_matrix(n).matrix
-        size = a.nrows
+        order = range(a.nrows) if n <= 17 else band_order(n)
         rows = [[LaurentPolynomial({1: a[i][j], 0: -a[j][i]})
-                 for j in range(size)] for i in range(size)]
+                 for j in order] for i in order]
         assert alexander_polynomial(n) == det_laurent(rows)
 
     @pytest.mark.parametrize("n", (2, 4, 5, 7))
