@@ -10,12 +10,13 @@ t = 1 and so is fixed by its value at a primitive cube root of unity w.
 `linking_form` gets those values from one fraction-free elimination of
 A - w A^T over the Eisenstein integers Z[w], on the banded order of
 `seifert.band_order`, and reads them on the basis (a, ta, b, tb).
-`cover_homology_snf` takes the q-fold cover for q up to `MAX_Q` from
-the monodromy h = A^-1 A^T: the block-circulant presentation of the
-cover reduces by unimodular block moves to h^q - I, whose Smith form it
-takes.  It builds h^q by q steps P -> A^-1 (A^T P), each O(N^2): A^T is
-sparse, and A^-1 is applied from its closed form by prefix and suffix
-sums (`seifert.apply_inverse`), never as a dense product.
+`cover_homology_snf` takes the q-fold cover, for q up to `MAX_Q` and a
+presentation of side N q up to `MAX_COVER_SIDE`, from the monodromy
+h = A^-1 A^T: the block-circulant presentation of the cover reduces by
+unimodular block moves to h^q - I, whose Smith form it takes.  It
+builds h^q by q steps P -> A^-1 (A^T P), each O(N^2): A^T is sparse,
+and A^-1 is applied from its closed form by prefix and suffix sums
+(`seifert.apply_inverse`), never as a dense product.
 """
 
 from dataclasses import dataclass, field
@@ -23,11 +24,12 @@ from fractions import Fraction
 from operator import mul
 
 from .linalg import Matrix, _bareiss, det_bareiss, smith_normal_form
-from .seifert import apply_inverse, band_order, seifert_matrix
+from .seifert import apply_inverse, band_order, check_n, seifert_matrix
 
 __all__ = [
     "CoverHomology",
     "LinkingForm",
+    "MAX_COVER_SIDE",
     "MAX_Q",
     "SymmetryAction",
     "cover_homology_snf",
@@ -49,6 +51,16 @@ BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
 # form O(N^3) operations on such numbers: cover_homology_snf(11, 1000)
 # takes 1.8 s (Python 3.11, 2 cores).
 MAX_Q = 1000
+
+# The largest side N q of the cover's presentation accepted, N = 2(n-1)
+# the side of A; it admits q = MAX_Q at n = 11.  The cost grows about as
+# N^3 at fixed q, and faster than q at fixed N, the more so the larger N
+# (Python 3.11, 2 cores): (n, q) = (11, 1000) takes 1.8 s, (497, 3)
+# 22 s, (53, 100) 36 s and (53, 192) 163 s, so bounding n and q apiece
+# left (497, 1000) to run for hours.  The side does not bound the
+# entries of the Smith form: (101, 30) takes 7.3 s, but (101, 99) ran
+# past 25 minutes.
+MAX_COVER_SIDE = 20000
 
 
 @dataclass(frozen=True)
@@ -99,14 +111,20 @@ def cover_homology_snf(n, q):
     identity blocks below then clear.  So the Smith form is (q-1) N
     ones, N the side of A, followed by that of h^q - I.
 
-    Both bounds on q, and the one on n (`seifert.check_n`), are checked
-    before anything is allocated; MAX_Q gives the cost.
+    Both bounds on q, the one on n (`seifert.check_n`) and the one on
+    N q are checked before anything is allocated; MAX_Q and
+    MAX_COVER_SIDE give the cost.
     """
     if q < 1:
         raise ValueError(f"the cover degree q must be at least 1, got {q}")
     if q > MAX_Q:
         raise ValueError(
             f"the cover degree q={q} is above the ceiling q <= {MAX_Q}")
+    side = 2 * check_n(n) * q
+    if side > MAX_COVER_SIDE:
+        raise ValueError(
+            f"the {q}-fold cover for n={n} is presented on N q = {side} "
+            f"generators, above the ceiling N q <= {MAX_COVER_SIDE}")
     a = seifert_matrix(n).matrix.rows
     size = len(a)
     eye = [[int(i == j) for j in range(size)] for i in range(size)]

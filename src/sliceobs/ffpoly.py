@@ -4,12 +4,20 @@ Polynomials are ascending coefficient lists with entries reduced into
 [0, s) and no trailing zeros; [] is the zero polynomial.  The prime s is
 passed explicitly to every operation.  Multiplication is schoolbook;
 packing coefficients into one big integer (Kronecker substitution)
-serves only `pow_mod`, whose Barrett reduction runs on it.
+serves products modulo a fixed polynomial, reduced by Barrett's method
+(`_barrett`, one reducer per modulus), and the Frobenius map.
+
 Factorization is squarefree decomposition, then distinct-degree
 splitting, then Cantor-Zassenhaus from a fixed seed with a bounded
-number of tries, so results are deterministic; `is_irreducible` reads
-the first distinct-degree step.  `norm_obstructed` is the whole norm
-test, odd totals included.
+number of tries, so results are deterministic.  Both later stages go
+through the Frobenius map h -> h^s of each squarefree part sf, a linear
+map built once from one x^s (von zur Gathen and Shoup, 1992): the
+distinct-degree loop takes x^(s^d) by one application per step, and a
+Cantor-Zassenhaus draw u takes u^((s^d - 1)/2) = N(u)^((s - 1)/2) mod f,
+where N(u) = u u^s ... u^(s^(d-1)) needs d - 1 applications and the
+power only log2(s) squarings.  `is_irreducible` reads the first
+distinct-degree step.  `norm_obstructed` is the whole norm test, odd
+totals included.
 """
 
 import operator
@@ -186,28 +194,20 @@ def monic(a, s):
     return scalar_mul(pow(a[-1], s - 2, s), a, s)
 
 
-def pow_mod(base, e, modulus, s):
-    """base^e reduced modulo the polynomial modulus, e >= 0.
+def _barrett(f, s):
+    """The product x y mod f, for a monic modulus f of degree d and x, y
+    already reduced mod f, by Barrett's method on packed integers.
 
-    Square and multiply, with each product reduced by Barrett's method
-    for the fixed modulus.  With f the monic modulus of degree d and
-    rev(p) the coefficients of p reversed, a product a of degree at most
-    2d - 2 has a = q f + r with deg q <= d - 2, and reversing gives
+    A product a of degree at most 2d - 2 has a = q f + r with
+    deg q <= d - 2, and with rev(p) the coefficients of p reversed,
     rev(q) = rev(a) rev(f)^-1 mod x^(d-1); rev(f) has constant term 1,
-    so its inverse series g is computed once per call.  Then r is
-    a - q f, of which only the low d coefficients are read.  Each of the
-    three products (the step itself, rev(a) g and q f) has a factor of
-    at most d coefficients, so each is one bignum multiply of
-    coefficients packed at the `_limb` bound.  The remainder is unique,
-    so this returns what schoolbook division would.
+    so its inverse series g is computed once per modulus, here.  Then r
+    is a - q f, of which only the low d coefficients are read.  Each of
+    the three products (x y itself, rev(a) g and q f) has a factor of at
+    most d coefficients, so each is one bignum multiply of coefficients
+    packed at the `_limb` bound.  The remainder is unique, so this
+    returns what schoolbook division would.
     """
-    if e < 0:
-        raise ValueError(f"pow_mod needs an exponent e >= 0, not e={e}")
-    f = monic(modulus, s)
-    if not f:
-        raise ZeroDivisionError("polynomial division by zero")
-    result = poly_divmod([1], f, s)[1]
-    base = poly_divmod(base, f, s)[1]
     d = len(f) - 1
     limb = _limb(d, s)
     rev = f[::-1]
@@ -231,6 +231,23 @@ def pow_mod(base, e, modulus, s):
         qf = _unpack(_pack(q[::-1], limb) * packed_f, limb, d, s)
         return trim([(u - v) % s for u, v in zip(a, qf)])
 
+    return mulmod
+
+
+def pow_mod(base, e, modulus, s):
+    """base^e reduced modulo the polynomial modulus, e >= 0, by square
+    and multiply with each product reduced by `_barrett` for the monic
+    modulus.  Factorization calls it for x^s once per squarefree part
+    (the first row of `_frobenius`) and for the power (s - 1)/2 of each
+    Cantor-Zassenhaus draw."""
+    if e < 0:
+        raise ValueError(f"pow_mod needs an exponent e >= 0, not e={e}")
+    f = monic(modulus, s)
+    if not f:
+        raise ZeroDivisionError("polynomial division by zero")
+    result = poly_divmod([1], f, s)[1]
+    base = poly_divmod(base, f, s)[1]
+    mulmod = _barrett(f, s)
     while e:
         if e & 1:
             result = mulmod(result, base)
@@ -238,6 +255,38 @@ def pow_mod(base, e, modulus, s):
         if e:
             base = mulmod(base, base)
     return result
+
+
+def _frobenius(f, s):
+    """The Frobenius map h -> h^s mod f, for a monic f of degree d >= 1,
+    as a function of h reduced mod f.
+
+    In characteristic s the map c -> c^s fixes Z/s and is additive, so
+    h^s = sum h_i x^(i s): the map is linear, with rows x^(i s) mod f
+    for i < d.  The rows are built on the first call, from one
+    `pow_mod` for x^s and d - 2 Barrett products, and kept packed at the
+    `_limb` bound of d terms; an image is then the big-integer sum of
+    h_i times row i, unpacked once.  So a step of the distinct-degree
+    loop, or an image in a Cantor-Zassenhaus norm, costs one sum of d
+    scalar multiples instead of the log2(s) squarings of h^s.
+    """
+    d = len(f) - 1
+    limb = _limb(d, s)
+    rows = []
+
+    def frobenius(h):
+        if not rows:
+            rows.append(1)
+            if d > 1:
+                mulmod = _barrett(f, s)
+                row = xs = pow_mod([0, 1], s, f, s)
+                rows.append(_pack(xs, limb))
+                for _ in range(d - 2):
+                    row = mulmod(row, xs)
+                    rows.append(_pack(row, limb))
+        return trim(_unpack(sum(map(operator.mul, h, rows)), limb, d, s))
+
+    return frobenius
 
 
 def evaluate(a, x, s):
@@ -330,21 +379,28 @@ def _squarefree_parts(f, s):
         yield from _squarefree_parts(g0, s)
 
 
-def _distinct_degree(f, s):
+def _distinct_degree(f, s, frobenius):
     """Yield (product of degree-d irreducibles, d) for squarefree monic f,
-    d ascending.  Once rest has no factor of degree <= d and degree below
-    2(d + 1), it is irreducible, and it is yielded as it is."""
-    h = [0, 1]  # t
+    d ascending, given `frobenius`, the Frobenius map of a multiple of f.
+
+    Step d applies the map once, taking h from x^(s^(d-1)) to x^(s^d)
+    modulo that multiple, and gcd(h - x, rest) is the product of the
+    degree-d factors of rest: the degree-d irreducibles are those that
+    divide x^(s^d) - x once the smaller degrees are gone.  Since rest
+    divides the map's modulus, this gcd is the one taken modulo rest.
+    Once rest has no factor of degree <= d and degree below 2(d + 1),
+    it is irreducible, and it is yielded as it is.
+    """
+    h = [0, 1]  # x
     d = 0
     rest = f
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        h = pow_mod(h, s, rest, s)
+        h = frobenius(h)
         g = poly_gcd(sub(h, [0, 1], s), rest, s)
         if len(g) > 1:
             yield g, d
             rest = poly_divmod(rest, g, s)[0]
-            h = poly_divmod(h, rest, s)[1]
     if len(rest) > 1:
         yield rest, len(rest) - 1
 
@@ -356,24 +412,39 @@ _SEED = 2026
 _SPLIT_TRIES = 64
 
 
-def _equal_degree_split(f, d, s, rng):
+def _equal_degree_split(f, d, s, rng, frobenius):
     """Cantor-Zassenhaus: split monic squarefree f whose irreducible
-    factors all have degree d; ArithmeticError after _SPLIT_TRIES draws
-    that do not split it."""
+    factors all have degree d, given `frobenius`, the Frobenius map of a
+    multiple of f; ArithmeticError after _SPLIT_TRIES draws that do not
+    split it.
+
+    A draw u splits f by gcd(u^((s^d - 1)/2) - 1, f).  Since
+    (s^d - 1)/2 = (1 + s + ... + s^(d-1)) (s - 1)/2, that power is
+    N(u)^((s - 1)/2) mod f exactly, with the norm
+    N(u) = u u^s ... u^(s^(d-1)) mod f.  Its d - 1 images come from the
+    map, each reduced mod f, and the remaining power has an exponent of
+    log2(s) bits, not d log2(s).  The draws and the gcds are those of
+    the direct power, so the factors are too.
+    """
     if len(f) - 1 == d:
         return [f]
-    e = (s ** d - 1) // 2
+    mulmod = _barrett(f, s) if d > 1 else None
     for _ in range(_SPLIT_TRIES):
         u = trim([rng.randrange(s) for _ in range(len(f) - 1)])
         if len(u) < 2:
             continue
         g = poly_gcd(u, f, s)
         if not 1 < len(g) < len(f):
-            g = poly_gcd(sub(pow_mod(u, e, f, s), [1], s), f, s)
+            norm = image = u
+            for _ in range(d - 1):
+                image = poly_divmod(frobenius(image), f, s)[1]
+                norm = mulmod(norm, image)
+            g = poly_gcd(sub(pow_mod(norm, (s - 1) // 2, f, s), [1], s),
+                         f, s)
         if 1 < len(g) < len(f):
             rest = poly_divmod(f, g, s)[0]
-            return (_equal_degree_split(g, d, s, rng)
-                    + _equal_degree_split(rest, d, s, rng))
+            return (_equal_degree_split(g, d, s, rng, frobenius)
+                    + _equal_degree_split(rest, d, s, rng, frobenius))
     raise ArithmeticError(
         f"Cantor-Zassenhaus found no split of a degree-{len(f) - 1} "
         f"product of degree-{d} factors mod {s} in {_SPLIT_TRIES} tries")
@@ -393,8 +464,9 @@ def factor(a, s):
     found = {}
     if len(f) > 1:
         for sf, m in _squarefree_parts(f, s):
-            for prod, d in _distinct_degree(sf, s):
-                for irr in _equal_degree_split(prod, d, s, rng):
+            frobenius = _frobenius(sf, s)
+            for prod, d in _distinct_degree(sf, s, frobenius):
+                for irr in _equal_degree_split(prod, d, s, rng, frobenius):
                     key = tuple(irr)
                     found[key] = found.get(key, 0) + m
     factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
@@ -415,7 +487,8 @@ def is_irreducible(f, s):
         return False
     if poly_gcd(f, derivative(f, s), s) != [1]:
         return False
-    return next(_distinct_degree(f, s)) == (f, len(f) - 1)
+    steps = _distinct_degree(f, s, _frobenius(f, s))
+    return next(steps) == (f, len(f) - 1)
 
 
 def degree_sequence(fact):

@@ -1,12 +1,22 @@
 """Square and multiply with schoolbook division, kept as the independent
-oracle for `sliceobs.ffpoly.pow_mod`.
+oracle for `sliceobs.ffpoly.pow_mod`, and the factorization that raises
+to exponents with it, kept as the oracle for `sliceobs.ffpoly.factor`.
 
 Every product is reduced by `poly_divmod` against the modulus as given
 (not made monic).  The program reduces by Barrett's method on packed
 integers; this route shares only `mul` and `poly_divmod` with it.
+
+The factorization here takes h^s by `pow_mod` at each distinct-degree
+step, and u^((s^d - 1)/2) by `pow_mod` for each Cantor-Zassenhaus draw.
+The program takes both through the Frobenius map of each squarefree
+part.  The squarefree stage, the seed and the draws are the program's,
+so the two routes must give the same factorization, unit included.
 """
 
-from sliceobs.ffpoly import mul, poly_divmod
+import random
+
+from sliceobs import ffpoly
+from sliceobs.ffpoly import mul, poly_divmod, poly_gcd, sub, trim
 
 
 def pow_mod(base, e, modulus, s):
@@ -19,3 +29,60 @@ def pow_mod(base, e, modulus, s):
         base = poly_divmod(mul(base, base, s), modulus, s)[1]
         e >>= 1
     return result
+
+
+def _distinct_degree(f, s):
+    """(product of degree-d irreducibles, d) for squarefree monic f, d
+    ascending, with h = x^(s^d) mod rest raised afresh at every step."""
+    out = []
+    h = [0, 1]
+    d = 0
+    rest = f
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = pow_mod(h, s, rest, s)
+        g = poly_gcd(sub(h, [0, 1], s), rest, s)
+        if len(g) > 1:
+            out.append((g, d))
+            rest = poly_divmod(rest, g, s)[0]
+            h = poly_divmod(h, rest, s)[1]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+def _equal_degree_split(f, d, s, rng):
+    """Cantor-Zassenhaus by the direct power u^((s^d - 1)/2) mod f."""
+    if len(f) - 1 == d:
+        return [f]
+    e = (s ** d - 1) // 2
+    for _ in range(ffpoly._SPLIT_TRIES):
+        u = trim([rng.randrange(s) for _ in range(len(f) - 1)])
+        if len(u) < 2:
+            continue
+        g = poly_gcd(u, f, s)
+        if not 1 < len(g) < len(f):
+            g = poly_gcd(sub(pow_mod(u, e, f, s), [1], s), f, s)
+        if 1 < len(g) < len(f):
+            rest = poly_divmod(f, g, s)[0]
+            return (_equal_degree_split(g, d, s, rng)
+                    + _equal_degree_split(rest, d, s, rng))
+    raise ArithmeticError("no split")
+
+
+def factor(a, s):
+    """The factorization of a over Z/s (s an odd prime), as
+    `sliceobs.ffpoly.FactorizationResult`."""
+    a = trim(a, s)
+    unit = a[-1]
+    f = ffpoly.monic(a, s)
+    rng = random.Random(ffpoly._SEED)
+    found = {}
+    if len(f) > 1:
+        for sf, m in ffpoly._squarefree_parts(f, s):
+            for prod, d in _distinct_degree(sf, s):
+                for irr in _equal_degree_split(prod, d, s, rng):
+                    key = tuple(irr)
+                    found[key] = found.get(key, 0) + m
+    factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    return ffpoly.FactorizationResult(modulus=s, unit=unit, factors=factors)

@@ -29,6 +29,7 @@ from metabolizer_oracle import fraction_value
 from sliceobs.blanchfield import (
     BASIS,
     LinkingForm,
+    MAX_COVER_SIDE,
     MAX_Q,
     _Eisenstein,
     cover_homology_snf,
@@ -187,6 +188,21 @@ class TestCoverHomology:
 
     def test_cover_degree_at_the_ceiling(self):
         assert cover_homology_snf(2, MAX_Q).order > 1
+
+    @pytest.mark.parametrize("n, q", [(497, 1000), (497, 21), (101, 101),
+                                      (53, 193), (12, MAX_Q)])
+    def test_cover_side_ceiling(self, n, q):
+        # each bound alone passes these, and (497, 1000) would run for
+        # hours; the side N q of the cover is refused before allocation,
+        # while (11, MAX_Q) and every n <= 41 with q <= 7 stay inside
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"N q <= {MAX_COVER_SIDE}"):
+                cover_homology_snf(n, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_closed_form_inverse(self, n):

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fresh_python import run_python
 from sliceobs.cli import build_parser, main
@@ -143,6 +145,45 @@ class TestBadInput:
         proc = run_optimized_cli(["obstruct", "--n", "11", "--s", "111"], 60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("sliceobs: error: ")
+
+
+@st.composite
+def small_argv(draw):
+    """An argument list for one of the five subcommands, with n <= 40,
+    q <= 6 and s, theta < 200, so that no large job starts."""
+    n = draw(st.integers(-3, 40))
+    command = draw(st.sampled_from(
+        ("obstruct", "verify-table", "homology", "linking", "metabolizers")))
+    if command in ("obstruct", "verify-table"):
+        text = draw(st.sampled_from((str(n), "all", "x", "")))
+        argv = [command, "--n", text]
+    else:
+        argv = [command, "--n", str(n)]
+    if command == "obstruct":
+        for flag in ("--s", "--theta"):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(st.integers(-3, 199)))]
+        argv += draw(st.sampled_from(([], ["--exhaustive"])))
+        argv += draw(st.sampled_from(([], ["--json"], ["--csv"])))
+    elif command == "verify-table":
+        argv += draw(st.sampled_from(([], ["--json"])))
+    elif command == "homology" and draw(st.booleans()):
+        argv += ["--q", str(draw(st.integers(-2, 6)))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_argv())
+def test_small_inputs_answer_or_refuse_in_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert lines[0].startswith("sliceobs: error: "), (argv, lines)
+        assert out.getvalue() == "", argv
 
 
 class TestParser:

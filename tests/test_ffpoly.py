@@ -1,6 +1,7 @@
 """Prime-field polynomial arithmetic, factorization, and the norm
 obstruction."""
 
+import random
 import time
 
 import pytest
@@ -288,22 +289,83 @@ def test_is_irreducible_cases():
 def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
     # an irreducible quintic needs the probes d = 1, 2 only: with no
     # factor of degree <= 2, a remainder of degree 5 < 2 * 3 is
-    # irreducible, so a third t^(s^3) is wasted work
+    # irreducible, so a third t^(s^3) is wasted work; each probe is one
+    # application of the Frobenius map, whose rows need one x^s
     s = 23
     f = [3, 1, 0, 0, 0, 1]  # t^5 + t + 3
-    calls = []
-    real = ffpoly.pow_mod
+    applied, powers = [], []
+    real_frobenius, real_pow_mod = ffpoly._frobenius, ffpoly.pow_mod
+
+    def counting_frobenius(modulus, s):
+        frobenius = real_frobenius(modulus, s)
+
+        def apply(h):
+            applied.append(len(modulus) - 1)
+            return frobenius(h)
+        return apply
 
     def counting_pow_mod(*args):
-        calls.append(args[1])
-        return real(*args)
+        powers.append(args[1])
+        return real_pow_mod(*args)
 
+    monkeypatch.setattr(ffpoly, "_frobenius", counting_frobenius)
     monkeypatch.setattr(ffpoly, "pow_mod", counting_pow_mod)
     assert is_irreducible(f, s)
-    assert calls == [s, s]
-    calls.clear()
+    assert (applied, powers) == ([5, 5], [s])
+    applied.clear()
+    powers.clear()
     assert factor(f, s).factors == ((tuple(f), 1),)
-    assert calls == [s, s]
+    assert (applied, powers) == ([5, 5], [s])
+
+
+ORACLE_PRIMES = (3, 5, 23, 1000003, 2 ** 31 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_PRIMES), st.data())
+def test_factor_matches_oracle_route(s, data):
+    # the oracle raises h^s and u^((s^d - 1)/2) by pow_mod; the program
+    # takes both through the Frobenius map, and must factor alike
+    coeff = st.integers(0, s - 1)
+    f = (data.draw(st.lists(coeff, max_size=12))
+         + [data.draw(st.integers(1, s - 1))])
+    assert factor(f, s) == ffpoly_oracle.factor(f, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_PRIMES), st.integers(2, 4), st.integers(2, 6),
+       st.integers(1, 10 ** 6), st.integers(0, 2 ** 32))
+def test_factor_matches_oracle_route_on_equal_degree_products(s, d, k, unit,
+                                                             seed):
+    # distinct irreducibles of one degree d >= 2, at least two of them,
+    # so Cantor-Zassenhaus splits by the norm, and recurses from three on
+    k = min(k, 12 // d)
+    rng = random.Random(seed)
+    irreducibles = []
+    for _ in range(500):
+        g = [rng.randrange(s) for _ in range(d)] + [1]
+        if (g not in irreducibles and ffpoly_oracle.factor(g, s).factors
+                == ((tuple(g), 1),)):
+            irreducibles.append(g)
+            if len(irreducibles) == k:
+                break
+    assert len(irreducibles) >= 2
+    f = [unit % s or 1]
+    for g in irreducibles:
+        f = mul(f, g, s)
+    want = ffpoly_oracle.factor(f, s)
+    assert degree_sequence(want) == [d] * len(irreducibles)
+    assert factor(f, s) == want
+
+
+def test_frobenius_map_at_the_carry_edge():
+    # every coefficient of h and of the modulus at s - 1, at word size s:
+    # an image coefficient sums 30 products below s^2 before it is
+    # reduced, which the `_limb` bound of the packed rows must hold
+    s = 2 ** 31 - 1
+    f = [s - 1] * 30 + [1]
+    h = [s - 1] * 30
+    assert ffpoly._frobenius(f, s)(h) == ffpoly_oracle.pow_mod(h, s, f, s)
 
 
 @settings(max_examples=150, deadline=None)

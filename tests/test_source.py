@@ -44,6 +44,27 @@ def test_every_all_name_resolves():
     assert not missing, f"names in __all__ but not defined: {missing}"
 
 
+def test_every_oracle_is_used_by_a_test():
+    # a second route is kept only where a test uses it as an independent
+    # oracle, so each tests/*_oracle.py must be imported by a test module
+    oracles = sorted(name[:-3] for name in os.listdir(TESTS_DIR)
+                     if name.endswith("_oracle.py"))
+    imported = set()
+    for name in sorted(os.listdir(TESTS_DIR)):
+        if not (name.startswith("test_") and name.endswith(".py")):
+            continue
+        path = os.path.join(TESTS_DIR, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    unused = [name for name in oracles if name not in imported]
+    assert oracles and not unused, f"oracles no test imports: {unused}"
+
+
 def test_acceptance_gate_under_optimize():
     # -O strips the asserts of the package but not those of the test
     # modules, which pytest rewrites, so the gate still checks every
