@@ -14,8 +14,9 @@ A - w A^T over the Eisenstein integers Z[w], on the banded order of
 presentation of side N q up to `MAX_COVER_SIDE`, from the monodromy
 h = A^-1 A^T: the block-circulant presentation of the cover reduces by
 unimodular block moves to h^q - I, whose Smith form it takes.  It
-builds h^q by q steps P -> A^-1 (A^T P), each O(N^2): A^T is sparse,
-and A^-1 is applied from its closed form by prefix and suffix sums
+builds h^q by q steps P -> A^-1 (A^T P), each O(N^2): A^T P adds only
+the rows of P at the at most 4 nonzeros of each row of A^T, listed
+once, and A^-1 is applied from its closed form by prefix and suffix sums
 (`seifert.apply_inverse`), never as a dense product.
 """
 
@@ -83,15 +84,15 @@ class CoverHomology:
 
 
 def _times(x, y):
-    """The product of two integer matrices given as rows, one row of y
-    added per nonzero entry of x."""
+    """The product X Y of two integer matrices, X given by the list of
+    (column, entry) pairs of the nonzeros of each row and Y by its rows:
+    one row of Y added per nonzero of X."""
     width = len(y[0])
     out = []
     for row in x:
         acc = [0] * width
-        for k, c in enumerate(row):
-            if c:
-                acc = [u + c * v for u, v in zip(acc, y[k])]
+        for k, c in row:
+            acc = [u + c * v for u, v in zip(acc, y[k])]
         out.append(acc)
     return out
 
@@ -130,7 +131,8 @@ def cover_homology_snf(n, q):
     eye = [[int(i == j) for j in range(size)] for i in range(size)]
     if apply_inverse(n, [list(row) for row in a]) != eye:
         raise ArithmeticError("A^-1 applied to the rows of A is not I")
-    at = list(zip(*a))
+    # A^T has at most 4 nonzeros in a row
+    at = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*a)]
     power = eye
     for _ in range(q):
         power = apply_inverse(n, _times(at, power))

@@ -22,9 +22,15 @@ __all__ = ["main"]
 
 
 def _parse_n(text):
+    """The family indices that --n names: one integer, or 'all' for the
+    table rows."""
     if text == "all":
         return list(TABLE_N)
-    return [int(text)]
+    try:
+        return [int(text)]
+    except ValueError:
+        raise ValueError(
+            f"--n takes an integer or 'all', not {text!r}") from None
 
 
 def _cmd_obstruct(args):
@@ -59,8 +65,7 @@ def _cmd_obstruct(args):
 
 
 def _cmd_verify_table(args):
-    ns = TABLE_N if args.n == "all" else [int(args.n)]
-    results = verify_table(ns)
+    results = verify_table(_parse_n(args.n))
     if args.json:
         print(json.dumps(results, indent=2, default=list))
         return 0 if all(r["ok"] for r in results) else 1

@@ -298,16 +298,21 @@ def evaluate(a, x, s):
 
 def interpolate(xs, ys, s):
     """The unique polynomial of degree < len(xs) through (xs[i], ys[i])
-    mod s, by Newton's divided differences."""
+    mod s, by Newton's divided differences.  The inverse of each distinct
+    node difference is taken once: m of them for the nodes 1 .. m + 1."""
     n = len(xs)
     if len(ys) != n:
         raise ValueError("interpolation needs one value per point")
     if len({x % s for x in xs}) != n:
         raise ValueError("interpolation points must be distinct mod s")
     coef = [y % s for y in ys]
+    inverse = {}
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            inv = pow((xs[i] - xs[i - j]) % s, s - 2, s)
+            d = (xs[i] - xs[i - j]) % s
+            inv = inverse.get(d)
+            if inv is None:
+                inv = inverse[d] = pow(d, s - 2, s)
             coef[i] = (coef[i] - coef[i - 1]) * inv % s
     poly = []
     for i in range(n - 1, -1, -1):

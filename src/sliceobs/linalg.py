@@ -10,9 +10,10 @@ rows that are zero in the pivot column and scales them once, lazily,
 when they are next read; and it stops each row update at the last
 nonzero.  So on a band of width w a step costs O(w^2) arithmetic
 instead of O(N^2) (see `seifert.band_order`).  It gives `det_bareiss`
-for integer matrices; a polynomial determinant is its values at
-`_eval_points` put back together by `_newton_interpolate` (see
-`seifert.alexander_polynomial`).
+for integer matrices, and a polynomial determinant is put back
+together from such values at integer nodes by `_newton_interpolate`
+(`seifert.alexander_polynomial` takes the palindromic half of one, at
+the scaled nodes L (x + 1/x)).
 Its partial form, stopped before the last rows, also yields bordered
 minors (see `blanchfield._pairing_at_omega`).  Determinants over a
 prime field use plain Gaussian elimination (`det_gf`), and
@@ -20,9 +21,8 @@ prime field use plain Gaussian elimination (`det_gf`), and
 """
 
 from fractions import Fraction
-from itertools import count
 
-from .laurent import LaurentPolynomial, one, zero, t
+from .laurent import LaurentPolynomial, zero, t
 
 __all__ = [
     "Matrix",
@@ -277,17 +277,10 @@ def det_gf(rows, s):
     return det % s
 
 
-def _eval_points():
-    """The integers 0, 1, -1, 2, -2, ... without end."""
-    yield 0
-    for k in count(1):
-        yield k
-        yield -k
-
-
 def _newton_interpolate(pts, vals):
     """The unique integer polynomial of degree < len(pts) through the
-    given integer values.  Raises if the interpolant is not integral.
+    given integer values at the given distinct integer nodes.  Raises
+    ArithmeticError if the interpolant is not integral.
     """
     coef = [Fraction(v) for v in vals]
     n = len(pts)
@@ -295,11 +288,8 @@ def _newton_interpolate(pts, vals):
         for i in range(n - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (pts[i] - pts[i - j])
     poly = zero()
-    basis = one()
-    for i in range(n):
-        if coef[i]:
-            poly = poly + basis.scale(coef[i])
-        basis = basis * (t() - pts[i])
+    for i in range(n - 1, -1, -1):
+        poly = poly * (t() - pts[i]) + coef[i]
     out = {}
     for e, c in poly.items():
         if c.denominator != 1:

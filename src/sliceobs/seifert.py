@@ -27,11 +27,12 @@ against `MAX_N`, so it fires before anything is allocated;
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
+from math import lcm
 from operator import add
 
 from .laurent import LaurentPolynomial
-from .linalg import Matrix, _bareiss, _eval_points, _newton_interpolate
+from .linalg import Matrix, _bareiss, _newton_interpolate
 
 __all__ = ["MAX_N", "check_n", "SeifertData", "band_matrix",
            "seifert_matrix", "apply_inverse", "band_order",
@@ -42,7 +43,7 @@ __all__ = ["MAX_N", "check_n", "SeifertData", "band_matrix",
 # Measured near it (Python 3.11, 2 cores): `linking_form(497)` takes
 # 1.5 s, `cover_homology_snf(497, 3)` 23 s, `report.obstruct(491,
 # s=983)` 182 s at 121 MiB peak RSS, and `alexander_polynomial(497)`
-# 577 s; the last two grow about as n^3.
+# 322 s; the last two grow about as n^3.
 MAX_N = 500
 
 
@@ -130,20 +131,35 @@ def alexander_polynomial(n):
     """det(tA - A^T) for the Seifert matrix A, an integer Laurent
     polynomial (monic of degree 2n-2 for odd n coprime to 3).
 
-    The determinant has degree at most the side N = 2(n-1) of A, so it
-    is interpolated from the integer determinants det(xA - A^T) at N + 1
-    points.  The nonzeros of xA - A^T in `band_order` are listed once,
-    as (column, coefficient of x, constant); each point fills fresh
-    zero rows from that list and runs `_bareiss` on the band."""
+    The determinant Delta has degree at most the side N = 2(n-1) of A,
+    and it is palindromic: N is even, so t^N Delta(1/t) = Delta(t).  So
+    Delta(t) = t^h g(t + 1/t), h = N/2, for an integer polynomial g of
+    degree h, and its h + 1 = n values g(x + 1/x) = Delta(x) / x^h at
+    x = 1, -1, 2, -2, ... fix it; the nodes x + 1/x are distinct for
+    these x (0 is left out, it would need a division by 0^h).
+
+    Each integer determinant det(xA - A^T) comes from `_bareiss` on the
+    band: the nonzeros of xA - A^T in `band_order` are listed once, as
+    (column, coefficient of x, constant), and each point fills fresh
+    zero rows from that list.  With L the lcm of the points, the nodes
+    L (x + 1/x) are integers and G(y) = L^h g(y / L) takes there the
+    integer values (L / x)^h Delta(x), so G is interpolated at integer
+    nodes, where every divided difference of an integer polynomial is
+    an integer.  (Interpolating g at the rational nodes x + 1/x instead
+    mixes the denominators x^h of all points and, near n = 200, costs
+    more than the eliminations.)  g_k = G_k / L^(h-k) must divide
+    exactly, and g is expanded back to Delta."""
     a = seifert_matrix(n).matrix.rows
     if not all(isinstance(x, int) for row in a for x in row):
         raise TypeError("the Seifert matrix must have integer entries")
     order = band_order(n)
     size = len(order)
+    half = size // 2
     band = [[(v, a[i][j], -a[j][i]) for v, j in enumerate(order)
              if a[i][j] or a[j][i]] for i in order]
-    pts = list(islice(_eval_points(), size + 1))
-    vals = []
+    pts = list(islice((k * s for k in count(1) for s in (1, -1)), half + 1))
+    scale = lcm(*pts)
+    nodes, vals = [], []
     for x in pts:
         rows = []
         for entries in band:
@@ -152,8 +168,18 @@ def alexander_polynomial(n):
                 row[v] = x * c + d
             rows.append(row)
         sign = _bareiss(rows, size)
-        vals.append(0 if sign is None else sign * rows[-1][-1])
-    return _newton_interpolate(pts, vals)
+        det = 0 if sign is None else sign * rows[-1][-1]
+        nodes.append(scale * x + scale // x)
+        vals.append((scale // x) ** half * det)
+    big = dict(_newton_interpolate(nodes, vals).items())
+    u = LaurentPolynomial({-1: 1, 1: 1})
+    delta = LaurentPolynomial()
+    for k in range(half, -1, -1):
+        g_k, r = divmod(big.get(k, 0), scale ** (half - k))
+        if r:
+            raise ArithmeticError("the palindromic half is not integral")
+        delta = delta * u + g_k
+    return delta.shift(half)
 
 
 def p_n(n):
@@ -166,10 +192,12 @@ def p_n(n):
     z = w + w^-1 the product of z - xi^k - xi^-k over k = 1 .. m is
     sum_{j=-m}^{m} w^j = S_m(z), where S_0 = 1, S_1 = 1 + z and
     S_{j+1} = z S_j - S_{j-1}.  So p_n = (-t)^m S_m(z), computed by that
-    recurrence in integer Laurent arithmetic.
+    recurrence in integer Laurent arithmetic.  n is held to `check_n`'s
+    ceiling, like every invariant here.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("defined for odd n >= 3")
+    check_n(n)
     m = (n - 1) // 2
     z = LaurentPolynomial({-1: -1, 0: 1, 1: -1})
     prev, cur = LaurentPolynomial.constant(1), z + 1

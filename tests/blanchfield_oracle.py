@@ -26,10 +26,11 @@ from fractions import Fraction
 from sliceobs.blanchfield import (BASIS, CoverHomology, LinkingForm,
                                   linking_template)
 from sliceobs.laurent import LaurentPolynomial
-from sliceobs.linalg import (Matrix, _bareiss, _eval_points,
-                             _newton_interpolate, det_bareiss,
-                             smith_normal_form)
+from sliceobs.linalg import (Matrix, _bareiss, _newton_interpolate,
+                             det_bareiss, smith_normal_form)
 from sliceobs.seifert import seifert_matrix
+
+from laurent_oracle import eval_points
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def _pairing_cofactors(a, pos):
     pts = []
     vals = ([], [], [], [], [])  # det M, adj00, adj01, adj10, adj11
     skipped = 0
-    points = _eval_points()
+    points = eval_points()
     while len(pts) < size + 1:
         x = next(points)
         m = [[u - x * v for u, v in row] for row in pairs]

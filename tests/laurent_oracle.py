@@ -5,19 +5,28 @@ Blanchfield cofactors of `tests/blanchfield_oracle.py`.
 `det_laurent` takes any square matrix of integer Laurent polynomials:
 it factors the least power of t out of each row, bounds the degree of
 what is left row by row, and interpolates integer determinants at that
-many points.  The program only ever needs det(xA - A^T) for an integer
-Seifert matrix A, and evaluates that directly; the general route here
-buys a check that builds its matrices a different way.
+many points of `eval_points`.  The program only ever needs
+det(xA - A^T) for an integer Seifert matrix A, evaluates that directly,
+and uses its palindromic symmetry to take half as many points; the
+general route here buys a check that builds its matrices a different
+way and uses no symmetry.
 
 `det_cofactor` expands small determinants by cofactors, the check for
 the elimination kernel itself.
 """
 
-from itertools import islice
+from itertools import count, islice
 
 from sliceobs.laurent import LaurentPolynomial, one, zero
-from sliceobs.linalg import (Matrix, _eval_points, _newton_interpolate,
-                             det_bareiss)
+from sliceobs.linalg import Matrix, _newton_interpolate, det_bareiss
+
+
+def eval_points():
+    """The integers 0, 1, -1, 2, -2, ... without end."""
+    yield 0
+    for k in count(1):
+        yield k
+        yield -k
 
 
 def det_cofactor(rows):
@@ -68,7 +77,7 @@ def det_laurent(m):
         r = [x.shift(-lo) for x in r]
         degree_bound += max(x.max_exp for x in r if not x.is_zero)
         shifted.append(r)
-    pts = list(islice(_eval_points(), degree_bound + 1))
+    pts = list(islice(eval_points(), degree_bound + 1))
     vals = [det_bareiss([[x(p) for x in r] for r in shifted]) for p in pts]
     poly = _newton_interpolate(pts, vals)
     return poly.shift(total_shift)

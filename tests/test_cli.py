@@ -125,6 +125,8 @@ class TestBadInput:
         ["metabolizers", "--n", "503"],
         ["obstruct", "--n", "503", "--s", "4024"],
         ["obstruct", "--n", "11", "--s", str(10 ** 25 + 1)],
+        ["obstruct", "--n", "x"],
+        ["verify-table", "--n", "11,17"],
     ])
     def test_one_line_error_and_exit_code_2(self, argv, capsys):
         assert main(argv) == 2
@@ -139,6 +141,12 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "11, 17, 23" in err
         assert "pass s" not in err
+
+    @pytest.mark.parametrize("command", ("obstruct", "verify-table"))
+    def test_non_integer_n_names_the_option(self, command, capsys):
+        assert main([command, "--n", "x"]) == 2
+        assert capsys.readouterr().err == (
+            "sliceobs: error: --n takes an integer or 'all', not 'x'\n")
 
     def test_composite_s_fails_fast_under_optimize(self):
         # input checks must not be asserts, which -O strips

@@ -181,6 +181,20 @@ def test_interpolation_recovers_random_polys(coeffs, shift):
     assert interpolate(xs, ys, s) == poly
 
 
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 22), min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_interpolation_at_scattered_nodes(coeffs, rng):
+    # unequal node gaps, so each distinct difference has its own inverse
+    s = 23
+    poly = trim(coeffs, s)
+    xs = rng.sample(range(-40, 40), len(coeffs) + 1)
+    if len({x % s for x in xs}) < len(xs):
+        xs = rng.sample(range(s), len(xs))
+    ys = [evaluate(poly, x, s) for x in xs]
+    assert interpolate(xs, ys, s) == poly
+
+
 def test_derivative():
     assert derivative([4, 3, 2, 1], 7) == [3, 4, 3]
     assert derivative([9], 7) == []

@@ -8,10 +8,11 @@ import pytest
 
 from blanchfield_oracle import seifert_inverse
 from laurent_oracle import det_laurent
+from sliceobs import seifert
 from sliceobs.blanchfield import cover_homology_snf, linking_form
 from sliceobs.ffpoly import is_prime, mul, primitive_root_of_unity
 from sliceobs.laurent import LaurentPolynomial, one as lp_one, t as lp_t
-from sliceobs.linalg import Matrix, det_bareiss
+from sliceobs.linalg import Matrix, _bareiss, det_bareiss
 from sliceobs.report import obstruct
 from sliceobs.seifert import (
     MAX_N,
@@ -174,6 +175,43 @@ class TestAlexanderPolynomial:
                  for j in order] for i in order]
         assert alexander_polynomial(n) == det_laurent(rows)
 
+    @pytest.mark.parametrize("n", (2, 5, 11, 29))
+    def test_one_elimination_per_coefficient_of_the_half(self, n,
+                                                         monkeypatch):
+        # the palindromic half g has n coefficients, so n points; all
+        # N + 1 = 2n - 1 coefficients of Delta would need 2n - 1
+        calls = []
+
+        def counted(rows, steps):
+            calls.append(steps)
+            return _bareiss(rows, steps)
+
+        monkeypatch.setattr(seifert, "_bareiss", counted)
+        alexander_polynomial(n)
+        assert calls == [2 * (n - 1)] * n
+
+    @pytest.mark.parametrize("point, error, message", (
+        (0, 1, "interpolant not integral"),
+        (1, 720, "palindromic half is not integral"),
+    ))
+    def test_a_wrong_determinant_is_caught(self, point, error, message,
+                                           monkeypatch):
+        # one determinant of n = 5 off by 1 leaves no integral G at the
+        # scaled nodes; off by 720 at x = -1, G is integral but its
+        # coefficients do not divide by the powers of L
+        calls = []
+
+        def wrong(rows, steps):
+            sign = _bareiss(rows, steps)
+            if len(calls) == point:
+                rows[-1][-1] += error
+            calls.append(steps)
+            return sign
+
+        monkeypatch.setattr(seifert, "_bareiss", wrong)
+        with pytest.raises(ArithmeticError, match=message):
+            alexander_polynomial(5)
+
     @pytest.mark.parametrize("n", (2, 4, 5, 7))
     def test_palindromic(self, n):
         delta = alexander_polynomial(n)
@@ -186,6 +224,20 @@ class TestSquareRoot:
             p_n(4)
         with pytest.raises(ValueError):
             p_n(1)
+
+    @pytest.mark.parametrize("n", (MAX_N + 1, MAX_N + 3, 100003))
+    def test_refuses_n_above_the_ceiling(self, n):
+        # the recurrence costs more than n^2, so a large n would hang
+        with pytest.raises(ValueError) as err:
+            p_n(n)
+        with pytest.raises(ValueError) as same:
+            alexander_polynomial(n)
+        assert str(err.value) == str(same.value)
+        assert str(err.value).startswith(
+            f"n={n} is above the ceiling n <= {MAX_N}")
+
+    def test_ceiling_itself_is_accepted(self):
+        assert p_n(MAX_N - 1).max_exp == MAX_N - 2
 
     @pytest.mark.parametrize("n", (5, 7, 11))
     def test_monic_symmetric_of_degree_n_minus_one(self, n):
