@@ -9,13 +9,12 @@ from sliceobs.seifert import alexander_polynomial, p_n, seifert_matrix
 
 def main():
     for n in (5, 7, 11, 17, 23):
-        sm = seifert_matrix(n)
+        side = seifert_matrix(n).nrows
         alex = alexander_polynomial(n).aligned()
         root = p_n(n)
         sq = (root * root).aligned()
         same = alex == sq or alex == sq.scale(-1)
-        print(f"n={n}: Seifert matrix {sm.matrix.nrows}x{sm.matrix.nrows}, "
-              f"genus {sm.genus}")
+        print(f"n={n}: Seifert matrix {side}x{side}, genus {n - 1}")
         print(f"  p_n coefficients: {[c for _, c in root.items()]}")
         print(f"  det(tA - A^T) == p_n^2 (up to units): {same}")
 

@@ -5,43 +5,22 @@ The package is exact end to end: Laurent polynomials over Z,
 fraction-free determinants and Smith forms, prime-field factorization,
 and the Q/Z linking form of the 3-fold branched cover all use integer
 or rational arithmetic only.
+
+The package level holds the entry points its users call; everything
+else is imported from its submodule (`sliceobs.report`,
+`sliceobs.blanchfield`, ...).
 """
 
-from .blanchfield import (CoverHomology, LinkingForm, SymmetryAction,
-                          cover_homology_snf, linking_form, linking_template,
-                          symmetry_action)
-from .braids import (BraidWord, WirtingerPresentation, family_braid,
-                     family_is_knot, wirtinger_of_closure)
-from .ffpoly import (FactorizationResult, degree_sequence, factor,
-                     is_irreducible, norm_obstructed,
-                     primitive_root_of_unity)
-from .laurent import LaurentPolynomial
-from .linalg import (Matrix, det_bareiss, det_gf, involution,
-                     smith_normal_form)
-from .metabolizers import (Character, Submodule, character_for,
-                           enumerate_metabolizers, is_metabolizer,
-                           orbit_decomposition)
-from .report import ObstructionReport, obstruct, verify_table
-from .seifert import SeifertData, alexander_polynomial, p_n, seifert_matrix
-from .twisted import (TwistedPolynomial, TwistedRep, period_shift,
-                      propagate, seed_tuples, twisted_polynomial)
+from .blanchfield import cover_homology_snf, linking_form
+from .ffpoly import is_irreducible
+from .linalg import det_gf
+from .report import obstruct, verify_table
+from .seifert import alexander_polynomial, p_n
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CoverHomology", "LinkingForm", "SymmetryAction", "cover_homology_snf",
-    "linking_form", "linking_template", "symmetry_action",
-    "BraidWord", "WirtingerPresentation", "family_braid", "family_is_knot",
-    "wirtinger_of_closure",
-    "FactorizationResult", "degree_sequence", "factor",
-    "is_irreducible", "norm_obstructed", "primitive_root_of_unity",
-    "LaurentPolynomial",
-    "Matrix", "det_bareiss", "det_gf", "involution", "smith_normal_form",
-    "Character", "Submodule", "character_for", "enumerate_metabolizers",
-    "is_metabolizer", "orbit_decomposition",
-    "ObstructionReport", "obstruct", "verify_table",
-    "SeifertData", "alexander_polynomial", "p_n", "seifert_matrix",
-    "TwistedPolynomial", "TwistedRep", "period_shift", "propagate",
-    "seed_tuples", "twisted_polynomial",
+    "obstruct", "verify_table", "linking_form", "cover_homology_snf",
+    "alexander_polynomial", "p_n", "is_irreducible", "det_gf",
     "__version__",
 ]

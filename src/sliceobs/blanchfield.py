@@ -126,7 +126,7 @@ def cover_homology_snf(n, q):
         raise ValueError(
             f"the {q}-fold cover for n={n} is presented on N q = {side} "
             f"generators, above the ceiling N q <= {MAX_COVER_SIDE}")
-    a = seifert_matrix(n).matrix.rows
+    a = seifert_matrix(n).rows
     size = len(a)
     eye = [[int(i == j) for j in range(size)] for i in range(size)]
     if apply_inverse(n, [list(row) for row in a]) != eye:
@@ -272,7 +272,7 @@ def linking_form(n):
     with w^(b-a) (w - 1) adj_vu conj(det) = x + y w over Z[w] (adj and
     det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.
     """
-    a = seifert_matrix(n).matrix
+    a = seifert_matrix(n)
     order = band_order(n)  # banded, and ends with p
     infinite = ValueError(
         "the Alexander polynomial shares a root of unity with t^3-1, "

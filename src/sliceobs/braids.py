@@ -8,13 +8,11 @@ arc per crossing, then identified around the closure and relabeled
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 __all__ = [
     "BraidWord",
     "WirtingerPresentation",
     "family_braid",
-    "family_is_knot",
     "wirtinger_of_closure",
 ]
 
@@ -144,7 +142,3 @@ def wirtinger_of_closure(braid):
     relators = tuple((relabel[find(a)], relabel[find(b)], relabel[find(c)])
                      for a, b, c in relators)
     return WirtingerPresentation(len(classes), relators)
-
-
-def family_is_knot(n):
-    return gcd(n, 3) == 1

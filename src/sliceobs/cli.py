@@ -34,6 +34,9 @@ def _parse_n(text):
 
 
 def _cmd_obstruct(args):
+    if args.json and args.csv:
+        raise ValueError("--json and --csv are two output formats; "
+                         "pass one")
     reports = []
     for n in _parse_n(args.n):
         reports.extend(obstruct(n, s=args.s, theta=args.theta,

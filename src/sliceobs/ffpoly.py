@@ -5,7 +5,8 @@ Polynomials are ascending coefficient lists with entries reduced into
 passed explicitly to every operation.  Multiplication is schoolbook;
 packing coefficients into one big integer (Kronecker substitution)
 serves products modulo a fixed polynomial, reduced by Barrett's method
-(`_barrett`, one reducer per modulus), and the Frobenius map.
+(`_barrett`, one reducer per modulus in each stage, which takes every
+power of that stage by `_power`), and the Frobenius map.
 
 Factorization is squarefree decomposition, then distinct-degree
 splitting, then Cantor-Zassenhaus from a fixed seed with a bounded
@@ -234,20 +235,12 @@ def _barrett(f, s):
     return mulmod
 
 
-def pow_mod(base, e, modulus, s):
-    """base^e reduced modulo the polynomial modulus, e >= 0, by square
-    and multiply with each product reduced by `_barrett` for the monic
-    modulus.  Factorization calls it for x^s once per squarefree part
-    (the first row of `_frobenius`) and for the power (s - 1)/2 of each
-    Cantor-Zassenhaus draw."""
-    if e < 0:
-        raise ValueError(f"pow_mod needs an exponent e >= 0, not e={e}")
-    f = monic(modulus, s)
-    if not f:
-        raise ZeroDivisionError("polynomial division by zero")
-    result = poly_divmod([1], f, s)[1]
-    base = poly_divmod(base, f, s)[1]
-    mulmod = _barrett(f, s)
+def _power(result, base, e, mulmod):
+    """result * base^e, e >= 0, by square and multiply, each product
+    reduced by `mulmod`, the `_barrett` reducer of a modulus that result
+    and base are already reduced by.  Factorization takes x^s for the
+    first row of `_frobenius` and the power (s - 1)/2 of each
+    Cantor-Zassenhaus draw through the reducer its stage holds."""
     while e:
         if e & 1:
             result = mulmod(result, base)
@@ -257,18 +250,31 @@ def pow_mod(base, e, modulus, s):
     return result
 
 
+def pow_mod(base, e, modulus, s):
+    """base^e reduced modulo the polynomial modulus, e >= 0, by `_power`
+    through one `_barrett` reducer for the monic modulus."""
+    if e < 0:
+        raise ValueError(f"pow_mod needs an exponent e >= 0, not e={e}")
+    f = monic(modulus, s)
+    if not f:
+        raise ZeroDivisionError("polynomial division by zero")
+    return _power(poly_divmod([1], f, s)[1], poly_divmod(base, f, s)[1], e,
+                  _barrett(f, s))
+
+
 def _frobenius(f, s):
     """The Frobenius map h -> h^s mod f, for a monic f of degree d >= 1,
     as a function of h reduced mod f.
 
     In characteristic s the map c -> c^s fixes Z/s and is additive, so
     h^s = sum h_i x^(i s): the map is linear, with rows x^(i s) mod f
-    for i < d.  The rows are built on the first call, from one
-    `pow_mod` for x^s and d - 2 Barrett products, and kept packed at the
-    `_limb` bound of d terms; an image is then the big-integer sum of
-    h_i times row i, unpacked once.  So a step of the distinct-degree
-    loop, or an image in a Cantor-Zassenhaus norm, costs one sum of d
-    scalar multiples instead of the log2(s) squarings of h^s.
+    for i < d.  The rows are built on the first call through one
+    `_barrett` reducer, x^s by `_power` and then d - 2 products, and
+    kept packed at the `_limb` bound of d terms; an image is then the
+    big-integer sum of h_i times row i, unpacked once.  So a step of the
+    distinct-degree loop, or an image in a Cantor-Zassenhaus norm, costs
+    one sum of d scalar multiples instead of the log2(s) squarings of
+    h^s.
     """
     d = len(f) - 1
     limb = _limb(d, s)
@@ -279,7 +285,7 @@ def _frobenius(f, s):
             rows.append(1)
             if d > 1:
                 mulmod = _barrett(f, s)
-                row = xs = pow_mod([0, 1], s, f, s)
+                row = xs = _power([1], [0, 1], s, mulmod)
                 rows.append(_pack(xs, limb))
                 for _ in range(d - 2):
                     row = mulmod(row, xs)
@@ -428,12 +434,13 @@ def _equal_degree_split(f, d, s, rng, frobenius):
     N(u)^((s - 1)/2) mod f exactly, with the norm
     N(u) = u u^s ... u^(s^(d-1)) mod f.  Its d - 1 images come from the
     map, each reduced mod f, and the remaining power has an exponent of
-    log2(s) bits, not d log2(s).  The draws and the gcds are those of
-    the direct power, so the factors are too.
+    log2(s) bits, not d log2(s).  The products and the power of every
+    draw go through one `_barrett` reducer for f.  The draws and the
+    gcds are those of the direct power, so the factors are too.
     """
     if len(f) - 1 == d:
         return [f]
-    mulmod = _barrett(f, s) if d > 1 else None
+    mulmod = _barrett(f, s)
     for _ in range(_SPLIT_TRIES):
         u = trim([rng.randrange(s) for _ in range(len(f) - 1)])
         if len(u) < 2:
@@ -444,8 +451,8 @@ def _equal_degree_split(f, d, s, rng, frobenius):
             for _ in range(d - 1):
                 image = poly_divmod(frobenius(image), f, s)[1]
                 norm = mulmod(norm, image)
-            g = poly_gcd(sub(pow_mod(norm, (s - 1) // 2, f, s), [1], s),
-                         f, s)
+            power = _power([1], norm, (s - 1) // 2, mulmod)
+            g = poly_gcd(sub(power, [1], s), f, s)
         if 1 < len(g) < len(f):
             rest = poly_divmod(f, g, s)[0]
             return (_equal_degree_split(g, d, s, rng, frobenius)
@@ -497,13 +504,9 @@ def is_irreducible(f, s):
 
 
 def degree_sequence(fact):
-    """Sorted degrees, with multiplicity, of a factorization."""
-    if isinstance(fact, FactorizationResult):
-        pairs = fact.factors
-    else:
-        pairs = fact
+    """Sorted degrees, with multiplicity, of a `FactorizationResult`."""
     degs = []
-    for poly, m in pairs:
+    for poly, m in fact.factors:
         degs.extend([len(poly) - 1] * m)
     return sorted(degs)
 

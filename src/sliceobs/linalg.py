@@ -22,7 +22,7 @@ prime field use plain Gaussian elimination (`det_gf`), and
 
 from fractions import Fraction
 
-from .laurent import LaurentPolynomial, zero, t
+from .laurent import LaurentPolynomial
 
 __all__ = [
     "Matrix",
@@ -50,9 +50,9 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def identity(n, one=1, zero=0):
-        return Matrix(tuple(tuple(one if i == j else zero
-                                  for j in range(n)) for i in range(n)))
+    def identity(n):
+        return Matrix(tuple(tuple(int(i == j) for j in range(n))
+                            for i in range(n)))
 
     @property
     def nrows(self):
@@ -233,10 +233,9 @@ def _bareiss(a, steps):
 
 
 def det_bareiss(m):
-    """Determinant of a square integer matrix (a Matrix or a list of
-    rows) by fraction-free elimination."""
-    rows = m.rows if isinstance(m, Matrix) else m
-    a = [list(r) for r in rows]
+    """Determinant of a square integer matrix, given by its rows (a
+    Matrix iterates over its rows), by fraction-free elimination."""
+    a = [list(r) for r in m]
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of non-square matrix")
@@ -250,11 +249,9 @@ def det_bareiss(m):
 
 def det_gf(rows, s):
     """Determinant of an integer matrix modulo the prime s, by Gaussian
-    elimination.  Accepts a Matrix or a list of rows; returns an int in
-    [0, s).
+    elimination.  Takes the rows (a Matrix iterates over its rows);
+    returns an int in [0, s).
     """
-    if isinstance(rows, Matrix):
-        rows = rows.rows
     a = [[x % s for x in r] for r in rows]
     n = len(a)
     det = 1
@@ -281,21 +278,26 @@ def _newton_interpolate(pts, vals):
     """The unique integer polynomial of degree < len(pts) through the
     given integer values at the given distinct integer nodes.  Raises
     ArithmeticError if the interpolant is not integral.
+
+    Newton's divided differences stay in the integers: those of an
+    integer polynomial at integer nodes are integers, and integer
+    divided differences at integer nodes give an integer polynomial, so
+    the interpolant is integral exactly when every division is exact.
+    The Newton form is expanded by Horner's rule.
     """
-    coef = [Fraction(v) for v in vals]
+    coef = list(vals)
     n = len(pts)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (pts[i] - pts[i - j])
-    poly = zero()
+            coef[i], r = divmod(coef[i] - coef[i - 1], pts[i] - pts[i - j])
+            if r:
+                raise ArithmeticError("interpolant not integral")
+    poly = []
     for i in range(n - 1, -1, -1):
-        poly = poly * (t() - pts[i]) + coef[i]
-    out = {}
-    for e, c in poly.items():
-        if c.denominator != 1:
-            raise ArithmeticError("interpolant not integral")
-        out[e] = c.numerator
-    return LaurentPolynomial(out)
+        # poly = poly * (t - pts[i]) + coef[i]
+        poly = [a - pts[i] * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += coef[i]
+    return LaurentPolynomial(dict(enumerate(poly)))
 
 
 # -- Smith normal form --------------------------------------------------------
@@ -333,10 +335,9 @@ def smith_normal_form(m):
     beats, and a unit pivot divides everything, so the divisibility sweep
     is skipped for it: neither shortcut changes a single step.
     """
-    rows = m.rows if isinstance(m, Matrix) else m
-    if not all(isinstance(x, int) for r in rows for x in r):
+    a = [list(r) for r in m]
+    if not all(isinstance(x, int) for r in a for x in r):
         raise TypeError("integer Smith form takes integer entries")
-    a = [list(r) for r in rows]
     nr = len(a)
     nc = len(a[0]) if a else 0
     out = []

@@ -236,13 +236,13 @@ def orbit_base_metabolizer(n):
     return line_submodule(n, n - 1, n - 1)
 
 
-def character_for(sub, form=None):
-    """A character of order n vanishing on the given metabolizer: the
-    fixed point gets chi_-, the orbit member r^j(P_+) gets chi_+ r^(n-j).
+def character_for(sub, form):
+    """A character of order n vanishing on the given metabolizer of the
+    linking form: the fixed point gets chi_-, the orbit member r^j(P_+)
+    gets chi_+ r^(n-j).
     """
     n = sub.n
-    if form is not None:
-        _same_n(n, form)
+    _same_n(n, form)
     plus, minus = base_characters(n)
     if sub == fixed_metabolizer(n):
         if not minus.vanishes_on(sub):
@@ -264,6 +264,6 @@ def character_for(sub, form=None):
     chi = Character(n, tuple(row), "+")
     if not chi.vanishes_on(sub):
         raise ArithmeticError("constructed character must vanish")
-    if form is not None and not is_metabolizer(sub, form):
+    if not is_metabolizer(sub, form):
         raise ArithmeticError("submodule is not a metabolizer of the form")
     return chi

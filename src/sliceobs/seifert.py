@@ -26,7 +26,6 @@ against `MAX_N`, so it fires before anything is allocated;
 `report.obstruct` runs it before it builds the presentation.
 """
 
-from dataclasses import dataclass
 from itertools import count, islice
 from math import lcm
 from operator import add
@@ -34,7 +33,7 @@ from operator import add
 from .laurent import LaurentPolynomial
 from .linalg import Matrix, _bareiss, _newton_interpolate
 
-__all__ = ["MAX_N", "check_n", "SeifertData", "band_matrix",
+__all__ = ["MAX_N", "check_n", "band_matrix",
            "seifert_matrix", "apply_inverse", "band_order",
            "alexander_polynomial", "p_n"]
 
@@ -67,25 +66,14 @@ def band_matrix(n):
         for i in range(m)))
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """A Seifert matrix for the n-th closure, on a genus n-1 surface."""
-    n: int
-    matrix: Matrix
-
-    @property
-    def genus(self):
-        return self.n - 1
-
-
 def seifert_matrix(n):
-    """A = [[-B^T, 0], [B, B]] for B = `band_matrix(n)`, row by row: the
-    top rows are the columns of B negated, then n - 1 zeros."""
+    """The Seifert matrix A = [[-B^T, 0], [B, B]] of the n-th closure, on
+    its genus n-1 surface, for B = `band_matrix(n)`, row by row: the top
+    rows are the columns of B negated, then n - 1 zeros."""
     b = band_matrix(n).rows
     zeros = [0] * (n - 1)
-    return SeifertData(n, Matrix([[-x for x in col] + zeros
-                                  for col in zip(*b)]
-                                 + [row + row for row in b]))
+    return Matrix([[-x for x in col] + zeros for col in zip(*b)]
+                  + [row + row for row in b])
 
 
 def apply_inverse(n, x):
@@ -149,7 +137,7 @@ def alexander_polynomial(n):
     mixes the denominators x^h of all points and, near n = 200, costs
     more than the eliminations.)  g_k = G_k / L^(h-k) must divide
     exactly, and g is expanded back to Delta."""
-    a = seifert_matrix(n).matrix.rows
+    a = seifert_matrix(n).rows
     if not all(isinstance(x, int) for row in a for x in row):
         raise TypeError("the Seifert matrix must have integer entries")
     order = band_order(n)

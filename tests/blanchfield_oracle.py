@@ -101,7 +101,7 @@ def blanchfield_entries(n):
     """The pairing values c_ij = (t-1) (A - t A^T)^-1 [p_i, p_j] at the
     0-based rows p_0 = n-2, p_1 = 2n-3 (see `_pairing_cofactors`),
     checked to be hermitian: c_ij(t^-1) den(t) = c_ji(t) den(t^-1)."""
-    den, adj = _pairing_cofactors(seifert_matrix(n).matrix,
+    den, adj = _pairing_cofactors(seifert_matrix(n),
                                   (n - 2, 2 * n - 3))
     if not den:
         raise ValueError(f"A - t A^T is singular for n={n}")
@@ -203,7 +203,7 @@ def block_circulant_homology(n, q):
     """Smith form of the presentation t A - A^T with t replaced by the
     companion matrix of t^q - 1.  Raises the same ValueError as
     `sliceobs.blanchfield.cover_homology_snf` for an infinite group."""
-    a = seifert_matrix(n).matrix
+    a = seifert_matrix(n)
     size = a.nrows
     rows = []
     for i in range(size):
@@ -244,7 +244,7 @@ def dense_monodromy_homology(n, qs):
     qs, from h^q - I, with h = A^-1 A^T the Matrix product of the dense
     `seifert_inverse` and A^T, and its powers taken in turn up to
     max(qs)."""
-    a = seifert_matrix(n).matrix
+    a = seifert_matrix(n)
     size = a.nrows
     h = seifert_inverse(n) * a.transpose()
     terms = [[(k, c) for k, c in enumerate(row) if c] for row in h.rows]

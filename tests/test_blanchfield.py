@@ -59,7 +59,7 @@ def five_determinant_cofactors(a, pos):
 
 
 def five_determinant_entries(n):
-    den, adj = five_determinant_cofactors(seifert_matrix(n).matrix,
+    den, adj = five_determinant_cofactors(seifert_matrix(n),
                                           (n - 2, 2 * n - 3))
     tm1 = LaurentPolynomial({1: 1, 0: -1})
     return BlanchfieldEntries(
@@ -208,14 +208,14 @@ class TestCoverHomology:
     def test_closed_form_inverse(self, n):
         # the dense oracle inverts A, and the program's prefix-sum
         # apply of A^-1 agrees with it on A itself
-        a = seifert_matrix(n).matrix
+        a = seifert_matrix(n)
         assert a * seifert_inverse(n) == Matrix.identity(a.nrows)
         assert Matrix(apply_inverse(n, [list(r) for r in a])) \
             == seifert_inverse(n) * a == Matrix.identity(a.nrows)
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_band_order_puts_every_nonzero_near_the_diagonal(self, n):
-        a = seifert_matrix(n).matrix
+        a = seifert_matrix(n)
         order = band_order(n)
         assert sorted(order) == list(range(a.nrows))
         assert order[-2:] == [n - 2, 2 * n - 3]

@@ -7,7 +7,6 @@ from sliceobs.braids import (
     BraidWord,
     WirtingerPresentation,
     family_braid,
-    family_is_knot,
     wirtinger_of_closure,
 )
 from sliceobs.linalg import Matrix, smith_normal_form
@@ -49,7 +48,6 @@ class TestFamilyBraid:
     @pytest.mark.parametrize("n", range(1, 25))
     def test_knot_exactly_when_coprime_to_three(self, n):
         assert family_braid(n).is_knot_closure == (n % 3 != 0)
-        assert family_is_knot(n) == (n % 3 != 0)
 
 
 class TestWirtinger:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fresh_python import run_python
+from sliceobs import cli
 from sliceobs.cli import build_parser, main
 
 
@@ -127,6 +128,7 @@ class TestBadInput:
         ["obstruct", "--n", "11", "--s", str(10 ** 25 + 1)],
         ["obstruct", "--n", "x"],
         ["verify-table", "--n", "11,17"],
+        ["obstruct", "--n", "11", "--json", "--csv"],
     ])
     def test_one_line_error_and_exit_code_2(self, argv, capsys):
         assert main(argv) == 2
@@ -147,6 +149,13 @@ class TestBadInput:
         assert main([command, "--n", "x"]) == 2
         assert capsys.readouterr().err == (
             "sliceobs: error: --n takes an integer or 'all', not 'x'\n")
+
+    def test_two_output_formats_are_refused_before_any_work(self,
+                                                            monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("obstruct ran")
+        monkeypatch.setattr(cli, "obstruct", no_work)
+        assert main(["obstruct", "--n", "all", "--csv", "--json"]) == 2
 
     def test_composite_s_fails_fast_under_optimize(self):
         # input checks must not be asserts, which -O strips

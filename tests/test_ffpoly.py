@@ -275,16 +275,16 @@ def test_factor_product_roundtrip(coeffs):
 
 
 def test_factor_bounds_cantor_zassenhaus_retries():
-    # with pow_mod right only for e = s (the distinct-degree stage), no
+    # with powers right only for e = s (the distinct-degree stage), no
     # equal-degree draw splits (t^2 + 1)(t^2 + 4) mod 1000003, since a
     # random u shares a factor with it only about once in 500000 draws;
     # the retries used to run in a `while True`, so factor hung
     s = 1000003
     assert is_irreducible([1, 0, 1], s) and is_irreducible([4, 0, 1], s)
     code = ("from sliceobs import ffpoly\n"
-            "real = ffpoly.pow_mod\n"
-            "ffpoly.pow_mod = lambda b, e, m, s: (\n"
-            "    real(b, e, m, s) if e == s else [1])\n"
+            "real = ffpoly._power\n"
+            "ffpoly._power = lambda r, b, e, mulmod: (\n"
+            f"    real(r, b, e, mulmod) if e == {s} else [1])\n"
             f"ffpoly.factor([4, 0, 5, 0, 1], {s})\n")
     proc = run_python(["-c", code], 60)
     assert proc.returncode != 0
@@ -308,7 +308,7 @@ def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
     s = 23
     f = [3, 1, 0, 0, 0, 1]  # t^5 + t + 3
     applied, powers = [], []
-    real_frobenius, real_pow_mod = ffpoly._frobenius, ffpoly.pow_mod
+    real_frobenius, real_power = ffpoly._frobenius, ffpoly._power
 
     def counting_frobenius(modulus, s):
         frobenius = real_frobenius(modulus, s)
@@ -318,18 +318,43 @@ def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
             return frobenius(h)
         return apply
 
-    def counting_pow_mod(*args):
-        powers.append(args[1])
-        return real_pow_mod(*args)
+    def counting_power(*args):
+        powers.append(args[2])
+        return real_power(*args)
 
     monkeypatch.setattr(ffpoly, "_frobenius", counting_frobenius)
-    monkeypatch.setattr(ffpoly, "pow_mod", counting_pow_mod)
+    monkeypatch.setattr(ffpoly, "_power", counting_power)
     assert is_irreducible(f, s)
     assert (applied, powers) == ([5, 5], [s])
     applied.clear()
     powers.clear()
     assert factor(f, s).factors == ((tuple(f), 1),)
     assert (applied, powers) == ([5, 5], [s])
+
+
+def test_one_barrett_reducer_per_modulus_however_many_draws(monkeypatch):
+    # (t^2 + 1)(t^2 + 4)(t + 3) mod 1000003: the map of the quintic and
+    # the split of the two quadratics each build one reducer and take
+    # every power through it, the x^s and those of all the draws
+    s = 1000003
+    f = mul(mul([1, 0, 1], [4, 0, 1], s), [3, 1], s)
+    builds, draws = [], []
+    real_barrett, real_power = ffpoly._barrett, ffpoly._power
+
+    def counting_barrett(modulus, s):
+        builds.append(tuple(modulus))
+        return real_barrett(modulus, s)
+
+    def counting_power(result, base, e, mulmod):
+        if e == (s - 1) // 2:
+            draws.append(e)
+        return real_power(result, base, e, mulmod)
+
+    monkeypatch.setattr(ffpoly, "_barrett", counting_barrett)
+    monkeypatch.setattr(ffpoly, "_power", counting_power)
+    assert degree_sequence(factor(f, s)) == [1, 2, 2]
+    assert len(draws) >= 2
+    assert builds == [tuple(f), tuple(mul([1, 0, 1], [4, 0, 1], s))]
 
 
 ORACLE_PRIMES = (3, 5, 23, 1000003, 2 ** 31 - 1)
@@ -403,7 +428,8 @@ def test_degree_sequence():
     degs = degree_sequence(res)
     assert sum(degs) == 6
     assert degs == sorted(degs)
-    assert degree_sequence([((0, 1), 2), ((1, 2, 1), 1)]) == [1, 1, 2]
+    pairs = FactorizationResult(23, 1, (((0, 1), 2), ((1, 2, 1), 1)))
+    assert degree_sequence(pairs) == [1, 1, 2]
 
 
 def test_primitive_root_of_unity():

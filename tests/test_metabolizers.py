@@ -218,7 +218,7 @@ class TestCharacters:
         assert minus.vanishes_on(fixed_metabolizer(11))
 
     def test_character_for_fixed_point(self):
-        chi = character_for(fixed_metabolizer(11))
+        chi = character_for(fixed_metabolizer(11), _FORMS[11])
         assert chi.sign == "-"
         assert chi.row == (1, 0, 0, 10)
 
@@ -234,9 +234,9 @@ class TestCharacters:
 
     def test_character_for_rejects_non_metabolizer(self):
         with pytest.raises(ValueError):
-            character_for(line_submodule(11, 0, 0))
+            character_for(line_submodule(11, 0, 0), _FORMS[11])
 
     def test_orbit_characters_are_distinct(self):
         mets = enumerate_metabolizers(5)
-        rows = {character_for(p).row for p in mets}
+        rows = {character_for(p, _FORMS[5]).row for p in mets}
         assert len(rows) == len(mets)

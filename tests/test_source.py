@@ -4,12 +4,14 @@ under `python -O`."""
 import ast
 import importlib
 import os
+import re
 
 import sliceobs
 from fresh_python import run_python
 
 PACKAGE_DIR = os.path.dirname(sliceobs.__file__)
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+REPO_DIR = os.path.dirname(TESTS_DIR)
 
 
 def test_no_assert_statements():
@@ -42,6 +44,37 @@ def test_every_all_name_resolves():
                     for attr in getattr(module, "__all__", ())
                     if not hasattr(module, attr)]
     assert not missing, f"names in __all__ but not defined: {missing}"
+
+
+def _package_level_names_used():
+    """The names read as `sliceobs.<name>` or imported by `from sliceobs
+    import ...` in README.md and the files under perfbench/, leaving out
+    submodules and the module's own dunder attributes."""
+    paths = [os.path.join(REPO_DIR, "README.md")]
+    bench = os.path.join(REPO_DIR, "perfbench")
+    paths += [os.path.join(bench, name) for name in sorted(os.listdir(bench))
+              if name.endswith((".py", ".md"))]
+    submodules = {name[:-3] for name in os.listdir(PACKAGE_DIR)
+                  if name.endswith(".py")}
+    used = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        used.update(re.findall(r"\bsliceobs\.(\w+)", text))
+        for names in re.findall(
+                r"\bfrom sliceobs import (\([^)]*\)|[\w ,]+)", text):
+            used.update(re.findall(r"\w+", names))
+    return {name for name in used
+            if name not in submodules and not name.startswith("__")}
+
+
+def test_package_names_are_the_ones_their_users_reach():
+    # the package level holds what README's sketch and the benchmark
+    # reach through `sliceobs.`; everything else stays in its submodule
+    used = _package_level_names_used()
+    exported = set(sliceobs.__all__) - {"__version__"}
+    assert sorted(exported - used) == [], "exported but unused"
+    assert sorted(used - exported) == [], "used but not exported"
 
 
 def test_every_oracle_is_used_by_a_test():
