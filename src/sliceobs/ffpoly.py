@@ -262,16 +262,17 @@ def pow_mod(base, e, modulus, s):
                   _barrett(f, s))
 
 
-def _frobenius(f, s):
+def _frobenius(f, s, mulmod):
     """The Frobenius map h -> h^s mod f, for a monic f of degree d >= 1,
-    as a function of h reduced mod f.
+    as a function of h reduced mod f, given `mulmod`, the `_barrett`
+    reducer of f, which the caller may use for its own products mod f.
 
     In characteristic s the map c -> c^s fixes Z/s and is additive, so
     h^s = sum h_i x^(i s): the map is linear, with rows x^(i s) mod f
-    for i < d.  The rows are built on the first call through one
-    `_barrett` reducer, x^s by `_power` and then d - 2 products, and
-    kept packed at the `_limb` bound of d terms; an image is then the
-    big-integer sum of h_i times row i, unpacked once.  So a step of the
+    for i < d.  The rows are built on the first call through `mulmod`,
+    x^s by `_power` and then d - 2 products, and kept packed at the
+    `_limb` bound of d terms; an image is then the big-integer sum of
+    h_i times row i, unpacked once.  So a step of the
     distinct-degree loop, or an image in a Cantor-Zassenhaus norm, costs
     one sum of d scalar multiples instead of the log2(s) squarings of
     h^s.
@@ -284,7 +285,6 @@ def _frobenius(f, s):
         if not rows:
             rows.append(1)
             if d > 1:
-                mulmod = _barrett(f, s)
                 row = xs = _power([1], [0, 1], s, mulmod)
                 rows.append(_pack(xs, limb))
                 for _ in range(d - 2):
@@ -305,7 +305,8 @@ def evaluate(a, x, s):
 def interpolate(xs, ys, s):
     """The unique polynomial of degree < len(xs) through (xs[i], ys[i])
     mod s, by Newton's divided differences.  The inverse of each distinct
-    node difference is taken once: m of them for the nodes 1 .. m + 1."""
+    node difference is taken once: m of them for the nodes 1 .. m + 1.
+    The Newton form is expanded by Horner's rule, one list per node."""
     n = len(xs)
     if len(ys) != n:
         raise ValueError("interpolation needs one value per point")
@@ -318,13 +319,13 @@ def interpolate(xs, ys, s):
             d = (xs[i] - xs[i - j]) % s
             inv = inverse.get(d)
             if inv is None:
-                inv = inverse[d] = pow(d, s - 2, s)
+                inv = inverse[d] = pow(d, -1, s)
             coef[i] = (coef[i] - coef[i - 1]) * inv % s
     poly = []
-    for i in range(n - 1, -1, -1):
-        # poly = poly * (t - xs[i]) + coef[i]
-        poly = add(mul(poly, [-xs[i] % s, 1], s), [coef[i]], s)
-    return poly
+    for x, c in zip(reversed(xs), reversed(coef)):
+        # poly = poly * (t - x) + c
+        poly = [(a - x * b) % s for a, b in zip([c] + poly, poly + [0])]
+    return trim(poly)
 
 
 def derivative(a, s):
@@ -423,11 +424,12 @@ _SEED = 2026
 _SPLIT_TRIES = 64
 
 
-def _equal_degree_split(f, d, s, rng, frobenius):
+def _equal_degree_split(f, d, s, rng, frobenius, mulmod=None):
     """Cantor-Zassenhaus: split monic squarefree f whose irreducible
     factors all have degree d, given `frobenius`, the Frobenius map of a
-    multiple of f; ArithmeticError after _SPLIT_TRIES draws that do not
-    split it.
+    multiple of f, and `mulmod`, the `_barrett` reducer of f when the
+    caller holds one; ArithmeticError after _SPLIT_TRIES draws that do
+    not split it.
 
     A draw u splits f by gcd(u^((s^d - 1)/2) - 1, f).  Since
     (s^d - 1)/2 = (1 + s + ... + s^(d-1)) (s - 1)/2, that power is
@@ -435,12 +437,14 @@ def _equal_degree_split(f, d, s, rng, frobenius):
     N(u) = u u^s ... u^(s^(d-1)) mod f.  Its d - 1 images come from the
     map, each reduced mod f, and the remaining power has an exponent of
     log2(s) bits, not d log2(s).  The products and the power of every
-    draw go through one `_barrett` reducer for f.  The draws and the
-    gcds are those of the direct power, so the factors are too.
+    draw go through one reducer for f, built here unless it was given.
+    The draws and the gcds are those of the direct power, so the
+    factors are too.
     """
     if len(f) - 1 == d:
         return [f]
-    mulmod = _barrett(f, s)
+    if mulmod is None:
+        mulmod = _barrett(f, s)
     for _ in range(_SPLIT_TRIES):
         u = trim([rng.randrange(s) for _ in range(len(f) - 1)])
         if len(u) < 2:
@@ -476,9 +480,14 @@ def factor(a, s):
     found = {}
     if len(f) > 1:
         for sf, m in _squarefree_parts(f, s):
-            frobenius = _frobenius(sf, s)
+            # the map's reducer also splits sf itself, when every
+            # irreducible factor of sf has one degree
+            mulmod = _barrett(sf, s)
+            frobenius = _frobenius(sf, s, mulmod)
             for prod, d in _distinct_degree(sf, s, frobenius):
-                for irr in _equal_degree_split(prod, d, s, rng, frobenius):
+                top = mulmod if len(prod) == len(sf) else None
+                for irr in _equal_degree_split(prod, d, s, rng, frobenius,
+                                               top):
                     key = tuple(irr)
                     found[key] = found.get(key, 0) + m
     factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
@@ -499,7 +508,7 @@ def is_irreducible(f, s):
         return False
     if poly_gcd(f, derivative(f, s), s) != [1]:
         return False
-    steps = _distinct_degree(f, s, _frobenius(f, s))
+    steps = _distinct_degree(f, s, _frobenius(f, s, _barrett(f, s)))
     return next(steps) == (f, len(f) - 1)
 
 

@@ -16,8 +16,13 @@ together from such values at integer nodes by `_newton_interpolate`
 the scaled nodes L (x + 1/x)).
 Its partial form, stopped before the last rows, also yields bordered
 minors (see `blanchfield._pairing_at_omega`).  Determinants over a
-prime field use plain Gaussian elimination (`det_gf`), and
-`smith_normal_form` is an integer-only elimination.
+prime field use plain Gaussian elimination (`det_gf`), which also takes
+many matrices of one side laid out side by side, entry by entry, and
+eliminates them together: one list operation per row and step serves
+every matrix, and a pivot is swapped only at the matrices where it
+vanishes (`twisted` reduces its Schur complements this way, at all the
+evaluation points at once).  `smith_normal_form` is an integer-only
+elimination.
 """
 
 from fractions import Fraction
@@ -247,31 +252,51 @@ def det_bareiss(m):
     return 0 if sign is None else sign * a[n - 1][n - 1]
 
 
-def det_gf(rows, s):
+def det_gf(rows, s, points=None):
     """Determinant of an integer matrix modulo the prime s, by Gaussian
     elimination.  Takes the rows (a Matrix iterates over its rows);
     returns an int in [0, s).
+
+    With `points`, the rows hold that many k-square matrices side by
+    side, entry (i, j) of matrix p at rows[i][j * points + p], and the
+    list of their determinants is returned.  One elimination runs over
+    all of them: a step is one list operation per row across every
+    point, and the pivot is swapped by rows at a point only where it
+    vanishes there.  A point with no pivot left keeps a zero pivot,
+    whose zero inverse leaves its rows as they are, and its determinant
+    is 0.  The one-matrix call is the case of one point.
     """
+    npts = 1 if points is None else points
     a = [[x % s for x in r] for r in rows]
-    n = len(a)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = s - det
-        pk = a[k][k]
-        det = det * pk % s
-        inv = pow(pk, s - 2, s)
-        row_k = a[k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            if f:
-                f = f * inv % s
-                a[i] = [(x - f * y) % s for x, y in zip(a[i], row_k)]
-    return det % s
+    k = len(a)
+    if any(len(r) != k * npts for r in a):
+        raise ValueError("determinant of non-square matrix")
+    det = [1] * npts
+    for c in range(k):
+        # a[c:] now hold only the columns c.. of each row
+        row_c = a[c]
+        for p in range(npts):
+            if row_c[p]:
+                continue
+            swap = next((i for i in range(c + 1, k) if a[i][p]), None)
+            if swap is not None:
+                row_i = a[swap]
+                for j in range(p, len(row_c), npts):
+                    row_c[j], row_i[j] = row_i[j], row_c[j]
+                det[p] = s - det[p]
+        pivot = row_c[:npts]
+        det = [d * x % s for d, x in zip(det, pivot)]
+        inv = [pow(x, -1, s) if x else 0 for x in pivot]
+        # the pivot row past its pivot, divided by the pivot
+        scaled = [y * w % s for y, w in zip(row_c[npts:],
+                                             inv * (k - c - 1))]
+        for i in range(c + 1, k):
+            row_i = a[i]
+            f = row_i[:npts]
+            a[i] = ([(x - g * y) % s for x, g, y in zip(
+                row_i[npts:], f * (k - c - 1), scaled)]
+                if any(f) else row_i[npts:])
+    return det if points is not None else det[0]
 
 
 def _newton_interpolate(pts, vals):

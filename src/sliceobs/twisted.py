@@ -10,14 +10,18 @@ and three seed triples determine every generator.  The polynomial is
 det of the Fox matrix with one relator row and one generator column
 removed (Wada's deleted Fox determinant), divided by (t - 1)^2 exactly.
 
-The determinant is never assembled densely.  At each point x = 1..m+1
-the relators, taken in crossing order, eliminate the arc each crossing
-creates by block forward substitution; the arcs read before they are
-created (the initial arcs) and the dropped relator's arc are left as a
-border of at most four arcs, whose Schur complement (at most 12 x 12)
-goes to `det_gf`.  That is O(n) block work per point instead of a dense
-3(2n-1)-square determinant; the values are then interpolated.  The dense
-route lives on in the tests as the oracle.
+The determinant is never assembled densely.  At all the points
+x = 1..m+1 at once, the relators, taken in crossing order, eliminate
+the arc each crossing creates by block forward substitution; the arcs
+read before they are created (the initial arcs) and the dropped
+relator's arc are left as a border of at most four arcs.  A relator's
+step is fused: each row of the arc it creates, or of its residual, is
+one pass over the points and border columns with one reduction mod s
+per entry.  The Schur complement in the border (at most 12 x 12) is
+then reduced by one Gaussian elimination over all the points together
+(`det_gf` with `points`).  That is O(n) block work per point instead of
+a dense 3(2n-1)-square determinant; the values are then interpolated.
+The dense route lives on in the tests as the oracle.
 """
 
 from dataclasses import dataclass
@@ -245,13 +249,22 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     12 x 12 for a 3-braid, and
         det = sign * prod det(pivot block) * det S,
     with det(-Phi(b)) = -x d_1 d_2 d_3 and the sign of the reordering of
-    relators and arcs.  t occurs in one row per kept relator, so the
-    determinant has degree at most m (the number of kept relators) and
-    its values at x = 1..m+1 fix it; interpolation through those points
-    cannot return more, so the bound needs no separate check.  The values
-    are computed side by side: each block entry is a list over the
-    points, and a row of T is its 3|border| entries laid end to end.
-    x = 0 is avoided because Phi(b) is singular there.
+    relators and arcs.  The values are computed side by side: each block
+    entry is a list over the points, and a row of T is its 3|border|
+    entries laid end to end.  v is never formed: its row is folded into
+    the row of T or S that reads it, so a relator costs three passes,
+    one per row, each reducing once mod s.  The row of x (and of 1/x)
+    across all entries is built once per call.  S is then already laid
+    out for `det_gf`'s batched form, one elimination for all the
+    points.
+
+    t occurs in one row per kept relator, so the determinant has degree
+    at most m (the number of kept relators) and its values at
+    x = 1..m+1 fix it; interpolation through those points cannot return
+    more, so the bound is not checked separately.  No extra point could
+    check it at the reference witnesses: m + 1 = 2n, so n = 11 at s = 23
+    and n = 23 at s = 47 already use every nonzero residue, and x = 0 is
+    avoided because Phi(b) is singular there.
     """
     s = rep.s
     m = pres.num_generators - 1
@@ -275,11 +288,9 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
             rows[i][(3 * k + i) * npts:(3 * k + i + 1) * npts] = [1] * npts
         value[g] = rows
     last_read = {g: i for i, rel in enumerate(kept) for g in rel}
-    inv_xs = [pow(x, s - 2, s) for x in xs]
-
-    def tiled(points, d):
-        """d * points, repeated for every border column of a row."""
-        return [y * d % s for y in points] * cols
+    # x and 1/x at the entry of every border column of a row
+    x_row = xs * cols
+    inv_x_row = [pow(x, -1, s) for x in xs] * cols
 
     # det of the pivot blocks: sign * const * x^x_power
     const, x_power = 1, 0
@@ -289,40 +300,46 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
         return zero if g == drop_generator else value[g]
 
     for i, ((a, b, c), pivot) in enumerate(zip(kept, pivots)):
-        da, db = rep.d(a), rep.d(b)
-        # v = (Phi(a) - I) T_b
+        (da0, da1, da2), (db0, db1, db2) = rep.d(a), rep.d(b)
         tb0, tb1, tb2 = arc(b)
-        xa = tiled(xs, da[2])
-        v = ([(p * q - r) % s for p, q, r in zip(xa, tb2, tb0)],
-             [(da[0] * q - r) % s for q, r in zip(tb0, tb1)],
-             [(da[1] * q - r) % s for q, r in zip(tb1, tb2)])
+        # each row below folds in its row of v = (Phi(a) - I) T_b:
+        # (x da2 tb2 - tb0, da0 tb0 - tb1, da1 tb1 - tb2)
         if pivot == a:
+            # T_a = Phi(b) T_c - v
             tc0, tc1, tc2 = arc(c)
-            xb = tiled(xs, db[2])
             value[a] = [
-                [(p * q - r) % s for p, q, r in zip(xb, tc2, v[0])],
-                [(db[0] * q - r) % s for q, r in zip(tc0, v[1])],
-                [(db[1] * q - r) % s for q, r in zip(tc1, v[2])]]
+                [(x * (db2 * q - da2 * r) + u) % s
+                 for x, q, r, u in zip(x_row, tc2, tb2, tb0)],
+                [(db0 * q - da0 * r + u) % s
+                 for q, r, u in zip(tc0, tb0, tb1)],
+                [(db1 * q - da1 * r + u) % s
+                 for q, r, u in zip(tc1, tb1, tb2)]]
         elif pivot == c:
-            ta = arc(a)
-            inv0, inv1 = pow(db[0], s - 2, s), pow(db[1], s - 2, s)
-            ixb = tiled(inv_xs, pow(db[2], s - 2, s))
+            # T_c = Phi(b)^-1 (T_a + v): rows 1 and 2 of T_a + v divided
+            # by db0 and db1, then row 0 divided by x db2, which takes
+            # the x out of v's row 0
+            ta0, ta1, ta2 = arc(a)
+            inv0, inv1, inv2 = (pow(d, -1, s) for d in (db0, db1, db2))
+            e2 = da2 * inv2
             value[c] = [
-                [inv0 * (p + q) % s for p, q in zip(ta[1], v[1])],
-                [inv1 * (p + q) % s for p, q in zip(ta[2], v[2])],
-                [w * (p + q) % s for w, p, q in zip(ixb, ta[0], v[0])]]
-            const = -const * db[0] * db[1] * db[2] % s
+                [inv0 * (p + da0 * q - r) % s
+                 for p, q, r in zip(ta1, tb0, tb1)],
+                [inv1 * (p + da1 * q - r) % s
+                 for p, q, r in zip(ta2, tb1, tb2)],
+                [(inv2 * w * (p - r) + e2 * q) % s
+                 for w, p, r, q in zip(inv_x_row, ta0, tb0, tb2)]]
+            const = -const * db0 * db1 * db2 % s
             x_power += 1
         else:
-            ta, (tc0, tc1, tc2) = arc(a), arc(c)
-            xb = tiled(xs, db[2])
+            # the residual T_a + v - Phi(b) T_c
+            (ta0, ta1, ta2), (tc0, tc1, tc2) = arc(a), arc(c)
             residuals.append((i, [
-                [(p + q - w * r) % s
-                 for p, q, w, r in zip(ta[0], v[0], xb, tc2)],
-                [(p + q - db[0] * r) % s
-                 for p, q, r in zip(ta[1], v[1], tc0)],
-                [(p + q - db[1] * r) % s
-                 for p, q, r in zip(ta[2], v[2], tc1)]]))
+                [(p - u + x * (da2 * q - db2 * r)) % s
+                 for p, u, x, q, r in zip(ta0, tb0, x_row, tb2, tc2)],
+                [(p - u + da0 * q - db0 * r) % s
+                 for p, u, q, r in zip(ta1, tb1, tb0, tc0)],
+                [(p - u + da1 * q - db1 * r) % s
+                 for p, u, q, r in zip(ta2, tb2, tb1, tc1)]]))
         for g in (a, b, c):
             if last_read[g] == i:
                 value.pop(g, None)
@@ -331,10 +348,9 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     sign = (_parity([i for i, p in enumerate(pivots) if p is not None]
                     + [i for i, _ in residuals])
             * _parity([p for p in pivots if p is not None] + border))
-    ys = []
-    for k, x in enumerate(xs):
-        schur = [row[k::npts] for row in rows]
-        ys.append(sign * const * pow(x, x_power, s) * det_gf(schur, s) % s)
+    dets = det_gf(rows, s, npts)
+    ys = [sign * const * pow(x, x_power, s) * d % s
+          for x, d in zip(xs, dets)]
     return ffpoly.interpolate(xs, ys, s)
 
 

@@ -310,8 +310,8 @@ def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
     applied, powers = [], []
     real_frobenius, real_power = ffpoly._frobenius, ffpoly._power
 
-    def counting_frobenius(modulus, s):
-        frobenius = real_frobenius(modulus, s)
+    def counting_frobenius(modulus, s, mulmod):
+        frobenius = real_frobenius(modulus, s, mulmod)
 
         def apply(h):
             applied.append(len(modulus) - 1)
@@ -335,9 +335,12 @@ def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
 def test_one_barrett_reducer_per_modulus_however_many_draws(monkeypatch):
     # (t^2 + 1)(t^2 + 4)(t + 3) mod 1000003: the map of the quintic and
     # the split of the two quadratics each build one reducer and take
-    # every power through it, the x^s and those of all the draws
+    # every power through it, the x^s and those of all the draws.
+    # Without t + 3 the quartic is the map's modulus as well, and its
+    # split takes the map's reducer: one build
     s = 1000003
-    f = mul(mul([1, 0, 1], [4, 0, 1], s), [3, 1], s)
+    quartic = mul([1, 0, 1], [4, 0, 1], s)
+    quintic = mul(quartic, [3, 1], s)
     builds, draws = [], []
     real_barrett, real_power = ffpoly._barrett, ffpoly._power
 
@@ -352,9 +355,14 @@ def test_one_barrett_reducer_per_modulus_however_many_draws(monkeypatch):
 
     monkeypatch.setattr(ffpoly, "_barrett", counting_barrett)
     monkeypatch.setattr(ffpoly, "_power", counting_power)
-    assert degree_sequence(factor(f, s)) == [1, 2, 2]
+    assert degree_sequence(factor(quintic, s)) == [1, 2, 2]
     assert len(draws) >= 2
-    assert builds == [tuple(f), tuple(mul([1, 0, 1], [4, 0, 1], s))]
+    assert builds == [tuple(quintic), tuple(quartic)]
+    builds.clear()
+    draws.clear()
+    assert degree_sequence(factor(quartic, s)) == [2, 2]
+    assert len(draws) >= 1
+    assert builds == [tuple(quartic)]
 
 
 ORACLE_PRIMES = (3, 5, 23, 1000003, 2 ** 31 - 1)
@@ -404,7 +412,8 @@ def test_frobenius_map_at_the_carry_edge():
     s = 2 ** 31 - 1
     f = [s - 1] * 30 + [1]
     h = [s - 1] * 30
-    assert ffpoly._frobenius(f, s)(h) == ffpoly_oracle.pow_mod(h, s, f, s)
+    frobenius = ffpoly._frobenius(f, s, ffpoly._barrett(f, s))
+    assert frobenius(h) == ffpoly_oracle.pow_mod(h, s, f, s)
 
 
 @settings(max_examples=150, deadline=None)

@@ -57,6 +57,38 @@ def test_det_gf_matches_integer_det(rows, s):
     assert det_gf(rows, s) == det_cofactor(rows) % s
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 10),
+       st.sampled_from([3, 23, 2 ** 31 - 1]), st.data())
+def test_det_gf_over_points_matches_each_matrix(k, npts, s, data):
+    # matrices side by side, entry (i, j) of matrix p at column
+    # j * npts + p; some have a zero leading pivot, so the pivot is
+    # swapped at those points only, and some are singular, so a point
+    # runs out of pivots while the others go on
+    entry = st.sampled_from([0, 1, s - 1]) | st.integers(0, s - 1)
+    square = st.lists(st.lists(entry, min_size=k, max_size=k),
+                      min_size=k, max_size=k)
+    mats = []
+    for _ in range(npts):
+        m = data.draw(square)
+        kind = data.draw(st.sampled_from(["any", "zero pivot", "singular"]))
+        if kind == "zero pivot":
+            m[0][0] = 0
+        elif kind == "singular":
+            m[-1] = [0] * k if k == 1 else [2 * x for x in m[0]]
+        mats.append(m)
+    rows = [[mats[p][i][j] for j in range(k) for p in range(npts)]
+            for i in range(k)]
+    assert det_gf(rows, s, npts) == [det_cofactor(m) % s for m in mats]
+
+
+def test_det_gf_needs_square():
+    with pytest.raises(ValueError):
+        det_gf([[1, 2, 3], [4, 5, 6]], 7)
+    with pytest.raises(ValueError):
+        det_gf([[1, 2, 3, 4], [5, 6, 7]], 7, 2)
+
+
 def test_det_bareiss_needs_square():
     with pytest.raises(ValueError):
         det_bareiss([[1, 2, 3], [4, 5, 6]])
