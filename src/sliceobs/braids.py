@@ -63,9 +63,6 @@ class BraidWord:
     def is_knot_closure(self):
         return self.closure_components == 1
 
-    def __len__(self):
-        return len(self.letters)
-
 
 def family_braid(n):
     """(sigma_1 sigma_2^-1)^n on three strands."""

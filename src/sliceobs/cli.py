@@ -134,7 +134,9 @@ def build_parser():
     ob.add_argument("--theta", type=int, default=None,
                     help="n-th root of unity mod s (default: derived)")
     ob.add_argument("--exhaustive", action="store_true",
-                    help="check all n+1 metabolizer characters")
+                    help="also pull chi+ back through the n-1 period "
+                         "shifts of the diagram; each pullback must give "
+                         "its polynomial")
     ob.add_argument("--json", action="store_true")
     ob.add_argument("--csv", action="store_true")
     ob.set_defaults(fn=_cmd_obstruct)

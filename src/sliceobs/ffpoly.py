@@ -29,7 +29,6 @@ __all__ = [
     "FactorizationResult",
     "is_prime",
     "trim",
-    "add",
     "sub",
     "mul",
     "scalar_mul",
@@ -37,7 +36,6 @@ __all__ = [
     "poly_gcd",
     "monic",
     "pow_mod",
-    "evaluate",
     "interpolate",
     "derivative",
     "factor",
@@ -97,16 +95,6 @@ def trim(a, s=None):
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def add(a, b, s):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % s
-    return trim(out)
 
 
 def sub(a, b, s):
@@ -293,13 +281,6 @@ def _frobenius(f, s, mulmod):
         return trim(_unpack(sum(map(operator.mul, h, rows)), limb, d, s))
 
     return frobenius
-
-
-def evaluate(a, x, s):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % s
-    return acc
 
 
 def interpolate(xs, ys, s):

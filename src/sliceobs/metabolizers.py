@@ -28,6 +28,7 @@ from .ffpoly import is_prime
 __all__ = [
     "Submodule",
     "Character",
+    "check_class",
     "is_metabolizer",
     "enumerate_metabolizers",
     "orbit_decomposition",
@@ -109,6 +110,13 @@ def prime_line_submodule(n):
     return Submodule(n, _PRIME_LINE)
 
 
+def check_class(n):
+    """ValueError unless n is a prime = 5 mod 6, the indices the
+    classification of metabolizers covers."""
+    if not is_prime(n) or n % 6 != 5:
+        raise ValueError("classification needs a prime n = 5 mod 6")
+
+
 def _same_n(n, form):
     if form.n != n:
         raise ValueError(
@@ -158,10 +166,9 @@ def enumerate_metabolizers(n, form=None):
     vanishes on the line when the four integer pairings g_i^T (n lambda)
     g_j are 0 mod n.  A Submodule is built only for a line that passes.
     """
+    check_class(n)
     if form is None:
         form = linking_form(n)
-    if not is_prime(n) or n % 6 != 5:
-        raise ValueError("classification needs a prime n = 5 mod 6")
     _same_n(n, form)
     tm = t_matrix().rows
     lines = [_line_rows(n, n0, n1) for n0 in range(n) for n1 in range(n)]

@@ -13,9 +13,9 @@ from dataclasses import dataclass, fields, replace
 from .braids import family_braid, wirtinger_of_closure
 from .ffpoly import (degree_sequence, factor, norm_obstructed,
                      primitive_root_of_unity)
-from .metabolizers import (character_for, enumerate_metabolizers,
-                           fixed_metabolizer, orbit_base_metabolizer,
-                           orbit_decomposition)
+from .metabolizers import (character_for, check_class,
+                           enumerate_metabolizers, fixed_metabolizer,
+                           orbit_base_metabolizer, orbit_decomposition)
 from .blanchfield import linking_form
 from .seifert import check_n
 from .twisted import period_shift, twisted_polynomial
@@ -110,18 +110,9 @@ class ObstructionReport:
         """The fields in order, tuples as (nested) lists, as JSON has them."""
         return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
 
-    @staticmethod
-    def from_dict(d):
-        return ObstructionReport(**{f.name: _as_tuples(d[f.name])
-                                    for f in fields(ObstructionReport)})
-
 
 def _as_lists(x):
     return [_as_lists(y) for y in x] if isinstance(x, tuple) else x
-
-
-def _as_tuples(x):
-    return tuple(_as_tuples(y) for y in x) if isinstance(x, list) else x
 
 
 def _witness(n, sign, s, theta):
@@ -143,12 +134,19 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     Returns a list of two ObstructionReports (signs + and -).  The
     verdict is shared: "not slice" only when every checked character has
     the right degree count and an obstructed norm.  With exhaustive=True
-    the orbit representative is also transported around all n period
-    shifts of the diagram (n+1 polynomials in total) and each transported
-    character must reproduce the representative's polynomial exactly.
+    the orbit representative chi+ is also pulled back through the n - 1
+    further period shifts of the diagram (n + 1 polynomials in total),
+    and each pullback must reproduce the representative's polynomial
+    exactly.  The pullbacks are not matched to the orbit metabolizers:
+    they need not be the characters `character_for` gives them.
+
+    A bad n or witness is refused before the linking form is built.
     """
     check_n(n)
     pres = wirtinger_of_closure(family_braid(n))
+    # refuse a bad n or witness before the expensive stages
+    check_class(n)
+    witnesses = {sign: _witness(n, sign, s, theta) for sign in "+-"}
     form = linking_form(n)
     mets = enumerate_metabolizers(n, form)
     orbits = orbit_decomposition(mets, n)
@@ -166,7 +164,7 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
         if chi.sign != sign:
             raise ArithmeticError(f"the chi{sign} character has sign "
                                   f"{chi.sign}")
-        s_use, theta_use = _witness(n, sign, s, theta)
+        s_use, theta_use = witnesses[sign]
         tp = twisted_polynomial(pres, chi, s_use, theta_use)
         fact = factor(list(tp.coeffs), s_use)
         degs = tuple(degree_sequence(fact))

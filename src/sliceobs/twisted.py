@@ -6,9 +6,14 @@ the 3x3 cyclic companion block carrying the variable t and the d_i are
 powers theta^(e_i) of a fixed n-th root of unity theta mod s.  The
 exponent triples e(g) are forced by the relators: conjugation acts by a
 cyclic shift, so e_c = e_b + shift(e_a) - shift(e_b) at each crossing,
-and three seed triples determine every generator.  The polynomial is
-det of the Fox matrix with one relator row and one generator column
-removed (Wada's deleted Fox determinant), divided by (t - 1)^2 exactly.
+and the three seed triples of arcs 1, 3 and 4 determine every
+generator in one pass over the relators in crossing order.  One
+relator check confirms an assignment, whether `propagate` solved it
+or `period_shift` transported it one period around the diagram.  The
+witness (s, theta) is validated by `ffpoly.primitive_root_of_unity`.
+The polynomial is det of the Fox matrix with one relator row and one
+generator column removed (Wada's deleted Fox determinant), divided
+once by (t - 1)^2, exactly.
 
 The determinant is never assembled densely.  At all the points
 x = 1..m+1 at once, the relators, taken in crossing order, eliminate
@@ -27,7 +32,6 @@ The dense route lives on in the tests as the oracle.
 from dataclasses import dataclass
 
 from . import ffpoly
-from .ffpoly import is_prime
 from .linalg import det_gf
 
 __all__ = [
@@ -41,12 +45,11 @@ __all__ = [
 ]
 
 
-def _shift_left(e):
-    return (e[1], e[2], e[0])
-
-
-def _shift_right(e):
-    return (e[2], e[0], e[1])
+def _crossing(ea, eb, n):
+    """The triple e_c that a crossing (a, b, c) forces:
+    e_b + shift(e_a) - shift(e_b) mod n, shift the left cyclic rotation."""
+    return tuple((eb[i] + ea[(i + 1) % 3] - eb[(i + 1) % 3]) % n
+                 for i in range(3))
 
 
 def seed_tuples(chi):
@@ -60,46 +63,42 @@ def seed_tuples(chi):
     return {1: e1, 3: e3, 4: e4}
 
 
+def _check_relators(pres, e, n):
+    """ArithmeticError unless every relator holds on the assignment e."""
+    for a, b, c in pres.relators:
+        if e[c] != _crossing(e[a], e[b], n):
+            raise ArithmeticError(
+                f"relator {(a, b, c)} fails on the exponent triples")
+
+
 def propagate(pres, seeds, n):
     """Exponent triples for every generator, forced by the relators.
 
     A relator (a, b, c) demands e_c = e_b + shift(e_a) - shift(e_b)
     componentwise mod n, where shift is the left cyclic rotation; the
-    inverse solve for e_a uses the right rotation.  All relators are
-    re-checked once everything is assigned.
+    inverse solve for e_a uses the right rotation.  The relators are
+    solved in one pass, in their order: each must have at most one
+    unknown arc, other than its overarc b, when it is reached, which
+    holds for the seeds 1, 3, 4 of the closure presentation.  Every
+    relator is checked once everything is assigned.
     """
     e = {g: tuple(x % n for x in v) for g, v in seeds.items()}
-    pending = True
-    while pending:
-        pending = False
-        progress = False
-        for a, b, c in pres.relators:
-            known = (a in e, b in e, c in e)
-            if all(known):
-                continue
-            if known == (True, True, False):
-                sa, sb = _shift_left(e[a]), _shift_left(e[b])
-                e[c] = tuple((e[b][i] + sa[i] - sb[i]) % n for i in range(3))
-            elif known == (False, True, True):
-                d = _shift_right(tuple(
-                    (e[c][i] - e[b][i]) % n for i in range(3)))
-                e[a] = tuple((d[i] + e[b][i]) % n for i in range(3))
-            elif known == (True, False, True):
-                raise ValueError("cannot solve a crossing for the overarc")
-            else:
-                pending = True
-                continue
-            progress = True
-        if pending and not progress:
+    for a, b, c in pres.relators:
+        known = (a in e, b in e, c in e)
+        if known == (True, True, False):
+            e[c] = _crossing(e[a], e[b], n)
+        elif known == (False, True, True):
+            # e_a = shift^-1(e_c - e_b) + e_b
+            ec, eb = e[c], e[b]
+            e[a] = tuple((ec[i - 1] - eb[i - 1] + eb[i]) % n
+                         for i in range(3))
+        elif known == (True, False, True):
+            raise ValueError("cannot solve a crossing for the overarc")
+        elif not all(known):
             raise ValueError("seeds do not determine all generators")
     if len(e) != pres.num_generators:
         raise ValueError("seeds do not determine all generators")
-    for a, b, c in pres.relators:
-        sa, sb = _shift_left(e[a]), _shift_left(e[b])
-        want = tuple((e[b][i] + sa[i] - sb[i]) % n for i in range(3))
-        if e[c] != want:
-            raise ArithmeticError(
-                f"relator {(a, b, c)} fails on the propagated exponents")
+    _check_relators(pres, e, n)
     return e
 
 
@@ -130,9 +129,15 @@ def period_shift(pres, chi):
     arc permutation sends the pulled-back exponent assignment to
     e'(g) = e(pi(g)).  A uniform conjugation (the only gauge freedom)
     renormalizes e'(1) to zero and the new character is read off the seed
-    slots.  Pulling back along a self-homeomorphism leaves the twisted
-    polynomial unchanged, so iterating this walks the orbit characters
-    without changing the factor tables.
+    slots.  The transport is checked once: its seed slots must be the
+    new character's seeds and every relator must hold on it.  Since each
+    propagation step has a unique solution, that is exactly the condition
+    for re-seeding the new character to reproduce the transport.
+    Pulling back along a self-homeomorphism leaves the twisted polynomial
+    unchanged, so n - 1 shifts pull chi back through every period of the
+    diagram with the same polynomial.  Whether the pulled-back characters
+    are the ones that vanish on the orbit metabolizers of the linking
+    form is not checked here.
     """
     n = chi.n
     m = pres.num_generators
@@ -145,10 +150,9 @@ def period_shift(pres, chi):
     ca, cta = fixed[4][1], fixed[4][2]
     cb, ctb = fixed[3][2], fixed[3][0]
     out = chi.__class__(n, (ca, cta, cb, ctb), chi.sign)
-    # re-seeding reproduces every triple, the seed slots of 1, 3 and 4
-    # included, only when the transport is a valid assignment
-    if propagate(pres, seed_tuples(out), n) != fixed:
+    if any(fixed[g] != v for g, v in seed_tuples(out).items()):
         raise ArithmeticError("transported assignment does not re-seed")
+    _check_relators(pres, fixed, n)
     return out
 
 
@@ -163,11 +167,11 @@ class TwistedRep:
 
     @staticmethod
     def build(pres, chi, s, theta):
+        """The representation of chi at the witness (s, theta), which
+        `ffpoly.primitive_root_of_unity` validates: s prime and theta of
+        order exactly n mod s.  theta is stored as given."""
         n = chi.n
-        if not is_prime(s):
-            raise ValueError(f"s={s} is not prime")
-        if pow(theta, n, s) != 1 or theta % s == 1:
-            raise ValueError(f"theta={theta} does not have order {n} mod {s}")
+        ffpoly.primitive_root_of_unity(s, n, theta)
         e = propagate(pres, seed_tuples(chi), n)
         exps = tuple(e[g] for g in range(1, pres.num_generators + 1))
         return TwistedRep(n, s, theta, exps)
@@ -362,12 +366,10 @@ def twisted_polynomial(pres, chi, s, theta, drop_relator=1,
     raw = twisted_determinant(pres, rep, drop_relator, drop_generator)
     if not raw:
         raise ArithmeticError("twisted determinant vanished identically")
-    body = raw
-    for _ in range(2):
-        body, rem = ffpoly.poly_divmod(body, [s - 1, 1], s)
-        if rem:
-            raise ArithmeticError(
-                "twisted determinant is not divisible by (t-1)^2")
+    body, rem = ffpoly.poly_divmod(raw, [1, s - 2, 1], s)
+    if rem:
+        raise ArithmeticError(
+            "twisted determinant is not divisible by (t-1)^2")
     lead = 0
     while body[lead] == 0:
         lead += 1

@@ -4,12 +4,11 @@ import dataclasses
 
 import pytest
 
-from sliceobs import report
+from sliceobs import report, twisted
 from sliceobs.ffpoly import factor
 from sliceobs.report import (
     DEFAULT_WITNESS,
     REFERENCE_FACTORS,
-    ObstructionReport,
     obstruct,
     verify_table,
 )
@@ -95,6 +94,21 @@ class TestObstruct:
         assert len(calls) == 2
         assert all(r.verdict == "not slice" for r in reports)
 
+    def test_exhaustive_propagates_once_per_character_and_shift(
+            self, monkeypatch):
+        # 12 representations and 10 shifted inputs; a shift checks its
+        # output without propagating it again
+        calls = []
+        propagate = twisted.propagate
+
+        def counting_propagate(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(twisted, "propagate", counting_propagate)
+        obstruct(11, exhaustive=True)
+        assert len(calls) == 22
+
     def test_exhaustive_catches_a_changed_transport(self, monkeypatch):
         calls = []
 
@@ -134,12 +148,22 @@ class TestObstruct:
         assert all(r.verdict == "inconclusive" for r in reports)
 
 
-class TestReportSerialization:
-    def test_dict_round_trip_preserves_tuples(self):
-        rep = obstruct(11)[1]
-        again = ObstructionReport.from_dict(rep.to_dict())
-        assert again == rep
-        assert isinstance(again.factors[0], tuple)
+class TestBadInputBeforeAnyStage:
+    @pytest.mark.parametrize("n,s,theta,message", [
+        (499, None, None, "classification needs a prime n = 5 mod 6"),
+        (491, 7, None, "no 491-th roots of unity mod 7"),
+        (491, 983, 1, "1 does not have order 491 mod 983"),
+        (29, None, None, "no default witness for n=29"),
+        (11, 24, None, "s=24 is not prime"),
+    ], ids=["n-499", "s-7", "theta-1", "no-witness", "s-24"])
+    def test_refused_before_the_linking_form(self, monkeypatch, n, s,
+                                             theta, message):
+        def linking_form(n):
+            pytest.fail(f"linking_form({n}) ran before the refusal")
+
+        monkeypatch.setattr(report, "linking_form", linking_form)
+        with pytest.raises(ValueError, match=message):
+            obstruct(n, s=s, theta=theta)
 
 
 class TestVerifyTable:

@@ -6,6 +6,8 @@ import importlib
 import os
 import re
 
+import pytest
+
 import sliceobs
 from fresh_python import run_python
 
@@ -96,6 +98,20 @@ def test_every_oracle_is_used_by_a_test():
                 imported.add(node.module)
     unused = [name for name in oracles if name not in imported]
     assert oracles and not unused, f"oracles no test imports: {unused}"
+
+
+def test_distribution_is_named_and_versioned_by_the_package():
+    # one name and one version: the distribution is the package, and its
+    # version is read from sliceobs.__version__
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(REPO_DIR, "pyproject.toml"), "rb") as fh:
+        config = tomllib.load(fh)
+    project = config["project"]
+    assert project["name"] == "sliceobs"
+    assert "version" not in project
+    assert project["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "sliceobs.__version__"}
 
 
 def test_acceptance_gate_under_optimize():

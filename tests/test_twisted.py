@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fox_oracle import fox_block, fox_matrix, poly_matrix_det
 from fresh_python import run_python
-from sliceobs import ffpoly
+from sliceobs import ffpoly, twisted
 from sliceobs.blanchfield import t_matrix
 from sliceobs.braids import (BraidWord, WirtingerPresentation, family_braid,
                              wirtinger_of_closure)
@@ -103,6 +103,9 @@ class TestRepresentation:
             TwistedRep.build(PRES5, PLUS5, 21, 4)
         with pytest.raises(ValueError):
             TwistedRep.build(PRES5, PLUS5, 11, 2)
+        # 7 has order 3 mod 19, although 7^9 = 1
+        with pytest.raises(ValueError):
+            TwistedRep.build(PRES5, Character(9, (0, 0, 0, 0), "+"), 19, 7)
 
     def test_fox_block_outside_relator_is_zero(self):
         rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
@@ -126,8 +129,9 @@ class TestRepresentation:
         # (t-1)^2 divides the twisted determinant
         rep = TwistedRep.build(PRES5, MINUS5, 11, 4)
         raw = twisted_determinant(PRES5, rep)
-        assert ffpoly.evaluate(raw, 1, 11) == 0
-        assert ffpoly.evaluate(ffpoly.derivative(raw, 11), 1, 11) == 0
+        # the value and the derivative at t = 1 are coefficient sums
+        assert sum(raw) % 11 == 0
+        assert sum(i * c for i, c in enumerate(raw)) % 11 == 0
 
     def test_bareiss_route_matches_interpolation(self):
         rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
@@ -313,6 +317,21 @@ class TestPeriodShift:
     def test_shift_moves_base_characters(self):
         assert period_shift(PRES5, PLUS5).row != PLUS5.row
         assert period_shift(PRES5, MINUS5).row != MINUS5.row
+
+    def test_corrupt_transport_is_refused(self, monkeypatch):
+        # swapping the images of arcs 5 and 6 leaves the seed slots 1, 3
+        # and 4 alone, so only the relator check can see it
+        permutation = twisted._period_permutation
+
+        def swapped(pres):
+            pi = dict(permutation(pres))
+            pi[5], pi[6] = pi[6], pi[5]
+            return pi
+
+        monkeypatch.setattr(twisted, "_period_permutation", swapped)
+        for chi in (PLUS5, MINUS5):
+            with pytest.raises(ArithmeticError):
+                period_shift(PRES5, chi)
 
     def test_presentation_without_period_rejected(self):
         pres = wirtinger_of_closure(
