@@ -1,9 +1,10 @@
 """Transporting a character around the periodic symmetry of the diagram.
 
 The closure diagram is carried to itself by a rotation of one period
-(two crossings).  Pulling a character back along that rotation walks it
-through an orbit of size n while the twisted polynomial stays fixed, so
-checking one orbit representative checks them all.
+(two crossings).  Pulling a character back along that rotation is one
+constant integer matrix on its row, the same for every n; it walks the
+character through an orbit of size n while the twisted polynomial stays
+fixed.
 """
 
 from sliceobs.braids import family_braid, wirtinger_of_closure
@@ -22,7 +23,7 @@ def main():
     print(f"  polynomial degree {base.degree}, coeffs {list(base.coeffs)}")
     rows = [chi.row]
     for step in range(1, N + 1):
-        chi = period_shift(pres, chi)
+        chi = period_shift(chi)
         tp = twisted_polynomial(pres, chi, S, THETA)
         same = tp.coeffs == base.coeffs
         mark = "back to start" if chi.row == rows[0] else f"{chi.row}"

@@ -195,10 +195,11 @@ _W = (_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1))  # w^0, w, w^2
 
 
 def _pairing_at_omega(a, order):
-    """s det M and s adj(M)[p_i][p_j] for M = A - w A^T over Z[w], a
-    square integer Matrix A and a row order whose last two indices are
-    p = (p_0, p_1), where s = +-1 is the sign of the row swaps; it
-    cancels in every product adj conj(det) that `linking_form` takes.
+    """s det M and s adj(M)[p_i][p_j] for M = A - w A^T over Z[w], the
+    rows a of a square integer matrix A (tuples of ints) and a row order
+    whose last two indices are p = (p_0, p_1), where s = +-1 is the sign
+    of the row swaps; it cancels in every product adj conj(det) that
+    `linking_form` takes.
 
     M is formed in that order on both sides (which leaves the
     determinant and the adjugate entries unchanged), and `_bareiss` runs
@@ -272,7 +273,7 @@ def linking_form(n):
     with w^(b-a) (w - 1) adj_vu conj(det) = x + y w over Z[w] (adj and
     det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.
     """
-    a = seifert_matrix(n)
+    a = seifert_matrix(n).rows
     order = band_order(n)  # banded, and ends with p
     infinite = ValueError(
         "the Alexander polynomial shares a root of unity with t^3-1, "
@@ -353,6 +354,18 @@ def r_matrix():
                    (1, 0, -1, 0),
                    (-1, 0, 1, 1),
                    (0, -1, -1, 2)))
+
+
+def period_matrix():
+    """The period shift of `twisted.period_shift` on character rows over
+    (a, ta, b, tb): a row c goes to c P mod n, so row k of P is the image
+    of the k-th unit row.  Unlike t and r it acts on rows, from the
+    right.  P commutes with t, but mod 11 it is no r^k t^j and no
+    transpose of one; how it relates to r is open."""
+    return Matrix(((1, -1, 0, 1),
+                   (1, 0, -1, 1),
+                   (0, -1, 1, 1),
+                   (1, -1, -1, 2)))
 
 
 @dataclass(frozen=True)

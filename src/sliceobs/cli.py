@@ -15,7 +15,8 @@ import json
 import sys
 
 from .blanchfield import cover_homology_snf, linking_form
-from .metabolizers import enumerate_metabolizers, orbit_decomposition
+from .metabolizers import (check_class, enumerate_metabolizers,
+                           orbit_decomposition)
 from .report import TABLE_N, obstruct, verify_table
 
 __all__ = ["main"]
@@ -107,6 +108,7 @@ def _cmd_linking(args):
 
 
 def _cmd_metabolizers(args):
+    check_class(args.n)
     form = linking_form(args.n)
     mets = enumerate_metabolizers(args.n, form)
     orbits = orbit_decomposition(mets, args.n)

@@ -193,7 +193,7 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
         plus = reports["+"]
         chi = chis["+"]
         for _ in range(n - 1):
-            chi = period_shift(pres, chi)
+            chi = period_shift(chi)
             tp = twisted_polynomial(pres, chi, plus.s, plus.theta)
             all_pass = all_pass and tp.coeffs == plus.polynomial
             checked += 1

@@ -7,10 +7,11 @@ powers theta^(e_i) of a fixed n-th root of unity theta mod s.  The
 exponent triples e(g) are forced by the relators: conjugation acts by a
 cyclic shift, so e_c = e_b + shift(e_a) - shift(e_b) at each crossing,
 and the three seed triples of arcs 1, 3 and 4 determine every
-generator in one pass over the relators in crossing order.  One
-relator check confirms an assignment, whether `propagate` solved it
-or `period_shift` transported it one period around the diagram.  The
-witness (s, theta) is validated by `ffpoly.primitive_root_of_unity`.
+generator in one pass over the relators in crossing order, and one
+relator check confirms the assignment.  `period_shift` pulls a
+character back one period of the diagram by the constant matrix
+`blanchfield.period_matrix`, with no propagation.  The witness
+(s, theta) is validated by `ffpoly.primitive_root_of_unity`.
 The polynomial is det of the Fox matrix with one relator row and one
 generator column removed (Wada's deleted Fox determinant), divided
 once by (t - 1)^2, exactly.
@@ -32,6 +33,7 @@ The dense route lives on in the tests as the oracle.
 from dataclasses import dataclass
 
 from . import ffpoly
+from .blanchfield import period_matrix
 from .linalg import det_gf
 
 __all__ = [
@@ -102,58 +104,31 @@ def propagate(pres, seeds, n):
     return e
 
 
-def _period_permutation(pres):
-    """The arc permutation induced by rotating the closure diagram one
-    period (two crossings).  Relators are in crossing order, so relator i
-    must map onto relator i+2 slot by slot; any clash means the
-    presentation has no such symmetry."""
-    rels = pres.relators
-    k = len(rels)
-    pi = {}
-    for i, r in enumerate(rels):
-        target = rels[(i + 2) % k]
-        for x, y in zip(r, target):
-            if pi.setdefault(x, y) != y:
-                raise ValueError("presentation has no period symmetry")
-    if (len(pi) != pres.num_generators
-            or len(set(pi.values())) != len(pi)):
-        raise ValueError("presentation has no period symmetry")
-    return pi
-
-
-def period_shift(pres, chi):
+def period_shift(chi):
     """The character whose representation is the pullback of chi's under
-    one period of the closure diagram.
+    one period of the closure diagram: the row chi.row P mod n, P the
+    constant `blanchfield.period_matrix`, with chi's sign.
 
-    The diagram is carried to itself by rotating one period; the induced
-    arc permutation sends the pulled-back exponent assignment to
-    e'(g) = e(pi(g)).  A uniform conjugation (the only gauge freedom)
-    renormalizes e'(1) to zero and the new character is read off the seed
-    slots.  The transport is checked once: its seed slots must be the
-    new character's seeds and every relator must hold on it.  Since each
-    propagation step has a unique solution, that is exactly the condition
-    for re-seeding the new character to reproduce the transport.
-    Pulling back along a self-homeomorphism leaves the twisted polynomial
-    unchanged, so n - 1 shifts pull chi back through every period of the
-    diagram with the same polynomial.  Whether the pulled-back characters
-    are the ones that vanish on the orbit metabolizers of the linking
-    form is not checked here.
+    Rotating the closure diagram one period (two crossings) carries arcs
+    1, 3 and 4, the seeds, to arcs 4, 5 and 6, and the pulled-back
+    assignment, renormalized by the uniform conjugation that makes arc 1
+    zero, is seeded by their triples.  Relators 2 and 3, (1, 3, 5) and
+    (6, 4, 3), give e(5) and e(6) from the seeds by integer linear
+    formulas in which n does not occur, the same for every knot in the
+    family, so the new row is a fixed integer matrix times the old one.
+    The transport along the diagram, which checks every relator, lives
+    with the tests and certifies P.  Pulling back along a
+    self-homeomorphism leaves the twisted polynomial unchanged, so n - 1
+    shifts pull chi back through every period of the diagram with the
+    same polynomial.  Whether the pulled-back characters are the ones
+    that vanish on the orbit metabolizers of the linking form is not
+    checked here.
     """
     n = chi.n
-    m = pres.num_generators
-    pi = _period_permutation(pres)
-    e = propagate(pres, seed_tuples(chi), n)
-    shifted = {g: e[pi[g]] for g in range(1, m + 1)}
-    delta = tuple(-x % n for x in shifted[1])
-    fixed = {g: tuple((v[i] + delta[i]) % n for i in range(3))
-             for g, v in shifted.items()}
-    ca, cta = fixed[4][1], fixed[4][2]
-    cb, ctb = fixed[3][2], fixed[3][0]
-    out = chi.__class__(n, (ca, cta, cb, ctb), chi.sign)
-    if any(fixed[g] != v for g, v in seed_tuples(out).items()):
-        raise ArithmeticError("transported assignment does not re-seed")
-    _check_relators(pres, fixed, n)
-    return out
+    p = period_matrix().rows
+    row = tuple(sum(c * pk[j] for c, pk in zip(chi.row, p)) % n
+                for j in range(4))
+    return chi.__class__(n, row, chi.sign)
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,17 @@ class TestBadInput:
         monkeypatch.setattr(cli, "obstruct", no_work)
         assert main(["obstruct", "--n", "all", "--csv", "--json"]) == 2
 
+    @pytest.mark.parametrize("n", ["499", "497"])
+    def test_metabolizers_refuses_the_class_before_the_linking_form(
+            self, monkeypatch, n, capsys):
+        def linking_form(n):
+            pytest.fail(f"linking_form({n}) ran before the refusal")
+
+        monkeypatch.setattr(cli, "linking_form", linking_form)
+        assert main(["metabolizers", "--n", n]) == 2
+        assert capsys.readouterr().err == (
+            "sliceobs: error: classification needs a prime n = 5 mod 6\n")
+
     def test_composite_s_fails_fast_under_optimize(self):
         # input checks must not be asserts, which -O strips
         proc = run_optimized_cli(["obstruct", "--n", "11", "--s", "111"], 60)

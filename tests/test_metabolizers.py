@@ -87,7 +87,7 @@ class TestInvariantSubmodules:
 class TestMetabolizers:
     @pytest.mark.parametrize("n", [5, 11])
     def test_exactly_n_plus_one(self, n):
-        mets = enumerate_metabolizers(n)
+        mets = enumerate_metabolizers(n, _FORMS[n])
         assert len(mets) == n + 1
         assert len(set(mets)) == n + 1
 
@@ -115,24 +115,24 @@ class TestMetabolizers:
 
     @pytest.mark.parametrize("n", [5, 11])
     def test_orbit_sizes_are_one_and_n(self, n):
-        mets = enumerate_metabolizers(n)
+        mets = enumerate_metabolizers(n, _FORMS[n])
         orbits = orbit_decomposition(mets, n)
         assert [len(o) for o in orbits] == [1, n]
 
     def test_fixed_point_is_the_diagonal_line(self):
-        mets = enumerate_metabolizers(11)
+        mets = enumerate_metabolizers(11, _FORMS[11])
         orbits = orbit_decomposition(mets, 11)
         assert orbits[0] == [fixed_metabolizer(11)]
         assert fixed_metabolizer(11) == line_submodule(11, 1, 1)
 
     def test_orbit_contains_base(self):
-        mets = enumerate_metabolizers(5)
+        mets = enumerate_metabolizers(5, _FORMS[5])
         orbits = orbit_decomposition(mets, 5)
         assert orbit_base_metabolizer(5) in orbits[1]
 
     def test_symmetry_permutes_metabolizers(self):
         r = r_matrix()
-        mets = set(enumerate_metabolizers(5))
+        mets = set(enumerate_metabolizers(5, _FORMS[5]))
         assert {p.transformed(r) for p in mets} == mets
 
     @pytest.mark.parametrize("n", [5, 11, 17, 23, 29])
@@ -183,9 +183,9 @@ class TestMetabolizers:
 
     def test_rejects_wrong_residue(self):
         with pytest.raises(ValueError, match="prime n = 5 mod 6"):
-            enumerate_metabolizers(7)
+            enumerate_metabolizers(7, linking_form(7))
         with pytest.raises(ValueError, match="prime n = 5 mod 6"):
-            enumerate_metabolizers(35)
+            enumerate_metabolizers(35, linking_form(35))
 
 
     def test_rejects_composite_n(self):
@@ -237,6 +237,6 @@ class TestCharacters:
             character_for(line_submodule(11, 0, 0), _FORMS[11])
 
     def test_orbit_characters_are_distinct(self):
-        mets = enumerate_metabolizers(5)
+        mets = enumerate_metabolizers(5, _FORMS[5])
         rows = {character_for(p, _FORMS[5]).row for p in mets}
         assert len(rows) == len(mets)

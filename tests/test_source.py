@@ -3,6 +3,7 @@ under `python -O`."""
 
 import ast
 import importlib
+import json
 import os
 import re
 
@@ -112,6 +113,32 @@ def test_distribution_is_named_and_versioned_by_the_package():
     assert project["dynamic"] == ["version"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "sliceobs.__version__"}
+
+
+# traced names whose functions have left the package; each reads 0 in the
+# benchmark until BENCHMARK.json drops it
+STALE_TRACED = {"linalg.det_laurent", "blanchfield.blanchfield_entries",
+                "twisted.fox_matrix"}
+
+
+def test_benchmark_traces_functions_that_exist():
+    # the benchmark's tracer reports a name it cannot find as zeros, so a
+    # renamed or deleted layer function would silently zero its metric
+    path = os.path.join(REPO_DIR, "BENCHMARK.json")
+    if not os.path.exists(path):
+        pytest.skip("no BENCHMARK.json")
+    with open(path, encoding="utf-8") as fh:
+        per_layer = json.load(fh)["per_layer"]
+    traced = {m["name"].rsplit(".", 1)[0] for m in per_layer
+              if not m["name"].startswith("trace.")}
+    missing = set()
+    for name in traced:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"sliceobs.{layer}")
+        if not callable(getattr(module, attr, None)):
+            missing.add(name)
+    assert sorted(missing - STALE_TRACED) == [], "traced but not defined"
+    assert sorted(STALE_TRACED - missing) == [], "defined again: unlist it"
 
 
 def test_acceptance_gate_under_optimize():

@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import period_oracle
 from fox_oracle import fox_block, fox_matrix, poly_matrix_det
 from fresh_python import run_python
-from sliceobs import ffpoly, twisted
-from sliceobs.blanchfield import t_matrix
+from sliceobs import ffpoly
+from sliceobs.blanchfield import period_matrix, t_matrix
 from sliceobs.braids import (BraidWord, WirtingerPresentation, family_braid,
                              wirtinger_of_closure)
 from sliceobs.metabolizers import Character, base_characters
@@ -25,12 +26,12 @@ def family_presentation(n):
     return wirtinger_of_closure(family_braid(n))
 
 
-def all_characters(pres, n):
+def all_characters(n):
     """The fixed character and the n characters of the period orbit."""
     plus, minus = base_characters(n)
     chars = [minus, plus]
     for _ in range(n - 1):
-        chars.append(period_shift(pres, chars[-1]))
+        chars.append(period_shift(chars[-1]))
     return chars
 
 
@@ -166,7 +167,7 @@ class TestBlockEliminationOracle:
     def test_every_character(self, n, s):
         pres = family_presentation(n)
         theta = ffpoly.primitive_root_of_unity(s, n)
-        for chi in all_characters(pres, n):
+        for chi in all_characters(n):
             rep = TwistedRep.build(pres, chi, s, theta)
             assert twisted_determinant(pres, rep) == oracle_raw(pres, rep)
 
@@ -297,44 +298,60 @@ class TestPeriodShift:
         chi = PLUS5
         rows = {chi.row}
         for _ in range(5):
-            chi = period_shift(PRES5, chi)
+            chi = period_shift(chi)
             rows.add(chi.row)
         assert chi.row == PLUS5.row
         assert len(rows) == 5
 
     def test_sign_tag_rides_along(self):
-        assert period_shift(PRES5, MINUS5).sign == "-"
-        assert period_shift(PRES5, PLUS5).sign == "+"
+        assert period_shift(MINUS5).sign == "-"
+        assert period_shift(PLUS5).sign == "+"
 
     def test_orbit_characters_share_polynomial(self):
         chi = MINUS5
         base = twisted_polynomial(PRES5, chi, 11, 4)
         for _ in range(5):
-            chi = period_shift(PRES5, chi)
+            chi = period_shift(chi)
             tp = twisted_polynomial(PRES5, chi, 11, 4)
             assert tp.coeffs == base.coeffs
 
     def test_shift_moves_base_characters(self):
-        assert period_shift(PRES5, PLUS5).row != PLUS5.row
-        assert period_shift(PRES5, MINUS5).row != MINUS5.row
+        assert period_shift(PLUS5).row != PLUS5.row
+        assert period_shift(MINUS5).row != MINUS5.row
 
     def test_corrupt_transport_is_refused(self, monkeypatch):
         # swapping the images of arcs 5 and 6 leaves the seed slots 1, 3
         # and 4 alone, so only the relator check can see it
-        permutation = twisted._period_permutation
+        permutation = period_oracle.period_permutation
 
         def swapped(pres):
             pi = dict(permutation(pres))
             pi[5], pi[6] = pi[6], pi[5]
             return pi
 
-        monkeypatch.setattr(twisted, "_period_permutation", swapped)
+        monkeypatch.setattr(period_oracle, "period_permutation", swapped)
         for chi in (PLUS5, MINUS5):
             with pytest.raises(ArithmeticError):
-                period_shift(PRES5, chi)
+                period_oracle.transport(PRES5, chi)
 
     def test_presentation_without_period_rejected(self):
         pres = wirtinger_of_closure(
             BraidWord(3, (1, 2, 1, 2, 1, -2, -2, 1)))
         with pytest.raises(ValueError, match="period symmetry"):
-            period_shift(pres, Character(5, (1, 2, 3, 4), "+"))
+            period_oracle.transport(pres, Character(5, (1, 2, 3, 4), "+"))
+
+    @pytest.mark.parametrize("n", [n for n in range(5, 102, 2) if n % 3]
+                             + [491, 497])
+    def test_shift_is_the_diagram_transport(self, n):
+        # P is one matrix for every knot; the transport along the diagram,
+        # with its relator and re-seed checks, gives each unit row's image
+        pres = family_presentation(n)
+        for k in range(4):
+            unit = tuple(int(i == k) for i in range(4))
+            for sign in "+-":
+                chi = Character(n, unit, sign)
+                assert period_shift(chi) == period_oracle.transport(pres, chi)
+
+    def test_period_matrix_commutes_with_deck(self):
+        p, t = period_matrix(), t_matrix()
+        assert p * t == t * p
