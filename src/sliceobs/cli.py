@@ -15,9 +15,8 @@ import json
 import sys
 
 from .blanchfield import cover_homology_snf, linking_form
-from .metabolizers import (check_class, enumerate_metabolizers,
-                           orbit_decomposition)
-from .report import TABLE_N, obstruct, verify_table
+from .metabolizers import check_class
+from .report import TABLE_N, census, obstruct, verify_table
 
 __all__ = ["main"]
 
@@ -109,12 +108,10 @@ def _cmd_linking(args):
 
 def _cmd_metabolizers(args):
     check_class(args.n)
-    form = linking_form(args.n)
-    mets = enumerate_metabolizers(args.n, form)
-    orbits = orbit_decomposition(mets, args.n)
-    print(f"n={args.n}: {len(mets)} metabolizers, "
-          f"orbit sizes {sorted(len(o) for o in orbits)}")
-    for orbit in orbits:
+    c = census(args.n)
+    print(f"n={args.n}: {len(c.metabolizers)} metabolizers, "
+          f"orbit sizes {list(c.orbit_sizes)}")
+    for orbit in c.orbits:
         head = orbit[0]
         label = "fixed" if len(orbit) == 1 else f"orbit of {len(orbit)}"
         print(f"  {label}: generated by {list(head.canonical)}")

@@ -169,10 +169,28 @@ def poly_divmod(a, b, s):
 
 
 def poly_gcd(a, b, s):
+    """The monic gcd of a and b over Z/s (s prime); [] when both are 0.
+
+    One Euclid loop over reduced lists: each step makes the divisor b
+    monic once, then reduces the dividend a in place, one slice update
+    per quotient coefficient from the top down, and cuts it to its
+    remainder."""
     a, b = trim(a, s), trim(b, s)
     while b:
-        _, r = poly_divmod(a, b, s)
-        a, b = b, r
+        if b[-1] != 1:
+            inv = pow(b[-1], s - 2, s)
+            b = [c * inv % s for c in b]
+        db = len(b) - 1
+        for top in range(len(a) - 1, db - 1, -1):
+            c = a[top]
+            if c:
+                low = top - db
+                a[low:top] = [(x - c * y) % s
+                              for x, y in zip(a[low:top], b)]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return monic(a, s)
 
 

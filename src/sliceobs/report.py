@@ -6,24 +6,33 @@ orbit representative) get a twisted polynomial over Z/s; the report
 records its factorization, the degree count against 2(n-2), and the
 subset-sum norm obstruction.  The reference factor tables below pin the
 expected output for n = 11, 17, 23 at the default (s, theta) witnesses.
+
+Only the twisted polynomial and its factorization depend on the witness
+(s, theta).  Everything before them, the presentation, the linking
+form, the metabolizers, their orbits and the two characters, is the
+`Census` of n, built by `census(n)` once per n in each process and
+shared by every later call with the same n.
 """
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
-from .braids import family_braid, wirtinger_of_closure
+from .braids import WirtingerPresentation, family_braid, wirtinger_of_closure
 from .ffpoly import (degree_sequence, factor, norm_obstructed,
                      primitive_root_of_unity)
-from .metabolizers import (character_for, check_class,
+from .metabolizers import (Character, character_for, check_class,
                            enumerate_metabolizers, fixed_metabolizer,
                            orbit_base_metabolizer, orbit_decomposition)
-from .blanchfield import linking_form
+from .blanchfield import LinkingForm, linking_form
 from .seifert import check_n
 from .twisted import period_shift, twisted_polynomial
 
 __all__ = [
+    "Census",
     "ObstructionReport",
     "DEFAULT_WITNESS",
     "REFERENCE_FACTORS",
+    "census",
     "obstruct",
     "verify_table",
 ]
@@ -128,6 +137,52 @@ def _witness(n, sign, s, theta):
     return s, primitive_root_of_unity(s, n, theta)
 
 
+@dataclass(frozen=True)
+class Census:
+    """The witness-independent stages of the n-th knot: its Wirtinger
+    presentation, the linking form of the 3-fold cover, the n + 1
+    metabolizers and their orbits (tuples, smallest orbit first), the
+    orbit sizes, and the characters chi+ (orbit representative) and
+    chi- (fixed metabolizer)."""
+    n: int
+    presentation: WirtingerPresentation
+    form: LinkingForm
+    metabolizers: tuple
+    orbits: tuple
+    orbit_sizes: tuple
+    plus: Character
+    minus: Character
+
+
+@lru_cache(maxsize=None)
+def census(n):
+    """The `Census` of the n-th knot, built once per n in this process.
+
+    Every check of the stages runs on the first build; a build that
+    raises is not cached, so a refused n never enters the cache and a
+    failed build is retried on the next call.  Only the prime n = 5
+    mod 6 up to `seifert.MAX_N` can enter it.
+    """
+    check_n(n)
+    check_class(n)
+    pres = wirtinger_of_closure(family_braid(n))
+    form = linking_form(n)
+    mets = tuple(enumerate_metabolizers(n, form))
+    orbits = tuple(tuple(o) for o in orbit_decomposition(mets, n))
+    orbit_sizes = tuple(sorted(len(o) for o in orbits))
+    if orbit_sizes != (1, n):
+        raise ArithmeticError("metabolizer orbits must be sizes 1, n")
+    if orbits[0][0] != fixed_metabolizer(n):
+        raise ArithmeticError("the fixed metabolizer must be its own orbit")
+    plus = character_for(orbit_base_metabolizer(n), form)
+    minus = character_for(fixed_metabolizer(n), form)
+    for sign, chi in (("+", plus), ("-", minus)):
+        if chi.sign != sign:
+            raise ArithmeticError(f"the chi{sign} character has sign "
+                                  f"{chi.sign}")
+    return Census(n, pres, form, mets, orbits, orbit_sizes, plus, minus)
+
+
 def obstruct(n, s=None, theta=None, exhaustive=False):
     """Obstruction reports for both character classes of the n-th knot.
 
@@ -141,36 +196,25 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     they need not be the characters `character_for` gives them.
 
     A bad n or witness is refused before the linking form is built.
+    The presentation, the form, the metabolizers and the characters
+    come from `census(n)`, so a second witness for the same n computes
+    only its twisted polynomials and their factorizations.
     """
     check_n(n)
-    pres = wirtinger_of_closure(family_braid(n))
     # refuse a bad n or witness before the expensive stages
     check_class(n)
     witnesses = {sign: _witness(n, sign, s, theta) for sign in "+-"}
-    form = linking_form(n)
-    mets = enumerate_metabolizers(n, form)
-    orbits = orbit_decomposition(mets, n)
-    orbit_sizes = tuple(sorted(len(o) for o in orbits))
-    if orbit_sizes != (1, n):
-        raise ArithmeticError("metabolizer orbits must be sizes 1, n")
-    if orbits[0][0] != fixed_metabolizer(n):
-        raise ArithmeticError("the fixed metabolizer must be its own orbit")
-
-    chis = {"+": character_for(orbit_base_metabolizer(n), form),
-            "-": character_for(fixed_metabolizer(n), form)}
+    c = census(n)
     target = 2 * (n - 2)
     reports = {}
-    for sign, chi in chis.items():
-        if chi.sign != sign:
-            raise ArithmeticError(f"the chi{sign} character has sign "
-                                  f"{chi.sign}")
-        s_use, theta_use = witnesses[sign]
-        tp = twisted_polynomial(pres, chi, s_use, theta_use)
+    for chi in (c.plus, c.minus):
+        s_use, theta_use = witnesses[chi.sign]
+        tp = twisted_polynomial(c.presentation, chi, s_use, theta_use)
         fact = factor(list(tp.coeffs), s_use)
         degs = tuple(degree_sequence(fact))
         total = sum(degs)
-        reports[sign] = ObstructionReport(
-            n=n, sign=sign, s=s_use, theta=theta_use, q=3,
+        reports[chi.sign] = ObstructionReport(
+            n=n, sign=chi.sign, s=s_use, theta=theta_use, q=3,
             polynomial=tp.coeffs,
             factors=tuple(tuple(f) for f in fact.expanded()),
             degree_sequence=degs,
@@ -178,8 +222,8 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
             target_degree=target,
             degree_check=total == target,
             norm_obstructed=norm_obstructed(degs),
-            metabolizer_count=len(mets),
-            orbit_sizes=orbit_sizes,
+            metabolizer_count=len(c.metabolizers),
+            orbit_sizes=c.orbit_sizes,
             characters_checked=0,
             verdict="",
         )
@@ -191,10 +235,10 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
         # both polynomials are monic, so their factor lists (and with them
         # both checks) agree exactly when their coefficients do
         plus = reports["+"]
-        chi = chis["+"]
+        chi = c.plus
         for _ in range(n - 1):
             chi = period_shift(chi)
-            tp = twisted_polynomial(pres, chi, plus.s, plus.theta)
+            tp = twisted_polynomial(c.presentation, chi, plus.s, plus.theta)
             all_pass = all_pass and tp.coeffs == plus.polynomial
             checked += 1
 
@@ -204,7 +248,8 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
 
 
 def verify_table(ns=None):
-    """Recompute every reference row and compare factor lists verbatim.
+    """Recompute every reference row through `obstruct` and compare
+    factor lists verbatim.
 
     Returns a list of dicts with keys n, sign, ok, expected, got.  An n
     outside TABLE_N has no reference row and raises ValueError.

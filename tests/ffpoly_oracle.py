@@ -1,22 +1,36 @@
 """Square and multiply with schoolbook division, kept as the independent
-oracle for `sliceobs.ffpoly.pow_mod`, and the factorization that raises
-to exponents with it, kept as the oracle for `sliceobs.ffpoly.factor`.
+oracle for `sliceobs.ffpoly.pow_mod`; Euclid's algorithm by repeated
+`poly_divmod`, kept as the oracle for `sliceobs.ffpoly.poly_gcd`; and
+the factorization that raises to exponents and takes gcds with them,
+kept as the oracle for `sliceobs.ffpoly.factor`.
 
 Every product is reduced by `poly_divmod` against the modulus as given
 (not made monic).  The program reduces by Barrett's method on packed
-integers; this route shares only `mul` and `poly_divmod` with it.
+integers, and its gcd reduces the dividend in place against a monic
+divisor; of its arithmetic this route imports only `mul`,
+`poly_divmod`, `sub`, `trim` and `monic`.
 
 The factorization here takes h^s by `pow_mod` at each distinct-degree
 step, and u^((s^d - 1)/2) by `pow_mod` for each Cantor-Zassenhaus draw.
 The program takes both through the Frobenius map of each squarefree
-part.  The squarefree stage, the seed and the draws are the program's,
-so the two routes must give the same factorization, unit included.
+part, and takes its gcds by the program's loop.  The squarefree stage
+(with the program's gcd), the seed and the draws are the program's, so
+the two routes must give the same factorization, unit included.
 """
 
 import random
 
 from sliceobs import ffpoly
-from sliceobs.ffpoly import mul, poly_divmod, poly_gcd, sub, trim
+from sliceobs.ffpoly import monic, mul, poly_divmod, sub, trim
+
+
+def poly_gcd(a, b, s):
+    """The monic gcd of a and b over Z/s, one `poly_divmod` per step."""
+    a, b = trim(a, s), trim(b, s)
+    while b:
+        _, r = poly_divmod(a, b, s)
+        a, b = b, r
+    return monic(a, s)
 
 
 def pow_mod(base, e, modulus, s):
@@ -75,7 +89,7 @@ def factor(a, s):
     `sliceobs.ffpoly.FactorizationResult`."""
     a = trim(a, s)
     unit = a[-1]
-    f = ffpoly.monic(a, s)
+    f = monic(a, s)
     rng = random.Random(ffpoly._SEED)
     found = {}
     if len(f) > 1:

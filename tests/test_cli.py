@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fresh_python import run_python
-from sliceobs import cli
+from sliceobs import cli, report
 from sliceobs.cli import build_parser, main
 
 
@@ -105,6 +105,24 @@ class TestMetabolizersCommand:
         assert "orbit sizes [1, 11]" in out
         assert "fixed: generated by" in out
         assert "orbit of 11" in out
+
+    def test_shares_the_census_with_obstruct(self, monkeypatch, capsys):
+        forms = []
+        linking_form = report.linking_form
+
+        def counted(n):
+            forms.append(n)
+            return linking_form(n)
+
+        monkeypatch.setattr(report, "linking_form", counted)
+        report.census.cache_clear()
+        try:
+            assert main(["metabolizers", "--n", "17"]) == 0
+            assert main(["obstruct", "--n", "17"]) == 0
+        finally:
+            report.census.cache_clear()
+        assert forms == [17]
+        assert "18 metabolizers" in capsys.readouterr().out
 
 
 class TestBadInput:

@@ -133,6 +133,18 @@ def test_pow_mod_matches_schoolbook_oracle(s, d, data):
         ffpoly_oracle.pow_mod(base, e, modulus, s)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_poly_gcd_matches_divmod_oracle(s, data):
+    # unreduced entries and trailing zeros on the way in; half the time a
+    # common factor, so that most of those gcds are not 1
+    coeff = st.integers(-2 * s, 2 * s)
+    a, b, g = (data.draw(st.lists(coeff, max_size=14)) for _ in range(3))
+    if data.draw(st.booleans()):
+        a, b = mul(a, g, s), mul(b, g, s)
+    assert poly_gcd(a, b, s) == ffpoly_oracle.poly_gcd(a, b, s)
+
+
 def test_pow_mod_edge_cases():
     s = 7
     assert pow_mod([3, 1], 0, [1, 2, 3], s) == [1]

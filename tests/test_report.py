@@ -1,14 +1,17 @@
 """Obstruction reports and the reference table verification."""
 
 import dataclasses
+import json
 
 import pytest
 
+from fresh_python import run_python
 from sliceobs import report, twisted
 from sliceobs.ffpoly import factor
 from sliceobs.report import (
     DEFAULT_WITNESS,
     REFERENCE_FACTORS,
+    census,
     obstruct,
     verify_table,
 )
@@ -163,6 +166,100 @@ class TestBadInputBeforeAnyStage:
         monkeypatch.setattr(report, "linking_form", linking_form)
         with pytest.raises(ValueError, match=message):
             obstruct(n, s=s, theta=theta)
+
+
+@pytest.fixture
+def empty_census():
+    """An empty census cache, emptied again afterwards so that nothing a
+    test patched in stays cached for the next."""
+    census.cache_clear()
+    yield census
+    census.cache_clear()
+
+
+def counting(monkeypatch, name):
+    """Replace report.<name> by a wrapper that records its calls."""
+    calls = []
+    fn = getattr(report, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(report, name, counted)
+    return calls
+
+
+class TestCensus:
+    def test_three_witnesses_build_the_form_and_the_census_once(
+            self, monkeypatch, empty_census):
+        forms = counting(monkeypatch, "linking_form")
+        lines = counting(monkeypatch, "enumerate_metabolizers")
+        for s in (None, 67, 89):
+            reports = obstruct(11, s=s)
+            assert [r.metabolizer_count for r in reports] == [12, 12]
+        assert len(forms) == len(lines) == 1
+        assert census.cache_info().currsize == 1
+
+    def test_stages_are_shared_and_immutable(self, empty_census):
+        c = census(11)
+        assert census(11) is c
+        assert type(c.metabolizers) is tuple and len(c.metabolizers) == 12
+        assert type(c.orbits) is tuple
+        assert all(type(o) is tuple for o in c.orbits)
+        assert c.orbit_sizes == (1, 11)
+        assert (c.plus.sign, c.minus.sign) == ("+", "-")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.form = None
+
+    @pytest.mark.parametrize("call", [
+        lambda: obstruct(499),
+        lambda: obstruct(491, s=7),
+        lambda: obstruct(11, s=24),
+        lambda: obstruct(11, s=23, theta=1),
+        lambda: obstruct(29),
+        lambda: census(497),
+        lambda: census(503),
+        lambda: census(7),
+    ], ids=["n-499", "s-7", "s-24", "theta-1", "no-witness", "census-497",
+            "census-503", "census-7"])
+    def test_refusal_leaves_the_cache_as_it_was(self, empty_census, call):
+        with pytest.raises(ValueError):
+            call()
+        assert census.cache_info().currsize == 0
+
+    def test_failed_build_is_retried(self, monkeypatch, empty_census):
+        enumerate_metabolizers = report.enumerate_metabolizers
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ArithmeticError("injected")
+            return enumerate_metabolizers(*args)
+
+        monkeypatch.setattr(report, "enumerate_metabolizers", fails_once)
+        with pytest.raises(ArithmeticError, match="injected"):
+            obstruct(11)
+        assert census.cache_info().currsize == 0
+        assert [r.verdict for r in obstruct(11)] == ["not slice"] * 2
+        assert len(calls) == 2
+        assert census.cache_info().currsize == 1
+
+    def test_an_earlier_witness_leaves_the_reports_unchanged(self):
+        # each run in a fresh interpreter, whose cache starts empty
+        code = ("import json, sys\n"
+                "from sliceobs.report import obstruct\n"
+                "for s in map(json.loads, sys.argv[1:]):\n"
+                "    rows = [r.to_dict() for r in obstruct(11, s=s)]\n"
+                "print(json.dumps(rows))\n")
+        outs = []
+        for args in (["67", "null"], ["null"]):
+            proc = run_python(["-c", code, *args], 120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(json.loads(proc.stdout))
+        assert outs[0] == outs[1]
+        assert [r["s"] for r in outs[0]] == [23, 23]
 
 
 class TestVerifyTable:
