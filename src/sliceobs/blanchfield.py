@@ -25,7 +25,8 @@ from fractions import Fraction
 from operator import mul
 
 from .linalg import Matrix, _bareiss, det_bareiss, smith_normal_form
-from .seifert import apply_inverse, band_order, check_n, seifert_matrix
+from .seifert import (_band_shape, apply_inverse, band_order, check_n,
+                      seifert_matrix)
 
 __all__ = [
     "CoverHomology",
@@ -196,17 +197,18 @@ _W = (_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1))  # w^0, w, w^2
 
 def _pairing_at_omega(a, order):
     """s det M and s adj(M)[p_i][p_j] for M = A - w A^T over Z[w], the
-    rows a of a square integer matrix A (tuples of ints) and a row order
-    whose last two indices are p = (p_0, p_1), where s = +-1 is the sign
-    of the row swaps; it cancels in every product adj conj(det) that
-    `linking_form` takes.
+    rows a of the Seifert matrix A (tuples of ints) and its
+    `seifert.band_order`, whose last two indices are p = (p_0, p_1),
+    where s = +-1 is the sign of the row swaps; it cancels in every
+    product adj conj(det) that `linking_form` takes.
 
     M is formed in that order on both sides (which leaves the
     determinant and the adjugate entries unchanged), and `_bareiss` runs
-    its first N-2 steps on it, N the side.  By Sylvester's identity the
-    trailing 2x2 block B then holds the minors of the leading
-    (N-2)-square block L bordered by one of the last two rows and one of
-    the last two columns, each times s, and the last pivot is s det L.
+    its first N-2 steps on it, N the side, within the band of that
+    order.  By Sylvester's identity the trailing 2x2 block B then holds
+    the minors of the leading (N-2)-square block L bordered by one of
+    the last two rows and one of the last two columns, each times s,
+    and the last pivot is s det L.
     The adjugate block of M at p equals the adjugate of the
     bordered-minor block, so it is s adj(B) = s [[B11, -B01], [-B10,
     B00]], and s det M = (B00 B11 - B01 B10) / (s det L), an exact
@@ -215,7 +217,7 @@ def _pairing_at_omega(a, order):
     """
     k = len(order) - 2
     m = [[_Eisenstein(a[i][j], -a[j][i]) for j in order] for i in order]
-    if _bareiss(m, k) is None:
+    if _bareiss(m, k, *_band_shape(len(order))) is None:
         raise ArithmeticError("zero pivot in the elimination of A - w A^T")
     (b00, b01), (b10, b11) = m[k][k:], m[k + 1][k:]
     det, r = divmod(b00 * b11 - b01 * b10, m[k - 1][k - 1] if k else 1)

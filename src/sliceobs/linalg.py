@@ -4,8 +4,10 @@ determinants, and the involution.
 Everything here is deliberately dependency-free.  All determinant
 work over Z or over the Eisenstein integers Z[w] goes through one
 kernel, `_bareiss`: fraction-free elimination, in place, with every
-division checked to be exact.  It measures the lower bandwidth w of its
-input once and visits only the w rows below each pivot; it skips the
+division checked to be exact.  It takes the lower bandwidth w of its
+input and the end of each row from the caller (`seifert.band_order`
+fixes them for the Seifert matrices; `det_bareiss` measures them) and
+visits only the w rows below each pivot; it skips the
 rows that are zero in the pivot column and scales them once, lazily,
 when they are next read; and it stops each row update at the last
 nonzero.  So on a band of width w a step costs O(w^2) arithmetic
@@ -144,7 +146,7 @@ def involution(obj):
 # -- determinants -------------------------------------------------------------
 
 
-def _bareiss(a, steps):
+def _bareiss(a, steps, width, ends):
     """Run the first `steps` steps of fraction-free (Bareiss) elimination
     on the rows a, in place.  The entries are ints, or any ring elements
     with `*`, `-`, truth value and a `divmod` whose remainder is zero
@@ -159,12 +161,15 @@ def _bareiss(a, steps):
     fix it, which happens exactly when the leading steps-square block is
     singular.  Raises ArithmeticError if a division is not exact.
 
-    The work follows the zeros of a banded matrix.  The lower bandwidth
-    w, the largest i - (first nonzero column of row i), is measured once,
-    and step k looks at rows k+1 .. k+w only, for the swap and for the
-    update: no row has a nonzero left of column i - w, and eliminating or
-    swapping within those rows keeps it so, so every row further down is
-    zero in the pivot column.  A row whose entry in
+    The work follows the zeros of a banded matrix, described by the
+    caller: `width`, the lower bandwidth w (the largest i - (first
+    nonzero column of row i)), and `ends`, one past the rightmost
+    nonzero column of each row; upper bounds on both are safe, and
+    `_band` measures them for any matrix.  Step k looks at rows
+    k+1 .. k+w only, for the swap and for the update: no row has a
+    nonzero left of column i - w, and eliminating or swapping within
+    those rows keeps it so, so every row further down is zero in the
+    pivot column.  A row whose entry in
     the pivot column is 0 is skipped: step k would only multiply it by
     piv_k / piv_(k-1), and those factors telescope, so the row is brought
     current later by one checked exact scaling, piv_e / piv_d over the
@@ -178,13 +183,7 @@ def _bareiss(a, steps):
     """
     size = len(a)
     done = [0] * size  # steps applied to each row so far
-    ends = [0] * size  # one past the rightmost nonzero of each row
-    width = 0  # the lower bandwidth
-    for i, row in enumerate(a):
-        nonzero = list(map(bool, row))
-        if True in nonzero:
-            width = max(width, i - nonzero.index(True))
-            ends[i] = len(row) - nonzero[::-1].index(True)
+    ends = list(ends)  # kept current through swaps and updates
     piv = [1]  # piv[d]: the divisor of step d, the pivot of step d - 1
 
     def current(i, e):
@@ -237,6 +236,20 @@ def _bareiss(a, steps):
     return sign
 
 
+def _band(a):
+    """The lower bandwidth of the rows a and one past the rightmost
+    nonzero of each row, measured, for `_bareiss` on a matrix whose band
+    its caller does not know."""
+    width = 0
+    ends = [0] * len(a)
+    for i, row in enumerate(a):
+        nonzero = list(map(bool, row))
+        if True in nonzero:
+            width = max(width, i - nonzero.index(True))
+            ends[i] = len(row) - nonzero[::-1].index(True)
+    return width, ends
+
+
 def det_bareiss(m):
     """Determinant of a square integer matrix, given by its rows (a
     Matrix iterates over its rows), by fraction-free elimination."""
@@ -248,7 +261,7 @@ def det_bareiss(m):
         raise TypeError("det_bareiss takes integer entries")
     if n == 0:
         return 1
-    sign = _bareiss(a, n)
+    sign = _bareiss(a, n, *_band(a))
     return 0 if sign is None else sign * a[n - 1][n - 1]
 
 

@@ -115,6 +115,14 @@ def band_order(n):
     return [i + half for i in range(m) for half in (0, m)]
 
 
+def _band_shape(size):
+    """The lower bandwidth and the row ends (one past the last nonzero)
+    that `linalg._bareiss` takes for a side-`size` matrix whose nonzeros
+    lie where those of xA - A^T do in `band_order`: within distance 2
+    of the diagonal."""
+    return 2, [min(i + 3, size) for i in range(size)]
+
+
 def alexander_polynomial(n):
     """det(tA - A^T) for the Seifert matrix A, an integer Laurent
     polynomial (monic of degree 2n-2 for odd n coprime to 3).
@@ -147,6 +155,7 @@ def alexander_polynomial(n):
              if a[i][j] or a[j][i]] for i in order]
     pts = list(islice((k * s for k in count(1) for s in (1, -1)), half + 1))
     scale = lcm(*pts)
+    shape = _band_shape(size)
     nodes, vals = [], []
     for x in pts:
         rows = []
@@ -155,7 +164,7 @@ def alexander_polynomial(n):
             for v, c, d in entries:
                 row[v] = x * c + d
             rows.append(row)
-        sign = _bareiss(rows, size)
+        sign = _bareiss(rows, size, *shape)
         det = 0 if sign is None else sign * rows[-1][-1]
         nodes.append(scale * x + scale // x)
         vals.append((scale // x) ** half * det)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from sliceobs.blanchfield import (BASIS, CoverHomology, LinkingForm,
                                   linking_template)
 from sliceobs.laurent import LaurentPolynomial
-from sliceobs.linalg import (Matrix, _bareiss, _newton_interpolate,
+from sliceobs.linalg import (Matrix, _band, _bareiss, _newton_interpolate,
                              det_bareiss, smith_normal_form)
 from sliceobs.seifert import seifert_matrix
 
@@ -77,7 +77,7 @@ def _pairing_cofactors(a, pos):
     while len(pts) < size + 1:
         x = next(points)
         m = [[u - x * v for u, v in row] for row in pairs]
-        sign = _bareiss(m, k)
+        sign = _bareiss(m, k, *_band(m))
         if sign is None:
             skipped += 1
             if skipped > k:

@@ -433,6 +433,128 @@ def test_frobenius_map_at_the_carry_edge():
     assert frobenius(h) == ffpoly_oracle.pow_mod(h, s, f, s)
 
 
+# a 24-digit prime, below the bound of `is_prime`
+BIG_PRIME = 10 ** 23 + 117
+
+
+@pytest.mark.parametrize("s", (3, 23, 59, 2 ** 31 - 1, BIG_PRIME))
+@pytest.mark.parametrize("d", (1, 2, 3, 17, 54, 60))
+def test_barrett_reducer_matches_schoolbook_division(d, s):
+    # random reduced operands, the square of one list (x is y), operands
+    # too short to need a reduction, zero operands, and operands with
+    # every coefficient at s - 1 against a modulus that has them too,
+    # where the packed limbs come nearest their bound
+    assert is_prime(s) and s < ffpoly._MR_BOUND
+    rng = random.Random(d * s)
+    worst = [s - 1] * d + [1]
+    for f in ([rng.randrange(s) for _ in range(d)] + [1], worst):
+        mulmod = ffpoly._barrett(f, s)
+
+        def check(x, y):
+            assert mulmod(x, y) == poly_divmod(mul(x, y, s), f, s)[1]
+
+        full = trim([rng.randrange(s) for _ in range(d)])
+        check(full, trim([rng.randrange(s) for _ in range(d)]))
+        check(full, full)
+        check(worst[:d], worst[:d])
+        check(trim([rng.randrange(1, s)]), full)
+        check(full, trim([rng.randrange(s), rng.randrange(1, s)][:d]))
+        check([], full)
+        check(full, [])
+        check([], [])
+
+
+def _irreducible(d, s, rng):
+    """A random monic irreducible of degree d over Z/s: the first draw
+    that `is_irreducible` accepts, certified by the oracle's
+    distinct-degree stage."""
+    g = [1]
+    while not is_irreducible(g, s):
+        g = [rng.randrange(s) for _ in range(d)] + [1]
+    assert ffpoly_oracle._distinct_degree(g, s) == [(g, d)]
+    return g
+
+
+@pytest.mark.parametrize("s", (23, 2 ** 31 - 1))
+@pytest.mark.parametrize("degrees", (
+    (1, 2, 8, 9, 16, 17),  # on both sides of the first two block edges
+    (8, 8, 9, 9),          # each edge degree twice, split by the norm
+    (16, 17),              # the second block refines two steps apart
+    (2, 3, 11),            # the stopping rule, mid-block, block spent
+    (1, 1, 1, 1, 5),       # the stopping rule, mid-block, quintic left
+))
+def test_factor_matches_oracle_across_block_edges(s, degrees):
+    # blocks of `_BLOCK` = 8 steps end at d = 8, 16, 24, ..., each
+    # clamped to deg rest / 2.  (2, 3, 11) has the block 1-8, yields the
+    # quadratic and the cubic, and rest, of degree 11 < 2 * 6, stops the
+    # loop at d = 6.  (1, 1, 1, 1, 5) has the block 1-4, yields the
+    # linear factors at d = 1, and rest, the quintic, is still in the
+    # block's gcd when 5 < 2 * 3 stops the loop at d = 3
+    rng = random.Random(sum(degrees) * s)
+    factors = []
+    for d in degrees:
+        g = _irreducible(d, s, rng)
+        while g in factors:
+            g = _irreducible(d, s, rng)
+        factors.append(g)
+    f = [rng.randrange(1, s)]
+    for g in factors:
+        f = mul(f, g, s)
+    got = factor(f, s)
+    assert got == ffpoly_oracle.factor(f, s)
+    assert degree_sequence(got) == sorted(degrees)
+
+
+def test_one_unpack_per_reduced_product(monkeypatch):
+    # each product packs its operands (one of them when x is y) and
+    # unpacks only the remainder: the quotient and q fbar stay packed
+    s, d = 59, 30
+    rng = random.Random(7)
+    f = [rng.randrange(s) for _ in range(d)] + [1]
+    x = [rng.randrange(s) for _ in range(d - 1)] + [1]
+    y = [rng.randrange(s) for _ in range(d - 1)] + [2]
+    mulmod = ffpoly._barrett(f, s)
+    packs, unpacks = [], []
+    real_pack, real_unpack = ffpoly._pack, ffpoly._unpack
+
+    def counting_pack(*args):
+        packs.append(len(args[0]))
+        return real_pack(*args)
+
+    def counting_unpack(*args):
+        unpacks.append(args[2])
+        return real_unpack(*args)
+
+    monkeypatch.setattr(ffpoly, "_pack", counting_pack)
+    monkeypatch.setattr(ffpoly, "_unpack", counting_unpack)
+    assert mulmod(x, y) == poly_divmod(mul(x, y, s), f, s)[1]
+    assert (packs, unpacks) == ([d, d], [d])
+    packs.clear()
+    unpacks.clear()
+    assert mulmod(x, x) == poly_divmod(mul(x, x, s), f, s)[1]
+    assert (packs, unpacks) == ([d], [d])
+
+
+def test_one_gcd_per_block_of_the_distinct_degree_loop(monkeypatch):
+    # an irreducible of degree 40 takes the steps d = 1 .. 20, in the
+    # blocks 1-8, 9-16 and 17-20 (clamped to 40 / 2); no block gcd is
+    # nontrivial, so nothing is refined: three gcds for twenty images
+    s = 23
+    f = _irreducible(40, s, random.Random(40))
+    mulmod = ffpoly._barrett(f, s)
+    frobenius = ffpoly._frobenius(f, s, mulmod)
+    gcds = []
+    real_gcd = ffpoly.poly_gcd
+
+    def counting_gcd(a, b, s):
+        gcds.append(len(b) - 1)
+        return real_gcd(a, b, s)
+
+    monkeypatch.setattr(ffpoly, "poly_gcd", counting_gcd)
+    assert list(ffpoly._distinct_degree(f, s, frobenius, mulmod)) == [(f, 40)]
+    assert gcds == [40, 40, 40]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from((3, 5, 7, 23)), st.data())
 def test_is_irreducible_agrees_with_factor(s, data):

@@ -7,7 +7,7 @@ import pytest
 
 from fresh_python import run_python
 from sliceobs import report, twisted
-from sliceobs.ffpoly import factor
+from sliceobs.ffpoly import degree_sequence, factor, monic
 from sliceobs.report import (
     DEFAULT_WITNESS,
     REFERENCE_FACTORS,
@@ -32,6 +32,23 @@ class TestWitnesses:
         for (n, _), (s, theta) in DEFAULT_WITNESS.items():
             assert (s - 1) % n == 0
             assert pow(theta, n, s) == 1 and theta % s != 1
+
+    @pytest.mark.parametrize("n", (11, 17, 23))
+    def test_inverse_theta_gives_the_reciprocal_polynomial(self, n):
+        # at theta^-1 the twisted polynomial of each table character is
+        # the reciprocal t^deg f(1/t), made monic, of the one at theta,
+        # so both have one degree sequence: a witness search needs only
+        # one of theta, theta^-1
+        c = census(n)
+        for chi in (c.plus, c.minus):
+            s, theta = DEFAULT_WITNESS[(n, chi.sign)]
+            f = list(twisted_polynomial(c.presentation, chi, s,
+                                        theta).coeffs)
+            g = list(twisted_polynomial(c.presentation, chi, s,
+                                        pow(theta, -1, s)).coeffs)
+            assert g == monic(f[::-1], s)
+            assert (degree_sequence(factor(g, s))
+                    == degree_sequence(factor(f, s)))
 
 
 class TestReferenceTable:

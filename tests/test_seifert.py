@@ -12,7 +12,7 @@ from sliceobs import seifert
 from sliceobs.blanchfield import cover_homology_snf, linking_form
 from sliceobs.ffpoly import is_prime, mul, primitive_root_of_unity
 from sliceobs.laurent import LaurentPolynomial, one as lp_one, t as lp_t
-from sliceobs.linalg import Matrix, _bareiss, det_bareiss
+from sliceobs.linalg import Matrix, _band, _bareiss, det_bareiss
 from sliceobs.report import obstruct
 from sliceobs.seifert import (
     MAX_N,
@@ -183,9 +183,9 @@ class TestAlexanderPolynomial:
         # N + 1 = 2n - 1 coefficients of Delta would need 2n - 1
         calls = []
 
-        def counted(rows, steps):
+        def counted(rows, steps, width, ends):
             calls.append(steps)
-            return _bareiss(rows, steps)
+            return _bareiss(rows, steps, width, ends)
 
         monkeypatch.setattr(seifert, "_bareiss", counted)
         alexander_polynomial(n)
@@ -202,8 +202,8 @@ class TestAlexanderPolynomial:
         # coefficients do not divide by the powers of L
         calls = []
 
-        def wrong(rows, steps):
-            sign = _bareiss(rows, steps)
+        def wrong(rows, steps, width, ends):
+            sign = _bareiss(rows, steps, width, ends)
             if len(calls) == point:
                 rows[-1][-1] += error
             calls.append(steps)
@@ -212,6 +212,20 @@ class TestAlexanderPolynomial:
         monkeypatch.setattr(seifert, "_bareiss", wrong)
         with pytest.raises(ArithmeticError, match=message):
             alexander_polynomial(5)
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 11, 29))
+    def test_band_shape_bounds_the_measured_band(self, n):
+        # the band that alexander_polynomial and the linking form hand
+        # to _bareiss, instead of measuring it, bounds the measured one
+        # of xA - A^T in band order, at any x
+        a = seifert_matrix(n)
+        order = band_order(n)
+        width, ends = seifert._band_shape(len(order))
+        for x in (1, -3, 7):
+            rows = [[x * a[i][j] - a[j][i] for j in order] for i in order]
+            measured, measured_ends = _band(rows)
+            assert measured <= width
+            assert all(map(int.__le__, measured_ends, ends))
 
     @pytest.mark.parametrize("n", (2, 4, 5, 7))
     def test_palindromic(self, n):
