@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .blanchfield import cover_homology_snf, linking_form
@@ -162,13 +163,24 @@ def build_parser():
 
 def main(argv=None):
     """Run one subcommand.  Bad input (a ValueError) ends in a one-line
-    message on stderr and exit code 2, like an argument error."""
+    message on stderr and exit code 2, like an argument error.  A reader
+    that closed standard output early, such as `head`, ends the run
+    quietly with exit code 1."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"sliceobs: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit, and what the
+        # buffer still holds would fail there too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

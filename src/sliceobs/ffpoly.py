@@ -558,9 +558,10 @@ def primitive_root_of_unity(s, d, theta=None):
     if (s - 1) % d:
         raise ValueError(f"no {d}-th roots of unity mod {s}")
     if theta is not None:
-        theta %= s
+        given, theta = theta, theta % s
         if theta == 1 or pow(theta, d, s) != 1:
-            raise ValueError(f"{theta} does not have order {d} mod {s}")
+            name = given if given == theta else f"{given} ({theta} mod {s})"
+            raise ValueError(f"{name} does not have order {d} mod {s}")
         return theta
     for h in range(2, s):
         cand = pow(h, (s - 1) // d, s)

@@ -20,11 +20,14 @@ The determinant is never assembled densely.  At all the points
 x = 1..m+1 at once, the relators, taken in crossing order, eliminate
 the arc each crossing creates by block forward substitution; the arcs
 read before they are created (the initial arcs) and the dropped
-relator's arc are left as a border of at most four arcs.  A relator's
-step is fused: each row of the arc it creates, or of its residual, is
-one pass over the points and border columns with one reduction mod s
-per entry.  The Schur complement in the border (at most 12 x 12) is
-then reduced by one Gaussian elimination over all the points together
+relator's arc are left as a border of at most four arcs.  A row of an
+arc's block at one point is one integer, its border columns in
+fixed-width slots, and every multiplier of a relator's step is a scalar
+at that point, so the step is one integer expression per row and point;
+all the slots of each are then reduced at once by Barrett's method
+(`_slot_reducer`), into [0, 2s), and no slot carries into the next.
+The Schur complement in the border (at most 12 x 12) is unpacked once
+and reduced by one Gaussian elimination over all the points together
 (`det_gf` with `points`).  That is O(n) block work per point instead of
 a dense 3(2n-1)-square determinant; the values are then interpolated.
 The dense route lives on in the tests as the oracle.
@@ -172,14 +175,55 @@ class TwistedPolynomial:
         return len(self.coeffs) - 1
 
 
-def _parity(order):
-    """+1 or -1: the sign of the permutation that sorts order."""
-    inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1:])
-    return -1 if inversions % 2 else 1
+def _sign(order):
+    """+1 or -1: the sign of the permutation that sorts order (distinct
+    keys), from its cycle count: a permutation of N points with c cycles
+    has sign (-1)^(N - c)."""
+    rank = {v: i for i, v in enumerate(sorted(order))}
+    perm = [rank[v] for v in order]
+    seen = [False] * len(perm)
+    cycles = 0
+    for i in range(len(perm)):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def _slot_reducer(s, slots):
+    """The slot width w and reduce(v0, v1, v2) for `slots` residues mod s
+    packed w bits apart in one int: reduce takes every slot of each of
+    its three ints (the rows of a block at one point) from below 8 s^3
+    into [0, 2s), congruent mod s, by Barrett's method on all the slots
+    of an int at once.
+
+    With k = bits(8 s^3) and mu = floor(2^k / s), a slot v_j < 2^k has
+    v_j mu < 2^(k + bits(mu)) = 2^(w - 1), so the one product v mu keeps
+    its slots apart, and shifted right by k and masked to the low w - k
+    bits of each slot it holds q_j = floor(v_j mu / 2^k).  Since
+    mu > 2^k / s - 1, q_j > v_j / s - v_j / 2^k - 1 > v_j / s - 2, and
+    q_j <= v_j / s, so q_j is floor(v_j / s) or one less: v_j - q_j s is
+    in [0, 2s), and subtracting q s borrows from no slot.
+    """
+    k = (8 * s ** 3).bit_length()
+    mu = (1 << k) // s
+    w = k + mu.bit_length() + 1
+    low = (1 << (w - k)) - 1
+    mask = sum(low << (j * w) for j in range(slots))
+
+    def reduce(v0, v1, v2):
+        return (v0 - ((v0 * mu >> k) & mask) * s,
+                v1 - ((v1 * mu >> k) & mask) * s,
+                v2 - ((v2 * mu >> k) & mask) * s)
+
+    return w, reduce
 
 
 def _elimination_plan(pres, drop_relator, drop_generator):
-    """The pivot arc of each kept relator, or None, and the border arcs.
+    """The pivot arc of each kept relator, or None, the border arcs, and
+    the sign of the reordering they make.
 
     Relators are taken in crossing order.  A relator (a, b, c) may pivot
     on a (block I) or on c (block -Phi(b)) when that arc occurs once in
@@ -191,6 +235,10 @@ def _elimination_plan(pres, drop_relator, drop_generator):
     pivot arc is never read before its relator, the pivot blocks are
     block lower triangular for any presentation; the choice of pivots
     only sets the size of the border.
+
+    The rows are reordered to the pivoting relators, then the others;
+    the columns to the pivot arcs, then the border.  The sign is that of
+    both reorderings.
     """
     kept = [r for i, r in enumerate(pres.relators, start=1)
             if i != drop_relator]
@@ -209,7 +257,10 @@ def _elimination_plan(pres, drop_relator, drop_generator):
         pivots.append(pivot)
     border.extend(g for g in range(1, pres.num_generators + 1)
                   if g not in seen)
-    return kept, pivots, border
+    pivoting = [i for i, p in enumerate(pivots) if p is not None]
+    sign = (_sign(pivoting + [i for i, p in enumerate(pivots) if p is None])
+            * _sign([pivots[i] for i in pivoting] + border))
+    return kept, pivots, border, sign
 
 
 def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
@@ -228,14 +279,22 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     12 x 12 for a 3-braid, and
         det = sign * prod det(pivot block) * det S,
     with det(-Phi(b)) = -x d_1 d_2 d_3 and the sign of the reordering of
-    relators and arcs.  The values are computed side by side: each block
-    entry is a list over the points, and a row of T is its 3|border|
-    entries laid end to end.  v is never formed: its row is folded into
-    the row of T or S that reads it, so a relator costs three passes,
-    one per row, each reducing once mod s.  The row of x (and of 1/x)
-    across all entries is built once per call.  S is then already laid
-    out for `det_gf`'s batched form, one elimination for all the
-    points.
+    relators and arcs.  The values are computed side by side: a block T
+    is a list over the points of its three rows there, each one int that
+    holds the row's 3|border| entries in slots of `_slot_reducer`'s
+    width.  Every factor of a step (the entries of d(a) and d(b), their
+    inverses, x and 1/x) is a scalar at the point, so one integer
+    expression computes a whole row there, a negative term -c r entering
+    as (s - c) r.  Each slot enters a step in [0, 2s) and each factor is
+    below s, so no expression reaches 8 s^3 (the largest, a residual's
+    p + (s - 1) u + x d q + x (s - d') r, is below 4 s^3 + 2 s^2 + 2s),
+    and one slotwise Barrett reduction brings every slot back into
+    [0, 2s) with no carry between slots.  v is never formed: its row is
+    folded into the row of T or S that reads it, so a relator costs one
+    pass over the points, three expressions and one reduction at each.
+    d(g) is taken once per generator per call.  The rows of S are
+    unpacked once into `det_gf`'s batched layout, which reduces them mod
+    s, for one elimination over all the points.
 
     t occurs in one row per kept relator, so the determinant has degree
     at most m (the number of kept relators) and its values at
@@ -254,22 +313,18 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     if s - 1 < m + 1:
         raise ValueError(f"s={s} has {s - 1} nonzero points; the "
                          f"degree-{m} determinant needs {m + 1}")
-    kept, pivots, border = _elimination_plan(pres, drop_relator,
-                                             drop_generator)
+    kept, pivots, border, sign = _elimination_plan(pres, drop_relator,
+                                                   drop_generator)
     xs = list(range(1, m + 2))
+    inv_xs = [pow(x, -1, s) for x in xs]
     npts, cols = len(xs), 3 * len(border)
-    width = cols * npts
-    zero = [[0] * width] * 3
-    value = {}
-    for k, g in enumerate(border):
-        rows = [[0] * width for _ in range(3)]
-        for i in range(3):
-            rows[i][(3 * k + i) * npts:(3 * k + i + 1) * npts] = [1] * npts
-        value[g] = rows
+    w, reduce = _slot_reducer(s, cols)
+    d = [None] + [rep.d(g) for g in range(1, m + 2)]
+    zero = [(0, 0, 0)] * npts
+    value = {g: [tuple(1 << (3 * k + i) * w for i in range(3))] * npts
+             for k, g in enumerate(border)}
     last_read = {g: i for i, rel in enumerate(kept) for g in rel}
-    # x and 1/x at the entry of every border column of a row
-    x_row = xs * cols
-    inv_x_row = [pow(x, -1, s) for x in xs] * cols
+    s1 = s - 1
 
     # det of the pivot blocks: sign * const * x^x_power
     const, x_power = 1, 0
@@ -279,57 +334,55 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
         return zero if g == drop_generator else value[g]
 
     for i, ((a, b, c), pivot) in enumerate(zip(kept, pivots)):
-        (da0, da1, da2), (db0, db1, db2) = rep.d(a), rep.d(b)
-        tb0, tb1, tb2 = arc(b)
-        # each row below folds in its row of v = (Phi(a) - I) T_b:
-        # (x da2 tb2 - tb0, da0 tb0 - tb1, da1 tb1 - tb2)
+        (da0, da1, da2), (db0, db1, db2) = d[a], d[b]
+        # at each point, (p0, p1, p2), (r0, r1, r2) and (q0, q1, q2) are
+        # the rows of T_a, T_b and T_c there; each row below folds in its
+        # row of v = (Phi(a) - I) T_b: (x da2 r2 - r0, da0 r0 - r1,
+        # da1 r1 - r2), with -r entering as (s - 1) r
         if pivot == a:
             # T_a = Phi(b) T_c - v
-            tc0, tc1, tc2 = arc(c)
+            na0, na1, na2 = s - da0, s - da1, s - da2
             value[a] = [
-                [(x * (db2 * q - da2 * r) + u) % s
-                 for x, q, r, u in zip(x_row, tc2, tb2, tb0)],
-                [(db0 * q - da0 * r + u) % s
-                 for q, r, u in zip(tc0, tb0, tb1)],
-                [(db1 * q - da1 * r + u) % s
-                 for q, r, u in zip(tc1, tb1, tb2)]]
+                reduce(x * db2 * q2 + x * na2 * r2 + r0,
+                       db0 * q0 + na0 * r0 + r1,
+                       db1 * q1 + na1 * r1 + r2)
+                for x, (q0, q1, q2), (r0, r1, r2)
+                in zip(xs, arc(c), arc(b))]
         elif pivot == c:
             # T_c = Phi(b)^-1 (T_a + v): rows 1 and 2 of T_a + v divided
             # by db0 and db1, then row 0 divided by x db2, which takes
             # the x out of v's row 0
-            ta0, ta1, ta2 = arc(a)
-            inv0, inv1, inv2 = (pow(d, -1, s) for d in (db0, db1, db2))
-            e2 = da2 * inv2
+            inv0, inv1, inv2 = (pow(e, -1, s) for e in (db0, db1, db2))
+            e2, ni2 = da2 * inv2 % s, s - inv2
             value[c] = [
-                [inv0 * (p + da0 * q - r) % s
-                 for p, q, r in zip(ta1, tb0, tb1)],
-                [inv1 * (p + da1 * q - r) % s
-                 for p, q, r in zip(ta2, tb1, tb2)],
-                [(inv2 * w * (p - r) + e2 * q) % s
-                 for w, p, r, q in zip(inv_x_row, ta0, tb0, tb2)]]
+                reduce(inv0 * (p1 + da0 * r0 + s1 * r1),
+                       inv1 * (p2 + da1 * r1 + s1 * r2),
+                       y * inv2 * p0 + y * ni2 * r0 + e2 * r2)
+                for y, (p0, p1, p2), (r0, r1, r2)
+                in zip(inv_xs, arc(a), arc(b))]
             const = -const * db0 * db1 * db2 % s
             x_power += 1
         else:
             # the residual T_a + v - Phi(b) T_c
-            (ta0, ta1, ta2), (tc0, tc1, tc2) = arc(a), arc(c)
-            residuals.append((i, [
-                [(p - u + x * (da2 * q - db2 * r)) % s
-                 for p, u, x, q, r in zip(ta0, tb0, x_row, tb2, tc2)],
-                [(p - u + da0 * q - db0 * r) % s
-                 for p, u, q, r in zip(ta1, tb1, tb0, tc0)],
-                [(p - u + da1 * q - db1 * r) % s
-                 for p, u, q, r in zip(ta2, tb2, tb1, tc1)]]))
+            nb0, nb1, nb2 = s - db0, s - db1, s - db2
+            residuals.append([
+                reduce(p0 + s1 * r0 + x * da2 * r2 + x * nb2 * q2,
+                       p1 + s1 * r1 + da0 * r0 + nb0 * q0,
+                       p2 + s1 * r2 + da1 * r1 + nb1 * q1)
+                for x, (p0, p1, p2), (r0, r1, r2), (q0, q1, q2)
+                in zip(xs, arc(a), arc(b), arc(c))])
         for g in (a, b, c):
             if last_read[g] == i:
                 value.pop(g, None)
 
-    rows = [row for _, res in residuals for row in res]
-    sign = (_parity([i for i, p in enumerate(pivots) if p is not None]
-                    + [i for i, _ in residuals])
-            * _parity([p for p in pivots if p is not None] + border))
+    # entry (j, x) of row i of a residual is slot j of that row's int at
+    # x; det_gf reduces it mod s
+    slot = (1 << w) - 1
+    rows = [[t[i] >> j * w & slot for j in range(cols) for t in res]
+            for res in residuals for i in range(3)]
     dets = det_gf(rows, s, npts)
-    ys = [sign * const * pow(x, x_power, s) * d % s
-          for x, d in zip(xs, dets)]
+    ys = [sign * const * pow(x, x_power, s) * e % s
+          for x, e in zip(xs, dets)]
     return ffpoly.interpolate(xs, ys, s)
 
 

@@ -11,10 +11,12 @@ import sliceobs
 SRC = os.path.dirname(os.path.dirname(sliceobs.__file__))
 
 
-def run_python(args, timeout):
-    """`python *args` with text output captured and a timeout."""
+def run_python(args, timeout, stdout=subprocess.PIPE):
+    """`python *args` with a timeout and text stderr captured, and stdout
+    too unless another target is given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, timeout=timeout, env=env)
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          timeout=timeout, env=env)

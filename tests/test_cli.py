@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -52,6 +53,19 @@ class TestObstructCommand:
     def test_exhaustive_flag(self, capsys):
         assert main(["obstruct", "--n", "11", "--exhaustive"]) == 0
         assert "characters checked: 12" in capsys.readouterr().out
+
+    def test_closed_stdout_ends_quietly(self):
+        # a reader gone before the first write, as `| head -1` may be:
+        # every write fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python(["-m", "sliceobs.cli", "obstruct", "--n", "11",
+                               "--json"], 120, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
 
 
 class TestVerifyTableCommand:

@@ -174,7 +174,9 @@ class TestBadInputBeforeAnyStage:
         (491, 983, 1, "1 does not have order 491 mod 983"),
         (29, None, None, "no default witness for n=29"),
         (11, 24, None, "s=24 is not prime"),
-    ], ids=["n-499", "s-7", "theta-1", "no-witness", "s-24"])
+        (11, 23, -2, r"^-2 \(21 mod 23\) does not have order 11 mod 23$"),
+    ], ids=["n-499", "s-7", "theta-1", "no-witness", "s-24",
+            "theta-out-of-range"])
     def test_refused_before_the_linking_form(self, monkeypatch, n, s,
                                              theta, message):
         def linking_form(n):

@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -31,6 +32,29 @@ def test_no_assert_statements():
             node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert))]
     assert not found, f"assert statements in sliceobs: {', '.join(found)}"
+
+
+def test_package_imports_only_the_standard_library():
+    # the package is dependency-free: every module it imports is in the
+    # standard library or is the package itself
+    foreign = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE_DIR, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            foreign += [f"{name}:{node.lineno} {top}" for top in tops
+                        if top not in sys.stdlib_module_names
+                        and top != "sliceobs"]
+    assert not foreign, f"imports outside the standard library: {foreign}"
 
 
 def test_every_all_name_resolves():

@@ -14,6 +14,8 @@ from sliceobs.metabolizers import Character, base_characters
 from sliceobs.report import DEFAULT_WITNESS
 from sliceobs.twisted import (
     TwistedRep,
+    _sign,
+    _slot_reducer,
     period_shift,
     propagate,
     seed_tuples,
@@ -161,9 +163,9 @@ class TestBlockEliminationOracle:
     included."""
 
     # s = 2n + 1 is the tight case: the points 1..2n are every nonzero
-    # element of the field
+    # element of the field; s = 2^64 + 745 gives the widest slots
     @pytest.mark.parametrize("n,s", [(5, 11), (5, 2147483171), (11, 23),
-                                     (11, 2147483647)])
+                                     (11, 2147483647), (5, 2 ** 64 + 745)])
     def test_every_character(self, n, s):
         pres = family_presentation(n)
         theta = ffpoly.primitive_root_of_unity(s, n)
@@ -206,6 +208,33 @@ class TestBlockEliminationOracle:
             for dr, dg in ((1, 1), (m, 2), (2, m)):
                 assert (twisted_determinant(pres, rep, dr, dg)
                         == oracle_raw(pres, rep, dr, dg))
+
+
+@given(st.lists(st.integers(-1000, 1000), unique=True, max_size=300))
+@settings(max_examples=60, deadline=None)
+def test_plan_sign_is_the_inversion_parity(order):
+    inversions = sum(x > y for i, x in enumerate(order)
+                     for y in order[i + 1:])
+    assert _sign(order) == (-1) ** inversions
+
+
+@given(st.sampled_from([3, 23, 2 ** 31 - 1, 10 ** 23 + 117]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_slot_reduction_keeps_every_slot_apart(s, data):
+    top = 8 * s ** 3 - 1
+    count = data.draw(st.integers(1, 12))
+    slot = st.one_of(st.sampled_from([0, s, 2 * s, top]),
+                     st.integers(0, top))
+    rows = [data.draw(st.lists(slot, min_size=count, max_size=count))
+            for _ in range(3)]
+    w, reduce = _slot_reducer(s, count)
+    out = reduce(*(sum(v << j * w for j, v in enumerate(row))
+                   for row in rows))
+    for row, packed in zip(rows, out):
+        assert packed >> count * w == 0
+        for j, v in enumerate(row):
+            r = packed >> j * w & (1 << w) - 1
+            assert 0 <= r < 2 * s and (v - r) % s == 0
 
 
 class TestTwistedPolynomial:
