@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
+from .braids import family_braid
 from .linalg import Matrix, _bareiss, det_bareiss, smith_normal_form
 from .seifert import (_band_shape, apply_inverse, band_order, check_n,
                       seifert_matrix)
@@ -84,6 +85,15 @@ class CoverHomology:
         return total
 
 
+def _check_knot(n):
+    """ValueError if the n-th closure is a link, as it is for 3 | n."""
+    braid = family_braid(n)
+    if not braid.is_knot_closure:
+        raise ValueError(f"the closure for n={n} is a "
+                         f"{braid.closure_components}-component link, "
+                         f"not a knot")
+
+
 def _times(x, y):
     """The product X Y of two integer matrices, X given by the list of
     (column, entry) pairs of the nonzeros of each row and Y by its rows:
@@ -115,7 +125,7 @@ def cover_homology_snf(n, q):
 
     Both bounds on q, the one on n (`seifert.check_n`) and the one on
     N q are checked before anything is allocated; MAX_Q and
-    MAX_COVER_SIDE give the cost.
+    MAX_COVER_SIDE give the cost.  Then a link (3 | n) is refused.
     """
     if q < 1:
         raise ValueError(f"the cover degree q must be at least 1, got {q}")
@@ -127,6 +137,7 @@ def cover_homology_snf(n, q):
         raise ValueError(
             f"the {q}-fold cover for n={n} is presented on N q = {side} "
             f"generators, above the ceiling N q <= {MAX_COVER_SIDE}")
+    _check_knot(n)
     a = seifert_matrix(n).rows
     size = len(a)
     eye = [[int(i == j) for j in range(size)] for i in range(size)]
@@ -268,7 +279,8 @@ def linking_form(n):
 
     With M = A - t A^T, Delta = det M and p = (n-2, 2n-3), the pairing
     of t^a e_u and t^b e_v is the t^0 coefficient of t^(b-a) G_vu in
-    Q[t]/(t^3 - 1), where G = (t - 1) M^-1 [p, p].  That needs Delta(1)
+    Q[t]/(t^3 - 1), where G = (t - 1) M^-1 [p, p].  That needs a knot
+    (3 | n gives a link, refused after the ceiling on n), and Delta(1)
     and Delta(w) nonzero, or the cover has infinite homology.  A class
     f = f0 + f1 t + f2 t^2 with f(1) = 0 and f(w) = x + y w has
     x = f0 - f2, y = f1 - f2, so f0 = (2x - y) / 3, and G(1) = 0.  So
@@ -276,6 +288,7 @@ def linking_form(n):
     det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.
     """
     a = seifert_matrix(n).rows
+    _check_knot(n)
     order = band_order(n)  # banded, and ends with p
     infinite = ValueError(
         "the Alexander polynomial shares a root of unity with t^3-1, "

@@ -37,7 +37,6 @@ __all__ = [
     "poly_divmod",
     "poly_gcd",
     "monic",
-    "pow_mod",
     "interpolate",
     "derivative",
     "factor",
@@ -256,18 +255,6 @@ def _power(result, base, e, mulmod):
         if e:
             base = mulmod(base, base)
     return result
-
-
-def pow_mod(base, e, modulus, s):
-    """base^e reduced modulo the polynomial modulus, e >= 0, by `_power`
-    through one `_barrett` reducer for the monic modulus."""
-    if e < 0:
-        raise ValueError(f"pow_mod needs an exponent e >= 0, not e={e}")
-    f = monic(modulus, s)
-    if not f:
-        raise ZeroDivisionError("polynomial division by zero")
-    return _power(poly_divmod([1], f, s)[1], poly_divmod(base, f, s)[1], e,
-                  _barrett(f, s))
 
 
 def _frobenius(f, s, mulmod):
@@ -550,7 +537,7 @@ def degree_sequence(fact):
 
 def primitive_root_of_unity(s, d, theta=None):
     """An element of order exactly d in Z/s (d prime, d | s-1).  A supplied
-    candidate is validated and returned reduced."""
+    candidate must be one, in [0, s); it is returned as given."""
     if not is_prime(s):
         raise ValueError(f"s={s} is not prime")
     if not is_prime(d):
@@ -562,6 +549,9 @@ def primitive_root_of_unity(s, d, theta=None):
         if theta == 1 or pow(theta, d, s) != 1:
             name = given if given == theta else f"{given} ({theta} mod {s})"
             raise ValueError(f"{name} does not have order {d} mod {s}")
+        if given != theta:
+            raise ValueError(f"theta={given} is outside [0, {s}); its "
+                             f"residue mod {s} is {theta}")
         return theta
     for h in range(2, s):
         cand = pow(h, (s - 1) // d, s)

@@ -11,15 +11,18 @@ orbit under the order-n symmetry.
 The census runs on integers only.  Every line but R b is spanned by
 g0 = a + (n0 + n1 t) b and g1 = t g0, whose coordinate rows
 (1, 0, n0, n1) and (0, 1, -n1, n0 - n1) are already in reduced echelon
-form.  Deck invariance is the pair of congruences t g0 = g1 and
-t g1 = -g0 - g1 mod n (the second is t^2 = -1 - t), and the form
-vanishes on the line when the four pairings g_i^T (n lambda) g_j are
-0 mod n, with n lambda the integer matrix `LinkingForm.scaled`.  So
-the n^2 + 1 lines cost a few small integer dot products each, and a
-`Submodule` is built only for the n + 1 that pass.
+form and affine in (n0, n1).  R b is deck invariant exactly when t keeps
+span(b, tb); then the a-coordinates c0, c1 of t g do not depend on
+(n0, n1), so t g = c0 g0 + c1 g1 is affine in (n0, n1) mod n and holds
+on every line once it holds at (0, 0), (1, 0) and (0, 1): deck
+invariance is checked on those four lines only.  The form vanishes on a
+line when the four pairings g_i^T (n lambda) g_j, n lambda the integer
+matrix `LinkingForm.scaled`, are 0 mod n; a `Submodule` is built only
+for the n + 1 lines that pass.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 
 # linking_form is unused here; perfbench's tracer test still reaches it
@@ -162,25 +165,22 @@ def enumerate_metabolizers(n, form):
     """The metabolizers among the n^2 + 1 deck-invariant lines, in the
     order (n0, n1) in (Z/n)^2, n0 major, then the leftover line R b.
 
-    Each line is tested on its generators g0 = (1, 0, n0, n1) and
-    g1 = (0, 1, -n1, n0 - n1), already in reduced echelon form: deck
-    invariance is t g0 = g1 and t g1 = -g0 - g1 mod n, and the form
-    vanishes on the line when the four integer pairings g_i^T (n lambda)
-    g_j are 0 mod n.  A Submodule is built only for a line that passes.
+    The lines are distinct, as g0 = (1, 0, n0, n1) carries (n0, n1), and
+    deck invariant by the four-line check above, which raises
+    ArithmeticError on a failure.  A Submodule is built only for a line
+    whose four integer pairings g_i^T (n lambda) g_j are 0 mod n.
     """
     check_class(n)
     _same_n(n, form)
     tm = t_matrix().rows
-    lines = [_line_rows(n, n0, n1) for n0 in range(n) for n1 in range(n)]
-    lines.append(_PRIME_LINE)
-    if len(set(lines)) != n * n + 1:
-        raise ArithmeticError("invariant submodules are not distinct")
-    mets = []
-    for g0, g1 in lines:
+    for g0, g1 in (_PRIME_LINE, _line_rows(n, 0, 0), _line_rows(n, 1, 0),
+                   _line_rows(n, 0, 1)):
         if not _deck_invariant(g0, g1, n, tm):
             raise ArithmeticError("a listed submodule is not deck invariant")
-        if _isotropic(g0, g1, form):
-            mets.append(Submodule(n, (g0, g1)))
+    lines = chain((_line_rows(n, n0, n1)
+                   for n0 in range(n) for n1 in range(n)), (_PRIME_LINE,))
+    mets = [Submodule(n, (g0, g1)) for g0, g1 in lines
+            if _isotropic(g0, g1, form)]
     if len(mets) != n + 1:
         raise ArithmeticError(
             f"expected exactly n + 1 = {n + 1} metabolizers, found "

@@ -176,10 +176,6 @@ def census(n):
         raise ArithmeticError("the fixed metabolizer must be its own orbit")
     plus = character_for(orbit_base_metabolizer(n), form)
     minus = character_for(fixed_metabolizer(n), form)
-    for sign, chi in (("+", plus), ("-", minus)):
-        if chi.sign != sign:
-            raise ArithmeticError(f"the chi{sign} character has sign "
-                                  f"{chi.sign}")
     return Census(n, pres, form, mets, orbits, orbit_sizes, plus, minus)
 
 

@@ -1,8 +1,9 @@
 """Square and multiply with schoolbook division, kept as the independent
-oracle for `sliceobs.ffpoly.pow_mod`; Euclid's algorithm by repeated
-`poly_divmod`, kept as the oracle for `sliceobs.ffpoly.poly_gcd`; and
-the factorization that raises to exponents and takes gcds with them,
-kept as the oracle for `sliceobs.ffpoly.factor`.
+oracle for the powers `sliceobs.ffpoly.factor` takes by `_power` through
+a `_barrett` reducer; Euclid's algorithm by repeated `poly_divmod`, kept
+as the oracle for `sliceobs.ffpoly.poly_gcd`; and the factorization that
+raises to exponents by the former and takes gcds by the latter, kept as
+the oracle for `sliceobs.ffpoly.factor`.
 
 Every product is reduced by `poly_divmod` against the modulus as given
 (not made monic).  The program reduces by Barrett's method on packed

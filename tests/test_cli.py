@@ -170,6 +170,32 @@ class TestBadInput:
         assert len(lines) == 1
         assert lines[0].startswith("sliceobs: error: ")
 
+    def test_theta_is_used_as_typed_or_refused(self, capsys):
+        # 25 = 2 mod 23 has order 11; reducing it would report a theta
+        # that was not typed
+        argv = ["obstruct", "--n", "11", "--s", "23", "--csv"]
+        assert main(argv + ["--theta", "25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("sliceobs: error: theta=25 is outside "
+                                "[0, 23); its residue mod 23 is 2\n")
+        assert main(argv + ["--theta", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["2", "2"]
+
+    @pytest.mark.parametrize("argv", [["homology", "--n", "3", "--q", "2"],
+                                      ["linking", "--n", "3"]])
+    def test_link_member_is_named(self, argv, capsys):
+        # n = 3 closes to the Borromean rings, whose double cover has H_1
+        # of order 16: neither "infinite" nor a root of unity of Delta
+        # applies
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "sliceobs: error: the closure for n=3 is a 3-component link, "
+            "not a knot\n")
+
     def test_verify_table_names_the_table_rows(self, capsys):
         assert main(["verify-table", "--n", "29"]) == 2
         err = capsys.readouterr().err

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import metabolizer_oracle
 from metabolizer_oracle import census, invariant_submodules, is_invariant
+from sliceobs import metabolizers
 from sliceobs.blanchfield import linking_form, r_matrix, t_matrix
+from sliceobs.linalg import Matrix
 from sliceobs.metabolizers import (
     Character,
     Submodule,
@@ -56,6 +58,20 @@ class TestSubmodule:
     @settings(max_examples=25, deadline=None)
     def test_every_line_is_deck_invariant(self, n0, n1):
         assert is_invariant(line_submodule(11, n0, n1), t_matrix())
+
+    @given(st.sampled_from([5, 11, 17]),
+           st.integers(min_value=-40, max_value=40),
+           st.integers(min_value=-40, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_line_rows_are_affine_in_n0_n1(self, n, n0, n1):
+        # the census checks deck invariance on three lines and R b only;
+        # that covers every line because the rows are affine mod n
+        rows = [metabolizers._line_rows(n, *p)
+                for p in ((0, 0), (1, 0), (0, 1))]
+        want = tuple(tuple((z + n0 * (x - z) + n1 * (y - z)) % n
+                           for x, y, z in zip(gx, gy, gz))
+                     for gz, gx, gy in zip(*rows))
+        assert metabolizers._line_rows(n, n0, n1) == want
 
     @given(st.integers(min_value=-30, max_value=30),
            st.integers(min_value=-30, max_value=30))
@@ -169,6 +185,46 @@ class TestMetabolizers:
         built.clear()
         census(n, form)
         assert len(built) > n * n
+
+    @pytest.mark.parametrize("n", [5, 11, 17])
+    def test_deck_invariance_is_checked_on_four_lines(self, monkeypatch, n):
+        # invariance of all n^2 + 1 lines follows from four checks
+        calls = []
+        check = metabolizers._deck_invariant
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(metabolizers, "_deck_invariant", counted)
+        assert len(enumerate_metabolizers(n, linking_form(n))) == n + 1
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("line, rows", [
+        # each wrong deck matrix fails on this one of the four checked
+        # lines alone at n = 5
+        ("Rb", ((-1, -1, -1, 1), (-1, -1, 0, 1), (0, 0, -2, 0),
+                (0, 0, -1, 0))),
+        ("0-0", ((-1, -1, 0, 0), (-1, -1, 0, 0), (1, -1, -2, 0),
+                 (0, -1, -1, 0))),
+        ("1-0", ((0, 0, 0, 0), (1, -1, 0, 0), (0, 0, 0, -1),
+                 (0, 0, 0, -1))),
+        ("0-1", ((1, -1, 0, 0), (1, -1, 0, 0), (0, 0, 1, -1),
+                 (0, 0, 1, -1))),
+    ], ids=["Rb", "0-0", "1-0", "0-1"])
+    def test_wrong_deck_matrix_stops_the_census(self, monkeypatch, line,
+                                                rows):
+        n = 5
+        checked = {"Rb": metabolizers._PRIME_LINE,
+                   "0-0": metabolizers._line_rows(n, 0, 0),
+                   "1-0": metabolizers._line_rows(n, 1, 0),
+                   "0-1": metabolizers._line_rows(n, 0, 1)}
+        failing = [name for name, (g0, g1) in checked.items()
+                   if not metabolizers._deck_invariant(g0, g1, n, rows)]
+        assert failing == [line]
+        monkeypatch.setattr(metabolizers, "t_matrix", lambda: Matrix(rows))
+        with pytest.raises(ArithmeticError, match="not deck invariant"):
+            enumerate_metabolizers(n, _FORMS[n])
 
     def test_rejects_form_of_another_n(self):
         form = linking_form(17)

@@ -175,8 +175,12 @@ class TestBadInputBeforeAnyStage:
         (29, None, None, "no default witness for n=29"),
         (11, 24, None, "s=24 is not prime"),
         (11, 23, -2, r"^-2 \(21 mod 23\) does not have order 11 mod 23$"),
+        (11, 23, 25, r"^theta=25 is outside \[0, 23\); its residue mod 23 "
+                     r"is 2$"),
+        (11, 23, -21, r"^theta=-21 is outside \[0, 23\); its residue mod "
+                      r"23 is 2$"),
     ], ids=["n-499", "s-7", "theta-1", "no-witness", "s-24",
-            "theta-out-of-range"])
+            "theta-out-of-range", "theta-25", "theta-minus-21"])
     def test_refused_before_the_linking_form(self, monkeypatch, n, s,
                                              theta, message):
         def linking_form(n):
