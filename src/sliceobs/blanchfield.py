@@ -7,9 +7,11 @@ generators sitting at rows n-1 and 2(n-1) of the Seifert presentation;
 only the four pairing values between them are ever needed.  On the
 3-fold cover they are taken modulo t^3 - 1, where each one vanishes at
 t = 1 and so is fixed by its value at a primitive cube root of unity w.
-`linking_form` gets those values from one fraction-free elimination of
-A - w A^T over the Eisenstein integers Z[w], on the banded order of
-`seifert.band_order`, and reads them on the basis (a, ta, b, tb).
+`linking_form` gets those values from one pass of `linalg.det_band`
+over the pencil A - t A^T modulo t^2 + t + 1, that is over the
+Eisenstein integers Z[w], in the banded order of `seifert.band_order`
+(a first pass modulo t - 1 refuses Delta(1) = 0), and reads them on the
+basis (a, ta, b, tb).
 `cover_homology_snf` takes the q-fold cover, for q up to `MAX_Q` and a
 presentation of side N q up to `MAX_COVER_SIDE`, from the monodromy
 h = A^-1 A^T: the block-circulant presentation of the cover reduces by
@@ -25,9 +27,8 @@ from fractions import Fraction
 from operator import mul
 
 from .braids import family_braid
-from .linalg import Matrix, _bareiss, det_bareiss, smith_normal_form
-from .seifert import (_band_shape, apply_inverse, band_order, check_n,
-                      seifert_matrix)
+from .linalg import Matrix, det_band, smith_normal_form
+from .seifert import apply_inverse, band_pencil, check_n, seifert_matrix
 
 __all__ = [
     "CoverHomology",
@@ -191,50 +192,26 @@ class _Eisenstein:
         a, b = self.a, self.b
         return a * a - a * b + b * b
 
-    def __divmod__(self, other):
-        """(q, r) with self = q other + r, q the floor of self / other =
-        self conj(other) / N(other) taken coordinatewise; r is zero
-        exactly when the division is exact."""
-        if isinstance(other, int):
-            other = _Eisenstein(other)
-        num = self * other.conjugate()
-        nrm = other.norm()
-        q = _Eisenstein(num.a // nrm, num.b // nrm)
-        return q, self - q * other
-
 
 _W = (_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1))  # w^0, w, w^2
 
 
-def _pairing_at_omega(a, order):
-    """s det M and s adj(M)[p_i][p_j] for M = A - w A^T over Z[w], the
-    rows a of the Seifert matrix A (tuples of ints) and its
-    `seifert.band_order`, whose last two indices are p = (p_0, p_1),
-    where s = +-1 is the sign of the row swaps; it cancels in every
-    product adj conj(det) that `linking_form` takes.
+def _pairing_at_omega(a, at):
+    """det M and adj(M)[p_i][p_j] for M = A - w A^T over Z[w], as
+    `_Eisenstein` values, from the rows a of A and at of A^T in
+    `seifert.band_order`, whose last two indices are p = (p_0, p_1).
 
-    M is formed in that order on both sides (which leaves the
-    determinant and the adjugate entries unchanged), and `_bareiss` runs
-    its first N-2 steps on it, N the side, within the band of that
-    order.  By Sylvester's identity the trailing 2x2 block B then holds
-    the minors of the leading (N-2)-square block L bordered by one of
-    the last two rows and one of the last two columns, each times s,
-    and the last pivot is s det L.
-    The adjugate block of M at p equals the adjugate of the
-    bordered-minor block, so it is s adj(B) = s [[B11, -B01], [-B10,
-    B00]], and s det M = (B00 B11 - B01 B10) / (s det L), an exact
-    division.  A singular L(w) leaves a zero pivot and raises
-    ArithmeticError.
+    M is taken in that order on both sides, which leaves the determinant
+    and the adjugate entries unchanged, and `linalg.det_band` reduces
+    the pencil A - t A^T modulo t^2 + t + 1 in one pass.  It gives det M
+    and the block B of the minors bordered by the last two rows and
+    columns, whose adjugate [[B11, -B01], [-B10, B00]] is the adjugate
+    block of M at p: B11, say, is the minor of M without row and column
+    p_0.
     """
-    k = len(order) - 2
-    m = [[_Eisenstein(a[i][j], -a[j][i]) for j in order] for i in order]
-    if _bareiss(m, k, *_band_shape(len(order))) is None:
-        raise ArithmeticError("zero pivot in the elimination of A - w A^T")
-    (b00, b01), (b10, b11) = m[k][k:], m[k + 1][k:]
-    det, r = divmod(b00 * b11 - b01 * b10, m[k - 1][k - 1] if k else 1)
-    if r:
-        raise ArithmeticError("Bareiss division was not exact")
-    return det, ((b11, -b01), (-b10, b00))
+    det, ((b00, b01), (b10, b11)) = det_band(a, at, (1, 1, 1))
+    return _Eisenstein(*det), ((_Eisenstein(*b11), -_Eisenstein(*b01)),
+                               (-_Eisenstein(*b10), _Eisenstein(*b00)))
 
 
 @dataclass(frozen=True)
@@ -287,15 +264,14 @@ def linking_form(n):
     with w^(b-a) (w - 1) adj_vu conj(det) = x + y w over Z[w] (adj and
     det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.
     """
-    a = seifert_matrix(n).rows
+    a, at = band_pencil(n)  # in band order, which ends with p
     _check_knot(n)
-    order = band_order(n)  # banded, and ends with p
     infinite = ValueError(
         "the Alexander polynomial shares a root of unity with t^3-1, "
         "so the 3-fold branched cover has infinite homology")
-    if not det_bareiss([[a[i][j] - a[j][i] for j in order] for i in order]):
+    if not det_band(a, at, (-1, 1))[0][0]:  # Delta(1), mod t - 1
         raise infinite
-    det, adj = _pairing_at_omega(a, order)
+    det, adj = _pairing_at_omega(a, at)
     if not det:
         raise infinite
     tm1 = _Eisenstein(-1, 1)

@@ -1,23 +1,16 @@
-"""Exact linear algebra: integer determinants and Smith forms, prime-field
-determinants, and the involution.
+"""Exact linear algebra: band determinants over Z[t], prime-field
+determinants, integer Smith forms, and the involution.
 
-Everything here is deliberately dependency-free.  All determinant
-work over Z or over the Eisenstein integers Z[w] goes through one
-kernel, `_bareiss`: fraction-free elimination, in place, with every
-division checked to be exact.  It takes the lower bandwidth w of its
-input and the end of each row from the caller (`seifert.band_order`
-fixes them for the Seifert matrices; `det_bareiss` measures them) and
-visits only the w rows below each pivot; it skips the
-rows that are zero in the pivot column and scales them once, lazily,
-when they are next read; and it stops each row update at the last
-nonzero.  So on a band of width w a step costs O(w^2) arithmetic
-instead of O(N^2) (see `seifert.band_order`).  It gives `det_bareiss`
-for integer matrices, and a polynomial determinant is put back
-together from such values at integer nodes by `_newton_interpolate`
-(`seifert.alexander_polynomial` takes the palindromic half of one, at
-the scaled nodes L (x + 1/x)).
-Its partial form, stopped before the last rows, also yields bordered
-minors (see `blanchfield._pairing_at_omega`).  Determinants over a
+Everything here is deliberately dependency-free.  Every determinant
+over Z, Z[t] or the Eisenstein integers Z[w] = Z[t]/(t^2 + t + 1) is of
+a pencil X - t Y whose nonzeros lie within distance 2 of the diagonal
+(the Seifert pencils in `seifert.band_order`), and goes through one
+kernel, `det_band`: a transfer recurrence over the six ways the rows
+so far can leave the columns near the diagonal taken, one pass over the
+rows with no pivot, no division and no evaluation point, which also
+gives the minors bordered by the last two rows and columns
+(`blanchfield._pairing_at_omega` reads the adjugate from them) and
+reduces modulo a monic polynomial as it goes.  Determinants over a
 prime field use plain Gaussian elimination (`det_gf`), which also takes
 many matrices of one side laid out side by side, entry by entry, and
 eliminates them together: one list operation per row and step serves
@@ -34,7 +27,7 @@ from .laurent import LaurentPolynomial
 __all__ = [
     "Matrix",
     "involution",
-    "det_bareiss",
+    "det_band",
     "det_gf",
     "smith_normal_form",
 ]
@@ -146,123 +139,101 @@ def involution(obj):
 # -- determinants -------------------------------------------------------------
 
 
-def _bareiss(a, steps, width, ends):
-    """Run the first `steps` steps of fraction-free (Bareiss) elimination
-    on the rows a, in place.  The entries are ints, or any ring elements
-    with `*`, `-`, truth value and a `divmod` whose remainder is zero
-    exactly when the division is exact (`blanchfield._Eisenstein`).
+# The moves of `det_band`, as (state, pick, next state, sign).  Before
+# row i, the rows above have taken every column left of i - 2 and two
+# of the window columns i - 2 .. i + 1; a state is that pair, as offsets
+# 0..3 into the window, numbered (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+# (2, 3); row 0 starts from (0, 1), the columns -2 and -1 counted as
+# taken.  Row i takes a free column i - 2 + pick, pick = 0..4, and must
+# take column i - 2 while it is free, since no later row reaches it; the
+# sign is -1 to the number of taken columns right of the pick, the
+# inversions the pick adds to the permutation.
+_MOVES = ((0, 2, 0, 1), (0, 3, 1, 1), (0, 4, 2, 1),
+          (1, 1, 0, -1), (1, 3, 3, 1), (1, 4, 4, 1),
+          (2, 1, 1, -1), (2, 2, 3, -1), (2, 4, 5, 1),
+          (3, 0, 0, 1), (4, 0, 1, 1), (5, 0, 3, 1))
 
-    After step k, every entry a[i][j] with i, j > k is the minor of the
-    leading (k+1)-square block bordered by row i and column j, times the
-    sign of the row swaps made so far (Sylvester's identity); that is
-    what makes each division exact.  Pivots are swapped in only from the
-    first `steps` rows, so the rows from `steps` on stay the border rows.
-    Returns the swap sign, or None when a pivot vanishes and no swap can
-    fix it, which happens exactly when the leading steps-square block is
-    singular.  Raises ArithmeticError if a division is not exact.
 
-    The work follows the zeros of a banded matrix, described by the
-    caller: `width`, the lower bandwidth w (the largest i - (first
-    nonzero column of row i)), and `ends`, one past the rightmost
-    nonzero column of each row; upper bounds on both are safe, and
-    `_band` measures them for any matrix.  Step k looks at rows
-    k+1 .. k+w only, for the swap and for the update: no row has a
-    nonzero left of column i - w, and eliminating or swapping within
-    those rows keeps it so, so every row further down is zero in the
-    pivot column.  A row whose entry in
-    the pivot column is 0 is skipped: step k would only multiply it by
-    piv_k / piv_(k-1), and those factors telescope, so the row is brought
-    current later by one checked exact scaling, piv_e / piv_d over the
-    steps d..e-1 it missed.  Scaling keeps zeros zero, so a stale row
-    answers the zero tests (is it skipped, can it be swapped in); it is
-    brought current before its values are read: as the pivot, as an
-    updated row, or as a border row when the elimination stops.  An
-    update runs only up to the rightmost nonzero of the two rows.  Every
-    entry, and every swap, is the one of the full elimination, since
-    Sylvester's identity fixes both.
+def _plus(p, q):
+    """The sum of two coefficient lists."""
+    if len(p) < len(q):
+        p, q = q, p
+    return [u + v for u, v in zip(p, q)] + p[len(q):]
+
+
+def det_band(x, y, modulus=None):
+    """The determinant of the pencil M = X - t Y, for square matrices X
+    and Y given by their rows, whose nonzeros lie within distance 2 of
+    the diagonal, and the 2x2 block B of the minors of M bordered by its
+    last two rows and columns: B[a][b] is the minor on the rows 0..N-3,
+    N-2+a and the columns 0..N-3, N-2+b, N the side.  Returns (det M, B),
+    B None when N < 2, each value a list of integer coefficients,
+    ascending in t.  With `modulus`, the ascending coefficients of a
+    monic polynomial of degree e, each value is taken modulo it, a list
+    of e integers.  A nonzero outside the band raises ValueError.
+
+    One pass over the rows, by a transfer recurrence over the six states
+    of `_MOVES`: a state holds the signed sum, over the ways the rows so
+    far can take columns and leave that state, of the products of the
+    entries they take.  A row moves each state along its at most 3
+    picks, multiplying it by one entry X_ij - t Y_ij, so there is no
+    pivot, no division and no evaluation point; the modulus is folded in
+    after each move.  When N - 2 rows are done, one more row N-2+a
+    leaves B[a][0] in the state with the columns 0..N-2 taken and
+    B[a][1] in the one with N-2 free and N-1 taken.
     """
-    size = len(a)
-    done = [0] * size  # steps applied to each row so far
-    ends = list(ends)  # kept current through swaps and updates
-    piv = [1]  # piv[d]: the divisor of step d, the pivot of step d - 1
-
-    def current(i, e):
-        # scale row i from done[i] steps to e steps
-        d = done[i]
-        if d != e:
-            f, g = piv[e], piv[d]
-            row = a[i]
-            for j in range(e, ends[i]):
-                q, r = divmod(row[j] * f, g)
-                if r:
-                    raise ArithmeticError("Bareiss division was not exact")
-                row[j] = q
-            done[i] = e
-
-    sign = 1
-    for k in range(steps):
-        last = k + width + 1  # one past the last row that can be nonzero
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, min(last, steps))
-                         if a[i][k]), None)
-            if swap is None:
-                return None
-            for per_row in (a, done, ends):
-                per_row[k], per_row[swap] = per_row[swap], per_row[k]
-            sign = -sign
-        current(k, k)
-        row_k = a[k]
-        pivot = row_k[k]
-        prev = piv[k]
-        end_k = ends[k]
-        for i in range(k + 1, min(last, size)):
-            row_i = a[i]
-            if not row_i[k]:
-                continue
-            current(i, k)
-            aik = row_i[k]
-            end = max(end_k, ends[i])
-            for j in range(k + 1, end):
-                q, r = divmod(row_i[j] * pivot - aik * row_k[j], prev)
-                if r:
-                    raise ArithmeticError("Bareiss division was not exact")
-                row_i[j] = q
-            row_i[k] = 0
-            ends[i] = end
-            done[i] = k + 1
-        piv.append(pivot)
-    for i in range(steps, size):
-        current(i, steps)
-    return sign
-
-
-def _band(a):
-    """The lower bandwidth of the rows a and one past the rightmost
-    nonzero of each row, measured, for `_bareiss` on a matrix whose band
-    its caller does not know."""
-    width = 0
-    ends = [0] * len(a)
-    for i, row in enumerate(a):
-        nonzero = list(map(bool, row))
-        if True in nonzero:
-            width = max(width, i - nonzero.index(True))
-            ends[i] = len(row) - nonzero[::-1].index(True)
-    return width, ends
-
-
-def det_bareiss(m):
-    """Determinant of a square integer matrix, given by its rows (a
-    Matrix iterates over its rows), by fraction-free elimination."""
-    a = [list(r) for r in m]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    size = len(x)
+    if len(y) != size:
         raise ValueError("determinant of non-square matrix")
-    if not all(isinstance(x, int) for r in a for x in r):
-        raise TypeError("det_bareiss takes integer entries")
-    if n == 0:
-        return 1
-    sign = _bareiss(a, n, *_band(a))
-    return 0 if sign is None else sign * a[n - 1][n - 1]
+    for i, rows in enumerate(zip(x, y)):
+        for r in rows:
+            if len(r) != size:
+                raise ValueError("determinant of non-square matrix")
+            if any(r[:max(i - 2, 0)]) or any(r[i + 3:]):
+                raise ValueError(
+                    f"row {i} has a nonzero outside the band of width 2")
+    top = len(modulus) - 1 if modulus else 0
+
+    def step(states, i, r):
+        # the states after row r, taken as the row at position i
+        new = [None] * 6
+        for src, pick, dst, sign in _MOVES:
+            p = states[src]
+            j = i - 2 + pick
+            if p is None or j >= size:
+                continue
+            d = sign * x[r][j]
+            c = -sign * y[r][j]
+            if not c:
+                if not d:
+                    continue
+                q = p if d == 1 else [d * u for u in p]
+            elif not d:
+                q = [0] + (p if c == 1 else [c * u for u in p])
+            else:
+                q = ([d * p[0]] + [d * u + c * v for u, v in zip(p[1:], p)]
+                     + [c * p[-1]])
+            if len(q) > top > 0:
+                lead = q.pop()
+                for e in range(top):
+                    q[e] -= lead * modulus[e]
+            new[dst] = q if new[dst] is None else _plus(new[dst], q)
+        return new
+
+    def value(p):
+        p = p or []
+        return p + [0] * (max(top, 1) - len(p))
+
+    states = [[1], None, None, None, None, None]
+    block = None
+    for i in range(size):
+        new = step(states, i, i)
+        if i == size - 2:
+            other = step(states, i, i + 1)
+            block = ((value(new[0]), value(new[1])),
+                     (value(other[0]), value(other[1])))
+        states = new
+    return value(states[0]), block
 
 
 def det_gf(rows, s, points=None):
@@ -310,32 +281,6 @@ def det_gf(rows, s, points=None):
                 row_i[npts:], f * (k - c - 1), scaled)]
                 if any(f) else row_i[npts:])
     return det if points is not None else det[0]
-
-
-def _newton_interpolate(pts, vals):
-    """The unique integer polynomial of degree < len(pts) through the
-    given integer values at the given distinct integer nodes.  Raises
-    ArithmeticError if the interpolant is not integral.
-
-    Newton's divided differences stay in the integers: those of an
-    integer polynomial at integer nodes are integers, and integer
-    divided differences at integer nodes give an integer polynomial, so
-    the interpolant is integral exactly when every division is exact.
-    The Newton form is expanded by Horner's rule.
-    """
-    coef = list(vals)
-    n = len(pts)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i], r = divmod(coef[i] - coef[i - 1], pts[i] - pts[i - j])
-            if r:
-                raise ArithmeticError("interpolant not integral")
-    poly = []
-    for i in range(n - 1, -1, -1):
-        # poly = poly * (t - pts[i]) + coef[i]
-        poly = [a - pts[i] * b for a, b in zip([0] + poly, poly + [0])]
-        poly[0] += coef[i]
-    return LaurentPolynomial(dict(enumerate(poly)))
 
 
 # -- Smith normal form --------------------------------------------------------

@@ -15,9 +15,10 @@ answer are the prefix sums of X's top block rows, negated, and the
 bottom block rows add to those prefix sums the suffix sums of X's
 bottom block rows (`apply_inverse`), O(N) work per row of X.  And with
 the rows and columns taken in the interleaved order (0, n-1, 1, n,
-..., n-2, 2n-3) (`band_order`), every nonzero of xA - A^T lies within
-distance 2 of the diagonal, which `linalg._bareiss` turns into O(1)
-work per elimination step.
+..., n-2, 2n-3) (`band_order`), every nonzero of the pencil A - t A^T
+lies within distance 2 of the diagonal (`band_pencil`), so
+`linalg.det_band` takes its determinant, and the minors the linking
+form needs, in one pass of at most 12 moves per row.
 
 Every N-square table here and downstream (the linking form, cover
 homology, `report.obstruct`) starts from `band_matrix` or
@@ -26,23 +27,22 @@ against `MAX_N`, so it fires before anything is allocated;
 `report.obstruct` runs it before it builds the presentation.
 """
 
-from itertools import count, islice
-from math import lcm
-from operator import add
+from operator import add, itemgetter
 
 from .laurent import LaurentPolynomial
-from .linalg import Matrix, _bareiss, _newton_interpolate
+from .linalg import Matrix, det_band
 
 __all__ = ["MAX_N", "check_n", "band_matrix",
-           "seifert_matrix", "apply_inverse", "band_order",
+           "seifert_matrix", "apply_inverse", "band_order", "band_pencil",
            "alexander_polynomial", "p_n"]
 
 # The largest family index accepted, so that no input asks for more
 # than a few dense tables of side N = 2(n-1) <= 998, 1e6 entries each.
 # Measured near it (Python 3.11, 2 cores): `linking_form(497)` takes
-# 1.5 s, `cover_homology_snf(497, 3)` 23 s, `report.obstruct(491,
-# s=983)` 182 s at 121 MiB peak RSS, and `alexander_polynomial(497)`
-# 322 s; the last two grow about as n^3.
+# 0.3 s and `alexander_polynomial(497)` 0.8-0.9 s (1.5 s and 322 s by
+# Bareiss elimination), `cover_homology_snf(497, 3)` 23 s and
+# `report.obstruct(491, s=983)` 182 s at 121 MiB peak RSS; the last two
+# grow about as n^3.
 MAX_N = 500
 
 
@@ -115,68 +115,30 @@ def band_order(n):
     return [i + half for i in range(m) for half in (0, m)]
 
 
-def _band_shape(size):
-    """The lower bandwidth and the row ends (one past the last nonzero)
-    that `linalg._bareiss` takes for a side-`size` matrix whose nonzeros
-    lie where those of xA - A^T do in `band_order`: within distance 2
-    of the diagonal."""
-    return 2, [min(i + 3, size) for i in range(size)]
+def band_pencil(n):
+    """The rows of A and of A^T for the Seifert matrix A, with rows and
+    columns both taken in `band_order(n)`: the pencil X - t Y with
+    X = A, Y = A^T there is A - t A^T in an order that keeps every
+    nonzero within distance 2 of the diagonal, as `linalg.det_band`
+    needs."""
+    a = seifert_matrix(n).rows
+    order = band_order(n)
+    pick = itemgetter(*order)
+    cols = list(zip(*a))
+    return [pick(a[i]) for i in order], [pick(cols[i]) for i in order]
 
 
 def alexander_polynomial(n):
     """det(tA - A^T) for the Seifert matrix A, an integer Laurent
     polynomial (monic of degree 2n-2 for odd n coprime to 3).
 
-    The determinant Delta has degree at most the side N = 2(n-1) of A,
-    and it is palindromic: N is even, so t^N Delta(1/t) = Delta(t).  So
-    Delta(t) = t^h g(t + 1/t), h = N/2, for an integer polynomial g of
-    degree h, and its h + 1 = n values g(x + 1/x) = Delta(x) / x^h at
-    x = 1, -1, 2, -2, ... fix it; the nodes x + 1/x are distinct for
-    these x (0 is left out, it would need a division by 0^h).
-
-    Each integer determinant det(xA - A^T) comes from `_bareiss` on the
-    band: the nonzeros of xA - A^T in `band_order` are listed once, as
-    (column, coefficient of x, constant), and each point fills fresh
-    zero rows from that list.  With L the lcm of the points, the nodes
-    L (x + 1/x) are integers and G(y) = L^h g(y / L) takes there the
-    integer values (L / x)^h Delta(x), so G is interpolated at integer
-    nodes, where every divided difference of an integer polynomial is
-    an integer.  (Interpolating g at the rational nodes x + 1/x instead
-    mixes the denominators x^h of all points and, near n = 200, costs
-    more than the eliminations.)  g_k = G_k / L^(h-k) must divide
-    exactly, and g is expanded back to Delta."""
-    a = seifert_matrix(n).rows
-    if not all(isinstance(x, int) for row in a for x in row):
-        raise TypeError("the Seifert matrix must have integer entries")
-    order = band_order(n)
-    size = len(order)
-    half = size // 2
-    band = [[(v, a[i][j], -a[j][i]) for v, j in enumerate(order)
-             if a[i][j] or a[j][i]] for i in order]
-    pts = list(islice((k * s for k in count(1) for s in (1, -1)), half + 1))
-    scale = lcm(*pts)
-    shape = _band_shape(size)
-    nodes, vals = [], []
-    for x in pts:
-        rows = []
-        for entries in band:
-            row = [0] * size
-            for v, c, d in entries:
-                row[v] = x * c + d
-            rows.append(row)
-        sign = _bareiss(rows, size, *shape)
-        det = 0 if sign is None else sign * rows[-1][-1]
-        nodes.append(scale * x + scale // x)
-        vals.append((scale // x) ** half * det)
-    big = dict(_newton_interpolate(nodes, vals).items())
-    u = LaurentPolynomial({-1: 1, 1: 1})
-    delta = LaurentPolynomial()
-    for k in range(half, -1, -1):
-        g_k, r = divmod(big.get(k, 0), scale ** (half - k))
-        if r:
-            raise ArithmeticError("the palindromic half is not integral")
-        delta = delta * u + g_k
-    return delta.shift(half)
+    The side N = 2(n-1) of A is even, so det(tA - A^T) = det(A^T - tA),
+    the determinant of the pencil X - t Y with X = A^T and Y = A; in
+    `band_order` it is a band, and `linalg.det_band` takes it in one
+    pass over Z[t]."""
+    a, at = band_pencil(n)
+    det, _ = det_band(at, a)
+    return LaurentPolynomial(dict(enumerate(det)))
 
 
 def p_n(n):

@@ -8,9 +8,10 @@ interpolated as Laurent polynomials from one integer Bareiss pass per
 evaluation point, the Alexander polynomial is inverted modulo t^3 - 1
 with a circulant adjugate, and the linking values are products of
 cyclic polynomials.  The program needs only the value at a primitive
-cube root of unity and computes it by one elimination over Z[omega];
-this route builds the whole polynomials first and shares only the
-Bareiss kernel with it.
+cube root of unity and computes it by one division-free pass over the
+pencil modulo t^2 + t + 1 (`linalg.det_band`); this route builds the
+whole polynomials first, by the eliminations of `bareiss_oracle`, and
+shares no determinant code with it.
 
 The program takes the q-fold cover from the monodromy A^-1 A^T; the
 oracle runs the Smith form on the whole q N-square presentation, and
@@ -23,14 +24,13 @@ Matrix product.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from bareiss_oracle import _band, _bareiss, _newton_interpolate, det_bareiss
+from laurent_oracle import eval_points
 from sliceobs.blanchfield import (BASIS, CoverHomology, LinkingForm,
                                   linking_template)
 from sliceobs.laurent import LaurentPolynomial
-from sliceobs.linalg import (Matrix, _band, _bareiss, _newton_interpolate,
-                             det_bareiss, smith_normal_form)
+from sliceobs.linalg import Matrix, smith_normal_form
 from sliceobs.seifert import seifert_matrix
-
-from laurent_oracle import eval_points
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ def _pairing_cofactors(a, pos):
     moved last and `_bareiss` runs its first N-2 steps on it; the
     trailing 2x2 block B and the last pivot give the adjugate block
     s adj(B) and det M = s det(B) / (s det L) by Sylvester's identity,
-    s the swap sign and L the leading (N-2)-square block (the same
-    read-out as `sliceobs.blanchfield._pairing_at_omega`).
+    s the swap sign and L the leading (N-2)-square block (the program
+    reads the same block B off its transfer recurrence, in
+    `sliceobs.blanchfield._pairing_at_omega`).
 
     A point where L(x) is singular leaves no pivot to divide by; it is
     skipped and the next point is taken.  det L has degree at most N-2,

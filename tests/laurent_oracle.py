@@ -5,20 +5,20 @@ Blanchfield cofactors of `tests/blanchfield_oracle.py`.
 `det_laurent` takes any square matrix of integer Laurent polynomials:
 it factors the least power of t out of each row, bounds the degree of
 what is left row by row, and interpolates integer determinants at that
-many points of `eval_points`.  The program only ever needs
-det(xA - A^T) for an integer Seifert matrix A, evaluates that directly,
-and uses its palindromic symmetry to take half as many points; the
-general route here buys a check that builds its matrices a different
-way and uses no symmetry.
+many points of `eval_points` (`bareiss_oracle`).  The program takes
+det(tA - A^T) for the Seifert matrix A in one division-free pass over
+Z[t] on its band (`linalg.det_band`); the general route here buys a
+check that builds its matrices a different way and uses no band.
 
 `det_cofactor` expands small determinants by cofactors, the check for
-the elimination kernel itself.
+the band kernel and for the Bareiss elimination of `bareiss_oracle`.
 """
 
 from itertools import count, islice
 
+from bareiss_oracle import _newton_interpolate, det_bareiss
 from sliceobs.laurent import LaurentPolynomial, one, zero
-from sliceobs.linalg import Matrix, _newton_interpolate, det_bareiss
+from sliceobs.linalg import Matrix
 
 
 def eval_points():
@@ -31,7 +31,8 @@ def eval_points():
 
 def det_cofactor(rows):
     """Determinant of a square list of rows by cofactor expansion along
-    the first row; shares no code with the elimination."""
+    the first row, skipping its zeros; shares no code with the
+    elimination."""
     n = len(rows)
     if n == 0:
         return 1
@@ -39,6 +40,8 @@ def det_cofactor(rows):
         return rows[0][0]
     total = 0
     for j in range(n):
+        if not rows[0][j]:
+            continue
         sub = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = rows[0][j] * det_cofactor(sub)
         total = total - term if j % 2 else total + term

@@ -2,9 +2,10 @@
 
 The Blanchfield polynomials live in `tests/blanchfield_oracle.py`; they
 are checked here against five Laurent determinants and in turn check the
-program's linking form.  The block-circulant cover presentation there,
-and the monodromy from the dense A^-1 there, check the program's cover
-homology."""
+program's linking form, and their cofactors, taken at w, its one pass
+over Z[w] (`_pairing_at_omega`).  The block-circulant cover presentation
+there, and the monodromy from the dense A^-1 there, check the program's
+cover homology."""
 
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bareiss_oracle import det_bareiss
 from blanchfield_oracle import (
     BlanchfieldEntries,
     _annihilator_pair,
@@ -32,6 +34,7 @@ from sliceobs.blanchfield import (
     MAX_COVER_SIDE,
     MAX_Q,
     _Eisenstein,
+    _pairing_at_omega,
     cover_homology_snf,
     linking_form,
     linking_template,
@@ -40,9 +43,9 @@ from sliceobs.blanchfield import (
     t_matrix,
 )
 from sliceobs.laurent import LaurentPolynomial
-from sliceobs.linalg import Matrix, det_bareiss
+from sliceobs.linalg import Matrix
 from sliceobs.seifert import (alexander_polynomial, apply_inverse,
-                              band_order, seifert_matrix)
+                              band_order, band_pencil, seifert_matrix)
 
 
 def five_determinant_cofactors(a, pos):
@@ -72,6 +75,27 @@ SINGULAR_AT_ZERO = Matrix([[1, 2, 0, -1],
                            [0, 0, 3, 1],
                            [2, -1, 1, 0],
                            [1, 0, -2, 0]])
+
+
+# A - t A^T is a band, and its leading 2-block singular at t = w
+SINGULAR_AT_OMEGA = [[-1, -2, 1, 0],
+                     [1, -1, 0, 1],
+                     [1, 2, -1, 1],
+                     [0, 1, -2, 2]]
+
+
+def at_omega(x):
+    """The coordinates (a, b) of an Eisenstein integer a + b w."""
+    return x.a, x.b
+
+
+def eisenstein_at(poly):
+    """(a, b) with poly(w) = a + b w, for w^2 = -1 - w."""
+    a = b = 0
+    for e, c in poly.items():
+        a, b = (a + c, b) if e % 3 == 0 else \
+            (a, b + c) if e % 3 == 1 else (a - c, b - c)
+    return a, b
 
 
 class TestBlanchfieldEntries:
@@ -105,6 +129,31 @@ class TestBlanchfieldEntries:
                     [0, 1, 0, 1]])
         with pytest.raises(ArithmeticError):
             _pairing_cofactors(a, (2, 3))
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_pairing_at_omega_matches_the_cofactors(self, n):
+        # the program's one pass over Z[w] against the Blanchfield
+        # cofactors of the oracle, interpolated over Z[t], taken at w
+        det, adj = _pairing_at_omega(*band_pencil(n))
+        want_det, want_adj = _pairing_cofactors(seifert_matrix(n),
+                                                (n - 2, 2 * n - 3))
+        assert at_omega(det) == eisenstein_at(want_det)
+        assert [[at_omega(x) for x in row] for row in adj] \
+            == [[eisenstein_at(x) for x in row] for row in want_adj]
+
+    def test_singular_leading_block_at_omega(self):
+        # the leading 2-block [[-1, -2], [1, -1]] of A - t A^T has
+        # determinant 3 (1 + t + t^2), singular at w and nowhere else;
+        # the pass has no pivot to lose there
+        a = Matrix(SINGULAR_AT_OMEGA)
+        assert [det_bareiss([[a[i][j] - x * a[j][i] for j in (0, 1)]
+                             for i in (0, 1)])
+                for x in (0, 1, 2)] == [3, 9, 21]
+        det, adj = _pairing_at_omega(a.rows, a.transpose().rows)
+        want_det, want_adj = _pairing_cofactors(a, (2, 3))
+        assert at_omega(det) == eisenstein_at(want_det) == (-15, -15)
+        assert [[at_omega(x) for x in row] for row in adj] \
+            == [[eisenstein_at(x) for x in row] for row in want_adj]
 
     def test_hermitian_symmetry(self):
         # c_ij(t^-1) den(t) == c_ji(t) den(t^-1)
@@ -360,20 +409,6 @@ class TestEisenstein:
         c, d = y.a, y.b
         p = x * y
         assert (p.a, p.b) == (c * x.a - d * x.b, d * x.a + c * x.b - d * x.b)
-
-    @given(eisenstein, eisenstein.filter(bool))
-    def test_divmod_is_exact_on_products(self, x, y):
-        q, r = divmod(x * y, y)
-        assert not r
-        assert (q.a, q.b) == (x.a, x.b)
-
-    @given(eisenstein, eisenstein.filter(bool))
-    def test_divmod_remainder_vanishes_only_when_exact(self, x, y):
-        q, r = divmod(x, y)
-        assert not (x - r) - q * y
-        num = x * y.conjugate()
-        exact = num.a % y.norm() == 0 and num.b % y.norm() == 0
-        assert bool(r) != exact
 
 
 # one shared instance for the property tests

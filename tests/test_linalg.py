@@ -1,4 +1,8 @@
-"""Exact determinants, Smith normal forms, and the involution."""
+"""Exact determinants, Smith normal forms, and the involution.
+
+The band kernel `det_band` is checked against cofactor expansion; the
+Bareiss elimination of `tests/bareiss_oracle.py`, an oracle for it and
+for the Laurent determinants, is checked here too."""
 
 import random
 from fractions import Fraction
@@ -8,10 +12,10 @@ from math import gcd, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bareiss_oracle import _band, _bareiss, _newton_interpolate, det_bareiss
 from laurent_oracle import det_cofactor, det_laurent, minor
 from sliceobs.laurent import LaurentPolynomial, one, t
-from sliceobs.linalg import (Matrix, _band, _bareiss, _newton_interpolate,
-                             det_bareiss, det_gf, involution,
+from sliceobs.linalg import (Matrix, det_band, det_gf, involution,
                              smith_normal_form)
 
 
@@ -80,6 +84,107 @@ def test_det_gf_over_points_matches_each_matrix(k, npts, s, data):
     rows = [[mats[p][i][j] for j in range(k) for p in range(npts)]
             for i in range(k)]
     assert det_gf(rows, s, npts) == [det_cofactor(m) % s for m in mats]
+
+
+@st.composite
+def band_pencil(draw):
+    """Square matrices X and Y of side 0..9, zero beyond distance 2 of
+    the diagonal and mostly zero within it, with some diagonal entries
+    of the pencil X - t Y zeroed, so that leading blocks are often
+    singular; Y is zero in about half the draws, for an integer X."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
+    linear = draw(st.booleans())
+
+    def square(drawn):
+        return [[draw(entry) if drawn and abs(i - j) <= 2 else 0
+                 for j in range(n)] for i in range(n)]
+    x, y = square(True), square(linear)
+    for i in draw(st.sets(st.integers(min_value=0, max_value=n))):
+        if i < n:
+            x[i][i] = y[i][i] = 0
+    return x, y
+
+
+def as_polynomial(coeffs):
+    return LaurentPolynomial(dict(enumerate(coeffs)))
+
+
+# the leading 2-block [[1, 2], [2, 4]] is singular
+SINGULAR_BAND = [[1, 2, 0, 0],
+                 [2, 4, 1, 0],
+                 [0, 3, 1, 1],
+                 [0, 0, 1, 2]]
+
+
+@given(band_pencil())
+@example((SINGULAR_BAND, [[0] * 4 for _ in range(4)]))
+@example((SINGULAR_BAND, [r[::-1] for r in SINGULAR_BAND[::-1]]))
+@example(([[0, 1], [1, 0]], [[1, 0], [0, 1]]))
+@settings(max_examples=120, deadline=None)
+def test_det_band_matches_cofactor(case):
+    # det M and each minor of M = X - t Y bordered by one of the last
+    # two rows and one of the last two columns
+    x, y = case
+    n = len(x)
+    m = [[LaurentPolynomial({0: x[i][j], 1: -y[i][j]})
+          for j in range(n)] for i in range(n)]
+    det, block = det_band(x, y)
+    assert as_polynomial(det) == det_cofactor(m)
+    if n < 2:
+        assert block is None
+        return
+    lead = list(range(n - 2))
+    for a in range(2):
+        for b in range(2):
+            minor_ab = [[m[i][j] for j in lead + [n - 2 + b]]
+                        for i in lead + [n - 2 + a]]
+            assert as_polynomial(block[a][b]) == det_cofactor(minor_ab)
+
+
+def reduce_mod(coeffs, modulus):
+    """The coefficients of coeffs modulo a monic polynomial of degree e,
+    by long division, padded to e."""
+    e = len(modulus) - 1
+    p = list(coeffs) + [0] * e
+    for k in range(len(p) - 1, e - 1, -1):
+        lead = p[k]
+        for i, m in enumerate(modulus):
+            p[k - e + i] -= lead * m
+    return p[:e]
+
+
+@given(band_pencil(), st.sampled_from([(1, 1, 1), (-1, 1), (2, 0, -1, 1)]))
+@settings(max_examples=80, deadline=None)
+def test_det_band_folds_the_modulus(case, modulus):
+    # the values taken modulo t^2 + t + 1 (the Eisenstein integers),
+    # t - 1 or another monic polynomial are those over Z[t], reduced
+    x, y = case
+    det, block = det_band(x, y)
+    det_m, block_m = det_band(x, y, modulus)
+    assert det_m == reduce_mod(det, modulus)
+    if block is not None:
+        assert [[reduce_mod(v, modulus) for v in row] for row in block] \
+            == [list(row) for row in block_m]
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (1, 4), (5, 2)])
+@pytest.mark.parametrize("linear", [False, True])
+def test_det_band_refuses_a_nonzero_outside_the_band(i, j, linear):
+    x = [[int(abs(r - c) <= 2) for c in range(6)] for r in range(6)]
+    y = [list(r) for r in x]
+    (y if linear else x)[i][j] = 1
+    with pytest.raises(ValueError, match=f"row {i} has a nonzero outside"):
+        det_band(x, y)
+
+
+def test_det_band_needs_square():
+    with pytest.raises(ValueError, match="non-square"):
+        det_band([[1, 2, 3], [4, 5, 6]], [[0, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="non-square"):
+        det_band([[1, 2], [3, 4]], [[1, 2]])
+    with pytest.raises(ValueError, match="non-square"):
+        det_band([[1, 2], [3, 4]], [[1, 2], [3]])
 
 
 def test_det_gf_needs_square():

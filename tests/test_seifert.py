@@ -6,13 +6,15 @@ import tracemalloc
 
 import pytest
 
+import bareiss_oracle
+from bareiss_oracle import _band, alexander_by_interpolation, det_bareiss
 from blanchfield_oracle import seifert_inverse
 from laurent_oracle import det_laurent
-from sliceobs import seifert
+from sliceobs import blanchfield, seifert
 from sliceobs.blanchfield import cover_homology_snf, linking_form
 from sliceobs.ffpoly import is_prime, mul, primitive_root_of_unity
 from sliceobs.laurent import LaurentPolynomial, one as lp_one, t as lp_t
-from sliceobs.linalg import Matrix, _band, _bareiss, det_bareiss
+from sliceobs.linalg import Matrix, det_band
 from sliceobs.report import obstruct
 from sliceobs.seifert import (
     MAX_N,
@@ -176,20 +178,34 @@ class TestAlexanderPolynomial:
                  for j in order] for i in order]
         assert alexander_polynomial(n) == det_laurent(rows)
 
+    @pytest.mark.parametrize("n", range(2, 30))
+    def test_matches_bareiss_interpolation(self, n):
+        # the route this replaced: Bareiss eliminations at n integer
+        # points, then the palindromic half interpolated
+        assert alexander_polynomial(n) == alexander_by_interpolation(n)
+
     @pytest.mark.parametrize("n", (2, 5, 11, 29))
-    def test_one_elimination_per_coefficient_of_the_half(self, n,
-                                                         monkeypatch):
-        # the palindromic half g has n coefficients, so n points; all
-        # N + 1 = 2n - 1 coefficients of Delta would need 2n - 1
-        calls = []
+    def test_one_kernel_pass_per_call(self, n, monkeypatch):
+        # Delta is one pass over Z[t]; the linking form takes two, modulo
+        # t - 1 for Delta(1) and modulo t^2 + t + 1 for the pairing
+        moduli = []
 
-        def counted(rows, steps, width, ends):
-            calls.append(steps)
-            return _bareiss(rows, steps, width, ends)
+        def counted(x, y, modulus=None):
+            moduli.append(modulus)
+            return det_band(x, y, modulus)
 
-        monkeypatch.setattr(seifert, "_bareiss", counted)
+        monkeypatch.setattr(seifert, "det_band", counted)
+        monkeypatch.setattr(blanchfield, "det_band", counted)
         alexander_polynomial(n)
-        assert calls == [2 * (n - 1)] * n
+        assert moduli == [None]
+        moduli.clear()
+        if n == 2:
+            # both passes run; H_1 of the cover is then not (Z/2)^4
+            with pytest.raises(ValueError, match="not dividing n=2"):
+                linking_form(n)
+        else:
+            linking_form(n)
+        assert moduli == [(-1, 1), (1, 1, 1)]
 
     @pytest.mark.parametrize("point, error, message", (
         (0, 1, "interpolant not integral"),
@@ -197,35 +213,36 @@ class TestAlexanderPolynomial:
     ))
     def test_a_wrong_determinant_is_caught(self, point, error, message,
                                            monkeypatch):
-        # one determinant of n = 5 off by 1 leaves no integral G at the
-        # scaled nodes; off by 720 at x = -1, G is integral but its
-        # coefficients do not divide by the powers of L
+        # the interpolation oracle checks itself: one determinant of
+        # n = 5 off by 1 leaves no integral G at the scaled nodes; off by
+        # 720 at x = -1, G is integral but its coefficients do not
+        # divide by the powers of L
         calls = []
+        bareiss = bareiss_oracle._bareiss
 
         def wrong(rows, steps, width, ends):
-            sign = _bareiss(rows, steps, width, ends)
+            sign = bareiss(rows, steps, width, ends)
             if len(calls) == point:
                 rows[-1][-1] += error
             calls.append(steps)
             return sign
 
-        monkeypatch.setattr(seifert, "_bareiss", wrong)
+        monkeypatch.setattr(bareiss_oracle, "_bareiss", wrong)
         with pytest.raises(ArithmeticError, match=message):
-            alexander_polynomial(5)
+            alexander_by_interpolation(5)
 
     @pytest.mark.parametrize("n", (2, 3, 5, 11, 29))
     def test_band_shape_bounds_the_measured_band(self, n):
-        # the band that alexander_polynomial and the linking form hand
-        # to _bareiss, instead of measuring it, bounds the measured one
-        # of xA - A^T in band order, at any x
+        # the band det_band takes, every nonzero within distance 2 of
+        # the diagonal, bounds the measured one of xA - A^T in band
+        # order, at any x
         a = seifert_matrix(n)
         order = band_order(n)
-        width, ends = seifert._band_shape(len(order))
         for x in (1, -3, 7):
             rows = [[x * a[i][j] - a[j][i] for j in order] for i in order]
-            measured, measured_ends = _band(rows)
-            assert measured <= width
-            assert all(map(int.__le__, measured_ends, ends))
+            width, ends = _band(rows)
+            assert width <= 2
+            assert all(end <= i + 3 for i, end in enumerate(ends))
 
     @pytest.mark.parametrize("n", (2, 4, 5, 7))
     def test_palindromic(self, n):
