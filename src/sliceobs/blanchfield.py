@@ -16,10 +16,9 @@ basis (a, ta, b, tb).
 presentation of side N q up to `MAX_COVER_SIDE`, from the monodromy
 h = A^-1 A^T: the block-circulant presentation of the cover reduces by
 unimodular block moves to h^q - I, whose Smith form it takes.  It
-builds h^q by q steps P -> A^-1 (A^T P), each O(N^2): A^T P adds only
-the rows of P at the at most 4 nonzeros of each row of A^T, listed
-once, and A^-1 is applied from its closed form by prefix and suffix sums
-(`seifert.apply_inverse`), never as a dense product.
+builds h^q by q steps P -> h P, each O(N^2) from the closed form of h
+(`seifert.apply_monodromy`), never as a dense product, and checks the
+first, h itself, against A h = A^T.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from operator import mul
 
 from .braids import family_braid
 from .linalg import Matrix, det_band, smith_normal_form
-from .seifert import apply_inverse, band_pencil, check_n, seifert_matrix
+from .seifert import apply_monodromy, band_pencil, check_n, seifert_matrix
 
 __all__ = [
     "CoverHomology",
@@ -52,18 +51,19 @@ BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 # The largest cover degree accepted.  The entries of h^q have O(q)
 # digits, so the q steps cost O(N^2 q^2) digit operations, and the Smith
-# form O(N^3) operations on such numbers: cover_homology_snf(11, 1000)
-# takes 1.8 s (Python 3.11, 2 cores).
+# form O(N^3) operations on such numbers, which set the cost:
+# cover_homology_snf(11, 1000) takes 1.7 s, 0.1 s of it in the powers
+# (Python 3.11, 2 cores).
 MAX_Q = 1000
 
 # The largest side N q of the cover's presentation accepted, N = 2(n-1)
 # the side of A; it admits q = MAX_Q at n = 11.  The cost grows about as
 # N^3 at fixed q, and faster than q at fixed N, the more so the larger N
-# (Python 3.11, 2 cores): (n, q) = (11, 1000) takes 1.8 s, (497, 3)
-# 22 s, (53, 100) 36 s and (53, 192) 163 s, so bounding n and q apiece
+# (Python 3.11, 2 cores): (n, q) = (11, 1000) takes 1.7 s, (497, 3)
+# 20 s, (53, 100) 35 s and (53, 192) 131 s, so bounding n and q apiece
 # left (497, 1000) to run for hours.  The side does not bound the
-# entries of the Smith form: (101, 30) takes 7.3 s, but (101, 99) ran
-# past 25 minutes.
+# entries of the Smith form: (101, 30) takes 4.8 s, but at (101, 99),
+# whose 99 powers take under a second, the Smith form ran past 25 min.
 MAX_COVER_SIDE = 20000
 
 
@@ -117,12 +117,13 @@ def cover_homology_snf(n, q):
     block-circulant matrix with -A^T on the diagonal and A on the cyclic
     subdiagonal.  Unimodular block moves reduce it to the monodromy
     h = A^-1 A^T.  Multiplying every block row by A^-1 (A is
-    unimodular, `seifert.apply_inverse`) leaves -h on the diagonal and I
-    on the cyclic subdiagonal; adding block column c times h to column
-    c + 1, for c = 0, ..., q-2, clears the diagonal and leaves I - h^q
-    in the corner of the first block row, whose other blocks the
-    identity blocks below then clear.  So the Smith form is (q-1) N
-    ones, N the side of A, followed by that of h^q - I.
+    unimodular) leaves -h on the diagonal and I on the cyclic
+    subdiagonal; adding block column c times h to column c + 1, for
+    c = 0, ..., q-2, clears the diagonal and leaves I - h^q in the
+    corner of the first block row, whose other blocks the identity
+    blocks below then clear.  So the Smith form is (q-1) N ones, N the
+    side of A, followed by that of h^q - I.  The first of the q steps
+    of `seifert.apply_monodromy`, h itself, must satisfy A h = A^T.
 
     Both bounds on q, the one on n (`seifert.check_n`) and the one on
     N q are checked before anything is allocated; MAX_Q and
@@ -141,14 +142,14 @@ def cover_homology_snf(n, q):
     _check_knot(n)
     a = seifert_matrix(n).rows
     size = len(a)
-    eye = [[int(i == j) for j in range(size)] for i in range(size)]
-    if apply_inverse(n, [list(row) for row in a]) != eye:
-        raise ArithmeticError("A^-1 applied to the rows of A is not I")
-    # A^T has at most 4 nonzeros in a row
-    at = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*a)]
-    power = eye
-    for _ in range(q):
-        power = apply_inverse(n, _times(at, power))
+    power = apply_monodromy(
+        n, [[int(i == j) for j in range(size)] for i in range(size)])
+    # A has at most 4 nonzeros in a row
+    nonzeros = [[(k, c) for k, c in enumerate(row) if c] for row in a]
+    if _times(nonzeros, power) != [list(col) for col in zip(*a)]:
+        raise ArithmeticError("A times the monodromy h is not A^T")
+    for _ in range(q - 1):
+        power = apply_monodromy(n, power)
     for i in range(size):
         power[i][i] -= 1
     inv = smith_normal_form(power)

@@ -8,41 +8,41 @@ has the block shape A = [[-B^T, 0], [B, B]] for the (n-1)-square band
 matrix B with 1 on the diagonal and -1 on the first superdiagonal.
 
 Two facts about that shape carry the computations.  B is unitriangular,
-so det A = +-1 and A^-1 = [[-L, 0], [L, U]] in closed form, with
-U = B^-1 the upper and L = B^-T the lower triangular all-ones matrix.
-So A^-1 X is never formed as a product: the top block rows of the
-answer are the prefix sums of X's top block rows, negated, and the
-bottom block rows add to those prefix sums the suffix sums of X's
-bottom block rows (`apply_inverse`), O(N) work per row of X.  And with
-the rows and columns taken in the interleaved order (0, n-1, 1, n,
-..., n-2, 2n-3) (`band_order`), every nonzero of the pencil A - t A^T
-lies within distance 2 of the diagonal (`band_pencil`), so
-`linalg.det_band` takes its determinant, and the minors the linking
-form needs, in one pass of at most 12 moves per row.
+so det A = +-1 and the monodromy h = A^-1 A^T has a closed form: with
+U = B^-1 the upper and L = B^-T the lower triangular all-ones matrix,
+A^-1 = [[-L, 0], [L, U]], and L B and U B^T telescope, so each row of h
+has at most 5 nonzeros, each at most 2 in absolute value.  So h X is
+never formed as a product: each row of the answer subtracts two rows,
+of X or of the answer's top half, from a third (`apply_monodromy`),
+O(N) work per row.  And with the rows and columns taken in the
+interleaved order (0, n-1, 1, n, ..., n-2, 2n-3) (`band_order`), every
+nonzero of the pencil A - t A^T lies within distance 2 of the diagonal
+(`band_pencil`), so `linalg.det_band` takes its determinant, and the
+minors the linking form needs, in one pass of at most 12 moves per
+row.
 
 Every N-square table here and downstream (the linking form, cover
 homology, `report.obstruct`) starts from `band_matrix` or
-`apply_inverse`, and both begin with the one size check `check_n`
+`apply_monodromy`, and both begin with the one size check `check_n`
 against `MAX_N`, so it fires before anything is allocated;
 `report.obstruct` runs it before it builds the presentation.
 """
 
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .laurent import LaurentPolynomial
 from .linalg import Matrix, det_band
 
 __all__ = ["MAX_N", "check_n", "band_matrix",
-           "seifert_matrix", "apply_inverse", "band_order", "band_pencil",
+           "seifert_matrix", "apply_monodromy", "band_order", "band_pencil",
            "alexander_polynomial", "p_n"]
 
 # The largest family index accepted, so that no input asks for more
 # than a few dense tables of side N = 2(n-1) <= 998, 1e6 entries each.
 # Measured near it (Python 3.11, 2 cores): `linking_form(497)` takes
-# 0.3 s and `alexander_polynomial(497)` 0.8-0.9 s (1.5 s and 322 s by
-# Bareiss elimination), `cover_homology_snf(497, 3)` 23 s and
-# `report.obstruct(491, s=983)` 182 s at 121 MiB peak RSS; the last two
-# grow about as n^3.
+# 0.3 s and `alexander_polynomial(497)` 0.8-0.9 s,
+# `cover_homology_snf(497, 3)` 20 s and `report.obstruct(491, s=983)`
+# 182 s at 121 MiB peak RSS; the last two grow about as n^3.
 MAX_N = 500
 
 
@@ -76,34 +76,28 @@ def seifert_matrix(n):
                   + [row + row for row in b])
 
 
-def apply_inverse(n, x):
-    """A^-1 X, as new lists, for the Seifert matrix A of
-    `seifert_matrix(n)` and X its 2(n-1) rows (lists of ints, all of
-    one length).
+def apply_monodromy(n, x):
+    """h X, as new lists, for the monodromy h = A^-1 A^T of the Seifert
+    matrix A of `seifert_matrix(n)` and X its 2(n-1) rows (lists of
+    ints, all of one length).
 
-    A^-1 = [[-L, 0], [L, U]] with L and U the lower and upper triangular
-    all-ones matrices (B U = I, since row i of B U is U[i] - U[i+1], and
-    L = U^T).  Row i of L X_top is the sum of the top rows 0 .. i of X,
-    and row i of U X_bottom the sum of the bottom rows i .. n-2, so the
-    answer is the running prefix sums of the top half, negated, over
-    those prefix sums plus the running suffix sums of the bottom half.
+    With m = n - 1, X split into its top rows X_t[0 .. m-1] and bottom
+    rows X_b[0 .. m-1], and X_t[m] = X_b[-1] = 0:
+      (h X)_t[i] = X_t[0] - X_t[i+1] - X_b[i]
+      (h X)_b[i] = X_b[m-1] - X_b[i-1] - (h X)_t[i],
+    since h = [[L B, -I], [-L B, I + U B^T]] for A^-1 = [[-L, 0], [L, U]]
+    and A^T = [[-B, B^T], [0, B^T]], and the sums telescope: row i of
+    L B X_t is X_t[0] - X_t[i+1], and of U B^T X_b, X_b[m-1] - X_b[i-1].
     """
     m = check_n(n)
     if len(x) != 2 * m:
-        raise ValueError(f"A^-1 X needs {2 * m} rows of X for n={n}, "
+        raise ValueError(f"h X needs {2 * m} rows of X for n={n}, "
                          f"got {len(x)}")
-    prefix = []
-    acc = [0] * len(x[0])
-    for row in x[:m]:
-        acc = list(map(add, acc, row))
-        prefix.append(acc)
-    bottom = []
-    acc = [0] * len(acc)
-    for row, pre in zip(reversed(x[m:]), reversed(prefix)):
-        acc = list(map(add, acc, row))
-        bottom.append(list(map(add, pre, acc)))
-    bottom.reverse()
-    return [[-v for v in row] for row in prefix] + bottom
+    zero = [0] * len(x[0])
+    top = [[u - v - w for u, v, w in zip(x[0], nxt, bot)]
+           for nxt, bot in zip([*x[1:m], zero], x[m:])]
+    return top + [[u - v - w for u, v, w in zip(x[-1], prev, t)]
+                  for prev, t in zip([zero, *x[m:-1]], top)]
 
 
 def band_order(n):

@@ -15,10 +15,10 @@ shares no determinant code with it.
 
 The program takes the q-fold cover from the monodromy A^-1 A^T; the
 oracle runs the Smith form on the whole q N-square presentation, and
-shares only the Smith form with it.  The program applies A^-1 by prefix
-sums; `seifert_inverse` writes it out as a dense Matrix, and
-`dense_monodromy_homology` forms the monodromy from it as a dense
-Matrix product.
+shares only the Smith form with it.  The program applies the monodromy
+from its closed form; `seifert_inverse` writes A^-1 out as a dense
+Matrix, and `dense_monodromy_homology` forms the monodromy from it as a
+dense Matrix product.
 """
 
 from dataclasses import dataclass

@@ -28,6 +28,7 @@ from blanchfield_oracle import (
 )
 from laurent_oracle import det_laurent, minor
 from metabolizer_oracle import fraction_value
+from sliceobs import blanchfield
 from sliceobs.blanchfield import (
     BASIS,
     LinkingForm,
@@ -44,7 +45,7 @@ from sliceobs.blanchfield import (
 )
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix
-from sliceobs.seifert import (alexander_polynomial, apply_inverse,
+from sliceobs.seifert import (alexander_polynomial, apply_monodromy,
                               band_order, band_pencil, seifert_matrix)
 
 
@@ -271,12 +272,33 @@ class TestCoverHomology:
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_closed_form_inverse(self, n):
-        # the dense oracle inverts A, and the program's prefix-sum
-        # apply of A^-1 agrees with it on A itself
+        # the closed form of h = A^-1 A^T, applied to I, is the oracle's
+        # dense h, and each of its rows has at most 5 nonzeros, each at
+        # most 2 in absolute value
         a = seifert_matrix(n)
         assert a * seifert_inverse(n) == Matrix.identity(a.nrows)
-        assert Matrix(apply_inverse(n, [list(r) for r in a])) \
-            == seifert_inverse(n) * a == Matrix.identity(a.nrows)
+        h = apply_monodromy(n, [list(r) for r in Matrix.identity(a.nrows)])
+        assert Matrix(h) == seifert_inverse(n) * a.transpose()
+        for row in h:
+            nonzeros = [x for x in row if x]
+            assert len(nonzeros) <= 5
+            assert max(map(abs, nonzeros)) <= 2
+
+    def test_wrong_closed_form_is_caught(self, monkeypatch):
+        # a monodromy off in one entry fails the check A h = A^T before
+        # any Smith step
+        def perturbed(n, x):
+            out = apply_monodromy(n, x)
+            out[0][0] += 1
+            return out
+
+        def no_smith(rows):
+            raise AssertionError("reached the Smith form")
+
+        monkeypatch.setattr(blanchfield, "apply_monodromy", perturbed)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match="is not A\\^T"):
+            cover_homology_snf(5, 3)
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_band_order_puts_every_nonzero_near_the_diagonal(self, n):

@@ -2,6 +2,7 @@
 under `python -O`."""
 
 import ast
+import glob
 import importlib
 import json
 import os
@@ -102,6 +103,31 @@ def test_package_names_are_the_ones_their_users_reach():
     exported = set(sliceobs.__all__) - {"__version__"}
     assert sorted(exported - used) == [], "exported but unused"
     assert sorted(used - exported) == [], "used but not exported"
+
+
+def test_backticked_layer_names_exist():
+    # a deleted or renamed function must leave the docs that name it:
+    # every `layer.name` or `sliceobs.layer.name` in backticks, with
+    # layer a submodule, in README.md, the package, the oracles and the
+    # demos resolves (ROADMAP.md and CHANGES.md name removed functions
+    # on purpose)
+    submodules = {name[:-3] for name in os.listdir(PACKAGE_DIR)
+                  if name.endswith(".py") and name != "__init__.py"}
+    paths = [os.path.join(REPO_DIR, "README.md")]
+    for pattern in (os.path.join(PACKAGE_DIR, "*.py"),
+                    os.path.join(TESTS_DIR, "*_oracle.py"),
+                    os.path.join(REPO_DIR, "demos", "*.py")):
+        paths += sorted(glob.glob(pattern))
+    stale = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for layer, attr in re.findall(r"`(?:sliceobs\.)?(\w+)\.(\w+)", text):
+            if layer in submodules and not hasattr(
+                    importlib.import_module(f"sliceobs.{layer}"), attr):
+                stale.append(f"{os.path.relpath(path, REPO_DIR)}: "
+                             f"{layer}.{attr}")
+    assert not stale, f"backticked names that do not exist: {stale}"
 
 
 def test_every_oracle_is_used_by_a_test():
