@@ -4,10 +4,15 @@ Polynomials are ascending coefficient lists with entries reduced into
 [0, s) and no trailing zeros; [] is the zero polynomial.  The prime s is
 passed explicitly to every operation.  Multiplication is schoolbook;
 packing coefficients into one big integer (Kronecker substitution)
-serves products modulo a fixed polynomial, reduced by Barrett's method
-(`_barrett`, one reducer per modulus in each stage, which takes every
-power of that stage by `_power`; a product is one bignum multiply and
-two shifted ones, with one unpacking), and the Frobenius map.
+serves products modulo a fixed polynomial f and the Frobenius map, both
+by one primitive, a packed linear map: the sum of some coefficients
+times packed rows of powers of x mod f, unpacked once.  A product mod f
+(`_reducer`, one per modulus in each stage, which takes every product
+and power of that stage) is one bignum multiply, then its high limbs,
+reduced mod s, times the rows x^(d+i) mod f, with every limb below
+(2d - 1) s^2 < 2 d s^2 for f of degree d; an image of the Frobenius map
+takes the rows x^(i s) mod f.  `_pack` and `_unpack` split long lists
+and integers by halves.
 
 Factorization is squarefree decomposition, then distinct-degree
 splitting, then Cantor-Zassenhaus from a fixed seed with a bounded
@@ -133,8 +138,18 @@ def _limb(k, s):
     return (k * (s - 1) * (s - 1)).bit_length() + 1
 
 
+# Lengths up to which `_pack` and `_unpack` run one shift per limb;
+# above it they split the list, or the integer, into halves.
+_LEAF = 32
+
+
 def _pack(a, limb):
-    """The integer sum of a[i] 2^(limb i) (Kronecker substitution)."""
+    """The integer sum of a[i] 2^(limb i) (Kronecker substitution), for
+    entries in [0, 2^limb).  A long list is packed as two halves, so the
+    shifts grow by halving instead of one limb per entry."""
+    if len(a) > _LEAF:
+        half = len(a) // 2
+        return _pack(a[:half], limb) | _pack(a[half:], limb) << half * limb
     packed = 0
     for c in reversed(a):
         packed = (packed << limb) | c
@@ -142,7 +157,14 @@ def _pack(a, limb):
 
 
 def _unpack(packed, limb, count, s):
-    """The first count limbs of a packed product, each reduced mod s."""
+    """The first count limbs of a packed integer, each reduced mod s.
+    A long unpacking splits the integer at the middle limb, as `_pack`
+    joins it."""
+    if count > _LEAF:
+        half = count // 2
+        cut = half * limb
+        return (_unpack(packed & ((1 << cut) - 1), limb, half, s)
+                + _unpack(packed >> cut, limb, count - half, s))
     mask = (1 << limb) - 1
     out = []
     for _ in range(count):
@@ -202,31 +224,44 @@ def monic(a, s):
     return scalar_mul(pow(a[-1], -1, s), a, s)
 
 
-def _barrett(f, s):
+def _times_x(h, xd, s):
+    """x h mod f, for h reduced mod a monic f of degree d = len(xd) and
+    xd = x^d mod f as a list of d coefficients: a shift, and when it
+    reaches degree d, the top coefficient times xd folded in."""
+    h = [0] + h
+    if len(h) > len(xd):
+        top = h.pop()
+        h = [(a + top * b) % s for a, b in zip(h, xd)]
+    return trim(h)
+
+
+def _reducer(f, s):
     """The product x y mod f, for a monic modulus f of degree d and x, y
-    already reduced mod f, by Barrett's method on packed integers.
+    already reduced mod f, by the packed rows R_i = x^(d+i) mod f,
+    i < d - 1, built here once per modulus: R_0 = x^d mod f is
+    -(f_0 .. f_(d-1)), and each next row is `_times_x` of the last.
 
-    With t^(2d) = mu f + rho (mu = floor(t^(2d) / f), taken once per
-    modulus, here) and a product a = a_high t^d + a_low of degree at
-    most 2d - 2, write a_high mu = q t^d + P_low with deg P_low < d.
-    Then a - q f = a_low + (a_high rho + P_low f) / t^d, and the
-    numerator has degree at most 2d - 1, so a - q f has degree < d: q
-    is the exact quotient, r = a - q f the remainder.  Packed, the
-    floors by t^d are limb-aligned shifts, and with fbar_i = (s - f_i)
-    mod s, r is the low d limbs of a + q fbar, reduced mod s; no limb
-    goes negative, and no coefficient is reduced before the last step.
+    A product a of degree at most 2d - 2 is a_low + sum_i a_(d+i) x^(d+i)
+    with deg a_low < d, so it is congruent to a_low + sum_i a_(d+i) R_i,
+    of degree < d: the remainder, with no quotient formed.  Packed, the
+    count - d high limbs of a are unpacked and reduced mod s, and the
+    remainder is the low d limbs of a plus the big-integer sum of those
+    residues times the packed rows, unpacked once.
 
-    No limb carries into the next when a limb holds d^3 s^4: a limb of
-    a is a sum of at most d terms below s^2, so below d s^2; one of
-    a_high mu, and so of q, is below d (d s^2) s; one of q fbar below
-    d (d^2 s^3) s = d^3 s^4; and a + q fbar is below 2 d^3 s^4.  So a
-    product packs x (and y, unless it is x) and unpacks once.
+    No limb carries into the next when a limb holds (2d - 1) s^2: a limb
+    of a is a sum of at most d terms below s^2, and the d - 1 row terms
+    of a remainder limb are each below s^2 too.  So the limb is the
+    `_limb` of 2d - 1 terms, about bits(2 d s^2) + 1.
     """
     d = len(f) - 1
-    limb = (d ** 3 * s ** 4).bit_length() + 1
+    limb = _limb(2 * d - 1, s)
     shift = d * limb
-    packed_mu = _pack(poly_divmod([0] * (2 * d) + [1], f, s)[0], limb)
-    packed_fbar = _pack([(s - c) % s for c in f], limb)
+    low = (1 << shift) - 1
+    row = xd = [-c % s for c in f[:-1]]
+    rows = []
+    for _ in range(d - 1):
+        rows.append(_pack(row, limb))
+        row = _times_x(row, xd, s)
 
     def mulmod(x, y):
         if not x or not y:
@@ -235,7 +270,8 @@ def _barrett(f, s):
         a = px * px if x is y else px * _pack(y, limb)
         count = len(x) + len(y) - 1
         if count > d:
-            a += ((a >> shift) * packed_mu >> shift) * packed_fbar
+            high = _unpack(a >> shift, limb, count - d, s)
+            a = (a & low) + sum(map(operator.mul, high, rows))
             count = d
         return trim(_unpack(a, limb, count, s))
 
@@ -244,10 +280,10 @@ def _barrett(f, s):
 
 def _power(result, base, e, mulmod):
     """result * base^e, e >= 0, by square and multiply, each product
-    reduced by `mulmod`, the `_barrett` reducer of a modulus that result
-    and base are already reduced by.  Factorization takes x^s for the
-    first row of `_frobenius` and the power (s - 1)/2 of each
-    Cantor-Zassenhaus draw through the reducer its stage holds."""
+    reduced by `mulmod`, the `_reducer` of a modulus that result and
+    base are already reduced by.  Factorization takes the power
+    (s - 1)/2 of each Cantor-Zassenhaus draw through the reducer its
+    stage holds."""
     while e:
         if e & 1:
             result = mulmod(result, base)
@@ -257,20 +293,35 @@ def _power(result, base, e, mulmod):
     return result
 
 
+def _x_power(e, xd, mulmod, s):
+    """x^e mod f, for e >= 1 and a monic f of degree d >= 2, given
+    xd = x^d mod f (d coefficients) and `mulmod`, the `_reducer` of f:
+    left to right over the bits of e, one squaring per bit after the
+    leading one, and for each set bit a shift and one multiple of xd
+    (`_times_x`) in place of a full product."""
+    h = [0, 1]
+    for bit in bin(e)[3:]:
+        h = mulmod(h, h)
+        if bit == "1":
+            h = _times_x(h, xd, s)
+    return h
+
+
 def _frobenius(f, s, mulmod):
     """The Frobenius map h -> h^s mod f, for a monic f of degree d >= 1,
-    as a function of h reduced mod f, given `mulmod`, the `_barrett`
-    reducer of f, which the caller may use for its own products mod f.
+    as a function of h reduced mod f, given `mulmod`, the `_reducer` of
+    f, which the caller may use for its own products mod f.
 
     In characteristic s the map c -> c^s fixes Z/s and is additive, so
     h^s = sum h_i x^(i s): the map is linear, with rows x^(i s) mod f
-    for i < d.  The rows are built on the first call through `mulmod`,
-    x^s by `_power` and then d - 2 products, and kept packed at the
+    for i < d.  The rows are built on the first call, x^s by `_x_power`
+    and then d - 2 products through `mulmod`, and kept packed at the
     `_limb` bound of d terms; an image is then the big-integer sum of
-    h_i times row i, unpacked once.  So a step of the
-    distinct-degree loop, or an image in a Cantor-Zassenhaus norm, costs
-    one sum of d scalar multiples instead of the log2(s) squarings of
-    h^s.
+    h_i times row i, unpacked once.  This is the packed linear map that
+    `_reducer` applies to the high limbs of a product, with other rows.
+    So a step of the distinct-degree loop, or an image in a
+    Cantor-Zassenhaus norm, costs one sum of d scalar multiples instead
+    of the log2(s) squarings of h^s.
     """
     d = len(f) - 1
     limb = _limb(d, s)
@@ -280,7 +331,8 @@ def _frobenius(f, s, mulmod):
         if not rows:
             rows.append(1)
             if d > 1:
-                row = xs = _power([1], [0, 1], s, mulmod)
+                xd = [-c % s for c in f[:-1]]
+                row = xs = _x_power(s, xd, mulmod, s)
                 rows.append(_pack(xs, limb))
                 for _ in range(d - 2):
                     row = mulmod(row, xs)
@@ -380,16 +432,20 @@ def _squarefree_parts(f, s):
 
 
 # Steps of the distinct-degree loop per gcd: a block costs one product
-# mod sf per step and saves the gcds of its steps.  On
-# obstruct(101, s=607, theta=454) with its census built, 4 and 16 took
-# 0.91 and 0.82 s against 0.77 s for 8 (Python 3.11, in process).
+# mod sf per step and saves the gcds of its steps.  Blocks of 4, 8, 16
+# and 32 steps factored the two polynomials of obstruct(101, s=607,
+# theta=454) in 0.36, 0.32, 0.29 and 0.26 s, the 120 sweep inputs of
+# perfbench seeds 1-5 (degrees 18 and 30) in 0.30, 0.35, 0.36 and
+# 0.35 s, and the 8 table inputs in 0.029, 0.026, 0.030 and 0.032 s
+# (medians of 7-9 interleaved runs, Python 3.11, in process); no size
+# wins at every degree, and 8 is never far from the best.
 _BLOCK = 8
 
 
 def _distinct_degree(f, s, frobenius, mulmod):
     """Yield (product of degree-d irreducibles, d) for squarefree monic f,
     d ascending, given `frobenius`, the Frobenius map of a multiple of f,
-    and `mulmod`, the `_barrett` reducer of that multiple.
+    and `mulmod`, the `_reducer` of that multiple.
 
     The degree-d irreducibles of f divide h_d - x, h_d = x^(s^d), and
     those of degree e > d do not (von zur Gathen and Shoup, 1992).  The
@@ -438,7 +494,7 @@ _SPLIT_TRIES = 64
 def _equal_degree_split(f, d, s, rng, frobenius, mulmod=None):
     """Cantor-Zassenhaus: split monic squarefree f whose irreducible
     factors all have degree d, given `frobenius`, the Frobenius map of a
-    multiple of f, and `mulmod`, the `_barrett` reducer of f when the
+    multiple of f, and `mulmod`, the `_reducer` of f when the
     caller holds one; ArithmeticError after _SPLIT_TRIES draws that do
     not split it.
 
@@ -455,19 +511,17 @@ def _equal_degree_split(f, d, s, rng, frobenius, mulmod=None):
     if len(f) - 1 == d:
         return [f]
     if mulmod is None:
-        mulmod = _barrett(f, s)
+        mulmod = _reducer(f, s)
     for _ in range(_SPLIT_TRIES):
         u = trim([rng.randrange(s) for _ in range(len(f) - 1)])
         if len(u) < 2:
             continue
-        g = poly_gcd(u, f, s)
-        if not 1 < len(g) < len(f):
-            norm = image = u
-            for _ in range(d - 1):
-                image = poly_divmod(frobenius(image), f, s)[1]
-                norm = mulmod(norm, image)
-            power = _power([1], norm, (s - 1) // 2, mulmod)
-            g = poly_gcd(sub(power, [1], s), f, s)
+        norm = image = u
+        for _ in range(d - 1):
+            image = poly_divmod(frobenius(image), f, s)[1]
+            norm = mulmod(norm, image)
+        power = _power([1], norm, (s - 1) // 2, mulmod)
+        g = poly_gcd(sub(power, [1], s), f, s)
         if 1 < len(g) < len(f):
             rest = poly_divmod(f, g, s)[0]
             return (_equal_degree_split(g, d, s, rng, frobenius)
@@ -493,7 +547,7 @@ def factor(a, s):
         for sf, m in _squarefree_parts(f, s):
             # the map's reducer also splits sf itself, when every
             # irreducible factor of sf has one degree
-            mulmod = _barrett(sf, s)
+            mulmod = _reducer(sf, s)
             frobenius = _frobenius(sf, s, mulmod)
             for prod, d in _distinct_degree(sf, s, frobenius, mulmod):
                 top = mulmod if len(prod) == len(sf) else None
@@ -519,7 +573,7 @@ def is_irreducible(f, s):
         return False
     if poly_gcd(f, derivative(f, s), s) != [1]:
         return False
-    mulmod = _barrett(f, s)
+    mulmod = _reducer(f, s)
     steps = _distinct_degree(f, s, _frobenius(f, s, mulmod), mulmod)
     return next(steps) == (f, len(f) - 1)
 

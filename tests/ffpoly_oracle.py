@@ -1,21 +1,23 @@
 """Square and multiply with schoolbook division, kept as the independent
-oracle for the powers `sliceobs.ffpoly.factor` takes by `_power` through
-a `_barrett` reducer; Euclid's algorithm by repeated `poly_divmod`, kept
-as the oracle for `sliceobs.ffpoly.poly_gcd`; and the factorization that
+oracle for the powers `sliceobs.ffpoly.factor` takes through a
+`_reducer`; Euclid's algorithm by repeated `poly_divmod`, kept as the
+oracle for `sliceobs.ffpoly.poly_gcd`; and the factorization that
 raises to exponents by the former and takes gcds by the latter, kept as
 the oracle for `sliceobs.ffpoly.factor`.
 
 Every product is reduced by `poly_divmod` against the modulus as given
-(not made monic).  The program reduces by Barrett's method on packed
-integers, and its gcd reduces the dividend in place against a monic
-divisor; of its arithmetic this route imports only `mul`,
-`poly_divmod`, `sub`, `trim` and `monic`.
+(not made monic).  The program reduces a packed product through the
+packed rows x^(d+i) mod f, and its gcd reduces the dividend in place
+against a monic divisor; of its arithmetic this route imports only
+`mul`, `poly_divmod`, `sub`, `trim` and `monic`.
 
 The factorization here takes h^s by `pow_mod` at each distinct-degree
-step, and u^((s^d - 1)/2) by `pow_mod` for each Cantor-Zassenhaus draw.
-The program takes both through the Frobenius map of each squarefree
-part, and takes its gcds by the program's loop.  The squarefree stage
-(with the program's gcd), the seed and the draws are the program's, so
+step, and u^((s^d - 1)/2) by `pow_mod` for each Cantor-Zassenhaus draw,
+after a gcd of u with f that the program does not take.  The program
+takes both powers through the Frobenius map of each squarefree part,
+and takes its gcds by the program's loop.  The squarefree stage (with
+the program's gcd) and the seed are the program's; a draw may split a
+product at a different factor here, but a factorization is unique, so
 the two routes must give the same factorization, unit included.
 """
 

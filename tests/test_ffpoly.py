@@ -1,6 +1,7 @@
 """Prime-field polynomial arithmetic, factorization, and the norm
 obstruction."""
 
+import itertools
 import random
 import time
 
@@ -105,11 +106,11 @@ def test_poly_gcd_of_products():
 
 def power_mod(base, e, modulus, s):
     """base^e modulo the polynomial modulus, e >= 0, the way `factor`
-    takes its powers: by `_power` through the `_barrett` reducer of the
+    takes its powers: by `_power` through the `_reducer` of the
     monic modulus, with base and 1 reduced by it first."""
     f = monic(modulus, s)
     one, base = poly_divmod([1], f, s)[1], poly_divmod(base, f, s)[1]
-    return ffpoly._power(one, base, e, ffpoly._barrett(f, s))
+    return ffpoly._power(one, base, e, ffpoly._reducer(f, s))
 
 
 def test_pow_mod_fermat():
@@ -288,16 +289,15 @@ def test_factor_product_roundtrip(coeffs):
 
 
 def test_factor_bounds_cantor_zassenhaus_retries():
-    # with powers right only for e = s (the distinct-degree stage), no
-    # equal-degree draw splits (t^2 + 1)(t^2 + 4) mod 1000003, since a
-    # random u shares a factor with it only about once in 500000 draws;
-    # the retries used to run in a `while True`, so factor hung
+    # `_power` takes only the (s - 1)/2 power of each equal-degree draw
+    # (x^s goes by `_x_power`); with that power stubbed to 1, the gcd of
+    # power - 1 with (t^2 + 1)(t^2 + 4) mod 1000003 is the whole
+    # product, so no draw splits it; the retries used to run in a
+    # `while True`, so factor hung
     s = 1000003
     assert is_irreducible([1, 0, 1], s) and is_irreducible([4, 0, 1], s)
     code = ("from sliceobs import ffpoly\n"
-            "real = ffpoly._power\n"
-            "ffpoly._power = lambda r, b, e, mulmod: (\n"
-            f"    real(r, b, e, mulmod) if e == {s} else [1])\n"
+            "ffpoly._power = lambda r, b, e, mulmod: [1]\n"
             f"ffpoly.factor([4, 0, 5, 0, 1], {s})\n")
     proc = run_python(["-c", code], 60)
     assert proc.returncode != 0
@@ -317,11 +317,12 @@ def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
     # an irreducible quintic needs the probes d = 1, 2 only: with no
     # factor of degree <= 2, a remainder of degree 5 < 2 * 3 is
     # irreducible, so a third t^(s^3) is wasted work; each probe is one
-    # application of the Frobenius map, whose rows need one x^s
+    # application of the Frobenius map, whose rows need one x^s, taken
+    # by `_x_power`
     s = 23
     f = [3, 1, 0, 0, 0, 1]  # t^5 + t + 3
     applied, powers = [], []
-    real_frobenius, real_power = ffpoly._frobenius, ffpoly._power
+    real_frobenius, real_x_power = ffpoly._frobenius, ffpoly._x_power
 
     def counting_frobenius(modulus, s, mulmod):
         frobenius = real_frobenius(modulus, s, mulmod)
@@ -331,12 +332,12 @@ def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
             return frobenius(h)
         return apply
 
-    def counting_power(*args):
-        powers.append(args[2])
-        return real_power(*args)
+    def counting_x_power(*args):
+        powers.append(args[0])
+        return real_x_power(*args)
 
     monkeypatch.setattr(ffpoly, "_frobenius", counting_frobenius)
-    monkeypatch.setattr(ffpoly, "_power", counting_power)
+    monkeypatch.setattr(ffpoly, "_x_power", counting_x_power)
     assert is_irreducible(f, s)
     assert (applied, powers) == ([5, 5], [s])
     applied.clear()
@@ -355,18 +356,18 @@ def test_one_barrett_reducer_per_modulus_however_many_draws(monkeypatch):
     quartic = mul([1, 0, 1], [4, 0, 1], s)
     quintic = mul(quartic, [3, 1], s)
     builds, draws = [], []
-    real_barrett, real_power = ffpoly._barrett, ffpoly._power
+    real_reducer, real_power = ffpoly._reducer, ffpoly._power
 
-    def counting_barrett(modulus, s):
+    def counting_reducer(modulus, s):
         builds.append(tuple(modulus))
-        return real_barrett(modulus, s)
+        return real_reducer(modulus, s)
 
     def counting_power(result, base, e, mulmod):
         if e == (s - 1) // 2:
             draws.append(e)
         return real_power(result, base, e, mulmod)
 
-    monkeypatch.setattr(ffpoly, "_barrett", counting_barrett)
+    monkeypatch.setattr(ffpoly, "_reducer", counting_reducer)
     monkeypatch.setattr(ffpoly, "_power", counting_power)
     assert degree_sequence(factor(quintic, s)) == [1, 2, 2]
     assert len(draws) >= 2
@@ -425,7 +426,7 @@ def test_frobenius_map_at_the_carry_edge():
     s = 2 ** 31 - 1
     f = [s - 1] * 30 + [1]
     h = [s - 1] * 30
-    frobenius = ffpoly._frobenius(f, s, ffpoly._barrett(f, s))
+    frobenius = ffpoly._frobenius(f, s, ffpoly._reducer(f, s))
     assert frobenius(h) == ffpoly_oracle.pow_mod(h, s, f, s)
 
 
@@ -444,7 +445,7 @@ def test_barrett_reducer_matches_schoolbook_division(d, s):
     rng = random.Random(d * s)
     worst = [s - 1] * d + [1]
     for f in ([rng.randrange(s) for _ in range(d)] + [1], worst):
-        mulmod = ffpoly._barrett(f, s)
+        mulmod = ffpoly._reducer(f, s)
 
         def check(x, y):
             assert mulmod(x, y) == poly_divmod(mul(x, y, s), f, s)[1]
@@ -502,14 +503,15 @@ def test_factor_matches_oracle_across_block_edges(s, degrees):
 
 
 def test_one_unpack_per_reduced_product(monkeypatch):
-    # each product packs its operands (one of them when x is y) and
-    # unpacks only the remainder: the quotient and q fbar stay packed
+    # each product packs its operands (one of them when x is y), unpacks
+    # its count - d high limbs, and unpacks the d-limb remainder once:
+    # no quotient is formed, and the row sum stays packed
     s, d = 59, 30
     rng = random.Random(7)
     f = [rng.randrange(s) for _ in range(d)] + [1]
     x = [rng.randrange(s) for _ in range(d - 1)] + [1]
     y = [rng.randrange(s) for _ in range(d - 1)] + [2]
-    mulmod = ffpoly._barrett(f, s)
+    mulmod = ffpoly._reducer(f, s)
     packs, unpacks = [], []
     real_pack, real_unpack = ffpoly._pack, ffpoly._unpack
 
@@ -524,11 +526,89 @@ def test_one_unpack_per_reduced_product(monkeypatch):
     monkeypatch.setattr(ffpoly, "_pack", counting_pack)
     monkeypatch.setattr(ffpoly, "_unpack", counting_unpack)
     assert mulmod(x, y) == poly_divmod(mul(x, y, s), f, s)[1]
-    assert (packs, unpacks) == ([d, d], [d])
+    assert (packs, unpacks) == ([d, d], [d - 1, d])
     packs.clear()
     unpacks.clear()
     assert mulmod(x, x) == poly_divmod(mul(x, x, s), f, s)[1]
-    assert (packs, unpacks) == ([d], [d])
+    assert (packs, unpacks) == ([d], [d - 1, d])
+    packs.clear()
+    unpacks.clear()
+    # a product of degree below d needs no reduction: one unpack
+    assert mulmod(x[:10], y[:12]) == mul(x[:10], y[:12], s)
+    assert (packs, unpacks) == ([10, 12], [21])
+
+
+@pytest.mark.parametrize("s, d", ((3, 3), (5, 2)))
+def test_reducer_on_every_product_modulo_every_monic_modulus(s, d):
+    # every pair of reduced operands against every monic modulus: some
+    # remainder limb needs all the bits of (2d - 1)(s - 1)^2, the bound
+    # the reducer's limb is sized for, so a limb one bit short fails
+    reduced = [trim(list(c)) for c in itertools.product(range(s), repeat=d)]
+    for low in itertools.product(range(s), repeat=d):
+        f = list(low) + [1]
+        mulmod = ffpoly._reducer(f, s)
+        for x in reduced:
+            for y in reduced:
+                assert mulmod(x, y) == poly_divmod(mul(x, y, s), f, s)[1]
+
+
+def _leaf_pack(a, limb):
+    packed = 0
+    for c in reversed(a):
+        packed = (packed << limb) | c
+    return packed
+
+
+def _leaf_unpack(packed, limb, count, s):
+    out = []
+    for _ in range(count):
+        out.append((packed & ((1 << limb) - 1)) % s)
+        packed >>= limb
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((1, 31, 32, 33, 63, 64, 65, 1000)),
+       st.integers(1, 140), st.integers(0, 2 ** 32), st.booleans())
+def test_pack_and_unpack_by_halves_match_the_leaf_loop(count, limb, seed,
+                                                       prefix):
+    # counts on both sides of the leaf (32 limbs) and of its double, and
+    # one long enough to halve five times; a quarter of the entries at
+    # 2^limb - 1, so a limb one bit short or a split off by one limb
+    # shows; the unpack reads all the limbs, or a prefix, reduced mod a
+    # small s or mod one above every entry
+    top = (1 << limb) - 1
+    rng = random.Random(seed)
+    a = [rng.choice((top, rng.randrange(top + 1))) if rng.randrange(2)
+         else rng.randrange(top + 1) for _ in range(count)]
+    packed = ffpoly._pack(a, limb)
+    assert packed == _leaf_pack(a, limb)
+    first = count // 2 + 1 if prefix else count
+    for s in (3, top + 1):
+        assert (ffpoly._unpack(packed, limb, first, s)
+                == _leaf_unpack(packed, limb, first, s))
+    assert ffpoly._unpack(packed, limb, count, top + 1) == a
+
+
+def test_factor_matches_oracle_above_the_leaf():
+    # a degree-86 product at s = 607: its products and Frobenius images
+    # pack and unpack more limbs than the leaf, so they go by halves
+    s = 607
+    degrees = (1,) * 6 + (2,) * 4 + (3,) * 3 + (5, 7, 11, 17, 23)
+    rng = random.Random(607)
+    factors = []
+    for d in degrees:
+        g = _irreducible(d, s, rng)
+        while g in factors:
+            g = _irreducible(d, s, rng)
+        factors.append(g)
+    f = [5]
+    for g in factors:
+        f = mul(f, g, s)
+    assert len(f) - 1 > 2 * ffpoly._LEAF
+    got = factor(f, s)
+    assert got == ffpoly_oracle.factor(f, s)
+    assert degree_sequence(got) == sorted(degrees)
 
 
 def test_one_gcd_per_block_of_the_distinct_degree_loop(monkeypatch):
@@ -537,7 +617,7 @@ def test_one_gcd_per_block_of_the_distinct_degree_loop(monkeypatch):
     # nontrivial, so nothing is refined: three gcds for twenty images
     s = 23
     f = _irreducible(40, s, random.Random(40))
-    mulmod = ffpoly._barrett(f, s)
+    mulmod = ffpoly._reducer(f, s)
     frobenius = ffpoly._frobenius(f, s, mulmod)
     gcds = []
     real_gcd = ffpoly.poly_gcd
