@@ -55,7 +55,9 @@ class LaurentPolynomial:
         return bool(self._coeffs)
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        # a constant equals its scalar, so it hashes as that scalar
+        c = self._coeffs
+        return hash(c.get(0, 0) if c.keys() <= {0} else frozenset(c.items()))
 
     def __eq__(self, other):
         if _is_scalar(other):

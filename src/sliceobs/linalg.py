@@ -1,18 +1,20 @@
 """Exact linear algebra: band determinants over Z[t], prime-field
 determinants, integer Smith forms, and the involution.
 
-Everything here is deliberately dependency-free.  Every determinant
-over Z, Z[t] or the Eisenstein integers Z[w] = Z[t]/(t^2 + t + 1) is of
-a pencil X - t Y whose nonzeros lie within distance 2 of the diagonal
-(the Seifert pencils in `seifert.band_order`), and goes through one
-kernel, `det_band`: a transfer recurrence over the six ways the rows
-so far can leave the columns near the diagonal taken, one pass over the
-rows with no pivot, no division and no evaluation point, which also
-gives the minors bordered by the last two rows and columns
+Everything here is deliberately dependency-free.  Every determinant over
+Z, Z[t] or the Eisenstein integers Z[w] = Z[t]/(t^2 + t + 1) is of a
+pencil X - t Y whose nonzeros lie within distance 2 of the diagonal (the
+Seifert pencils in `seifert.band_order`), and goes through one kernel,
+`det_band`.  It takes X and Y as band rows, row i the 5 entries of the
+columns i - 2 .. i + 2, so that no entry outside the band can be given
+and none is searched for.  It is a transfer recurrence over the six ways
+the rows so far can leave the columns near the diagonal taken, one pass
+over the rows with no pivot, no division and no evaluation point, which
+also gives the minors bordered by the last two rows and columns
 (`blanchfield._pairing_at_omega` reads the adjugate from them) and
-reduces modulo a monic polynomial as it goes.  Determinants over a
-prime field use plain Gaussian elimination (`det_gf`), which also takes
-many matrices of one side laid out side by side, entry by entry, and
+reduces modulo a monic polynomial as it goes.  Determinants over a prime
+field use plain Gaussian elimination (`det_gf`), which also takes many
+matrices of one side laid out side by side, entry by entry, and
 eliminates them together: one list operation per row and step serves
 every matrix, and a pivot is swapped only at the matrices where it
 vanishes (`twisted` reduces its Schur complements this way, at all the
@@ -163,14 +165,17 @@ def _plus(p, q):
 
 def det_band(x, y, modulus=None):
     """The determinant of the pencil M = X - t Y, for square matrices X
-    and Y given by their rows, whose nonzeros lie within distance 2 of
-    the diagonal, and the 2x2 block B of the minors of M bordered by its
+    and Y of side N whose nonzeros lie within distance 2 of the
+    diagonal, and the 2x2 block B of the minors of M bordered by its
     last two rows and columns: B[a][b] is the minor on the rows 0..N-3,
-    N-2+a and the columns 0..N-3, N-2+b, N the side.  Returns (det M, B),
-    B None when N < 2, each value a list of integer coefficients,
-    ascending in t.  With `modulus`, the ascending coefficients of a
-    monic polynomial of degree e, each value is taken modulo it, a list
-    of e integers.  A nonzero outside the band raises ValueError.
+    N-2+a and the columns 0..N-3, N-2+b.  X and Y come as N band rows
+    each, row i the 5 entries of the columns i - 2 .. i + 2; an entry
+    outside the columns 0..N-1 is never read.  A row that does not have
+    5 entries, or a Y with another number of rows, raises ValueError.
+    Returns (det M, B), B None when N < 2, each value a list of integer
+    coefficients, ascending in t.  With `modulus`, the ascending
+    coefficients of a monic polynomial of degree e, each value is taken
+    modulo it, a list of e integers.
 
     One pass over the rows, by a transfer recurrence over the six states
     of `_MOVES`: a state holds the signed sum, over the ways the rows so
@@ -183,27 +188,20 @@ def det_band(x, y, modulus=None):
     B[a][1] in the one with N-2 free and N-1 taken.
     """
     size = len(x)
-    if len(y) != size:
-        raise ValueError("determinant of non-square matrix")
-    for i, rows in enumerate(zip(x, y)):
-        for r in rows:
-            if len(r) != size:
-                raise ValueError("determinant of non-square matrix")
-            if any(r[:max(i - 2, 0)]) or any(r[i + 3:]):
-                raise ValueError(
-                    f"row {i} has a nonzero outside the band of width 2")
+    if len(y) != size or any(len(r) != 5 for r in (*x, *y)):
+        raise ValueError("det_band takes rows of 5, as many of Y as of X")
     top = len(modulus) - 1 if modulus else 0
 
-    def step(states, i, r):
-        # the states after row r, taken as the row at position i
+    def step(states, i, xr, yr):
+        # the states after the band rows xr, yr, read as the columns
+        # i - 2 .. i + 2, taken as the row at position i
         new = [None] * 6
         for src, pick, dst, sign in _MOVES:
             p = states[src]
-            j = i - 2 + pick
-            if p is None or j >= size:
+            if p is None or i - 2 + pick >= size:
                 continue
-            d = sign * x[r][j]
-            c = -sign * y[r][j]
+            d = sign * xr[pick]
+            c = -sign * yr[pick]
             if not c:
                 if not d:
                     continue
@@ -227,9 +225,10 @@ def det_band(x, y, modulus=None):
     states = [[1], None, None, None, None, None]
     block = None
     for i in range(size):
-        new = step(states, i, i)
+        new = step(states, i, x[i], y[i])
         if i == size - 2:
-            other = step(states, i, i + 1)
+            # the last row, shifted onto the columns of row N-2
+            other = step(states, i, (0, *x[i + 1][:4]), (0, *y[i + 1][:4]))
             block = ((value(new[0]), value(new[1])),
                      (value(other[0]), value(other[1])))
         states = new

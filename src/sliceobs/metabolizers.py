@@ -8,21 +8,33 @@ R-lines.  A line is a metabolizer when the linking form vanishes on it;
 there are n + 1 of those, falling into one fixed point and one size-n
 orbit under the order-n symmetry.
 
-The census runs on integers only.  Every line but R b is spanned by
-g0 = a + (n0 + n1 t) b and g1 = t g0, whose coordinate rows
-(1, 0, n0, n1) and (0, 1, -n1, n0 - n1) are already in reduced echelon
-form and affine in (n0, n1).  R b is deck invariant exactly when t keeps
-span(b, tb); then the a-coordinates c0, c1 of t g do not depend on
-(n0, n1), so t g = c0 g0 + c1 g1 is affine in (n0, n1) mod n and holds
-on every line once it holds at (0, 0), (1, 0) and (0, 1): deck
-invariance is checked on those four lines only.  The form vanishes on a
-line when the four pairings g_i^T (n lambda) g_j, n lambda the integer
-matrix `LinkingForm.scaled`, are 0 mod n; a `Submodule` is built only
-for the n + 1 lines that pass.
+Every line but R b is spanned by g0 = a + (n0 + n1 t) b and g1 = t g0,
+whose coordinate rows (1, 0, n0, n1) and (0, 1, -n1, n0 - n1) are
+already in reduced echelon form and affine in (n0, n1).  R b is deck
+invariant exactly when t keeps span(b, tb); then the a-coordinates
+c0, c1 of t g do not depend on (n0, n1), so t g = c0 g0 + c1 g1 is
+affine in (n0, n1) mod n and holds on every line once it holds at
+(0, 0), (1, 0) and (0, 1): deck invariance is checked on those four
+lines only.
+
+The form vanishes on a line when the four pairings g_i^T (n lambda) g_j,
+n lambda the integer matrix `LinkingForm.scaled`, are 0 mod n.  Each
+pairing is a quadratic in (n0, n1), and each is c_ij times the conic
+n0^2 - n0 n1 + n1^2 + n0 - n1 - 1, some c_ij nonzero.  A quadratic is
+fixed mod an odd n by its values on the six lines (0, 0), (1, 0),
+(2, 0), (0, 1), (0, 2) and (1, 1), so the census checks that identity
+there, from the form, and then lists the zeros of the conic instead of
+testing lines: (1, 1), and for each slope m the second point
+(1 - 2k, 1 - 2mk), k = 1/(m^2 - m + 1), where the line through (1, 1)
+of slope m meets the conic (m^2 - m + 1 has no root, as -3 is no
+square mod n).  R b, not of that form, must be rejected by its
+pairings.  The order-n symmetry r moves the metabolizer of slope m to
+the one of slope m - 2, so the orbit member r^j(P_+), with
+P_+ = a - (1 + t) b of slope 1, has slope 1 - 2j: `character_for`
+reads j = (1 - m)/2 off the slope.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 
 # linking_form is unused here; perfbench's tracer test still reaches it
@@ -161,14 +173,52 @@ def is_metabolizer(sub, form):
             and _isotropic(g0, g1, form))
 
 
+# Six lines a + (n0 + n1 t) b on which a quadratic in (n0, n1) is fixed
+# mod an odd n: its values on the first three fix it along n1 = 0, with
+# (0, 0) on the next two along n0 = 0, and (1, 1) the n0 n1 term.
+_SIX = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1))
+
+
+def _conic(n0, n1):
+    """The conic whose zeros mod n are the metabolizers
+    a + (n0 + n1 t) b."""
+    return n0 * n0 - n0 * n1 + n1 * n1 + n0 - n1 - 1
+
+
+def _check_conic(n, form):
+    """ArithmeticError unless each of the four pairings g_i^T (n lambda)
+    g_j on the line through a + (n0 + n1 t) b is c_ij times `_conic`
+    mod n, for constants c_ij not all 0: then a line is isotropic
+    exactly at a zero of the conic.  Both sides are quadratics in
+    (n0, n1), compared on the six lines `_SIX` against the conic's
+    value on the first, (0, 0), where it must not vanish."""
+    rows = [_line_rows(n, *p) for p in _SIX]
+    conic = [_conic(*p) % n for p in _SIX]
+    pairings = [[form.pair(g[i], g[j]) for g in rows]
+                for i in (0, 1) for j in (0, 1)]
+    if not conic[0] or not any(map(any, pairings)) or any(
+            (v * conic[0] - vals[0] * q) % n
+            for vals in pairings for v, q in zip(vals, conic)):
+        raise ArithmeticError("the isotropic lines are not the conic's zeros")
+
+
+def _conic_points(n):
+    """The zeros (n0, n1) of `_conic` mod n, sorted: (1, 1) and, for each
+    slope m, (1 - 2k, 1 - 2mk) with k = 1/(m^2 - m + 1)."""
+    ks = [pow(m * m - m + 1, -1, n) for m in range(n)]
+    return sorted({(1, 1), *(((1 - 2 * k) % n, (1 - 2 * m * k) % n)
+                             for m, k in enumerate(ks))})
+
+
 def enumerate_metabolizers(n, form):
     """The metabolizers among the n^2 + 1 deck-invariant lines, in the
-    order (n0, n1) in (Z/n)^2, n0 major, then the leftover line R b.
+    order (n0, n1) in (Z/n)^2, n0 major; the leftover line R b is never
+    one.
 
-    The lines are distinct, as g0 = (1, 0, n0, n1) carries (n0, n1), and
-    deck invariant by the four-line check above, which raises
-    ArithmeticError on a failure.  A Submodule is built only for a line
-    whose four integer pairings g_i^T (n lambda) g_j are 0 mod n.
+    The lines are deck invariant by the four-line check above, which
+    raises ArithmeticError on a failure, and so is an isotropic R b, a
+    form that is not a multiple of the conic on the six lines, or a
+    listing that is not n + 1 distinct zeros of the conic.
     """
     check_class(n)
     _same_n(n, form)
@@ -177,15 +227,13 @@ def enumerate_metabolizers(n, form):
                    _line_rows(n, 0, 1)):
         if not _deck_invariant(g0, g1, n, tm):
             raise ArithmeticError("a listed submodule is not deck invariant")
-    lines = chain((_line_rows(n, n0, n1)
-                   for n0 in range(n) for n1 in range(n)), (_PRIME_LINE,))
-    mets = [Submodule(n, (g0, g1)) for g0, g1 in lines
-            if _isotropic(g0, g1, form)]
-    if len(mets) != n + 1:
-        raise ArithmeticError(
-            f"expected exactly n + 1 = {n + 1} metabolizers, found "
-            f"{len(mets)}")
-    return mets
+    if _isotropic(*_PRIME_LINE, form):
+        raise ArithmeticError("the leftover line R b must not be isotropic")
+    _check_conic(n, form)
+    points = _conic_points(n)
+    if len(points) != n + 1 or any(_conic(*p) % n for p in points):
+        raise ArithmeticError(f"not the n + 1 = {n + 1} zeros of the conic")
+    return [line_submodule(n, *p) for p in points]
 
 
 def orbit_decomposition(mets, n):
@@ -246,31 +294,28 @@ def orbit_base_metabolizer(n):
 def character_for(sub, form):
     """A character of order n vanishing on the given metabolizer of the
     linking form: the fixed point gets chi_-, the orbit member r^j(P_+)
-    gets chi_+ r^(n-j).
+    gets chi_+ r^(n-j), with j = (1 - m)/2 for the slope
+    m = (n1 - 1)/(n0 - 1) of its point (n0, n1) on the conic.  Either
+    must vanish on it, and it must pass `is_metabolizer`.
     """
     n = sub.n
     _same_n(n, form)
-    plus, minus = base_characters(n)
-    if sub == fixed_metabolizer(n):
-        if not minus.vanishes_on(sub):
-            raise ArithmeticError("chi_- must vanish on the fixed metabolizer")
-        return minus
-    r = r_matrix()
-    p = orbit_base_metabolizer(n)
-    j = 0
-    q = p
-    while q != sub:
-        q = q.transformed(r)
-        j += 1
-        if j > n:
+    plus, chi = base_characters(n)
+    if sub != fixed_metabolizer(n):
+        n0, n1 = sub.canonical[0][2:] if sub.canonical else (0, 0)
+        if sub.canonical != _line_rows(n, n0, n1) or _conic(n0, n1) % n:
             raise ValueError("submodule is not a metabolizer in the orbit")
-    # chi = chi_+ composed with r^(n-j): row vector times matrix power
-    row = list(plus.row)
-    for _ in range((n - j) % n):
-        row = [sum(row[i] * r[i][k] for i in range(4)) % n for k in range(4)]
-    chi = Character(n, tuple(row), "+")
+        # the orbit index j = (1 - m)/2 of the slope m = (n1 - 1)/(n0 - 1)
+        j = (1 - (n1 - 1) * pow(n0 - 1, -1, n)) * pow(2, -1, n) % n
+        r = r_matrix()
+        # chi_+ composed with r^(n-j): row vector times matrix power
+        row = plus.row
+        for _ in range((n - j) % n):
+            row = tuple(sum(row[i] * r[i][k] for i in range(4)) % n
+                        for k in range(4))
+        chi = Character(n, row, "+")
     if not chi.vanishes_on(sub):
-        raise ArithmeticError("constructed character must vanish")
+        raise ArithmeticError("the character must vanish on the metabolizer")
     if not is_metabolizer(sub, form):
         raise ArithmeticError("submodule is not a metabolizer of the form")
     return chi

@@ -19,16 +19,16 @@ interleaved order (0, n-1, 1, n, ..., n-2, 2n-3) (`band_order`), every
 nonzero of the pencil A - t A^T lies within distance 2 of the diagonal
 (`band_pencil`), so `linalg.det_band` takes its determinant, and the
 minors the linking form needs, in one pass of at most 12 moves per
-row.
+row.  `band_pencil` writes those band rows, 5 entries each, straight
+from the closed form of A; it does not start from `band_matrix`.
 
-Every N-square table here and downstream (the linking form, cover
-homology, `report.obstruct`) starts from `band_matrix` or
-`apply_monodromy`, and both begin with the one size check `check_n`
+Every N-square table here and downstream (cover homology,
+`report.obstruct`) starts from `band_matrix` or `apply_monodromy`, and
+the band rows of the linking form and of the Alexander polynomial from
+`band_pencil`.  All three begin with the one size check `check_n`
 against `MAX_N`, so it fires before anything is allocated;
 `report.obstruct` runs it before it builds the presentation.
 """
-
-from operator import itemgetter
 
 from .laurent import LaurentPolynomial
 from .linalg import Matrix, det_band
@@ -38,11 +38,13 @@ __all__ = ["MAX_N", "check_n", "band_matrix",
            "alexander_polynomial", "p_n"]
 
 # The largest family index accepted, so that no input asks for more
-# than a few dense tables of side N = 2(n-1) <= 998, 1e6 entries each.
-# Measured near it (Python 3.11, 2 cores): `linking_form(497)` takes
-# 0.3 s and `alexander_polynomial(497)` 0.8-0.9 s,
-# `cover_homology_snf(497, 3)` 20 s and `report.obstruct(491, s=983)`
-# 182 s at 121 MiB peak RSS; the last two grow about as n^3.
+# than a few dense tables of side N = 2(n-1) <= 998, 1e6 entries each
+# (cover homology builds them; the linking form and the Alexander
+# polynomial take band rows of 5 entries).  Measured near it (Python
+# 3.11, 2 cores): `linking_form(497)` takes 0.03 s and
+# `alexander_polynomial(497)` 0.4-0.6 s, `cover_homology_snf(497, 3)`
+# 20 s, growing about as n^3, and `report.obstruct(491, s=983)` 34 s
+# at 48 MiB peak RSS.
 MAX_N = 500
 
 
@@ -110,16 +112,25 @@ def band_order(n):
 
 
 def band_pencil(n):
-    """The rows of A and of A^T for the Seifert matrix A, with rows and
-    columns both taken in `band_order(n)`: the pencil X - t Y with
-    X = A, Y = A^T there is A - t A^T in an order that keeps every
-    nonzero within distance 2 of the diagonal, as `linalg.det_band`
-    needs."""
-    a = seifert_matrix(n).rows
-    order = band_order(n)
-    pick = itemgetter(*order)
-    cols = list(zip(*a))
-    return [pick(a[i]) for i in order], [pick(cols[i]) for i in order]
+    """The band rows of A and of A^T for the Seifert matrix A, with rows
+    and columns both taken in `band_order(n)`, in the format of
+    `linalg.det_band`: the pencil X - t Y with X = A, Y = A^T there is
+    A - t A^T in an order that keeps every nonzero within distance 2 of
+    the diagonal.
+
+    Row p lists the columns p - 2 .. p + 2.  Row 2i is top row i of A,
+    that of -B^T: -1 at top column i and 1 at top column i - 1 (for
+    i > 0).  Row 2i + 1 is bottom row i, that of B in both halves: 1 at
+    column i and -1 at column i + 1 of each half (none past the last
+    row).  Entry k of row p of A^T is A[p - 2 + k][p], entry 4 - k of
+    band row p - 2 + k of A.
+    """
+    size = 2 * check_n(n)
+    a = [(int(p > 0), 0, -1, 0, 0) if p % 2 == 0
+         else (0, 1, 1, -1, -1) if p < size - 1 else (0, 1, 1, 0, 0)
+         for p in range(size)]
+    return a, [tuple(a[p - 2 + k][4 - k] if 0 <= p - 2 + k < size else 0
+                     for k in range(5)) for p in range(size)]
 
 
 def alexander_polynomial(n):

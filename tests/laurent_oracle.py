@@ -12,6 +12,8 @@ check that builds its matrices a different way and uses no band.
 
 `det_cofactor` expands small determinants by cofactors, the check for
 the band kernel and for the Bareiss elimination of `bareiss_oracle`.
+`band_rows` and `dense_rows` convert a square matrix to the band rows
+the kernel takes and back.
 """
 
 from itertools import count, islice
@@ -46,6 +48,30 @@ def det_cofactor(rows):
         term = rows[0][j] * det_cofactor(sub)
         total = total - term if j % 2 else total + term
     return total
+
+
+def band_rows(rows):
+    """The band rows of a square matrix, as `linalg.det_band` takes
+    them: row i the entries of the columns i - 2 .. i + 2, 0 outside the
+    matrix.  A nonzero farther from the diagonal raises ValueError."""
+    size = len(rows)
+    for i, r in enumerate(rows):
+        if any(x for j, x in enumerate(r) if abs(i - j) > 2):
+            raise ValueError(f"row {i} has a nonzero outside the band")
+    return [tuple(r[j] if 0 <= j < size else 0 for j in range(i - 2, i + 3))
+            for i, r in enumerate(rows)]
+
+
+def dense_rows(band):
+    """The square matrix of the band rows, as lists; the entries of a
+    band row outside the matrix are dropped."""
+    size = len(band)
+    out = [[0] * size for _ in band]
+    for i, r in enumerate(band):
+        for j, x in enumerate(r, i - 2):
+            if 0 <= j < size:
+                out[i][j] = x
+    return out
 
 
 def minor(m, i, j):

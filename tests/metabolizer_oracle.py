@@ -8,13 +8,18 @@ summing Fractions over the rational matrix of the form.  The program
 tests each line on its generators with integer congruences and pairs
 through the integer matrix n lambda; this route shares only the
 `Submodule` class (its row reduction) with it.
+
+`orbit_characters` walks the order-n symmetry r along the orbit of
+metabolizers, the oracle for the orbit index that
+`sliceobs.metabolizers.character_for` reads off the slope.
 """
 
 from fractions import Fraction
 
-from sliceobs.blanchfield import t_matrix
+from sliceobs.blanchfield import r_matrix, t_matrix
 from sliceobs.ffpoly import is_prime
-from sliceobs.metabolizers import Submodule
+from sliceobs.metabolizers import (Submodule, base_characters,
+                                   orbit_base_metabolizer)
 
 
 def is_invariant(sub, g):
@@ -61,3 +66,22 @@ def is_metabolizer(sub, form):
 def census(n, form):
     """The metabolizers among `invariant_submodules(n)`, in its order."""
     return [p for p in invariant_submodules(n) if is_metabolizer(p, form)]
+
+
+def orbit_characters(n):
+    """The orbit member r^j(P_+) of the metabolizers, for j = 0 .. n-1,
+    each found by walking r from P_+ = `orbit_base_metabolizer(n)`,
+    mapped to the row of chi_+ r^(n-j)."""
+    r = r_matrix()
+    rows = [base_characters(n)[0].row]
+    for _ in range(n - 1):
+        rows.append(tuple(sum(rows[-1][i] * r[i][k] for i in range(4)) % n
+                          for k in range(4)))
+    base = q = orbit_base_metabolizer(n)
+    walk = {}
+    for j in range(n):
+        walk[q] = rows[-j]
+        q = q.transformed(r)
+    if q != base or len(walk) != n:
+        raise ArithmeticError("r must move P_+ around an orbit of size n")
+    return walk

@@ -34,6 +34,22 @@ def test_construction_helpers():
     assert LaurentPolynomial.constant(0) == zero()
 
 
+@pytest.mark.parametrize("c", [3, 0, -7, Fraction(1, 2), Fraction(4, 1)])
+def test_a_constant_hashes_as_its_scalar(c):
+    # equal values must hash alike: a set or dict key treats the
+    # constant polynomial and its scalar as one
+    p = LaurentPolynomial.constant(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1
+    assert {c: "x"}[p] == "x"
+
+
+@given(small_polys)
+def test_equal_polynomials_hash_alike(p):
+    q = LaurentPolynomial(dict(p.items()))
+    assert p == q and hash(p) == hash(q)
+
+
 def test_immutability():
     p = t()
     with pytest.raises(AttributeError):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bareiss_oracle import _band, _bareiss, _newton_interpolate, det_bareiss
-from laurent_oracle import det_cofactor, det_laurent, minor
+from laurent_oracle import (band_rows, dense_rows, det_cofactor,
+                            det_laurent, minor)
 from sliceobs.laurent import LaurentPolynomial, one, t
 from sliceobs.linalg import (Matrix, det_band, det_gf, involution,
                              smith_normal_form)
@@ -88,21 +89,22 @@ def test_det_gf_over_points_matches_each_matrix(k, npts, s, data):
 
 @st.composite
 def band_pencil(draw):
-    """Square matrices X and Y of side 0..9, zero beyond distance 2 of
-    the diagonal and mostly zero within it, with some diagonal entries
-    of the pencil X - t Y zeroed, so that leading blocks are often
-    singular; Y is zero in about half the draws, for an integer X."""
+    """Band rows of square matrices X and Y of side 0..9, mostly zero,
+    with some diagonal entries of the pencil X - t Y zeroed, so that
+    leading blocks are often singular; Y is zero in about half the
+    draws, for an integer X.  The entries outside the matrix are drawn
+    too: `det_band` must not read them."""
     n = draw(st.integers(min_value=0, max_value=9))
     entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
     linear = draw(st.booleans())
 
-    def square(drawn):
-        return [[draw(entry) if drawn and abs(i - j) <= 2 else 0
-                 for j in range(n)] for i in range(n)]
-    x, y = square(True), square(linear)
+    def band(drawn):
+        return [[draw(entry) if drawn else 0 for _ in range(5)]
+                for _ in range(n)]
+    x, y = band(True), band(linear)
     for i in draw(st.sets(st.integers(min_value=0, max_value=n))):
         if i < n:
-            x[i][i] = y[i][i] = 0
+            x[i][2] = y[i][2] = 0
     return x, y
 
 
@@ -118,16 +120,19 @@ SINGULAR_BAND = [[1, 2, 0, 0],
 
 
 @given(band_pencil())
-@example((SINGULAR_BAND, [[0] * 4 for _ in range(4)]))
-@example((SINGULAR_BAND, [r[::-1] for r in SINGULAR_BAND[::-1]]))
-@example(([[0, 1], [1, 0]], [[1, 0], [0, 1]]))
+@example((band_rows(SINGULAR_BAND), band_rows([[0] * 4 for _ in range(4)])))
+@example((band_rows(SINGULAR_BAND),
+          band_rows([r[::-1] for r in SINGULAR_BAND[::-1]])))
+@example((band_rows([[0, 1], [1, 0]]), band_rows([[1, 0], [0, 1]])))
 @settings(max_examples=120, deadline=None)
 def test_det_band_matches_cofactor(case):
     # det M and each minor of M = X - t Y bordered by one of the last
-    # two rows and one of the last two columns
+    # two rows and one of the last two columns, M expanded from the band
+    # rows by `dense_rows`
     x, y = case
     n = len(x)
-    m = [[LaurentPolynomial({0: x[i][j], 1: -y[i][j]})
+    dx, dy = dense_rows(x), dense_rows(y)
+    m = [[LaurentPolynomial({0: dx[i][j], 1: -dy[i][j]})
           for j in range(n)] for i in range(n)]
     det, block = det_band(x, y)
     assert as_polynomial(det) == det_cofactor(m)
@@ -168,23 +173,26 @@ def test_det_band_folds_the_modulus(case, modulus):
             == [list(row) for row in block_m]
 
 
-@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (1, 4), (5, 2)])
-@pytest.mark.parametrize("linear", [False, True])
-def test_det_band_refuses_a_nonzero_outside_the_band(i, j, linear):
-    x = [[int(abs(r - c) <= 2) for c in range(6)] for r in range(6)]
-    y = [list(r) for r in x]
-    (y if linear else x)[i][j] = 1
-    with pytest.raises(ValueError, match=f"row {i} has a nonzero outside"):
-        det_band(x, y)
+def test_band_rows_round_trip():
+    assert band_rows(SINGULAR_BAND) == [(0, 0, 1, 2, 0), (0, 2, 4, 1, 0),
+                                        (0, 3, 1, 1, 0), (0, 1, 2, 0, 0)]
+    assert dense_rows(band_rows(SINGULAR_BAND)) == SINGULAR_BAND
+    with pytest.raises(ValueError, match="row 0 has a nonzero outside"):
+        band_rows([[1, 0, 0, 1]] + [[0] * 4] * 3)
 
 
 def test_det_band_needs_square():
-    with pytest.raises(ValueError, match="non-square"):
-        det_band([[1, 2, 3], [4, 5, 6]], [[0, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValueError, match="non-square"):
-        det_band([[1, 2], [3, 4]], [[1, 2]])
-    with pytest.raises(ValueError, match="non-square"):
-        det_band([[1, 2], [3, 4]], [[1, 2], [3]])
+    # a square pencil of side N comes as N band rows of X and of Y,
+    # each with the 5 entries of the columns i - 2 .. i + 2
+    with pytest.raises(ValueError, match="rows of 5, as many of Y as of X"):
+        det_band([[1, 2], [3, 4]], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="rows of 5, as many of Y as of X"):
+        det_band([(0, 0, 1, 0, 0)] * 2, [(0, 0, 1, 0, 0)])
+    with pytest.raises(ValueError, match="rows of 5, as many of Y as of X"):
+        det_band([(0, 0, 1, 0, 0)] * 2,
+                 [(0, 0, 1, 0, 0), (0, 0, 1, 0)])
+    with pytest.raises(ValueError, match="rows of 5, as many of Y as of X"):
+        det_band([(0, 0, 1, 0, 0, 0)], [(0, 0, 1, 0, 0)])
 
 
 def test_det_gf_needs_square():

@@ -1,16 +1,20 @@
 """Metabolizer enumeration and the vanishing characters.
 
 The object census (every line row-reduced, transformed and paired in
-Fractions) lives in `tests/metabolizer_oracle.py` and checks the
-program's integer census here."""
+Fractions) and the walk of r along the orbit live in
+`tests/metabolizer_oracle.py` and check the program's census from the
+conic and its orbit index here.  The checks at n = 101 and 491 are
+marked `scale` and run with `pytest -m scale`."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import metabolizer_oracle
-from metabolizer_oracle import census, invariant_submodules, is_invariant
+from metabolizer_oracle import (census, invariant_submodules, is_invariant,
+                                orbit_characters)
 from sliceobs import metabolizers
 from sliceobs.blanchfield import linking_form, r_matrix, t_matrix
 from sliceobs.linalg import Matrix
@@ -257,6 +261,90 @@ class TestMetabolizers:
 
 
 _FORMS = {n: linking_form(n) for n in (5, 11)}
+
+# the admissible n of tier-1, then those of `pytest -m scale`
+CONIC_N = [5, 11, 17, *(pytest.param(n, marks=pytest.mark.scale)
+                        for n in (101, 491))]
+
+
+def conic_zeros(n):
+    """The zeros of n0^2 - n0 n1 + n1^2 + n0 - n1 - 1 on (Z/n)^2, by
+    trying every point."""
+    return [(x, y) for x in range(n) for y in range(n)
+            if (x * x - x * y + y * y + x - y - 1) % n == 0]
+
+
+def with_scaled(form, change):
+    """A copy of the form whose integer matrix n lambda has the entries
+    of `change`, a map (i, j) -> value."""
+    bad = dataclasses.replace(form)
+    scaled = [list(r) for r in form.scaled]
+    for (i, j), x in change.items():
+        scaled[i][j] = x
+    object.__setattr__(bad, "scaled", tuple(map(tuple, scaled)))
+    return bad
+
+
+class TestConic:
+    @pytest.mark.parametrize("n", CONIC_N)
+    def test_points_are_the_zeros_of_the_conic(self, n):
+        zeros = conic_zeros(n)
+        assert len(zeros) == n + 1
+        assert metabolizers._conic_points(n) == zeros
+        mets = enumerate_metabolizers(n, linking_form(n))
+        assert [p.canonical[0][2:] for p in mets] == zeros
+
+    @pytest.mark.parametrize("wrong", [
+        lambda x, y: x * x - x * y + y * y + x - y - 2,
+        lambda x, y: x * x - x * y + y * y + x - y,
+        lambda x, y: x * x + x * y + y * y + x - y - 1,
+        lambda x, y: x * x - x * y + y * y - x + y - 1,
+    ], ids=["constant -2", "constant 0", "n0 n1 term", "linear terms"])
+    def test_a_wrong_conic_stops_the_census(self, monkeypatch, wrong):
+        monkeypatch.setattr(metabolizers, "_conic", wrong)
+        with pytest.raises(ArithmeticError,
+                           match="isotropic lines are not the conic"):
+            enumerate_metabolizers(11, _FORMS[11])
+
+    @pytest.mark.parametrize("change", [
+        lambda pts: [(0, 0)] + pts[1:],
+        lambda pts: pts[1:],
+    ], ids=["off the conic", "one missing"])
+    def test_a_wrong_listing_stops_the_census(self, monkeypatch, change):
+        points = metabolizers._conic_points
+        monkeypatch.setattr(metabolizers, "_conic_points",
+                            lambda n: change(points(n)))
+        with pytest.raises(ArithmeticError, match="not the n \\+ 1 = 12"):
+            enumerate_metabolizers(11, _FORMS[11])
+
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_a_changed_form_entry_stops_the_census(self, i, j):
+        # every pairing is then off the conic by a quadratic that is no
+        # multiple of it, which the six lines see
+        form = _FORMS[11]
+        bad = with_scaled(form, {(i, j): (form.scaled[i][j] + 1) % 11})
+        with pytest.raises(ArithmeticError,
+                           match="isotropic lines are not the conic"):
+            enumerate_metabolizers(11, bad)
+
+    def test_an_isotropic_leftover_line_stops_the_census(self):
+        bad = with_scaled(_FORMS[11], {(i, j): 0 for i in (2, 3)
+                                       for j in (2, 3)})
+        with pytest.raises(ArithmeticError, match="leftover line R b"):
+            enumerate_metabolizers(11, bad)
+
+    @pytest.mark.parametrize("n", CONIC_N)
+    def test_character_for_matches_the_r_walk(self, n):
+        form = linking_form(n)
+        walk = orbit_characters(n)
+        mets = enumerate_metabolizers(n, form)
+        fixed = fixed_metabolizer(n)
+        assert set(walk) == set(mets) - {fixed}
+        for p in mets:
+            want = base_characters(n)[1] if p == fixed else \
+                Character(n, walk[p], "+")
+            assert character_for(p, form) == want
 
 
 class TestCharacters:

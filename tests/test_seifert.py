@@ -9,7 +9,7 @@ import pytest
 import bareiss_oracle
 from bareiss_oracle import _band, alexander_by_interpolation, det_bareiss
 from blanchfield_oracle import seifert_inverse
-from laurent_oracle import det_laurent
+from laurent_oracle import band_rows, dense_rows, det_laurent
 from sliceobs import blanchfield, seifert
 from sliceobs.blanchfield import cover_homology_snf, linking_form
 from sliceobs.ffpoly import is_prime, mul, primitive_root_of_unity
@@ -22,6 +22,7 @@ from sliceobs.seifert import (
     apply_monodromy,
     band_matrix,
     band_order,
+    band_pencil,
     p_n,
     seifert_matrix,
 )
@@ -119,6 +120,7 @@ SIZED = {
     "band_matrix": band_matrix,
     "seifert_matrix": seifert_matrix,
     "apply_monodromy": lambda n: apply_monodromy(n, []),
+    "band_pencil": band_pencil,
     "alexander_polynomial": alexander_polynomial,
     "cover_homology_snf": lambda n: cover_homology_snf(n, 3),
     "linking_form": linking_form,
@@ -231,6 +233,19 @@ class TestAlexanderPolynomial:
         monkeypatch.setattr(bareiss_oracle, "_bareiss", wrong)
         with pytest.raises(ArithmeticError, match=message):
             alexander_by_interpolation(5)
+
+    @pytest.mark.parametrize("n", [*range(2, 42), pytest.param(
+        497, marks=pytest.mark.scale)])
+    def test_band_pencil_is_the_dense_pencil(self, n):
+        # the band rows written from the closed form of A, densified, are
+        # A and A^T in band order, and are the band rows of those
+        a = seifert_matrix(n).rows
+        order = band_order(n)
+        dense = ([[a[i][j] for j in order] for i in order],
+                 [[a[j][i] for j in order] for i in order])
+        x, y = band_pencil(n)
+        assert (dense_rows(x), dense_rows(y)) == dense
+        assert (x, y) == tuple(map(band_rows, dense))
 
     @pytest.mark.parametrize("n", (2, 3, 5, 11, 29))
     def test_band_shape_bounds_the_measured_band(self, n):
