@@ -23,6 +23,7 @@ first, h itself, against A h = A^T.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .braids import family_braid
@@ -129,8 +130,9 @@ def cover_homology_snf(n, q):
     N q are checked before anything is allocated; MAX_Q and
     MAX_COVER_SIDE give the cost.  Then a link (3 | n) is refused.
     """
-    if q < 1:
-        raise ValueError(f"the cover degree q must be at least 1, got {q}")
+    if not isinstance(q, int) or q < 1:
+        raise ValueError(
+            f"the cover degree q must be an integer at least 1, got {q!r}")
     if q > MAX_Q:
         raise ValueError(
             f"the cover degree q={q} is above the ceiling q <= {MAX_Q}")
@@ -176,8 +178,14 @@ class _Eisenstein:
         bd = b * d
         return _Eisenstein(a * c - bd, a * d + b * c - bd)
 
+    def __add__(self, other):
+        return _Eisenstein(self.a + other.a, self.b + other.b)
+
     def __sub__(self, other):
         return _Eisenstein(self.a - other.a, self.b - other.b)
+
+    def __mod__(self, n):
+        return _Eisenstein(self.a % n, self.b % n)
 
     def __neg__(self):
         return _Eisenstein(-self.a, -self.b)
@@ -319,13 +327,17 @@ def linking_template(n):
 
 def _transforms_to(form, g):
     """True if the integer matrix g (acting on column coordinates) is an
-    isometry: form(gu, gv) = form(u, v) for basis u, v."""
-    cols = [[g[i][j] for i in range(4)] for j in range(4)]
-    for i in range(4):
-        for j in range(4):
-            if form.value(cols[i], cols[j]) != form.matrix[i][j]:
-                return False
-    return True
+    isometry: form(gu, gv) = form(u, v) for basis u, v, compared as the
+    integers n times those values mod n."""
+    cols = list(zip(*g))
+    return all(form.pair(u, v) == x
+               for u, row in zip(cols, form.scaled) for v, x in zip(cols, row))
+
+
+def _same_n(n, form):
+    if form.n != n:
+        raise ValueError(
+            f"the linking form is for n={form.n}, not for n={n}")
 
 
 # -- the order-n symmetry -------------------------------------------------------
@@ -369,18 +381,36 @@ class SymmetryAction:
     r: Matrix
 
 
+def _nilpotent_part(r):
+    """r - I, after checking that it squares to 0 over Z and that its
+    entries have gcd 1; ArithmeticError otherwise.  Then
+    r^k = I + k (r - I) for every k, so r^n = I + n (r - I) = I mod n,
+    and r^k = I mod n only for n | k: r has order exactly n mod n."""
+    u = r - Matrix.identity(4)
+    if u * u != u.map(lambda x: 0) or gcd(*sum(u.rows, ())) != 1:
+        raise ArithmeticError("r - I must square to 0, with entries of gcd 1")
+    return u
+
+
 def symmetry_action(n, form=None):
+    """The commuting pair (t, r) on H_1 of the 3-fold cover mod n, for n
+    as `seifert.check_n` takes it and, if given, the linking form of
+    that n.
+
+    It checks t r = r t and t^3 = I, and that r preserves the form.  That
+    r has order n mod n needs no power of r: `_nilpotent_part` checks
+    (r - I)^2 = 0 over Z, so r^n = I + n (r - I), and raises
+    ArithmeticError if that fails."""
+    check_n(n)
+    if form is not None:
+        _same_n(n, form)
     t = t_matrix()
     r = r_matrix()
     if t * r != r * t:
         raise ArithmeticError("symmetry must commute with the deck action")
     if t * t * t != Matrix.identity(4):
         raise ArithmeticError("deck transformation has order 3")
-    power = Matrix.identity(4)
-    for _ in range(n):
-        power = power * r
-    if power.map(lambda x: x % n) != Matrix.identity(4).map(lambda x: x % n):
-        raise ValueError(f"symmetry does not have order n={n} on the cover")
+    _nilpotent_part(r)
     if form is not None and not _transforms_to(form, r):
         raise ValueError(f"symmetry does not preserve the linking form "
                          f"for n={n}")

@@ -591,7 +591,11 @@ def degree_sequence(fact):
 
 def primitive_root_of_unity(s, d, theta=None):
     """An element of order exactly d in Z/s (d prime, d | s-1).  A supplied
-    candidate must be one, in [0, s); it is returned as given."""
+    candidate must be one, in [0, s); it is returned as given.  Each
+    argument given must be an int."""
+    for name, x in (("s", s), ("d", d), ("theta", theta)):
+        if x is not None and not isinstance(x, int):
+            raise ValueError(f"{name} must be an integer, not {x!r}")
     if not is_prime(s):
         raise ValueError(f"s={s} is not prime")
     if not is_prime(d):

@@ -2,11 +2,13 @@
 characters that vanish on them.
 
 With n = 5 mod 6 prime, t^2 + t + 1 stays irreducible mod n, so homology
-is a 2-dimensional vector space over the field R = GF(n^2) and the
-deck-invariant submodules of half order are exactly the n^2 + 1
-R-lines.  A line is a metabolizer when the linking form vanishes on it;
-there are n + 1 of those, falling into one fixed point and one size-n
-orbit under the order-n symmetry.
+is a 2-dimensional vector space over the field R = GF(n^2) =
+(Z/n)[t]/(t^2 + t + 1), and the deck-invariant submodules of half order
+are exactly the n^2 + 1 R-lines, the points of the projective line
+P^1(R): the line through a + z b for each z = n0 + n1 t in R, and R b.
+A `Submodule` holds only such a line.  A line is a metabolizer when the
+linking form vanishes on it; there are n + 1 of those, falling into one
+fixed point and one size-n orbit under the order-n symmetry.
 
 Every line but R b is spanned by g0 = a + (n0 + n1 t) b and g1 = t g0,
 whose coordinate rows (1, 0, n0, n1) and (0, 1, -n1, n0 - n1) are
@@ -16,6 +18,16 @@ c0, c1 of t g do not depend on (n0, n1), so t g = c0 g0 + c1 g1 is
 affine in (n0, n1) mod n and holds on every line once it holds at
 (0, 0), (1, 0) and (0, 1): deck invariance is checked on those four
 lines only.
+
+A map g that commutes with t, as t and r do, is R-linear:
+g(a) = alpha_a a + gamma_a b and g(b) = alpha_b a + gamma_b b with
+alpha, gamma in R.  So it moves the line of z to the line of
+(gamma_a + z gamma_b)/(alpha_a + z alpha_b), or to R b where the
+denominator is 0, and R b to the line of gamma_b/alpha_b: one Moebius
+step on P^1(R), computed in the Eisenstein integers of
+`blanchfield._Eisenstein` mod n.  Nothing here row-reduces; the general
+row reduction of a subgroup lives in `tests/metabolizer_oracle.py`,
+which checks these steps against it.
 
 The form vanishes on a line when the four pairings g_i^T (n lambda) g_j,
 n lambda the integer matrix `LinkingForm.scaled`, are 0 mod n.  Each
@@ -31,7 +43,8 @@ square mod n).  R b, not of that form, must be rejected by its
 pairings.  The order-n symmetry r moves the metabolizer of slope m to
 the one of slope m - 2, so the orbit member r^j(P_+), with
 P_+ = a - (1 + t) b of slope 1, has slope 1 - 2j: `character_for`
-reads j = (1 - m)/2 off the slope.
+reads j = (1 - m)/2 off the slope.  As (r - I)^2 = 0, r^k is
+I + k (r - I), and no power of r is ever multiplied out.
 """
 
 from dataclasses import dataclass
@@ -39,7 +52,8 @@ from operator import mul
 
 # linking_form is unused here; perfbench's tracer test still reaches it
 # as sliceobs.metabolizers.linking_form
-from .blanchfield import linking_form, r_matrix, t_matrix  # noqa: F401
+from .blanchfield import (_Eisenstein, _same_n, linking_form,  # noqa: F401
+                          _nilpotent_part, r_matrix, t_matrix)
 from .ffpoly import is_prime
 
 __all__ = [
@@ -54,56 +68,50 @@ __all__ = [
 ]
 
 
-def _rref_mod(gens, n):
-    """Reduced row echelon form of the generator matrix over Z/n (n
-    prime); canonical for the spanned submodule."""
-    rows = [[x % n for x in g] for g in gens]
-    lead = 0
-    for r in range(len(rows)):
-        while lead < 4:
-            piv = next((i for i in range(r, len(rows)) if rows[i][lead]), None)
-            if piv is not None:
-                break
-            lead += 1
-        if lead == 4:
-            break
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][lead], n - 2, n)
-        rows[r] = [x * inv % n for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][lead]:
-                f = rows[i][lead]
-                rows[i] = [(x - f * y) % n for x, y in zip(rows[i], rows[r])]
-        lead += 1
-    rows = [r for r in rows if any(r)]
-    return tuple(tuple(r) for r in rows)
-
-
 @dataclass(frozen=True)
 class Submodule:
-    """A subgroup of (Z/n)^4 given by generators on the basis
-    (a, ta, b, tb), identified by its reduced echelon form.  n must be
-    prime: the row reduction inverts pivots by Fermat."""
+    """An R-line of (Z/n)^4 on the basis (a, ta, b, tb), identified by
+    its reduced echelon rows: `_line_rows(n, n0, n1)` for the line
+    through a + (n0 + n1 t) b, or `_PRIME_LINE` for R b; any other rows
+    raise ValueError.  n must be prime."""
     n: int
     canonical: tuple
 
     def __post_init__(self):
         if not is_prime(self.n):
             raise ValueError(f"a submodule needs a prime n, not n={self.n}")
-
-    @staticmethod
-    def spanned_by(n, gens):
-        return Submodule(n, _rref_mod(gens, n))
-
-    @property
-    def rank(self):
-        return len(self.canonical)
+        head = self.canonical[0][2:] if self.canonical else ()
+        if self.canonical != _PRIME_LINE and (
+                len(head) != 2 or self.canonical != _line_rows(self.n, *head)):
+            raise ValueError(f"{self.canonical} are not the rows of an "
+                             f"R-line mod n={self.n}")
 
     def transformed(self, g):
-        """Image under an integer matrix acting on column coordinates."""
-        gens = [tuple(sum(g[i][j] * row[j] for j in range(4)) % self.n
-                      for i in range(4)) for row in self.canonical]
-        return Submodule.spanned_by(self.n, gens)
+        """Image under an integer matrix g acting on column coordinates,
+        by one Moebius step on the line's parameter (module docstring).
+        ValueError unless g commutes with t mod n and the image is one of
+        the lines above."""
+        n = self.n
+        # g(a) = alpha_a a + gamma_a b and g(b) = alpha_b a + gamma_b b
+        # are columns 0 and 2; g commutes with t exactly when columns 1
+        # and 3, g(ta) and g(tb), are t times them
+        alpha, gamma = ([_Eisenstein(g[i][j], g[i + 1][j]) for j in range(4)]
+                        for i in (0, 2))
+        if any((x * _OMEGA - tx) % n
+               for c in (alpha, gamma) for x, tx in (c[:2], c[2:])):
+            raise ValueError(f"the map does not commute with t mod n={n}")
+        if self.canonical == _PRIME_LINE:
+            den, num = alpha[2], gamma[2]
+        else:
+            z = _Eisenstein(*self.canonical[0][2:])
+            den, num = alpha[0] + z * alpha[2], gamma[0] + z * gamma[2]
+        norm = den.norm() % n
+        if norm:
+            z = num * den.conjugate() * _Eisenstein(pow(norm, -1, n))
+            return line_submodule(n, z.a, z.b)
+        if not den % n and num.norm() % n:
+            return prime_line_submodule(n)
+        raise ValueError(f"the image is not an R-line mod n={n}")
 
 
 def _line_rows(n, n0, n1):
@@ -121,6 +129,8 @@ def line_submodule(n, n0, n1):
 
 _PRIME_LINE = ((0, 0, 1, 0), (0, 0, 0, 1))
 
+_OMEGA = _Eisenstein(0, 1)  # t, acting on R = (Z/n)[t]/(t^2 + t + 1)
+
 
 def prime_line_submodule(n):
     """The leftover line R b, the one not of the form above."""
@@ -132,12 +142,6 @@ def check_class(n):
     classification of metabolizers covers."""
     if not is_prime(n) or n % 6 != 5:
         raise ValueError("classification needs a prime n = 5 mod 6")
-
-
-def _same_n(n, form):
-    if form.n != n:
-        raise ValueError(
-            f"the linking form is for n={form.n}, not for n={n}")
 
 
 def _deck_invariant(g0, g1, n, tm):
@@ -163,14 +167,11 @@ def _isotropic(g0, g1, form):
 
 
 def is_metabolizer(sub, form):
-    """Half order, deck invariant, and self-annihilating under the form;
-    the same test the census runs on each line."""
+    """Deck invariant and self-annihilating under the form; the same test
+    the census runs on each line."""
     _same_n(sub.n, form)
-    if sub.rank != 2:
-        return False
-    g0, g1 = sub.canonical
-    return (_deck_invariant(g0, g1, sub.n, t_matrix().rows)
-            and _isotropic(g0, g1, form))
+    return (_deck_invariant(*sub.canonical, sub.n, t_matrix().rows)
+            and _isotropic(*sub.canonical, form))
 
 
 # Six lines a + (n0 + n1 t) b on which a quadratic in (n0, n1) is fixed
@@ -238,7 +239,9 @@ def enumerate_metabolizers(n, form):
 
 def orbit_decomposition(mets, n):
     """Orbits of the metabolizer set under the order-n symmetry; returns
-    a list of orbits, each a list of submodules, largest last."""
+    a list of orbits, each a list of submodules, largest last.  The walk
+    moves each line by Moebius steps of r, and it is the check that r
+    permutes the metabolizers: ArithmeticError if a step leaves them."""
     r = r_matrix()
     remaining = set(mets)
     orbits = []
@@ -247,14 +250,12 @@ def orbit_decomposition(mets, n):
             continue
         orbit = [p]
         remaining.discard(p)
-        q = p.transformed(r)
-        while q != p:
+        while (q := orbit[-1].transformed(r)) != p:
             if q not in remaining:
                 raise ArithmeticError(
                     "symmetry must permute the metabolizers")
             orbit.append(q)
             remaining.discard(q)
-            q = q.transformed(r)
         orbits.append(orbit)
     orbits.sort(key=len)
     return orbits
@@ -297,23 +298,25 @@ def character_for(sub, form):
     gets chi_+ r^(n-j), with j = (1 - m)/2 for the slope
     m = (n1 - 1)/(n0 - 1) of its point (n0, n1) on the conic.  Either
     must vanish on it, and it must pass `is_metabolizer`.
+
+    r^(n-j) is I + (n - j)(r - I), no power of r: it holds once
+    `blanchfield._nilpotent_part` has checked (r - I)^2 = 0 over Z, and
+    that check raises ArithmeticError otherwise.
     """
     n = sub.n
     _same_n(n, form)
     plus, chi = base_characters(n)
     if sub != fixed_metabolizer(n):
-        n0, n1 = sub.canonical[0][2:] if sub.canonical else (0, 0)
-        if sub.canonical != _line_rows(n, n0, n1) or _conic(n0, n1) % n:
+        n0, n1 = sub.canonical[0][2:]
+        if sub.canonical == _PRIME_LINE or _conic(n0, n1) % n:
             raise ValueError("submodule is not a metabolizer in the orbit")
         # the orbit index j = (1 - m)/2 of the slope m = (n1 - 1)/(n0 - 1)
         j = (1 - (n1 - 1) * pow(n0 - 1, -1, n)) * pow(2, -1, n) % n
-        r = r_matrix()
-        # chi_+ composed with r^(n-j): row vector times matrix power
-        row = plus.row
-        for _ in range((n - j) % n):
-            row = tuple(sum(row[i] * r[i][k] for i in range(4)) % n
-                        for k in range(4))
-        chi = Character(n, row, "+")
+        # chi_+ r^(n-j) = chi_+ + (n - j) chi_+ (r - I)
+        u = _nilpotent_part(r_matrix())
+        chi = Character(n, tuple(
+            (x + (n - j) * sum(map(mul, plus.row, col))) % n
+            for x, col in zip(plus.row, zip(*u.rows))), "+")
     if not chi.vanishes_on(sub):
         raise ArithmeticError("the character must vanish on the metabolizer")
     if not is_metabolizer(sub, form):

@@ -49,10 +49,10 @@ MAX_N = 500
 
 
 def check_n(n):
-    """n - 1, the genus and the side of B, once n is in 2 .. MAX_N;
-    ValueError otherwise."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    """n - 1, the genus and the side of B, once n is an int in
+    2 .. MAX_N; ValueError otherwise."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need an integer n >= 2, not {n!r}")
     if n > MAX_N:
         raise ValueError(
             f"n={n} is above the ceiling n <= {MAX_N}: the Seifert "

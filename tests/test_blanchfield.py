@@ -485,6 +485,17 @@ class TestSymmetryAction:
             for j in range(4):
                 assert form.value(cols[i], cols[j]) == form.matrix[i][j]
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_refuses_n_below_two(self, n):
+        # n = 0 ended in a ZeroDivisionError, n = -3 gave an action
+        with pytest.raises(ValueError, match="need an integer n >= 2"):
+            symmetry_action(n)
+
+    def test_refuses_a_form_of_another_n(self):
+        # an "n = 5" action used to be checked against the n = 11 form
+        with pytest.raises(ValueError, match="n=11, not for n=5"):
+            symmetry_action(5, linking_form(11))
+
     def test_action_bundles_the_pair(self):
         act = symmetry_action(5)
         assert act.n == 5

@@ -1,10 +1,11 @@
 """Metabolizer enumeration and the vanishing characters.
 
 The object census (every line row-reduced, transformed and paired in
-Fractions) and the walk of r along the orbit live in
-`tests/metabolizer_oracle.py` and check the program's census from the
-conic and its orbit index here.  The checks at n = 101 and 491 are
-marked `scale` and run with `pytest -m scale`."""
+Fractions, as a subgroup class of its own) and the walk of r along the
+orbit live in `tests/metabolizer_oracle.py` and check the program's
+census from the conic, its Moebius steps and its orbit index here.  The
+checks at n = 101 and 491 are marked `scale` and run with
+`pytest -m scale`."""
 
 import dataclasses
 from fractions import Fraction
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metabolizer_oracle
-from metabolizer_oracle import (census, invariant_submodules, is_invariant,
-                                orbit_characters)
-from sliceobs import metabolizers
-from sliceobs.blanchfield import linking_form, r_matrix, t_matrix
+from metabolizer_oracle import (Subgroup, census, invariant_submodules,
+                                is_invariant, orbit_characters)
+from sliceobs import blanchfield, metabolizers
+from sliceobs.blanchfield import (linking_form, r_matrix, symmetry_action,
+                                  t_matrix)
 from sliceobs.linalg import Matrix
 from sliceobs.metabolizers import (
     Character,
@@ -35,13 +37,13 @@ from sliceobs.metabolizers import (
 
 class TestSubmodule:
     def test_canonical_form_identifies_span(self):
-        a = Submodule.spanned_by(5, ((1, 0, 2, 3), (0, 1, 4, 2)))
-        b = Submodule.spanned_by(5, ((2, 0, 4, 6), (1, 1, 6, 5)))
+        a = Subgroup.spanned_by(5, ((1, 0, 2, 3), (0, 1, 4, 2)))
+        b = Subgroup.spanned_by(5, ((2, 0, 4, 6), (1, 1, 6, 5)))
         assert a == b
         assert a.rank == 2
 
     def test_zero_generators_are_dropped(self):
-        sub = Submodule.spanned_by(7, ((0, 0, 0, 0), (1, 2, 3, 4)))
+        sub = Subgroup.spanned_by(7, ((0, 0, 0, 0), (1, 2, 3, 4)))
         assert sub.rank == 1
 
     def test_transformed_by_identity(self):
@@ -54,7 +56,7 @@ class TestSubmodule:
         assert is_invariant(line_submodule(5, 1, 1), tmat)
         assert is_invariant(prime_line_submodule(5), tmat)
         # a non-line subgroup is generally not invariant
-        sub = Submodule.spanned_by(5, ((1, 0, 0, 0), (0, 0, 1, 0)))
+        sub = Subgroup.spanned_by(5, ((1, 0, 0, 0), (0, 0, 1, 0)))
         assert not is_invariant(sub, tmat)
 
     @given(st.integers(min_value=0, max_value=10),
@@ -84,7 +86,8 @@ class TestSubmodule:
         # the census skips row reduction: its generators must already be
         # the canonical form the oracle reaches by reducing them
         gens = ((1, 0, n0, n1), (0, 1, -n1, n0 - n1))
-        assert line_submodule(11, n0, n1) == Submodule.spanned_by(11, gens)
+        assert line_submodule(11, n0, n1).canonical == \
+            Subgroup.spanned_by(11, gens).canonical
 
 
 class TestInvariantSubmodules:
@@ -127,7 +130,8 @@ class TestMetabolizers:
         # R b is deck invariant and half order but self-links by 1/n
         form = linking_form(11)
         pp = prime_line_submodule(11)
-        assert pp.rank == 2 and is_invariant(pp, t_matrix())
+        sub = Subgroup(11, pp.canonical)
+        assert sub.rank == 2 and is_invariant(sub, t_matrix())
         assert not is_metabolizer(pp, form)
         b = (0, 0, 1, 0)
         assert form.value(b, b) in (Fraction(1, 11), Fraction(10, 11))
@@ -158,18 +162,16 @@ class TestMetabolizers:
     @pytest.mark.parametrize("n", [5, 11, 17, 23, 29])
     def test_census_matches_object_census(self, n):
         form = linking_form(n)
-        assert enumerate_metabolizers(n, form) == census(n, form)
+        assert [p.canonical for p in enumerate_metabolizers(n, form)] == \
+            census(n, form)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([5, 11]), st.data())
-    def test_is_metabolizer_matches_oracle_on_any_subgroup(self, n, data):
-        # arbitrary generator pairs reach every pivot pattern, not only
-        # the lines of the census
-        vec = st.lists(st.integers(0, n - 1), min_size=4, max_size=4)
-        sub = Submodule.spanned_by(n, (data.draw(vec), data.draw(vec)))
+    @pytest.mark.parametrize("n", [5, 11])
+    def test_is_metabolizer_matches_oracle_on_every_line(self, n):
         form = _FORMS[n]
-        assert is_metabolizer(sub, form) == \
-            metabolizer_oracle.is_metabolizer(sub, form)
+        for p in [*(line_submodule(n, x, y) for x in range(n)
+                    for y in range(n)), prime_line_submodule(n)]:
+            assert is_metabolizer(p, form) == metabolizer_oracle.is_metabolizer(
+                Subgroup(n, p.canonical), form)
 
     def test_census_builds_a_submodule_only_per_hit(self, monkeypatch):
         # the object census builds all n^2 + 1 lines; the integer census
@@ -177,13 +179,14 @@ class TestMetabolizers:
         n = 29
         form = linking_form(n)
         built = []
-        init = Submodule.__init__
+        for cls in (Submodule, Subgroup):
+            init = cls.__init__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
+            def counting_init(self, *args, init=init, **kwargs):
+                built.append(1)
+                init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Submodule, "__init__", counting_init)
+            monkeypatch.setattr(cls, "__init__", counting_init)
         enumerate_metabolizers(n, form)
         assert len(built) <= 2 * (n + 1)
         built.clear()
@@ -249,11 +252,11 @@ class TestMetabolizers:
 
 
     def test_rejects_composite_n(self):
-        # the row reduction inverts pivots by Fermat, which is no inverse
-        # mod 35: the span of 2 e1 came out as ((9, 0, 0, 0),)
+        # R = (Z/n)[t]/(t^2 + t + 1) is no field for a composite n; a row
+        # reduction that inverts pivots by Fermat spanned 2 e1 mod 35 as
+        # ((9, 0, 0, 0),)
         form = linking_form(35)
-        for build in (lambda: Submodule.spanned_by(35, ((2, 0, 0, 0),)),
-                      lambda: line_submodule(35, 1, 1),
+        for build in (lambda: line_submodule(35, 1, 1),
                       lambda: is_metabolizer(line_submodule(35, 1, 1), form),
                       lambda: character_for(line_submodule(35, 1, 1), form)):
             with pytest.raises(ValueError, match="needs a prime n, not n=35"):
@@ -261,6 +264,83 @@ class TestMetabolizers:
 
 
 _FORMS = {n: linking_form(n) for n in (5, 11)}
+
+
+def every_line(n):
+    """All n^2 + 1 R-lines, R b last."""
+    return [*(line_submodule(n, x, y) for x in range(n) for y in range(n)),
+            prime_line_submodule(n)]
+
+
+def with_entry(m, i, j, x):
+    """The matrix m with entry (i, j) replaced by x."""
+    rows = [list(r) for r in m.rows]
+    rows[i][j] = x
+    return Matrix(rows)
+
+
+class TestMoebius:
+    @pytest.mark.parametrize("n", [5, 11, 17, pytest.param(
+        101, marks=pytest.mark.scale)])
+    @pytest.mark.parametrize("name", ["t", "r"])
+    def test_steps_match_the_row_reduction(self, n, name):
+        g = {"t": t_matrix(), "r": r_matrix()}[name]
+        for p in every_line(n):
+            want = Subgroup(n, p.canonical).transformed(g).canonical
+            assert p.transformed(g).canonical == want
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (1, 1), (3, 0)])
+    def test_a_map_that_does_not_commute_with_t_is_refused(self, i, j):
+        g = with_entry(r_matrix(), i, j, r_matrix()[i][j] + 1)
+        for p in (line_submodule(11, 3, 4), prime_line_submodule(11)):
+            with pytest.raises(ValueError, match="does not commute with t"):
+                p.transformed(g)
+
+    @pytest.mark.parametrize("n, rows", [
+        (5, ((0,) * 4,) * 4),
+        # multiplication by 3 + t, of norm 9 - 3 + 1 = 7: no unit mod 7
+        (7, ((3, -1, 0, 0), (1, 2, 0, 0), (0, 0, 3, -1), (0, 0, 1, 2))),
+    ], ids=["zero", "norm-0"])
+    def test_an_image_that_is_not_a_line_is_refused(self, n, rows):
+        for p in (line_submodule(n, 0, 0), prime_line_submodule(n)):
+            with pytest.raises(ValueError, match="image is not an R-line"):
+                p.transformed(Matrix(rows))
+
+    @pytest.mark.parametrize("rows", [
+        ((1, 0, 0, 0), (0, 0, 1, 0)),
+        ((1, 0, 2, 3),),
+        (),
+        ((1, 0, 2, 3), (0, 1, 2, 2)),
+        ((1, 0, 7, 3), (0, 1, 3, 4)),
+        ((0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
+        ((1, 0, 2, 3, 0), (0, 1, 2, 4, 0)),
+    ], ids=["non-line", "one-row", "zero", "wrong-t-row", "unreduced",
+            "three-rows", "five-columns"])
+    def test_rows_that_are_not_a_line_are_refused(self, rows):
+        with pytest.raises(ValueError, match="are not the rows of an R-line"):
+            Submodule(5, rows)
+
+
+class TestUnipotentSymmetry:
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_a_changed_r_entry_is_refused(self, monkeypatch, i, j):
+        bad = with_entry(r_matrix(), i, j, r_matrix()[i][j] + 1)
+        u = bad - Matrix.identity(4)
+        assert u * u != u.map(lambda x: 0)
+        monkeypatch.setattr(blanchfield, "r_matrix", lambda: bad)
+        monkeypatch.setattr(metabolizers, "r_matrix", lambda: bad)
+        with pytest.raises(ArithmeticError):
+            symmetry_action(11, _FORMS[11])
+        with pytest.raises(ArithmeticError, match="must square to 0"):
+            character_for(orbit_base_metabolizer(11), _FORMS[11])
+
+    def test_an_r_that_commutes_with_t_is_still_checked(self, monkeypatch):
+        # r + I commutes with t, so only the square-zero check sees it
+        bad = r_matrix() + Matrix.identity(4)
+        monkeypatch.setattr(blanchfield, "r_matrix", lambda: bad)
+        with pytest.raises(ArithmeticError, match="must square to 0"):
+            symmetry_action(11)
 
 # the admissible n of tier-1, then those of `pytest -m scale`
 CONIC_N = [5, 11, 17, *(pytest.param(n, marks=pytest.mark.scale)
@@ -340,10 +420,10 @@ class TestConic:
         walk = orbit_characters(n)
         mets = enumerate_metabolizers(n, form)
         fixed = fixed_metabolizer(n)
-        assert set(walk) == set(mets) - {fixed}
+        assert set(walk) == {p.canonical for p in mets} - {fixed.canonical}
         for p in mets:
             want = base_characters(n)[1] if p == fixed else \
-                Character(n, walk[p], "+")
+                Character(n, walk[p.canonical], "+")
             assert character_for(p, form) == want
 
 

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from fresh_python import run_python
 from sliceobs import report, twisted
-from sliceobs.ffpoly import degree_sequence, factor, monic
+from sliceobs.blanchfield import cover_homology_snf, linking_form
+from sliceobs.ffpoly import (degree_sequence, factor, monic,
+                             primitive_root_of_unity)
 from sliceobs.report import (
     DEFAULT_WITNESS,
     REFERENCE_FACTORS,
@@ -15,6 +18,7 @@ from sliceobs.report import (
     obstruct,
     verify_table,
 )
+from sliceobs.seifert import alexander_polynomial
 from sliceobs.twisted import twisted_polynomial
 
 
@@ -189,6 +193,31 @@ class TestBadInputBeforeAnyStage:
         monkeypatch.setattr(report, "linking_form", linking_form)
         with pytest.raises(ValueError, match=message):
             obstruct(n, s=s, theta=theta)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: obstruct(11.0), "need an integer n >= 2, not 11.0"),
+        (lambda: obstruct("11"), "need an integer n >= 2, not '11'"),
+        (lambda: obstruct(11, s=23.0), "s must be an integer, not 23.0"),
+        (lambda: obstruct(11, s=23, theta=2.0),
+         "theta must be an integer, not 2.0"),
+        (lambda: primitive_root_of_unity(23, 11.0),
+         "d must be an integer, not 11.0"),
+        (lambda: cover_homology_snf(11, 3.0),
+         "the cover degree q must be an integer at least 1, got 3.0"),
+        (lambda: cover_homology_snf(11.0, 3), "need an integer n >= 2, not 11.0"),
+        (lambda: linking_form(11.0), "need an integer n >= 2, not 11.0"),
+        (lambda: alexander_polynomial(11.0), "need an integer n >= 2, not 11.0"),
+    ], ids=["obstruct-n", "obstruct-str-n", "obstruct-s", "obstruct-theta",
+            "root-d", "snf-q", "snf-n", "linking-n", "alexander-n"])
+    def test_a_non_integer_is_refused_by_name(self, monkeypatch, call,
+                                              message):
+        # each used to end in a TypeError from deep inside the computation
+        def refuse(n):
+            pytest.fail(f"obstruct built linking_form({n}) before refusing")
+
+        monkeypatch.setattr(report, "linking_form", refuse)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @pytest.fixture
