@@ -23,7 +23,7 @@ first, h itself, against A h = A^T.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .braids import family_braid
@@ -81,10 +81,7 @@ class CoverHomology:
 
     @property
     def order(self):
-        total = 1
-        for d in self.torsion:
-            total *= d
-        return total
+        return prod(self.torsion)
 
 
 def _check_knot(n):
@@ -130,7 +127,7 @@ def cover_homology_snf(n, q):
     N q are checked before anything is allocated; MAX_Q and
     MAX_COVER_SIDE give the cost.  Then a link (3 | n) is refused.
     """
-    if not isinstance(q, int) or q < 1:
+    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise ValueError(
             f"the cover degree q must be an integer at least 1, got {q!r}")
     if q > MAX_Q:
@@ -334,10 +331,9 @@ def _transforms_to(form, g):
                for u, row in zip(cols, form.scaled) for v, x in zip(cols, row))
 
 
-def _same_n(n, form):
-    if form.n != n:
-        raise ValueError(
-            f"the linking form is for n={form.n}, not for n={n}")
+def _same_n(n, obj, what="the linking form"):
+    if obj.n != n:
+        raise ValueError(f"{what} is for n={obj.n}, not for n={n}")
 
 
 # -- the order-n symmetry -------------------------------------------------------

@@ -531,11 +531,20 @@ def _equal_degree_split(f, d, s, rng, frobenius, mulmod=None):
         f"product of degree-{d} factors mod {s} in {_SPLIT_TRIES} tries")
 
 
+def _check_coefficients(a):
+    """ValueError naming the first coefficient of a that is not an int."""
+    for c in a:
+        if not isinstance(c, int):
+            raise ValueError(f"a coefficient must be an integer, not {c!r}")
+
+
 def factor(a, s):
     """Full factorization over Z/s (s an odd prime) into monic
-    irreducibles with multiplicity, plus the leading unit."""
+    irreducibles with multiplicity, plus the leading unit.  Integer
+    coefficients only, else ValueError."""
     if not (s > 2 and is_prime(s)):
         raise ValueError(f"factor needs an odd prime modulus, not s={s}")
+    _check_coefficients(a)
     a = trim(a, s)
     if not a:
         raise ValueError("cannot factor the zero polynomial")
@@ -565,9 +574,10 @@ def factor(a, s):
 def is_irreducible(f, s):
     """Irreducibility over Z/s (s a prime): f is squarefree and the first
     distinct-degree step yields f itself, which stops at the first
-    factor of low degree."""
+    factor of low degree.  Integer coefficients only, else ValueError."""
     if not is_prime(s):
         raise ValueError(f"is_irreducible needs a prime modulus, not s={s}")
+    _check_coefficients(f)
     f = monic(f, s)
     if len(f) < 2:
         return False

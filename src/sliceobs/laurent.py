@@ -1,21 +1,20 @@
-"""Laurent polynomials with int or fractions.Fraction coefficients.
+"""Laurent polynomials over Z.
 
 Values are immutable and eagerly normalized: zero coefficients are never
-stored, so equality is structural.
+stored, so equality is structural.  The class offers what the program
+uses of Z[t, t^-1]: the constant, sum, difference, negation and product,
+with ints mixed in as constants; the shift by t^k, the product by an
+int, alignment to exponent 0 and the involution t -> t^-1; the minimum
+exponent and the sorted terms.  Evaluation lives with the determinant
+oracle in `tests/laurent_oracle.py`.
 """
 
-from fractions import Fraction
-
-__all__ = ["LaurentPolynomial", "t", "one", "zero"]
-
-
-def _is_scalar(x):
-    return isinstance(x, (int, Fraction))
+__all__ = ["LaurentPolynomial"]
 
 
 class LaurentPolynomial:
-    """An element of Z[t, t^-1] or Q[t, t^-1] stored as a map
-    exponent -> coefficient."""
+    """An element of Z[t, t^-1] stored as a map exponent -> coefficient.
+    A coefficient that is not an int raises ValueError."""
 
     __slots__ = ("_coeffs",)
 
@@ -23,6 +22,9 @@ class LaurentPolynomial:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
+                if not isinstance(c, int):
+                    raise ValueError(
+                        f"a coefficient must be an integer, not {c!r}")
                 if c:
                     clean[int(e)] = c
         object.__setattr__(self, "_coeffs", clean)
@@ -32,7 +34,7 @@ class LaurentPolynomial:
 
     @staticmethod
     def constant(c):
-        return LaurentPolynomial({0: c} if c else {})
+        return LaurentPolynomial({0: c})
 
     # -- structure ---------------------------------------------------------
 
@@ -40,16 +42,8 @@ class LaurentPolynomial:
         return sorted(self._coeffs.items())
 
     @property
-    def is_zero(self):
-        return not self._coeffs
-
-    @property
     def min_exp(self):
         return min(self._coeffs)
-
-    @property
-    def max_exp(self):
-        return max(self._coeffs)
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -60,29 +54,21 @@ class LaurentPolynomial:
         return hash(c.get(0, 0) if c.keys() <= {0} else frozenset(c.items()))
 
     def __eq__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, int):
             other = LaurentPolynomial.constant(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self._coeffs == other._coeffs
 
     def __repr__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in reversed(self.items()):
-            if e == 0:
-                parts.append(f"{c!r}")
-            elif e == 1:
-                parts.append(f"{c!r}*t")
-            else:
-                parts.append(f"{c!r}*t^{e}")
-        return " + ".join(parts)
+        powers = {0: "", 1: "*t"}
+        return " + ".join(f"{c!r}" + powers.get(e, f"*t^{e}")
+                          for e, c in reversed(self.items())) or "0"
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, int):
             other = LaurentPolynomial.constant(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -97,17 +83,12 @@ class LaurentPolynomial:
         return LaurentPolynomial({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
-        if _is_scalar(other):
-            other = LaurentPolynomial.constant(other)
-        if not isinstance(other, LaurentPolynomial):
+        if not isinstance(other, (int, LaurentPolynomial)):
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + -other
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -125,6 +106,7 @@ class LaurentPolynomial:
         return LaurentPolynomial({e + k: c for e, c in self._coeffs.items()})
 
     def scale(self, c):
+        """Multiply by the int c."""
         return LaurentPolynomial({e: v * c for e, v in self._coeffs.items()})
 
     def aligned(self):
@@ -133,29 +115,6 @@ class LaurentPolynomial:
             return self
         return self.shift(-self.min_exp)
 
-    # -- involution and evaluation ------------------------------------------
-
     def involution(self):
         """Send t^i to t^-i."""
         return LaurentPolynomial({-e: c for e, c in self._coeffs.items()})
-
-    def __call__(self, x):
-        """Evaluate at x; x must support ** with negative ints if needed."""
-        if isinstance(x, int) and self._coeffs and self.min_exp < 0:
-            x = Fraction(x)
-        total = 0
-        for e, c in self._coeffs.items():
-            total = total + c * x ** e
-        return total
-
-
-def t(e=1, c=1):
-    return LaurentPolynomial({e: c} if c else {})
-
-
-def one():
-    return LaurentPolynomial({0: 1})
-
-
-def zero():
-    return LaurentPolynomial({})

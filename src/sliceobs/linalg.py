@@ -1,7 +1,11 @@
 """Exact linear algebra: band determinants over Z[t], prime-field
-determinants, integer Smith forms, and the involution.
+determinants, integer Smith forms, the involution, and `Matrix`.
 
-Everything here is deliberately dependency-free.  Every determinant over
+Everything here is deliberately dependency-free.  `Matrix` is an
+immutable value with the operations its callers use: the identity, the
+transpose, an entrywise map, and the difference and product of two
+matrices, which `blanchfield` takes of its 4x4 constants (r - I, t r,
+t^3); there is no sum and no scalar product.  Every determinant over
 Z, Z[t] or the Eisenstein integers Z[w] = Z[t]/(t^2 + t + 1) is of a
 pencil X - t Y whose nonzeros lie within distance 2 of the diagonal (the
 Seifert pencils in `seifert.band_order`), and goes through one kernel,
@@ -22,7 +26,7 @@ evaluation points at once).  `smith_normal_form` is an integer-only
 elimination.
 """
 
-from fractions import Fraction
+from operator import mul
 
 from .laurent import LaurentPolynomial
 
@@ -36,16 +40,15 @@ __all__ = [
 
 
 class Matrix:
-    """Immutable matrix with arbitrary exact entries."""
+    """Immutable matrix with exact entries; rows of unequal length, or a
+    product of mismatched shapes, raise ValueError."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
+        if len({len(r) for r in rows}) > 1:
+            raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -70,10 +73,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(a == b for ra, rb in zip(self.rows, other.rows)
-                   for a, b in zip(ra, rb))
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -88,52 +88,32 @@ class Matrix:
     def map(self, fn):
         return Matrix(tuple(tuple(fn(x) for x in r) for r in self.rows))
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return Matrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)))
-
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return Matrix(tuple(tuple(a - b for a, b in zip(ra, rb))
                             for ra, rb in zip(self.rows, other.rows)))
 
-    def __neg__(self):
-        return self.map(lambda x: -x)
-
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            cols = other.transpose().rows
-            return Matrix(tuple(
-                tuple(_dot(row, col) for col in cols) for row in self.rows))
-        return Matrix(tuple(tuple(x * other for x in r) for r in self.rows))
-
-    def __rmul__(self, other):
-        return Matrix(tuple(tuple(other * x for x in r) for r in self.rows))
-
-
-def _dot(row, col):
-    total = None
-    for a, b in zip(row, col):
-        prod = a * b
-        total = prod if total is None else total + prod
-    return 0 if total is None else total
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        cols = tuple(zip(*other.rows))
+        return Matrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                            for row in self.rows))
 
 
 def involution(obj):
     """The standard involution: t -> t^-1 on Laurent polynomials, the
-    identity on ints and Fractions, and on matrices the transpose with
-    the involution applied to each entry.
+    identity on ints, and on matrices the transpose with the involution
+    applied to each entry.
     """
     if isinstance(obj, Matrix):
         return obj.transpose().map(involution)
     if isinstance(obj, LaurentPolynomial):
         return obj.involution()
-    if isinstance(obj, (int, Fraction)):
+    if isinstance(obj, int):
         return obj
     raise TypeError(f"no involution for {type(obj).__name__}")
 

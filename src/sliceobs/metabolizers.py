@@ -241,7 +241,10 @@ def orbit_decomposition(mets, n):
     """Orbits of the metabolizer set under the order-n symmetry; returns
     a list of orbits, each a list of submodules, largest last.  The walk
     moves each line by Moebius steps of r, and it is the check that r
-    permutes the metabolizers: ArithmeticError if a step leaves them."""
+    permutes the metabolizers: ArithmeticError if a step leaves them.
+    A metabolizer of another n raises ValueError."""
+    for p in mets:
+        _same_n(n, p, "a metabolizer")
     r = r_matrix()
     remaining = set(mets)
     orbits = []
@@ -264,10 +267,20 @@ def orbit_decomposition(mets, n):
 @dataclass(frozen=True)
 class Character:
     """A homomorphism H_1 -> Z/n given by a coefficient row on
-    (a, ta, b, tb), tagged with its sign class."""
+    (a, ta, b, tb), tagged with its sign class.  The row must be a tuple
+    of four ints and the sign "+" or "-", else ValueError; n is checked
+    where a representation is built."""
     n: int
     row: tuple
     sign: str
+
+    def __post_init__(self):
+        row, sign = self.row, self.sign
+        if not (isinstance(row, tuple) and len(row) == 4
+                and all(isinstance(x, int) for x in row)
+                and sign in ("+", "-")):
+            raise ValueError(f"a character needs a row of four integers and "
+                             f"the sign '+' or '-', not {row!r}, {sign!r}")
 
     def value(self, v):
         return sum(c * x for c, x in zip(self.row, v)) % self.n

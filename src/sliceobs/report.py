@@ -194,8 +194,11 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     A bad n or witness is refused before the linking form is built.
     The presentation, the form, the metabolizers and the characters
     come from `census(n)`, so a second witness for the same n computes
-    only its twisted polynomials and their factorizations.
+    only its twisted polynomials and their factorizations.  exhaustive
+    must be a bool.
     """
+    if not isinstance(exhaustive, bool):
+        raise ValueError(f"exhaustive must be a bool, not {exhaustive!r}")
     check_n(n)
     # refuse a bad n or witness before the expensive stages
     check_class(n)

@@ -4,11 +4,14 @@ Blanchfield cofactors of `tests/blanchfield_oracle.py`.
 
 `det_laurent` takes any square matrix of integer Laurent polynomials:
 it factors the least power of t out of each row, bounds the degree of
-what is left row by row, and interpolates integer determinants at that
-many points of `eval_points` (`bareiss_oracle`).  The program takes
-det(tA - A^T) for the Seifert matrix A in one division-free pass over
-Z[t] on its band (`linalg.det_band`); the general route here buys a
-check that builds its matrices a different way and uses no band.
+what is left row by row, evaluates each entry at that many points of
+`eval_points` by a sum over its terms, and interpolates the integer
+determinants there (`bareiss_oracle`).  The program takes det(tA - A^T)
+for the Seifert matrix A in one division-free pass over Z[t] on its
+band (`linalg.det_band`); the general route here buys a check that
+builds its matrices a different way and uses no band.  `evaluate` and
+`max_exp`, the largest exponent, live here because only this oracle
+and its tests need them.
 
 `det_cofactor` expands small determinants by cofactors, the check for
 the band kernel and for the Bareiss elimination of `bareiss_oracle`.
@@ -19,7 +22,7 @@ the kernel takes and back.
 from itertools import count, islice
 
 from bareiss_oracle import _newton_interpolate, det_bareiss
-from sliceobs.laurent import LaurentPolynomial, one, zero
+from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix
 
 
@@ -46,7 +49,7 @@ def det_cofactor(rows):
             continue
         sub = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = rows[0][j] * det_cofactor(sub)
-        total = total - term if j % 2 else total + term
+        total = total + (-term if j % 2 else term)
     return total
 
 
@@ -80,6 +83,19 @@ def minor(m, i, j):
                         for ri, r in enumerate(m.rows) if ri != i))
 
 
+def max_exp(p):
+    """The largest exponent of a nonzero Laurent polynomial."""
+    return p.items()[-1][0]
+
+
+def evaluate(p, x):
+    """p at the integer x, one sum over its terms; exact, so p must have
+    no negative exponent."""
+    if p and p.min_exp < 0:
+        raise ValueError("evaluate takes no negative exponent")
+    return sum(c * x ** e for e, c in p.items())
+
+
 def det_laurent(m):
     """Determinant of a matrix of Laurent polynomials with integer
     coefficients, by evaluation at integer points and Newton interpolation.
@@ -93,20 +109,22 @@ def det_laurent(m):
              else LaurentPolynomial.constant(x) for x in r] for r in rows]
     n = len(rows)
     if n == 0:
-        return one()
+        return LaurentPolynomial.constant(1)
     total_shift = 0
     degree_bound = 0
     shifted = []
     for r in rows:
-        exps = [x.min_exp for x in r if not x.is_zero]
+        exps = [x.min_exp for x in r if x]
         if not exps:
-            return zero()
+            return LaurentPolynomial()
         lo = min(exps)
         total_shift += lo
         r = [x.shift(-lo) for x in r]
-        degree_bound += max(x.max_exp for x in r if not x.is_zero)
-        shifted.append(r)
+        degree_bound += max(max_exp(x) for x in r if x)
+        shifted.append([x.items() for x in r])
     pts = list(islice(eval_points(), degree_bound + 1))
-    vals = [det_bareiss([[x(p) for x in r] for r in shifted]) for p in pts]
+    # each entry's terms, read once, are summed at every point
+    vals = [det_bareiss([[sum(c * p ** e for e, c in x) for x in r]
+                         for r in shifted]) for p in pts]
     poly = _newton_interpolate(pts, vals)
     return poly.shift(total_shift)

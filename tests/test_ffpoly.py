@@ -3,7 +3,9 @@ obstruction."""
 
 import itertools
 import random
+import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -645,6 +647,22 @@ def test_is_irreducible_rejects_non_prime_modulus(s):
     # these used to answer: s = 4 gave True for t^2 + 1, s = 1 and 9 False
     with pytest.raises(ValueError, match="prime modulus"):
         is_irreducible([1, 0, 1], s)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: factor([1.5, 1], 5), "1.5"),
+    (lambda: factor([1, 2.0, 1], 7), "2.0"),
+    (lambda: factor([1, Fraction(1, 2)], 5), "Fraction(1, 2)"),
+    (lambda: is_irreducible([1.5, 1], 5), "1.5"),
+    (lambda: is_irreducible([1, 0, 1.0], 7), "1.0"),
+], ids=["factor-1.5", "factor-2.0", "factor-fraction", "irreducible-1.5",
+        "irreducible-1.0"])
+def test_a_coefficient_that_is_not_an_int_is_refused(call, bad):
+    # factor used to return a float factor, and is_irreducible to end in
+    # a TypeError from pow inside poly_gcd
+    with pytest.raises(ValueError, match=re.escape(
+            f"a coefficient must be an integer, not {bad}")):
+        call()
 
 
 def test_degree_sequence():

@@ -14,10 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from bareiss_oracle import _band, _bareiss, _newton_interpolate, det_bareiss
 from laurent_oracle import (band_rows, dense_rows, det_cofactor,
-                            det_laurent, minor)
-from sliceobs.laurent import LaurentPolynomial, one, t
+                            det_laurent, evaluate, minor)
+from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import (Matrix, det_band, det_gf, involution,
                              smith_normal_form)
+from sliceobs.seifert import alexander_polynomial, seifert_matrix
+
+
+def t(e=1, c=1):
+    """c t^e."""
+    return LaurentPolynomial({e: c})
 
 
 int_matrix = st.integers(min_value=1, max_value=4).flatmap(
@@ -31,8 +37,12 @@ def test_matrix_basics():
     m = Matrix([[1, 2], [3, 4]])
     assert m.nrows == 2 and m.ncols == 2
     assert m.transpose() == Matrix([[1, 3], [2, 4]])
-    assert m + m == Matrix([[2, 4], [6, 8]])
+    assert m - m == Matrix([[0, 0], [0, 0]])
     assert m * Matrix.identity(2) == m
+    assert m * m == Matrix([[7, 10], [15, 22]])
+    assert m != Matrix([[1, 2]]) and m != Matrix([[1, 3], [2, 4]])
+    with pytest.raises(ValueError, match="shape"):
+        m * Matrix([[1, 2]])
     assert minor(m, 0, 1) == Matrix([[3]])
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
@@ -40,16 +50,30 @@ def test_matrix_basics():
         m.rows = ()
 
 
+def test_matrix_has_no_sum_negation_or_scalar_product():
+    m = Matrix([[1, 2], [3, 4]])
+    for op in (lambda: m + m, lambda: -m, lambda: 2 * m, lambda: m * 2,
+               lambda: m * [[1, 0], [0, 1]]):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_matrix_product_of_laurent_entries():
+    m = Matrix([[t(), 1], [0, t(-1)]])
+    assert m * m == Matrix([[t(2), t() + t(-1)], [0, t(-2)]])
+    assert m * Matrix.identity(2) == m
+
+
 def test_involution_dispatch():
     assert involution(5) == 5
-    assert involution(Fraction(2, 3)) == Fraction(2, 3)
     p = t(2, 3) + 1
     assert involution(p) == t(-2, 3) + 1
     m = Matrix([[t(), 1], [0, t(-1)]])
     mi = involution(m)
     assert mi == Matrix([[t(-1), 0], [1, t()]])
-    with pytest.raises(TypeError):
-        involution("nope")
+    for bad in ("nope", Fraction(2, 3)):
+        with pytest.raises(TypeError):
+            involution(bad)
 
 
 @given(int_matrix)
@@ -439,6 +463,22 @@ def test_snf_with_unit_pivots_matches_determinantal_divisors(rows):
     check_determinantal_divisors(rows)
 
 
+def test_the_oracle_evaluates_through_items():
+    # src has no evaluation; the oracle sums each entry's terms itself,
+    # and its determinant still matches the band kernel's
+    p = LaurentPolynomial({0: 1, 1: 2, 2: 1})
+    assert evaluate(p, 3) == 16 and evaluate(p, -1) == 0
+    assert evaluate(LaurentPolynomial(), 5) == 0
+    with pytest.raises(ValueError):
+        evaluate(t(-1), 2)
+    assert not callable(p)
+    for n in (2, 5, 7):
+        a = seifert_matrix(n)
+        pencil = [[t(1, x) - y for x, y in zip(row, col)]
+                  for row, col in zip(a.rows, zip(*a.rows))]
+        assert det_laurent(pencil) == alexander_polynomial(n)
+
+
 def test_det_laurent_with_int_entries_mixed():
     m = [[2, t()], [t(-1), 1]]
-    assert det_laurent(m) == one()
+    assert det_laurent(m) == 1

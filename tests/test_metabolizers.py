@@ -154,6 +154,13 @@ class TestMetabolizers:
         orbits = orbit_decomposition(mets, 5)
         assert orbit_base_metabolizer(5) in orbits[1]
 
+    def test_orbit_decomposition_refuses_metabolizers_of_another_n(self):
+        # these used to come back as the orbits for n = 11
+        mets = enumerate_metabolizers(11, _FORMS[11])
+        with pytest.raises(ValueError,
+                           match="^a metabolizer is for n=11, not for n=17$"):
+            orbit_decomposition(mets, 17)
+
     def test_symmetry_permutes_metabolizers(self):
         r = r_matrix()
         mets = set(enumerate_metabolizers(5, _FORMS[5]))
@@ -337,7 +344,7 @@ class TestUnipotentSymmetry:
 
     def test_an_r_that_commutes_with_t_is_still_checked(self, monkeypatch):
         # r + I commutes with t, so only the square-zero check sees it
-        bad = r_matrix() + Matrix.identity(4)
+        bad = r_matrix() - Matrix.identity(4).map(lambda x: -x)
         monkeypatch.setattr(blanchfield, "r_matrix", lambda: bad)
         with pytest.raises(ArithmeticError, match="must square to 0"):
             symmetry_action(11)
@@ -433,6 +440,21 @@ class TestCharacters:
         assert chi.value((1, 0, 0, 1)) == 0
         assert chi.value((1, 0, 0, 0)) == 1
         assert chi.vanishes_on(fixed_metabolizer(5))
+
+    @pytest.mark.parametrize("row, sign", [
+        ((1, 2, 3), "+"),
+        ((1, 2, 3, 4, 5), "-"),
+        ([1, 2, 3, 4], "+"),
+        ((1, 2, 3, 4.0), "+"),
+        ((1, 2, 3, 4), "x"),
+        ((1, 2, 3, 4), "+-"),
+        ((1, 2, 3, 4), None),
+    ], ids=["three", "five", "list", "float", "sign-x", "sign-both",
+            "sign-none"])
+    def test_a_bad_row_or_sign_is_refused(self, row, sign):
+        with pytest.raises(ValueError, match="a character needs a row of "
+                                             "four integers"):
+            Character(11, row, sign)
 
     def test_base_character_rows(self):
         plus, minus = base_characters(11)

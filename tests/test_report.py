@@ -219,6 +219,31 @@ class TestBadInputBeforeAnyStage:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cover_homology_snf(11, True),
+         "the cover degree q must be an integer at least 1, got True"),
+        (lambda: cover_homology_snf(11, False),
+         "the cover degree q must be an integer at least 1, got False"),
+        (lambda: obstruct(11, exhaustive="no"),
+         "exhaustive must be a bool, not 'no'"),
+        (lambda: obstruct(11, exhaustive=1),
+         "exhaustive must be a bool, not 1"),
+        (lambda: obstruct(11, exhaustive=None),
+         "exhaustive must be a bool, not None"),
+    ], ids=["snf-q-true", "snf-q-false", "exhaustive-no", "exhaustive-1",
+            "exhaustive-none"])
+    def test_a_bool_number_or_a_non_bool_flag_is_refused(
+            self, monkeypatch, call, message):
+        # cover_homology_snf(11, True) returned a report with q=True, and
+        # obstruct(11, exhaustive="no") ran the exhaustive path
+        def refuse(*args):
+            pytest.fail("a stage ran before the refusal")
+
+        monkeypatch.setattr(report, "linking_form", refuse)
+        monkeypatch.setattr(report, "census", refuse)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
 
 @pytest.fixture
 def empty_census():

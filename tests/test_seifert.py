@@ -9,11 +9,12 @@ import pytest
 import bareiss_oracle
 from bareiss_oracle import _band, alexander_by_interpolation, det_bareiss
 from blanchfield_oracle import seifert_inverse
-from laurent_oracle import band_rows, dense_rows, det_laurent
+from laurent_oracle import (band_rows, dense_rows, det_laurent, evaluate,
+                            max_exp)
 from sliceobs import blanchfield, seifert
 from sliceobs.blanchfield import cover_homology_snf, linking_form
 from sliceobs.ffpoly import is_prime, mul, primitive_root_of_unity
-from sliceobs.laurent import LaurentPolynomial, one as lp_one, t as lp_t
+from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix, det_band
 from sliceobs.report import obstruct
 from sliceobs.seifert import (
@@ -27,8 +28,7 @@ from sliceobs.seifert import (
     seifert_matrix,
 )
 
-t = lp_t()
-one = lp_one()
+t = LaurentPolynomial({1: 1})
 
 
 def same_up_to_units(p, q):
@@ -74,7 +74,7 @@ class TestSeifertMatrix:
         # the blocks assembled from B by transposing and negating
         # Matrix objects, the way the rows used to be built
         b = band_matrix(n)
-        neg_bt = -b.transpose()
+        neg_bt = b.transpose().map(lambda x: -x)
         zeros = (0,) * (n - 1)
         expected = Matrix([tuple(neg_bt[i]) + zeros for i in range(n - 1)]
                           + [tuple(b[i]) + tuple(b[i])
@@ -153,20 +153,20 @@ class TestAlexanderPolynomial:
     def test_figure_eight(self):
         # n = 2 closes to the figure-eight knot
         delta = alexander_polynomial(2)
-        target = t * t - 3 * t + one
+        target = t * t - 3 * t + 1
         assert same_up_to_units(delta, target)
 
     def test_determinant_values(self):
         # |Delta(-1)| is the double-branched-cover homology order
-        assert abs(alexander_polynomial(2)(-1)) == 5
-        assert abs(alexander_polynomial(4)(-1)) == 45
+        assert abs(evaluate(alexander_polynomial(2), -1)) == 5
+        assert abs(evaluate(alexander_polynomial(4), -1)) == 45
 
     @pytest.mark.parametrize("n", (2, 4, 5, 7))
     def test_degree_and_normalization(self, n):
         delta = alexander_polynomial(n)
-        span = delta.max_exp - delta.min_exp
+        span = max_exp(delta) - delta.min_exp
         assert span == 2 * (n - 1)
-        assert abs(delta(1)) == 1
+        assert abs(evaluate(delta, 1)) == 1
 
     @pytest.mark.parametrize("n", range(2, 42))
     def test_matches_laurent_determinant(self, n):
@@ -285,13 +285,13 @@ class TestSquareRoot:
             f"n={n} is above the ceiling n <= {MAX_N}")
 
     def test_ceiling_itself_is_accepted(self):
-        assert p_n(MAX_N - 1).max_exp == MAX_N - 2
+        assert max_exp(p_n(MAX_N - 1)) == MAX_N - 2
 
     @pytest.mark.parametrize("n", (5, 7, 11))
     def test_monic_symmetric_of_degree_n_minus_one(self, n):
         p = p_n(n)
         assert p.min_exp == 0
-        assert p.max_exp == n - 1
+        assert max_exp(p) == n - 1
         assert dict(p.items())[n - 1] == 1
         assert same_up_to_units(p, p.involution())
 
@@ -317,4 +317,4 @@ class TestSquareRoot:
 
     def test_value_at_one(self):
         for n in (5, 7, 11):
-            assert abs(p_n(n)(1)) == 1
+            assert abs(evaluate(p_n(n), 1)) == 1

@@ -336,6 +336,14 @@ class TestPeriodShift:
         assert period_shift(MINUS5).sign == "-"
         assert period_shift(PLUS5).sign == "+"
 
+    def test_a_row_of_three_or_a_bad_sign_never_reaches_the_shift(self):
+        # a row of 3 used to come out of period_shift as a row of 4, and
+        # a sign "x" reached twisted_polynomial
+        with pytest.raises(ValueError, match="row of four integers"):
+            period_shift(Character(11, (1, 2, 3), "+"))
+        with pytest.raises(ValueError, match="the sign '\\+' or '-'"):
+            twisted_polynomial(PRES5, Character(5, (2, 3, 1, 4), "x"), 11, 4)
+
     def test_orbit_characters_share_polynomial(self):
         chi = MINUS5
         base = twisted_polynomial(PRES5, chi, 11, 4)
