@@ -175,14 +175,8 @@ class _Eisenstein:
         bd = b * d
         return _Eisenstein(a * c - bd, a * d + b * c - bd)
 
-    def __add__(self, other):
-        return _Eisenstein(self.a + other.a, self.b + other.b)
-
     def __sub__(self, other):
         return _Eisenstein(self.a - other.a, self.b - other.b)
-
-    def __mod__(self, n):
-        return _Eisenstein(self.a % n, self.b % n)
 
     def __neg__(self):
         return _Eisenstein(-self.a, -self.b)

@@ -41,7 +41,7 @@ __all__ = [
 
 class Matrix:
     """Immutable matrix with exact entries; rows of unequal length, or a
-    product of mismatched shapes, raise ValueError."""
+    difference or product of mismatched shapes, raise ValueError."""
 
     __slots__ = ("rows",)
 
@@ -91,6 +91,8 @@ class Matrix:
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
         return Matrix(tuple(tuple(a - b for a, b in zip(ra, rb))
                             for ra, rb in zip(self.rows, other.rows)))
 

@@ -19,16 +19,6 @@ affine in (n0, n1) mod n and holds on every line once it holds at
 (0, 0), (1, 0) and (0, 1): deck invariance is checked on those four
 lines only.
 
-A map g that commutes with t, as t and r do, is R-linear:
-g(a) = alpha_a a + gamma_a b and g(b) = alpha_b a + gamma_b b with
-alpha, gamma in R.  So it moves the line of z to the line of
-(gamma_a + z gamma_b)/(alpha_a + z alpha_b), or to R b where the
-denominator is 0, and R b to the line of gamma_b/alpha_b: one Moebius
-step on P^1(R), computed in the Eisenstein integers of
-`blanchfield._Eisenstein` mod n.  Nothing here row-reduces; the general
-row reduction of a subgroup lives in `tests/metabolizer_oracle.py`,
-which checks these steps against it.
-
 The form vanishes on a line when the four pairings g_i^T (n lambda) g_j,
 n lambda the integer matrix `LinkingForm.scaled`, are 0 mod n.  Each
 pairing is a quadratic in (n0, n1), and each is c_ij times the conic
@@ -39,12 +29,20 @@ there, from the form, and then lists the zeros of the conic instead of
 testing lines: (1, 1), and for each slope m the second point
 (1 - 2k, 1 - 2mk), k = 1/(m^2 - m + 1), where the line through (1, 1)
 of slope m meets the conic (m^2 - m + 1 has no root, as -3 is no
-square mod n).  R b, not of that form, must be rejected by its
-pairings.  The order-n symmetry r moves the metabolizer of slope m to
-the one of slope m - 2, so the orbit member r^j(P_+), with
-P_+ = a - (1 + t) b of slope 1, has slope 1 - 2j: `character_for`
-reads j = (1 - m)/2 off the slope.  As (r - I)^2 = 0, r^k is
-I + k (r - I), and no power of r is ever multiplied out.
+square mod n).  Write P(m) for that point and P(inf) for (1, 1).  R b,
+not of that form, must be rejected by its pairings.
+
+The order-n symmetry r fixes P(inf) and moves P(m) to P(m - 2), so the
+orbit member r^j(P_+), with P_+ = a - (1 + t) b = P(1), is P(1 - 2j):
+`character_for` reads j = (1 - m)/2 off the slope, and
+`orbit_decomposition` lists the orbit as P(m0 - 2j) and checks each
+step on the rows alone, that r maps the generators of P(m) into the
+line P(m - 2), by the same test that shows t keeps a line.  Nothing
+here row-reduces or moves a line by a general map; the row reduction
+of a subgroup and the walk of r along the orbit live in
+`tests/metabolizer_oracle.py`, which checks these steps against them.
+As (r - I)^2 = 0, r^k is I + k (r - I), and no power of r is ever
+multiplied out.
 """
 
 from dataclasses import dataclass
@@ -52,7 +50,7 @@ from operator import mul
 
 # linking_form is unused here; perfbench's tracer test still reaches it
 # as sliceobs.metabolizers.linking_form
-from .blanchfield import (_Eisenstein, _same_n, linking_form,  # noqa: F401
+from .blanchfield import (_same_n, linking_form,  # noqa: F401
                           _nilpotent_part, r_matrix, t_matrix)
 from .ffpoly import is_prime
 
@@ -86,39 +84,11 @@ class Submodule:
             raise ValueError(f"{self.canonical} are not the rows of an "
                              f"R-line mod n={self.n}")
 
-    def transformed(self, g):
-        """Image under an integer matrix g acting on column coordinates,
-        by one Moebius step on the line's parameter (module docstring).
-        ValueError unless g commutes with t mod n and the image is one of
-        the lines above."""
-        n = self.n
-        # g(a) = alpha_a a + gamma_a b and g(b) = alpha_b a + gamma_b b
-        # are columns 0 and 2; g commutes with t exactly when columns 1
-        # and 3, g(ta) and g(tb), are t times them
-        alpha, gamma = ([_Eisenstein(g[i][j], g[i + 1][j]) for j in range(4)]
-                        for i in (0, 2))
-        if any((x * _OMEGA - tx) % n
-               for c in (alpha, gamma) for x, tx in (c[:2], c[2:])):
-            raise ValueError(f"the map does not commute with t mod n={n}")
-        if self.canonical == _PRIME_LINE:
-            den, num = alpha[2], gamma[2]
-        else:
-            z = _Eisenstein(*self.canonical[0][2:])
-            den, num = alpha[0] + z * alpha[2], gamma[0] + z * gamma[2]
-        norm = den.norm() % n
-        if norm:
-            z = num * den.conjugate() * _Eisenstein(pow(norm, -1, n))
-            return line_submodule(n, z.a, z.b)
-        if not den % n and num.norm() % n:
-            return prime_line_submodule(n)
-        raise ValueError(f"the image is not an R-line mod n={n}")
-
 
 def _line_rows(n, n0, n1):
     """The generators a + (n0 + n1 t) b and t times it, which are already
     in reduced echelon form."""
-    n0 %= n
-    n1 %= n
+    n0, n1 = n0 % n, n1 % n
     return ((1, 0, n0, n1), (0, 1, -n1 % n, (n0 - n1) % n))
 
 
@@ -128,8 +98,6 @@ def line_submodule(n, n0, n1):
 
 
 _PRIME_LINE = ((0, 0, 1, 0), (0, 0, 0, 1))
-
-_OMEGA = _Eisenstein(0, 1)  # t, acting on R = (Z/n)[t]/(t^2 + t + 1)
 
 
 def prime_line_submodule(n):
@@ -144,17 +112,18 @@ def check_class(n):
         raise ValueError("classification needs a prime n = 5 mod 6")
 
 
-def _deck_invariant(g0, g1, n, tm):
-    """True if the span of the reduced echelon rows g0, g1 over Z/n (n
-    prime) contains t g0 and t g1: t g must equal the combination of g0
-    and g1 read off at their pivot columns.  On a line's generators
-    (pivots 0 and 1) that is t g0 = g1 and t g1 = -g0 - g1 mod n."""
-    p0 = next(i for i, x in enumerate(g0) if x)
-    p1 = next(i for i, x in enumerate(g1) if x)
-    for g in (g0, g1):
-        tg = [sum(map(mul, row, g)) % n for row in tm]
-        c0, c1 = tg[p0], tg[p1]
-        if tg != [(c0 * x + c1 * y) % n for x, y in zip(g0, g1)]:
+def _maps_into(g, src, dst, n):
+    """True if the integer matrix g (its rows, acting on column
+    coordinates) maps the rows of src into the span over Z/n (n prime)
+    of the two reduced echelon rows d0, d1 of dst: g u must equal the
+    combination of d0 and d1 read off at their pivot columns.  With
+    g = t and src = dst that is deck invariance; on a line's generators
+    (pivots 0 and 1) it is t g0 = g1 and t g1 = -g0 - g1 mod n."""
+    d0, d1 = dst
+    p0, p1 = (next(i for i, x in enumerate(d) if x) for d in dst)
+    for u in src:
+        gu = [sum(map(mul, row, u)) % n for row in g]
+        if gu != [(gu[p0] * x + gu[p1] * y) % n for x, y in zip(d0, d1)]:
             return False
     return True
 
@@ -170,7 +139,7 @@ def is_metabolizer(sub, form):
     """Deck invariant and self-annihilating under the form; the same test
     the census runs on each line."""
     _same_n(sub.n, form)
-    return (_deck_invariant(*sub.canonical, sub.n, t_matrix().rows)
+    return (_maps_into(t_matrix().rows, sub.canonical, sub.canonical, sub.n)
             and _isotropic(*sub.canonical, form))
 
 
@@ -203,12 +172,30 @@ def _check_conic(n, form):
         raise ArithmeticError("the isotropic lines are not the conic's zeros")
 
 
+def _point(m, n):
+    """P(m), the zero of `_conic` mod n on the line of slope m through
+    (1, 1): (1 - 2k, 1 - 2mk) with k = 1/(m^2 - m + 1), and (1, 1)
+    itself for m = None, the vertical tangent there."""
+    if m is None:
+        return (1, 1)
+    k = pow(m * m - m + 1, -1, n)
+    return ((1 - 2 * k) % n, (1 - 2 * m * k) % n)
+
+
+def _slope(sub):
+    """The m with P(m) the point (n0, n1) of the line, (n1 - 1)/(n0 - 1)
+    mod n or None for (1, 1), the only zero of the conic with n0 = 1;
+    ValueError for R b or a line off the conic."""
+    n0, n1 = sub.canonical[0][2:]
+    if sub.canonical == _PRIME_LINE or _conic(n0, n1) % sub.n:
+        raise ValueError("submodule is not a metabolizer on the conic")
+    return None if n0 == 1 else (n1 - 1) * pow(n0 - 1, -1, sub.n) % sub.n
+
+
 def _conic_points(n):
-    """The zeros (n0, n1) of `_conic` mod n, sorted: (1, 1) and, for each
-    slope m, (1 - 2k, 1 - 2mk) with k = 1/(m^2 - m + 1)."""
-    ks = [pow(m * m - m + 1, -1, n) for m in range(n)]
-    return sorted({(1, 1), *(((1 - 2 * k) % n, (1 - 2 * m * k) % n)
-                             for m, k in enumerate(ks))})
+    """The zeros (n0, n1) of `_conic` mod n, sorted: P(m) for m = None
+    and each m in Z/n."""
+    return sorted({_point(m, n) for m in (None, *range(n))})
 
 
 def enumerate_metabolizers(n, form):
@@ -224,9 +211,9 @@ def enumerate_metabolizers(n, form):
     check_class(n)
     _same_n(n, form)
     tm = t_matrix().rows
-    for g0, g1 in (_PRIME_LINE, _line_rows(n, 0, 0), _line_rows(n, 1, 0),
-                   _line_rows(n, 0, 1)):
-        if not _deck_invariant(g0, g1, n, tm):
+    for rows in (_PRIME_LINE, _line_rows(n, 0, 0), _line_rows(n, 1, 0),
+                 _line_rows(n, 0, 1)):
+        if not _maps_into(tm, rows, rows, n):
             raise ArithmeticError("a listed submodule is not deck invariant")
     if _isotropic(*_PRIME_LINE, form):
         raise ArithmeticError("the leftover line R b must not be isotropic")
@@ -237,31 +224,40 @@ def enumerate_metabolizers(n, form):
     return [line_submodule(n, *p) for p in points]
 
 
+_NOT_PERMUTED = "symmetry must permute the metabolizers"
+
+
 def orbit_decomposition(mets, n):
-    """Orbits of the metabolizer set under the order-n symmetry; returns
-    a list of orbits, each a list of submodules, largest last.  The walk
-    moves each line by Moebius steps of r, and it is the check that r
-    permutes the metabolizers: ArithmeticError if a step leaves them.
-    A metabolizer of another n raises ValueError."""
+    """Orbits of the metabolizer set under the order-n symmetry r; returns
+    a list of orbits, each a list of the given submodules, largest last:
+    the fixed point P(inf) and the orbit P(m0 - 2j), j < n, of the slope
+    m0 of the first other line.  Each step is checked on the rows, that
+    r maps P(m) into P(m - 2) and P(inf) into itself, and the orbits
+    must be exactly the given lines: ArithmeticError otherwise, as when
+    r does not permute the metabolizers, or r - I does not square to 0
+    (`blanchfield._nilpotent_part`).  An n outside `check_class`, or a
+    metabolizer of another n, raises ValueError."""
+    check_class(n)
     for p in mets:
         _same_n(n, p, "a metabolizer")
+    by_rows = {p.canonical: p for p in mets}
+    fixed = _line_rows(n, *_point(None, n))
+    orbits = [[fixed]] if fixed in by_rows else []
+    start = next((p for p in mets if p.canonical != fixed), None)
+    if start is not None:
+        try:
+            m0 = _slope(start)
+        except ValueError:
+            raise ArithmeticError(_NOT_PERMUTED) from None
+        orbits.append([_line_rows(n, *_point(m0 - 2 * j, n))
+                       for j in range(n)])
     r = r_matrix()
-    remaining = set(mets)
-    orbits = []
-    for p in mets:
-        if p not in remaining:
-            continue
-        orbit = [p]
-        remaining.discard(p)
-        while (q := orbit[-1].transformed(r)) != p:
-            if q not in remaining:
-                raise ArithmeticError(
-                    "symmetry must permute the metabolizers")
-            orbit.append(q)
-            remaining.discard(q)
-        orbits.append(orbit)
-    orbits.sort(key=len)
-    return orbits
+    if {rows for o in orbits for rows in o} != by_rows.keys() or not all(
+            _maps_into(r.rows, src, dst, n)
+            for o in orbits for src, dst in zip(o, o[1:] + o[:1])):
+        raise ArithmeticError(_NOT_PERMUTED)
+    _nilpotent_part(r)  # so r is invertible, and onto each image line
+    return [[by_rows[rows] for rows in o] for o in orbits]
 
 
 @dataclass(frozen=True)
@@ -319,12 +315,9 @@ def character_for(sub, form):
     n = sub.n
     _same_n(n, form)
     plus, chi = base_characters(n)
-    if sub != fixed_metabolizer(n):
-        n0, n1 = sub.canonical[0][2:]
-        if sub.canonical == _PRIME_LINE or _conic(n0, n1) % n:
-            raise ValueError("submodule is not a metabolizer in the orbit")
-        # the orbit index j = (1 - m)/2 of the slope m = (n1 - 1)/(n0 - 1)
-        j = (1 - (n1 - 1) * pow(n0 - 1, -1, n)) * pow(2, -1, n) % n
+    m = _slope(sub)
+    if m is not None:
+        j = (1 - m) * pow(2, -1, n) % n
         # chi_+ r^(n-j) = chi_+ + (n - j) chi_+ (r - I)
         u = _nilpotent_part(r_matrix())
         chi = Character(n, tuple(

@@ -1,6 +1,6 @@
 """The object census of the metabolizers, kept as the independent oracle
-for `sliceobs.metabolizers.enumerate_metabolizers` and for the Moebius
-steps of `Submodule.transformed`.
+for `sliceobs.metabolizers.enumerate_metabolizers` and for the line-map
+steps of `orbit_decomposition`.
 
 `Subgroup` is any subgroup of (Z/n)^4, identified by the reduced row
 echelon form of its generators over Z/n; its image under a matrix is
@@ -9,9 +9,9 @@ line is built as a `Subgroup` by row reduction of its generators,
 tested for invariance by transforming it with the deck matrix and
 comparing reduced echelon forms, and tested for isotropy by summing
 Fractions over the rational matrix of the form.  The program holds only
-R-lines, moves them by Moebius steps and pairs through the integer
-matrix n lambda; this route shares none of that code and compares with
-it by the canonical rows alone.
+R-lines, lists the orbit by the slope shift m -> m - 2 on the conic and
+pairs through the integer matrix n lambda; this route shares none of
+that code and compares with it by the canonical rows alone.
 
 `orbit_characters` walks the order-n symmetry r along the orbit of
 metabolizers, multiplying out the powers of r, the oracle for the orbit

@@ -50,6 +50,18 @@ def test_matrix_basics():
         m.rows = ()
 
 
+@pytest.mark.parametrize("other", [
+    [[1]], [[1, 2]], [[1], [2]], [[1, 2, 3], [4, 5, 6]], []],
+    ids=["1x1", "1x2", "2x1", "2x3", "empty"])
+def test_difference_of_mismatched_shapes_is_refused(other):
+    # zipping rows and entries once truncated these to the common shape
+    m = Matrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        m - Matrix(other)
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        Matrix(other) - m
+
+
 def test_matrix_has_no_sum_negation_or_scalar_product():
     m = Matrix([[1, 2], [3, 4]])
     for op in (lambda: m + m, lambda: -m, lambda: 2 * m, lambda: m * 2,

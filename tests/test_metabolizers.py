@@ -3,9 +3,9 @@
 The object census (every line row-reduced, transformed and paired in
 Fractions, as a subgroup class of its own) and the walk of r along the
 orbit live in `tests/metabolizer_oracle.py` and check the program's
-census from the conic, its Moebius steps and its orbit index here.  The
-checks at n = 101 and 491 are marked `scale` and run with
-`pytest -m scale`."""
+census from the conic, its line-map steps, its orbits and its orbit
+index here.  The checks at n = 101 and 491 are marked `scale` and run
+with `pytest -m scale`."""
 
 import dataclasses
 from fractions import Fraction
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import metabolizer_oracle
 from metabolizer_oracle import (Subgroup, census, invariant_submodules,
                                 is_invariant, orbit_characters)
-from sliceobs import blanchfield, metabolizers
+from sliceobs import blanchfield, metabolizers, report
 from sliceobs.blanchfield import (linking_form, r_matrix, symmetry_action,
                                   t_matrix)
 from sliceobs.linalg import Matrix
@@ -46,15 +46,10 @@ class TestSubmodule:
         sub = Subgroup.spanned_by(7, ((0, 0, 0, 0), (1, 2, 3, 4)))
         assert sub.rank == 1
 
-    def test_transformed_by_identity(self):
-        sub = line_submodule(11, 4, 9)
-        ident = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        assert sub.transformed(ident) == sub
-
     def test_deck_invariance_of_lines(self):
         tmat = t_matrix()
-        assert is_invariant(line_submodule(5, 1, 1), tmat)
-        assert is_invariant(prime_line_submodule(5), tmat)
+        for p in (line_submodule(5, 1, 1), prime_line_submodule(5)):
+            assert is_invariant(Subgroup(5, p.canonical), tmat)
         # a non-line subgroup is generally not invariant
         sub = Subgroup.spanned_by(5, ((1, 0, 0, 0), (0, 0, 1, 0)))
         assert not is_invariant(sub, tmat)
@@ -63,7 +58,8 @@ class TestSubmodule:
            st.integers(min_value=0, max_value=10))
     @settings(max_examples=25, deadline=None)
     def test_every_line_is_deck_invariant(self, n0, n1):
-        assert is_invariant(line_submodule(11, n0, n1), t_matrix())
+        line = line_submodule(11, n0, n1)
+        assert is_invariant(Subgroup(11, line.canonical), t_matrix())
 
     @given(st.sampled_from([5, 11, 17]),
            st.integers(min_value=-40, max_value=40),
@@ -162,9 +158,18 @@ class TestMetabolizers:
             orbit_decomposition(mets, 17)
 
     def test_symmetry_permutes_metabolizers(self):
-        r = r_matrix()
-        mets = set(enumerate_metabolizers(5, _FORMS[5]))
-        assert {p.transformed(r) for p in mets} == mets
+        # r fixes P(inf) and moves P(m) to P(m - 2): by the row reduction
+        # of the oracle, and by the line-map check of the program
+        n, r = 5, r_matrix()
+        mets = enumerate_metabolizers(n, _FORMS[n])
+        images = [Subgroup(n, p.canonical).transformed(r).canonical
+                  for p in mets]
+        assert sorted(images) == sorted(p.canonical for p in mets)
+        for p, image in zip(mets, images):
+            assert metabolizers._maps_into(r.rows, p.canonical, image, n)
+            m = metabolizers._slope(p)
+            shifted = None if m is None else (m - 2) % n
+            assert metabolizers._slope(Submodule(n, image)) == shifted
 
     @pytest.mark.parametrize("n", [5, 11, 17, 23, 29])
     def test_census_matches_object_census(self, n):
@@ -204,13 +209,13 @@ class TestMetabolizers:
     def test_deck_invariance_is_checked_on_four_lines(self, monkeypatch, n):
         # invariance of all n^2 + 1 lines follows from four checks
         calls = []
-        check = metabolizers._deck_invariant
+        check = metabolizers._maps_into
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(metabolizers, "_deck_invariant", counted)
+        monkeypatch.setattr(metabolizers, "_maps_into", counted)
         assert len(enumerate_metabolizers(n, linking_form(n))) == n + 1
         assert len(calls) <= 4
 
@@ -233,8 +238,8 @@ class TestMetabolizers:
                    "0-0": metabolizers._line_rows(n, 0, 0),
                    "1-0": metabolizers._line_rows(n, 1, 0),
                    "0-1": metabolizers._line_rows(n, 0, 1)}
-        failing = [name for name, (g0, g1) in checked.items()
-                   if not metabolizers._deck_invariant(g0, g1, n, rows)]
+        failing = [name for name, line in checked.items()
+                   if not metabolizers._maps_into(rows, line, line, n)]
         assert failing == [line]
         monkeypatch.setattr(metabolizers, "t_matrix", lambda: Matrix(rows))
         with pytest.raises(ArithmeticError, match="not deck invariant"):
@@ -287,31 +292,38 @@ def with_entry(m, i, j, x):
 
 
 class TestMoebius:
+    """r acts on the conic's parameter by the Moebius map m -> m - 2,
+    fixing m = inf, and t keeps every line; the program checks each
+    such step on the rows alone, by `_maps_into`."""
+
     @pytest.mark.parametrize("n", [5, 11, 17, pytest.param(
         101, marks=pytest.mark.scale)])
     @pytest.mark.parametrize("name", ["t", "r"])
     def test_steps_match_the_row_reduction(self, n, name):
+        # g maps each line into its row-reduced image, and into no other
+        # line: the next one in the listing
         g = {"t": t_matrix(), "r": r_matrix()}[name]
-        for p in every_line(n):
-            want = Subgroup(n, p.canonical).transformed(g).canonical
-            assert p.transformed(g).canonical == want
+        lines = every_line(n)
+        images = [Subgroup(n, p.canonical).transformed(g).canonical
+                  for p in lines]
+        rows = [p.canonical for p in lines]
+        for p, image in zip(rows, images):
+            assert metabolizers._maps_into(g.rows, p, image, n)
+            other = rows[(rows.index(image) + 1) % len(rows)]
+            assert not metabolizers._maps_into(g.rows, p, other, n)
 
     @pytest.mark.parametrize("i, j", [(0, 2), (1, 1), (3, 0)])
-    def test_a_map_that_does_not_commute_with_t_is_refused(self, i, j):
+    def test_a_map_that_does_not_commute_with_t_is_refused(self, monkeypatch,
+                                                           i, j):
+        # the orbit check refuses it before the square-zero check could
         g = with_entry(r_matrix(), i, j, r_matrix()[i][j] + 1)
-        for p in (line_submodule(11, 3, 4), prime_line_submodule(11)):
-            with pytest.raises(ValueError, match="does not commute with t"):
-                p.transformed(g)
-
-    @pytest.mark.parametrize("n, rows", [
-        (5, ((0,) * 4,) * 4),
-        # multiplication by 3 + t, of norm 9 - 3 + 1 = 7: no unit mod 7
-        (7, ((3, -1, 0, 0), (1, 2, 0, 0), (0, 0, 3, -1), (0, 0, 1, 2))),
-    ], ids=["zero", "norm-0"])
-    def test_an_image_that_is_not_a_line_is_refused(self, n, rows):
-        for p in (line_submodule(n, 0, 0), prime_line_submodule(n)):
-            with pytest.raises(ValueError, match="image is not an R-line"):
-                p.transformed(Matrix(rows))
+        assert g * t_matrix() != t_matrix() * g
+        mets = enumerate_metabolizers(11, _FORMS[11])
+        monkeypatch.setattr(metabolizers, "_nilpotent_part", None)
+        monkeypatch.setattr(metabolizers, "r_matrix", lambda: g)
+        with pytest.raises(ArithmeticError,
+                           match="symmetry must permute the metabolizers"):
+            orbit_decomposition(mets, 11)
 
     @pytest.mark.parametrize("rows", [
         ((1, 0, 0, 0), (0, 0, 1, 0)),
@@ -432,6 +444,97 @@ class TestConic:
             want = base_characters(n)[1] if p == fixed else \
                 Character(n, walk[p.canonical], "+")
             assert character_for(p, form) == want
+
+
+def r_walk(n, rows):
+    """The r-orbit of the line with these rows, by the oracle's row
+    reduction: the rows of r^j of it for j = 0, 1, ... until it
+    returns."""
+    walk = [Subgroup(n, rows)]
+    while (q := walk[-1].transformed(r_matrix())) != walk[0]:
+        walk.append(q)
+    return [q.canonical for q in walk]
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("n", CONIC_N)
+    def test_orbits_match_the_oracle_walk(self, n):
+        mets = enumerate_metabolizers(n, linking_form(n))
+        fixed, orbit = orbit_decomposition(mets, n)
+        assert [p.canonical for p in fixed] == r_walk(n, fixed[0].canonical)
+        start = next(p for p in mets if p not in fixed)
+        assert [p.canonical for p in orbit] == r_walk(n, start.canonical)
+        # the members are the given submodules, none built anew
+        assert all(any(p is q for q in mets) for p in fixed + orbit)
+
+    def test_the_fixed_point_alone_is_one_orbit(self):
+        fixed = fixed_metabolizer(11)
+        orbits = orbit_decomposition([fixed], 11)
+        assert orbits == [[fixed]] and orbits[0][0] is fixed
+        assert orbit_decomposition([], 11) == []
+
+    def test_repeated_metabolizers_count_once(self):
+        mets = enumerate_metabolizers(11, _FORMS[11])
+        assert orbit_decomposition(mets + mets, 11) == \
+            orbit_decomposition(mets, 11)
+        assert [len(o) for o in orbit_decomposition(mets + mets, 11)] == \
+            [1, 11]
+
+    @pytest.mark.parametrize("change", [
+        lambda mets: mets[:-1],
+        lambda mets: mets[1:],
+        lambda mets: mets + [prime_line_submodule(11)],
+        lambda mets: [prime_line_submodule(11)] + mets,
+        lambda mets: mets + [line_submodule(11, 0, 0)],
+        lambda mets: [line_submodule(11, 0, 0)] + mets,
+    ], ids=["last-missing", "first-missing", "Rb-after", "Rb-before",
+            "off-conic-after", "off-conic-before"])
+    def test_lines_that_are_not_whole_orbits_are_refused(self, change):
+        mets = enumerate_metabolizers(11, _FORMS[11])
+        with pytest.raises(ArithmeticError,
+                           match="^symmetry must permute the metabolizers$"):
+            orbit_decomposition(change(mets), 11)
+
+    def test_an_orbit_of_lines_off_the_conic_is_refused(self):
+        # the 11 lines r^j of the line through a: a whole r-orbit, which
+        # a walk of r alone returned as one orbit, but no metabolizers
+        n = 11
+        walk = r_walk(n, line_submodule(n, 0, 0).canonical)
+        assert len(walk) == n
+        lines = [Submodule(n, rows) for rows in walk]
+        assert not any(is_metabolizer(p, _FORMS[n]) for p in lines)
+        with pytest.raises(ArithmeticError,
+                           match="^symmetry must permute the metabolizers$"):
+            orbit_decomposition(lines, n)
+
+    def test_the_inverse_symmetry_is_refused(self, monkeypatch):
+        # r^-1 = 2I - r passes every check of r alone but moves P(m) to
+        # P(m + 2): the census once took it and listed the orbit reversed
+        n = 11
+        inverse = Matrix.identity(4).map(lambda x: 2 * x) - r_matrix()
+        assert inverse * r_matrix() == Matrix.identity(4)
+        monkeypatch.setattr(blanchfield, "r_matrix", lambda: inverse)
+        monkeypatch.setattr(metabolizers, "r_matrix", lambda: inverse)
+        action = symmetry_action(n, _FORMS[n])
+        assert action.r == inverse
+        with pytest.raises(ArithmeticError,
+                           match="^symmetry must permute the metabolizers$"):
+            report.census.__wrapped__(n)
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_an_n_outside_the_classification_is_refused(self, n):
+        # the conic's parametrisation needs n = 5 mod 6: at n = 7 or 13
+        # some m^2 - m + 1 vanishes mod n
+        with pytest.raises(ValueError, match="prime n = 5 mod 6"):
+            orbit_decomposition([line_submodule(n, n - 1, n - 1)], n)
+
+    def test_a_map_that_keeps_no_line_is_refused(self, monkeypatch):
+        # the zero map sends every line into every other; r - I = -I
+        # then does not square to 0
+        zero = Matrix(((0,) * 4,) * 4)
+        monkeypatch.setattr(metabolizers, "r_matrix", lambda: zero)
+        with pytest.raises(ArithmeticError, match="must square to 0"):
+            orbit_decomposition(enumerate_metabolizers(11, _FORMS[11]), 11)
 
 
 class TestCharacters:
