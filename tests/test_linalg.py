@@ -54,7 +54,7 @@ def test_matrix_basics():
     [[1]], [[1, 2]], [[1], [2]], [[1, 2, 3], [4, 5, 6]], []],
     ids=["1x1", "1x2", "2x1", "2x3", "empty"])
 def test_difference_of_mismatched_shapes_is_refused(other):
-    # zipping rows and entries once truncated these to the common shape
+    # zipping rows and entries would truncate these to the common shape
     m = Matrix([[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="^shape mismatch$"):
         m - Matrix(other)

@@ -475,10 +475,9 @@ class TestOrbits:
 
     def test_repeated_metabolizers_count_once(self):
         mets = enumerate_metabolizers(11, _FORMS[11])
-        assert orbit_decomposition(mets + mets, 11) == \
-            orbit_decomposition(mets, 11)
-        assert [len(o) for o in orbit_decomposition(mets + mets, 11)] == \
-            [1, 11]
+        orbits = orbit_decomposition(mets + mets, 11)
+        assert orbits == orbit_decomposition(mets, 11)
+        assert [len(o) for o in orbits] == [1, 11]
 
     @pytest.mark.parametrize("change", [
         lambda mets: mets[:-1],
@@ -497,7 +496,7 @@ class TestOrbits:
 
     def test_an_orbit_of_lines_off_the_conic_is_refused(self):
         # the 11 lines r^j of the line through a: a whole r-orbit, which
-        # a walk of r alone returned as one orbit, but no metabolizers
+        # a walk of r alone would return as one orbit, but no metabolizers
         n = 11
         walk = r_walk(n, line_submodule(n, 0, 0).canonical)
         assert len(walk) == n
@@ -509,7 +508,7 @@ class TestOrbits:
 
     def test_the_inverse_symmetry_is_refused(self, monkeypatch):
         # r^-1 = 2I - r passes every check of r alone but moves P(m) to
-        # P(m + 2): the census once took it and listed the orbit reversed
+        # P(m + 2), which would list the orbit reversed
         n = 11
         inverse = Matrix.identity(4).map(lambda x: 2 * x) - r_matrix()
         assert inverse * r_matrix() == Matrix.identity(4)
