@@ -12,8 +12,8 @@ over the pencil A - t A^T modulo t^2 + t + 1, that is over the
 Eisenstein integers Z[w], in the banded order of `seifert.band_order`
 (a first pass modulo t - 1 refuses Delta(1) = 0), and reads them on the
 basis (a, ta, b, tb).
-`cover_homology_snf` takes the q-fold cover, for q up to `MAX_Q` and a
-presentation of side N q up to `MAX_COVER_SIDE`, from the monodromy
+`cover_homology_snf` takes the q-fold cover, for a presentation of
+side N q up to `MAX_COVER_SIDE`, from the monodromy
 h = A^-1 A^T: the block-circulant presentation of the cover reduces by
 unimodular block moves to h^q - I, whose Smith form it takes.  It
 builds h^q by q steps P -> h P, each O(N^2) from the closed form of h
@@ -21,7 +21,7 @@ builds h^q by q steps P -> h P, each O(N^2) from the closed form of h
 first, h itself, against A h = A^T.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
@@ -34,7 +34,6 @@ __all__ = [
     "CoverHomology",
     "LinkingForm",
     "MAX_COVER_SIDE",
-    "MAX_Q",
     "SymmetryAction",
     "cover_homology_snf",
     "linking_form",
@@ -50,19 +49,16 @@ BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
 # -- branched cover homology ----------------------------------------------------
 
 
-# The largest cover degree accepted.  The entries of h^q have O(q)
-# digits, so the q steps cost O(N^2 q^2) digit operations, and the Smith
-# form O(N^3) operations on such numbers, which set the cost:
-# cover_homology_snf(11, 1000) takes 1.7 s, 0.1 s of it in the powers
-# (Python 3.11, 2 cores).
-MAX_Q = 1000
-
 # The largest side N q of the cover's presentation accepted, N = 2(n-1)
-# the side of A; it admits q = MAX_Q at n = 11.  The cost grows about as
-# N^3 at fixed q, and faster than q at fixed N, the more so the larger N
-# (Python 3.11, 2 cores): (n, q) = (11, 1000) takes 1.7 s, (497, 3)
-# 20 s, (53, 100) 35 s and (53, 192) 131 s, so bounding n and q apiece
-# left (497, 1000) to run for hours.  The side does not bound the
+# the side of A; it admits q = 1000 at n = 11 and q = 10000 at n = 2.
+# The entries of h^q have O(q) digits, so the q steps cost O(N^2 q^2)
+# digit operations, and the Smith form O(N^3) operations on such
+# numbers.  The cost grows about as N^3 at fixed q, and faster than q
+# at fixed N, the more so the larger N (Python 3.11, 2 cores): at the
+# ceiling, (n, q) = (2, 10000) takes 0.1 s, (10, 1111) 1 s and
+# (11, 1000) 1.3-1.7 s, 0.1 s of it in the powers; (497, 3) takes 20 s,
+# (53, 100) 35 s and (53, 192) 131 s, so bounds on n and q apiece would
+# admit (497, 1000), which runs for hours.  The side does not bound the
 # entries of the Smith form: (101, 30) takes 4.8 s, but at (101, 99),
 # whose 99 powers take under a second, the Smith form ran past 25 min.
 MAX_COVER_SIDE = 20000
@@ -109,7 +105,7 @@ def _times(x, y):
 
 def cover_homology_snf(n, q):
     """Invariant factors of H_1 of the q-fold branched cover, for
-    1 <= q <= MAX_Q.
+    q >= 1 with N q <= MAX_COVER_SIDE.
 
     The cover is presented by t A - A^T with t the q-cyclic shift: a
     block-circulant matrix with -A^T on the diagonal and A on the cyclic
@@ -123,16 +119,13 @@ def cover_homology_snf(n, q):
     side of A, followed by that of h^q - I.  The first of the q steps
     of `seifert.apply_monodromy`, h itself, must satisfy A h = A^T.
 
-    Both bounds on q, the one on n (`seifert.check_n`) and the one on
-    N q are checked before anything is allocated; MAX_Q and
-    MAX_COVER_SIDE give the cost.  Then a link (3 | n) is refused.
+    The bound on n (`seifert.check_n`) and the one on N q, which
+    MAX_COVER_SIDE gives the cost of, are checked before anything is
+    allocated.  Then a link (3 | n) is refused.
     """
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise ValueError(
             f"the cover degree q must be an integer at least 1, got {q!r}")
-    if q > MAX_Q:
-        raise ValueError(
-            f"the cover degree q={q} is above the ceiling q <= {MAX_Q}")
     side = 2 * check_n(n) * q
     if side > MAX_COVER_SIDE:
         raise ValueError(
@@ -217,27 +210,28 @@ def _pairing_at_omega(a, at):
 @dataclass(frozen=True)
 class LinkingForm:
     """The Q/Z linking form on H_1 of the 3-fold branched cover, on the
-    basis (a, ta, b, tb); values are Fractions in [0, 1).
+    basis (a, ta, b, tb).
 
-    Every value lies in (1/n)Z/Z, so the form is carried by the integer
-    matrix `scaled` = n lambda mod n, derived here; a value with a
-    denominator not dividing n raises ValueError."""
+    Every value lies in (1/n)Z/Z, so the form is stored once, as the
+    integer matrix `scaled` = n lambda mod n, a 4 x 4 of ints in [0, n)
+    (ValueError otherwise); `matrix` gives the values as Fractions in
+    [0, 1)."""
     n: int
-    matrix: tuple
+    scaled: tuple
     template_sign: int  # +1/-1 when the closed form matched, else 0
-    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        for row in self.matrix:
-            for x in row:
-                if n % Fraction(x).denominator:
-                    raise ValueError(
-                        f"linking value {x} has a denominator not "
-                        f"dividing n={n}: H_1 of the 3-fold cover is not "
-                        f"(Z/n)^4 on the basis (a, ta, b, tb)")
-        object.__setattr__(self, "scaled", tuple(
-            tuple(int(x * n) % n for x in row) for row in self.matrix))
+        n, rows = self.n, self.scaled
+        if not (len(rows) == 4 and all(len(row) == 4 for row in rows) and all(
+                type(x) is int and 0 <= x < n for row in rows for x in row)):
+            raise ValueError(f"a linking form mod n={n} needs a 4 x 4 of "
+                             f"ints in [0, {n}), not {rows!r}")
+
+    @property
+    def matrix(self):
+        """The values lambda, Fractions in [0, 1)."""
+        return tuple(tuple(Fraction(x, self.n) for x in row)
+                     for row in self.scaled)
 
     def pair(self, u, v):
         """n times the pairing of integer coordinate vectors u, v: the
@@ -262,7 +256,9 @@ def linking_form(n):
     f = f0 + f1 t + f2 t^2 with f(1) = 0 and f(w) = x + y w has
     x = f0 - f2, y = f1 - f2, so f0 = (2x - y) / 3, and G(1) = 0.  So
     with w^(b-a) (w - 1) adj_vu conj(det) = x + y w over Z[w] (adj and
-    det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.
+    det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.  The
+    form keeps n times it, the quotient of n (2x - y) by 3 N(det) mod n;
+    a nonzero remainder, a denominator not dividing n, raises ValueError.
     """
     a, at = band_pencil(n)  # in band order, which ends with p
     _check_knot(n)
@@ -277,28 +273,27 @@ def linking_form(n):
     tm1 = _Eisenstein(-1, 1)
     c = [[tm1 * x for x in row] for row in adj]
     conj = det.conjugate()
-    for i in range(2):
-        for j in range(2):
-            if c[i][j].conjugate() * det - c[j][i] * conj:
-                raise ArithmeticError("pairing entries are not hermitian")
+    if any(c[i][j].conjugate() * det - c[j][i] * conj
+           for i in range(2) for j in range(2)):
+        raise ArithmeticError("pairing entries are not hermitian")
     den = 3 * det.norm()
 
-    def lam(u, v):
-        (ju, eu), (jv, ev) = u, v
+    def scaled(ju, eu, jv, ev):
         z = _W[(jv - ju) % 3] * c[ev][eu] * conj
-        return Fraction(2 * z.a - z.b, den) % 1
+        value, rem = divmod(n * (2 * z.a - z.b), den)
+        if rem:
+            raise ValueError(
+                f"linking value {Fraction(2 * z.a - z.b, den) % 1} has a "
+                f"denominator not dividing n={n}: H_1 of the 3-fold cover "
+                f"is not (Z/n)^4 on the basis (a, ta, b, tb)")
+        return value % n
 
-    mat = tuple(tuple(lam(u, v) for v in BASIS) for u in BASIS)
-    for i in range(4):
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise ArithmeticError("linking form must be symmetric")
+    mat = tuple(tuple(scaled(*u, *v) for v in BASIS) for u in BASIS)
+    if mat != tuple(zip(*mat)):
+        raise ArithmeticError("linking form must be symmetric")
     plus = linking_template(n)
-    sign = 0
-    if mat == plus:
-        sign = 1
-    elif mat == tuple(tuple((-x) % 1 for x in row) for row in plus):
-        sign = -1
+    minus = tuple(tuple(-x % n for x in row) for row in plus)
+    sign = 1 if mat == plus else -1 if mat == minus else 0
     form = LinkingForm(n, mat, sign)
     if not _transforms_to(form, t_matrix()):
         raise ArithmeticError(
@@ -307,13 +302,14 @@ def linking_form(n):
 
 
 def linking_template(n):
-    """Closed form of the 3-fold linking matrix, k = (n-1)/2."""
+    """Closed form of the 3-fold linking matrix, k = (n-1)/2, as the
+    integers n lambda mod n of `LinkingForm.scaled`."""
     k = (n - 1) // 2
     base = ((-1, -k, -k, k),
             (-k, -1, 0, -k),
             (-k, 0, 1, k),
             (k, -k, k, 1))
-    return tuple(tuple(Fraction(x, n) % 1 for x in row) for row in base)
+    return tuple(tuple(x % n for x in row) for row in base)
 
 
 def _transforms_to(form, g):

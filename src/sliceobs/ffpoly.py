@@ -61,7 +61,10 @@ _MR_BOUND = 3317044064679887385961981
 def is_prime(n):
     """Whether the integer n is prime, by deterministic Miller-Rabin to
     the bases `_MR_BASES`.  Exact for n < `_MR_BOUND` (about 3.3e24);
-    a larger n raises ValueError instead of answering."""
+    a larger n, or one that is not an int, raises ValueError instead of
+    answering."""
+    if not isinstance(n, int):
+        raise ValueError(f"primality is decided for integers only, not {n!r}")
     if n >= _MR_BOUND:
         raise ValueError(f"{n} is too large: primality is decided only "
                          f"below {_MR_BOUND}")
@@ -314,29 +317,27 @@ def _frobenius(f, s, mulmod):
 
     In characteristic s the map c -> c^s fixes Z/s and is additive, so
     h^s = sum h_i x^(i s): the map is linear, with rows x^(i s) mod f
-    for i < d.  The rows are built on the first call, x^s by `_x_power`
-    and then d - 2 products through `mulmod`, and kept packed at the
-    `_limb` bound of d terms; an image is then the big-integer sum of
-    h_i times row i, unpacked once.  This is the packed linear map that
-    `_reducer` applies to the high limbs of a product, with other rows.
-    So a step of the distinct-degree loop, or an image in a
-    Cantor-Zassenhaus norm, costs one sum of d scalar multiples instead
-    of the log2(s) squarings of h^s.
+    for i < d.  The rows are built here, x^s by `_x_power` and then
+    d - 2 products through `mulmod` (at d = 1 the one row is 1, and no
+    x^s is taken), and kept packed at the `_limb` bound of d terms; an
+    image is then the big-integer sum of h_i times row i, unpacked
+    once.  This is the packed linear map that `_reducer` applies to the
+    high limbs of a product, with other rows.  So a step of the
+    distinct-degree loop, or an image in a Cantor-Zassenhaus norm, costs
+    one sum of d scalar multiples instead of the log2(s) squarings of
+    h^s.
     """
     d = len(f) - 1
     limb = _limb(d, s)
-    rows = []
+    rows = [1]
+    if d > 1:
+        row = xs = _x_power(s, [-c % s for c in f[:-1]], mulmod, s)
+        rows.append(_pack(xs, limb))
+        for _ in range(d - 2):
+            row = mulmod(row, xs)
+            rows.append(_pack(row, limb))
 
     def frobenius(h):
-        if not rows:
-            rows.append(1)
-            if d > 1:
-                xd = [-c % s for c in f[:-1]]
-                row = xs = _x_power(s, xd, mulmod, s)
-                rows.append(_pack(xs, limb))
-                for _ in range(d - 2):
-                    row = mulmod(row, xs)
-                    rows.append(_pack(row, limb))
         return trim(_unpack(sum(map(operator.mul, h, rows)), limb, d, s))
 
     return frobenius
@@ -491,12 +492,11 @@ _SEED = 2026
 _SPLIT_TRIES = 64
 
 
-def _equal_degree_split(f, d, s, rng, frobenius, mulmod=None):
+def _equal_degree_split(f, d, s, rng, frobenius):
     """Cantor-Zassenhaus: split monic squarefree f whose irreducible
     factors all have degree d, given `frobenius`, the Frobenius map of a
-    multiple of f, and `mulmod`, the `_reducer` of f when the
-    caller holds one; ArithmeticError after _SPLIT_TRIES draws that do
-    not split it.
+    multiple of f; ArithmeticError after _SPLIT_TRIES draws that do not
+    split it.
 
     A draw u splits f by gcd(u^((s^d - 1)/2) - 1, f).  Since
     (s^d - 1)/2 = (1 + s + ... + s^(d-1)) (s - 1)/2, that power is
@@ -504,14 +504,13 @@ def _equal_degree_split(f, d, s, rng, frobenius, mulmod=None):
     N(u) = u u^s ... u^(s^(d-1)) mod f.  Its d - 1 images come from the
     map, each reduced mod f, and the remaining power has an exponent of
     log2(s) bits, not d log2(s).  The products and the power of every
-    draw go through one reducer for f, built here unless it was given.
+    draw go through one reducer for f, built here.
     The draws and the gcds are those of the direct power, so the
     factors are too.
     """
     if len(f) - 1 == d:
         return [f]
-    if mulmod is None:
-        mulmod = _reducer(f, s)
+    mulmod = _reducer(f, s)
     for _ in range(_SPLIT_TRIES):
         u = trim([rng.randrange(s) for _ in range(len(f) - 1)])
         if len(u) < 2:
@@ -554,14 +553,10 @@ def factor(a, s):
     found = {}
     if len(f) > 1:
         for sf, m in _squarefree_parts(f, s):
-            # the map's reducer also splits sf itself, when every
-            # irreducible factor of sf has one degree
             mulmod = _reducer(sf, s)
             frobenius = _frobenius(sf, s, mulmod)
             for prod, d in _distinct_degree(sf, s, frobenius, mulmod):
-                top = mulmod if len(prod) == len(sf) else None
-                for irr in _equal_degree_split(prod, d, s, rng, frobenius,
-                                               top):
+                for irr in _equal_degree_split(prod, d, s, rng, frobenius):
                     key = tuple(irr)
                     found[key] = found.get(key, 0) + m
     factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))

@@ -220,7 +220,9 @@ def det_band(x, y, modulus=None):
 def det_gf(rows, s, points=None):
     """Determinant of an integer matrix modulo the prime s, by Gaussian
     elimination.  Takes the rows (a Matrix iterates over its rows);
-    returns an int in [0, s).
+    returns an int in [0, s).  An s that is not an int >= 2 raises
+    ValueError; that s is prime is the caller's to ensure, as no
+    primality test runs here (`twisted` checks its s once).
 
     With `points`, the rows hold that many k-square matrices side by
     side, entry (i, j) of matrix p at rows[i][j * points + p], and the
@@ -231,6 +233,8 @@ def det_gf(rows, s, points=None):
     whose zero inverse leaves its rows as they are, and its determinant
     is 0.  The one-matrix call is the case of one point.
     """
+    if not isinstance(s, int) or s < 2:
+        raise ValueError(f"det_gf needs an int modulus s >= 2, not s={s!r}")
     npts = 1 if points is None else points
     a = [[x % s for x in r] for r in rows]
     k = len(a)

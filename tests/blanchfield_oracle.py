@@ -191,13 +191,14 @@ def laurent_linking_form(n):
                 raise ValueError(
                     f"linking value {x} has a denominator not dividing "
                     f"n={n}")
+    scaled = tuple(tuple(int(x * n) for x in row) for row in mat)
     plus = linking_template(n)
     sign = 0
-    if mat == plus:
+    if scaled == plus:
         sign = 1
-    elif mat == tuple(tuple((-x) % 1 for x in row) for row in plus):
+    elif scaled == tuple(tuple(-x % n for x in row) for row in plus):
         sign = -1
-    return LinkingForm(n, mat, sign)
+    return LinkingForm(n, scaled, sign)
 
 
 def block_circulant_homology(n, q):

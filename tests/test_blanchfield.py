@@ -33,7 +33,6 @@ from sliceobs.blanchfield import (
     BASIS,
     LinkingForm,
     MAX_COVER_SIDE,
-    MAX_Q,
     _Eisenstein,
     _pairing_at_omega,
     cover_homology_snf,
@@ -178,6 +177,19 @@ def refuses_the_link(n):
             cover_homology_snf(n, q)
 
 
+def refused_before_allocation(n, q):
+    """The q-fold cover for n is refused by the side ceiling, with under
+    64 KiB allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"N q <= {MAX_COVER_SIDE}"):
+            cover_homology_snf(n, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
 class TestCoverHomology:
     def test_figure_eight_double_cover(self):
         h = cover_homology_snf(2, 2)
@@ -241,35 +253,38 @@ class TestCoverHomology:
         with pytest.raises(ValueError, match="at least 1"):
             cover_homology_snf(11, q)
 
-    @pytest.mark.parametrize("q", [MAX_Q + 1, 10 ** 9])
+    @pytest.mark.parametrize("q", [1001, 10 ** 9])
     def test_cover_degree_ceiling(self, q):
-        # refused before anything is allocated
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"q <= {MAX_Q}"):
-                cover_homology_snf(11, q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 16
+        # at n = 11, N = 20, the side ceiling admits q <= 1000; a larger
+        # q is refused before anything is allocated
+        refused_before_allocation(11, q)
 
     def test_cover_degree_at_the_ceiling(self):
-        assert cover_homology_snf(2, MAX_Q).order > 1
+        # at n = 4, N = 6, the largest q the side ceiling admits is 3333
+        q = MAX_COVER_SIDE // 6
+        assert q == 3333
+        assert cover_homology_snf(4, q).order > 1
+        refused_before_allocation(4, q + 1)
 
     @pytest.mark.parametrize("n, q", [(497, 1000), (497, 21), (101, 101),
-                                      (53, 193), (12, MAX_Q)])
+                                      (53, 193), (12, 1000), (2, 10001),
+                                      (11, 1001)])
     def test_cover_side_ceiling(self, n, q):
-        # each bound alone passes these, and (497, 1000) would run for
-        # hours; the side N q of the cover is refused before allocation,
-        # while (11, MAX_Q) and every n <= 41 with q <= 7 stay inside
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"N q <= {MAX_COVER_SIDE}"):
-                cover_homology_snf(n, q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 16
+        # n <= MAX_N and q alone pass these, and (497, 1000) would run
+        # for hours; the side N q of the cover is refused before
+        # allocation, while (11, 1000), (2, 10000) and every n <= 41
+        # with q <= 7 stay inside
+        refused_before_allocation(n, q)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 1000, 1001, 10000])
+    def test_figure_eight_cover_orders_are_lucas_numbers(self, q):
+        # n = 2 is the figure-eight knot, whose q-fold branched cover
+        # has order L_2q - 2, L the Lucas numbers 2, 1, 3, 4, 7, ...;
+        # q = 10000 is the side ceiling at N = 2
+        lucas = [2, 1]
+        while len(lucas) <= 2 * q:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert cover_homology_snf(2, q).order == lucas[2 * q] - 2
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_closed_form_inverse(self, n):
@@ -320,10 +335,10 @@ class TestLinkingForm:
         assert form.template_sign in (1, -1)
         plus = linking_template(n)
         if form.template_sign == 1:
-            assert form.matrix == plus
+            assert form.scaled == plus
         else:
-            assert form.matrix == tuple(
-                tuple((-x) % 1 for x in row) for row in plus)
+            assert form.scaled == tuple(
+                tuple(-x % n for x in row) for row in plus)
 
     def test_template_closed_form(self):
         n, k = 11, 5
@@ -334,7 +349,7 @@ class TestLinkingForm:
                 (k, -k, k, 1))
         for i in range(4):
             for j in range(4):
-                assert tpl[i][j] == Fraction(base[i][j], n) % 1
+                assert tpl[i][j] == base[i][j] % n
 
     def test_self_linking_of_second_generator(self):
         for n in (5, 7, 11):
@@ -362,11 +377,20 @@ class TestLinkingForm:
     def test_value_matches_fraction_sum(self, u, v):
         assert _FORM7.value(u, v) == fraction_value(_FORM7, u, v)
 
-    def test_rejects_value_outside_one_over_n(self):
-        mat = [[Fraction(0)] * 4 for _ in range(4)]
-        mat[2][2] = Fraction(1, 3)
-        with pytest.raises(ValueError, match="not dividing n=5"):
+    @pytest.mark.parametrize("entry", [Fraction(1, 3), 5, -1, 2.0, True],
+                             ids=["fraction", "n", "negative", "float",
+                                  "bool"])
+    def test_rejects_an_entry_that_is_no_residue_mod_n(self, entry):
+        mat = [[0] * 4 for _ in range(4)]
+        mat[2][2] = entry
+        with pytest.raises(ValueError, match="4 x 4 of ints in"):
             LinkingForm(5, tuple(map(tuple, mat)), 0)
+
+    @pytest.mark.parametrize("rows", [((0,) * 4,) * 3, ((0,) * 3,) * 4],
+                             ids=["three rows", "three columns"])
+    def test_rejects_a_matrix_that_is_not_four_by_four(self, rows):
+        with pytest.raises(ValueError, match="4 x 4 of ints in"):
+            LinkingForm(5, rows, 0)
 
     def test_value_is_symmetric_and_bilinear(self):
         form = linking_form(5)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffpoly_oracle
+import sliceobs
 from fresh_python import run_python
 from sliceobs import ffpoly
 from sliceobs.ffpoly import (FactorizationResult, degree_sequence,
@@ -48,6 +49,28 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
             is_prime(n)
     else:
         assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [7.0, 7919.0, "7", Fraction(7)],
+                         ids=["7.0", "7919.0", "str", "Fraction"])
+def test_is_prime_refuses_a_non_int(n):
+    # a float equal to a prime is no int: 7.0 would pass the trial
+    # division by 7, and 7919.0 would reach pow
+    with pytest.raises(ValueError,
+                       match=re.escape(f"integers only, not {n!r}")):
+        is_prime(n)
+
+
+def test_is_prime_takes_a_bool_as_an_int():
+    assert not is_prime(True) and not is_prime(False)
+
+
+@pytest.mark.parametrize("call", [factor, is_irreducible,
+                                  sliceobs.is_irreducible])
+def test_a_float_modulus_is_refused_by_name(call):
+    # the modulus reaches is_prime, which names what it refuses
+    with pytest.raises(ValueError, match="not 7.0"):
+        call([1, 0, 1], 7.0)
 
 
 def test_is_prime_on_a_twenty_digit_witness():
@@ -352,8 +375,8 @@ def test_one_barrett_reducer_per_modulus_however_many_draws(monkeypatch):
     # (t^2 + 1)(t^2 + 4)(t + 3) mod 1000003: the map of the quintic and
     # the split of the two quadratics each build one reducer and take
     # every power through it, the x^s and those of all the draws.
-    # Without t + 3 the quartic is the map's modulus as well, and its
-    # split takes the map's reducer: one build
+    # Without t + 3 the quartic is the map's modulus as well as the
+    # split's, and each builds its own: two builds
     s = 1000003
     quartic = mul([1, 0, 1], [4, 0, 1], s)
     quintic = mul(quartic, [3, 1], s)
@@ -378,7 +401,7 @@ def test_one_barrett_reducer_per_modulus_however_many_draws(monkeypatch):
     draws.clear()
     assert degree_sequence(factor(quartic, s)) == [2, 2]
     assert len(draws) >= 1
-    assert builds == [tuple(quartic)]
+    assert builds == [tuple(quartic), tuple(quartic)]
 
 
 ORACLE_PRIMES = (3, 5, 23, 1000003, 2 ** 31 - 1)

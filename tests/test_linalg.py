@@ -5,6 +5,7 @@ Bareiss elimination of `tests/bareiss_oracle.py`, an oracle for it and
 for the Laurent determinants, is checked here too."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -236,6 +237,15 @@ def test_det_gf_needs_square():
         det_gf([[1, 2, 3], [4, 5, 6]], 7)
     with pytest.raises(ValueError):
         det_gf([[1, 2, 3, 4], [5, 6, 7]], 7, 2)
+
+
+@pytest.mark.parametrize("s", [0, 1, -7, 7.0, None],
+                         ids=["0", "1", "-7", "7.0", "None"])
+def test_det_gf_refuses_a_modulus_that_is_no_int_above_one(s):
+    # 0 would divide by zero, -7 would give a value outside [0, s),
+    # and 7.0 would reach pow
+    with pytest.raises(ValueError, match=re.escape(f"not s={s!r}")):
+        det_gf([[1, 2], [3, 4]], s)
 
 
 def test_det_bareiss_needs_square():

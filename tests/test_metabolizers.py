@@ -274,6 +274,15 @@ class TestMetabolizers:
             with pytest.raises(ValueError, match="needs a prime n, not n=35"):
                 build()
 
+    def test_rejects_a_float_n(self):
+        # 11.0 equals a prime = 5 mod 6, but a line on its float rows is
+    # no line over Z/n
+        for build in (lambda: metabolizers.check_class(11.0),
+                      lambda: line_submodule(11.0, 1, 1)):
+            with pytest.raises(ValueError,
+                               match="integers only, not 11.0"):
+                build()
+
 
 _FORMS = {n: linking_form(n) for n in (5, 11)}
 
@@ -376,12 +385,10 @@ def conic_zeros(n):
 def with_scaled(form, change):
     """A copy of the form whose integer matrix n lambda has the entries
     of `change`, a map (i, j) -> value."""
-    bad = dataclasses.replace(form)
     scaled = [list(r) for r in form.scaled]
     for (i, j), x in change.items():
         scaled[i][j] = x
-    object.__setattr__(bad, "scaled", tuple(map(tuple, scaled)))
-    return bad
+    return dataclasses.replace(form, scaled=tuple(map(tuple, scaled)))
 
 
 class TestConic:
