@@ -1,15 +1,16 @@
 """The untwisted Alexander polynomial of the family is a perfect square.
 
-Builds the genus n-1 Seifert matrix from the band intersection data and
-checks det(tA - A^T) = p_n(t)^2 for a range of n, printing p_n itself.
+Writes the genus n-1 Seifert matrix as band rows from the band
+intersection data and checks det(tA - A^T) = p_n(t)^2 for a range of n,
+printing p_n itself.
 """
 
-from sliceobs.seifert import alexander_polynomial, p_n, seifert_matrix
+from sliceobs.seifert import alexander_polynomial, band_pencil, p_n
 
 
 def main():
     for n in (5, 7, 11, 17, 23):
-        side = seifert_matrix(n).nrows
+        side = len(band_pencil(n)[0])
         alex = alexander_polynomial(n).aligned()
         root = p_n(n)
         sq = (root * root).aligned()

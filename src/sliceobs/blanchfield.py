@@ -18,7 +18,9 @@ h = A^-1 A^T: the block-circulant presentation of the cover reduces by
 unimodular block moves to h^q - I, whose Smith form it takes.  It
 builds h^q by q steps P -> h P, each O(N^2) from the closed form of h
 (`seifert.apply_monodromy`), never as a dense product, and checks the
-first, h itself, against A h = A^T.
+first, h itself, against A h = A^T on the band rows of A and A^T that
+the linking form reads (`seifert.band_pencil`), so both rest on one
+description of the Seifert matrix.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from operator import mul
 
 from .braids import family_braid
 from .linalg import Matrix, det_band, smith_normal_form
-from .seifert import apply_monodromy, band_pencil, check_n, seifert_matrix
+from .seifert import apply_monodromy, band_order, band_pencil, check_n
 
 __all__ = [
     "CoverHomology",
@@ -89,20 +91,6 @@ def _check_knot(n):
                          f"not a knot")
 
 
-def _times(x, y):
-    """The product X Y of two integer matrices, X given by the list of
-    (column, entry) pairs of the nonzeros of each row and Y by its rows:
-    one row of Y added per nonzero of X."""
-    width = len(y[0])
-    out = []
-    for row in x:
-        acc = [0] * width
-        for k, c in row:
-            acc = [u + c * v for u, v in zip(acc, y[k])]
-        out.append(acc)
-    return out
-
-
 def cover_homology_snf(n, q):
     """Invariant factors of H_1 of the q-fold branched cover, for
     q >= 1 with N q <= MAX_COVER_SIDE.
@@ -117,7 +105,12 @@ def cover_homology_snf(n, q):
     corner of the first block row, whose other blocks the identity
     blocks below then clear.  So the Smith form is (q-1) N ones, N the
     side of A, followed by that of h^q - I.  The first of the q steps
-    of `seifert.apply_monodromy`, h itself, must satisfy A h = A^T.
+    of `seifert.apply_monodromy`, h itself, must satisfy A h = A^T,
+    checked row by row on the band rows of A and A^T of
+    `seifert.band_pencil`: band row p of A holds the entries of row
+    order[p] at the columns order[p - 2 .. p + 2], order that of
+    `seifert.band_order`, so row order[p] of A h adds up at most 4 rows
+    of h.
 
     The bound on n (`seifert.check_n`) and the one on N q, which
     MAX_COVER_SIDE gives the cost of, are checked before anything is
@@ -132,14 +125,20 @@ def cover_homology_snf(n, q):
             f"the {q}-fold cover for n={n} is presented on N q = {side} "
             f"generators, above the ceiling N q <= {MAX_COVER_SIDE}")
     _check_knot(n)
-    a = seifert_matrix(n).rows
+    a, at = band_pencil(n)
+    order = band_order(n)
     size = len(a)
     power = apply_monodromy(
         n, [[int(i == j) for j in range(size)] for i in range(size)])
-    # A has at most 4 nonzeros in a row
-    nonzeros = [[(k, c) for k, c in enumerate(row) if c] for row in a]
-    if _times(nonzeros, power) != [list(col) for col in zip(*a)]:
-        raise ArithmeticError("A times the monodromy h is not A^T")
+    for p, (row, want_row) in enumerate(zip(a, at)):
+        got, want = [0] * size, [0] * size
+        for k in range(max(0, 2 - p), min(5, size + 2 - p)):
+            j = order[p - 2 + k]
+            want[j] = want_row[k]
+            if row[k]:
+                got = [u + row[k] * v for u, v in zip(got, power[j])]
+        if got != want:
+            raise ArithmeticError("A times the monodromy h is not A^T")
     for _ in range(q - 1):
         power = apply_monodromy(n, power)
     for i in range(size):
@@ -214,11 +213,11 @@ class LinkingForm:
 
     Every value lies in (1/n)Z/Z, so the form is stored once, as the
     integer matrix `scaled` = n lambda mod n, a 4 x 4 of ints in [0, n)
-    (ValueError otherwise); `matrix` gives the values as Fractions in
-    [0, 1)."""
+    (ValueError otherwise), kept as tuple rows; `matrix` gives the values
+    as Fractions in [0, 1), and `template_sign` compares it with the
+    closed form."""
     n: int
     scaled: tuple
-    template_sign: int  # +1/-1 when the closed form matched, else 0
 
     def __post_init__(self):
         n, rows = self.n, self.scaled
@@ -226,6 +225,15 @@ class LinkingForm:
                 type(x) is int and 0 <= x < n for row in rows for x in row)):
             raise ValueError(f"a linking form mod n={n} needs a 4 x 4 of "
                              f"ints in [0, {n}), not {rows!r}")
+        object.__setattr__(self, "scaled", tuple(map(tuple, rows)))
+
+    @property
+    def template_sign(self):
+        """+1 or -1 when `scaled` is `linking_template(n)` or its
+        negative mod n, else 0."""
+        plus = linking_template(self.n)
+        minus = tuple(tuple(-x % self.n for x in row) for row in plus)
+        return {minus: -1, plus: 1}.get(self.scaled, 0)
 
     @property
     def matrix(self):
@@ -291,10 +299,7 @@ def linking_form(n):
     mat = tuple(tuple(scaled(*u, *v) for v in BASIS) for u in BASIS)
     if mat != tuple(zip(*mat)):
         raise ArithmeticError("linking form must be symmetric")
-    plus = linking_template(n)
-    minus = tuple(tuple(-x % n for x in row) for row in plus)
-    sign = 1 if mat == plus else -1 if mat == minus else 0
-    form = LinkingForm(n, mat, sign)
+    form = LinkingForm(n, mat)
     if not _transforms_to(form, t_matrix()):
         raise ArithmeticError(
             "deck transformation must preserve the linking form")

@@ -20,22 +20,22 @@ nonzero of the pencil A - t A^T lies within distance 2 of the diagonal
 (`band_pencil`), so `linalg.det_band` takes its determinant, and the
 minors the linking form needs, in one pass of at most 12 moves per
 row.  `band_pencil` writes those band rows, 5 entries each, straight
-from the closed form of A; it does not start from `band_matrix`.
+from the closed form of A, and is the only place A is written down: A
+is never formed as a dense table.
 
-Every N-square table here and downstream (cover homology,
-`report.obstruct`) starts from `band_matrix` or `apply_monodromy`, and
-the band rows of the linking form and of the Alexander polynomial from
-`band_pencil`.  All three begin with the one size check `check_n`
+The band rows feed the linking form and the Alexander polynomial, and
+the cover homology's check A h = A^T (`blanchfield.cover_homology_snf`)
+on the first power of `apply_monodromy`.  `apply_monodromy`,
+`band_order` and `band_pencil` begin with the one size check `check_n`
 against `MAX_N`, so it fires before anything is allocated;
 `report.obstruct` runs it before it builds the presentation.
 """
 
 from .laurent import LaurentPolynomial
-from .linalg import Matrix, det_band
+from .linalg import det_band
 
-__all__ = ["MAX_N", "check_n", "band_matrix",
-           "seifert_matrix", "apply_monodromy", "band_order", "band_pencil",
-           "alexander_polynomial", "p_n"]
+__all__ = ["MAX_N", "check_n", "apply_monodromy", "band_order",
+           "band_pencil", "alexander_polynomial", "p_n"]
 
 # The largest family index accepted, so that no input asks for more
 # than a few dense tables of side N = 2(n-1) <= 998, 1e6 entries each
@@ -49,8 +49,8 @@ MAX_N = 500
 
 
 def check_n(n):
-    """n - 1, the genus and the side of B, once n is an int in
-    2 .. MAX_N; ValueError otherwise."""
+    """n - 1, the genus of the Seifert surface and half the side of A,
+    once n is an int in 2 .. MAX_N; ValueError otherwise."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need an integer n >= 2, not {n!r}")
     if n > MAX_N:
@@ -60,27 +60,9 @@ def check_n(n):
     return n - 1
 
 
-def band_matrix(n):
-    """The (n-1)-square matrix with 1 on the diagonal, -1 above it."""
-    m = check_n(n)
-    return Matrix(tuple(
-        tuple(1 if i == j else (-1 if j == i + 1 else 0) for j in range(m))
-        for i in range(m)))
-
-
-def seifert_matrix(n):
-    """The Seifert matrix A = [[-B^T, 0], [B, B]] of the n-th closure, on
-    its genus n-1 surface, for B = `band_matrix(n)`, row by row: the top
-    rows are the columns of B negated, then n - 1 zeros."""
-    b = band_matrix(n).rows
-    zeros = [0] * (n - 1)
-    return Matrix([[-x for x in col] + zeros for col in zip(*b)]
-                  + [row + row for row in b])
-
-
 def apply_monodromy(n, x):
     """h X, as new lists, for the monodromy h = A^-1 A^T of the Seifert
-    matrix A of `seifert_matrix(n)` and X its 2(n-1) rows (lists of
+    matrix A = [[-B^T, 0], [B, B]] and X its 2(n-1) rows (lists of
     ints, all of one length).
 
     With m = n - 1, X split into its top rows X_t[0 .. m-1] and bottom
@@ -107,7 +89,7 @@ def band_order(n):
     Seifert matrix: in it every nonzero of xA - A^T lies within distance
     2 of the diagonal, and it ends with the generator rows
     (n-2, 2n-3)."""
-    m = n - 1
+    m = check_n(n)
     return [i + half for i in range(m) for half in (0, m)]
 
 

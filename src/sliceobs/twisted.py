@@ -308,6 +308,11 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     m = pres.num_generators - 1
     if len(pres.relators) != pres.num_generators:
         raise ValueError("presentation must have one relator per generator")
+    if len(rep.exponents) != pres.num_generators:
+        raise ValueError(
+            f"the representation has exponent triples for "
+            f"{len(rep.exponents)} generators, the presentation "
+            f"{pres.num_generators}")
     if not (1 <= drop_relator <= m + 1 and 1 <= drop_generator <= m + 1):
         raise ValueError("dropped relator and generator must exist")
     if s - 1 < m + 1:

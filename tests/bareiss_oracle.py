@@ -12,8 +12,9 @@ integer points and interpolate, and share no code with it.
 from itertools import count, islice
 from math import lcm
 
+from seifert_oracle import seifert_matrix
 from sliceobs.laurent import LaurentPolynomial
-from sliceobs.seifert import band_order, seifert_matrix
+from sliceobs.seifert import band_order
 
 
 def _bareiss(a, steps, width, ends):

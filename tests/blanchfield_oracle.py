@@ -26,11 +26,10 @@ from fractions import Fraction
 
 from bareiss_oracle import _band, _bareiss, _newton_interpolate, det_bareiss
 from laurent_oracle import eval_points
-from sliceobs.blanchfield import (BASIS, CoverHomology, LinkingForm,
-                                  linking_template)
+from seifert_oracle import seifert_matrix
+from sliceobs.blanchfield import BASIS, CoverHomology, LinkingForm
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix, smith_normal_form
-from sliceobs.seifert import seifert_matrix
 
 
 @dataclass(frozen=True)
@@ -191,14 +190,8 @@ def laurent_linking_form(n):
                 raise ValueError(
                     f"linking value {x} has a denominator not dividing "
                     f"n={n}")
-    scaled = tuple(tuple(int(x * n) for x in row) for row in mat)
-    plus = linking_template(n)
-    sign = 0
-    if scaled == plus:
-        sign = 1
-    elif scaled == tuple(tuple(-x % n for x in row) for row in plus):
-        sign = -1
-    return LinkingForm(n, scaled, sign)
+    return LinkingForm(n, tuple(tuple(int(x * n) for x in row)
+                                for row in mat))
 
 
 def block_circulant_homology(n, q):

@@ -7,6 +7,7 @@ over Z[w] (`_pairing_at_omega`).  The block-circulant cover presentation
 there, and the monodromy from the dense A^-1 there, check the program's
 cover homology."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from blanchfield_oracle import (
 )
 from laurent_oracle import band_rows, det_laurent, minor
 from metabolizer_oracle import fraction_value
+from seifert_oracle import seifert_matrix
 from sliceobs import blanchfield
 from sliceobs.blanchfield import (
     BASIS,
@@ -45,7 +47,7 @@ from sliceobs.blanchfield import (
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix
 from sliceobs.seifert import (alexander_polynomial, apply_monodromy,
-                              band_order, band_pencil, seifert_matrix)
+                              band_order, band_pencil)
 
 
 def five_determinant_cofactors(a, pos):
@@ -316,6 +318,24 @@ class TestCoverHomology:
         with pytest.raises(ArithmeticError, match="is not A\\^T"):
             cover_homology_snf(5, 3)
 
+    @pytest.mark.parametrize("p, k", [(0, 2), (3, 3), (6, 1), (7, 0)])
+    def test_wrong_band_row_is_caught(self, p, k, monkeypatch):
+        # the check reads A off the band rows the linking form reads, so
+        # a band row of A one entry off fails it before any Smith step
+        def perturbed(n):
+            a, at = band_pencil(n)
+            row = list(a[p])
+            row[k] += 1
+            return a[:p] + [tuple(row)] + a[p + 1:], at
+
+        def no_smith(rows):
+            raise AssertionError("reached the Smith form")
+
+        monkeypatch.setattr(blanchfield, "band_pencil", perturbed)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match="is not A\\^T"):
+            cover_homology_snf(5, 3)
+
     @pytest.mark.parametrize("n", range(2, 12))
     def test_band_order_puts_every_nonzero_near_the_diagonal(self, n):
         a = seifert_matrix(n)
@@ -384,13 +404,38 @@ class TestLinkingForm:
         mat = [[0] * 4 for _ in range(4)]
         mat[2][2] = entry
         with pytest.raises(ValueError, match="4 x 4 of ints in"):
-            LinkingForm(5, tuple(map(tuple, mat)), 0)
+            LinkingForm(5, tuple(map(tuple, mat)))
 
     @pytest.mark.parametrize("rows", [((0,) * 4,) * 3, ((0,) * 3,) * 4],
                              ids=["three rows", "three columns"])
     def test_rejects_a_matrix_that_is_not_four_by_four(self, rows):
         with pytest.raises(ValueError, match="4 x 4 of ints in"):
-            LinkingForm(5, rows, 0)
+            LinkingForm(5, rows)
+
+    @pytest.mark.parametrize("n", [5, 11, 17])
+    def test_template_sign_is_read_off_scaled(self, n):
+        # the sign has no field of its own, so it cannot disagree with
+        # the form: it flips for the negated form, is 0 off the template,
+        # and a copy with a new matrix gets the new matrix's sign
+        plus = linking_template(n)
+        minus = tuple(tuple(-x % n for x in row) for row in plus)
+        assert LinkingForm(n, plus).template_sign == 1
+        assert LinkingForm(n, minus).template_sign == -1
+        off = (((plus[0][0] + 1) % n, *plus[0][1:]), *plus[1:])
+        assert LinkingForm(n, off).template_sign == 0
+        form = linking_form(n)
+        flipped = dataclasses.replace(
+            form, scaled=minus if form.scaled == plus else plus)
+        assert flipped.template_sign == -form.template_sign
+        with pytest.raises(TypeError):
+            LinkingForm(n, plus, -1)
+
+    def test_list_rows_are_kept_as_tuple_rows(self):
+        plus = linking_template(11)
+        form = LinkingForm(11, [list(row) for row in plus])
+        assert form.scaled == plus
+        assert form == LinkingForm(11, plus)
+        assert form.template_sign == 1
 
     def test_value_is_symmetric_and_bilinear(self):
         form = linking_form(5)
@@ -438,9 +483,7 @@ class TestLinkingForm:
             with pytest.raises(type(exc)):
                 linking_form(n)
             return
-        got = linking_form(n)
-        assert (got.matrix, got.template_sign) == \
-            (want.matrix, want.template_sign)
+        assert linking_form(n) == want
 
 
 eisenstein = st.builds(_Eisenstein, st.integers(-10 ** 6, 10 ** 6),

@@ -16,10 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 from bareiss_oracle import _band, _bareiss, _newton_interpolate, det_bareiss
 from laurent_oracle import (band_rows, dense_rows, det_cofactor,
                             det_laurent, evaluate, minor)
+from seifert_oracle import seifert_matrix
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import (Matrix, det_band, det_gf, involution,
                              smith_normal_form)
-from sliceobs.seifert import alexander_polynomial, seifert_matrix
+from sliceobs.seifert import alexander_polynomial
 
 
 def t(e=1, c=1):

@@ -168,7 +168,8 @@ def test_distribution_is_named_and_versioned_by_the_package():
 # traced names whose functions have left the package; each reads 0 in the
 # benchmark until BENCHMARK.json drops it
 STALE_TRACED = {"linalg.det_laurent", "blanchfield.blanchfield_entries",
-                "twisted.fox_matrix", "linalg.det_bareiss"}
+                "twisted.fox_matrix", "linalg.det_bareiss",
+                "seifert.seifert_matrix"}
 
 
 def test_benchmark_traces_functions_that_exist():

@@ -293,6 +293,22 @@ class TestBadInput:
             twisted_polynomial(PRES5, PLUS5, 11, 4, drop_relator=dr,
                                drop_generator=dg)
 
+    @pytest.mark.parametrize("pres_n, rep_n, s, theta", [
+        (5, 11, 23, 2), (11, 5, 11, 4)], ids=["fewer arcs", "more arcs"])
+    def test_representation_of_another_presentation(self, pres_n, rep_n, s,
+                                                    theta):
+        # a representation carries one exponent triple per generator of
+        # the presentation it was built on; on another presentation it
+        # is refused by both counts before any point is evaluated, and
+        # not by the field size or with a determinant of the wrong knot
+        rep_pres = family_presentation(rep_n)
+        rep = TwistedRep.build(rep_pres, base_characters(rep_n)[0], s, theta)
+        pres = family_presentation(pres_n)
+        with pytest.raises(ValueError, match=(
+                f"exponent triples for {rep_pres.num_generators} "
+                f"generators, the presentation {pres.num_generators}$")):
+            twisted_determinant(pres, rep)
+
     def test_presentation_must_be_square(self):
         pres = WirtingerPresentation(4, ((1, 2, 3), (2, 3, 4), (3, 4, 1)))
         rep = TwistedRep(5, 11, 4, ((0, 0, 0),) * 4)
