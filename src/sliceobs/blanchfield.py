@@ -13,24 +13,33 @@ Eisenstein integers Z[w], in the banded order of `seifert.band_order`
 (a first pass modulo t - 1 refuses Delta(1) = 0), and reads them on the
 basis (a, ta, b, tb).
 `cover_homology_snf` takes the q-fold cover, for a presentation of
-side N q up to `MAX_COVER_SIDE`, from the monodromy
-h = A^-1 A^T: the block-circulant presentation of the cover reduces by
-unimodular block moves to h^q - I, whose Smith form it takes.  It
-builds h^q by q steps P -> h P, each O(N^2) from the closed form of h
-(`seifert.apply_monodromy`), never as a dense product, and checks the
-first, h itself, against A h = A^T on the band rows of A and A^T that
-the linking form reads (`seifert.band_pencil`), so both rest on one
-description of the Seifert matrix.
+side N q up to `MAX_COVER_SIDE`, as the cokernel of t^q - 1 on Z^N
+with t acting by the monodromy h = A^-1 A^T, to which the
+block-circulant presentation of the cover reduces by unimodular block
+moves.  The parity of n picks one of two routes.  For odd n the
+Alexander module is (Z[t]/p_n)^2, generated by e_0 and e_1 (Rolfsen,
+*Knots and Links*, ch. 8), so the cover is two copies of
+Z[t]/(p_n, t^q - 1), an (n-1)-square Smith form; a certificate of that
+module, taken once per n and cached, checks p_n(h) e_0 = p_n(h) e_1 = 0
+and that e_0, e_1 generate.  For even n, whose Alexander polynomial is
+no square, it takes the Smith form of the N-square h^q - I, building
+h^q by q steps P -> h P.  Both apply h only through its closed form
+(`seifert.apply_monodromy`, O(N) per column, never a dense product),
+and check the first step, h itself, against A h = A^T on the band rows
+of A and A^T that the linking form reads (`seifert.band_pencil`), so
+both rest on one description of the Seifert matrix.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 from operator import mul
 
 from .braids import family_braid
 from .linalg import Matrix, det_band, smith_normal_form
-from .seifert import apply_monodromy, band_order, band_pencil, check_n
+from .seifert import (apply_monodromy, band_order, band_pencil, check_n,
+                      p_n)
 
 __all__ = [
     "CoverHomology",
@@ -53,16 +62,18 @@ BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 # The largest side N q of the cover's presentation accepted, N = 2(n-1)
 # the side of A; it admits q = 1000 at n = 11 and q = 10000 at n = 2.
-# The entries of h^q have O(q) digits, so the q steps cost O(N^2 q^2)
-# digit operations, and the Smith form O(N^3) operations on such
-# numbers.  The cost grows about as N^3 at fixed q, and faster than q
-# at fixed N, the more so the larger N (Python 3.11, 2 cores): at the
-# ceiling, (n, q) = (2, 10000) takes 0.1 s, (10, 1111) 1 s and
-# (11, 1000) 1.3-1.7 s, 0.1 s of it in the powers; (497, 3) takes 20 s,
-# (53, 100) 35 s and (53, 192) 131 s, so bounds on n and q apiece would
-# admit (497, 1000), which runs for hours.  The side does not bound the
-# entries of the Smith form: (101, 30) takes 4.8 s, but at (101, 99),
-# whose 99 powers take under a second, the Smith form ran past 25 min.
+# For even n, the entries of h^q have O(q) digits, so the q steps cost
+# O(N^2 q^2) digit operations, and the Smith form of h^q - I O(N^3)
+# operations on such numbers; the side does not bound the entries of
+# that Smith form.  Odd n pay a certificate of O(N^2) once per n, then
+# an (n-1)-square Smith form of t^j (t^q - 1) mod p_n, whose entries
+# have O(q) digits too.  Measured in process, each n cold (Python 3.11,
+# 2 cores): for odd n, (11, 1000) takes 0.06 s, (5, 2500) 0.02 s,
+# (101, 30) 0.2 s, (53, 192) 2.4 s, (497, 3) 1.1 s, 1 s of it the
+# certificate, and (101, 99) 28 s, where h^99 - I ran past 25 min; for
+# even n, (2, 10000) takes 0.1 s, (10, 1111) 0.8 s, (100, 29) 1.5 s and
+# (500, 3) 16 s.  So bounds on n and q apiece would admit (500, 1000),
+# whose N-square Smith form would run for hours.
 MAX_COVER_SIDE = 20000
 
 
@@ -91,6 +102,135 @@ def _check_knot(n):
                          f"not a knot")
 
 
+def _checked_monodromy(n):
+    """The monodromy h = A^-1 A^T as rows, the first step of
+    `seifert.apply_monodromy` from I, once it satisfies A h = A^T row by
+    row on the band rows of A and A^T of `seifert.band_pencil`, and
+    det A = +-1 by one pass of `linalg.det_band` modulo t;
+    ArithmeticError otherwise.  So A and h are unimodular, as the block
+    moves of `cover_homology_snf` need.  Band row p of A holds the
+    entries of row order[p] at the columns order[p - 2 .. p + 2], order
+    that of `seifert.band_order`, so row order[p] of A h adds up at most
+    4 rows of h."""
+    a, at = band_pencil(n)
+    order = band_order(n)
+    size = len(a)
+    h = apply_monodromy(
+        n, [[int(i == j) for j in range(size)] for i in range(size)])
+    for p, (row, want_row) in enumerate(zip(a, at)):
+        got, want = [0] * size, [0] * size
+        for k in range(max(0, 2 - p), min(5, size + 2 - p)):
+            j = order[p - 2 + k]
+            want[j] = want_row[k]
+            if row[k]:
+                got = [u + row[k] * v for u, v in zip(got, h[j])]
+        if got != want:
+            raise ArithmeticError("A times the monodromy h is not A^T")
+    if abs(det_band(a, at, (0, 1))[0][0]) != 1:
+        raise ArithmeticError("the Seifert matrix A is not unimodular")
+    return h
+
+
+def _generates(h, seeds):
+    """True if the unit vectors e_i, i in seeds, are found to generate
+    Z^N as a module over Z[h, h^-1], for h given by its N rows.
+
+    A unit vector e_i is known once it lies in the submodule M they
+    generate.  Column j of h is h e_j, a sum of the h[i][j] e_i.  If e_j
+    is known and every row of column j but one is, the coefficient of
+    that one a unit, then it lies in M too (forward); if every row of
+    column j is known, then h e_j and so e_j = h^-1 h e_j lie in M
+    (backward).  A worklist runs both to a fixpoint, touching each
+    nonzero of h a bounded number of times.  False means only that the
+    two rules stop short of Z^N."""
+    size = len(h)
+    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*h)]
+    unknown = [len(col) for col in cols]
+    holding = [[] for _ in range(size)]  # the columns nonzero in row i
+    for j, col in enumerate(cols):
+        for i, _ in col:
+            holding[i].append(j)
+    known = [False] * size
+    todo = list(seeds)
+    while todo:
+        i = todo.pop()
+        if known[i]:
+            continue
+        known[i] = True
+        for j in holding[i]:
+            unknown[j] -= 1
+        for j in (i, *holding[i]):
+            if not known[j] and not unknown[j]:
+                todo.append(j)
+            elif known[j] and unknown[j] == 1:
+                todo += [u for u, x in cols[j]
+                         if not known[u] and x in (1, -1)]
+    return all(known)
+
+
+@lru_cache(maxsize=None)
+def _alexander_module(n):
+    """The coefficients of p_n (`seifert.p_n`), lowest first, for odd n
+    (a knot, so 3 does not divide n), once this certificate holds that
+    Z^N, N = 2(n-1), with t acting by the monodromy h is
+    (Z[t]/p_n)^2, generated by e_0 and e_1; ArithmeticError otherwise.
+
+    - h satisfies A h = A^T, and det A = +-1 (`_checked_monodromy`),
+      so h is unimodular.
+    - p_n is monic of degree n - 1, with p_n(0) and p_n(1) units.
+    - p_n(h) [e_0 e_1] = 0, by Horner's rule through
+      `seifert.apply_monodromy` on the N x 2 block [e_0 e_1].
+    - e_0 and e_1 generate Z^N over Z[h, h^-1] (`_generates`).
+
+    Then (f, g) -> f(h) e_0 + g(h) e_1 is well defined on (Z[t]/p_n)^2.
+    Its image is a Z[h]-submodule holding e_0 and e_1, and closed under
+    h^-1 since t is a unit modulo p_n (p_n(0) = +-1), so it is all of
+    Z^N: a map onto Z^N from a free Z-module of the same rank N, and so
+    an isomorphism.  With p_n(1) = +-1, t - 1 is a unit modulo p_n too,
+    so the cokernel of t^q - 1 is that of 1 + t + ... + t^(q-1), the
+    usual presentation of the branched cover.  The certificate is taken
+    once per n and cached."""
+    coeffs = dict(p_n(n).items())
+    p = [coeffs.get(k, 0) for k in range(n)]
+    if (min(coeffs), max(coeffs), p[-1]) != (0, n - 1, 1) or \
+            abs(p[0]) != 1 or abs(sum(p)) != 1:
+        raise ArithmeticError(
+            f"p_n is not monic of degree {n - 1} with unit values at 0 and 1")
+    h = _checked_monodromy(n)
+    value = [[int(i == 0), int(i == 1)] for i in range(len(h))]  # p[-1] = 1
+    for c in reversed(p[:-1]):
+        value = apply_monodromy(n, value)
+        value[0][0] += c
+        value[1][1] += c
+    if any(map(any, value)):
+        raise ArithmeticError("p_n(h) does not kill e_0 and e_1")
+    if not _generates(h, (0, 1)):
+        raise ArithmeticError(
+            "e_0 and e_1 are not found to generate Z^N over Z[h, h^-1]")
+    return tuple(p)
+
+
+def _quotient_invariants(p, q):
+    """Invariant factors of Z[t]/(p, t^q - 1), p the coefficients of a
+    monic polynomial of degree d, lowest first: the Smith form of the
+    d-square matrix whose row j is t^j (t^q - 1) mod p on the basis
+    1, t, ..., t^(d-1).  t^q mod p takes q steps v -> t v mod p."""
+    low = p[:-1]
+
+    def times_t(v):
+        return [u - v[-1] * c for u, c in zip([0, *v[:-1]], low)]
+
+    row = [1] + [0] * (len(low) - 1)
+    for _ in range(q):
+        row = times_t(row)
+    row[0] -= 1
+    rows = []
+    for _ in low:
+        rows.append(row)
+        row = times_t(row)
+    return smith_normal_form(rows)
+
+
 def cover_homology_snf(n, q):
     """Invariant factors of H_1 of the q-fold branched cover, for
     q >= 1 with N q <= MAX_COVER_SIDE.
@@ -104,13 +244,19 @@ def cover_homology_snf(n, q):
     c = 0, ..., q-2, clears the diagonal and leaves I - h^q in the
     corner of the first block row, whose other blocks the identity
     blocks below then clear.  So the Smith form is (q-1) N ones, N the
-    side of A, followed by that of h^q - I.  The first of the q steps
-    of `seifert.apply_monodromy`, h itself, must satisfy A h = A^T,
-    checked row by row on the band rows of A and A^T of
-    `seifert.band_pencil`: band row p of A holds the entries of row
-    order[p] at the columns order[p - 2 .. p + 2], order that of
-    `seifert.band_order`, so row order[p] of A h adds up at most 4 rows
-    of h.
+    side of A, followed by that of h^q - I, the cokernel of t^q - 1 on
+    Z^N with t acting by h.
+
+    Two routes take that cokernel, chosen by the parity of n:
+    - odd n: Z^N is (Z[t]/p_n)^2 as a module over Z[t], by the per-n
+      certificate of `_alexander_module`, so the cokernel is two copies
+      of Z[t]/(p_n, t^q - 1), the Smith form of an (n-1)-square matrix
+      (`_quotient_invariants`), each invariant taken twice;
+    - even n: the Alexander polynomial is no square and p_n is not
+      defined, so h^q is built by q steps of `seifert.apply_monodromy`,
+      the first checked by `_checked_monodromy`, and the Smith form is
+      that of the N-square h^q - I.
+    A zero invariant means an infinite cover, refused by ValueError.
 
     The bound on n (`seifert.check_n`) and the one on N q, which
     MAX_COVER_SIDE gives the cost of, are checked before anything is
@@ -119,31 +265,22 @@ def cover_homology_snf(n, q):
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise ValueError(
             f"the cover degree q must be an integer at least 1, got {q!r}")
-    side = 2 * check_n(n) * q
-    if side > MAX_COVER_SIDE:
+    size = 2 * check_n(n)
+    if size * q > MAX_COVER_SIDE:
         raise ValueError(
-            f"the {q}-fold cover for n={n} is presented on N q = {side} "
-            f"generators, above the ceiling N q <= {MAX_COVER_SIDE}")
+            f"the {q}-fold cover for n={n} is presented on N q = "
+            f"{size * q} generators, above the ceiling N q <= "
+            f"{MAX_COVER_SIDE}")
     _check_knot(n)
-    a, at = band_pencil(n)
-    order = band_order(n)
-    size = len(a)
-    power = apply_monodromy(
-        n, [[int(i == j) for j in range(size)] for i in range(size)])
-    for p, (row, want_row) in enumerate(zip(a, at)):
-        got, want = [0] * size, [0] * size
-        for k in range(max(0, 2 - p), min(5, size + 2 - p)):
-            j = order[p - 2 + k]
-            want[j] = want_row[k]
-            if row[k]:
-                got = [u + row[k] * v for u, v in zip(got, power[j])]
-        if got != want:
-            raise ArithmeticError("A times the monodromy h is not A^T")
-    for _ in range(q - 1):
-        power = apply_monodromy(n, power)
-    for i in range(size):
-        power[i][i] -= 1
-    inv = smith_normal_form(power)
+    if n % 2:
+        inv = sorted(2 * _quotient_invariants(_alexander_module(n), q))
+    else:
+        power = _checked_monodromy(n)
+        for _ in range(q - 1):
+            power = apply_monodromy(n, power)
+        for i in range(size):
+            power[i][i] -= 1
+        inv = smith_normal_form(power)
     if not all(inv):
         raise ValueError(
             f"H_1 of the {q}-fold branched cover is infinite for n={n}")

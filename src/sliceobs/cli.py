@@ -3,7 +3,8 @@
 Subcommands:
   obstruct      full obstruction reports for one knot (or the whole table)
   verify-table  recompute the reference rows and diff the factor lists
-  homology      branched cover homology by Smith normal form
+  homology      branched cover homology by Smith normal form: for odd n
+                of Z[t]/(p_n, t^q - 1), for even n of h^q - I
   linking       the Q/Z linking form matrix on the 3-fold cover
   metabolizers  invariant metabolizer count and orbit structure
 """
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 
-from .blanchfield import cover_homology_snf, linking_form
+from .blanchfield import MAX_COVER_SIDE, cover_homology_snf, linking_form
 from .metabolizers import check_class
 from .report import TABLE_N, census, obstruct, verify_table
 
@@ -146,9 +147,14 @@ def build_parser():
     vt.add_argument("--json", action="store_true")
     vt.set_defaults(fn=_cmd_verify_table)
 
-    ho = sub.add_parser("homology", help="branched cover homology")
+    ho = sub.add_parser(
+        "homology", help="branched cover homology, by an (n-1)-square "
+                         "Smith form for odd n, a 2(n-1)-square one "
+                         "(h^q - I) for even n")
     ho.add_argument("--n", type=int, required=True)
-    ho.add_argument("--q", type=int, default=3)
+    ho.add_argument("--q", type=int, default=3,
+                    help=f"cover degree, with 2(n-1) q <= {MAX_COVER_SIDE} "
+                         f"(default: 3)")
     ho.set_defaults(fn=_cmd_homology)
 
     li = sub.add_parser("linking", help="Q/Z linking form of the 3-fold cover")

@@ -25,7 +25,8 @@ is never formed as a dense table.
 
 The band rows feed the linking form and the Alexander polynomial, and
 the cover homology's check A h = A^T (`blanchfield.cover_homology_snf`)
-on the first power of `apply_monodromy`.  `apply_monodromy`,
+on the first power of `apply_monodromy`; for odd n the cover homology
+is read off Z[t]/p_n, after checking that p_n(h) kills e_0 and e_1.  `apply_monodromy`,
 `band_order` and `band_pencil` begin with the one size check `check_n`
 against `MAX_N`, so it fires before anything is allocated;
 `report.obstruct` runs it before it builds the presentation.
@@ -43,8 +44,8 @@ __all__ = ["MAX_N", "check_n", "apply_monodromy", "band_order",
 # polynomial take band rows of 5 entries).  Measured near it (Python
 # 3.11, 2 cores): `linking_form(497)` takes 0.03 s and
 # `alexander_polynomial(497)` 0.4-0.6 s, `cover_homology_snf(497, 3)`
-# 20 s, growing about as n^3, and `report.obstruct(491, s=983)` 34 s
-# at 48 MiB peak RSS.
+# 1.1 s and `cover_homology_snf(500, 3)` 16 s, the even n growing about
+# as n^3, and `report.obstruct(491, s=983)` 34 s at 48 MiB peak RSS.
 MAX_N = 500
 
 

@@ -13,9 +13,10 @@ pencil modulo t^2 + t + 1 (`linalg.det_band`); this route builds the
 whole polynomials first, by the eliminations of `bareiss_oracle`, and
 shares no determinant code with it.
 
-The program takes the q-fold cover from the monodromy A^-1 A^T; the
-oracle runs the Smith form on the whole q N-square presentation, and
-shares only the Smith form with it.  The program applies the monodromy
+The program takes the q-fold cover from the monodromy A^-1 A^T, for
+odd n through the Alexander module (Z[t]/p_n)^2; the oracle runs the
+Smith form on the whole q N-square presentation, and shares only the
+Smith form with it.  The program applies the monodromy
 from its closed form; `seifert_inverse` writes A^-1 out as a dense
 Matrix, and `dense_monodromy_homology` forms the monodromy from it as a
 dense Matrix product.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sliceobs import report
+from sliceobs import blanchfield, report
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -13,3 +13,12 @@ def fresh_census():
     # stages they trace or patch
     yield
     report.census.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_alexander_module():
+    # `blanchfield._alexander_module` certifies each n once per process,
+    # so a certificate left by one test would let a later test that
+    # breaks one of its checks reach the Smith form unchecked
+    yield
+    blanchfield._alexander_module.cache_clear()

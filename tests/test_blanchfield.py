@@ -8,8 +8,10 @@ there, and the monodromy from the dense A^-1 there, check the program's
 cover homology."""
 
 import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from blanchfield_oracle import (
     seifert_inverse,
 )
 from laurent_oracle import band_rows, det_laurent, minor
+from fresh_python import run_python
 from metabolizer_oracle import fraction_value
 from seifert_oracle import seifert_matrix
 from sliceobs import blanchfield
@@ -45,9 +48,9 @@ from sliceobs.blanchfield import (
     t_matrix,
 )
 from sliceobs.laurent import LaurentPolynomial
-from sliceobs.linalg import Matrix
+from sliceobs.linalg import Matrix, smith_normal_form
 from sliceobs.seifert import (alexander_polynomial, apply_monodromy,
-                              band_order, band_pencil)
+                              band_order, band_pencil, p_n)
 
 
 def five_determinant_cofactors(a, pos):
@@ -336,6 +339,20 @@ class TestCoverHomology:
         with pytest.raises(ArithmeticError, match="is not A\\^T"):
             cover_homology_snf(5, 3)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_singular_seifert_matrix_is_caught(self, n, monkeypatch):
+        # 2A and 2A^T still satisfy (2A) h = (2A)^T, but 2A is not
+        # unimodular, so the block moves to h^q - I fail; caught before
+        # any Smith step on either route
+        def doubled(n):
+            return tuple([tuple(2 * x for x in row) for row in rows]
+                         for rows in band_pencil(n))
+
+        monkeypatch.setattr(blanchfield, "band_pencil", doubled)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match="not unimodular"):
+            cover_homology_snf(n, 3)
+
     @pytest.mark.parametrize("n", range(2, 12))
     def test_band_order_puts_every_nonzero_near_the_diagonal(self, n):
         a = seifert_matrix(n)
@@ -346,6 +363,154 @@ class TestCoverHomology:
             for v, j in enumerate(order):
                 if a[i][j] or a[j][i]:
                     assert abs(u - v) <= 2
+
+
+
+def no_smith(rows):
+    raise AssertionError("reached the Smith form")
+
+
+class TestAlexanderModule:
+    """For odd n the cover homology is read off Z[t]/(p_n, t^q - 1),
+    after the certificate of `blanchfield._alexander_module` that Z^N
+    with t acting by h is (Z[t]/p_n)^2 on e_0, e_1; each of its checks
+    is load-bearing."""
+
+    @pytest.mark.parametrize("k, delta, message", [
+        (0, 1, "not monic"), (2, 1, "not monic"), (4, 1, "not monic"),
+        (1, 2, "does not kill"), (2, 2, "does not kill"),
+        (3, 2, "does not kill")])
+    def test_wrong_p_n_is_caught(self, k, delta, message, monkeypatch):
+        # p_5 = 1 - 3t + 3t^2 - 3t^3 + t^4 with one coefficient off: by 1
+        # it loses a unit value at 0 or 1, or its leading 1; by 2 inside
+        # it keeps them, and p_n(h) no longer kills e_0 and e_1
+        def perturbed(n):
+            return p_n(n) + LaurentPolynomial({k: delta})
+
+        monkeypatch.setattr(blanchfield, "p_n", perturbed)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match=message):
+            cover_homology_snf(5, 3)
+
+    @pytest.mark.parametrize("j", [1, 4, 5])
+    def test_column_change_breaks_generation(self, j, monkeypatch):
+        # doubling column j of h, past the check A h = A^T, makes det h
+        # even, so nothing generates Z^N over Z[h, h^-1]; p_n still
+        # kills e_0 and e_1, since that check applies h through
+        # `apply_monodromy`
+        h = blanchfield._checked_monodromy(5)
+
+        def doubled(n):
+            return [[2 * x if c == j else x for c, x in enumerate(row)]
+                    for row in h]
+
+        monkeypatch.setattr(blanchfield, "_checked_monodromy", doubled)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match="generate"):
+            cover_homology_snf(5, 3)
+
+    @pytest.mark.parametrize("patch, message", [
+        ("blanchfield.p_n = lambda n: p_n(n) + LaurentPolynomial({2: 2})",
+         "p_n\\(h\\) does not kill"),
+        ("h = blanchfield._checked_monodromy(5)\n"
+         "blanchfield._checked_monodromy = lambda n: "
+         "[[2 * x if c == 1 else x for c, x in enumerate(r)] for r in h]",
+         "not found to generate")])
+    def test_certificate_survives_optimize(self, patch, message):
+        code = ("from sliceobs import blanchfield\n"
+                "from sliceobs.laurent import LaurentPolynomial\n"
+                "from sliceobs.seifert import p_n\n"
+                "def no_smith(rows):\n"
+                "    raise RuntimeError('reached the Smith form')\n"
+                "blanchfield.smith_normal_form = no_smith\n"
+                f"{patch}\n"
+                "blanchfield.cover_homology_snf(5, 3)\n")
+        proc = run_python(["-O", "-c", code], 60)
+        assert proc.returncode == 1
+        assert re.search(f"ArithmeticError: .*{message}", proc.stderr)
+
+    def test_certificate_is_taken_once_per_n(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return p_n(n)
+
+        monkeypatch.setattr(blanchfield, "p_n", counted)
+        for q in (1, 2, 3, 5):
+            cover_homology_snf(7, q)
+        cover_homology_snf(11, 2)
+        assert calls == [7, 11]
+
+    def test_odd_n_take_an_n_minus_1_square_smith_form(self, monkeypatch):
+        # after the certificate's n steps of h (one from I, n - 1 of
+        # Horner's rule), a cover of any q takes no step of h, and one
+        # Smith form of side n - 1
+        steps, sides = [], []
+
+        def counted(n, x):
+            steps.append(n)
+            return apply_monodromy(n, x)
+
+        def recorded(rows):
+            sides.append((len(rows), len(rows[0])))
+            return smith_normal_form(rows)
+
+        monkeypatch.setattr(blanchfield, "apply_monodromy", counted)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", recorded)
+        cover_homology_snf(7, 2)
+        assert len(steps) == 7
+        assert cover_homology_snf(7, 40).order > 1
+        assert len(steps) == 7
+        assert sides == [(6, 6), (6, 6)]
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 10, 14, 16])
+    def test_even_n_have_no_such_module(self, n):
+        # the vectors h^i e_0, i < n, are independent, so no polynomial
+        # of degree n - 1 kills e_0: for even n, Z^N is no (Z[t]/f)^2
+        # with f of degree n - 1, and the cover takes the N-square
+        # h^q - I
+        x = [[int(i == 0)] for i in range(2 * (n - 1))]
+        krylov = []
+        for _ in range(n):
+            krylov.append([row[0] for row in x])
+            x = apply_monodromy(n, x)
+        assert all(smith_normal_form(krylov))
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 13])
+    def test_one_vector_is_not_found_to_generate(self, n):
+        # for odd n, Z^N is (Z[t]/p_n)^2, which no single vector
+        # generates; the propagation finds e_0 and e_1 together, and
+        # neither alone
+        h = blanchfield._checked_monodromy(n)
+        assert blanchfield._generates(h, (0, 1))
+        assert not blanchfield._generates(h, (0,))
+        assert not blanchfield._generates(h, (1,))
+
+
+@pytest.mark.scale
+class TestCoverHomologyAtScale:
+    @pytest.mark.parametrize("n", [43, 47, 49, 53])
+    def test_matches_dense_inverse(self, n):
+        for q, want in dense_monodromy_homology(n, range(1, 8)).items():
+            assert cover_homology_snf(n, q) == want
+
+    @pytest.mark.parametrize("n, q", [(101, 30), (11, 1000)])
+    def test_matches_dense_inverse_at_large_side(self, n, q):
+        assert cover_homology_snf(n, q) == \
+            dense_monodromy_homology(n, [q])[q]
+
+    def test_101_99_completes(self):
+        # the 2(n-1)-square h^99 - I ran past 25 minutes; the orders of
+        # the covers for q = 3, 11 and 33, which 99 is a multiple of,
+        # divide its order, and its invariants come in pairs
+        inv = cover_homology_snf(101, 99).invariants
+        assert len(inv) == 200 * 99
+        assert all(b % a == 0 for a, b in zip(inv, inv[1:]))
+        assert inv[::2] == inv[1::2]
+        order = prod(inv)
+        for q in (3, 11, 33):
+            assert order % cover_homology_snf(101, q).order == 0
 
 
 class TestLinkingForm:
