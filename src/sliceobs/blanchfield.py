@@ -19,15 +19,16 @@ block-circulant presentation of the cover reduces by unimodular block
 moves.  The parity of n picks one of two routes.  For odd n the
 Alexander module is (Z[t]/p_n)^2, generated by e_0 and e_1 (Rolfsen,
 *Knots and Links*, ch. 8), so the cover is two copies of
-Z[t]/(p_n, t^q - 1), an (n-1)-square Smith form; a certificate of that
-module, taken once per n and cached, checks p_n(h) e_0 = p_n(h) e_1 = 0
-and that e_0, e_1 generate.  For even n, whose Alexander polynomial is
-no square, it takes the Smith form of the N-square h^q - I, building
-h^q by q steps P -> h P.  Both apply h only through its closed form
-(`seifert.apply_monodromy`, O(N) per column, never a dense product),
-and check the first step, h itself, against A h = A^T on the band rows
-of A and A^T that the linking form reads (`seifert.band_pencil`), so
-both rest on one description of the Seifert matrix.
+Z[t]/(p_n, t^q - 1), a Smith form of side min(n-1, q-1); a certificate
+of that module, taken once per n and cached, checks
+p_n(h) e_0 = p_n(h) e_1 = 0 and that e_0, e_1 generate.  For even n,
+whose Alexander polynomial is no square, an infinite cover is refused
+first; then it takes the Smith form of the N-square h^q - I, one column
+at a time by q steps x -> h x.  Both apply h only through its closed
+form (`seifert.apply_monodromy`, O(N) per column, never a dense
+product), and check h against A h = A^T on the band rows of A and A^T
+that the linking form reads (`seifert.band_pencil`), so both rest on
+one description of the Seifert matrix.
 """
 
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ from operator import mul
 
 from .braids import family_braid
 from .linalg import Matrix, det_band, smith_normal_form
-from .seifert import (apply_monodromy, band_order, band_pencil, check_n,
-                      p_n)
+from .seifert import (alexander_polynomial, apply_monodromy, band_order,
+                      band_pencil, check_n, p_n)
 
 __all__ = [
     "CoverHomology",
@@ -66,14 +67,15 @@ BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
 # O(N^2 q^2) digit operations, and the Smith form of h^q - I O(N^3)
 # operations on such numbers; the side does not bound the entries of
 # that Smith form.  Odd n pay a certificate of O(N^2) once per n, then
-# an (n-1)-square Smith form of t^j (t^q - 1) mod p_n, whose entries
-# have O(q) digits too.  Measured in process, each n cold (Python 3.11,
-# 2 cores): for odd n, (11, 1000) takes 0.06 s, (5, 2500) 0.02 s,
-# (101, 30) 0.2 s, (53, 192) 2.4 s, (497, 3) 1.1 s, 1 s of it the
-# certificate, and (101, 99) 28 s, where h^99 - I ran past 25 min; for
-# even n, (2, 10000) takes 0.1 s, (10, 1111) 0.8 s, (100, 29) 1.5 s and
-# (500, 3) 16 s.  So bounds on n and q apiece would admit (500, 1000),
-# whose N-square Smith form would run for hours.
+# a Smith form of side min(n-1, q-1), whose entries have O(q) digits
+# when p_n is the modulus and are p_n folded modulo t^q - 1 otherwise.
+# Measured in process, each n cold (Python 3.11, 2 cores): for odd n,
+# (11, 1000) takes 0.07 s, (5, 2500) 0.03 s, (101, 30) 0.15 s,
+# (53, 192) 2.8-3.1 s, (497, 3) 0.4-0.7 s, and (101, 99) 18-22 s, where
+# h^99 - I ran past 25 min; for even n, (2, 10000) takes 0.1 s,
+# (10, 1111) 0.8 s, (100, 29) 16 s and (500, 3) 1.6 s (2 s and 19 s on
+# the rows of h^q - I).  So bounds on n and q apiece would admit
+# (500, 1000), whose N-square Smith form would run for hours.
 MAX_COVER_SIDE = 20000
 
 
@@ -103,29 +105,33 @@ def _check_knot(n):
 
 
 def _checked_monodromy(n):
-    """The monodromy h = A^-1 A^T as rows, the first step of
-    `seifert.apply_monodromy` from I, once it satisfies A h = A^T row by
-    row on the band rows of A and A^T of `seifert.band_pencil`, and
-    det A = +-1 by one pass of `linalg.det_band` modulo t;
-    ArithmeticError otherwise.  So A and h are unimodular, as the block
-    moves of `cover_homology_snf` need.  Band row p of A holds the
-    entries of row order[p] at the columns order[p - 2 .. p + 2], order
-    that of `seifert.band_order`, so row order[p] of A h adds up at most
-    4 rows of h."""
+    """The monodromy h = A^-1 A^T as its columns h e_j, each one step
+    of `seifert.apply_monodromy`, once A (h e_j) = A^T e_j for every j
+    on the band rows of `seifert.band_pencil`, and det A = +-1 by one
+    pass of `linalg.det_band` modulo t; ArithmeticError otherwise.  So
+    A and h are unimodular, as the block moves of `cover_homology_snf`
+    need.  Band row p = where[i] of A^T holds column i = order[p] of A
+    at the rows order[p - 2 .. p + 2] (`seifert.band_order`), zero
+    outside A, where the padded order points at a spare last entry; so
+    A (h e_j) adds it h_ij times for each nonzero h_ij, and A^T e_j is
+    row j of A, band row where[j] of A."""
     a, at = band_pencil(n)
     order = band_order(n)
     size = len(a)
-    h = apply_monodromy(
-        n, [[int(i == j) for j in range(size)] for i in range(size)])
-    for p, (row, want_row) in enumerate(zip(a, at)):
-        got, want = [0] * size, [0] * size
-        for k in range(max(0, 2 - p), min(5, size + 2 - p)):
-            j = order[p - 2 + k]
-            want[j] = want_row[k]
-            if row[k]:
-                got = [u + row[k] * v for u, v in zip(got, h[j])]
+    padded = [-1, -1, *order, -1, -1]
+    where = sorted(range(size), key=order.__getitem__)
+    h = []
+    for j in range(size):
+        col = apply_monodromy(n, [0] * j + [1] + [0] * (size - 1 - j))
+        got, want = [0] * (size + 1), [0] * (size + 1)
+        for r, x in zip(padded[where[j]:where[j] + 5], a[where[j]]):
+            want[r] = x
+        for i in [i for i, x in enumerate(col) if x]:
+            for r, x in zip(padded[where[i]:where[i] + 5], at[where[i]]):
+                got[r] += col[i] * x
         if got != want:
             raise ArithmeticError("A times the monodromy h is not A^T")
+        h.append(col)
     if abs(det_band(a, at, (0, 1))[0][0]) != 1:
         raise ArithmeticError("the Seifert matrix A is not unimodular")
     return h
@@ -133,10 +139,10 @@ def _checked_monodromy(n):
 
 def _generates(h, seeds):
     """True if the unit vectors e_i, i in seeds, are found to generate
-    Z^N as a module over Z[h, h^-1], for h given by its N rows.
+    Z^N as a module over Z[h, h^-1], for h given by its N columns.
 
     A unit vector e_i is known once it lies in the submodule M they
-    generate.  Column j of h is h e_j, a sum of the h[i][j] e_i.  If e_j
+    generate.  Column j of h is h e_j, a sum of the h[j][i] e_i.  If e_j
     is known and every row of column j but one is, the coefficient of
     that one a unit, then it lies in M too (forward); if every row of
     column j is known, then h e_j and so e_j = h^-1 h e_j lie in M
@@ -144,11 +150,11 @@ def _generates(h, seeds):
     nonzero of h a bounded number of times.  False means only that the
     two rules stop short of Z^N."""
     size = len(h)
-    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*h)]
-    unknown = [len(col) for col in cols]
+    nonzero = [[i for i, x in enumerate(col) if x] for col in h]
+    unknown = [len(rows) for rows in nonzero]
     holding = [[] for _ in range(size)]  # the columns nonzero in row i
-    for j, col in enumerate(cols):
-        for i, _ in col:
+    for j, rows in enumerate(nonzero):
+        for i in rows:
             holding[i].append(j)
     known = [False] * size
     todo = list(seeds)
@@ -163,8 +169,8 @@ def _generates(h, seeds):
             if not known[j] and not unknown[j]:
                 todo.append(j)
             elif known[j] and unknown[j] == 1:
-                todo += [u for u, x in cols[j]
-                         if not known[u] and x in (1, -1)]
+                todo += [u for u in nonzero[j]
+                         if not known[u] and h[j][u] in (1, -1)]
     return all(known)
 
 
@@ -178,8 +184,8 @@ def _alexander_module(n):
     - h satisfies A h = A^T, and det A = +-1 (`_checked_monodromy`),
       so h is unimodular.
     - p_n is monic of degree n - 1, with p_n(0) and p_n(1) units.
-    - p_n(h) [e_0 e_1] = 0, by Horner's rule through
-      `seifert.apply_monodromy` on the N x 2 block [e_0 e_1].
+    - p_n(h) e_0 = p_n(h) e_1 = 0, by Horner's rule through
+      `seifert.apply_monodromy` on each vector.
     - e_0 and e_1 generate Z^N over Z[h, h^-1] (`_generates`).
 
     Then (f, g) -> f(h) e_0 + g(h) e_1 is well defined on (Z[t]/p_n)^2.
@@ -197,13 +203,13 @@ def _alexander_module(n):
         raise ArithmeticError(
             f"p_n is not monic of degree {n - 1} with unit values at 0 and 1")
     h = _checked_monodromy(n)
-    value = [[int(i == 0), int(i == 1)] for i in range(len(h))]  # p[-1] = 1
-    for c in reversed(p[:-1]):
-        value = apply_monodromy(n, value)
-        value[0][0] += c
-        value[1][1] += c
-    if any(map(any, value)):
-        raise ArithmeticError("p_n(h) does not kill e_0 and e_1")
+    for i in (0, 1):
+        value = [int(k == i) for k in range(len(h))]  # p[-1] = 1
+        for c in reversed(p[:-1]):
+            value = apply_monodromy(n, value)
+            value[i] += c
+        if any(value):
+            raise ArithmeticError("p_n(h) does not kill e_0 and e_1")
     if not _generates(h, (0, 1)):
         raise ArithmeticError(
             "e_0 and e_1 are not found to generate Z^N over Z[h, h^-1]")
@@ -211,24 +217,54 @@ def _alexander_module(n):
 
 
 def _quotient_invariants(p, q):
-    """Invariant factors of Z[t]/(p, t^q - 1), p the coefficients of a
-    monic polynomial of degree d, lowest first: the Smith form of the
-    d-square matrix whose row j is t^j (t^q - 1) mod p on the basis
-    1, t, ..., t^(d-1).  t^q mod p takes q steps v -> t v mod p."""
-    low = p[:-1]
+    """Invariant factors of Z[t]/(p, t^q - 1), padded with ones to d
+    entries, p the coefficients, lowest first, of a monic polynomial of
+    degree d with p(1) = +-1.  Then t - 1 is a unit modulo p, so that is
+    Z[t]/(p, g) for the monic g = 1 + t + ... + t^(q-1), the cokernel of
+    multiplication by f on Z[t] modulo `mod`, for {f, mod} = {p, g} and
+    `mod` of the lower degree e = min(d, q - 1): the Smith form of the
+    e-square matrix whose row j is t^j f mod `mod`."""
+    f, mod = (p, [1] * q) if q < len(p) else ([1] * q, p)
+    low, rows = mod[:-1], [_monic_divmod(f, mod)[1]]
+    while len(rows) < len(low):  # row j + 1 is t times row j
+        v = rows[-1]
+        rows.append([u - v[-1] * w for u, w in zip([0, *v[:-1]], low)])
+    return [1] * (len(p) - len(mod)) + smith_normal_form(rows[:len(low)])
 
-    def times_t(v):
-        return [u - v[-1] * c for u, c in zip([0, *v[:-1]], low)]
 
-    row = [1] + [0] * (len(low) - 1)
-    for _ in range(q):
-        row = times_t(row)
-    row[0] -= 1
-    rows = []
-    for _ in low:
-        rows.append(row)
-        row = times_t(row)
-    return smith_normal_form(rows)
+def _cyclotomic_factor(n, q):
+    """True if a cyclotomic Phi_d, d > 1 dividing q, divides the
+    Alexander polynomial Delta: then Delta vanishes at a q-th root of
+    unity other than 1, and the q-fold cover is infinite.  Only
+    phi(d) <= deg Delta = N can qualify.  Phi_d is t^d - 1 divided
+    exactly by the monic Phi_e, e < d dividing d, and phi(d) is d less
+    their degrees."""
+    coeffs = dict(alexander_polynomial(n).items())
+    delta = [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
+    cyclo = {1: [-1, 1]}
+    for d in (k for k in range(2, q + 1) if q % k == 0):
+        divisors = [e for e in cyclo if d % e == 0]
+        if d - sum(len(cyclo[e]) - 1 for e in divisors) >= len(delta):
+            continue  # phi(d) > N, or a divisor's was
+        phi = [-1] + [0] * (d - 1) + [1]
+        for e in divisors:
+            phi = _monic_divmod(phi, cyclo[e])[0]
+        cyclo[d] = phi
+        if not any(_monic_divmod(delta, phi)[1]):
+            return True
+    return False
+
+
+def _monic_divmod(f, g):
+    """Quotient and remainder, d = deg g entries, of f by the monic g,
+    lowest first."""
+    d = len(g) - 1
+    f = list(f) + [0] * (d - len(f))
+    quo = [0] * max(len(f) - d, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = f[i + d]
+        f[i:i + d + 1] = [u - c * w for u, w in zip(f[i:i + d + 1], g)]
+    return quo, f[:d]
 
 
 def cover_homology_snf(n, q):
@@ -250,12 +286,15 @@ def cover_homology_snf(n, q):
     Two routes take that cokernel, chosen by the parity of n:
     - odd n: Z^N is (Z[t]/p_n)^2 as a module over Z[t], by the per-n
       certificate of `_alexander_module`, so the cokernel is two copies
-      of Z[t]/(p_n, t^q - 1), the Smith form of an (n-1)-square matrix
-      (`_quotient_invariants`), each invariant taken twice;
+      of Z[t]/(p_n, t^q - 1), the Smith form of a matrix of side
+      min(n-1, q-1) (`_quotient_invariants`), each invariant taken
+      twice;
     - even n: the Alexander polynomial is no square and p_n is not
-      defined, so h^q is built by q steps of `seifert.apply_monodromy`,
-      the first checked by `_checked_monodromy`, and the Smith form is
-      that of the N-square h^q - I.
+      defined.  An infinite cover (`_cyclotomic_factor`) is refused
+      before any power of h; then each column of h, checked by
+      `_checked_monodromy`, takes q - 1 more steps of
+      `seifert.apply_monodromy`, and the Smith form is that of the
+      N-square h^q - I, taken on its columns.
     A zero invariant means an infinite cover, refused by ValueError.
 
     The bound on n (`seifert.check_n`) and the one on N q, which
@@ -272,18 +311,22 @@ def cover_homology_snf(n, q):
             f"{size * q} generators, above the ceiling N q <= "
             f"{MAX_COVER_SIDE}")
     _check_knot(n)
+    infinite = ValueError(
+        f"H_1 of the {q}-fold branched cover is infinite for n={n}")
     if n % 2:
         inv = sorted(2 * _quotient_invariants(_alexander_module(n), q))
+    elif _cyclotomic_factor(n, q):
+        raise infinite
     else:
-        power = _checked_monodromy(n)
-        for _ in range(q - 1):
-            power = apply_monodromy(n, power)
-        for i in range(size):
-            power[i][i] -= 1
+        power = []  # the columns of h^q - I
+        for j, col in enumerate(_checked_monodromy(n)):
+            for _ in range(q - 1):
+                col = apply_monodromy(n, col)
+            col[j] -= 1
+            power.append(col)
         inv = smith_normal_form(power)
     if not all(inv):
-        raise ValueError(
-            f"H_1 of the {q}-fold branched cover is infinite for n={n}")
+        raise infinite
     return CoverHomology(n, q, (1,) * ((q - 1) * size) + tuple(inv))
 
 

@@ -11,25 +11,27 @@ Two facts about that shape carry the computations.  B is unitriangular,
 so det A = +-1 and the monodromy h = A^-1 A^T has a closed form: with
 U = B^-1 the upper and L = B^-T the lower triangular all-ones matrix,
 A^-1 = [[-L, 0], [L, U]], and L B and U B^T telescope, so each row of h
-has at most 5 nonzeros, each at most 2 in absolute value.  So h X is
-never formed as a product: each row of the answer subtracts two rows,
-of X or of the answer's top half, from a third (`apply_monodromy`),
-O(N) work per row.  And with the rows and columns taken in the
-interleaved order (0, n-1, 1, n, ..., n-2, 2n-3) (`band_order`), every
-nonzero of the pencil A - t A^T lies within distance 2 of the diagonal
-(`band_pencil`), so `linalg.det_band` takes its determinant, and the
-minors the linking form needs, in one pass of at most 12 moves per
-row.  `band_pencil` writes those band rows, 5 entries each, straight
-from the closed form of A, and is the only place A is written down: A
-is never formed as a dense table.
+has at most 5 nonzeros, each at most 2 in absolute value.  So h is
+never formed as a product: h x, for one column x, takes each entry as
+an entry of x, or of the answer's top half, less two others
+(`apply_monodromy`), O(N) work per column.  And with the rows and
+columns taken in the interleaved order (0, n-1, 1, n, ..., n-2, 2n-3)
+(`band_order`), every nonzero of the pencil A - t A^T lies within
+distance 2 of the diagonal (`band_pencil`), so `linalg.det_band` takes
+its determinant, and the minors the linking form needs, in one pass of
+at most 12 moves per row.  `band_pencil` writes those band rows, 5
+entries each, straight from the closed form of A, and is the only place
+A is written down: A is never formed as a dense table.
 
 The band rows feed the linking form and the Alexander polynomial, and
 the cover homology's check A h = A^T (`blanchfield.cover_homology_snf`)
-on the first power of `apply_monodromy`; for odd n the cover homology
-is read off Z[t]/p_n, after checking that p_n(h) kills e_0 and e_1.  `apply_monodromy`,
-`band_order` and `band_pencil` begin with the one size check `check_n`
-against `MAX_N`, so it fires before anything is allocated;
-`report.obstruct` runs it before it builds the presentation.
+on h e_j = `apply_monodromy` of each unit vector e_j; for odd n the
+cover homology is read off Z[t]/p_n, after checking that p_n(h) kills
+e_0 and e_1, and for even n the Alexander polynomial refuses an
+infinite cover first.  `apply_monodromy`, `band_order` and
+`band_pencil` begin with the one size check `check_n` against `MAX_N`,
+so it fires before anything is allocated; `report.obstruct` runs it
+before it builds the presentation.
 """
 
 from .laurent import LaurentPolynomial
@@ -44,8 +46,8 @@ __all__ = ["MAX_N", "check_n", "apply_monodromy", "band_order",
 # polynomial take band rows of 5 entries).  Measured near it (Python
 # 3.11, 2 cores): `linking_form(497)` takes 0.03 s and
 # `alexander_polynomial(497)` 0.4-0.6 s, `cover_homology_snf(497, 3)`
-# 1.1 s and `cover_homology_snf(500, 3)` 16 s, the even n growing about
-# as n^3, and `report.obstruct(491, s=983)` 34 s at 48 MiB peak RSS.
+# 0.4-0.7 s and `cover_homology_snf(500, 3)` 1.6 s (even n grow about
+# as n^3), and `report.obstruct(491, s=983)` 34 s at 48 MiB peak RSS.
 MAX_N = 500
 
 
@@ -62,27 +64,23 @@ def check_n(n):
 
 
 def apply_monodromy(n, x):
-    """h X, as new lists, for the monodromy h = A^-1 A^T of the Seifert
-    matrix A = [[-B^T, 0], [B, B]] and X its 2(n-1) rows (lists of
-    ints, all of one length).
+    """h x, as a new list, for the monodromy h = A^-1 A^T of the Seifert
+    matrix A = [[-B^T, 0], [B, B]] and x a column of 2(n-1) ints.
 
-    With m = n - 1, X split into its top rows X_t[0 .. m-1] and bottom
-    rows X_b[0 .. m-1], and X_t[m] = X_b[-1] = 0:
-      (h X)_t[i] = X_t[0] - X_t[i+1] - X_b[i]
-      (h X)_b[i] = X_b[m-1] - X_b[i-1] - (h X)_t[i],
+    With m = n - 1, x split into its top half x_t[0 .. m-1] and bottom
+    half x_b[0 .. m-1], and x_t[m] = x_b[-1] = 0:
+      (h x)_t[i] = x_t[0] - x_t[i+1] - x_b[i]
+      (h x)_b[i] = x_b[m-1] - x_b[i-1] - (h x)_t[i],
     since h = [[L B, -I], [-L B, I + U B^T]] for A^-1 = [[-L, 0], [L, U]]
-    and A^T = [[-B, B^T], [0, B^T]], and the sums telescope: row i of
-    L B X_t is X_t[0] - X_t[i+1], and of U B^T X_b, X_b[m-1] - X_b[i-1].
+    and A^T = [[-B, B^T], [0, B^T]], and the sums telescope: entry i of
+    L B x_t is x_t[0] - x_t[i+1], and of U B^T x_b, x_b[m-1] - x_b[i-1].
     """
     m = check_n(n)
     if len(x) != 2 * m:
-        raise ValueError(f"h X needs {2 * m} rows of X for n={n}, "
+        raise ValueError(f"h x needs {2 * m} entries of x for n={n}, "
                          f"got {len(x)}")
-    zero = [0] * len(x[0])
-    top = [[u - v - w for u, v, w in zip(x[0], nxt, bot)]
-           for nxt, bot in zip([*x[1:m], zero], x[m:])]
-    return top + [[u - v - w for u, v, w in zip(x[-1], prev, t)]
-                  for prev, t in zip([zero, *x[m:-1]], top)]
+    top = [x[0] - u - v for u, v in zip([*x[1:m], 0], x[m:])]
+    return top + [x[-1] - u - v for u, v in zip([0, *x[m:-1]], top)]
 
 
 def band_order(n):

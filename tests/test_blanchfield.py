@@ -11,6 +11,7 @@ import dataclasses
 import re
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 import pytest
@@ -253,6 +254,46 @@ class TestCoverHomology:
             else:
                 assert cover_homology_snf(n, q) == want
 
+    @pytest.mark.parametrize("n", [5, 7, 11, 13])
+    def test_matches_dense_inverse_on_both_sides_of_the_switch(self, n):
+        # odd n take the Smith form modulo g_q = 1 + t + ... + t^(q-1)
+        # for q < n and modulo p_n from q = n on
+        for q, want in dense_monodromy_homology(n, range(1, n + 3)).items():
+            assert cover_homology_snf(n, q) == want
+
+    @pytest.mark.parametrize("n, q", [(4, 6), (8, 6), (10, 10)])
+    def test_even_n_infinite_cover_matches_dense_inverse(self, n, q):
+        with pytest.raises(ValueError) as got:
+            cover_homology_snf(n, q)
+        assert str(got.value) == dense_monodromy_homology(n, [q])[q]
+
+    def test_infinite_cover_is_refused_before_any_power_of_h(
+            self, monkeypatch):
+        # Phi_6 divides the Alexander polynomial at n = 8, and 6 | 1428
+        def no_power(n, x):
+            raise AssertionError("took a power of h")
+
+        monkeypatch.setattr(blanchfield, "apply_monodromy", no_power)
+        with pytest.raises(ValueError, match="1428-fold branched cover is "
+                                             "infinite for n=8"):
+            cover_homology_snf(8, 1428)
+
+    def test_cyclotomic_factors_up_to_200(self, monkeypatch):
+        # for n <= 40 coprime to 3, the only cyclotomic factors Phi_d,
+        # 1 < d < 200, of the Alexander polynomial are Phi_6 and Phi_10,
+        # at even n; so a cover is refused for q < 200 exactly when 6 or
+        # 10 divides q and Phi_6 or Phi_10 divides Delta
+        monkeypatch.setattr(blanchfield, "alexander_polynomial",
+                            lru_cache()(alexander_polynomial))
+        hits = {4: (6,), 8: (6,), 10: (10,), 16: (6,), 20: (6, 10),
+                28: (6,), 32: (6,), 40: (6, 10)}
+        for n in range(2, 41):
+            if n % 3:
+                assert [d for d in range(2, 200)
+                        if blanchfield._cyclotomic_factor(n, d)] == \
+                    [d for d in range(2, 200)
+                     if any(d % e == 0 for e in hits.get(n, ()))], n
+
     @pytest.mark.parametrize("q", [0, -2])
     def test_cover_degree_must_be_positive(self, q):
         with pytest.raises(ValueError, match="at least 1"):
@@ -293,14 +334,14 @@ class TestCoverHomology:
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_closed_form_inverse(self, n):
-        # the closed form of h = A^-1 A^T, applied to I, is the oracle's
-        # dense h, and each of its rows has at most 5 nonzeros, each at
-        # most 2 in absolute value
+        # the closed form of h = A^-1 A^T, applied to each unit vector,
+        # gives the columns of the oracle's dense h, and each row of h has
+        # at most 5 nonzeros, each at most 2 in absolute value
         a = seifert_matrix(n)
         assert a * seifert_inverse(n) == Matrix.identity(a.nrows)
-        h = apply_monodromy(n, [list(r) for r in Matrix.identity(a.nrows)])
-        assert Matrix(h) == seifert_inverse(n) * a.transpose()
-        for row in h:
+        cols = [apply_monodromy(n, list(e)) for e in Matrix.identity(a.nrows)]
+        assert Matrix(cols).transpose() == seifert_inverse(n) * a.transpose()
+        for row in zip(*cols):
             nonzeros = [x for x in row if x]
             assert len(nonzeros) <= 5
             assert max(map(abs, nonzeros)) <= 2
@@ -310,7 +351,7 @@ class TestCoverHomology:
         # any Smith step
         def perturbed(n, x):
             out = apply_monodromy(n, x)
-            out[0][0] += 1
+            out[0] += 1
             return out
 
         def no_smith(rows):
@@ -320,6 +361,22 @@ class TestCoverHomology:
         monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
         with pytest.raises(ArithmeticError, match="is not A\\^T"):
             cover_homology_snf(5, 3)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_far_entry_is_caught(self, n, monkeypatch):
+        # h with its entry in column 0, last row one off, far from the
+        # band of A in `band_order`, fails A h = A^T on either route
+        # before any Smith step
+        def perturbed(n, x):
+            out = apply_monodromy(n, x)
+            if x == [1] + [0] * (len(x) - 1):
+                out[-1] += 1
+            return out
+
+        monkeypatch.setattr(blanchfield, "apply_monodromy", perturbed)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match="is not A\\^T"):
+            cover_homology_snf(n, 3)
 
     @pytest.mark.parametrize("p, k", [(0, 2), (3, 3), (6, 1), (7, 0)])
     def test_wrong_band_row_is_caught(self, p, k, monkeypatch):
@@ -401,8 +458,8 @@ class TestAlexanderModule:
         h = blanchfield._checked_monodromy(5)
 
         def doubled(n):
-            return [[2 * x if c == j else x for c, x in enumerate(row)]
-                    for row in h]
+            return [[2 * x for x in col] if c == j else col
+                    for c, col in enumerate(h)]
 
         monkeypatch.setattr(blanchfield, "_checked_monodromy", doubled)
         monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
@@ -414,8 +471,16 @@ class TestAlexanderModule:
          "p_n\\(h\\) does not kill"),
         ("h = blanchfield._checked_monodromy(5)\n"
          "blanchfield._checked_monodromy = lambda n: "
-         "[[2 * x if c == 1 else x for c, x in enumerate(r)] for r in h]",
-         "not found to generate")])
+         "[[2 * x for x in col] if c == 1 else col "
+         "for c, col in enumerate(h)]",
+         "not found to generate"),
+        ("apply = blanchfield.apply_monodromy\n"
+         "def far(n, x):\n"
+         "    out = apply(n, x)\n"
+         "    out[-1] += x == [1] + [0] * (len(x) - 1)\n"
+         "    return out\n"
+         "blanchfield.apply_monodromy = far",
+         "is not A\\^T")])
     def test_certificate_survives_optimize(self, patch, message):
         code = ("from sliceobs import blanchfield\n"
                 "from sliceobs.laurent import LaurentPolynomial\n"
@@ -442,11 +507,16 @@ class TestAlexanderModule:
         cover_homology_snf(11, 2)
         assert calls == [7, 11]
 
-    def test_odd_n_take_an_n_minus_1_square_smith_form(self, monkeypatch):
-        # after the certificate's n steps of h (one from I, n - 1 of
-        # Horner's rule), a cover of any q takes no step of h, and one
-        # Smith form of side n - 1
+    def test_odd_n_take_a_smith_form_of_side_min_n_q_minus_1(
+            self, monkeypatch):
+        # after the certificate's 4(n - 1) steps of h (one from each unit
+        # vector, n - 1 of Horner's rule on each of e_0, e_1), a cover of
+        # any q takes no step of h, no Alexander polynomial, and one Smith
+        # form, of side min(n - 1, q - 1)
         steps, sides = [], []
+
+        def no_delta(n):
+            raise AssertionError("took the Alexander polynomial")
 
         def counted(n, x):
             steps.append(n)
@@ -458,11 +528,13 @@ class TestAlexanderModule:
 
         monkeypatch.setattr(blanchfield, "apply_monodromy", counted)
         monkeypatch.setattr(blanchfield, "smith_normal_form", recorded)
+        monkeypatch.setattr(blanchfield, "alexander_polynomial", no_delta)
         cover_homology_snf(7, 2)
-        assert len(steps) == 7
-        assert cover_homology_snf(7, 40).order > 1
-        assert len(steps) == 7
-        assert sides == [(6, 6), (6, 6)]
+        assert len(steps) == 24
+        for q in (5, 7, 40):
+            assert cover_homology_snf(7, q).order > 1
+        assert len(steps) == 24
+        assert sides == [(1, 1), (4, 4), (6, 6), (6, 6)]
 
     @pytest.mark.parametrize("n", [2, 4, 8, 10, 14, 16])
     def test_even_n_have_no_such_module(self, n):
@@ -470,10 +542,10 @@ class TestAlexanderModule:
         # of degree n - 1 kills e_0: for even n, Z^N is no (Z[t]/f)^2
         # with f of degree n - 1, and the cover takes the N-square
         # h^q - I
-        x = [[int(i == 0)] for i in range(2 * (n - 1))]
+        x = [int(i == 0) for i in range(2 * (n - 1))]
         krylov = []
         for _ in range(n):
-            krylov.append([row[0] for row in x])
+            krylov.append(x)
             x = apply_monodromy(n, x)
         assert all(smith_normal_form(krylov))
 

@@ -101,18 +101,19 @@ class TestInverse:
     @pytest.mark.parametrize("n", (2, 3, 5, 12, 29))
     def test_apply_matches_dense_inverse(self, n):
         # the closed form of h = A^-1 A^T against the oracle's dense
-        # A^-1 times A^T, on random rows
+        # A^-1 times A^T, on random columns
         a = seifert_matrix(n)
         size = a.nrows
         rng = random.Random(n)
-        x = [[rng.randrange(-9, 10) for _ in range(size + 1)]
-             for _ in range(size)]
-        assert Matrix(apply_monodromy(n, x)) \
-            == seifert_inverse(n) * a.transpose() * Matrix(x)
+        x = [[rng.randrange(-9, 10) for _ in range(size)]
+             for _ in range(size + 1)]
+        assert Matrix([apply_monodromy(n, col) for col in x]).transpose() \
+            == seifert_inverse(n) * a.transpose() * Matrix(x).transpose()
 
     def test_apply_needs_all_rows(self):
-        with pytest.raises(ValueError, match="needs 8 rows"):
-            apply_monodromy(5, [[1] * 8] * 7)
+        # a column with one row short
+        with pytest.raises(ValueError, match="needs 8 entries"):
+            apply_monodromy(5, [1] * 7)
 
 
 # everything that builds a table of side 2(n-1)
