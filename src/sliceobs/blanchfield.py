@@ -16,31 +16,34 @@ basis (a, ta, b, tb).
 side N q up to `MAX_COVER_SIDE`, as the cokernel of t^q - 1 on Z^N
 with t acting by the monodromy h = A^-1 A^T, to which the
 block-circulant presentation of the cover reduces by unimodular block
-moves.  The parity of n picks one of two routes.  For odd n the
-Alexander module is (Z[t]/p_n)^2, generated by e_0 and e_1 (Rolfsen,
-*Knots and Links*, ch. 8), so the cover is two copies of
-Z[t]/(p_n, t^q - 1), a Smith form of side min(n-1, q-1); a certificate
-of that module, taken once per n and cached, checks
-p_n(h) e_0 = p_n(h) e_1 = 0 and that e_0, e_1 generate.  For even n,
-whose Alexander polynomial is no square, an infinite cover is refused
-first; then it takes the Smith form of the N-square h^q - I, one column
-at a time by q steps x -> h x.  Both apply h only through its closed
-form (`seifert.apply_monodromy`, O(N) per column, never a dense
-product), and check h against A h = A^T on the band rows of A and A^T
-that the linking form reads (`seifert.band_pencil`), so both rest on
-one description of the Seifert matrix.
+moves.  One route serves every n.  The knot is n-periodic, so its
+Alexander polynomial is a product of n - 1 quadratics, at the n-th
+roots of unity xi^k, k = 1 .. n-1 (Murasugi, "On periodic knots",
+1971); with p the product of the pairs at k and n - k
+(`seifert.paired_product`), it is f_0 p, where f_0 = p for odd n and
+f_0 = (t^2 - 3t + 1) p for even n, the factor at k = n/2.  Z^N is
+Z[t]/f_0 on e_0 plus Z[t]/p on e_0 + e_1 (Rolfsen, *Knots and Links*,
+ch. 8), by a certificate taken once per n and cached that checks
+f_0(h) e_0 = p(h) (e_0 + e_1) = 0 and that e_0, e_1 generate.  So the
+cover is Z[t]/(f_0, t^q - 1) plus Z[t]/(p, t^q - 1), Smith forms of
+side at most min(n, q - 1), merged into one divisor chain.  The
+certificate applies h only through its closed form
+(`seifert.apply_monodromy`, O(N) per column, never a dense product),
+and checks h against A h = A^T on the band rows of A and A^T that the
+linking form reads (`seifert.band_pencil`), so both rest on one
+description of the Seifert matrix.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .braids import family_braid
 from .linalg import Matrix, det_band, smith_normal_form
-from .seifert import (alexander_polynomial, apply_monodromy, band_order,
-                      band_pencil, check_n, p_n)
+from .seifert import (apply_monodromy, band_order, band_pencil, check_n,
+                      paired_product)
 
 __all__ = [
     "CoverHomology",
@@ -63,19 +66,20 @@ BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 # The largest side N q of the cover's presentation accepted, N = 2(n-1)
 # the side of A; it admits q = 1000 at n = 11 and q = 10000 at n = 2.
-# For even n, the entries of h^q have O(q) digits, so the q steps cost
-# O(N^2 q^2) digit operations, and the Smith form of h^q - I O(N^3)
-# operations on such numbers; the side does not bound the entries of
-# that Smith form.  Odd n pay a certificate of O(N^2) once per n, then
-# a Smith form of side min(n-1, q-1), whose entries have O(q) digits
-# when p_n is the modulus and are p_n folded modulo t^q - 1 otherwise.
+# Every n pays a certificate of O(N^2) once, then one or two Smith forms
+# of side e = min(deg f, q-1), f = f_0 or p of degree at most n, whose
+# entries have O(q) digits when f is the modulus and are f folded
+# modulo t^q - 1, O(n) digits, otherwise.  So N q bounds e times the
+# digits of the entries, up to a constant, but not the cost of the
+# Smith form: O(e^3) operations on numbers that can grow as it runs.
 # Measured in process, each n cold (Python 3.11, 2 cores): for odd n,
-# (11, 1000) takes 0.07 s, (5, 2500) 0.03 s, (101, 30) 0.15 s,
-# (53, 192) 2.8-3.1 s, (497, 3) 0.4-0.7 s, and (101, 99) 18-22 s, where
-# h^99 - I ran past 25 min; for even n, (2, 10000) takes 0.1 s,
-# (10, 1111) 0.8 s, (100, 29) 16 s and (500, 3) 1.6 s (2 s and 19 s on
-# the rows of h^q - I).  So bounds on n and q apiece would admit
-# (500, 1000), whose N-square Smith form would run for hours.
+# (11, 1000) takes 0.08 s, (5, 2500) 0.03 s, (101, 30) 0.13 s,
+# (53, 192) 2.7-3.1 s, (497, 3) 0.5-0.6 s and (101, 99) 15-17 s, where
+# h^99 - I ran past 25 min; for even n, (2, 10000) takes 0.12 s,
+# (10, 1111) 0.1-0.17 s, (4, 3333) 0.02 s, (100, 29) 0.2 s and
+# (500, 3) 0.36 s, and the refusals of (8, 1428) and (40, 30) 0.07 s.
+# So bounds on n and q apiece would admit (500, 1000), two Smith forms
+# of side about 500 on entries of about 400 digits.
 MAX_COVER_SIDE = 20000
 
 
@@ -174,97 +178,107 @@ def _generates(h, seeds):
     return all(known)
 
 
+# t^2 - 3t + 1, lowest first: the quadratic factor of the Alexander
+# polynomial at xi^(n/2) = -1, for even n
+_MIDDLE_FACTOR = (1, -3, 1)
+
+
 @lru_cache(maxsize=None)
 def _alexander_module(n):
-    """The coefficients of p_n (`seifert.p_n`), lowest first, for odd n
-    (a knot, so 3 does not divide n), once this certificate holds that
-    Z^N, N = 2(n-1), with t acting by the monodromy h is
-    (Z[t]/p_n)^2, generated by e_0 and e_1; ArithmeticError otherwise.
+    """The coefficients, lowest first, of p = `seifert.paired_product`
+    and of f_0 = p for odd n, f_0 = (t^2 - 3t + 1) p for even n, as
+    (f_0, p), for n with a knot (3 does not divide n), once this
+    certificate holds that Z^N, N = 2(n-1), with t acting by the
+    monodromy h is Z[t]/f_0 on e_0 plus Z[t]/p on e_0 + e_1;
+    ArithmeticError otherwise.
 
+    - f_0 and p are monic, with unit values at 0 and 1, and
+      deg f_0 + deg p = N.
     - h satisfies A h = A^T, and det A = +-1 (`_checked_monodromy`),
       so h is unimodular.
-    - p_n is monic of degree n - 1, with p_n(0) and p_n(1) units.
-    - p_n(h) e_0 = p_n(h) e_1 = 0, by Horner's rule through
-      `seifert.apply_monodromy` on each vector.
-    - e_0 and e_1 generate Z^N over Z[h, h^-1] (`_generates`).
+    - f_0(h) e_0 = 0 and p(h) (e_0 + e_1) = 0, by Horner's rule through
+      `seifert.apply_monodromy`.
+    - e_0 and e_1 generate Z^N over Z[h, h^-1] (`_generates`); e_0 alone
+      when p = 1, at n = 2, where Z[t]/p = 0 drops out.
 
-    Then (f, g) -> f(h) e_0 + g(h) e_1 is well defined on (Z[t]/p_n)^2.
-    Its image is a Z[h]-submodule holding e_0 and e_1, and closed under
-    h^-1 since t is a unit modulo p_n (p_n(0) = +-1), so it is all of
-    Z^N: a map onto Z^N from a free Z-module of the same rank N, and so
-    an isomorphism.  With p_n(1) = +-1, t - 1 is a unit modulo p_n too,
-    so the cokernel of t^q - 1 is that of 1 + t + ... + t^(q-1), the
-    usual presentation of the branched cover.  The certificate is taken
-    once per n and cached."""
-    coeffs = dict(p_n(n).items())
-    p = [coeffs.get(k, 0) for k in range(n)]
-    if (min(coeffs), max(coeffs), p[-1]) != (0, n - 1, 1) or \
-            abs(p[0]) != 1 or abs(sum(p)) != 1:
+    Then (f, g) -> f(h) e_0 + g(h) (e_0 + e_1) is well defined on
+    Z[t]/f_0 + Z[t]/p.  Its image is a Z[h]-submodule holding e_0 and
+    e_1, and closed under h^-1 since t is a unit modulo f_0 and p, so it
+    is all of Z^N: a map onto Z^N from a free Z-module of the same rank
+    N, and so an isomorphism.  With f_0(1) and p(1) units, t - 1 is a
+    unit modulo both too, so the cokernel of t^q - 1 is that of
+    1 + t + ... + t^(q-1), the usual presentation of the branched cover.
+    The certificate is taken once per n and cached."""
+    coeffs = dict(paired_product(n).items())
+    p = tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
+    u, v, w = _MIDDLE_FACTOR
+    f0 = p if n % 2 else tuple(u * a + v * b + w * c for a, b, c in
+                               zip((*p, 0, 0), (0, *p, 0), (0, 0, *p)))
+    size = 2 * (n - 1)
+    if min(coeffs) or any(f[-1] != 1 or abs(f[0]) != 1 or abs(sum(f)) != 1
+                          for f in (f0, p)):
         raise ArithmeticError(
-            f"p_n is not monic of degree {n - 1} with unit values at 0 and 1")
+            "f_0 and p are not monic with unit values at 0 and 1")
+    if len(f0) + len(p) - 2 != size:
+        raise ArithmeticError(f"deg f_0 + deg p is not N = {size}")
     h = _checked_monodromy(n)
-    for i in (0, 1):
-        value = [int(k == i) for k in range(len(h))]  # p[-1] = 1
-        for c in reversed(p[:-1]):
+    # p = 1 only at n = 2, where its summand is 0 and e_0 generates
+    summands = ((f0, (0,), "f_0(h) does not kill e_0"),
+                (p, (0, 1), "p(h) does not kill e_0 + e_1"))[:1 + (len(p) > 1)]
+    for f, seeds, failure in summands:
+        value = [int(k in seeds) for k in range(size)]  # f[-1] = 1
+        for c in reversed(f[:-1]):
             value = apply_monodromy(n, value)
-            value[i] += c
+            for i in seeds:
+                value[i] += c
         if any(value):
-            raise ArithmeticError("p_n(h) does not kill e_0 and e_1")
-    if not _generates(h, (0, 1)):
+            raise ArithmeticError(failure)
+    if not _generates(h, summands[-1][1]):
         raise ArithmeticError(
             "e_0 and e_1 are not found to generate Z^N over Z[h, h^-1]")
-    return tuple(p)
+    return f0, p
 
 
-def _quotient_invariants(p, q):
-    """Invariant factors of Z[t]/(p, t^q - 1), padded with ones to d
-    entries, p the coefficients, lowest first, of a monic polynomial of
-    degree d with p(1) = +-1.  Then t - 1 is a unit modulo p, so that is
-    Z[t]/(p, g) for the monic g = 1 + t + ... + t^(q-1), the cokernel of
-    multiplication by f on Z[t] modulo `mod`, for {f, mod} = {p, g} and
-    `mod` of the lower degree e = min(d, q - 1): the Smith form of the
-    e-square matrix whose row j is t^j f mod `mod`."""
-    f, mod = (p, [1] * q) if q < len(p) else ([1] * q, p)
-    low, rows = mod[:-1], [_monic_divmod(f, mod)[1]]
+def _quotient_invariants(f, q):
+    """Invariant factors of Z[t]/(f, t^q - 1), for f the coefficients,
+    lowest first, of a monic polynomial of degree d with f(1) = +-1,
+    less the d - e ones that would pad them to d entries.  As t - 1 is a
+    unit modulo f, that is Z[t]/(f, g) for the monic
+    g = 1 + t + ... + t^(q-1), the cokernel of multiplication by one of
+    f, g on Z[t] modulo the other, `mod`, the one of the lower degree
+    e = min(d, q - 1): the Smith form of the e-square matrix whose
+    row j is t^j times the other mod `mod`."""
+    other, mod = (f, [1] * q) if q < len(f) else ([1] * q, f)
+    low, rows = mod[:-1], [_monic_mod(other, mod)]
     while len(rows) < len(low):  # row j + 1 is t times row j
         v = rows[-1]
         rows.append([u - v[-1] * w for u, w in zip([0, *v[:-1]], low)])
-    return [1] * (len(p) - len(mod)) + smith_normal_form(rows[:len(low)])
+    return smith_normal_form(rows[:len(low)])
 
 
-def _cyclotomic_factor(n, q):
-    """True if a cyclotomic Phi_d, d > 1 dividing q, divides the
-    Alexander polynomial Delta: then Delta vanishes at a q-th root of
-    unity other than 1, and the q-fold cover is infinite.  Only
-    phi(d) <= deg Delta = N can qualify.  Phi_d is t^d - 1 divided
-    exactly by the monic Phi_e, e < d dividing d, and phi(d) is d less
-    their degrees."""
-    coeffs = dict(alexander_polynomial(n).items())
-    delta = [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
-    cyclo = {1: [-1, 1]}
-    for d in (k for k in range(2, q + 1) if q % k == 0):
-        divisors = [e for e in cyclo if d % e == 0]
-        if d - sum(len(cyclo[e]) - 1 for e in divisors) >= len(delta):
-            continue  # phi(d) > N, or a divisor's was
-        phi = [-1] + [0] * (d - 1) + [1]
-        for e in divisors:
-            phi = _monic_divmod(phi, cyclo[e])[0]
-        cyclo[d] = phi
-        if not any(_monic_divmod(delta, phi)[1]):
-            return True
-    return False
-
-
-def _monic_divmod(f, g):
-    """Quotient and remainder, d = deg g entries, of f by the monic g,
-    lowest first."""
+def _monic_mod(f, g):
+    """The remainder, d = deg g entries, of f by the monic g, lowest
+    first."""
     d = len(g) - 1
     f = list(f) + [0] * (d - len(f))
-    quo = [0] * max(len(f) - d, 0)
-    for i in reversed(range(len(quo))):
-        c = quo[i] = f[i + d]
+    for i in reversed(range(len(f) - d)):
+        c = f[i + d]
         f[i:i + d + 1] = [u - c * w for u, w in zip(f[i:i + d + 1], g)]
-    return quo, f[:d]
+    return f[:d]
+
+
+def _divisor_chain(entries):
+    """The invariant factors, each dividing the next, of the direct sum
+    of the cyclic groups Z/d for d in entries, 0 standing for Z, leaving
+    out the ones.  Replacing a pair (a, b) by (gcd, lcm) keeps the group,
+    and a sweep that does so for each entry i with every later one
+    leaves at i the gcd of all that remain, a divisor of each of them."""
+    chain = [d for d in entries if d != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            chain[i], chain[j] = gcd(a, b), lcm(a, b)
+    return chain
 
 
 def cover_homology_snf(n, q):
@@ -280,22 +294,16 @@ def cover_homology_snf(n, q):
     c = 0, ..., q-2, clears the diagonal and leaves I - h^q in the
     corner of the first block row, whose other blocks the identity
     blocks below then clear.  So the Smith form is (q-1) N ones, N the
-    side of A, followed by that of h^q - I, the cokernel of t^q - 1 on
+    side of A, followed by the invariants of the cokernel of t^q - 1 on
     Z^N with t acting by h.
 
-    Two routes take that cokernel, chosen by the parity of n:
-    - odd n: Z^N is (Z[t]/p_n)^2 as a module over Z[t], by the per-n
-      certificate of `_alexander_module`, so the cokernel is two copies
-      of Z[t]/(p_n, t^q - 1), the Smith form of a matrix of side
-      min(n-1, q-1) (`_quotient_invariants`), each invariant taken
-      twice;
-    - even n: the Alexander polynomial is no square and p_n is not
-      defined.  An infinite cover (`_cyclotomic_factor`) is refused
-      before any power of h; then each column of h, checked by
-      `_checked_monodromy`, takes q - 1 more steps of
-      `seifert.apply_monodromy`, and the Smith form is that of the
-      N-square h^q - I, taken on its columns.
-    A zero invariant means an infinite cover, refused by ValueError.
+    By the per-n certificate of `_alexander_module`, Z^N is
+    Z[t]/f_0 + Z[t]/p as a module over Z[t], so that cokernel is
+    Z[t]/(f_0, t^q - 1) + Z[t]/(p, t^q - 1), each the Smith form of a
+    matrix of side min(deg f, q - 1) (`_quotient_invariants`), taken
+    once when f_0 = p, for odd n.  The two are merged into one divisor chain
+    (`_divisor_chain`) and padded with ones to N entries.  A zero
+    invariant means an infinite cover, refused by ValueError.
 
     The bound on n (`seifert.check_n`) and the one on N q, which
     MAX_COVER_SIDE gives the cost of, are checked before anything is
@@ -311,23 +319,14 @@ def cover_homology_snf(n, q):
             f"{size * q} generators, above the ceiling N q <= "
             f"{MAX_COVER_SIDE}")
     _check_knot(n)
-    infinite = ValueError(
-        f"H_1 of the {q}-fold branched cover is infinite for n={n}")
-    if n % 2:
-        inv = sorted(2 * _quotient_invariants(_alexander_module(n), q))
-    elif _cyclotomic_factor(n, q):
-        raise infinite
-    else:
-        power = []  # the columns of h^q - I
-        for j, col in enumerate(_checked_monodromy(n)):
-            for _ in range(q - 1):
-                col = apply_monodromy(n, col)
-            col[j] -= 1
-            power.append(col)
-        inv = smith_normal_form(power)
+    f0, p = _alexander_module(n)
+    inv = _quotient_invariants(f0, q)
+    inv = _divisor_chain(
+        inv + (inv if f0 == p else _quotient_invariants(p, q)))
     if not all(inv):
-        raise infinite
-    return CoverHomology(n, q, (1,) * ((q - 1) * size) + tuple(inv))
+        raise ValueError(
+            f"H_1 of the {q}-fold branched cover is infinite for n={n}")
+    return CoverHomology(n, q, (1,) * (q * size - len(inv)) + tuple(inv))
 
 
 # -- the Q/Z linking form -------------------------------------------------------

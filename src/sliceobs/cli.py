@@ -3,8 +3,8 @@
 Subcommands:
   obstruct      full obstruction reports for one knot (or the whole table)
   verify-table  recompute the reference rows and diff the factor lists
-  homology      branched cover homology by Smith normal form: for odd n
-                of side min(n-1, q-1), for even n of h^q - I
+  homology      branched cover homology by Smith normal forms of side at
+                most min(n, q-1)
   linking       the Q/Z linking form matrix on the 3-fold cover
   metabolizers  invariant metabolizer count and orbit structure
 """
@@ -148,9 +148,8 @@ def build_parser():
     vt.set_defaults(fn=_cmd_verify_table)
 
     ho = sub.add_parser(
-        "homology", help="branched cover homology, by a Smith form of "
-                         "side min(n-1, q-1) for odd n, a 2(n-1)-square "
-                         "one (h^q - I) for even n")
+        "homology", help="branched cover homology, by Smith forms of "
+                         "side at most min(n, q-1)")
     ho.add_argument("--n", type=int, required=True)
     ho.add_argument("--q", type=int, default=3,
                     help=f"cover degree, with 2(n-1) q <= {MAX_COVER_SIDE} "

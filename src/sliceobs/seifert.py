@@ -1,6 +1,7 @@
 """Seifert data for the braid-closure family and the invariants that
-fall out of it: the Alexander polynomial det(tA - A^T) and its
-distinguished square root.
+fall out of it: the Alexander polynomial det(tA - A^T) and the product
+of its quadratic factors paired by the order-n symmetry, which for odd
+n is its distinguished square root p_n.
 
 For the n-th member, applying Seifert's algorithm to the closure of
 (sigma_1 sigma_2^-1)^n yields a genus n-1 surface whose Seifert matrix
@@ -25,10 +26,11 @@ A is written down: A is never formed as a dense table.
 
 The band rows feed the linking form and the Alexander polynomial, and
 the cover homology's check A h = A^T (`blanchfield.cover_homology_snf`)
-on h e_j = `apply_monodromy` of each unit vector e_j; for odd n the
-cover homology is read off Z[t]/p_n, after checking that p_n(h) kills
-e_0 and e_1, and for even n the Alexander polynomial refuses an
-infinite cover first.  `apply_monodromy`, `band_order` and
+on h e_j = `apply_monodromy` of each unit vector e_j; for every n the
+cover homology is read off Z[t]/f_0 and Z[t]/p, p the
+`paired_product` and f_0 = p for odd n, (t^2 - 3t + 1) p for even n,
+after checking by Horner's rule through `apply_monodromy` that f_0(h)
+kills e_0 and p(h) kills e_0 + e_1.  `apply_monodromy`, `band_order` and
 `band_pencil` begin with the one size check `check_n` against `MAX_N`,
 so it fires before anything is allocated; `report.obstruct` runs it
 before it builds the presentation.
@@ -38,7 +40,7 @@ from .laurent import LaurentPolynomial
 from .linalg import det_band
 
 __all__ = ["MAX_N", "check_n", "apply_monodromy", "band_order",
-           "band_pencil", "alexander_polynomial", "p_n"]
+           "band_pencil", "alexander_polynomial", "paired_product", "p_n"]
 
 # The largest family index accepted, so that no input asks for more
 # than a few dense tables of side N = 2(n-1) <= 998, 1e6 entries each
@@ -46,8 +48,8 @@ __all__ = ["MAX_N", "check_n", "apply_monodromy", "band_order",
 # polynomial take band rows of 5 entries).  Measured near it (Python
 # 3.11, 2 cores): `linking_form(497)` takes 0.03 s and
 # `alexander_polynomial(497)` 0.4-0.6 s, `cover_homology_snf(497, 3)`
-# 0.4-0.7 s and `cover_homology_snf(500, 3)` 1.6 s (even n grow about
-# as n^3), and `report.obstruct(491, s=983)` 34 s at 48 MiB peak RSS.
+# 0.5-0.6 s and `cover_homology_snf(500, 3)` 0.36 s, and
+# `report.obstruct(491, s=983)` 34 s at 48 MiB peak RSS.
 MAX_N = 500
 
 
@@ -127,25 +129,32 @@ def alexander_polynomial(n):
     return LaurentPolynomial(dict(enumerate(det)))
 
 
-def p_n(n):
-    """The distinguished square root of the Alexander polynomial:
-    prod over k = 1 .. m of t^2 + (xi^k - 1 + xi^-k) t + 1, with
-    m = (n-1)/2 and xi a primitive n-th root of unity.  Integer
-    coefficients.
+def paired_product(n):
+    """The product of the quadratic factors of the Alexander polynomial
+    paired by xi^k and xi^-k: prod over k = 1 .. m of
+    t^2 + (xi^k - 1 + xi^-k) t + 1, with m = floor((n-1)/2) and xi a
+    primitive n-th root of unity, an integer polynomial, 1 at n = 2.
 
     With z = 1 - t - t^-1 each factor is t (xi^k + xi^-k - z), and for
     z = w + w^-1 the product of z - xi^k - xi^-k over k = 1 .. m is
-    sum_{j=-m}^{m} w^j = S_m(z), where S_0 = 1, S_1 = 1 + z and
-    S_{j+1} = z S_j - S_{j-1}.  So p_n = (-t)^m S_m(z), computed by that
-    recurrence in integer Laurent arithmetic.  n is held to `check_n`'s
-    ceiling, like every invariant here.
+    S_m(z), where S_-1 = -(n mod 2), S_0 = 1 and S_{j+1} = z S_j - S_{j-1}:
+    sum_{j=-m}^{m} w^j for odd n, (w^(m+1) - w^-(m+1)) / (w - w^-1) for
+    even n.  So the product is (-t)^m S_m(z), computed by that recurrence
+    in integer Laurent arithmetic.  n is held to `check_n`'s ceiling,
+    like every invariant here.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("defined for odd n >= 3")
-    check_n(n)
-    m = (n - 1) // 2
+    m = check_n(n) // 2
     z = LaurentPolynomial({-1: -1, 0: 1, 1: -1})
-    prev, cur = LaurentPolynomial.constant(1), z + 1
-    for _ in range(m - 1):
+    one = LaurentPolynomial.constant(1)
+    prev, cur = one.scale(-(n % 2)), one
+    for _ in range(m):
         prev, cur = cur, z * cur - prev
     return cur.shift(m).scale((-1) ** m)
+
+
+def p_n(n):
+    """The distinguished square root of the Alexander polynomial for odd
+    n, the `paired_product` of its n - 1 quadratic factors."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("defined for odd n >= 3")
+    return paired_product(n)

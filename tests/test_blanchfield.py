@@ -11,7 +11,6 @@ import dataclasses
 import re
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 
 import pytest
@@ -51,7 +50,7 @@ from sliceobs.blanchfield import (
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix, smith_normal_form
 from sliceobs.seifert import (alexander_polynomial, apply_monodromy,
-                              band_order, band_pencil, p_n)
+                              band_order, band_pencil, paired_product)
 
 
 def five_determinant_cofactors(a, pos):
@@ -183,6 +182,35 @@ def refuses_the_link(n):
             cover_homology_snf(n, q)
 
 
+# for n <= 40 coprime to 3, the only cyclotomic factors Phi_d, 1 < d < 200,
+# of the Alexander polynomial are Phi_6 and Phi_10, at even n; so a
+# cover is refused for q < 200 exactly when 6 or 10 divides q and Phi_6
+# or Phi_10 divides Delta
+CYCLOTOMIC_HITS = {4: (6,), 8: (6,), 10: (10,), 16: (6,), 20: (6, 10),
+                   28: (6,), 32: (6,), 40: (6, 10)}
+
+
+def refused_covers(ns, qs):
+    """The knots n in ns and degrees q in qs whose q-fold cover
+    `cover_homology_snf` refuses as infinite."""
+    refused = []
+    for n in (n for n in ns if n % 3):
+        for q in qs:
+            try:
+                cover_homology_snf(n, q)
+            except ValueError as exc:
+                assert str(exc) == f"H_1 of the {q}-fold branched cover " \
+                                   f"is infinite for n={n}"
+                refused.append((n, q))
+    return refused
+
+
+def expected_refusals(ns, qs):
+    """The pairs of `refused_covers` that `CYCLOTOMIC_HITS` predicts."""
+    return [(n, q) for n in ns if n % 3 for q in qs
+            if any(q % d == 0 for d in CYCLOTOMIC_HITS.get(n, ()))]
+
+
 def refused_before_allocation(n, q):
     """The q-fold cover for n is refused by the side ceiling, with under
     64 KiB allocated."""
@@ -269,30 +297,33 @@ class TestCoverHomology:
 
     def test_infinite_cover_is_refused_before_any_power_of_h(
             self, monkeypatch):
-        # Phi_6 divides the Alexander polynomial at n = 8, and 6 | 1428
+        # Phi_6 divides f_0 = (t^2 - 3t + 1) p at n = 8, and 6 | 1428;
+        # once the certificate is taken, the cover is refused by Smith
+        # forms of side min(deg f, q - 1) for f = f_0, p, with no power
+        # of h and no Alexander polynomial
+        cover_homology_snf(8, 1)
+        sides = []
+
         def no_power(n, x):
             raise AssertionError("took a power of h")
 
+        def recorded(rows):
+            sides.append(len(rows))
+            return smith_normal_form(rows)
+
         monkeypatch.setattr(blanchfield, "apply_monodromy", no_power)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", recorded)
         with pytest.raises(ValueError, match="1428-fold branched cover is "
                                              "infinite for n=8"):
             cover_homology_snf(8, 1428)
+        assert sides == [8, 6]
+        assert not hasattr(blanchfield, "alexander_polynomial")
 
-    def test_cyclotomic_factors_up_to_200(self, monkeypatch):
-        # for n <= 40 coprime to 3, the only cyclotomic factors Phi_d,
-        # 1 < d < 200, of the Alexander polynomial are Phi_6 and Phi_10,
-        # at even n; so a cover is refused for q < 200 exactly when 6 or
-        # 10 divides q and Phi_6 or Phi_10 divides Delta
-        monkeypatch.setattr(blanchfield, "alexander_polynomial",
-                            lru_cache()(alexander_polynomial))
-        hits = {4: (6,), 8: (6,), 10: (10,), 16: (6,), 20: (6, 10),
-                28: (6,), 32: (6,), 40: (6, 10)}
-        for n in range(2, 41):
-            if n % 3:
-                assert [d for d in range(2, 200)
-                        if blanchfield._cyclotomic_factor(n, d)] == \
-                    [d for d in range(2, 200)
-                     if any(d % e == 0 for e in hits.get(n, ()))], n
+    def test_cyclotomic_factors_refuse_small_covers(self):
+        # q <= 20 meets Phi_6 and Phi_10 and their multiples 12, 18, 20;
+        # the scale tests take q < 200
+        assert refused_covers(range(2, 41), range(2, 21)) == \
+            expected_refusals(range(2, 41), range(2, 21))
 
     @pytest.mark.parametrize("q", [0, -2])
     def test_cover_degree_must_be_positive(self, q):
@@ -427,11 +458,31 @@ def no_smith(rows):
     raise AssertionError("reached the Smith form")
 
 
+def seed_flipped(monkeypatch, n):
+    """Hand the certificate for n the true columns of h, but apply h
+    conjugated by the sign change D of e_1 in Horner's rule: then
+    p(D h D) (e_0 + e_1) = D p(h) (e_0 - e_1), so the certificate checks
+    the seed e_0 - e_1 in place of e_0 + e_1, while D e_0 = e_0 keeps
+    the check of f_0."""
+    h = blanchfield._checked_monodromy(n)
+
+    def conjugated(n, x):
+        out = apply_monodromy(n, [-u if i == 1 else u
+                                  for i, u in enumerate(x)])
+        out[1] = -out[1]
+        return out
+
+    monkeypatch.setattr(blanchfield, "_checked_monodromy", lambda n: h)
+    monkeypatch.setattr(blanchfield, "apply_monodromy", conjugated)
+
+
 class TestAlexanderModule:
-    """For odd n the cover homology is read off Z[t]/(p_n, t^q - 1),
-    after the certificate of `blanchfield._alexander_module` that Z^N
-    with t acting by h is (Z[t]/p_n)^2 on e_0, e_1; each of its checks
-    is load-bearing."""
+    """The cover homology is read off Z[t]/(f_0, t^q - 1) and
+    Z[t]/(p, t^q - 1), after the certificate of
+    `blanchfield._alexander_module` that Z^N with t acting by h is
+    Z[t]/f_0 on e_0 plus Z[t]/p on e_0 + e_1, with f_0 = p for odd n and
+    f_0 = (t^2 - 3t + 1) p for even n; each of its checks is
+    load-bearing, for both parities."""
 
     @pytest.mark.parametrize("k, delta, message", [
         (0, 1, "not monic"), (2, 1, "not monic"), (4, 1, "not monic"),
@@ -442,12 +493,75 @@ class TestAlexanderModule:
         # it loses a unit value at 0 or 1, or its leading 1; by 2 inside
         # it keeps them, and p_n(h) no longer kills e_0 and e_1
         def perturbed(n):
-            return p_n(n) + LaurentPolynomial({k: delta})
+            return paired_product(n) + LaurentPolynomial({k: delta})
 
-        monkeypatch.setattr(blanchfield, "p_n", perturbed)
+        monkeypatch.setattr(blanchfield, "paired_product", perturbed)
         monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
         with pytest.raises(ArithmeticError, match=message):
             cover_homology_snf(5, 3)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("factor, message", [
+        ((2, -3, 1), "not monic"), ((0, -3, 1), "not monic"),
+        ((1, -4, 1), "not monic"), ((1, -2, 1), "not monic"),
+        ((1, -3, 2), "not monic"), ((1, -3, 0), "not monic"),
+        ((1, -1, 1), "f_0\\(h\\) does not kill e_0")])
+    def test_wrong_middle_factor_is_caught(self, n, factor, message,
+                                           monkeypatch):
+        # t^2 - 3t + 1 with one coefficient off by 1 loses a unit value
+        # at 0 or 1, or its leading 1; t^2 - t + 1, off by 2 in the
+        # middle, keeps them, and f_0(h) no longer kills e_0
+        monkeypatch.setattr(blanchfield, "_MIDDLE_FACTOR", factor)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match=message):
+            cover_homology_snf(n, 3)
+
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_seed_e0_minus_e1_is_caught(self, n, monkeypatch):
+        # for odd n, p(h) = 0 kills e_0 - e_1 too, and at n = 2 the
+        # summand of p = 1 drops out; from n = 4 on, p(h) kills e_0 + e_1
+        # and not e_0 - e_1
+        seed_flipped(monkeypatch, n)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError,
+                           match="p\\(h\\) does not kill e_0 \\+ e_1"):
+            cover_homology_snf(n, 3)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_wrong_degree_is_caught(self, n, monkeypatch):
+        # times t^2 - t + 1, f_0 and p stay monic with unit values at 0
+        # and 1, but their degrees add up past N
+        def perturbed(n):
+            return paired_product(n) * LaurentPolynomial({0: 1, 1: -1, 2: 1})
+
+        monkeypatch.setattr(blanchfield, "paired_product", perturbed)
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match="deg f_0 \\+ deg p"):
+            cover_homology_snf(n, 3)
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 8])
+    def test_negative_exponent_is_caught(self, n, monkeypatch):
+        monkeypatch.setattr(blanchfield, "paired_product",
+                            lambda n: paired_product(n).shift(-1))
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match="not monic"):
+            cover_homology_snf(n, 3)
+
+    @pytest.mark.parametrize("n", [n for n in range(2, 101) if n % 3])
+    def test_product_is_the_alexander_polynomial(self, n):
+        # the certified f_0 p is det(tA - A^T) on the band rows, up to
+        # the sign det A = (-1)^(n-1)
+        f0, p = blanchfield._alexander_module(n)
+        product = LaurentPolynomial(dict(enumerate(f0))) * \
+            LaurentPolynomial(dict(enumerate(p)))
+        assert product.scale((-1) ** (n - 1)) == alexander_polynomial(n)
+
+    def test_figure_eight_is_generated_by_e0(self):
+        # at n = 2, p = 1, so Z[t]/p = 0 drops out and Z^2 is
+        # Z[t]/(t^2 - 3t + 1) on e_0 alone
+        assert blanchfield._alexander_module(2) == ((1, -3, 1), (1,))
+        assert blanchfield._generates(blanchfield._checked_monodromy(2),
+                                      (0,))
 
     @pytest.mark.parametrize("j", [1, 4, 5])
     def test_column_change_breaks_generation(self, j, monkeypatch):
@@ -466,9 +580,23 @@ class TestAlexanderModule:
         with pytest.raises(ArithmeticError, match="generate"):
             cover_homology_snf(5, 3)
 
+    @pytest.mark.parametrize("n, j", [(2, 0), (4, 1), (4, 3), (8, 7)])
+    def test_column_change_breaks_generation_at_even_n(self, n, j,
+                                                       monkeypatch):
+        # the same at even n, where f_0(h) kills e_0 and p(h) kills
+        # e_0 + e_1 on the true h, and at n = 2 from e_0 alone
+        h = blanchfield._checked_monodromy(n)
+        monkeypatch.setattr(blanchfield, "_checked_monodromy", lambda n: [
+            [2 * x for x in col] if c == j else col
+            for c, col in enumerate(h)])
+        monkeypatch.setattr(blanchfield, "smith_normal_form", no_smith)
+        with pytest.raises(ArithmeticError, match="generate"):
+            cover_homology_snf(n, 3)
+
     @pytest.mark.parametrize("patch, message", [
-        ("blanchfield.p_n = lambda n: p_n(n) + LaurentPolynomial({2: 2})",
-         "p_n\\(h\\) does not kill"),
+        ("blanchfield.paired_product = "
+         "lambda n: paired_product(n) + LaurentPolynomial({2: 2})",
+         "f_0\\(h\\) does not kill"),
         ("h = blanchfield._checked_monodromy(5)\n"
          "blanchfield._checked_monodromy = lambda n: "
          "[[2 * x for x in col] if c == 1 else col "
@@ -480,16 +608,20 @@ class TestAlexanderModule:
          "    out[-1] += x == [1] + [0] * (len(x) - 1)\n"
          "    return out\n"
          "blanchfield.apply_monodromy = far",
-         "is not A\\^T")])
+         "is not A\\^T"),
+        ("n = 8\n"
+         "blanchfield._MIDDLE_FACTOR = (1, -1, 1)",
+         "f_0\\(h\\) does not kill")])
     def test_certificate_survives_optimize(self, patch, message):
         code = ("from sliceobs import blanchfield\n"
                 "from sliceobs.laurent import LaurentPolynomial\n"
-                "from sliceobs.seifert import p_n\n"
+                "from sliceobs.seifert import paired_product\n"
                 "def no_smith(rows):\n"
                 "    raise RuntimeError('reached the Smith form')\n"
                 "blanchfield.smith_normal_form = no_smith\n"
+                "n = 5\n"
                 f"{patch}\n"
-                "blanchfield.cover_homology_snf(5, 3)\n")
+                "blanchfield.cover_homology_snf(n, 3)\n")
         proc = run_python(["-O", "-c", code], 60)
         assert proc.returncode == 1
         assert re.search(f"ArithmeticError: .*{message}", proc.stderr)
@@ -499,24 +631,24 @@ class TestAlexanderModule:
 
         def counted(n):
             calls.append(n)
-            return p_n(n)
+            return paired_product(n)
 
-        monkeypatch.setattr(blanchfield, "p_n", counted)
+        monkeypatch.setattr(blanchfield, "paired_product", counted)
         for q in (1, 2, 3, 5):
             cover_homology_snf(7, q)
         cover_homology_snf(11, 2)
-        assert calls == [7, 11]
+        for q in (1, 2, 3, 5):
+            cover_homology_snf(8, q)
+        assert calls == [7, 11, 8]
 
     def test_odd_n_take_a_smith_form_of_side_min_n_q_minus_1(
             self, monkeypatch):
-        # after the certificate's 4(n - 1) steps of h (one from each unit
-        # vector, n - 1 of Horner's rule on each of e_0, e_1), a cover of
-        # any q takes no step of h, no Alexander polynomial, and one Smith
-        # form, of side min(n - 1, q - 1)
+        # after the certificate's 2N steps of h (one from each unit
+        # vector, deg f_0 of Horner's rule on e_0 and deg p on e_0 + e_1),
+        # a cover of any q takes no step of h, no Alexander polynomial,
+        # and for odd n one Smith form, of side min(n - 1, q - 1); for
+        # even n two, of sides min(n, q - 1) and min(n - 2, q - 1)
         steps, sides = [], []
-
-        def no_delta(n):
-            raise AssertionError("took the Alexander polynomial")
 
         def counted(n, x):
             steps.append(n)
@@ -528,20 +660,27 @@ class TestAlexanderModule:
 
         monkeypatch.setattr(blanchfield, "apply_monodromy", counted)
         monkeypatch.setattr(blanchfield, "smith_normal_form", recorded)
-        monkeypatch.setattr(blanchfield, "alexander_polynomial", no_delta)
+        assert not hasattr(blanchfield, "alexander_polynomial")
         cover_homology_snf(7, 2)
         assert len(steps) == 24
         for q in (5, 7, 40):
             assert cover_homology_snf(7, q).order > 1
         assert len(steps) == 24
         assert sides == [(1, 1), (4, 4), (6, 6), (6, 6)]
+        del sides[:]
+        cover_homology_snf(8, 2)
+        assert len(steps) == 24 + 28
+        for q in (5, 7, 8, 40):
+            assert cover_homology_snf(8, q).order > 1
+        assert len(steps) == 24 + 28
+        assert [side for side, _ in sides] == [1, 1, 4, 4, 6, 6, 7, 6, 8, 6]
 
     @pytest.mark.parametrize("n", [2, 4, 8, 10, 14, 16])
     def test_even_n_have_no_such_module(self, n):
         # the vectors h^i e_0, i < n, are independent, so no polynomial
         # of degree n - 1 kills e_0: for even n, Z^N is no (Z[t]/f)^2
-        # with f of degree n - 1, and the cover takes the N-square
-        # h^q - I
+        # with f of degree n - 1, but Z[t]/f_0 on e_0, deg f_0 = n, plus
+        # Z[t]/p on e_0 + e_1 (`_alexander_module`)
         x = [int(i == 0) for i in range(2 * (n - 1))]
         krylov = []
         for _ in range(n):
@@ -560,12 +699,77 @@ class TestAlexanderModule:
         assert not blanchfield._generates(h, (1,))
 
 
+def chain_by_primes(entries):
+    """Oracle for `blanchfield._divisor_chain`: the invariant factors of
+    the sum of the Z/d, from the exponents of each prime taken apart,
+    the largest exponents going to the last factors; 0 stands for Z and
+    comes last, and ones are left out."""
+    zeros = [d for d in entries if d == 0]
+    powers = {}
+    for d in entries:
+        prime = 2
+        while d > 1:
+            k = 0
+            while d % prime == 0:
+                d //= prime
+                k += 1
+            if k:
+                powers.setdefault(prime, []).append(k)
+            prime += 1
+    length = max(map(len, powers.values()), default=0)
+    chain = [1] * length
+    for prime, exps in powers.items():
+        for i, k in enumerate(sorted(exps), start=length - len(exps)):
+            chain[i] *= prime ** k
+    return chain + zeros
+
+
+class TestDivisorChain:
+    def test_coprime_pair(self):
+        assert blanchfield._divisor_chain([2, 3]) == [1, 6]
+
+    def test_ones_are_left_out(self):
+        assert blanchfield._divisor_chain([1, 4, 1, 6, 1]) == [2, 12]
+
+    @given(st.lists(st.integers(0, 500), max_size=8))
+    def test_matches_the_primes_apart(self, entries):
+        got = blanchfield._divisor_chain(entries)
+        assert all(b % a == 0 for a, b in zip(got, got[1:]) if a)
+        assert [d for d in got if d != 1] == chain_by_primes(entries)
+
+    @given(st.lists(st.integers(1, 60), max_size=6))
+    def test_two_equal_chains_give_each_entry_twice(self, entries):
+        chain = chain_by_primes(entries)
+        assert blanchfield._divisor_chain(chain + chain) == \
+            sorted(2 * chain)
+
+
 @pytest.mark.scale
 class TestCoverHomologyAtScale:
     @pytest.mark.parametrize("n", [43, 47, 49, 53])
     def test_matches_dense_inverse(self, n):
         for q, want in dense_monodromy_homology(n, range(1, 8)).items():
             assert cover_homology_snf(n, q) == want
+
+    @pytest.mark.parametrize("ns, qs", [(range(2, 21), range(2, 200)),
+                                        (range(21, 41), range(2, 61))],
+                             ids=["n<=20-q<200", "n<=40-q<=60"])
+    def test_cyclotomic_factors_up_to_200(self, ns, qs):
+        # every q < 200 for n <= 20, about 40 s in one process; for
+        # 20 < n <= 40 the Smith forms of side up to 40 take seconds
+        # each at q near 200 (about 15 min for all of them on 2 cores),
+        # so those n stop at q = 60
+        assert refused_covers(ns, qs) == expected_refusals(ns, qs)
+
+    @pytest.mark.parametrize("n", [40, 44, 46, 50, 52])
+    def test_even_n_match_dense_inverse(self, n):
+        for q, want in dense_monodromy_homology(n, range(1, 8)).items():
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as got:
+                    cover_homology_snf(n, q)
+                assert str(got.value) == want
+            else:
+                assert cover_homology_snf(n, q) == want
 
     @pytest.mark.parametrize("n, q", [(101, 30), (11, 1000)])
     def test_matches_dense_inverse_at_large_side(self, n, q):

@@ -15,7 +15,7 @@ from laurent_oracle import (band_rows, dense_rows, det_laurent, evaluate,
 from seifert_oracle import band_matrix, seifert_matrix
 from sliceobs import blanchfield, seifert
 from sliceobs.blanchfield import cover_homology_snf, linking_form
-from sliceobs.ffpoly import is_prime, mul, primitive_root_of_unity
+from sliceobs.ffpoly import is_prime, mul
 from sliceobs.laurent import LaurentPolynomial
 from sliceobs.linalg import Matrix, det_band
 from sliceobs.report import obstruct
@@ -26,6 +26,7 @@ from sliceobs.seifert import (
     band_order,
     band_pencil,
     p_n,
+    paired_product,
 )
 
 t = LaurentPolynomial({1: 1})
@@ -269,6 +270,26 @@ class TestAlexanderPolynomial:
         assert same_up_to_units(delta, delta.involution())
 
 
+def assert_root_of_unity_product(p, n):
+    """p is prod over k = 1 .. (n-1)//2 of t^2 + (xi^k + xi^-k - 1) t + 1
+    mod s, with xi an n-th root of unity in Z/s for three primes
+    s = 1 mod n."""
+    m = (n - 1) // 2
+    assert p.min_exp == 0 and max_exp(p) == 2 * m
+    dense = [dict(p.items()).get(e, 0) for e in range(2 * m + 1)]
+    primes = [s for s in range(n + 1, 100 * n, n) if is_prime(s)][:3]
+    assert len(primes) == 3
+    for s in primes:
+        theta = next(x for x in (pow(a, (s - 1) // n, s)
+                                 for a in range(2, s))
+                     if all(pow(x, k, s) != 1 for k in range(1, n)))
+        acc = [1]
+        for k in range(1, m + 1):
+            mid = (pow(theta, k, s) + pow(theta, -k, s) - 1) % s
+            acc = mul(acc, [1, mid, 1], s)
+        assert acc == [c % s for c in dense]
+
+
 class TestSquareRoot:
     def test_rejects_even_or_tiny(self):
         with pytest.raises(ValueError):
@@ -307,16 +328,16 @@ class TestSquareRoot:
     def test_matches_root_of_unity_product_mod_s(self, n):
         # the paper's definition, prod_k t^2 + (xi^k + xi^-k - 1) t + 1,
         # with xi an n-th root of unity in Z/s for primes s = 1 mod n
-        dense = [dict(p_n(n).items()).get(e, 0) for e in range(n)]
-        primes = [s for s in range(n + 1, 100 * n, n) if is_prime(s)][:3]
-        assert len(primes) == 3
-        for s in primes:
-            theta = primitive_root_of_unity(s, n)
-            acc = [1]
-            for k in range(1, (n - 1) // 2 + 1):
-                mid = (pow(theta, k, s) + pow(theta, -k, s) - 1) % s
-                acc = mul(acc, [1, mid, 1], s)
-            assert acc == [c % s for c in dense]
+        assert_root_of_unity_product(p_n(n), n)
+
+    @pytest.mark.parametrize("n", (4, 8, 10, 14, 16, 20, 22, 32))
+    def test_paired_product_at_even_n(self, n):
+        # the same product over k = 1 .. (n-2)/2, the pairs xi^k, xi^-k
+        # other than xi^(n/2) = -1
+        assert_root_of_unity_product(paired_product(n), n)
+
+    def test_paired_product_is_one_at_two(self):
+        assert paired_product(2) == LaurentPolynomial.constant(1)
 
     def test_value_at_one(self):
         for n in (5, 7, 11):
