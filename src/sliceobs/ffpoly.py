@@ -26,6 +26,14 @@ where N(u) = u u^s ... u^(s^(d-1)) needs d - 1 applications and the
 power only log2(s) squarings.  `is_irreducible` reads the first
 distinct-degree yield.  `norm_obstructed` is the whole norm test, odd
 totals included.
+
+`factor_reciprocal` takes a polynomial p that reads the same both ways,
+and only such a p (else ArithmeticError): p = t^k q(t + 1/t), so
+`factor` runs on q, of half the degree, and each factor g of q lifts to
+t^e g(t + 1/t), one irreducible or a reciprocal pair as one Legendre
+symbol mod s decides (Meyn, AAECC 1990); a pair is split by the
+equal-degree split.  Both routes share their input checks and the
+check that the factors multiply back.
 """
 
 import operator
@@ -45,6 +53,7 @@ __all__ = [
     "interpolate",
     "derivative",
     "factor",
+    "factor_reciprocal",
     "is_irreducible",
     "degree_sequence",
     "primitive_root_of_unity",
@@ -537,17 +546,34 @@ def _check_coefficients(a):
             raise ValueError(f"a coefficient must be an integer, not {c!r}")
 
 
-def factor(a, s):
-    """Full factorization over Z/s (s an odd prime) into monic
-    irreducibles with multiplicity, plus the leading unit.  Integer
-    coefficients only, else ValueError."""
+def _checked(a, s):
+    """a trimmed mod s, after the checks of every factorization: s an
+    odd prime, integer coefficients, a not zero (else ValueError)."""
     if not (s > 2 and is_prime(s)):
         raise ValueError(f"factor needs an odd prime modulus, not s={s}")
     _check_coefficients(a)
     a = trim(a, s)
     if not a:
         raise ValueError("cannot factor the zero polynomial")
-    unit = a[-1]
+    return a
+
+
+def _factorization(found, a, s):
+    """The `FactorizationResult` of a (trimmed mod s) from the irreducibles
+    found, {coefficient tuple: multiplicity}, sorted by degree then
+    coefficients; ArithmeticError when they do not multiply back to a."""
+    factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    result = FactorizationResult(modulus=s, unit=a[-1], factors=factors)
+    if result.product() != a:
+        raise ArithmeticError("factorization does not multiply back")
+    return result
+
+
+def factor(a, s):
+    """Full factorization over Z/s (s an odd prime) into monic
+    irreducibles with multiplicity, plus the leading unit.  Integer
+    coefficients only, else ValueError."""
+    a = _checked(a, s)
     f = monic(a, s)
     rng = random.Random(_SEED)
     found = {}
@@ -559,11 +585,100 @@ def factor(a, s):
                 for irr in _equal_degree_split(prod, d, s, rng, frobenius):
                     key = tuple(irr)
                     found[key] = found.get(key, 0) + m
-    factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    result = FactorizationResult(modulus=s, unit=unit, factors=factors)
-    if result.product() != a:
-        raise ArithmeticError("factorization does not multiply back")
-    return result
+    return _factorization(found, a, s)
+
+
+def _trace_polynomial(p, s):
+    """The q of degree k with p = t^k q(t + 1/t), for p of degree 2k that
+    reads the same both ways; ArithmeticError if a division leaves more
+    than its remainder.
+
+    t^-k p is q(z), z = t + 1/t, and q(z) = z q'(z) + q(0), so k
+    divisions by z give the coefficients of q from the bottom, as
+    Horner's rule run backwards.  In t one division of p of degree 2m is
+    p = (t^2 + 1) p' + r t^m, with p' of degree 2m - 2 reading the same
+    both ways: its upper half comes from the top, p'_e = p_(e+2) -
+    p'_(e+2), its lower half is the mirror, and p - (t^2 + 1) p' must be
+    r t^m exactly.
+    """
+    q = []
+    while len(p) > 1:
+        m = (len(p) - 1) // 2
+        top = [0] * (2 * m + 1)  # p', two zeros past its top
+        for e in range(2 * m - 2, m - 2, -1):
+            top[e] = (p[e + 2] - top[e + 2]) % s
+        top[:m - 1] = top[2 * m - 2:m - 1:-1]
+        rest = [(c - a - b) % s for c, a, b in zip(p, top, [0, 0] + top)]
+        r = rest[m]
+        rest[m] = 0
+        if any(rest):
+            raise ArithmeticError("the polynomial is not t^k q(t + 1/t)")
+        q.append(r)
+        p = top[:-2]
+    return q + p
+
+
+def _lift(g, s):
+    """t^e g(t + 1/t) for g of degree e: Horner's rule in z, where
+    P_(i+1) = (t^2 + 1) P_i + g_(e-i-1) t^(i+1) from P_0 = g_e."""
+    e = len(g) - 1
+    lift = [g[e]]
+    for i in range(e):
+        lift = [(a + b) % s for a, b in zip(lift + [0, 0], [0, 0] + lift)]
+        lift[i + 1] = (lift[i + 1] + g[e - i - 1]) % s
+    return lift
+
+
+def _at(g, x, s):
+    """g(x) mod s, by Horner's rule."""
+    value = 0
+    for c in reversed(g):
+        value = (value * x + c) % s
+    return value
+
+
+def factor_reciprocal(a, s):
+    """`factor` for a polynomial that reads the same both ways (t^deg a(1/t)
+    = a), through its trace polynomial of half the degree (Meyn, AAECC
+    1990); ArithmeticError for any other a, and the checks and result of
+    `factor` otherwise.
+
+    An odd degree has the root -1, which is taken out first.  Then
+    a = t^k q(t + 1/t) (`_trace_polynomial`), and `factor` factors q.
+    Each irreducible g of degree e and multiplicity m lifts to
+    L = t^e g(t + 1/t): for g = z - 2 and z + 2 that is (t - 1)^2 and
+    (t + 1)^2, multiplicity 2m.  Otherwise a root u of L has
+    u + 1/u = w, a root of g, so L is irreducible exactly when
+    z^2 - 4 is not a square in GF(s)[z]/g, where w lives; that holds
+    exactly when its norm to GF(s), g(2) g(-2), is not a square mod s,
+    which one Legendre symbol decides.  If it is a square, L is a pair
+    of reciprocal irreducibles of degree e, split by
+    `_equal_degree_split` through L's own Frobenius map.
+    """
+    a = _checked(a, s)
+    if a != a[::-1]:
+        raise ArithmeticError("the polynomial does not read the same both "
+                              "ways, so it is not self-reciprocal")
+    found = {}
+    p = a
+    if len(p) % 2 == 0:
+        p = poly_divmod(p, [1, 1], s)[0]
+        found[(1, 1)] = 1
+    rng = random.Random(_SEED)
+    for g, m in factor(_trace_polynomial(p, s), s).factors:
+        norm = _at(g, 2, s) * _at(g, -2, s) % s
+        if not norm:
+            parts, m = [(1, 1) if g == (2, 1) else (s - 1, 1)], 2 * m
+        elif pow(norm, (s - 1) // 2, s) != 1:
+            parts = [_lift(g, s)]
+        else:
+            lift = _lift(g, s)
+            frobenius = _frobenius(lift, s, _reducer(lift, s))
+            parts = _equal_degree_split(lift, len(g) - 1, s, rng, frobenius)
+        for part in parts:
+            key = tuple(part)
+            found[key] = found.get(key, 0) + m
+    return _factorization(found, a, s)
 
 
 def is_irreducible(f, s):

@@ -3,7 +3,8 @@ family, plus the reference tables they are checked against.
 
 For each n the two character classes (the fixed metabolizer and the
 orbit representative) get a twisted polynomial over Z/s; the report
-records its factorization, the degree count against 2(n-2), and the
+records its factorization (chi- through its trace polynomial,
+`ffpoly.factor_reciprocal`), the degree count against 2(n-2), and the
 subset-sum norm obstruction.  The reference factor tables below pin the
 expected output for n = 11, 17, 23 at the default (s, theta) witnesses.
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 from .braids import WirtingerPresentation, family_braid, wirtinger_of_closure
-from .ffpoly import (degree_sequence, factor, norm_obstructed,
-                     primitive_root_of_unity)
+from .ffpoly import (degree_sequence, factor, factor_reciprocal,
+                     norm_obstructed, primitive_root_of_unity)
 from .metabolizers import (Character, character_for, check_class,
                            enumerate_metabolizers, fixed_metabolizer,
                            orbit_base_metabolizer, orbit_decomposition)
@@ -191,6 +192,11 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     exactly.  The pullbacks are not matched to the orbit metabolizers:
     they need not be the characters `character_for` gives them.
 
+    chi+ is factored by `factor`.  chi-'s polynomial reads the same both
+    ways, so `factor_reciprocal` factors it through its trace
+    polynomial, of half the degree; one that does not raises
+    ArithmeticError.
+
     A bad n or witness is refused before the linking form is built.
     The presentation, the form, the metabolizers and the characters
     come from `census(n)`, so a second witness for the same n computes
@@ -206,10 +212,10 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     c = census(n)
     target = 2 * (n - 2)
     reports = {}
-    for chi in (c.plus, c.minus):
+    for chi, split in ((c.plus, factor), (c.minus, factor_reciprocal)):
         s_use, theta_use = witnesses[chi.sign]
         tp = twisted_polynomial(c.presentation, chi, s_use, theta_use)
-        fact = factor(list(tp.coeffs), s_use)
+        fact = split(list(tp.coeffs), s_use)
         degs = tuple(degree_sequence(fact))
         total = sum(degs)
         reports[chi.sign] = ObstructionReport(

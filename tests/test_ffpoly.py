@@ -15,9 +15,9 @@ import sliceobs
 from fresh_python import run_python
 from sliceobs import ffpoly
 from sliceobs.ffpoly import (FactorizationResult, degree_sequence,
-                             derivative, factor, interpolate,
-                             is_irreducible, is_prime, monic, mul,
-                             norm_obstructed, poly_divmod, poly_gcd,
+                             derivative, factor, factor_reciprocal,
+                             interpolate, is_irreducible, is_prime, monic,
+                             mul, norm_obstructed, poly_divmod, poly_gcd,
                              primitive_root_of_unity, sub, trim)
 
 
@@ -65,8 +65,8 @@ def test_is_prime_takes_a_bool_as_an_int():
     assert not is_prime(True) and not is_prime(False)
 
 
-@pytest.mark.parametrize("call", [factor, is_irreducible,
-                                  sliceobs.is_irreducible])
+@pytest.mark.parametrize("call", [factor, factor_reciprocal,
+                                  is_irreducible, sliceobs.is_irreducible])
 def test_a_float_modulus_is_refused_by_name(call):
     # the modulus reaches is_prime, which names what it refuses
     with pytest.raises(ValueError, match="not 7.0"):
@@ -278,8 +278,9 @@ def test_factor_multiplicity_divisible_by_s_beside_other_factors():
 
 
 def test_factor_rejects_zero():
-    with pytest.raises(ValueError):
-        factor([], 7)
+    for call in (factor, factor_reciprocal):
+        with pytest.raises(ValueError):
+            call([], 7)
 
 
 @pytest.mark.parametrize("s", (4, 9, 15))
@@ -328,6 +329,108 @@ def test_factor_bounds_cantor_zassenhaus_retries():
     assert proc.returncode != 0
     assert "ArithmeticError" in proc.stderr
     assert "no split" in proc.stderr
+
+
+# -- self-reciprocal polynomials through their trace polynomial ---------------
+
+
+def lifted(g, s):
+    """t^e g(t + 1/t) for g of degree e, expanded term by term as the sum
+    of g_j t^(e-j) (t^2 + 1)^j."""
+    e = len(g) - 1
+    out = []
+    for j, c in enumerate(g):
+        term = [0] * (e - j) + [c]
+        for _ in range(j):
+            term = mul(term, [1, 0, 1], s)
+        out = [(x + y) % s for x, y in
+               itertools.zip_longest(out, term, fillvalue=0)]
+    return trim(out)
+
+
+@pytest.mark.parametrize("s", (3, 7, 23))
+def test_trace_polynomial_inverts_the_lift(s):
+    rng = random.Random(s)
+    for e in range(8):
+        g = [rng.randrange(s) for _ in range(e)] + [rng.randrange(1, s)]
+        assert ffpoly._lift(g, s) == lifted(g, s)
+        assert ffpoly._trace_polynomial(lifted(g, s), s) == g
+
+
+@pytest.mark.parametrize("s", (7, 23))
+def test_each_quadratic_lift_matches_factor(s):
+    # t^2 - c t + 1 = t (t + 1/t - c): (t -+ 1)^2 at c = +-2, irreducible
+    # when c^2 - 4 is not a square mod s, a reciprocal pair when it is;
+    # both cases occur at each s
+    multiplicities = set()
+    for c in range(s):
+        p = [1, -c % s, 1]
+        got = factor_reciprocal(p, s)
+        assert got == factor(p, s)
+        multiplicities.add(tuple(m for _, m in got.factors))
+    assert multiplicities == {(1,), (2,), (1, 1)}
+
+
+def test_a_product_of_irreducible_lifts_and_pairs_matches_factor():
+    # at s = 7, g = z^2 + 1 has g(2) g(-2) = 25 = 4, a square, so its
+    # lift is a pair; g = z^2 + z + 3 has 9 * 5 = 3, not a square, so its
+    # lift is irreducible
+    s = 7
+    pair, single = lifted([1, 0, 1], s), lifted([3, 1, 1], s)
+    p = mul(mul(mul(pair, pair, s), single, s), [1, 1], s)
+    got = factor_reciprocal(p, s)
+    assert got == factor(p, s)
+    assert degree_sequence(got) == [1, 2, 2, 2, 2, 4]
+
+
+def reciprocal_products(s, data):
+    """A unit times lifts t^e g(t + 1/t) of random g, (t -+ 1)^2, t + 1
+    and products h(t) t^deg h(1/t), each to a multiplicity, of degree at
+    most 30."""
+    p = [data.draw(st.integers(1, s - 1))]
+    for _ in range(data.draw(st.integers(0, 5))):
+        kind = data.draw(st.sampled_from(("lift", "pair", "(t-1)^2",
+                                          "t+1")))
+        if kind == "lift":
+            e = data.draw(st.integers(1, 4))
+            g = data.draw(st.lists(st.integers(0, s - 1), min_size=e,
+                                   max_size=e)) + [1]
+            piece = lifted(g, s)
+        elif kind == "pair":
+            h = data.draw(st.lists(st.integers(0, s - 1), min_size=1,
+                                   max_size=4)) + [1]
+            h[0] = h[0] or 1
+            piece = mul(h, h[::-1], s)
+        else:
+            piece = {"(t-1)^2": [1, s - 2, 1], "t+1": [1, 1]}[kind]
+        for _ in range(data.draw(st.integers(1, 3))):
+            if len(p) + len(piece) - 2 > 30:
+                break
+            p = mul(p, piece, s)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((3, 5, 7, 11, 23, 103)), st.data())
+def test_factor_reciprocal_matches_factor(s, data):
+    p = reciprocal_products(s, data)
+    assert p == p[::-1]
+    assert factor_reciprocal(p, s) == factor(p, s)
+
+
+@pytest.mark.parametrize("p", ([1, 2], [1, 1, 2], [0, 1, 0], [1, 0, 6]))
+def test_factor_reciprocal_refuses_what_is_not_self_reciprocal(p):
+    with pytest.raises(ArithmeticError, match="not self-reciprocal"):
+        factor_reciprocal(p, 7)
+
+
+def test_factor_reciprocal_refuses_under_optimize():
+    code = ("from sliceobs.ffpoly import factor_reciprocal\n"
+            "print(factor_reciprocal([1, 2, 3], 7))\n")
+    proc = run_python(["-O", "-c", code], 60)
+    assert proc.returncode != 0
+    assert "ArithmeticError: the polynomial does not read the same" \
+        in proc.stderr
 
 
 def test_is_irreducible_cases():
@@ -676,10 +779,11 @@ def test_is_irreducible_rejects_non_prime_modulus(s):
     (lambda: factor([1.5, 1], 5), "1.5"),
     (lambda: factor([1, 2.0, 1], 7), "2.0"),
     (lambda: factor([1, Fraction(1, 2)], 5), "Fraction(1, 2)"),
+    (lambda: factor_reciprocal([1, 2.0, 1], 7), "2.0"),
     (lambda: is_irreducible([1.5, 1], 5), "1.5"),
     (lambda: is_irreducible([1, 0, 1.0], 7), "1.0"),
-], ids=["factor-1.5", "factor-2.0", "factor-fraction", "irreducible-1.5",
-        "irreducible-1.0"])
+], ids=["factor-1.5", "factor-2.0", "factor-fraction", "reciprocal-2.0",
+        "irreducible-1.5", "irreducible-1.0"])
 def test_a_coefficient_that_is_not_an_int_is_refused(call, bad):
     # factor used to return a float factor, and is_irreducible to end in
     # a TypeError from pow inside poly_gcd

@@ -9,7 +9,8 @@ import pytest
 from fresh_python import run_python
 from sliceobs import report, twisted
 from sliceobs.blanchfield import cover_homology_snf, linking_form
-from sliceobs.ffpoly import (degree_sequence, factor, monic,
+from sliceobs.ffpoly import (degree_sequence, factor, factor_reciprocal,
+                             is_irreducible, is_prime, monic,
                              primitive_root_of_unity)
 from sliceobs.report import (
     DEFAULT_WITNESS,
@@ -53,6 +54,46 @@ class TestWitnesses:
             assert g == monic(f[::-1], s)
             assert (degree_sequence(factor(g, s))
                     == degree_sequence(factor(f, s)))
+
+
+class TestChiMinusIsSelfReciprocal:
+    # obstruct factors chi- through its trace polynomial, which needs its
+    # polynomial to read the same both ways; chi+ keeps the direct route
+
+    @pytest.mark.parametrize("n", (5, 11, 17))
+    def test_at_every_theta_of_the_first_two_primes(self, n):
+        c = census(n)
+        primes = [s for s in range(n + 1, 100 * n, n) if is_prime(s)][:2]
+        for s in primes:
+            for theta in range(2, s):
+                if pow(theta, n, s) != 1:
+                    continue
+                minus, plus = (
+                    list(twisted_polynomial(c.presentation, chi, s,
+                                            theta).coeffs)
+                    for chi in (c.minus, c.plus))
+                assert minus == minus[::-1]
+                assert plus != plus[::-1]
+                assert factor_reciprocal(minus, s) == factor(minus, s)
+
+    @pytest.mark.scale
+    def test_n101_s607_theta64_matches_factor(self):
+        c = census(101)
+        p = list(twisted_polynomial(c.presentation, c.minus, 607, 64).coeffs)
+        assert factor_reciprocal(p, 607) == factor(p, 607)
+
+    @pytest.mark.scale
+    def test_n491_s983_factors_are_irreducible(self):
+        # factor(p) takes about 19 s at this degree (978), so the factors
+        # are checked one by one instead
+        c = census(491)
+        s = 983
+        theta = primitive_root_of_unity(s, 491)
+        p = list(twisted_polynomial(c.presentation, c.minus, s,
+                                    theta).coeffs)
+        fact = factor_reciprocal(p, s)
+        assert fact.product() == p
+        assert all(is_irreducible(list(g), s) for g, _ in fact.factors)
 
 
 class TestReferenceTable:
@@ -106,16 +147,12 @@ class TestObstruct:
 
     def test_exhaustive_factors_only_the_two_representatives(
             self, monkeypatch):
-        # the transported characters are compared by coefficients
-        calls = []
-
-        def counting_factor(*args):
-            calls.append(args)
-            return factor(*args)
-
-        monkeypatch.setattr(report, "factor", counting_factor)
+        # the transported characters are compared by coefficients; chi+
+        # is factored by factor, chi- by factor_reciprocal
+        plus = counting(monkeypatch, "factor")
+        minus = counting(monkeypatch, "factor_reciprocal")
         reports = obstruct(11, exhaustive=True)
-        assert len(calls) == 2
+        assert len(plus) == len(minus) == 1
         assert all(r.verdict == "not slice" for r in reports)
 
     def test_exhaustive_propagates_once_per_character(self, monkeypatch):
