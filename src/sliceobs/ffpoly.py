@@ -14,26 +14,26 @@ reduced mod s, times the rows x^(d+i) mod f, with every limb below
 takes the rows x^(i s) mod f.  `_pack` and `_unpack` split long lists
 and integers by halves.
 
-Factorization is squarefree decomposition, then distinct-degree
-splitting, then Cantor-Zassenhaus from a fixed seed with a bounded
-number of tries, so results are deterministic.  Both later stages go
-through the Frobenius map h -> h^s of each squarefree part sf, a linear
-map built once from one x^s (von zur Gathen and Shoup, 1992): the
-distinct-degree loop takes x^(s^d) by one application per step and
-one gcd per block of up to `_BLOCK` steps (Shoup, 1995), and a
-Cantor-Zassenhaus draw u takes u^((s^d - 1)/2) = N(u)^((s - 1)/2) mod f,
-where N(u) = u u^s ... u^(s^(d-1)) needs d - 1 applications and the
-power only log2(s) squarings.  `is_irreducible` reads the first
-distinct-degree yield.  `norm_obstructed` is the whole norm test, odd
-totals included.
-
-`factor_reciprocal` takes a polynomial p that reads the same both ways,
-and only such a p (else ArithmeticError): p = t^k q(t + 1/t), so
-`factor` runs on q, of half the degree, and each factor g of q lifts to
-t^e g(t + 1/t), one irreducible or a reciprocal pair as one Legendre
-symbol mod s decides (Meyn, AAECC 1990); a pair is split by the
-equal-degree split.  Both routes share their input checks and the
-check that the factors multiply back.
+Factorization is one entry point, `factor`, which takes its route from
+its input.  A polynomial p of degree >= 2 that reads the same both ways
+is t^k q(t + 1/t), so q, of half the degree, is factored instead, and
+each factor g of q lifts to t^e g(t + 1/t), one irreducible or a
+reciprocal pair as one Legendre symbol mod s decides (Meyn, AAECC 1990).
+Every other input goes through squarefree decomposition, then
+distinct-degree splitting, then Cantor-Zassenhaus from a fixed seed with
+a bounded number of tries, so results are deterministic.  The
+distinct-degree loop goes through the Frobenius map h -> h^s of each
+squarefree part, a linear map built once from one x^s (von zur Gathen
+and Shoup, 1992): it takes x^(s^d) by one application per step and one
+gcd per block of up to `_BLOCK` steps (Shoup, 1995).  Each
+equal-degree split (of a distinct-degree product, or of a reciprocal
+pair) builds the reducer and the Frobenius map of the product it
+splits, so a Cantor-Zassenhaus draw u takes
+u^((s^d - 1)/2) = N(u)^((s - 1)/2) mod f, where
+N(u) = u u^s ... u^(s^(d-1)) needs d - 1 applications, each already
+reduced mod f, and the power only log2(s) squarings.
+`is_irreducible` reads the first distinct-degree yield.
+`norm_obstructed` is the whole norm test, odd totals included.
 """
 
 import operator
@@ -53,7 +53,6 @@ __all__ = [
     "interpolate",
     "derivative",
     "factor",
-    "factor_reciprocal",
     "is_irreducible",
     "degree_sequence",
     "primitive_root_of_unity",
@@ -452,10 +451,10 @@ def _squarefree_parts(f, s):
 _BLOCK = 8
 
 
-def _distinct_degree(f, s, frobenius, mulmod):
+def _distinct_degree(f, s):
     """Yield (product of degree-d irreducibles, d) for squarefree monic f,
-    d ascending, given `frobenius`, the Frobenius map of a multiple of f,
-    and `mulmod`, the `_reducer` of that multiple.
+    d ascending, through the `_reducer` of f and the Frobenius map of f,
+    both built here.
 
     The degree-d irreducibles of f divide h_d - x, h_d = x^(s^d), and
     those of degree e > d do not (von zur Gathen and Shoup, 1992).  The
@@ -465,12 +464,14 @@ def _distinct_degree(f, s, frobenius, mulmod):
     part of f not yet yielded: with every smaller degree gone from rest,
     it is the product of the factors whose degrees lie in the block
     (Shoup, 1995).  Only a block whose gcd is nontrivial is refined, by
-    one gcd of h_d - x per step in ascending d; rest divides the map's
-    modulus, so these gcds are the ones taken modulo rest.  Once rest
+    one gcd of h_d - x per step in ascending d; rest divides f, the
+    map's modulus, so these gcds are the ones taken modulo rest.  Once rest
     has no factor of degree <= d and degree below 2(d + 1), it is
     irreducible, and it is yielded as it is; so no block runs past the
     last d with 2d <= deg rest.
     """
+    mulmod = _reducer(f, s)
+    frobenius = _frobenius(f, s, mulmod)
     h = [0, 1]  # x
     d = 0
     rest = f
@@ -501,39 +502,40 @@ _SEED = 2026
 _SPLIT_TRIES = 64
 
 
-def _equal_degree_split(f, d, s, rng, frobenius):
+def _equal_degree_split(f, d, s, rng):
     """Cantor-Zassenhaus: split monic squarefree f whose irreducible
-    factors all have degree d, given `frobenius`, the Frobenius map of a
-    multiple of f; ArithmeticError after _SPLIT_TRIES draws that do not
-    split it.
+    factors all have degree d; ArithmeticError after _SPLIT_TRIES draws
+    that do not split it.
 
     A draw u splits f by gcd(u^((s^d - 1)/2) - 1, f).  Since
     (s^d - 1)/2 = (1 + s + ... + s^(d-1)) (s - 1)/2, that power is
     N(u)^((s - 1)/2) mod f exactly, with the norm
     N(u) = u u^s ... u^(s^(d-1)) mod f.  Its d - 1 images come from the
-    map, each reduced mod f, and the remaining power has an exponent of
-    log2(s) bits, not d log2(s).  The products and the power of every
-    draw go through one reducer for f, built here.
-    The draws and the gcds are those of the direct power, so the
-    factors are too.
+    Frobenius map of f itself, built here when d > 1, so each is already
+    reduced mod f, and the remaining power has an exponent of log2(s)
+    bits, not d log2(s).  The products and the power of every draw go
+    through one reducer for f, also built here; each of the two parts
+    of a split builds its own.  The draws and the gcds are those of the
+    direct power, so the factors are too.
     """
     if len(f) - 1 == d:
         return [f]
     mulmod = _reducer(f, s)
+    frobenius = _frobenius(f, s, mulmod) if d > 1 else None
     for _ in range(_SPLIT_TRIES):
         u = trim([rng.randrange(s) for _ in range(len(f) - 1)])
         if len(u) < 2:
             continue
         norm = image = u
         for _ in range(d - 1):
-            image = poly_divmod(frobenius(image), f, s)[1]
+            image = frobenius(image)
             norm = mulmod(norm, image)
         power = _power([1], norm, (s - 1) // 2, mulmod)
         g = poly_gcd(sub(power, [1], s), f, s)
         if 1 < len(g) < len(f):
             rest = poly_divmod(f, g, s)[0]
-            return (_equal_degree_split(g, d, s, rng, frobenius)
-                    + _equal_degree_split(rest, d, s, rng, frobenius))
+            return (_equal_degree_split(g, d, s, rng)
+                    + _equal_degree_split(rest, d, s, rng))
     raise ArithmeticError(
         f"Cantor-Zassenhaus found no split of a degree-{len(f) - 1} "
         f"product of degree-{d} factors mod {s} in {_SPLIT_TRIES} tries")
@@ -544,48 +546,6 @@ def _check_coefficients(a):
     for c in a:
         if not isinstance(c, int):
             raise ValueError(f"a coefficient must be an integer, not {c!r}")
-
-
-def _checked(a, s):
-    """a trimmed mod s, after the checks of every factorization: s an
-    odd prime, integer coefficients, a not zero (else ValueError)."""
-    if not (s > 2 and is_prime(s)):
-        raise ValueError(f"factor needs an odd prime modulus, not s={s}")
-    _check_coefficients(a)
-    a = trim(a, s)
-    if not a:
-        raise ValueError("cannot factor the zero polynomial")
-    return a
-
-
-def _factorization(found, a, s):
-    """The `FactorizationResult` of a (trimmed mod s) from the irreducibles
-    found, {coefficient tuple: multiplicity}, sorted by degree then
-    coefficients; ArithmeticError when they do not multiply back to a."""
-    factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    result = FactorizationResult(modulus=s, unit=a[-1], factors=factors)
-    if result.product() != a:
-        raise ArithmeticError("factorization does not multiply back")
-    return result
-
-
-def factor(a, s):
-    """Full factorization over Z/s (s an odd prime) into monic
-    irreducibles with multiplicity, plus the leading unit.  Integer
-    coefficients only, else ValueError."""
-    a = _checked(a, s)
-    f = monic(a, s)
-    rng = random.Random(_SEED)
-    found = {}
-    if len(f) > 1:
-        for sf, m in _squarefree_parts(f, s):
-            mulmod = _reducer(sf, s)
-            frobenius = _frobenius(sf, s, mulmod)
-            for prod, d in _distinct_degree(sf, s, frobenius, mulmod):
-                for irr in _equal_degree_split(prod, d, s, rng, frobenius):
-                    key = tuple(irr)
-                    found[key] = found.get(key, 0) + m
-    return _factorization(found, a, s)
 
 
 def _trace_polynomial(p, s):
@@ -637,48 +597,65 @@ def _at(g, x, s):
     return value
 
 
-def factor_reciprocal(a, s):
-    """`factor` for a polynomial that reads the same both ways (t^deg a(1/t)
-    = a), through its trace polynomial of half the degree (Meyn, AAECC
-    1990); ArithmeticError for any other a, and the checks and result of
-    `factor` otherwise.
+def factor(a, s):
+    """Full factorization over Z/s (s an odd prime) into monic
+    irreducibles with multiplicity, plus the leading unit.  Integer
+    coefficients only, else ValueError; ArithmeticError when the
+    factors do not multiply back.
 
-    An odd degree has the root -1, which is taken out first.  Then
-    a = t^k q(t + 1/t) (`_trace_polynomial`), and `factor` factors q.
-    Each irreducible g of degree e and multiplicity m lifts to
-    L = t^e g(t + 1/t): for g = z - 2 and z + 2 that is (t - 1)^2 and
-    (t + 1)^2, multiplicity 2m.  Otherwise a root u of L has
-    u + 1/u = w, a root of g, so L is irreducible exactly when
-    z^2 - 4 is not a square in GF(s)[z]/g, where w lives; that holds
-    exactly when its norm to GF(s), g(2) g(-2), is not a square mod s,
-    which one Legendre symbol decides.  If it is a square, L is a pair
-    of reciprocal irreducibles of degree e, split by
-    `_equal_degree_split` through L's own Frobenius map.
+    A polynomial of degree >= 2 that reads the same both ways
+    (t^deg a(1/t) = a) goes through its trace polynomial of half the
+    degree (Meyn, AAECC 1990).  An odd degree has the root -1, which is
+    taken out first.  Then a = t^k q(t + 1/t) (`_trace_polynomial`), and
+    `factor` factors q, by this same choice of route.  Each irreducible
+    g of degree e and multiplicity m lifts to L = t^e g(t + 1/t): for
+    g = z - 2 and z + 2 that is (t - 1)^2 and (t + 1)^2, multiplicity
+    2m.  Otherwise a root u of L has u + 1/u = w, a root of g, so L is
+    irreducible exactly when z^2 - 4 is not a square in GF(s)[z]/g,
+    where w lives; that holds exactly when its norm to GF(s),
+    g(2) g(-2), is not a square mod s, which one Legendre symbol
+    decides.  If it is a square, L is a pair of reciprocal irreducibles
+    of degree e, split by `_equal_degree_split`.
+
+    Every other input goes through the squarefree, distinct-degree and
+    equal-degree stages.
     """
-    a = _checked(a, s)
-    if a != a[::-1]:
-        raise ArithmeticError("the polynomial does not read the same both "
-                              "ways, so it is not self-reciprocal")
-    found = {}
-    p = a
-    if len(p) % 2 == 0:
-        p = poly_divmod(p, [1, 1], s)[0]
-        found[(1, 1)] = 1
+    if not (s > 2 and is_prime(s)):
+        raise ValueError(f"factor needs an odd prime modulus, not s={s}")
+    _check_coefficients(a)
+    a = trim(a, s)
+    if not a:
+        raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(_SEED)
-    for g, m in factor(_trace_polynomial(p, s), s).factors:
-        norm = _at(g, 2, s) * _at(g, -2, s) % s
-        if not norm:
-            parts, m = [(1, 1) if g == (2, 1) else (s - 1, 1)], 2 * m
-        elif pow(norm, (s - 1) // 2, s) != 1:
-            parts = [_lift(g, s)]
-        else:
-            lift = _lift(g, s)
-            frobenius = _frobenius(lift, s, _reducer(lift, s))
-            parts = _equal_degree_split(lift, len(g) - 1, s, rng, frobenius)
-        for part in parts:
-            key = tuple(part)
+    found = {}
+
+    def add(irreducibles, m):
+        for irr in irreducibles:
+            key = tuple(irr)
             found[key] = found.get(key, 0) + m
-    return _factorization(found, a, s)
+
+    if len(a) > 2 and a == a[::-1]:
+        p = a
+        if len(p) % 2 == 0:
+            p = poly_divmod(p, [1, 1], s)[0]
+            add([[1, 1]], 1)
+        for g, m in factor(_trace_polynomial(p, s), s).factors:
+            norm = _at(g, 2, s) * _at(g, -2, s) % s
+            if not norm:
+                add([[1, 1] if g == (2, 1) else [s - 1, 1]], 2 * m)
+            elif pow(norm, (s - 1) // 2, s) != 1:
+                add([_lift(g, s)], m)
+            else:
+                add(_equal_degree_split(_lift(g, s), len(g) - 1, s, rng), m)
+    elif len(a) > 1:
+        for sf, m in _squarefree_parts(monic(a, s), s):
+            for prod, d in _distinct_degree(sf, s):
+                add(_equal_degree_split(prod, d, s, rng), m)
+    factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    result = FactorizationResult(modulus=s, unit=a[-1], factors=factors)
+    if result.product() != a:
+        raise ArithmeticError("factorization does not multiply back")
+    return result
 
 
 def is_irreducible(f, s):
@@ -693,9 +670,7 @@ def is_irreducible(f, s):
         return False
     if poly_gcd(f, derivative(f, s), s) != [1]:
         return False
-    mulmod = _reducer(f, s)
-    steps = _distinct_degree(f, s, _frobenius(f, s, mulmod), mulmod)
-    return next(steps) == (f, len(f) - 1)
+    return next(_distinct_degree(f, s)) == (f, len(f) - 1)
 
 
 def degree_sequence(fact):

@@ -3,10 +3,11 @@ family, plus the reference tables they are checked against.
 
 For each n the two character classes (the fixed metabolizer and the
 orbit representative) get a twisted polynomial over Z/s; the report
-records its factorization (chi- through its trace polynomial,
-`ffpoly.factor_reciprocal`), the degree count against 2(n-2), and the
-subset-sum norm obstruction.  The reference factor tables below pin the
-expected output for n = 11, 17, 23 at the default (s, theta) witnesses.
+records its factorization by `ffpoly.factor` (chi-'s polynomial reads
+the same both ways, so `factor` takes it through its trace polynomial),
+the degree count against 2(n-2), and the subset-sum norm obstruction.
+The reference factor tables below pin the expected output for
+n = 11, 17, 23 at the default (s, theta) witnesses.
 
 Only the twisted polynomial and its factorization depend on the witness
 (s, theta).  Everything before them, the presentation, the linking
@@ -19,8 +20,8 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 from .braids import WirtingerPresentation, family_braid, wirtinger_of_closure
-from .ffpoly import (degree_sequence, factor, factor_reciprocal,
-                     norm_obstructed, primitive_root_of_unity)
+from .ffpoly import (degree_sequence, factor, norm_obstructed,
+                     primitive_root_of_unity)
 from .metabolizers import (Character, character_for, check_class,
                            enumerate_metabolizers, fixed_metabolizer,
                            orbit_base_metabolizer, orbit_decomposition)
@@ -192,10 +193,10 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     exactly.  The pullbacks are not matched to the orbit metabolizers:
     they need not be the characters `character_for` gives them.
 
-    chi+ is factored by `factor`.  chi-'s polynomial reads the same both
-    ways, so `factor_reciprocal` factors it through its trace
-    polynomial, of half the degree; one that does not raises
-    ArithmeticError.
+    Both characters are factored by `factor`.  chi-'s polynomial reads
+    the same both ways, so `factor` takes it through its trace
+    polynomial, of half the degree; chi+'s does not, and takes the
+    squarefree, distinct-degree and equal-degree stages.
 
     A bad n or witness is refused before the linking form is built.
     The presentation, the form, the metabolizers and the characters
@@ -212,10 +213,10 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     c = census(n)
     target = 2 * (n - 2)
     reports = {}
-    for chi, split in ((c.plus, factor), (c.minus, factor_reciprocal)):
+    for chi in (c.plus, c.minus):
         s_use, theta_use = witnesses[chi.sign]
         tp = twisted_polynomial(c.presentation, chi, s_use, theta_use)
-        fact = split(list(tp.coeffs), s_use)
+        fact = factor(list(tp.coeffs), s_use)
         degs = tuple(degree_sequence(fact))
         total = sum(degs)
         reports[chi.sign] = ObstructionReport(

@@ -14,11 +14,15 @@ against a monic divisor; of its arithmetic this route imports only
 The factorization here takes h^s by `pow_mod` at each distinct-degree
 step, and u^((s^d - 1)/2) by `pow_mod` for each Cantor-Zassenhaus draw,
 after a gcd of u with f that the program does not take.  The program
-takes both powers through the Frobenius map of each squarefree part,
-and takes its gcds by the program's loop.  The squarefree stage (with
-the program's gcd) and the seed are the program's; a draw may split a
-product at a different factor here, but a factorization is unique, so
-the two routes must give the same factorization, unit included.
+takes h^s through the Frobenius map of each squarefree part, and each
+Cantor-Zassenhaus power through the Frobenius map of the product being
+split, which that split builds; it takes its gcds by the program's
+loop.  A polynomial that reads the same both ways goes through the same
+stages here as any other, while the program factors it through its
+trace polynomial.  The squarefree stage (with the program's gcd) and
+the seed are the program's; a draw may split a product at a different
+factor here, but a factorization is unique, so the two routes must give
+the same factorization, unit included.
 """
 
 import random

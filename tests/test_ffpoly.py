@@ -15,9 +15,9 @@ import sliceobs
 from fresh_python import run_python
 from sliceobs import ffpoly
 from sliceobs.ffpoly import (FactorizationResult, degree_sequence,
-                             derivative, factor, factor_reciprocal,
-                             interpolate, is_irreducible, is_prime, monic,
-                             mul, norm_obstructed, poly_divmod, poly_gcd,
+                             derivative, factor, interpolate,
+                             is_irreducible, is_prime, monic, mul,
+                             norm_obstructed, poly_divmod, poly_gcd,
                              primitive_root_of_unity, sub, trim)
 
 
@@ -65,8 +65,8 @@ def test_is_prime_takes_a_bool_as_an_int():
     assert not is_prime(True) and not is_prime(False)
 
 
-@pytest.mark.parametrize("call", [factor, factor_reciprocal,
-                                  is_irreducible, sliceobs.is_irreducible])
+@pytest.mark.parametrize("call", [factor, is_irreducible,
+                                  sliceobs.is_irreducible])
 def test_a_float_modulus_is_refused_by_name(call):
     # the modulus reaches is_prime, which names what it refuses
     with pytest.raises(ValueError, match="not 7.0"):
@@ -278,9 +278,8 @@ def test_factor_multiplicity_divisible_by_s_beside_other_factors():
 
 
 def test_factor_rejects_zero():
-    for call in (factor, factor_reciprocal):
-        with pytest.raises(ValueError):
-            call([], 7)
+    with pytest.raises(ValueError):
+        factor([], 7)
 
 
 @pytest.mark.parametrize("s", (4, 9, 15))
@@ -357,18 +356,99 @@ def test_trace_polynomial_inverts_the_lift(s):
         assert ffpoly._trace_polynomial(lifted(g, s), s) == g
 
 
+def factor_by_route(monkeypatch, p, s):
+    """factor(p, s), checked against the oracle, and the degrees of the
+    polynomials that `factor` passed to `_trace_polynomial`: one per
+    level of the trace route, none on the other route."""
+    traced = []
+    real_trace = ffpoly._trace_polynomial
+
+    def counting_trace(p, s):
+        traced.append(len(p) - 1)
+        return real_trace(p, s)
+
+    monkeypatch.setattr(ffpoly, "_trace_polynomial", counting_trace)
+    got = factor(p, s)
+    assert got == ffpoly_oracle.factor(p, s)
+    return got, traced
+
+
 @pytest.mark.parametrize("s", (7, 23))
-def test_each_quadratic_lift_matches_factor(s):
+def test_each_quadratic_lift_matches_factor(s, monkeypatch):
     # t^2 - c t + 1 = t (t + 1/t - c): (t -+ 1)^2 at c = +-2, irreducible
     # when c^2 - 4 is not a square mod s, a reciprocal pair when it is;
-    # both cases occur at each s
+    # both cases occur at each s, each through the trace route once
     multiplicities = set()
     for c in range(s):
         p = [1, -c % s, 1]
-        got = factor_reciprocal(p, s)
-        assert got == factor(p, s)
+        got, traced = factor_by_route(monkeypatch, p, s)
+        assert traced == [2]
         multiplicities.add(tuple(m for _, m in got.factors))
     assert multiplicities == {(1,), (2,), (1, 1)}
+
+
+@pytest.mark.parametrize("s", (3, 7, 23))
+def test_constants_and_linear_palindromes_take_the_direct_route(s,
+                                                                monkeypatch):
+    # a constant reads the same both ways, and so does c (t + 1); the
+    # trace polynomial of a constant is itself, so only degree >= 2
+    # takes the trace route
+    for c in range(1, s):
+        for p in ([c], [c, c]):
+            got, traced = factor_by_route(monkeypatch, p, s)
+            assert traced == [] and got.unit == c
+
+
+@pytest.mark.parametrize("s", (3, 7, 23))
+def test_powers_of_t_minus_one_and_t_plus_one(s, monkeypatch):
+    # (t - 1)^j (t + 1)^k reads the same both ways exactly when j is
+    # even; of degree >= 2 it then takes the trace route, which takes
+    # t + 1 out once for an odd k and lifts z -+ 2 to (t -+ 1)^2
+    for j in range(5):
+        for k in range(5):
+            p = [1]
+            for root in [1] * j + [s - 1] * k:
+                p = mul(p, [-root % s, 1], s)
+            got, traced = factor_by_route(monkeypatch, p, s)
+            assert got.factors == tuple(
+                (g, m) for g, m in (((1, 1), k), ((s - 1, 1), j)) if m)
+            # (t + 1)^4 at s = 3 has the trace polynomial
+            # (z + 2)^2 = z^2 + z + 1, which takes the route again
+            assert bool(traced) == (j % 2 == 0 and j + k >= 2)
+
+
+@pytest.mark.parametrize("s", (5, 7, 23))
+def test_a_palindrome_that_is_not_monic(s, monkeypatch):
+    # a unit c times h(t) t^deg h(1/t): the trace route keeps c as the
+    # unit and returns monic factors
+    rng = random.Random(s)
+    for c in range(2, s):
+        h = [1] + [rng.randrange(s) for _ in range(3)] + [1]
+        p = ffpoly.scalar_mul(c, mul(h, h[::-1], s), s)
+        got, traced = factor_by_route(monkeypatch, p, s)
+        assert got.unit == c and traced[0] == 8
+        assert all(g[-1] == 1 for g, _ in got.factors)
+
+
+def test_a_palindrome_whose_trace_polynomial_reads_the_same_both_ways(
+        monkeypatch):
+    # q(z) = z^4 + 3 z^3 + 5 z^2 + 3 z + 1 reads the same both ways, so
+    # factor(q) takes the trace route again: p = t^4 q(t + 1/t) of degree
+    # 8, then q of degree 4, whose trace polynomial z^2 + 3 z + 3 does not
+    s = 23
+    q = [1, 3, 5, 3, 1]
+    p = lifted(q, s)
+    assert p == p[::-1] and ffpoly._trace_polynomial(p, s) == q
+    assert ffpoly._trace_polynomial(q, s) == [3, 3, 1]
+    _, traced = factor_by_route(monkeypatch, p, s)
+    assert traced == [8, 4]
+
+
+@pytest.mark.parametrize("p", ([1, 2], [1, 1, 2], [0, 1, 0], [1, 0, 6]))
+def test_what_does_not_read_the_same_both_ways_skips_the_trace_route(
+        p, monkeypatch):
+    _, traced = factor_by_route(monkeypatch, p, 7)
+    assert traced == []
 
 
 def test_a_product_of_irreducible_lifts_and_pairs_matches_factor():
@@ -378,8 +458,8 @@ def test_a_product_of_irreducible_lifts_and_pairs_matches_factor():
     s = 7
     pair, single = lifted([1, 0, 1], s), lifted([3, 1, 1], s)
     p = mul(mul(mul(pair, pair, s), single, s), [1, 1], s)
-    got = factor_reciprocal(p, s)
-    assert got == factor(p, s)
+    got = factor(p, s)
+    assert got == ffpoly_oracle.factor(p, s)
     assert degree_sequence(got) == [1, 2, 2, 2, 2, 4]
 
 
@@ -412,25 +492,10 @@ def reciprocal_products(s, data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from((3, 5, 7, 11, 23, 103)), st.data())
-def test_factor_reciprocal_matches_factor(s, data):
+def test_self_reciprocal_products_match_the_oracle(s, data):
     p = reciprocal_products(s, data)
     assert p == p[::-1]
-    assert factor_reciprocal(p, s) == factor(p, s)
-
-
-@pytest.mark.parametrize("p", ([1, 2], [1, 1, 2], [0, 1, 0], [1, 0, 6]))
-def test_factor_reciprocal_refuses_what_is_not_self_reciprocal(p):
-    with pytest.raises(ArithmeticError, match="not self-reciprocal"):
-        factor_reciprocal(p, 7)
-
-
-def test_factor_reciprocal_refuses_under_optimize():
-    code = ("from sliceobs.ffpoly import factor_reciprocal\n"
-            "print(factor_reciprocal([1, 2, 3], 7))\n")
-    proc = run_python(["-O", "-c", code], 60)
-    assert proc.returncode != 0
-    assert "ArithmeticError: the polynomial does not read the same" \
-        in proc.stderr
+    assert factor(p, s) == ffpoly_oracle.factor(p, s)
 
 
 def test_is_irreducible_cases():
@@ -505,6 +570,48 @@ def test_one_barrett_reducer_per_modulus_however_many_draws(monkeypatch):
     assert degree_sequence(factor(quartic, s)) == [2, 2]
     assert len(draws) >= 1
     assert builds == [tuple(quartic), tuple(quartic)]
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_equal_degree_split_divides_only_by_the_factors_it_finds(
+        d, monkeypatch):
+    # four distinct degree-d irreducibles mod 1000003: each split, and
+    # each part it recurses into, takes its Frobenius images from the
+    # map of the product it splits, so no image needs a reduction, and
+    # poly_divmod only divides that product by a factor found, exactly:
+    # three splits, three divisions
+    s = 1000003
+    rng = random.Random(d)
+    irreducibles = []
+    while len(irreducibles) < 4:
+        g = _irreducible(d, s, rng)
+        if g not in irreducibles:
+            irreducibles.append(g)
+    f = [1]
+    for g in irreducibles:
+        f = mul(f, g, s)
+    want = ffpoly_oracle.factor(f, s)
+    splitting, divisions = [], []
+    real_split, real_divmod = ffpoly._equal_degree_split, poly_divmod
+
+    def tracked_split(f, *args):
+        splitting.append(f)
+        try:
+            return real_split(f, *args)
+        finally:
+            splitting.pop()
+
+    def counting_divmod(a, b, s):
+        q, r = real_divmod(a, b, s)
+        if splitting:
+            divisions.append((a == splitting[-1], r, 1 < len(b) < len(a)))
+        return q, r
+
+    monkeypatch.setattr(ffpoly, "_equal_degree_split", tracked_split)
+    monkeypatch.setattr(ffpoly, "poly_divmod", counting_divmod)
+    assert factor(f, s) == want
+    assert len(divisions) == 3
+    assert all(division == (True, [], True) for division in divisions)
 
 
 ORACLE_PRIMES = (3, 5, 23, 1000003, 2 ** 31 - 1)
@@ -745,8 +852,6 @@ def test_one_gcd_per_block_of_the_distinct_degree_loop(monkeypatch):
     # nontrivial, so nothing is refined: three gcds for twenty images
     s = 23
     f = _irreducible(40, s, random.Random(40))
-    mulmod = ffpoly._reducer(f, s)
-    frobenius = ffpoly._frobenius(f, s, mulmod)
     gcds = []
     real_gcd = ffpoly.poly_gcd
 
@@ -755,7 +860,7 @@ def test_one_gcd_per_block_of_the_distinct_degree_loop(monkeypatch):
         return real_gcd(a, b, s)
 
     monkeypatch.setattr(ffpoly, "poly_gcd", counting_gcd)
-    assert list(ffpoly._distinct_degree(f, s, frobenius, mulmod)) == [(f, 40)]
+    assert list(ffpoly._distinct_degree(f, s)) == [(f, 40)]
     assert gcds == [40, 40, 40]
 
 
@@ -779,7 +884,8 @@ def test_is_irreducible_rejects_non_prime_modulus(s):
     (lambda: factor([1.5, 1], 5), "1.5"),
     (lambda: factor([1, 2.0, 1], 7), "2.0"),
     (lambda: factor([1, Fraction(1, 2)], 5), "Fraction(1, 2)"),
-    (lambda: factor_reciprocal([1, 2.0, 1], 7), "2.0"),
+    # reads the same both ways, so it is refused before the route choice
+    (lambda: factor([2.0, 3, 2], 7), "2.0"),
     (lambda: is_irreducible([1.5, 1], 5), "1.5"),
     (lambda: is_irreducible([1, 0, 1.0], 7), "1.0"),
 ], ids=["factor-1.5", "factor-2.0", "factor-fraction", "reciprocal-2.0",

@@ -9,9 +9,8 @@ import pytest
 from fresh_python import run_python
 from sliceobs import report, twisted
 from sliceobs.blanchfield import cover_homology_snf, linking_form
-from sliceobs.ffpoly import (degree_sequence, factor, factor_reciprocal,
-                             is_irreducible, is_prime, monic,
-                             primitive_root_of_unity)
+from sliceobs.ffpoly import (degree_sequence, factor, is_irreducible,
+                             is_prime, monic, primitive_root_of_unity)
 from sliceobs.report import (
     DEFAULT_WITNESS,
     REFERENCE_FACTORS,
@@ -56,9 +55,17 @@ class TestWitnesses:
                     == degree_sequence(factor(f, s)))
 
 
+def assert_factored(fact, p, s):
+    """fact multiplies back to p, and each of its factors is
+    irreducible."""
+    assert fact.product() == p
+    assert all(is_irreducible(list(g), s) for g, _ in fact.factors)
+
+
 class TestChiMinusIsSelfReciprocal:
-    # obstruct factors chi- through its trace polynomial, which needs its
-    # polynomial to read the same both ways; chi+ keeps the direct route
+    # factor takes chi- through its trace polynomial because its
+    # polynomial reads the same both ways; chi+'s does not, so it takes
+    # the direct route
 
     @pytest.mark.parametrize("n", (5, 11, 17))
     def test_at_every_theta_of_the_first_two_primes(self, n):
@@ -74,26 +81,24 @@ class TestChiMinusIsSelfReciprocal:
                     for chi in (c.minus, c.plus))
                 assert minus == minus[::-1]
                 assert plus != plus[::-1]
-                assert factor_reciprocal(minus, s) == factor(minus, s)
+                assert_factored(factor(minus, s), minus, s)
 
     @pytest.mark.scale
-    def test_n101_s607_theta64_matches_factor(self):
+    def test_n101_s607_theta64_factors_are_irreducible(self):
         c = census(101)
         p = list(twisted_polynomial(c.presentation, c.minus, 607, 64).coeffs)
-        assert factor_reciprocal(p, 607) == factor(p, 607)
+        assert_factored(factor(p, 607), p, 607)
 
     @pytest.mark.scale
     def test_n491_s983_factors_are_irreducible(self):
-        # factor(p) takes about 19 s at this degree (978), so the factors
-        # are checked one by one instead
+        # the oracle's direct powers are far too slow at degree 978, so
+        # the factors are checked one by one
         c = census(491)
         s = 983
         theta = primitive_root_of_unity(s, 491)
         p = list(twisted_polynomial(c.presentation, c.minus, s,
                                     theta).coeffs)
-        fact = factor_reciprocal(p, s)
-        assert fact.product() == p
-        assert all(is_irreducible(list(g), s) for g, _ in fact.factors)
+        assert_factored(factor(p, s), p, s)
 
 
 class TestReferenceTable:
@@ -148,11 +153,10 @@ class TestObstruct:
     def test_exhaustive_factors_only_the_two_representatives(
             self, monkeypatch):
         # the transported characters are compared by coefficients; chi+
-        # is factored by factor, chi- by factor_reciprocal
-        plus = counting(monkeypatch, "factor")
-        minus = counting(monkeypatch, "factor_reciprocal")
+        # and chi- are each factored once, both by factor
+        calls = counting(monkeypatch, "factor")
         reports = obstruct(11, exhaustive=True)
-        assert len(plus) == len(minus) == 1
+        assert len(calls) == 2
         assert all(r.verdict == "not slice" for r in reports)
 
     def test_exhaustive_propagates_once_per_character(self, monkeypatch):
