@@ -5,13 +5,13 @@ the q-fold covers; and the order-n symmetry acting on everything.
 The pairing on the infinite cyclic cover is carried by the two
 generators sitting at rows n-1 and 2(n-1) of the Seifert presentation;
 only the four pairing values between them are ever needed.  On the
-3-fold cover they are taken modulo t^3 - 1, where each one vanishes at
-t = 1 and so is fixed by its value at a primitive cube root of unity w.
-`linking_form` gets those values from one pass of `linalg.det_band`
-over the pencil A - t A^T modulo t^2 + t + 1, that is over the
-Eisenstein integers Z[w], in the banded order of `seifert.band_order`
-(a first pass modulo t - 1 refuses Delta(1) = 0), and reads them on the
-basis (a, ta, b, tb).
+3-fold cover they are taken in Z[t]/(t^3 - 1), as integer coefficient
+triples.  `linking_form` gets det M and the adjugate block of
+M = A - t A^T from one pass of `linalg.det_band` modulo t^3 - 1, in the
+banded order of `seifert.band_order`, divides by det M through its
+circulant adjugate, whose product with det M is an integer D (D = 0
+refuses the cover as infinite), and reads each value as a t^0
+coefficient on the basis (a, ta, b, tb).
 `cover_homology_snf` takes the q-fold cover, for a presentation of
 side N q up to `MAX_COVER_SIDE`, as the cokernel of t^q - 1 on Z^N
 with t acting by the monodromy h = A^-1 A^T, to which the
@@ -332,57 +332,10 @@ def cover_homology_snf(n, q):
 # -- the Q/Z linking form -------------------------------------------------------
 
 
-class _Eisenstein:
-    """a + b w in Z[w], w a primitive cube root of unity (w^2 = -1 - w)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = a
-        self.b = b
-
-    def __mul__(self, other):
-        a, b, c, d = self.a, self.b, other.a, other.b
-        bd = b * d
-        return _Eisenstein(a * c - bd, a * d + b * c - bd)
-
-    def __sub__(self, other):
-        return _Eisenstein(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return _Eisenstein(-self.a, -self.b)
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def conjugate(self):
-        """a + b w^2 = (a - b) - b w."""
-        return _Eisenstein(self.a - self.b, -self.b)
-
-    def norm(self):
-        a, b = self.a, self.b
-        return a * a - a * b + b * b
-
-
-_W = (_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1))  # w^0, w, w^2
-
-
-def _pairing_at_omega(a, at):
-    """det M and adj(M)[p_i][p_j] for M = A - w A^T over Z[w], as
-    `_Eisenstein` values, from the rows a of A and at of A^T in
-    `seifert.band_order`, whose last two indices are p = (p_0, p_1).
-
-    M is taken in that order on both sides, which leaves the determinant
-    and the adjugate entries unchanged, and `linalg.det_band` reduces
-    the pencil A - t A^T modulo t^2 + t + 1 in one pass.  It gives det M
-    and the block B of the minors bordered by the last two rows and
-    columns, whose adjugate [[B11, -B01], [-B10, B00]] is the adjugate
-    block of M at p: B11, say, is the minor of M without row and column
-    p_0.
-    """
-    det, ((b00, b01), (b10, b11)) = det_band(a, at, (1, 1, 1))
-    return _Eisenstein(*det), ((_Eisenstein(*b11), -_Eisenstein(*b01)),
-                               (-_Eisenstein(*b10), _Eisenstein(*b00)))
+def _cyclic_product(f, g):
+    """The product f g modulo t^3 - 1 of two coefficient triples, lowest
+    first."""
+    return tuple(sum(f[i] * g[k - i] for i in range(3)) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -438,39 +391,42 @@ def linking_form(n):
     With M = A - t A^T, Delta = det M and p = (n-2, 2n-3), the pairing
     of t^a e_u and t^b e_v is the t^0 coefficient of t^(b-a) G_vu in
     Q[t]/(t^3 - 1), where G = (t - 1) M^-1 [p, p].  That needs a knot
-    (3 | n gives a link, refused after the ceiling on n), and Delta(1)
-    and Delta(w) nonzero, or the cover has infinite homology.  A class
-    f = f0 + f1 t + f2 t^2 with f(1) = 0 and f(w) = x + y w has
-    x = f0 - f2, y = f1 - f2, so f0 = (2x - y) / 3, and G(1) = 0.  So
-    with w^(b-a) (w - 1) adj_vu conj(det) = x + y w over Z[w] (adj and
-    det those of M(w)), the value is (2x - y) / (3 N(det)) mod 1.  The
-    form keeps n times it, the quotient of n (2x - y) by 3 N(det) mod n;
-    a nonzero remainder, a denominator not dividing n, raises ValueError.
+    (3 | n gives a link, refused after the ceiling on n).  One pass of
+    `linalg.det_band` modulo t^3 - 1 gives Delta = c0 + c1 t + c2 t^2
+    and the adjugate block adj of M at p.  The circulant adjugate
+    co = (c0^2 - c1 c2) + (c2^2 - c0 c1) t + (c1^2 - c0 c2) t^2 has
+    Delta co = D, the integer c0^3 + c1^3 + c2^3 - 3 c0 c1 c2 =
+    Delta(1) N(Delta(w)), w a primitive cube root of unity; D = 0 means
+    the cover has infinite homology, refused by ValueError.  Otherwise
+    G_vu = (t - 1) co adj_vu / D, its integer triple checked hermitian,
+    G_ij[k] = G_ji[-k mod 3], and the form keeps n times each value,
+    the quotient of n G_vu[(a - b) mod 3] by D mod n; a nonzero
+    remainder, a denominator not dividing n, raises ValueError.
     """
     a, at = band_pencil(n)  # in band order, which ends with p
     _check_knot(n)
-    infinite = ValueError(
-        "the Alexander polynomial shares a root of unity with t^3-1, "
-        "so the 3-fold branched cover has infinite homology")
-    if not det_band(a, at, (-1, 1))[0][0]:  # Delta(1), mod t - 1
-        raise infinite
-    det, adj = _pairing_at_omega(a, at)
-    if not det:
-        raise infinite
-    tm1 = _Eisenstein(-1, 1)
-    c = [[tm1 * x for x in row] for row in adj]
-    conj = det.conjugate()
-    if any(c[i][j].conjugate() * det - c[j][i] * conj
-           for i in range(2) for j in range(2)):
+    # the minors B bordered by the last two rows and columns give the
+    # adjugate block at p, [[B11, -B01], [-B10, B00]]
+    (c0, c1, c2), ((b00, b01), (b10, b11)) = det_band(a, at, (-1, 0, 0, 1))
+    den = c0 ** 3 + c1 ** 3 + c2 ** 3 - 3 * c0 * c1 * c2
+    if not den:
+        raise ValueError(
+            "the Alexander polynomial shares a root of unity with t^3-1, "
+            "so the 3-fold branched cover has infinite homology")
+    co = (c0 * c0 - c1 * c2, c2 * c2 - c0 * c1, c1 * c1 - c0 * c2)
+    plus, minus = (_cyclic_product(s, co) for s in ((-1, 1, 0), (1, -1, 0)))
+    g = ((_cyclic_product(plus, b11), _cyclic_product(minus, b01)),
+         (_cyclic_product(minus, b10), _cyclic_product(plus, b00)))
+    if any(g[i][j][k] != g[j][i][-k] for i in range(2) for j in range(2)
+           for k in range(3)):
         raise ArithmeticError("pairing entries are not hermitian")
-    den = 3 * det.norm()
 
     def scaled(ju, eu, jv, ev):
-        z = _W[(jv - ju) % 3] * c[ev][eu] * conj
-        value, rem = divmod(n * (2 * z.a - z.b), den)
+        x = g[ev][eu][(ju - jv) % 3]
+        value, rem = divmod(n * x, den)
         if rem:
             raise ValueError(
-                f"linking value {Fraction(2 * z.a - z.b, den) % 1} has a "
+                f"linking value {Fraction(x, den) % 1} has a "
                 f"denominator not dividing n={n}: H_1 of the 3-fold cover "
                 f"is not (Z/n)^4 on the basis (a, ta, b, tb)")
         return value % n

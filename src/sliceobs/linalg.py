@@ -6,16 +6,16 @@ immutable value with the operations its callers use: the identity, the
 transpose, an entrywise map, and the difference and product of two
 matrices, which `blanchfield` takes of its 4x4 constants (r - I, t r,
 t^3); there is no sum and no scalar product.  Every determinant over
-Z, Z[t] or the Eisenstein integers Z[w] = Z[t]/(t^2 + t + 1) is of a
-pencil X - t Y whose nonzeros lie within distance 2 of the diagonal (the
-Seifert pencils in `seifert.band_order`), and goes through one kernel,
+Z, Z[t] or Z[t]/(t^3 - 1) is of a pencil X - t Y whose nonzeros lie
+within distance 2 of the diagonal (the Seifert pencils in
+`seifert.band_order`), and goes through one kernel,
 `det_band`.  It takes X and Y as band rows, row i the 5 entries of the
 columns i - 2 .. i + 2, so that no entry outside the band can be given
 and none is searched for.  It is a transfer recurrence over the six ways
 the rows so far can leave the columns near the diagonal taken, one pass
 over the rows with no pivot, no division and no evaluation point, which
 also gives the minors bordered by the last two rows and columns
-(`blanchfield._pairing_at_omega` reads the adjugate from them) and
+(`blanchfield.linking_form` reads the adjugate from them) and
 reduces modulo a monic polynomial as it goes.  Determinants over a prime
 field use plain Gaussian elimination (`det_gf`), which also takes many
 matrices of one side laid out side by side, entry by entry, and

@@ -7,11 +7,14 @@ The four pairing values c_ij(t) = (t-1) (A - t A^T)^-1 [p_i, p_j] are
 interpolated as Laurent polynomials from one integer Bareiss pass per
 evaluation point, the Alexander polynomial is inverted modulo t^3 - 1
 with a circulant adjugate, and the linking values are products of
-cyclic polynomials.  The program needs only the value at a primitive
-cube root of unity and computes it by one division-free pass over the
-pencil modulo t^2 + t + 1 (`linalg.det_band`); this route builds the
-whole polynomials first, by the eliminations of `bareiss_oracle`, and
-shares no determinant code with it.
+cyclic polynomials.  The program works in the same ring Z[t]/(t^3 - 1),
+but takes det M and the adjugate block there by one division-free pass
+over the pencil modulo t^3 - 1 (`linalg.det_band`) and inverts det M by
+the closed form of the 3 x 3 circulant adjugate.  This route builds the
+whole polynomials first, by the eliminations of `bareiss_oracle`, folds
+them modulo t^3 - 1 only then, and takes the circulant adjugate by
+cofactor determinants (`_annihilator_pair`): it shares the ring with the
+program, but no determinant or adjugate code.
 
 The program takes the q-fold cover from the monodromy A^-1 A^T, for
 odd n through the Alexander module (Z[t]/p_n)^2; the oracle runs the
@@ -58,7 +61,7 @@ def _pairing_cofactors(a, pos):
     s adj(B) and det M = s det(B) / (s det L) by Sylvester's identity,
     s the swap sign and L the leading (N-2)-square block (the program
     reads the same block B off its transfer recurrence, in
-    `sliceobs.blanchfield._pairing_at_omega`).
+    `sliceobs.blanchfield.linking_form`).
 
     A point where L(x) is singular leaves no pivot to divide by; it is
     skipped and the next point is taken.  det L has degree at most N-2,

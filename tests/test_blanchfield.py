@@ -2,10 +2,10 @@
 
 The Blanchfield polynomials live in `tests/blanchfield_oracle.py`; they
 are checked here against five Laurent determinants and in turn check the
-program's linking form, and their cofactors, taken at w, its one pass
-over Z[w] (`_pairing_at_omega`).  The block-circulant cover presentation
-there, and the monodromy from the dense A^-1 there, check the program's
-cover homology."""
+program's linking form, and their cofactors, folded modulo t^3 - 1, its
+one pass of `linalg.det_band` modulo t^3 - 1.  The block-circulant cover
+presentation there, and the monodromy from the dense A^-1 there, check
+the program's cover homology."""
 
 import dataclasses
 import re
@@ -38,8 +38,7 @@ from sliceobs.blanchfield import (
     BASIS,
     LinkingForm,
     MAX_COVER_SIDE,
-    _Eisenstein,
-    _pairing_at_omega,
+    _cyclic_product,
     cover_homology_snf,
     linking_form,
     linking_template,
@@ -48,7 +47,7 @@ from sliceobs.blanchfield import (
     t_matrix,
 )
 from sliceobs.laurent import LaurentPolynomial
-from sliceobs.linalg import Matrix, smith_normal_form
+from sliceobs.linalg import Matrix, det_band, smith_normal_form
 from sliceobs.seifert import (alexander_polynomial, apply_monodromy,
                               band_order, band_pencil, paired_product)
 
@@ -82,25 +81,29 @@ SINGULAR_AT_ZERO = Matrix([[1, 2, 0, -1],
                            [1, 0, -2, 0]])
 
 
-# A - t A^T is a band, and its leading 2-block singular at t = w
+# A - t A^T is a band, and its leading 2-block singular at a primitive
+# cube root of unity w
 SINGULAR_AT_OMEGA = [[-1, -2, 1, 0],
                      [1, -1, 0, 1],
                      [1, 2, -1, 1],
                      [0, 1, -2, 2]]
 
-
-def at_omega(x):
-    """The coordinates (a, b) of an Eisenstein integer a + b w."""
-    return x.a, x.b
+T3_MINUS_1 = (-1, 0, 0, 1)
 
 
-def eisenstein_at(poly):
-    """(a, b) with poly(w) = a + b w, for w^2 = -1 - w."""
-    a = b = 0
-    for e, c in poly.items():
-        a, b = (a + c, b) if e % 3 == 0 else \
-            (a, b + c) if e % 3 == 1 else (a - c, b - c)
-    return a, b
+def cofactors_mod_t3_minus_1(a, at):
+    """det M and the adjugate block of M at its last two indices, for
+    M = A - t A^T given by the band rows a of A and at of A^T, from the
+    program's one `det_band` pass modulo t^3 - 1, as coefficient lists:
+    the bordered minors B give the adjugate [[B11, -B01], [-B10, B00]]."""
+    det, ((b00, b01), (b10, b11)) = det_band(a, at, T3_MINUS_1)
+    return det, [[b11, [-x for x in b01]], [[-x for x in b10], b00]]
+
+
+def folded(det, adj):
+    """The oracle's det M and adjugate block, Laurent polynomials, with
+    their exponents folded modulo 3."""
+    return _cyclic(det, 3), [[_cyclic(x, 3) for x in row] for row in adj]
 
 
 class TestBlanchfieldEntries:
@@ -137,14 +140,11 @@ class TestBlanchfieldEntries:
 
     @pytest.mark.parametrize("n", range(2, 18))
     def test_pairing_at_omega_matches_the_cofactors(self, n):
-        # the program's one pass over Z[w] against the Blanchfield
-        # cofactors of the oracle, interpolated over Z[t], taken at w
-        det, adj = _pairing_at_omega(*band_pencil(n))
-        want_det, want_adj = _pairing_cofactors(seifert_matrix(n),
-                                                (n - 2, 2 * n - 3))
-        assert at_omega(det) == eisenstein_at(want_det)
-        assert [[at_omega(x) for x in row] for row in adj] \
-            == [[eisenstein_at(x) for x in row] for row in want_adj]
+        # the program's one pass modulo t^3 - 1, which fixes the values
+        # at w, against the Blanchfield cofactors of the oracle,
+        # interpolated over Z[t], folded modulo t^3 - 1
+        want = _pairing_cofactors(seifert_matrix(n), (n - 2, 2 * n - 3))
+        assert cofactors_mod_t3_minus_1(*band_pencil(n)) == folded(*want)
 
     def test_singular_leading_block_at_omega(self):
         # the leading 2-block [[-1, -2], [1, -1]] of A - t A^T has
@@ -154,12 +154,11 @@ class TestBlanchfieldEntries:
         assert [det_bareiss([[a[i][j] - x * a[j][i] for j in (0, 1)]
                              for i in (0, 1)])
                 for x in (0, 1, 2)] == [3, 9, 21]
-        det, adj = _pairing_at_omega(band_rows(a.rows),
-                                     band_rows(a.transpose().rows))
-        want_det, want_adj = _pairing_cofactors(a, (2, 3))
-        assert at_omega(det) == eisenstein_at(want_det) == (-15, -15)
-        assert [[at_omega(x) for x in row] for row in adj] \
-            == [[eisenstein_at(x) for x in row] for row in want_adj]
+        got = cofactors_mod_t3_minus_1(band_rows(a.rows),
+                                       band_rows(a.transpose().rows))
+        want = folded(*_pairing_cofactors(a, (2, 3)))
+        assert got == want
+        assert got[0] == [22, 22, 37]  # -15 - 15 w at w, 81 at 1
 
     def test_hermitian_symmetry(self):
         # c_ij(t^-1) den(t) == c_ji(t) den(t^-1)
@@ -789,6 +788,23 @@ class TestCoverHomologyAtScale:
             assert order % cover_homology_snf(101, q).order == 0
 
 
+# det_band replaced by `patched`, in the source text that a fresh
+# `python -O` runs too, and the refusal of linking_form(5) that follows:
+# det M = 1 + t + t^2 vanishes at w, so D = 0; one bordered minor moved
+# by 1 breaks the hermitian symmetry of the pairing entries
+LINKING_REFUSALS = [
+    ("real = blanchfield.det_band\n"
+     "def patched(a, at, modulus):\n"
+     "    return [1, 1, 1], real(a, at, modulus)[1]",
+     (ValueError, "3-fold branched cover has infinite homology")),
+    ("real = blanchfield.det_band\n"
+     "def patched(a, at, modulus):\n"
+     "    det, ((b00, b01), low) = real(a, at, modulus)\n"
+     "    return det, ((b00, [b01[0] + 1, *b01[1:]]), low)",
+     (ArithmeticError, "pairing entries are not hermitian")),
+]
+
+
 class TestLinkingForm:
     @pytest.mark.parametrize("n", [5, 7, 11])
     def test_matches_template_up_to_sign(self, n):
@@ -916,6 +932,44 @@ class TestLinkingForm:
                                  f"3-component link, not a knot$"):
             linking_form(n)
 
+    @pytest.mark.parametrize("patch, error", LINKING_REFUSALS,
+                             ids=["D = 0", "not hermitian"])
+    def test_refusal_of_what_the_band_pass_gives(self, patch, error,
+                                                 monkeypatch):
+        namespace = {"blanchfield": blanchfield}
+        exec(patch, namespace)
+        monkeypatch.setattr(blanchfield, "det_band", namespace["patched"])
+        with pytest.raises(error[0], match=error[1]):
+            linking_form(5)
+
+    @pytest.mark.parametrize("patch, error", LINKING_REFUSALS,
+                             ids=["D = 0", "not hermitian"])
+    def test_refusal_survives_optimize(self, patch, error):
+        code = ("from sliceobs import blanchfield\n"
+                f"{patch}\n"
+                "blanchfield.det_band = patched\n"
+                "blanchfield.linking_form(5)\n")
+        proc = run_python(["-O", "-c", code], 60)
+        assert proc.returncode == 1
+        assert re.search(f"{error[0].__name__}: .*{error[1]}", proc.stderr)
+
+    @pytest.mark.parametrize("n", [4, 5, 11, 101])
+    def test_one_band_pass_modulo_t3_minus_1(self, n, monkeypatch):
+        # the even n = 4 is refused after the pass, by its denominator
+        moduli = []
+        real = blanchfield.det_band
+
+        def counted(a, at, modulus):
+            moduli.append(modulus)
+            return real(a, at, modulus)
+
+        monkeypatch.setattr(blanchfield, "det_band", counted)
+        try:
+            linking_form(n)
+        except ValueError as exc:
+            assert n % 2 == 0 and "denominator not dividing" in str(exc)
+        assert moduli == [T3_MINUS_1]
+
     @pytest.mark.parametrize("n", range(2, 24))
     def test_matches_laurent_route(self, n):
         try:
@@ -927,19 +981,24 @@ class TestLinkingForm:
         assert linking_form(n) == want
 
 
-eisenstein = st.builds(_Eisenstein, st.integers(-10 ** 6, 10 ** 6),
-                       st.integers(-10 ** 6, 10 ** 6))
+triples = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 3)
 
 
-class TestEisenstein:
-    @given(eisenstein, eisenstein)
-    def test_product_is_companion_action(self, x, y):
-        # multiplication by c + d w on the coordinates (a, b) is
-        # c I + d W, W = [[0, -1], [1, -1]] the companion matrix of
-        # t^2 + t + 1
-        c, d = y.a, y.b
-        p = x * y
-        assert (p.a, p.b) == (c * x.a - d * x.b, d * x.a + c * x.b - d * x.b)
+class TestCirculantAdjugate:
+    @given(triples)
+    def test_product_with_the_adjugate_is_a_constant(self, x):
+        # linking_form divides by det M = x through
+        # co = (c0^2 - c1 c2, c2^2 - c0 c1, c1^2 - c0 c2) and never checks
+        # that x co is the integer D = c0^3 + c1^3 + c2^3 - 3 c0 c1 c2
+        c0, c1, c2 = x
+        co = (c0 * c0 - c1 * c2, c2 * c2 - c0 * c1, c1 * c1 - c0 * c2)
+        d = c0 ** 3 + c1 ** 3 + c2 ** 3 - 3 * c0 * c1 * c2
+        assert _cyclic_mul(x, co, 3) == [d, 0, 0]
+        assert _cyclic_product(x, co) == (d, 0, 0)
+
+    @given(triples, triples)
+    def test_triple_product_is_the_cyclic_product(self, x, y):
+        assert list(_cyclic_product(x, y)) == _cyclic_mul(x, y, 3)
 
 
 # one shared instance for the property tests

@@ -197,11 +197,13 @@ def reduce_mod(coeffs, modulus):
     return p[:e]
 
 
-@given(band_pencil(), st.sampled_from([(1, 1, 1), (-1, 1), (2, 0, -1, 1)]))
+@given(band_pencil(), st.sampled_from([(1, 1, 1), (-1, 1), (2, 0, -1, 1),
+                                       (-1, 0, 0, 1)]))
 @settings(max_examples=80, deadline=None)
 def test_det_band_folds_the_modulus(case, modulus):
-    # the values taken modulo t^2 + t + 1 (the Eisenstein integers),
-    # t - 1 or another monic polynomial are those over Z[t], reduced
+    # the values taken modulo t^2 + t + 1, t - 1, t^3 - 1 (the modulus
+    # of `blanchfield.linking_form`, with zero middle coefficients) or
+    # another monic polynomial are those over Z[t], reduced
     x, y = case
     det, block = det_band(x, y)
     det_m, block_m = det_band(x, y, modulus)

@@ -191,8 +191,8 @@ class TestAlexanderPolynomial:
 
     @pytest.mark.parametrize("n", (2, 5, 11, 29))
     def test_one_kernel_pass_per_call(self, n, monkeypatch):
-        # Delta is one pass over Z[t]; the linking form takes two, modulo
-        # t - 1 for Delta(1) and modulo t^2 + t + 1 for the pairing
+        # Delta is one pass over Z[t]; the linking form takes one,
+        # modulo t^3 - 1
         moduli = []
 
         def counted(x, y, modulus=None):
@@ -205,12 +205,12 @@ class TestAlexanderPolynomial:
         assert moduli == [None]
         moduli.clear()
         if n == 2:
-            # both passes run; H_1 of the cover is then not (Z/2)^4
+            # the pass runs; H_1 of the cover is then not (Z/2)^4
             with pytest.raises(ValueError, match="not dividing n=2"):
                 linking_form(n)
         else:
             linking_form(n)
-        assert moduli == [(-1, 1), (1, 1, 1)]
+        assert moduli == [(-1, 0, 0, 1)]
 
     @pytest.mark.parametrize("point, error, message", (
         (0, 1, "interpolant not integral"),
