@@ -16,24 +16,28 @@ The polynomial is det of the Fox matrix with one relator row and one
 generator column removed (Wada's deleted Fox determinant), divided
 once by (t - 1)^2, exactly.
 
-The determinant is never assembled densely.  At all the points
-x = 1..m+1 at once, the relators, taken in crossing order, eliminate
-the arc each crossing creates by block forward substitution; the arcs
-read before they are created (the initial arcs) and the dropped
-relator's arc are left as a border of at most four arcs.  A row of an
-arc's block at one point is one integer, its border columns in
-fixed-width slots, and every multiplier of a relator's step is a scalar
-at that point, so the step is one integer expression per row and point;
-all the slots of each are then reduced at once by Barrett's method
-(`_slot_reducer`), into [0, 2s), and no slot carries into the next.
-The Schur complement in the border (at most 12 x 12) is unpacked once
-and reduced by one Gaussian elimination over all the points together
-(`det_gf` with `points`).  That is O(n) block work per point instead of
-a dense 3(2n-1)-square determinant; the values are then interpolated.
-The dense route lives on in the tests as the oracle.
+The determinant is never assembled densely.  The relators, taken in
+crossing order, eliminate the arc each crossing creates by block
+forward substitution; the arcs read before they are created (the
+initial arcs) and the dropped relator's arc are left as a border of at
+most four arcs.  The elimination runs once, on Laurent polynomials in
+t: a row of an arc's block is one integer that holds the coefficients
+of its border columns in fixed-width slots, degree after degree, so
+multiplying by t shifts the row up one degree and dividing by t shifts
+it down, and every other factor of a relator's step is a scalar.  A
+step is then three integer expressions, whose slots are all reduced at
+once by Barrett's method (`_slot_reducer`) into [0, 2s), with no carry
+from one slot into the next.  Only the Schur complement in the border
+(at most 12 x 12) goes to the points x = 1..m+1: each point is one sum
+of its packed coefficients times the powers of x, and one Gaussian
+elimination over all the points together (`det_gf` with `points`)
+takes its determinants, which are then interpolated.  The dense route
+lives on in the tests as the oracle.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from . import ffpoly
 from .blanchfield import period_matrix
@@ -195,7 +199,7 @@ def _sign(order):
 def _slot_reducer(s, slots):
     """The slot width w and reduce(v0, v1, v2) for `slots` residues mod s
     packed w bits apart in one int: reduce takes every slot of each of
-    its three ints (the rows of a block at one point) from below 8 s^3
+    its three ints (the rows of a block) from below 8 s^3
     into [0, 2s), congruent mod s, by Barrett's method on all the slots
     of an int at once.
 
@@ -221,9 +225,12 @@ def _slot_reducer(s, slots):
     return w, reduce
 
 
+@lru_cache(maxsize=None)
 def _elimination_plan(pres, drop_relator, drop_generator):
-    """The pivot arc of each kept relator, or None, the border arcs, and
-    the sign of the reordering they make.
+    """The kept relators, the pivot arc of each or None, the border arcs,
+    the sign of the reordering they make, and the degree window
+    (offset, span) of the elimination, all as tuples or ints; taken
+    once per presentation and deletion.
 
     Relators are taken in crossing order.  A relator (a, b, c) may pivot
     on a (block I) or on c (block -Phi(b)) when that arc occurs once in
@@ -239,9 +246,15 @@ def _elimination_plan(pres, drop_relator, drop_generator):
     The rows are reordered to the pivoting relators, then the others;
     the columns to the pivot arcs, then the border.  The sign is that of
     both reorderings.
+
+    A pivot on a multiplies by t once and a pivot on c divides by t
+    once, and a residual multiplies by t once more, so every coefficient
+    of the elimination has its degree in [-offset, span - offset - 1],
+    with offset the number of pivots on c and span the number of pivots
+    plus 2.
     """
-    kept = [r for i, r in enumerate(pres.relators, start=1)
-            if i != drop_relator]
+    kept = tuple(r for i, r in enumerate(pres.relators, start=1)
+                 if i != drop_relator)
     seen = {drop_generator}
     pivots, border = [], []
     for a, b, c in kept:
@@ -260,7 +273,8 @@ def _elimination_plan(pres, drop_relator, drop_generator):
     pivoting = [i for i, p in enumerate(pivots) if p is not None]
     sign = (_sign(pivoting + [i for i, p in enumerate(pivots) if p is None])
             * _sign([pivots[i] for i in pivoting] + border))
-    return kept, pivots, border, sign
+    offset = sum(p == rel[2] for rel, p in zip(kept, pivots))
+    return kept, tuple(pivots), tuple(border), sign, offset, len(pivoting) + 2
 
 
 def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
@@ -269,32 +283,45 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     relator row and one generator column removed.
 
     Relator (a, b, c) has Fox blocks I on a, Phi(a) - I on b and
-    -Phi(b) on c, with Phi(g) = C * diag(d(g)) at t = x.  Taken in
-    crossing order, the kept relators eliminate their new arcs by block
-    forward substitution (`_elimination_plan`): each eliminated arc is a
-    3 x 3|border| matrix T in the border arcs, T = Phi(b) T_c - v for a
-    pivot on a and T = Phi(b)^-1 (T_a + v) for a pivot on c, where
-    v = (Phi(a) - I) T_b.  The relators with no pivot then give the
-    Schur complement S = T_a + v - Phi(b) T_c in the border arcs, at most
-    12 x 12 for a 3-braid, and
+    -Phi(b) on c, with Phi(g) = C * diag(d(g)).  Taken in crossing
+    order, the kept relators eliminate their new arcs by block forward
+    substitution (`_elimination_plan`): each eliminated arc is a
+    3 x 3|border| matrix T over Z/s[t, 1/t] in the border arcs,
+    T = Phi(b) T_c - v for a pivot on a and T = Phi(b)^-1 (T_a + v) for
+    a pivot on c, where v = (Phi(a) - I) T_b.  The relators with no
+    pivot then give the Schur complement S = T_a + v - Phi(b) T_c in the
+    border arcs, at most 12 x 12 for a 3-braid, and
         det = sign * prod det(pivot block) * det S,
-    with det(-Phi(b)) = -x d_1 d_2 d_3 and the sign of the reordering of
-    relators and arcs.  The values are computed side by side: a block T
-    is a list over the points of its three rows there, each one int that
-    holds the row's 3|border| entries in slots of `_slot_reducer`'s
-    width.  Every factor of a step (the entries of d(a) and d(b), their
-    inverses, x and 1/x) is a scalar at the point, so one integer
-    expression computes a whole row there, a negative term -c r entering
-    as (s - c) r.  Each slot enters a step in [0, 2s) and each factor is
-    below s, so no expression reaches 8 s^3 (the largest, a residual's
-    p + (s - 1) u + x d q + x (s - d') r, is below 4 s^3 + 2 s^2 + 2s),
-    and one slotwise Barrett reduction brings every slot back into
-    [0, 2s) with no carry between slots.  v is never formed: its row is
-    folded into the row of T or S that reads it, so a relator costs one
-    pass over the points, three expressions and one reduction at each.
-    d(g) is taken once per generator per call.  The rows of S are
-    unpacked once into `det_gf`'s batched layout, which reduces them mod
-    s, for one elimination over all the points.
+    with det(-Phi(b)) = -t d_1 d_2 d_3 and the sign of the reordering of
+    relators and arcs.
+
+    The elimination runs once, on the coefficients.  A row of T is one
+    int in which the coefficient of t^e in column j sits in slot
+    (e + offset) cols + j, slots `_slot_reducer`'s width w apart, with
+    cols = 3|border| and the plan's degree window (offset, span).  t
+    occurs only in row 0 of Phi(g), and 1/t only in row 2 of
+    Phi(b)^-1, so multiplying by t shifts a row up by cols w bits,
+    dividing by t shifts it down, and every other factor of a step (an
+    entry of d(a) or d(b), or an inverse) is a scalar; a negative term
+    -c r enters as (s - c) r.  A shift that would push a nonzero slot
+    out of the window raises ArithmeticError.  Each slot enters a step
+    in [0, 2s) and each factor is below s, so no slot of a step's
+    expression reaches 8 s^3 (the largest, a pivot on c's
+    inv (p + d r + (s - 1) r'), is below 4 s^3 + 2 s^2), and one
+    slotwise Barrett reduction brings every slot back into [0, 2s) with
+    no carry between slots.  v is never formed: its row is folded into
+    the row of T or S that reads it, so a relator costs three
+    expressions and one reduction, whatever the number of points.
+    d(g) is taken once per generator per call.
+
+    Only S goes to the points.  Its coefficients of t^(e - offset), of
+    every entry, are packed into one int per e, and its value at x is
+    the sum over e of x^e mod s times that int, in which each slot stays
+    below span 2 s^2 < 2^w, since span <= m + 2 <= s (s - 1 >= m + 1 is
+    checked below).  The values are unpacked into `det_gf`'s batched
+    layout, which reduces them mod s, for one elimination over all the
+    points, and the x^-offset left out of each row of S joins the power
+    of x that the pivots on c contribute.
 
     t occurs in one row per kept relator, so the determinant has degree
     at most m (the number of kept relators) and its values at
@@ -318,75 +345,93 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     if s - 1 < m + 1:
         raise ValueError(f"s={s} has {s - 1} nonzero points; the "
                          f"degree-{m} determinant needs {m + 1}")
-    kept, pivots, border, sign = _elimination_plan(pres, drop_relator,
-                                                   drop_generator)
-    xs = list(range(1, m + 2))
-    inv_xs = [pow(x, -1, s) for x in xs]
-    npts, cols = len(xs), 3 * len(border)
-    w, reduce = _slot_reducer(s, cols)
+    kept, pivots, border, sign, offset, span = _elimination_plan(
+        pres, drop_relator, drop_generator)
+    cols = 3 * len(border)
+    w, reduce = _slot_reducer(s, span * cols)
+    step = cols * w  # one degree of a row
+    low, top = (1 << step) - 1, (span - 1) * step
+
+    def times_t(v):
+        if v >> top:
+            raise ArithmeticError("multiplying by t pushes a coefficient "
+                                  "past the top of the degree window")
+        return v << step
+
+    def over_t(v):
+        if v & low:
+            raise ArithmeticError("dividing by t drops a nonzero "
+                                  "coefficient below the degree window")
+        return v >> step
+
     d = [None] + [rep.d(g) for g in range(1, m + 2)]
-    zero = [(0, 0, 0)] * npts
-    value = {g: [tuple(1 << (3 * k + i) * w for i in range(3))] * npts
+    zero = (0, 0, 0)
+    value = {g: tuple(1 << (offset * cols + 3 * k + i) * w for i in range(3))
              for k, g in enumerate(border)}
     last_read = {g: i for i, rel in enumerate(kept) for g in rel}
     s1 = s - 1
 
-    # det of the pivot blocks: sign * const * x^x_power
-    const, x_power = 1, 0
-    residuals = []
+    # det of the pivot blocks: sign * const * t^t_power
+    const, t_power = 1, 0
+    rows = []  # the rows of S
 
     def arc(g):
         return zero if g == drop_generator else value[g]
 
     for i, ((a, b, c), pivot) in enumerate(zip(kept, pivots)):
         (da0, da1, da2), (db0, db1, db2) = d[a], d[b]
-        # at each point, (p0, p1, p2), (r0, r1, r2) and (q0, q1, q2) are
-        # the rows of T_a, T_b and T_c there; each row below folds in its
-        # row of v = (Phi(a) - I) T_b: (x da2 r2 - r0, da0 r0 - r1,
+        # (p0, p1, p2), (r0, r1, r2) and (q0, q1, q2) are the rows of
+        # T_a, T_b and T_c; each row below folds in its row of
+        # v = (Phi(a) - I) T_b: (t da2 r2 - r0, da0 r0 - r1,
         # da1 r1 - r2), with -r entering as (s - 1) r
+        r0, r1, r2 = arc(b)
         if pivot == a:
             # T_a = Phi(b) T_c - v
+            q0, q1, q2 = arc(c)
             na0, na1, na2 = s - da0, s - da1, s - da2
-            value[a] = [
-                reduce(x * db2 * q2 + x * na2 * r2 + r0,
-                       db0 * q0 + na0 * r0 + r1,
-                       db1 * q1 + na1 * r1 + r2)
-                for x, (q0, q1, q2), (r0, r1, r2)
-                in zip(xs, arc(c), arc(b))]
+            value[a] = reduce(times_t(db2 * q2 + na2 * r2) + r0,
+                              db0 * q0 + na0 * r0 + r1,
+                              db1 * q1 + na1 * r1 + r2)
         elif pivot == c:
             # T_c = Phi(b)^-1 (T_a + v): rows 1 and 2 of T_a + v divided
-            # by db0 and db1, then row 0 divided by x db2, which takes
-            # the x out of v's row 0
+            # by db0 and db1, then row 0 divided by t db2, which takes
+            # the t out of v's row 0
+            p0, p1, p2 = arc(a)
             inv0, inv1, inv2 = (pow(e, -1, s) for e in (db0, db1, db2))
             e2, ni2 = da2 * inv2 % s, s - inv2
-            value[c] = [
-                reduce(inv0 * (p1 + da0 * r0 + s1 * r1),
-                       inv1 * (p2 + da1 * r1 + s1 * r2),
-                       y * inv2 * p0 + y * ni2 * r0 + e2 * r2)
-                for y, (p0, p1, p2), (r0, r1, r2)
-                in zip(inv_xs, arc(a), arc(b))]
+            value[c] = reduce(inv0 * (p1 + da0 * r0 + s1 * r1),
+                              inv1 * (p2 + da1 * r1 + s1 * r2),
+                              over_t(inv2 * p0 + ni2 * r0) + e2 * r2)
             const = -const * db0 * db1 * db2 % s
-            x_power += 1
+            t_power += 1
         else:
             # the residual T_a + v - Phi(b) T_c
+            (p0, p1, p2), (q0, q1, q2) = arc(a), arc(c)
             nb0, nb1, nb2 = s - db0, s - db1, s - db2
-            residuals.append([
-                reduce(p0 + s1 * r0 + x * da2 * r2 + x * nb2 * q2,
-                       p1 + s1 * r1 + da0 * r0 + nb0 * q0,
-                       p2 + s1 * r2 + da1 * r1 + nb1 * q1)
-                for x, (p0, p1, p2), (r0, r1, r2), (q0, q1, q2)
-                in zip(xs, arc(a), arc(b), arc(c))])
+            rows += reduce(p0 + s1 * r0 + times_t(da2 * r2 + nb2 * q2),
+                           p1 + s1 * r1 + da0 * r0 + nb0 * q0,
+                           p2 + s1 * r2 + da1 * r1 + nb1 * q1)
         for g in (a, b, c):
             if last_read[g] == i:
                 value.pop(g, None)
 
-    # entry (j, x) of row i of a residual is slot j of that row's int at
-    # x; det_gf reduces it mod s
+    # the coefficients of t^(e - offset) of S, row after row, in one int
+    # per e; the value of S at x is their sum weighted by x^e mod s
+    chunks = [sum((row >> e * step & low) << i * step
+                  for i, row in enumerate(rows)) for e in range(span)]
+    xs = list(range(1, m + 2))
+    values = []
+    for x in xs:
+        power = 1
+        powers = [1] + [power := power * x % s for _ in range(span - 1)]
+        values.append(sum(map(mul, powers, chunks)))
+    # entry (i, j) of S at x is slot i cols + j of x's value; det_gf
+    # reduces it mod s
     slot = (1 << w) - 1
-    rows = [[t[i] >> j * w & slot for j in range(cols) for t in res]
-            for res in residuals for i in range(3)]
-    dets = det_gf(rows, s, npts)
-    ys = [sign * const * pow(x, x_power, s) * e % s
+    dets = det_gf([[v >> j * w & slot for j in range(i * cols, (i + 1) * cols)
+                    for v in values] for i in range(len(rows))], s, len(xs))
+    t_power -= offset * len(rows)
+    ys = [sign * const * pow(x, t_power, s) * e % s
           for x, e in zip(xs, dets)]
     return ffpoly.interpolate(xs, ys, s)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import period_oracle
 from fox_oracle import fox_block, fox_matrix, poly_matrix_det
 from fresh_python import run_python
-from sliceobs import ffpoly
+from sliceobs import ffpoly, twisted
 from sliceobs.blanchfield import period_matrix, t_matrix
 from sliceobs.braids import (BraidWord, WirtingerPresentation, family_braid,
                              wirtinger_of_closure)
@@ -235,6 +235,77 @@ def test_slot_reduction_keeps_every_slot_apart(s, data):
         for j, v in enumerate(row):
             r = packed >> j * w & (1 << w) - 1
             assert 0 <= r < 2 * s and (v - r) % s == 0
+
+
+@pytest.mark.parametrize("n,s", [(5, 11), (11, 23), (17, 103)])
+def test_one_reduction_per_kept_relator(monkeypatch, n, s):
+    # the elimination runs once, on the coefficients: each kept relator
+    # is one slotwise reduction of its three rows, whatever the number
+    # of points (2n here, one more than the kept relators)
+    calls = []
+    slot_reducer = twisted._slot_reducer
+
+    def counting(s, slots):
+        w, reduce = slot_reducer(s, slots)
+
+        def counted(*rows):
+            calls.append(len(rows))
+            return reduce(*rows)
+
+        return w, counted
+
+    monkeypatch.setattr(twisted, "_slot_reducer", counting)
+    pres = family_presentation(n)
+    kept = len(pres.relators) - 1
+    theta = ffpoly.primitive_root_of_unity(s, n)
+    for chi in base_characters(n):
+        calls.clear()
+        twisted_determinant(pres, TwistedRep.build(pres, chi, s, theta))
+        assert calls == [3] * kept
+
+
+# the plan's degree window (offset, span) narrowed to leave no degree
+# below t^0, or none above it
+NARROWED = {"below": "plan[:4] + (0, plan[5])",
+            "above": "plan[:5] + (plan[4] + 1,)"}
+WINDOW_MESSAGES = {
+    "below": "dividing by t drops a nonzero coefficient below",
+    "above": "multiplying by t pushes a coefficient past the top"}
+NARROWED_RUN = (
+    "from sliceobs import twisted\n"
+    "from sliceobs.braids import family_braid, wirtinger_of_closure\n"
+    "from sliceobs.metabolizers import base_characters\n"
+    "plan_of = twisted._elimination_plan\n"
+    "twisted._elimination_plan = lambda *args: (\n"
+    "    lambda plan: {narrowed})(plan_of(*args))\n"
+    "pres = wirtinger_of_closure(family_braid(5))\n"
+    "rep = twisted.TwistedRep.build(pres, base_characters(5)[0], 11, 4)\n"
+    "twisted.twisted_determinant(pres, rep)\n")
+
+
+class TestDegreeWindow:
+    @pytest.mark.parametrize("side", sorted(NARROWED))
+    def test_a_shift_out_of_the_window_is_refused(self, monkeypatch, side):
+        plan_of = twisted._elimination_plan
+        narrow = eval(f"lambda plan: {NARROWED[side]}")
+        monkeypatch.setattr(twisted, "_elimination_plan",
+                            lambda *args: narrow(plan_of(*args)))
+        rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
+        with pytest.raises(ArithmeticError, match=WINDOW_MESSAGES[side]):
+            twisted_determinant(PRES5, rep)
+
+    @pytest.mark.parametrize("side", sorted(NARROWED))
+    def test_check_survives_optimize(self, side):
+        code = NARROWED_RUN.format(narrowed=NARROWED[side])
+        proc = run_python(["-O", "-c", code], 60)
+        assert proc.returncode == 1
+        assert "ArithmeticError: " + WINDOW_MESSAGES[side] in proc.stderr
+
+    def test_plan_is_taken_once_per_presentation_and_deletion(self):
+        # an equal presentation, built again, finds the same plan
+        plan = twisted._elimination_plan(family_presentation(11), 1, 2)
+        assert twisted._elimination_plan(family_presentation(11), 1, 2) is plan
+        assert all(isinstance(part, tuple) for part in plan[:3])
 
 
 class TestTwistedPolynomial:
