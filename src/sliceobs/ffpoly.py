@@ -355,10 +355,16 @@ def interpolate(xs, ys, s):
     """The unique polynomial of degree < len(xs) through (xs[i], ys[i])
     mod s, by Newton's divided differences.  The inverse of each distinct
     node difference is taken once: m of them for the nodes 1 .. m + 1.
-    The Newton form is expanded by Horner's rule, one list per node."""
+    The Newton form is expanded by Horner's rule, one list per node.  A
+    point or value that is not an int raises ValueError."""
     n = len(xs)
     if len(ys) != n:
         raise ValueError("interpolation needs one value per point")
+    for kind, values in (("point", xs), ("value", ys)):
+        for v in values:
+            if not isinstance(v, int):
+                raise ValueError(
+                    f"an interpolation {kind} must be an integer, not {v!r}")
     if len({x % s for x in xs}) != n:
         raise ValueError("interpolation points must be distinct mod s")
     coef = [y % s for y in ys]
@@ -720,7 +726,12 @@ def norm_obstructed(degrees):
     A norm has even degree, and its factors split into two halves of
     equal degree.  So an odd total, or a half-sum no sub-multiset of the
     degrees reaches, rules it out.  Subset sums are swept with a bitset.
+    A degree that is not an int at least 0 raises ValueError.
     """
+    for d in degrees:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+            raise ValueError(
+                f"a degree must be an integer at least 0, not {d!r}")
     total = sum(degrees)
     if total % 2:
         return True

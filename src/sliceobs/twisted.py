@@ -340,6 +340,10 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
             f"the representation has exponent triples for "
             f"{len(rep.exponents)} generators, the presentation "
             f"{pres.num_generators}")
+    for name, k in (("drop_relator", drop_relator),
+                    ("drop_generator", drop_generator)):
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"{name} must be an integer, not {k!r}")
     if not (1 <= drop_relator <= m + 1 and 1 <= drop_generator <= m + 1):
         raise ValueError("dropped relator and generator must exist")
     if s - 1 < m + 1:

@@ -320,9 +320,11 @@ class TestCoverHomology:
 
     def test_cyclotomic_factors_refuse_small_covers(self):
         # q <= 20 meets Phi_6 and Phi_10 and their multiples 12, 18, 20;
-        # the scale tests take q < 200
-        assert refused_covers(range(2, 41), range(2, 21)) == \
-            expected_refusals(range(2, 41), range(2, 21))
+        # n <= 20 has both parities, 3 | n, odd n on both sides of the
+        # q switch, and the hits of each factor and of both (n = 20).
+        # The scale tests take n <= 40 with q up to 60 or 200
+        assert refused_covers(range(2, 21), range(2, 21)) == \
+            expected_refusals(range(2, 21), range(2, 21))
 
     @pytest.mark.parametrize("q", [0, -2])
     def test_cover_degree_must_be_positive(self, q):

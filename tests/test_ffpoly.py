@@ -209,6 +209,16 @@ def test_interpolate_rejects_bad_points():
         interpolate([1, 2], [0], 23)
 
 
+@pytest.mark.parametrize("xs, ys, message", [
+    ([1, 2], [1.5, 2], "value must be an integer, not 1.5"),
+    ([1, 2.0], [1, 2], "point must be an integer, not 2.0"),
+    ([1, "2"], [1, 2], "point must be an integer, not '2'")])
+def test_interpolate_refuses_a_non_integer(xs, ys, message):
+    # 1.5 came back as the "polynomial" [1.0, 0.5]
+    with pytest.raises(ValueError, match=f"^an interpolation {message}$"):
+        interpolate(xs, ys, 7)
+
+
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, 22), min_size=1, max_size=8),
        st.integers(0, 22))
@@ -707,14 +717,23 @@ def _irreducible(d, s, rng):
     return g
 
 
-@pytest.mark.parametrize("s", (23, 2 ** 31 - 1))
-@pytest.mark.parametrize("degrees", (
+BLOCK_EDGE_DEGREES = (
     (1, 2, 8, 9, 16, 17),  # on both sides of the first two block edges
     (8, 8, 9, 9),          # each edge degree twice, split by the norm
     (16, 17),              # the second block refines two steps apart
     (2, 3, 11),            # the stopping rule, mid-block, block spent
     (1, 1, 1, 1, 5),       # the stopping rule, mid-block, quintic left
-))
+)
+
+
+# each degree set reaches its branch at s = 23; at s = 2^31 - 1 those of
+# total degree above 30 only repeat it with wider coefficients, at about
+# 0.5 to 1 s each, so they run with the scale checks
+@pytest.mark.parametrize("degrees, s", [
+    pytest.param(degrees, s, id=f"degrees{i}-{s}", marks=(
+        pytest.mark.scale if s > 23 and sum(degrees) > 30 else ()))
+    for i, degrees in enumerate(BLOCK_EDGE_DEGREES)
+    for s in (23, 2 ** 31 - 1)])
 def test_factor_matches_oracle_across_block_edges(s, degrees):
     # blocks of `_BLOCK` = 8 steps end at d = 8, 16, 24, ..., each
     # clamped to deg rest / 2.  (2, 3, 11) has the block 1-8, yields the
@@ -936,6 +955,17 @@ def test_norm_obstruction_rejects_inconsistent_totals():
     assert norm_obstructed([3]) is True
     with pytest.raises(TypeError):
         norm_obstructed([2, 2], half=5)
+
+
+@pytest.mark.parametrize("degrees, bad", [
+    ([1.5], "1.5"), ([2, 2.0], "2.0"), ([-1, 3], "-1"), ([True, 1], "True")])
+def test_norm_obstruction_refuses_a_bad_degree(degrees, bad):
+    # [1.5] read as "obstructed", and [-1, 3] ended in "negative shift
+    # count"
+    with pytest.raises(ValueError,
+                       match=f"^a degree must be an integer at least 0, "
+                             f"not {bad}$"):
+        norm_obstructed(degrees)
 
 
 @pytest.mark.parametrize("call, answer", (

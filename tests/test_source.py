@@ -19,32 +19,52 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_DIR = os.path.dirname(TESTS_DIR)
 
 
+def _package_trees():
+    """(file name, syntax tree) for each module of the package."""
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE_DIR, name)
+            with open(path, encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=path)
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so a check written as one
     # silently stops running; load-bearing checks raise explicitly
-    found = []
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE_DIR, name)
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [f"{name}:{line}" for line in sorted(
-            node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Assert))]
+    found = [f"{name}:{node.lineno}" for name, tree in _package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in sliceobs: {', '.join(found)}"
+
+
+def _optimize_reads(tree):
+    """Line numbers of each `__debug__` and each read of `sys.flags`."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "__debug__"
+        or isinstance(node, ast.Attribute) and node.attr == "flags"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        or isinstance(node, ast.ImportFrom) and node.module == "sys"
+        and any(alias.name == "flags" for alias in node.names))
+
+
+def test_nothing_reads_the_optimize_flag():
+    # besides stripping asserts, `python -O` only sets __debug__ to False
+    # and sys.flags.optimize to 1; with no assert statement above, no
+    # module reading either means -O cannot change what the package
+    # does, so a check run in process stands for one run under -O
+    assert _optimize_reads(ast.parse(
+        "import sys\nfrom sys import flags\n"
+        "if __debug__ or sys.flags.optimize:\n    pass\n")) == [2, 3, 3]
+    found = [f"{name}:{line}" for name, tree in _package_trees()
+             for line in _optimize_reads(tree)]
+    assert not found, f"__debug__ or sys.flags in sliceobs: {found}"
 
 
 def test_package_imports_only_the_standard_library():
     # the package is dependency-free: every module it imports is in the
     # standard library or is the package itself
     foreign = []
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE_DIR, name)
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 tops = [alias.name.partition(".")[0] for alias in node.names]

@@ -1,5 +1,7 @@
 """Fox calculus, the metabelian representation, and twisted polynomials."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,9 +165,13 @@ class TestBlockEliminationOracle:
     included."""
 
     # s = 2n + 1 is the tight case: the points 1..2n are every nonzero
-    # element of the field; s = 2^64 + 745 gives the widest slots
-    @pytest.mark.parametrize("n,s", [(5, 11), (5, 2147483171), (11, 23),
-                                     (11, 2147483647), (5, 2 ** 64 + 745)])
+    # element of the field; s = 2^64 + 745 gives the widest slots.  At
+    # (11, 2^31 - 1) the route is that of (11, 23) and the slot width
+    # that of (5, 2147483171), so it runs with the scale checks
+    @pytest.mark.parametrize("n,s", [
+        (5, 11), (5, 2147483171), (11, 23),
+        pytest.param(11, 2147483647, marks=pytest.mark.scale),
+        (5, 2 ** 64 + 745)])
     def test_every_character(self, n, s):
         pres = family_presentation(n)
         theta = ffpoly.primitive_root_of_unity(s, n)
@@ -173,7 +179,9 @@ class TestBlockEliminationOracle:
             rep = TwistedRep.build(pres, chi, s, theta)
             assert twisted_determinant(pres, rep) == oracle_raw(pres, rep)
 
-    @pytest.mark.parametrize("n", [17, 23])
+    # n = 23 repeats the elimination of n = 17 on a longer presentation
+    @pytest.mark.parametrize(
+        "n", [17, pytest.param(23, marks=pytest.mark.scale)])
     def test_table_characters(self, n):
         pres = family_presentation(n)
         for chi in base_characters(n):
@@ -363,6 +371,23 @@ class TestBadInput:
         with pytest.raises(ValueError):
             twisted_polynomial(PRES5, PLUS5, 11, 4, drop_relator=dr,
                                drop_generator=dg)
+
+    @pytest.mark.parametrize("drop", [
+        {"drop_relator": 2.5}, {"drop_relator": 1.0},
+        {"drop_generator": True}, {"drop_generator": "1"}],
+        ids=["relator 2.5", "relator 1.0", "generator True", "generator '1'"])
+    def test_deletion_must_be_an_integer(self, drop, monkeypatch):
+        # 2.5 ended in det_gf's "non-square matrix", and 1.0 or True was
+        # read as 1; each is refused by name before the plan is built
+        def no_plan(*args):
+            pytest.fail("the elimination plan was built")
+
+        monkeypatch.setattr(twisted, "_elimination_plan", no_plan)
+        [(name, value)] = drop.items()
+        rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, not {value!r}")):
+            twisted_determinant(PRES5, rep, **drop)
 
     @pytest.mark.parametrize("pres_n, rep_n, s, theta", [
         (5, 11, 23, 2), (11, 5, 11, 4)], ids=["fewer arcs", "more arcs"])
