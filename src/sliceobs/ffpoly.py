@@ -34,6 +34,9 @@ N(u) = u u^s ... u^(s^(d-1)) needs d - 1 applications, each already
 reduced mod f, and the power only log2(s) squarings.
 `is_irreducible` reads the first distinct-degree yield.
 `norm_obstructed` is the whole norm test, odd totals included.
+Nothing here interpolates: `twisted` reads its coefficients off values
+at roots of unity by an inverse transform, and Newton interpolation at
+arbitrary nodes lives with the dense oracle in the tests.
 """
 
 import operator
@@ -50,7 +53,6 @@ __all__ = [
     "poly_divmod",
     "poly_gcd",
     "monic",
-    "interpolate",
     "derivative",
     "factor",
     "is_irreducible",
@@ -351,38 +353,6 @@ def _frobenius(f, s, mulmod):
     return frobenius
 
 
-def interpolate(xs, ys, s):
-    """The unique polynomial of degree < len(xs) through (xs[i], ys[i])
-    mod s, by Newton's divided differences.  The inverse of each distinct
-    node difference is taken once: m of them for the nodes 1 .. m + 1.
-    The Newton form is expanded by Horner's rule, one list per node.  A
-    point or value that is not an int raises ValueError."""
-    n = len(xs)
-    if len(ys) != n:
-        raise ValueError("interpolation needs one value per point")
-    for kind, values in (("point", xs), ("value", ys)):
-        for v in values:
-            if not isinstance(v, int):
-                raise ValueError(
-                    f"an interpolation {kind} must be an integer, not {v!r}")
-    if len({x % s for x in xs}) != n:
-        raise ValueError("interpolation points must be distinct mod s")
-    coef = [y % s for y in ys]
-    inverse = {}
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            d = (xs[i] - xs[i - j]) % s
-            inv = inverse.get(d)
-            if inv is None:
-                inv = inverse[d] = pow(d, -1, s)
-            coef[i] = (coef[i] - coef[i - 1]) * inv % s
-    poly = []
-    for x, c in zip(reversed(xs), reversed(coef)):
-        # poly = poly * (t - x) + c
-        poly = [(a - x * b) % s for a, b in zip([c] + poly, poly + [0])]
-    return trim(poly)
-
-
 def derivative(a, s):
     return trim([i * c % s for i, c in enumerate(a)][1:])
 
@@ -626,7 +596,7 @@ def factor(a, s):
     Every other input goes through the squarefree, distinct-degree and
     equal-degree stages.
     """
-    if not (s > 2 and is_prime(s)):
+    if not (is_prime(s) and s > 2):
         raise ValueError(f"factor needs an odd prime modulus, not s={s}")
     _check_coefficients(a)
     a = trim(a, s)

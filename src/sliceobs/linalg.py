@@ -22,10 +22,11 @@ matrices of one side laid out side by side, entry by entry, and
 eliminates them together: one list operation per row and step serves
 every matrix, and a pivot is swapped only at the matrices where it
 vanishes (`twisted` reduces its Schur complements this way, at all the
-evaluation points at once).  `smith_normal_form` is an integer-only
-elimination.
+2n-th roots of unity it evaluates them at, at once).
+`smith_normal_form` is an integer-only elimination.
 """
 
+from itertools import chain, filterfalse
 from operator import mul
 
 from .laurent import LaurentPolynomial
@@ -219,9 +220,10 @@ def det_band(x, y, modulus=None):
 
 def det_gf(rows, s, points=None):
     """Determinant of an integer matrix modulo the prime s, by Gaussian
-    elimination.  Takes the rows (a Matrix iterates over its rows);
-    returns an int in [0, s).  An s that is not an int >= 2 raises
-    ValueError; that s is prime is the caller's to ensure, as no
+    elimination.  Takes a sequence of rows of ints (a Matrix iterates
+    over its rows); returns an int in [0, s).  An entry that is not an
+    int, or an s that is not an int >= 2, raises ValueError; that s is
+    prime is the caller's to ensure, as no
     primality test runs here (`twisted` checks its s once).
 
     With `points`, the rows hold that many k-square matrices side by
@@ -235,6 +237,8 @@ def det_gf(rows, s, points=None):
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"det_gf needs an int modulus s >= 2, not s={s!r}")
+    for x in filterfalse(int.__instancecheck__, chain.from_iterable(rows)):
+        raise ValueError(f"det_gf needs rows of integers, not the entry {x!r}")
     npts = 1 if points is None else points
     a = [[x % s for x in r] for r in rows]
     k = len(a)

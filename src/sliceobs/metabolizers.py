@@ -93,7 +93,10 @@ def _line_rows(n, n0, n1):
 
 
 def line_submodule(n, n0, n1):
-    """The R-line through a + (n0 + n1 t) b."""
+    """The R-line through a + (n0 + n1 t) b; n0 and n1 must be ints."""
+    for name, x in (("n0", n0), ("n1", n1)):
+        if not isinstance(x, int):
+            raise ValueError(f"{name} must be an integer, not {x!r}")
     return Submodule(n, _line_rows(n, n0, n1))
 
 

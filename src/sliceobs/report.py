@@ -16,7 +16,7 @@ form, the metabolizers, their orbits and the two characters, is the
 shared by every later call with the same n.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .braids import WirtingerPresentation, family_braid, wirtinger_of_closure
@@ -212,45 +212,42 @@ def obstruct(n, s=None, theta=None, exhaustive=False):
     witnesses = {sign: _witness(n, sign, s, theta) for sign in "+-"}
     c = census(n)
     target = 2 * (n - 2)
-    reports = {}
+    found = {}  # sign: the polynomial, its factors, their degrees, norm
     for chi in (c.plus, c.minus):
-        s_use, theta_use = witnesses[chi.sign]
-        tp = twisted_polynomial(c.presentation, chi, s_use, theta_use)
-        fact = factor(list(tp.coeffs), s_use)
+        tp = twisted_polynomial(c.presentation, chi, *witnesses[chi.sign])
+        fact = factor(list(tp.coeffs), tp.s)
         degs = tuple(degree_sequence(fact))
-        total = sum(degs)
-        reports[chi.sign] = ObstructionReport(
-            n=n, sign=chi.sign, s=s_use, theta=theta_use, q=3,
-            polynomial=tp.coeffs,
-            factors=tuple(tuple(f) for f in fact.expanded()),
-            degree_sequence=degs,
-            total_degree=total,
-            target_degree=target,
-            degree_check=total == target,
-            norm_obstructed=norm_obstructed(degs),
-            metabolizer_count=len(c.metabolizers),
-            orbit_sizes=c.orbit_sizes,
-            characters_checked=0,
-            verdict="",
-        )
-    all_pass = all(r.degree_check and r.norm_obstructed
-                   for r in reports.values())
-    checked = len(reports)
+        found[chi.sign] = tp, fact, degs, norm_obstructed(degs)
+    all_pass = all(sum(degs) == target and obstructed
+                   for _, _, degs, obstructed in found.values())
+    checked = len(found)
 
     if exhaustive:
         # both polynomials are monic, so their factor lists (and with them
         # both checks) agree exactly when their coefficients do
-        plus = reports["+"]
+        plus = found["+"][0]
         chi = c.plus
         for _ in range(n - 1):
             chi = period_shift(chi)
             tp = twisted_polynomial(c.presentation, chi, plus.s, plus.theta)
-            all_pass = all_pass and tp.coeffs == plus.polynomial
+            all_pass = all_pass and tp.coeffs == plus.coeffs
             checked += 1
 
     verdict = "not slice" if all_pass else "inconclusive"
-    return [replace(r, characters_checked=checked, verdict=verdict)
-            for r in reports.values()]
+    return [ObstructionReport(
+        n=n, sign=sign, s=tp.s, theta=tp.theta, q=3,
+        polynomial=tp.coeffs,
+        factors=tuple(tuple(f) for f in fact.expanded()),
+        degree_sequence=degs,
+        total_degree=sum(degs),
+        target_degree=target,
+        degree_check=sum(degs) == target,
+        norm_obstructed=obstructed,
+        metabolizer_count=len(c.metabolizers),
+        orbit_sizes=c.orbit_sizes,
+        characters_checked=checked,
+        verdict=verdict,
+    ) for sign, (tp, fact, degs, obstructed) in found.items()]
 
 
 def verify_table(ns=None):
@@ -260,12 +257,15 @@ def verify_table(ns=None):
     Returns a list of dicts with keys n, sign, ok, expected, got.  An n
     outside TABLE_N has no reference row and raises ValueError.
     """
-    ns = TABLE_N if ns is None else tuple(ns)
+    try:
+        ns = TABLE_N if ns is None else tuple(ns)
+    except TypeError:
+        raise ValueError(f"ns must be a collection of n, not {ns!r}") from None
     untabled = [n for n in ns if n not in TABLE_N]
     if untabled:
         rows = ", ".join(map(str, TABLE_N))
         raise ValueError(
-            f"no reference row for n={untabled[0]}: the table has the rows "
+            f"no reference row for n={untabled[0]!r}: the table has the rows "
             f"n = {rows} (use obstruct with an explicit s for other n)")
     results = []
     for n in ns:

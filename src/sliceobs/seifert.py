@@ -155,6 +155,6 @@ def paired_product(n):
 def p_n(n):
     """The distinguished square root of the Alexander polynomial for odd
     n, the `paired_product` of its n - 1 quadratic factors."""
-    if n < 3 or n % 2 == 0:
+    if check_n(n) % 2:
         raise ValueError("defined for odd n >= 3")
     return paired_product(n)

@@ -28,11 +28,14 @@ it down, and every other factor of a relator's step is a scalar.  A
 step is then three integer expressions, whose slots are all reduced at
 once by Barrett's method (`_slot_reducer`) into [0, 2s), with no carry
 from one slot into the next.  Only the Schur complement in the border
-(at most 12 x 12) goes to the points x = 1..m+1: each point is one sum
-of its packed coefficients times the powers of x, and one Gaussian
-elimination over all the points together (`det_gf` with `points`)
-takes its determinants, which are then interpolated.  The dense route
-lives on in the tests as the oracle.
+(at most 12 x 12) goes to points, and they are the 2n-th roots of
+unity omega^k = (-theta)^k, which the field of the witness already
+holds: each point is one sum of its packed coefficients times powers
+of omega read from one table, one Gaussian elimination over all the
+points together (`det_gf` with `points`) takes its determinants, and
+the same sum with omega^-1, scaled by 1/2n, turns them into
+coefficients (the discrete Fourier transform and its inverse).  The
+dense route lives on in the tests as the oracle.
 """
 
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ from operator import mul
 from . import ffpoly
 from .blanchfield import period_matrix
 from .linalg import det_gf
+from .seifert import MAX_N
 
 __all__ = [
     "TwistedRep",
@@ -277,6 +281,19 @@ def _elimination_plan(pres, drop_relator, drop_generator):
     return kept, tuple(pivots), tuple(border), sign, offset, len(pivoting) + 2
 
 
+def _at_roots(seq, table, sign):
+    """The sums of seq[e] omega^(sign k e) over e, for k = 0 .. N - 1,
+    where table[j] = omega^j and omega has order N = len(table): the
+    values at the nodes omega^k of the polynomial with coefficients seq
+    for sign 1, and N times the coefficients of the polynomial of degree
+    below N with the values seq at those nodes for sign -1."""
+    size = len(table)
+    steps = (sign * k % size or size for k in range(size))
+    return [sum(map(mul, seq, [table[j % size]
+                               for j in range(0, step * len(seq), step)]))
+            for step in steps]
+
+
 def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     """The raw twisted determinant: ascending coefficients mod s of det of
     the Fox matrix of the Wirtinger presentation under rep, with one
@@ -314,22 +331,30 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     expressions and one reduction, whatever the number of points.
     d(g) is taken once per generator per call.
 
-    Only S goes to the points.  Its coefficients of t^(e - offset), of
-    every entry, are packed into one int per e, and its value at x is
-    the sum over e of x^e mod s times that int, in which each slot stays
-    below span 2 s^2 < 2^w, since span <= m + 2 <= s (s - 1 >= m + 1 is
-    checked below).  The values are unpacked into `det_gf`'s batched
-    layout, which reduces them mod s, for one elimination over all the
-    points, and the x^-offset left out of each row of S joins the power
-    of x that the pivots on c contribute.
+    Only S goes to the points, which are the N = 2n powers of
+    omega = -theta: for odd n and theta of order n, omega has order
+    exactly 2n, and the powers are taken once into a table, which is
+    checked to close up at omega^N = 1 with N distinct entries (n is
+    held to `seifert.MAX_N`, as N points cost whatever m is).  Its
+    coefficients of t^(e - offset), of every entry, are packed into one
+    int per e, and its value at omega^k is the sum over e of
+    omega^(k e) times that int (`_at_roots`), in which each slot stays
+    below span 2 s^2 < 2^w, since span <= m + 2 <= N + 1 <= s: m + 1 <= N
+    is checked, and N divides s - 1.  The values are unpacked into
+    `det_gf`'s batched layout, which reduces them mod s, for one
+    elimination over all the points, and the omega^(-k offset) left out
+    of each row of S joins the power of omega^k that the pivots on c
+    contribute, a lookup in the table.  The coefficients are then the
+    same sums over the values with omega^-1, times 1/N.
 
     t occurs in one row per kept relator, so the determinant has degree
-    at most m (the number of kept relators) and its values at
-    x = 1..m+1 fix it; interpolation through those points cannot return
-    more, so the bound is not checked separately.  No extra point could
-    check it at the reference witnesses: m + 1 = 2n, so n = 11 at s = 23
-    and n = 23 at s = 47 already use every nonzero residue, and x = 0 is
-    avoided because Phi(b) is singular there.
+    at most m (the number of kept relators) < N, and its values at the N
+    roots of unity fix it; the inverse transform cannot return more, so
+    the bound is not checked separately.  No extra point could check it
+    for the family: m + 1 = 2n = N, and the nodes are all of the 2n-th
+    roots of unity (at s = 2n + 1, as n = 11 at s = 23 and n = 23 at
+    s = 47, every nonzero residue).  0 is never a node, where Phi(b) is
+    singular.
     """
     s = rep.s
     m = pres.num_generators - 1
@@ -346,9 +371,18 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
             raise ValueError(f"{name} must be an integer, not {k!r}")
     if not (1 <= drop_relator <= m + 1 and 1 <= drop_generator <= m + 1):
         raise ValueError("dropped relator and generator must exist")
-    if s - 1 < m + 1:
-        raise ValueError(f"s={s} has {s - 1} nonzero points; the "
-                         f"degree-{m} determinant needs {m + 1}")
+    size = 2 * rep.n
+    if rep.n > MAX_N:
+        raise ValueError(f"n={rep.n} is above the ceiling n <= {MAX_N}: "
+                         f"the determinant would take {size} points")
+    if m + 1 > size:
+        raise ValueError(f"the roots of unity +-theta^k give {size} nonzero "
+                         f"points; the degree-{m} determinant needs {m + 1}")
+    omega = -rep.theta % s
+    table = [pow(omega, k, s) for k in range(size)]
+    if pow(omega, size, s) != 1 or len(set(table)) != size:
+        raise ValueError(f"-theta={omega} does not have order {size} mod "
+                         f"s={s}: theta={rep.theta} must have order {rep.n}")
     kept, pivots, border, sign, offset, span = _elimination_plan(
         pres, drop_relator, drop_generator)
     cols = 3 * len(border)
@@ -420,24 +454,19 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
                 value.pop(g, None)
 
     # the coefficients of t^(e - offset) of S, row after row, in one int
-    # per e; the value of S at x is their sum weighted by x^e mod s
+    # per e; the value of S at omega^k is their sum weighted by omega^ke
     chunks = [sum((row >> e * step & low) << i * step
                   for i, row in enumerate(rows)) for e in range(span)]
-    xs = list(range(1, m + 2))
-    values = []
-    for x in xs:
-        power = 1
-        powers = [1] + [power := power * x % s for _ in range(span - 1)]
-        values.append(sum(map(mul, powers, chunks)))
-    # entry (i, j) of S at x is slot i cols + j of x's value; det_gf
-    # reduces it mod s
+    values = _at_roots(chunks, table, 1)
+    # entry (i, j) of S at omega^k is slot i cols + j of its value;
+    # det_gf reduces it mod s
     slot = (1 << w) - 1
     dets = det_gf([[v >> j * w & slot for j in range(i * cols, (i + 1) * cols)
-                    for v in values] for i in range(len(rows))], s, len(xs))
+                    for v in values] for i in range(len(rows))], s, size)
     t_power -= offset * len(rows)
-    ys = [sign * const * pow(x, t_power, s) * e % s
-          for x, e in zip(xs, dets)]
-    return ffpoly.interpolate(xs, ys, s)
+    ys = [table[k * t_power % size] * e for k, e in enumerate(dets)]
+    scale = sign * const * pow(size, -1, s)
+    return ffpoly.trim([scale * c % s for c in _at_roots(ys, table, -1)])
 
 
 def twisted_polynomial(pres, chi, s, theta, drop_relator=1,

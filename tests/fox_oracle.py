@@ -3,16 +3,45 @@ independent oracle for `sliceobs.twisted.twisted_determinant`.
 
 The deleted Fox matrix of the Wirtinger presentation is assembled block
 by block, 3(g-1) square for g generators, and its determinant is taken
-either at points with `det_gf` and interpolated, or directly over Z/s[t]
-by fraction-free elimination (`poly_matrix_det`).  Both cost O(g^3) per
+either at the points 0..g-1 with `det_gf` and interpolated by Newton's
+divided differences (`interpolate`), or directly over Z/s[t] by
+fraction-free elimination (`poly_matrix_det`).  Both cost O(g^3) per
 point or worse, which is why the program eliminates in crossing order
-instead; here the cost buys a check that shares no logic with it.
+and takes its points at the roots of unity instead; here the cost buys
+a check that shares no logic with it.
 """
 
 from dataclasses import dataclass
 
 from sliceobs import ffpoly
 from sliceobs.linalg import det_gf
+
+
+def interpolate(xs, ys, s):
+    """The unique polynomial of degree < len(xs) through (xs[i], ys[i])
+    mod s, by Newton's divided differences at any distinct nodes, its
+    Newton form expanded by Horner's rule.  A point or value that is not
+    an int raises ValueError."""
+    n = len(xs)
+    if len(ys) != n:
+        raise ValueError("interpolation needs one value per point")
+    for kind, values in (("point", xs), ("value", ys)):
+        for v in values:
+            if not isinstance(v, int):
+                raise ValueError(
+                    f"an interpolation {kind} must be an integer, not {v!r}")
+    if len({x % s for x in xs}) != n:
+        raise ValueError("interpolation points must be distinct mod s")
+    coef = [y % s for y in ys]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            inv = pow(xs[i] - xs[i - j], -1, s)
+            coef[i] = (coef[i] - coef[i - 1]) * inv % s
+    poly = []
+    for x, c in zip(reversed(xs), reversed(coef)):
+        # poly = poly * (t - x) + c
+        poly = [(a - x * b) % s for a, b in zip([c] + poly, poly + [0])]
+    return ffpoly.trim(poly)
 
 
 def poly_matrix_det(rows, s):
@@ -84,7 +113,7 @@ class FoxBlockMatrix:
     def raw_det_interpolated(self):
         """The determinant interpolated from its values at 0..size/3."""
         xs = list(range(self.size // 3 + 1))
-        return ffpoly.interpolate(xs, [self.det_at(x) for x in xs], self.s)
+        return interpolate(xs, [self.det_at(x) for x in xs], self.s)
 
 
 def fox_block(relator, g, rep):

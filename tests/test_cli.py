@@ -81,6 +81,13 @@ class TestVerifyTableCommand:
         rows = json.loads(capsys.readouterr().out)
         assert all(r["ok"] for r in rows)
 
+    def test_full_table(self, capsys):
+        assert main(["verify-table", "--n", "all"]) == 0
+        assert "6/6 rows verified" in capsys.readouterr().out
+
+    # -O cannot change what the package does (tests/test_source.py), so
+    # this twin of test_full_table runs with the scale checks
+    @pytest.mark.scale
     def test_full_table_under_optimize(self):
         # the acceptance rows with every assert stripped
         proc = run_optimized_cli(["verify-table", "--n", "all"], 120)
@@ -161,6 +168,7 @@ class TestBadInput:
         ["obstruct", "--n", "x"],
         ["verify-table", "--n", "11,17"],
         ["obstruct", "--n", "11", "--json", "--csv"],
+        ["obstruct", "--n", "11", "--s", "111"],
     ])
     def test_one_line_error_and_exit_code_2(self, argv, capsys):
         assert main(argv) == 2
@@ -226,6 +234,9 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             "sliceobs: error: classification needs a prime n = 5 mod 6\n")
 
+    # the twin of test_one_line_error_and_exit_code_2 at --s 111, which
+    # runs with the scale checks, as -O cannot change the package
+    @pytest.mark.scale
     def test_composite_s_fails_fast_under_optimize(self):
         # input checks must not be asserts, which -O strips
         proc = run_optimized_cli(["obstruct", "--n", "11", "--s", "111"], 60)

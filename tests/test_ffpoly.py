@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import ffpoly_oracle
 import sliceobs
+from fox_oracle import interpolate
 from fresh_python import run_python
 from sliceobs import ffpoly
 from sliceobs.ffpoly import (FactorizationResult, degree_sequence,
-                             derivative, factor, interpolate,
-                             is_irreducible, is_prime, monic, mul,
-                             norm_obstructed, poly_divmod, poly_gcd,
-                             primitive_root_of_unity, sub, trim)
+                             derivative, factor, is_irreducible, is_prime,
+                             monic, mul, norm_obstructed, poly_divmod,
+                             poly_gcd, primitive_root_of_unity, sub, trim)
 
 
 def test_is_prime_small():
@@ -194,6 +194,10 @@ def value_at(poly, x, s):
     return sum(c * pow(x, i, s) for i, c in enumerate(poly)) % s
 
 
+# Newton interpolation at any distinct nodes lives with the dense Fox
+# oracle in tests/fox_oracle.py, which takes its determinants through it
+
+
 def test_evaluate_and_interpolate():
     s = 23
     poly = [5, 0, 3, 1]
@@ -292,6 +296,23 @@ def test_factor_rejects_zero():
         factor([], 7)
 
 
+def test_factor_refuses_a_modulus_that_is_no_int():
+    # "7" was compared with 2 before the primality test, a TypeError;
+    # is_prime now refuses it first, by name
+    with pytest.raises(ValueError, match="integers only, not '7'$"):
+        factor([1, 1], "7")
+
+
+@pytest.mark.parametrize("s", (4, 9, 15))
+def test_factor_rejects_non_prime_modulus(s):
+    with pytest.raises(ValueError, match=(
+            f"^factor needs an odd prime modulus, not s={s}$")):
+        factor([1, 1, 1], s)
+
+
+# the twin of test_factor_rejects_non_prime_modulus, which runs with the
+# scale checks, as -O cannot change what the package does
+@pytest.mark.scale
 @pytest.mark.parametrize("s", (4, 9, 15))
 def test_factor_rejects_non_prime_modulus_under_optimize(s):
     # as an assert this check vanished under -O: s = 15 returned a factor

@@ -251,6 +251,14 @@ def test_det_gf_refuses_a_modulus_that_is_no_int_above_one(s):
         det_gf([[1, 2], [3, 4]], s)
 
 
+@pytest.mark.parametrize("entry", [1.5, "a"], ids=["1.5", "'a'"])
+def test_det_gf_refuses_an_entry_that_is_no_int(entry):
+    # 1.5 came back as a float "determinant", and "a" % 7 raised TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"det_gf needs rows of integers, not the entry {entry!r}")):
+        det_gf([[entry]], 7)
+
+
 def test_det_bareiss_needs_square():
     with pytest.raises(ValueError):
         det_bareiss([[1, 2, 3], [4, 5, 6]])

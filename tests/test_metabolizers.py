@@ -46,6 +46,14 @@ class TestSubmodule:
         sub = Subgroup.spanned_by(7, ((0, 0, 0, 0), (1, 2, 3, 4)))
         assert sub.rank == 1
 
+    @pytest.mark.parametrize("n0, n1, bad", [
+        (1.5, 1, "n0 must be an integer, not 1.5"),
+        (1, "2", "n1 must be an integer, not '2'")])
+    def test_line_coordinates_must_be_ints(self, n0, n1, bad):
+        # (5, 1.5, 1) came back as a Submodule with float rows
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            line_submodule(5, n0, n1)
+
     def test_deck_invariance_of_lines(self):
         tmat = t_matrix()
         for p in (line_submodule(5, 1, 1), prime_line_submodule(5)):

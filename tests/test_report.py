@@ -388,6 +388,14 @@ class TestVerifyTable:
             assert row["ok"]
             assert row["got"] == row["expected"]
 
+    def test_refuses_a_bare_n(self, monkeypatch):
+        # verify_table(11) ended in "'int' object is not iterable"
+        monkeypatch.setattr(report, "obstruct", lambda n: pytest.fail(
+            "a row was recomputed"))
+        with pytest.raises(ValueError,
+                           match="^ns must be a collection of n, not 11$"):
+            verify_table(11)
+
     def test_row_fields(self):
         row = verify_table([11])[0]
         assert row["n"] == 11 and row["sign"] == "+"

@@ -297,6 +297,12 @@ class TestSquareRoot:
         with pytest.raises(ValueError):
             p_n(1)
 
+    def test_refuses_a_string(self):
+        # "5" was compared with 3 before n was checked: a TypeError
+        with pytest.raises(ValueError,
+                           match="^need an integer n >= 2, not '5'$"):
+            p_n("5")
+
     @pytest.mark.parametrize("n", (MAX_N + 1, MAX_N + 3, 100003))
     def test_refuses_n_above_the_ceiling(self, n):
         # the recurrence costs more than n^2, so a large n would hang

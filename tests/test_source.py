@@ -189,7 +189,7 @@ def test_distribution_is_named_and_versioned_by_the_package():
 # benchmark until BENCHMARK.json drops it
 STALE_TRACED = {"linalg.det_laurent", "blanchfield.blanchfield_entries",
                 "twisted.fox_matrix", "linalg.det_bareiss",
-                "seifert.seifert_matrix"}
+                "seifert.seifert_matrix", "ffpoly.interpolate"}
 
 
 def test_benchmark_traces_functions_that_exist():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import period_oracle
-from fox_oracle import fox_block, fox_matrix, poly_matrix_det
+from fox_oracle import fox_block, fox_matrix, interpolate, poly_matrix_det
 from fresh_python import run_python
 from sliceobs import ffpoly, twisted
 from sliceobs.blanchfield import period_matrix, t_matrix
@@ -144,7 +144,7 @@ class TestRepresentation:
         raw = fbm.raw_det_bareiss()
         xs = list(range(PRES5.num_generators))
         ys = [fbm.det_at(x) for x in xs]
-        assert ffpoly.interpolate(xs, ys, 11) == raw
+        assert interpolate(xs, ys, 11) == raw
         assert twisted_determinant(PRES5, rep) == raw
 
 
@@ -164,10 +164,11 @@ class TestBlockEliminationOracle:
     raw determinant must agree coefficient for coefficient, sign
     included."""
 
-    # s = 2n + 1 is the tight case: the points 1..2n are every nonzero
-    # element of the field; s = 2^64 + 745 gives the widest slots.  At
-    # (11, 2^31 - 1) the route is that of (11, 23) and the slot width
-    # that of (5, 2147483171), so it runs with the scale checks
+    # s = 2n + 1 is the tight case: the 2n nodes (-theta)^k are every
+    # nonzero element of the field; s = 2^64 + 745 gives the widest
+    # slots.  At (11, 2^31 - 1) the route is that of (11, 23) and the
+    # slot width that of (5, 2147483171), so it runs with the scale
+    # checks
     @pytest.mark.parametrize("n,s", [
         (5, 11), (5, 2147483171), (11, 23),
         pytest.param(11, 2147483647, marks=pytest.mark.scale),
@@ -360,11 +361,50 @@ class TestTwistedPolynomial:
 
 class TestBadInput:
     def test_field_with_too_few_points(self):
-        # 14 generators need 14 nonzero points; Z/11 has 10
+        # 14 generators need 14 points; the 10th roots of unity are 10
         pres = family_presentation(7)
         chi = Character(5, (0, 0, 0, 0), "+")
         with pytest.raises(ValueError, match="nonzero points"):
             twisted_polynomial(pres, chi, 11, 4)
+
+    # the nodes are the 2n = 10 powers of -theta: a knot of 10 arcs (the
+    # torus knot T(3, 5), not in the family) is the most they serve, and
+    # one of 11 arcs (the torus knot T(2, 11)) needs one point more
+    @pytest.mark.parametrize("braid, fits", [
+        (BraidWord(3, (1, 2) * 5), True), (BraidWord(2, (1,) * 11), False)],
+        ids=["2n arcs", "2n + 1 arcs"])
+    def test_arcs_at_the_edge_of_the_roots_of_unity(self, braid, fits):
+        pres = wirtinger_of_closure(braid)
+        assert pres.num_generators == 10 + (not fits)
+        exps = tuple((g % 5, 2 * g % 5, 3) for g in range(1, 12))
+        rep = TwistedRep(5, 31, 2, exps[:pres.num_generators])
+        if fits:
+            assert twisted_determinant(pres, rep) == oracle_raw(pres, rep)
+        else:
+            with pytest.raises(ValueError, match=(
+                    "give 10 nonzero points; the degree-10 determinant "
+                    "needs 11$")):
+                twisted_determinant(pres, rep)
+
+    @pytest.mark.parametrize("theta", [2, 10, 0])
+    def test_theta_of_another_order_is_refused(self, theta):
+        # -2 = 9 has order 5 mod 11, so its powers give five points, not
+        # ten; -10 = 1 gives one, and 0 is no root of unity at all
+        rep = TwistedRep(5, 11, theta, ((0, 0, 0),) * 10)
+        with pytest.raises(ValueError, match=re.escape(
+                f"-theta={-theta % 11} does not have order 10 mod s=11: "
+                f"theta={theta} must have order 5")):
+            twisted_determinant(PRES5, rep)
+
+    def test_representation_above_the_ceiling(self):
+        # the zero character of n = 503 propagates on the 10 arcs of
+        # n = 5; its 1006 points are refused before any table is built
+        theta = ffpoly.primitive_root_of_unity(3019, 503)
+        with pytest.raises(ValueError, match=(
+                "^n=503 is above the ceiling n <= 500: the determinant "
+                "would take 1006 points$")):
+            twisted_polynomial(PRES5, Character(503, (0, 0, 0, 0), "+"),
+                               3019, theta)
 
     @pytest.mark.parametrize("dr,dg", [(0, 1), (1, 11), (11, 3)])
     def test_deletion_out_of_range(self, dr, dg):
