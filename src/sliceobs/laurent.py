@@ -14,7 +14,7 @@ __all__ = ["LaurentPolynomial"]
 
 class LaurentPolynomial:
     """An element of Z[t, t^-1] stored as a map exponent -> coefficient.
-    A coefficient that is not an int raises ValueError."""
+    An exponent or a coefficient that is not an int raises ValueError."""
 
     __slots__ = ("_coeffs",)
 
@@ -22,11 +22,14 @@ class LaurentPolynomial:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise ValueError(
+                        f"an exponent must be an integer, not {e!r}")
                 if not isinstance(c, int):
                     raise ValueError(
                         f"a coefficient must be an integer, not {c!r}")
                 if c:
-                    clean[int(e)] = c
+                    clean[e] = c
         object.__setattr__(self, "_coeffs", clean)
 
     def __setattr__(self, name, value):

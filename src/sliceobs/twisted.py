@@ -33,8 +33,9 @@ unity omega^k = (-theta)^k, which the field of the witness already
 holds: each point is one sum of its packed coefficients times powers
 of omega read from one table, one Gaussian elimination over all the
 points together (`det_gf` with `points`) takes its determinants, and
-the same sum with omega^-1, scaled by 1/2n, turns them into
-coefficients (the discrete Fourier transform and its inverse).  The
+the same sum over those, read backwards and scaled by 1/2n, gives the
+coefficients (the discrete Fourier transform is its own inverse up to
+a reversal).  The power of t and the sign come from the plan.  The
 dense route lives on in the tests as the oracle.
 """
 
@@ -183,23 +184,6 @@ class TwistedPolynomial:
         return len(self.coeffs) - 1
 
 
-def _sign(order):
-    """+1 or -1: the sign of the permutation that sorts order (distinct
-    keys), from its cycle count: a permutation of N points with c cycles
-    has sign (-1)^(N - c)."""
-    rank = {v: i for i, v in enumerate(sorted(order))}
-    perm = [rank[v] for v in order]
-    seen = [False] * len(perm)
-    cycles = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            cycles += 1
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
-    return -1 if (len(perm) - cycles) % 2 else 1
-
-
 def _slot_reducer(s, slots):
     """The slot width w and reduce(v0, v1, v2) for `slots` residues mod s
     packed w bits apart in one int: reduce takes every slot of each of
@@ -218,8 +202,9 @@ def _slot_reducer(s, slots):
     k = (8 * s ** 3).bit_length()
     mu = (1 << k) // s
     w = k + mu.bit_length() + 1
+    # low in every slot: low times the base-2^w repunit 1 + 2^w + ...
     low = (1 << (w - k)) - 1
-    mask = sum(low << (j * w) for j in range(slots))
+    mask = low * (((1 << slots * w) - 1) // ((1 << w) - 1))
 
     def reduce(v0, v1, v2):
         return (v0 - ((v0 * mu >> k) & mask) * s,
@@ -249,13 +234,15 @@ def _elimination_plan(pres, drop_relator, drop_generator):
 
     The rows are reordered to the pivoting relators, then the others;
     the columns to the pivot arcs, then the border.  The sign is that of
-    both reorderings.
+    both reorderings: -1 to the number of their inversions, counted
+    once with the plan.
 
     A pivot on a multiplies by t once and a pivot on c divides by t
     once, and a residual multiplies by t once more, so every coefficient
     of the elimination has its degree in [-offset, span - offset - 1],
     with offset the number of pivots on c and span the number of pivots
-    plus 2.
+    plus 2.  Each pivot on c is a block -Phi(b) with one t, so offset is
+    also the power of t in the determinant of the pivot blocks.
     """
     kept = tuple(r for i, r in enumerate(pres.relators, start=1)
                  if i != drop_relator)
@@ -275,20 +262,24 @@ def _elimination_plan(pres, drop_relator, drop_generator):
     border.extend(g for g in range(1, pres.num_generators + 1)
                   if g not in seen)
     pivoting = [i for i, p in enumerate(pivots) if p is not None]
-    sign = (_sign(pivoting + [i for i, p in enumerate(pivots) if p is None])
-            * _sign([pivots[i] for i in pivoting] + border))
+    rows = pivoting + [i for i, p in enumerate(pivots) if p is None]
+    cols = [pivots[i] for i in pivoting] + border
+    sign = (-1) ** sum(x > y for order in (rows, cols)
+                       for i, x in enumerate(order) for y in order[i + 1:])
     offset = sum(p == rel[2] for rel, p in zip(kept, pivots))
     return kept, tuple(pivots), tuple(border), sign, offset, len(pivoting) + 2
 
 
-def _at_roots(seq, table, sign):
-    """The sums of seq[e] omega^(sign k e) over e, for k = 0 .. N - 1,
-    where table[j] = omega^j and omega has order N = len(table): the
-    values at the nodes omega^k of the polynomial with coefficients seq
-    for sign 1, and N times the coefficients of the polynomial of degree
-    below N with the values seq at those nodes for sign -1."""
+def _at_roots(seq, table):
+    """The sums of seq[e] omega^(k e) over e, for k = 0 .. N - 1, where
+    table[j] = omega^j and omega has order N = len(table): the values at
+    the nodes omega^k of the polynomial with coefficients seq.  Read
+    backwards it is its own inverse up to N: the transform X of the
+    values y_k of a polynomial of degree below N has N c_e at
+    X[-e mod N], since sum_k omega^(k (j + e)) is N when j = -e mod N
+    and 0 otherwise."""
     size = len(table)
-    steps = (sign * k % size or size for k in range(size))
+    steps = (k or size for k in range(size))
     return [sum(map(mul, seq, [table[j % size]
                                for j in range(0, step * len(seq), step)]))
             for step in steps]
@@ -309,8 +300,9 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     pivot then give the Schur complement S = T_a + v - Phi(b) T_c in the
     border arcs, at most 12 x 12 for a 3-braid, and
         det = sign * prod det(pivot block) * det S,
-    with det(-Phi(b)) = -t d_1 d_2 d_3 and the sign of the reordering of
-    relators and arcs.
+    with det(-Phi(b)) = -t d_1 d_2 d_3, so the pivot blocks give
+    t^offset, and the plan's sign of the reordering of relators and
+    arcs.  The dropped arc enters every relator that reads it as zero.
 
     The elimination runs once, on the coefficients.  A row of T is one
     int in which the coefficient of t^e in column j sits in slot
@@ -342,15 +334,18 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     below span 2 s^2 < 2^w, since span <= m + 2 <= N + 1 <= s: m + 1 <= N
     is checked, and N divides s - 1.  The values are unpacked into
     `det_gf`'s batched layout, which reduces them mod s, for one
-    elimination over all the points, and the omega^(-k offset) left out
-    of each row of S joins the power of omega^k that the pivots on c
-    contribute, a lookup in the table.  The coefficients are then the
-    same sums over the values with omega^-1, times 1/N.
+    elimination over all the points.  Each of the r rows of S is packed
+    as t^offset times itself, and the pivot blocks give t^offset, so
+    the determinant is t^T, T = offset (1 - r), times the polynomial of
+    degree below N with those determinants as its values at the nodes.
+    The same sum over the values (`_at_roots` again) holds N times that
+    polynomial's coefficient of t^j at -j mod N, so the coefficient of
+    t^e of the determinant is read at T - e mod N, times 1/N.
 
     t occurs in one row per kept relator, so the determinant has degree
     at most m (the number of kept relators) < N, and its values at the N
-    roots of unity fix it; the inverse transform cannot return more, so
-    the bound is not checked separately.  No extra point could check it
+    roots of unity fix it; the transform read back cannot return more,
+    so the bound is not checked separately.  No extra point could check it
     for the family: m + 1 = 2n = N, and the nodes are all of the 2n-th
     roots of unity (at s = 2n + 1, as n = 11 at s = 23 and n = 23 at
     s = 47, every nonzero residue).  0 is never a node, where Phi(b) is
@@ -403,18 +398,14 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
         return v >> step
 
     d = [None] + [rep.d(g) for g in range(1, m + 2)]
-    zero = (0, 0, 0)
+    # the packed rows of each live arc; the dropped arc's are zero
     value = {g: tuple(1 << (offset * cols + 3 * k + i) * w for i in range(3))
              for k, g in enumerate(border)}
+    value[drop_generator] = (0, 0, 0)
     last_read = {g: i for i, rel in enumerate(kept) for g in rel}
     s1 = s - 1
-
-    # det of the pivot blocks: sign * const * t^t_power
-    const, t_power = 1, 0
+    const = 1  # det of the pivot blocks is sign * const * t^offset
     rows = []  # the rows of S
-
-    def arc(g):
-        return zero if g == drop_generator else value[g]
 
     for i, ((a, b, c), pivot) in enumerate(zip(kept, pivots)):
         (da0, da1, da2), (db0, db1, db2) = d[a], d[b]
@@ -422,10 +413,10 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
         # T_a, T_b and T_c; each row below folds in its row of
         # v = (Phi(a) - I) T_b: (t da2 r2 - r0, da0 r0 - r1,
         # da1 r1 - r2), with -r entering as (s - 1) r
-        r0, r1, r2 = arc(b)
+        r0, r1, r2 = value[b]
         if pivot == a:
             # T_a = Phi(b) T_c - v
-            q0, q1, q2 = arc(c)
+            q0, q1, q2 = value[c]
             na0, na1, na2 = s - da0, s - da1, s - da2
             value[a] = reduce(times_t(db2 * q2 + na2 * r2) + r0,
                               db0 * q0 + na0 * r0 + r1,
@@ -434,17 +425,16 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
             # T_c = Phi(b)^-1 (T_a + v): rows 1 and 2 of T_a + v divided
             # by db0 and db1, then row 0 divided by t db2, which takes
             # the t out of v's row 0
-            p0, p1, p2 = arc(a)
+            p0, p1, p2 = value[a]
             inv0, inv1, inv2 = (pow(e, -1, s) for e in (db0, db1, db2))
             e2, ni2 = da2 * inv2 % s, s - inv2
             value[c] = reduce(inv0 * (p1 + da0 * r0 + s1 * r1),
                               inv1 * (p2 + da1 * r1 + s1 * r2),
                               over_t(inv2 * p0 + ni2 * r0) + e2 * r2)
             const = -const * db0 * db1 * db2 % s
-            t_power += 1
         else:
             # the residual T_a + v - Phi(b) T_c
-            (p0, p1, p2), (q0, q1, q2) = arc(a), arc(c)
+            (p0, p1, p2), (q0, q1, q2) = value[a], value[c]
             nb0, nb1, nb2 = s - db0, s - db1, s - db2
             rows += reduce(p0 + s1 * r0 + times_t(da2 * r2 + nb2 * q2),
                            p1 + s1 * r1 + da0 * r0 + nb0 * q0,
@@ -457,16 +447,19 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     # per e; the value of S at omega^k is their sum weighted by omega^ke
     chunks = [sum((row >> e * step & low) << i * step
                   for i, row in enumerate(rows)) for e in range(span)]
-    values = _at_roots(chunks, table, 1)
+    values = _at_roots(chunks, table)
     # entry (i, j) of S at omega^k is slot i cols + j of its value;
     # det_gf reduces it mod s
     slot = (1 << w) - 1
     dets = det_gf([[v >> j * w & slot for j in range(i * cols, (i + 1) * cols)
                     for v in values] for i in range(len(rows))], s, size)
-    t_power -= offset * len(rows)
-    ys = [table[k * t_power % size] * e for k, e in enumerate(dets)]
+    # the determinant is t^power times the polynomial with the values
+    # dets; the transform of dets holds size times its t^e at -e
+    power = offset * (1 - len(rows))
+    at = _at_roots(dets, table)
     scale = sign * const * pow(size, -1, s)
-    return ffpoly.trim([scale * c % s for c in _at_roots(ys, table, -1)])
+    return ffpoly.trim([at[(power - e) % size] * scale % s
+                        for e in range(size)])
 
 
 def twisted_polynomial(pres, chi, s, theta, drop_relator=1,

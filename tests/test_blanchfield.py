@@ -594,6 +594,12 @@ class TestAlexanderModule:
         with pytest.raises(ArithmeticError, match="generate"):
             cover_homology_snf(n, 3)
 
+    # the twins of test_wrong_p_n_is_caught, of
+    # test_column_change_breaks_generation, of
+    # TestCoverHomology.test_far_entry_is_caught and of
+    # test_wrong_middle_factor_is_caught, which run with the scale
+    # checks, as -O cannot change what the package does
+    @pytest.mark.scale
     @pytest.mark.parametrize("patch, message", [
         ("blanchfield.paired_product = "
          "lambda n: paired_product(n) + LaurentPolynomial({2: 2})",

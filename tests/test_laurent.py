@@ -1,5 +1,6 @@
 """Laurent polynomial ring operations over Z."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,17 @@ def test_a_coefficient_that_is_not_an_int_is_refused(c):
         LaurentPolynomial({0: 1, 1: c})
     with pytest.raises(ValueError, match="integer"):
         LaurentPolynomial.constant(c)
+
+
+@pytest.mark.parametrize("coeffs, bad", [
+    ({1.9: 1}, "1.9"), ({"2": 3}, "'2'"), ({0.5: 1, 0: 2}, "0.5"),
+    ({True: 1}, "True")])
+def test_an_exponent_that_is_not_an_int_is_refused(coeffs, bad):
+    # int() would make 1.9 and True the exponent 1, '2' the exponent 2,
+    # and let t^0.5 overwrite t^0
+    with pytest.raises(ValueError, match=(
+            f"^an exponent must be an integer, not {re.escape(bad)}$")):
+        LaurentPolynomial(coeffs)
 
 
 @pytest.mark.parametrize("c", [1.5, 2.0, Fraction(1, 2)])

@@ -215,9 +215,10 @@ def test_benchmark_traces_functions_that_exist():
 def test_acceptance_gate_under_optimize():
     # -O strips the asserts of the package but not those of the test
     # modules, which pytest rewrites, so the gate still checks every
-    # criterion against code whose own checks must not be asserts
+    # criterion against code whose own checks must not be asserts; the
+    # gate uses no Hypothesis, so its plugin is not loaded
     gate = os.path.join(TESTS_DIR, "test_acceptance.py")
     proc = run_python(["-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                       gate], 300)
+                       "-p", "no:hypothesispytest", gate], 300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "9 passed" in proc.stdout, proc.stdout[-2000:]

@@ -16,7 +16,7 @@ from sliceobs.metabolizers import Character, base_characters
 from sliceobs.report import DEFAULT_WITNESS
 from sliceobs.twisted import (
     TwistedRep,
-    _sign,
+    _at_roots,
     _slot_reducer,
     period_shift,
     propagate,
@@ -219,12 +219,26 @@ class TestBlockEliminationOracle:
                         == oracle_raw(pres, rep, dr, dg))
 
 
-@given(st.lists(st.integers(-1000, 1000), unique=True, max_size=300))
+# (n, s, theta) with theta of order n mod s, so -theta has order 2n
+TRANSFORM_WITNESSES = [(5, 11, 4), (11, 23, 2), (29, 59, 4),
+                       (5, 2147483171,
+                        ffpoly.primitive_root_of_unity(2147483171, 5))]
+
+
+@given(st.sampled_from(TRANSFORM_WITNESSES), st.data())
 @settings(max_examples=60, deadline=None)
-def test_plan_sign_is_the_inversion_parity(order):
-    inversions = sum(x > y for i, x in enumerate(order)
-                     for y in order[i + 1:])
-    assert _sign(order) == (-1) ** inversions
+def test_the_transform_read_backwards_inverts_itself(witness, data):
+    # the coefficients come back from the values by the same sum: at
+    # -e mod 2n it holds 2n times the coefficient of t^e, and nothing
+    # else; powers of theta, of order n only, would fold e onto e + n
+    n, s, theta = witness
+    size = 2 * n
+    table = [pow(-theta % s, k, s) for k in range(size)]
+    seq = data.draw(st.lists(st.integers(0, s - 1), max_size=size))
+    back = _at_roots(_at_roots(seq, table), table)
+    padded = seq + [0] * (size - len(seq))
+    for e in range(size):
+        assert (back[-e % size] - size * padded[e]) % s == 0
 
 
 @given(st.sampled_from([3, 23, 2 ** 31 - 1, 10 ** 23 + 117]), st.data())
