@@ -24,8 +24,10 @@ distinct-degree splitting, then Cantor-Zassenhaus from a fixed seed with
 a bounded number of tries, so results are deterministic.  The
 distinct-degree loop goes through the Frobenius map h -> h^s of each
 squarefree part, a linear map built once from one x^s (von zur Gathen
-and Shoup, 1992): it takes x^(s^d) by one application per step and one
-gcd per block of up to `_BLOCK` steps (Shoup, 1995).  Each
+and Shoup, 1992), which `_power` takes, as it takes every other power,
+by square and multiply through the reducer: the map takes x^(s^d) by
+one application per step and one gcd per block of up to `_BLOCK` steps
+(Shoup, 1995).  Each
 equal-degree split (of a distinct-degree product, or of a reciprocal
 pair) builds the reducer and the Frobenius map of the product it
 splits, so a Cantor-Zassenhaus draw u takes
@@ -294,9 +296,9 @@ def _reducer(f, s):
 def _power(result, base, e, mulmod):
     """result * base^e, e >= 0, by square and multiply, each product
     reduced by `mulmod`, the `_reducer` of a modulus that result and
-    base are already reduced by.  Factorization takes the power
-    (s - 1)/2 of each Cantor-Zassenhaus draw through the reducer its
-    stage holds."""
+    base are already reduced by.  It is the one exponentiation here:
+    the x^s of each Frobenius map and the power (s - 1)/2 of each
+    Cantor-Zassenhaus draw go through the reducer their stage holds."""
     while e:
         if e & 1:
             result = mulmod(result, base)
@@ -306,20 +308,6 @@ def _power(result, base, e, mulmod):
     return result
 
 
-def _x_power(e, xd, mulmod, s):
-    """x^e mod f, for e >= 1 and a monic f of degree d >= 2, given
-    xd = x^d mod f (d coefficients) and `mulmod`, the `_reducer` of f:
-    left to right over the bits of e, one squaring per bit after the
-    leading one, and for each set bit a shift and one multiple of xd
-    (`_times_x`) in place of a full product."""
-    h = [0, 1]
-    for bit in bin(e)[3:]:
-        h = mulmod(h, h)
-        if bit == "1":
-            h = _times_x(h, xd, s)
-    return h
-
-
 def _frobenius(f, s, mulmod):
     """The Frobenius map h -> h^s mod f, for a monic f of degree d >= 1,
     as a function of h reduced mod f, given `mulmod`, the `_reducer` of
@@ -327,21 +315,21 @@ def _frobenius(f, s, mulmod):
 
     In characteristic s the map c -> c^s fixes Z/s and is additive, so
     h^s = sum h_i x^(i s): the map is linear, with rows x^(i s) mod f
-    for i < d.  The rows are built here, x^s by `_x_power` and then
-    d - 2 products through `mulmod` (at d = 1 the one row is 1, and no
-    x^s is taken), and kept packed at the `_limb` bound of d terms; an
-    image is then the big-integer sum of h_i times row i, unpacked
-    once.  This is the packed linear map that `_reducer` applies to the
-    high limbs of a product, with other rows.  So a step of the
-    distinct-degree loop, or an image in a Cantor-Zassenhaus norm, costs
-    one sum of d scalar multiples instead of the log2(s) squarings of
-    h^s.
+    for i < d.  The rows are built here, x^s by `_power` from x, which
+    is already reduced for d >= 2, and then d - 2 products through
+    `mulmod` (at d = 1 the one row is 1, and no x^s is taken), and kept
+    packed at the `_limb` bound of d terms; an image is then the
+    big-integer sum of h_i times row i, unpacked once.  This is the
+    packed linear map that `_reducer` applies to the high limbs of a
+    product, with other rows.  So a step of the distinct-degree loop, or
+    an image in a Cantor-Zassenhaus norm, costs one sum of d scalar
+    multiples instead of the log2(s) squarings of h^s.
     """
     d = len(f) - 1
     limb = _limb(d, s)
     rows = [1]
     if d > 1:
-        row = xs = _x_power(s, [-c % s for c in f[:-1]], mulmod, s)
+        row = xs = _power([1], [0, 1], s, mulmod)
         rows.append(_pack(xs, limb))
         for _ in range(d - 2):
             row = mulmod(row, xs)

@@ -14,7 +14,8 @@ __all__ = ["LaurentPolynomial"]
 
 class LaurentPolynomial:
     """An element of Z[t, t^-1] stored as a map exponent -> coefficient.
-    An exponent or a coefficient that is not an int raises ValueError."""
+    An exponent or a coefficient that is not an int, or is a bool, raises
+    ValueError."""
 
     __slots__ = ("_coeffs",)
 
@@ -25,7 +26,7 @@ class LaurentPolynomial:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise ValueError(
                         f"an exponent must be an integer, not {e!r}")
-                if not isinstance(c, int):
+                if not isinstance(c, int) or isinstance(c, bool):
                     raise ValueError(
                         f"a coefficient must be an integer, not {c!r}")
                 if c:
@@ -58,7 +59,8 @@ class LaurentPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentPolynomial.constant(other)
+            # compared as a constant, not built as one, so a bool answers
+            return self._coeffs == ({0: other} if other else {})
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self._coeffs == other._coeffs

@@ -30,13 +30,15 @@ once by Barrett's method (`_slot_reducer`) into [0, 2s), with no carry
 from one slot into the next.  Only the Schur complement in the border
 (at most 12 x 12) goes to points, and they are the 2n-th roots of
 unity omega^k = (-theta)^k, which the field of the witness already
-holds: each point is one sum of its packed coefficients times powers
-of omega read from one table, one Gaussian elimination over all the
-points together (`det_gf` with `points`) takes its determinants, and
-the same sum over those, read backwards and scaled by 1/2n, gives the
-coefficients (the discrete Fourier transform is its own inverse up to
-a reversal).  The power of t and the sign come from the plan.  The
-dense route lives on in the tests as the oracle.
+holds, in one table of the powers of omega.  The diagonals are read
+from it too, since theta = omega^(n + 1) gives
+theta^e = omega^((n + 1) e).  Each point is one sum of its packed
+coefficients times powers of omega from the table, one Gaussian
+elimination over all the points together (`det_gf` with `points`)
+takes its determinants, and the same sum over those, read backwards and
+scaled by 1/2n, gives the coefficients (the discrete Fourier transform
+is its own inverse up to a reversal).  The power of t and the sign come
+from the plan.  The dense route lives on in the tests as the oracle.
 """
 
 from dataclasses import dataclass
@@ -162,11 +164,6 @@ class TwistedRep:
         e = propagate(pres, seed_tuples(chi), n)
         exps = tuple(e[g] for g in range(1, pres.num_generators + 1))
         return TwistedRep(n, s, theta, exps)
-
-    def d(self, g):
-        """diag entries (d_1, d_2, d_3) of generator g, mod s."""
-        e = self.exponents[g - 1]
-        return tuple(pow(self.theta, x, self.s) for x in e)
 
 
 @dataclass(frozen=True)
@@ -321,7 +318,8 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     no carry between slots.  v is never formed: its row is folded into
     the row of T or S that reads it, so a relator costs three
     expressions and one reduction, whatever the number of points.
-    d(g) is taken once per generator per call.
+    d(g) is read once per generator per call from the table of powers of
+    omega below, as theta^e = omega^((n + 1) e).
 
     Only S goes to the points, which are the N = 2n powers of
     omega = -theta: for odd n and theta of order n, omega has order
@@ -378,6 +376,9 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     if pow(omega, size, s) != 1 or len(set(table)) != size:
         raise ValueError(f"-theta={omega} does not have order {size} mod "
                          f"s={s}: theta={rep.theta} must have order {rep.n}")
+    # d(g) = theta^e(g), and theta = -omega = omega^(n + 1) as omega^n = -1
+    d = [None] + [tuple(table[(rep.n + 1) * x % size] for x in e)
+                  for e in rep.exponents]
     kept, pivots, border, sign, offset, span = _elimination_plan(
         pres, drop_relator, drop_generator)
     cols = 3 * len(border)
@@ -397,7 +398,6 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
                                   "coefficient below the degree window")
         return v >> step
 
-    d = [None] + [rep.d(g) for g in range(1, m + 2)]
     # the packed rows of each live arc; the dropped arc's are zero
     value = {g: tuple(1 << (offset * cols + 3 * k + i) * w for i in range(3))
              for k, g in enumerate(border)}

@@ -17,7 +17,7 @@ from sliceobs.laurent import LaurentPolynomial
 from sliceobs.seifert import band_order
 
 
-def _bareiss(a, steps, width, ends):
+def _bareiss(a, steps):
     """Run the first `steps` steps of fraction-free (Bareiss) elimination
     on the rows a, in place.  The entries are ints, or any ring elements
     with `*`, `-`, truth value and a `divmod` whose remainder is zero
@@ -32,29 +32,18 @@ def _bareiss(a, steps, width, ends):
     fix it, which happens exactly when the leading steps-square block is
     singular.  Raises ArithmeticError if a division is not exact.
 
-    The work follows the zeros of a banded matrix, described by the
-    caller: `width`, the lower bandwidth w (the largest i - (first
-    nonzero column of row i)), and `ends`, one past the rightmost
-    nonzero column of each row; upper bounds on both are safe, and
-    `_band` measures them for any matrix.  Step k looks at rows
-    k+1 .. k+w only, for the swap and for the update: no row has a
-    nonzero left of column i - w, and eliminating or swapping within
-    those rows keeps it so, so every row further down is zero in the
-    pivot column.  A row whose entry in
-    the pivot column is 0 is skipped: step k would only multiply it by
-    piv_k / piv_(k-1), and those factors telescope, so the row is brought
-    current later by one checked exact scaling, piv_e / piv_d over the
-    steps d..e-1 it missed.  Scaling keeps zeros zero, so a stale row
-    answers the zero tests (is it skipped, can it be swapped in); it is
-    brought current before its values are read: as the pivot, as an
-    updated row, or as a border row when the elimination stops.  An
-    update runs only up to the rightmost nonzero of the two rows.  Every
-    entry, and every swap, is the one of the full elimination, since
-    Sylvester's identity fixes both.
+    A row whose entry in the pivot column is 0 is skipped: step k would
+    only multiply it by piv_k / piv_(k-1), and those factors telescope,
+    so the row is brought current later by one checked exact scaling,
+    piv_e / piv_d over the steps d..e-1 it missed.  Scaling keeps zeros
+    zero, so a stale row answers the zero tests (is it skipped, can it
+    be swapped in); it is brought current before its values are read:
+    as the pivot, as an updated row, or as a border row when the
+    elimination stops.  Every entry, and every swap, is the one of the
+    full elimination, since Sylvester's identity fixes both.
     """
     size = len(a)
     done = [0] * size  # steps applied to each row so far
-    ends = list(ends)  # kept current through swaps and updates
     piv = [1]  # piv[d]: the divisor of step d, the pivot of step d - 1
 
     def current(i, e):
@@ -63,7 +52,7 @@ def _bareiss(a, steps, width, ends):
         if d != e:
             f, g = piv[e], piv[d]
             row = a[i]
-            for j in range(e, ends[i]):
+            for j in range(e, len(row)):
                 q, r = divmod(row[j] * f, g)
                 if r:
                     raise ArithmeticError("Bareiss division was not exact")
@@ -72,53 +61,34 @@ def _bareiss(a, steps, width, ends):
 
     sign = 1
     for k in range(steps):
-        last = k + width + 1  # one past the last row that can be nonzero
         if not a[k][k]:
-            swap = next((i for i in range(k + 1, min(last, steps))
-                         if a[i][k]), None)
+            swap = next((i for i in range(k + 1, steps) if a[i][k]), None)
             if swap is None:
                 return None
-            for per_row in (a, done, ends):
+            for per_row in (a, done):
                 per_row[k], per_row[swap] = per_row[swap], per_row[k]
             sign = -sign
         current(k, k)
         row_k = a[k]
         pivot = row_k[k]
         prev = piv[k]
-        end_k = ends[k]
-        for i in range(k + 1, min(last, size)):
+        for i in range(k + 1, size):
             row_i = a[i]
             if not row_i[k]:
                 continue
             current(i, k)
             aik = row_i[k]
-            end = max(end_k, ends[i])
-            for j in range(k + 1, end):
+            for j in range(k + 1, len(row_i)):
                 q, r = divmod(row_i[j] * pivot - aik * row_k[j], prev)
                 if r:
                     raise ArithmeticError("Bareiss division was not exact")
                 row_i[j] = q
             row_i[k] = 0
-            ends[i] = end
             done[i] = k + 1
         piv.append(pivot)
     for i in range(steps, size):
         current(i, steps)
     return sign
-
-
-def _band(a):
-    """The lower bandwidth of the rows a and one past the rightmost
-    nonzero of each row, measured, for `_bareiss` on a matrix whose band
-    its caller does not know."""
-    width = 0
-    ends = [0] * len(a)
-    for i, row in enumerate(a):
-        nonzero = list(map(bool, row))
-        if True in nonzero:
-            width = max(width, i - nonzero.index(True))
-            ends[i] = len(row) - nonzero[::-1].index(True)
-    return width, ends
 
 
 def det_bareiss(m):
@@ -132,7 +102,7 @@ def det_bareiss(m):
         raise TypeError("det_bareiss takes integer entries")
     if n == 0:
         return 1
-    sign = _bareiss(a, n, *_band(a))
+    sign = _bareiss(a, n)
     return 0 if sign is None else sign * a[n - 1][n - 1]
 
 
@@ -203,7 +173,7 @@ def alexander_by_interpolation(n):
             for v, c, d in entries:
                 row[v] = x * c + d
             rows.append(row)
-        sign = _bareiss(rows, size, *_band(rows))
+        sign = _bareiss(rows, size)
         det = 0 if sign is None else sign * rows[-1][-1]
         nodes.append(scale * x + scale // x)
         vals.append((scale // x) ** half * det)

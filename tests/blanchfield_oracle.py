@@ -28,7 +28,7 @@ dense Matrix product.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bareiss_oracle import _band, _bareiss, _newton_interpolate, det_bareiss
+from bareiss_oracle import _bareiss, _newton_interpolate, det_bareiss
 from laurent_oracle import eval_points
 from seifert_oracle import seifert_matrix
 from sliceobs.blanchfield import BASIS, CoverHomology, LinkingForm
@@ -81,7 +81,7 @@ def _pairing_cofactors(a, pos):
     while len(pts) < size + 1:
         x = next(points)
         m = [[u - x * v for u, v in row] for row in pairs]
-        sign = _bareiss(m, k, *_band(m))
+        sign = _bareiss(m, k)
         if sign is None:
             skipped += 1
             if skipped > k:

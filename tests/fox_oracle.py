@@ -116,6 +116,13 @@ class FoxBlockMatrix:
         return interpolate(xs, [self.det_at(x) for x in xs], self.s)
 
 
+def diagonal(rep, g):
+    """diag entries (d_1, d_2, d_3) of generator g, mod s: theta to the
+    exponents of g's triple, each by `pow`, so that they share nothing
+    with the table of roots of unity the program reads them from."""
+    return tuple(pow(rep.theta, x, rep.s) for x in rep.exponents[g - 1])
+
+
 def fox_block(relator, g, rep):
     """3x3 block (konst, tmat) of the Fox derivative of the relator
     (a, b, c) ~ g_a g_b g_c^-1 g_b^-1 with respect to generator g, under
@@ -128,14 +135,14 @@ def fox_block(relator, g, rep):
         for k in range(3):
             konst[k][k] += 1
     if g == b:
-        d1, d2, d3 = rep.d(a)
+        d1, d2, d3 = diagonal(rep, a)
         konst[1][0] += d1
         konst[2][1] += d2
         tmat[0][2] += d3
         for k in range(3):
             konst[k][k] -= 1
     if g == c:
-        d1, d2, d3 = rep.d(b)
+        d1, d2, d3 = diagonal(rep, b)
         konst[1][0] -= d1
         konst[2][1] -= d2
         tmat[0][2] -= d3

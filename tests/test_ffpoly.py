@@ -345,15 +345,17 @@ def test_factor_product_roundtrip(coeffs):
 
 
 def test_factor_bounds_cantor_zassenhaus_retries():
-    # `_power` takes only the (s - 1)/2 power of each equal-degree draw
-    # (x^s goes by `_x_power`); with that power stubbed to 1, the gcd of
-    # power - 1 with (t^2 + 1)(t^2 + 4) mod 1000003 is the whole
-    # product, so no draw splits it; the retries used to run in a
-    # `while True`, so factor hung
+    # with the power (s - 1)/2 of each equal-degree draw stubbed to 1,
+    # and every other power (the x^s of each Frobenius map) left as it
+    # is, the gcd of power - 1 with (t^2 + 1)(t^2 + 4) mod 1000003 is
+    # the whole product, so no draw splits it; the retries used to run
+    # in a `while True`, so factor hung
     s = 1000003
     assert is_irreducible([1, 0, 1], s) and is_irreducible([4, 0, 1], s)
     code = ("from sliceobs import ffpoly\n"
-            "ffpoly._power = lambda r, b, e, mulmod: [1]\n"
+            "power = ffpoly._power\n"
+            "ffpoly._power = lambda r, b, e, mulmod: (\n"
+            f"    [1] if e == {(s - 1) // 2} else power(r, b, e, mulmod))\n"
             f"ffpoly.factor([4, 0, 5, 0, 1], {s})\n")
     proc = run_python(["-c", code], 60)
     assert proc.returncode != 0
@@ -542,11 +544,11 @@ def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
     # factor of degree <= 2, a remainder of degree 5 < 2 * 3 is
     # irreducible, so a third t^(s^3) is wasted work; each probe is one
     # application of the Frobenius map, whose rows need one x^s, taken
-    # by `_x_power`
+    # by `_power` with the exponent s
     s = 23
     f = [3, 1, 0, 0, 0, 1]  # t^5 + t + 3
     applied, powers = [], []
-    real_frobenius, real_x_power = ffpoly._frobenius, ffpoly._x_power
+    real_frobenius, real_power = ffpoly._frobenius, ffpoly._power
 
     def counting_frobenius(modulus, s, mulmod):
         frobenius = real_frobenius(modulus, s, mulmod)
@@ -556,12 +558,13 @@ def test_is_irreducible_stops_distinct_degree_below_twice_d(monkeypatch):
             return frobenius(h)
         return apply
 
-    def counting_x_power(*args):
-        powers.append(args[0])
-        return real_x_power(*args)
+    def counting_power(result, base, e, mulmod):
+        if e == s:
+            powers.append(e)
+        return real_power(result, base, e, mulmod)
 
     monkeypatch.setattr(ffpoly, "_frobenius", counting_frobenius)
-    monkeypatch.setattr(ffpoly, "_x_power", counting_x_power)
+    monkeypatch.setattr(ffpoly, "_power", counting_power)
     assert is_irreducible(f, s)
     assert (applied, powers) == ([5, 5], [s])
     applied.clear()

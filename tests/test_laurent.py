@@ -96,6 +96,20 @@ def test_an_exponent_that_is_not_an_int_is_refused(coeffs, bad):
         LaurentPolynomial(coeffs)
 
 
+@pytest.mark.parametrize("coeffs, bad", [
+    ({0: True}, "True"), ({1: False}, "False"), ({0: 1, 2: True}, "True")])
+def test_a_bool_coefficient_is_refused(coeffs, bad):
+    # a bool is an int to isinstance: True was stored and printed as
+    # True, and False was dropped as a zero
+    with pytest.raises(ValueError, match=(
+            f"^a coefficient must be an integer, not {bad}$")):
+        LaurentPolynomial(coeffs)
+    # equality with a bool still answers, as with the int it equals
+    assert LaurentPolynomial({0: 1}) == True
+    assert LaurentPolynomial() == False
+    assert lp([0, 1]) != True
+
+
 @pytest.mark.parametrize("c", [1.5, 2.0, Fraction(1, 2)])
 def test_a_scalar_that_is_not_an_int_is_refused(c):
     p = lp([1, 2])

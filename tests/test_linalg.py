@@ -13,7 +13,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bareiss_oracle import _band, _bareiss, _newton_interpolate, det_bareiss
+from bareiss_oracle import _bareiss, _newton_interpolate, det_bareiss
 from laurent_oracle import (band_rows, dense_rows, det_cofactor,
                             det_laurent, evaluate, minor)
 from seifert_oracle import seifert_matrix
@@ -277,7 +277,7 @@ def check_partial_bareiss(rows, k):
     sign; None exactly when the leading k-block is singular."""
     n = len(rows)
     a = [list(r) for r in rows]
-    sign = _bareiss(a, k, *_band(a))
+    sign = _bareiss(a, k)
     lead = det_cofactor([r[:k] for r in rows[:k]])
     if sign is None:
         assert lead == 0
@@ -394,12 +394,12 @@ def test_bareiss_within_the_lower_bandwidth(case):
 
 def test_banded_examples_take_the_paths_they_name():
     a = [list(r) for r in SWAP_LAST]
-    assert _bareiss(a, 4, *_band(a)) == -1  # one swap, row 3 into place
+    assert _bareiss(a, 4) == -1  # one swap, row 3 into place
     a = [list(r) for r in SWAP_IN_BAND]
-    assert _bareiss(a, 4, *_band(a)) == 1  # two swaps
+    assert _bareiss(a, 4) == 1  # two swaps
     assert det_cofactor(SWAP_IN_BAND) == a[3][3] == -30
     a = [list(r) for r in SINGULAR_LEAD]
-    assert _bareiss(a, 2, *_band(a)) is None
+    assert _bareiss(a, 2) is None
     assert det_cofactor([r[:2] for r in SINGULAR_LEAD[:2]]) == 0
 
 

@@ -364,6 +364,27 @@ class TestCensus:
         assert len(calls) == 2
         assert census.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("regroup, message", [
+        (lambda fixed, orbit: [[fixed] + orbit],
+         "^metabolizer orbits must be sizes 1, n$"),
+        (lambda fixed, orbit: [orbit[:1], [fixed] + orbit[1:]],
+         "^the fixed metabolizer must be its own orbit$"),
+    ], ids=["one-orbit-of-n-plus-1", "a-lone-line-not-fixed"])
+    def test_a_wrong_orbit_decomposition_is_caught(
+            self, monkeypatch, empty_census, regroup, message):
+        # the same n + 1 lines, grouped as one orbit, or with a line of
+        # the period orbit alone and the fixed one in the orbit of n
+        orbit_decomposition = report.orbit_decomposition
+
+        def regrouped(mets, n):
+            (fixed,), orbit = orbit_decomposition(mets, n)
+            return regroup(fixed, orbit)
+
+        monkeypatch.setattr(report, "orbit_decomposition", regrouped)
+        with pytest.raises(ArithmeticError, match=message):
+            census(11)
+        assert census.cache_info().currsize == 0
+
     def test_an_earlier_witness_leaves_the_reports_unchanged(self):
         # each run in a fresh interpreter, whose cache starts empty
         code = ("import json, sys\n"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import period_oracle
-from fox_oracle import fox_block, fox_matrix, interpolate, poly_matrix_det
+from fox_oracle import (diagonal, fox_block, fox_matrix, interpolate,
+                        poly_matrix_det)
 from fresh_python import run_python
 from sliceobs import ffpoly, twisted
 from sliceobs.blanchfield import period_matrix, t_matrix
@@ -99,9 +100,9 @@ class TestRepresentation:
     def test_build_realizes_root_of_unity(self):
         rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
         assert rep.s == 11 and pow(rep.theta, 5, 11) == 1
-        assert rep.d(1) == (1, 1, 1)
+        assert diagonal(rep, 1) == (1, 1, 1)
         for g in range(1, PRES5.num_generators + 1):
-            assert all(pow(x, 5, 11) == 1 for x in rep.d(g))
+            assert all(pow(x, 5, 11) == 1 for x in diagonal(rep, g))
 
     def test_build_rejects_a_bad_witness(self):
         with pytest.raises(ValueError):
