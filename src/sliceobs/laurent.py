@@ -15,7 +15,7 @@ __all__ = ["LaurentPolynomial"]
 class LaurentPolynomial:
     """An element of Z[t, t^-1] stored as a map exponent -> coefficient.
     An exponent or a coefficient that is not an int, or is a bool, raises
-    ValueError."""
+    ValueError, and so does a bool taken as a constant or a scalar."""
 
     __slots__ = ("_coeffs",)
 
@@ -88,7 +88,9 @@ class LaurentPolynomial:
         return LaurentPolynomial({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (int, LaurentPolynomial)):
+        if isinstance(other, int):
+            other = LaurentPolynomial.constant(other)
+        if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self + -other
 
@@ -111,7 +113,10 @@ class LaurentPolynomial:
         return LaurentPolynomial({e + k: c for e, c in self._coeffs.items()})
 
     def scale(self, c):
-        """Multiply by the int c."""
+        """Multiply by the int c; any other c, a bool among them, raises
+        ValueError."""
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"a coefficient must be an integer, not {c!r}")
         return LaurentPolynomial({e: v * c for e, v in self._coeffs.items()})
 
     def aligned(self):

@@ -231,9 +231,10 @@ def det_gf(rows, s, points=None):
     list of their determinants is returned.  One elimination runs over
     all of them: a step is one list operation per row across every
     point, and the pivot is swapped by rows at a point only where it
-    vanishes there.  A point with no pivot left keeps a zero pivot,
-    whose zero inverse leaves its rows as they are, and its determinant
-    is 0.  The one-matrix call is the case of one point.
+    vanishes there, so a column where no pivot vanishes scans no point.
+    A point with no pivot left keeps a zero pivot, whose zero inverse
+    leaves its rows as they are, and its determinant is 0.  The
+    one-matrix call is the case of one point.
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"det_gf needs an int modulus s >= 2, not s={s!r}")
@@ -248,16 +249,18 @@ def det_gf(rows, s, points=None):
     for c in range(k):
         # a[c:] now hold only the columns c.. of each row
         row_c = a[c]
-        for p in range(npts):
-            if row_c[p]:
-                continue
-            swap = next((i for i in range(c + 1, k) if a[i][p]), None)
-            if swap is not None:
-                row_i = a[swap]
-                for j in range(p, len(row_c), npts):
-                    row_c[j], row_i[j] = row_i[j], row_c[j]
-                det[p] = s - det[p]
         pivot = row_c[:npts]
+        if 0 in pivot:
+            for p in range(npts):
+                if row_c[p]:
+                    continue
+                swap = next((i for i in range(c + 1, k) if a[i][p]), None)
+                if swap is not None:
+                    row_i = a[swap]
+                    for j in range(p, len(row_c), npts):
+                        row_c[j], row_i[j] = row_i[j], row_c[j]
+                    det[p] = s - det[p]
+            pivot = row_c[:npts]
         det = [d * x % s for d, x in zip(det, pivot)]
         inv = [pow(x, -1, s) if x else 0 for x in pivot]
         # the pivot row past its pivot, divided by the pivot

@@ -24,16 +24,21 @@ most four arcs.  The elimination runs once, on Laurent polynomials in
 t: a row of an arc's block is one integer that holds the coefficients
 of its border columns in fixed-width slots, degree after degree, so
 multiplying by t shifts the row up one degree and dividing by t shifts
-it down, and every other factor of a relator's step is a scalar.  A
-step is then three integer expressions, whose slots are all reduced at
-once by Barrett's method (`_slot_reducer`) into [0, 2s), with no carry
-from one slot into the next.  Only the Schur complement in the border
+it down, and every other factor of a relator's step is a scalar.  The
+slots cover only the degrees the rows can reach, a window that the plan
+tracks row by row through the steps (about 2n/3 degrees for the family,
+of 2n - 1 kept relators).  A step is then three integer expressions,
+whose slots are all reduced at once by Barrett's method
+(`_slot_reducer`) into [0, 2s), with no carry from one slot into the
+next.  Only the Schur complement in the border
 (at most 12 x 12) goes to points, and they are the 2n-th roots of
 unity omega^k = (-theta)^k, which the field of the witness already
 holds, in one table of the powers of omega.  The diagonals are read
 from it too, since theta = omega^(n + 1) gives
 theta^e = omega^((n + 1) e).  Each point is one sum of its packed
-coefficients times powers of omega from the table, one Gaussian
+coefficients times powers of omega from the table, taken at the first
+n points only: as omega^n = -1, the sums over the even and the odd
+degrees give the values at omega^k and at omega^(k + n).  One Gaussian
 elimination over all the points together (`det_gf` with `points`)
 takes its determinants, and the same sum over those, read backwards and
 scaled by 1/2n, gives the coefficients (the discrete Fourier transform
@@ -211,12 +216,27 @@ def _slot_reducer(s, slots):
     return w, reduce
 
 
+def _hull(*ranges):
+    """The least degree range (lo, hi) that holds each of the given ones,
+    None standing for the empty range, as for a zero row."""
+    ranges = [r for r in ranges if r]
+    if not ranges:
+        return None
+    return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+
+
+def _shifted(r, k):
+    """The degree range r of a row multiplied by t^k."""
+    return r and (r[0] + k, r[1] + k)
+
+
 @lru_cache(maxsize=None)
 def _elimination_plan(pres, drop_relator, drop_generator):
     """The kept relators, the pivot arc of each or None, the border arcs,
-    the sign of the reordering they make, and the degree window
-    (offset, span) of the elimination, all as tuples or ints; taken
-    once per presentation and deletion.
+    the sign of the reordering they make, the power of t in the
+    determinant of the pivot blocks, and the degree window
+    (bottom, span) of the elimination, all as tuples or ints; taken once
+    per presentation and deletion.
 
     Relators are taken in crossing order.  A relator (a, b, c) may pivot
     on a (block I) or on c (block -Phi(b)) when that arc occurs once in
@@ -232,14 +252,22 @@ def _elimination_plan(pres, drop_relator, drop_generator):
     The rows are reordered to the pivoting relators, then the others;
     the columns to the pivot arcs, then the border.  The sign is that of
     both reorderings: -1 to the number of their inversions, counted
-    once with the plan.
+    once with the plan.  Each pivot on c is a block -Phi(b) with one t,
+    so the power of t in the determinant of the pivot blocks is the
+    number of pivots on c.
 
-    A pivot on a multiplies by t once and a pivot on c divides by t
-    once, and a residual multiplies by t once more, so every coefficient
-    of the elimination has its degree in [-offset, span - offset - 1],
-    with offset the number of pivots on c and span the number of pivots
-    plus 2.  Each pivot on c is a block -Phi(b) with one t, so offset is
-    also the power of t in the determinant of the pivot blocks.
+    The window is the hull [lo, hi] of the degrees in t that any row of
+    the elimination can hold, tracked row by row through the steps that
+    `twisted_determinant` takes: the border arcs' rows sit at degree 0
+    and the dropped arc's are zero; a pivot on a gives row 0 in
+    t (q2 u r2) u r0, row 1 in q0 u r0 u r1 and row 2 in q1 u r1 u r2,
+    with p, r and q the rows of arcs a, b and c; a pivot on c gives
+    p1 u r0 u r1, p2 u r1 u r2 and (p0 u r0) / t u r2; a residual gives
+    p0 u r0 u t (r2 u q2), p1 u r1 u r0 u q0 and p2 u r2 u r1 u q1.  It
+    is returned as bottom = -lo, the degree that slot 0 holds below t^0,
+    and span = hi - lo + 1 <= m + 1, as each of the m kept relators
+    moves one bound by at most one degree.  For the family at deletion
+    (1, 1) the span is (2n + 5) / 3.
     """
     kept = tuple(r for i, r in enumerate(pres.relators, start=1)
                  if i != drop_relator)
@@ -264,22 +292,54 @@ def _elimination_plan(pres, drop_relator, drop_generator):
     sign = (-1) ** sum(x > y for order in (rows, cols)
                        for i, x in enumerate(order) for y in order[i + 1:])
     offset = sum(p == rel[2] for rel, p in zip(kept, pivots))
-    return kept, tuple(pivots), tuple(border), sign, offset, len(pivoting) + 2
+    # the degree range of each row of each arc; an arc not yet held is
+    # a border arc, at degree 0
+    held = {drop_generator: (None,) * 3}
+    ranges = [(0, 0)]
+    for (a, b, c), pivot in zip(kept, pivots):
+        (p0, p1, p2), (r0, r1, r2), (q0, q1, q2) = (
+            held.get(g, ((0, 0),) * 3) for g in (a, b, c))
+        if pivot == a:
+            out = (_hull(_shifted(_hull(q2, r2), 1), r0),
+                   _hull(q0, r0, r1), _hull(q1, r1, r2))
+        elif pivot == c:
+            out = (_hull(p1, r0, r1), _hull(p2, r1, r2),
+                   _hull(_shifted(_hull(p0, r0), -1), r2))
+        else:
+            out = (_hull(p0, r0, _shifted(_hull(r2, q2), 1)),
+                   _hull(p1, r1, r0, q0), _hull(p2, r2, r1, q1))
+        if pivot is not None:
+            held[pivot] = out
+        ranges += out
+    lo, hi = _hull(*ranges)
+    return (kept, tuple(pivots), tuple(border), sign, offset, -lo,
+            hi - lo + 1)
 
 
-def _at_roots(seq, table):
+def _at_roots(seq, table, pad=0):
     """The sums of seq[e] omega^(k e) over e, for k = 0 .. N - 1, where
-    table[j] = omega^j and omega has order N = len(table): the values at
-    the nodes omega^k of the polynomial with coefficients seq.  Read
-    backwards it is its own inverse up to N: the transform X of the
-    values y_k of a polynomial of degree below N has N c_e at
-    X[-e mod N], since sum_k omega^(k (j + e)) is N when j = -e mod N
-    and 0 otherwise."""
+    table[j] = omega^j and omega has even order N = len(table): the
+    values at the nodes omega^k of the polynomial with coefficients seq.
+    As omega^(N/2) = -1, the value at k + N/2 is A_k - B_k and the one at
+    k is A_k + B_k, with A_k and B_k the sums over the even and the odd e,
+    so only the first N/2 nodes are summed; pad is added to each A_k - B_k
+    (for packed seq, a multiple of s in every slot, at least any slot of
+    B_k, so that no slot goes negative).  Read backwards it is its own
+    inverse up to N: the transform X of the values y_k of a polynomial of
+    degree below N has N c_e at X[-e mod N], since sum_k omega^(k (j + e))
+    is N when j = -e mod N and 0 otherwise."""
     size = len(table)
-    steps = (k or size for k in range(size))
-    return [sum(map(mul, seq, [table[j % size]
-                               for j in range(0, step * len(seq), step)]))
-            for step in steps]
+    even, odd = seq[::2], seq[1::2]
+    plus, minus = [], []
+    for k in range(size // 2):
+        step = 2 * k or size
+        a = sum(map(mul, even, [table[j % size]
+                                for j in range(0, step * len(even), step)]))
+        b = sum(map(mul, odd, [table[j % size]
+                               for j in range(k, k + step * len(odd), step)]))
+        plus.append(a + b)
+        minus.append(a + pad - b)
+    return plus + minus
 
 
 def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
@@ -298,21 +358,24 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     border arcs, at most 12 x 12 for a 3-braid, and
         det = sign * prod det(pivot block) * det S,
     with det(-Phi(b)) = -t d_1 d_2 d_3, so the pivot blocks give
-    t^offset, and the plan's sign of the reordering of relators and
-    arcs.  The dropped arc enters every relator that reads it as zero.
+    t^offset, offset the plan's number of pivots on c, and the plan's
+    sign of the reordering of relators and arcs.  The dropped arc enters
+    every relator that reads it as zero.
 
     The elimination runs once, on the coefficients.  A row of T is one
     int in which the coefficient of t^e in column j sits in slot
-    (e + offset) cols + j, slots `_slot_reducer`'s width w apart, with
-    cols = 3|border| and the plan's degree window (offset, span).  t
+    (e + bottom) cols + j, slots `_slot_reducer`'s width w apart, with
+    cols = 3|border| and the plan's degree window (bottom, span), the
+    hull of the degrees its rows can reach, tracked row by row.  t
     occurs only in row 0 of Phi(g), and 1/t only in row 2 of
     Phi(b)^-1, so multiplying by t shifts a row up by cols w bits,
     dividing by t shifts it down, and every other factor of a step (an
     entry of d(a) or d(b), or an inverse) is a scalar; a negative term
     -c r enters as (s - c) r.  A shift that would push a nonzero slot
-    out of the window raises ArithmeticError.  Each slot enters a step
-    in [0, 2s) and each factor is below s, so no slot of a step's
-    expression reaches 8 s^3 (the largest, a pivot on c's
+    out of the window raises ArithmeticError, which the tracked window
+    rules out, so the check certifies the plan on every call.  Each slot
+    enters a step in [0, 2s) and each factor is below s, so no slot of a
+    step's expression reaches 8 s^3 (the largest, a pivot on c's
     inv (p + d r + (s - 1) r'), is below 4 s^3 + 2 s^2), and one
     slotwise Barrett reduction brings every slot back into [0, 2s) with
     no carry between slots.  v is never formed: its row is folded into
@@ -326,16 +389,22 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     exactly 2n, and the powers are taken once into a table, which is
     checked to close up at omega^N = 1 with N distinct entries (n is
     held to `seifert.MAX_N`, as N points cost whatever m is).  Its
-    coefficients of t^(e - offset), of every entry, are packed into one
+    coefficients of t^(e - bottom), of every entry, are packed into one
     int per e, and its value at omega^k is the sum over e of
-    omega^(k e) times that int (`_at_roots`), in which each slot stays
-    below span 2 s^2 < 2^w, since span <= m + 2 <= N + 1 <= s: m + 1 <= N
-    is checked, and N divides s - 1.  The values are unpacked into
-    `det_gf`'s batched layout, which reduces them mod s, for one
+    omega^(k e) times that int (`_at_roots`).  Since omega^n = -1, only
+    the n nodes k < n are summed, as A_k over the even e and B_k over
+    the odd e, and the value at k + n is A_k + Z - B_k, with Z = 2 s^2 per
+    odd e in every slot: a multiple of s above any slot of B_k, so no
+    slot goes negative or borrows from the next.  Each slot of a chunk
+    is below 2s and each power below s, so every slot of a value stays
+    below A + Z - B < 2 span s^2 < 2^w, since span <= m + 1 <= N < s:
+    m + 1 <= N is checked, and N divides s - 1.  The values are unpacked
+    into `det_gf`'s batched layout, which reduces them mod s, for one
     elimination over all the points.  Each of the r rows of S is packed
-    as t^offset times itself, and the pivot blocks give t^offset, so
-    the determinant is t^T, T = offset (1 - r), times the polynomial of
-    degree below N with those determinants as its values at the nodes.
+    as t^bottom times itself, and the pivot blocks give t^offset, so
+    the determinant is t^T, T = offset - bottom r, times the polynomial
+    of degree below N with those determinants as its values at the
+    nodes.
     The same sum over the values (`_at_roots` again) holds N times that
     polynomial's coefficient of t^j at -j mod N, so the coefficient of
     t^e of the determinant is read at T - e mod N, times 1/N.
@@ -379,7 +448,7 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
     # d(g) = theta^e(g), and theta = -omega = omega^(n + 1) as omega^n = -1
     d = [None] + [tuple(table[(rep.n + 1) * x % size] for x in e)
                   for e in rep.exponents]
-    kept, pivots, border, sign, offset, span = _elimination_plan(
+    kept, pivots, border, sign, offset, bottom, span = _elimination_plan(
         pres, drop_relator, drop_generator)
     cols = 3 * len(border)
     w, reduce = _slot_reducer(s, span * cols)
@@ -399,7 +468,7 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
         return v >> step
 
     # the packed rows of each live arc; the dropped arc's are zero
-    value = {g: tuple(1 << (offset * cols + 3 * k + i) * w for i in range(3))
+    value = {g: tuple(1 << (bottom * cols + 3 * k + i) * w for i in range(3))
              for k, g in enumerate(border)}
     value[drop_generator] = (0, 0, 0)
     last_read = {g: i for i, rel in enumerate(kept) for g in rel}
@@ -443,11 +512,13 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
             if last_read[g] == i:
                 value.pop(g, None)
 
-    # the coefficients of t^(e - offset) of S, row after row, in one int
-    # per e; the value of S at omega^k is their sum weighted by omega^ke
+    # the coefficients of t^(e - bottom) of S, row after row, in one int
+    # per e; the value of S at omega^k is their sum weighted by omega^ke,
+    # padded by 2 s^2 in every slot for each odd e
     chunks = [sum((row >> e * step & low) << i * step
                   for i, row in enumerate(rows)) for e in range(span)]
-    values = _at_roots(chunks, table)
+    ones = ((1 << len(rows) * step) - 1) // ((1 << w) - 1)
+    values = _at_roots(chunks, table, 2 * s * s * (span // 2) * ones)
     # entry (i, j) of S at omega^k is slot i cols + j of its value;
     # det_gf reduces it mod s
     slot = (1 << w) - 1
@@ -455,7 +526,7 @@ def twisted_determinant(pres, rep, drop_relator=1, drop_generator=1):
                     for v in values] for i in range(len(rows))], s, size)
     # the determinant is t^power times the polynomial with the values
     # dets; the transform of dets holds size times its t^e at -e
-    power = offset * (1 - len(rows))
+    power = offset - bottom * len(rows)
     at = _at_roots(dets, table)
     scale = sign * const * pow(size, -1, s)
     return ffpoly.trim([at[(power - e) % size] * scale % s

@@ -950,6 +950,9 @@ class TestLinkingForm:
         with pytest.raises(error[0], match=error[1]):
             linking_form(5)
 
+    # the twin of test_refusal_of_what_the_band_pass_gives, which runs
+    # with the scale checks, as -O cannot change what the package does
+    @pytest.mark.scale
     @pytest.mark.parametrize("patch, error", LINKING_REFUSALS,
                              ids=["D = 0", "not hermitian"])
     def test_refusal_survives_optimize(self, patch, error):

@@ -992,6 +992,9 @@ def test_norm_obstruction_refuses_a_bad_degree(degrees, bad):
         norm_obstructed(degrees)
 
 
+# the twin of test_norm_obstruction_rejects_inconsistent_totals, which runs
+# with the scale checks, as -O cannot change what the package does
+@pytest.mark.scale
 @pytest.mark.parametrize("call, answer", (
     pytest.param("norm_obstructed([1, 2])", "True",
                  id="norm_obstructed([1, 2])"),

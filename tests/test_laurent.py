@@ -122,6 +122,25 @@ def test_a_scalar_that_is_not_an_int_is_refused(c):
     assert p != c
 
 
+@pytest.mark.parametrize("c", [True, False])
+def test_a_bool_scalar_is_refused(c):
+    # a bool is an int to isinstance: p - True was p - 1, p * True and
+    # p.scale(False) scaled, while p + True already raised
+    p = 2 * T
+    for op in (lambda: p + c, lambda: c + p, lambda: p - c, lambda: p * c,
+               lambda: c * p, lambda: p.scale(c)):
+        with pytest.raises(ValueError, match=(
+                f"^a coefficient must be an integer, not {c}$")):
+            op()
+
+
+def test_a_refused_scale_names_the_scalar():
+    # the product 2 * 2.5 = 5.0 was refused by the constructor, by name
+    with pytest.raises(ValueError, match=(
+            r"^a coefficient must be an integer, not 2\.5$")):
+        (2 * T).scale(2.5)
+
+
 def test_no_helper_beyond_what_the_program_uses():
     # evaluation and the largest exponent live with the oracle
     assert not callable(T)

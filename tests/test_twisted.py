@@ -203,6 +203,19 @@ class TestBlockEliminationOracle:
         rep = TwistedRep.build(pres, Character(n, row, "+"), s, theta)
         assert twisted_determinant(pres, rep) == oracle_raw(pres, rep)
 
+    # the longest windows the oracle reaches in seconds, at the widest
+    # slots of a 31-bit field; the dense oracle takes about 1.5 s a
+    # character here, so it runs with the scale checks
+    @pytest.mark.scale
+    def test_long_windows_in_a_large_field(self):
+        n, s = 29, 2147482481
+        pres = family_presentation(n)
+        theta = ffpoly.primitive_root_of_unity(s, n)
+        # both base characters and three pullbacks
+        for chi in all_characters(n)[:5]:
+            rep = TwistedRep.build(pres, chi, s, theta)
+            assert twisted_determinant(pres, rep) == oracle_raw(pres, rep)
+
     def test_other_braid_closures(self):
         # knots that are not in the family: a kink, four strands, and
         # diagonal data that need not come from a representation
@@ -240,6 +253,38 @@ def test_the_transform_read_backwards_inverts_itself(witness, data):
     padded = seq + [0] * (size - len(seq))
     for e in range(size):
         assert (back[-e % size] - size * padded[e]) % s == 0
+
+
+@given(st.sampled_from([(5, 11), (11, 23), (17, 103), (17, 2147483249)]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_halved_transform_is_the_direct_sum(witness, data):
+    # only the first n nodes are summed: the value at k + n is A_k - B_k,
+    # padded by 2 s^2 per odd e in every slot, and no slot of a packed
+    # sequence borrows from the next, even with every slot at 2s - 1
+    n, s = witness
+    size = 2 * n
+    omega = -ffpoly.primitive_root_of_unity(s, n) % s
+    table = [pow(omega, k, s) for k in range(size)]
+    slots, span = data.draw(st.integers(1, 6)), data.draw(st.integers(1, size))
+    top = 2 * s - 1
+    slot = (st.just(top) if data.draw(st.booleans())
+            else st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top)))
+    coeffs = [data.draw(st.lists(slot, min_size=slots, max_size=slots))
+              for _ in range(span)]
+    w, _ = _slot_reducer(s, span * slots)
+    ones = ((1 << slots * w) - 1) // ((1 << w) - 1)
+    values = _at_roots([sum(c << j * w for j, c in enumerate(row))
+                        for row in coeffs],
+                       table, 2 * s * s * (span // 2) * ones)
+    assert len(values) == size
+    for k, value in enumerate(values):
+        assert 0 <= value and value >> slots * w == 0
+        for j in range(slots):
+            got = value >> j * w & (1 << w) - 1
+            direct = sum(row[j] * table[k * e % size]
+                         for e, row in enumerate(coeffs))
+            assert got < 2 * span * s * s and (got - direct) % s == 0
 
 
 @given(st.sampled_from([3, 23, 2 ** 31 - 1, 10 ** 23 + 117]), st.data())
@@ -288,10 +333,10 @@ def test_one_reduction_per_kept_relator(monkeypatch, n, s):
         assert calls == [3] * kept
 
 
-# the plan's degree window (offset, span) narrowed to leave no degree
-# below t^0, or none above it
-NARROWED = {"below": "plan[:4] + (0, plan[5])",
-            "above": "plan[:5] + (plan[4] + 1,)"}
+# the plan's degree window (bottom, span) narrowed by one degree, to
+# leave out the lowest degree the tracked rows reach, or the highest
+NARROWED = {"below": "plan[:5] + (plan[5] - 1, plan[6] - 1)",
+            "above": "plan[:6] + (plan[6] - 1,)"}
 WINDOW_MESSAGES = {
     "below": "dividing by t drops a nonzero coefficient below",
     "above": "multiplying by t pushes a coefficient past the top"}
@@ -310,14 +355,23 @@ NARROWED_RUN = (
 class TestDegreeWindow:
     @pytest.mark.parametrize("side", sorted(NARROWED))
     def test_a_shift_out_of_the_window_is_refused(self, monkeypatch, side):
+        # the tracked window is tight at both edges for both base
+        # characters: one degree less at either end is refused
         plan_of = twisted._elimination_plan
         narrow = eval(f"lambda plan: {NARROWED[side]}")
         monkeypatch.setattr(twisted, "_elimination_plan",
                             lambda *args: narrow(plan_of(*args)))
-        rep = TwistedRep.build(PRES5, PLUS5, 11, 4)
-        with pytest.raises(ArithmeticError, match=WINDOW_MESSAGES[side]):
-            twisted_determinant(PRES5, rep)
+        for n, s, theta in ((5, 11, 4), (11, 23, 2)):
+            pres = family_presentation(n)
+            for chi in base_characters(n):
+                rep = TwistedRep.build(pres, chi, s, theta)
+                with pytest.raises(ArithmeticError,
+                                   match=WINDOW_MESSAGES[side]):
+                    twisted_determinant(pres, rep)
 
+    # the twin of test_a_shift_out_of_the_window_is_refused, which runs
+    # with the scale checks, as -O cannot change what the package does
+    @pytest.mark.scale
     @pytest.mark.parametrize("side", sorted(NARROWED))
     def test_check_survives_optimize(self, side):
         code = NARROWED_RUN.format(narrowed=NARROWED[side])
@@ -330,6 +384,14 @@ class TestDegreeWindow:
         plan = twisted._elimination_plan(family_presentation(11), 1, 2)
         assert twisted._elimination_plan(family_presentation(11), 1, 2) is plan
         assert all(isinstance(part, tuple) for part in plan[:3])
+
+    @pytest.mark.parametrize("n", [11, 17, 29])
+    def test_the_window_is_a_third_of_the_relators(self, n):
+        # at deletion (1, 1) the rows reach t^-(n + 1)/3 .. t^(n + 1)/3,
+        # a span of (2n + 5)/3 for 2n - 1 kept relators, n - 1 of them
+        # pivots on c
+        plan = twisted._elimination_plan(family_presentation(n), 1, 1)
+        assert plan[4:] == (n - 1, (n + 1) // 3, (2 * n + 5) // 3)
 
 
 class TestTwistedPolynomial:
@@ -477,6 +539,9 @@ class TestBadInput:
         with pytest.raises(ArithmeticError, match=r"\(t-1\)\^2"):
             twisted_polynomial(PRES5, Character(5, (0, 0, 0, 0), "+"), 11, 4)
 
+    # the twin of test_trivial_character_is_not_divisible, which runs
+    # with the scale checks, as -O cannot change what the package does
+    @pytest.mark.scale
     def test_check_survives_optimize(self):
         code = ("from sliceobs.braids import family_braid, "
                 "wirtinger_of_closure\n"
